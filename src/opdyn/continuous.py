@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import apply_A, apply_J, apply_Phi, h_constant, norm
-from .discrete import solve_vlambda
 from .errors import InputError, ResourceError
 
 #: hard cap on total RK4 steps across refinements
@@ -394,12 +393,3 @@ def slow_param_bound(op, param, u0, t, tol=1e-8, grid=2048):
         prev = cur
     raise ResourceError("slow_param_bound quadrature did not converge")
 
-
-def stationarity_gap_rhs(op, param, traj, t):
-    """||u'(t)|| / lam(t), the right side of the pointwise tracking bound."""
-    return norm(traj.deriv_at(t), op.norm_kind) / param.value(t)
-
-
-def v_lambda_at(op, param, t, tol=1e-10):
-    """v_{lam(t)}, recomputed from scratch so each value is certified."""
-    return solve_vlambda(op, param.value(t), tol=tol)

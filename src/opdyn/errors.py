@@ -20,4 +20,10 @@ class SchemaError(InputError):
 
 
 class ResourceError(OpdynError, RuntimeError):
-    """An iteration or step cap was hit before the requested tolerance."""
+    """A computation on valid input could not deliver its certified result.
+
+    Either an iteration or step cap was hit before the requested tolerance,
+    or a numerical solver failed its own certificate (a matrix game whose
+    primal-dual gap exceeds its tolerance, a strategy entry below the clamp
+    tolerance, an unbounded or non-terminating simplex).
+    """

@@ -4,20 +4,23 @@ The one-stage operator maps a state-value vector f to
 
     J(f)(w) = val [ g(i, j, w) + sum_w' f(w') rho(w' | i, j, w) ]
 
-where val is the minimax value of the auxiliary matrix game.  Matrix games
-are solved exactly by a dense simplex on the classical shifted LP; an
-independent grid/formula oracle is kept alongside for cross-checking.
+where val is the minimax value of the auxiliary matrix game.  A 2x2 game is
+solved in closed form (pure saddle or Shapley-Snow kernel formula); every
+other shape by a dense simplex on the classical shifted LP.  Both paths end in
+the same primal-dual gap certificate.  An independent grid/formula oracle is
+kept alongside for cross-checking.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SUP, Operator, as_vec
-from .errors import InputError, SchemaError
+from .errors import InputError, ResourceError, SchemaError
 
 #: transition rows must sum to 1 within this at ingest
 ROW_SUM_TOL = 1e-9
@@ -134,23 +137,76 @@ class MatrixGameSolution:
 
 
 def _clamp_simplex(p):
-    """Normalize an LP strategy vector, tolerating tiny negative slack."""
+    """Normalize a computed strategy vector, tolerating tiny negative slack."""
     if min(p) < -STRATEGY_CLAMP:
-        raise InputError("strategy entry below clamp tolerance")
+        raise ResourceError("strategy entry below clamp tolerance")
     p = [x if x > 0.0 else 0.0 for x in p]
     total = sum(p)
     if total <= 0.0:
-        raise InputError("strategy sums to zero")
+        raise ResourceError("strategy sums to zero")
     return [x / total for x in p]
+
+
+def _check_gap(maximin, minimax):
+    """The certificate of every solver path.
+
+    The row strategy guarantees at least maximin against every column and
+    the column strategy at most minimax against every row, so the true value
+    lies between them.  Written as ``not gap <= tol`` so a NaN gap fails too.
+    """
+    if not minimax - maximin <= LP_GAP_TOL:
+        raise ResourceError(
+            f"matrix-game solver gap {minimax - maximin:.3g} exceeds {LP_GAP_TOL}"
+        )
+
+
+def _solve_2x2(rows):
+    """Closed-form solution of a 2x2 game (Shapley & Snow 1950).
+
+    A pure saddle exists iff the pure maximin equals the pure minimax
+    (compared exactly); otherwise both players mix on the whole 2x2 kernel
+    with the equalizing strategies.  Scalar arithmetic throughout: this is
+    the hot path of every Shapley operator with 2x2 stage games.
+    """
+    (a, b), (c, d) = rows
+    row1_min = min(a, b)
+    col1_max = max(a, c)
+    maximin = max(row1_min, min(c, d))
+    if maximin == min(col1_max, max(b, d)):
+        p = [1.0, 0.0] if row1_min == maximin else [0.0, 1.0]
+        q = [1.0, 0.0] if col1_max == maximin else [0.0, 1.0]
+        value = maximin
+    else:
+        # Without a saddle, a - b and d - c are nonzero with one sign, so den
+        # cannot cancel.  The value (ad - bc) / den is written through
+        # differences, which keeps it accurate to rounding when the entries
+        # sit far from zero (ad - bc loses every digit at entries near 1e9).
+        den = (a - b) + (d - c)
+        p = _clamp_simplex([(d - c) / den, (a - b) / den])
+        q = _clamp_simplex([(d - b) / den, (a - c) / den])
+        value = a - (a - b) * (a - c) / den
+    (p1, p2), (q1, q2) = p, q
+    _check_gap(
+        min(p1 * a + p2 * c, p1 * b + p2 * d),
+        max(a * q1 + b * q2, c * q1 + d * q2),
+    )
+    return MatrixGameSolution(value, np.array(p), np.array(q))
 
 
 def matrix_game_value(M):
     """Minimax value and optimal mixed strategies of the matrix game M.
 
-    Solved by simplex (Bland's rule) on the shifted LP: with A = M + k > 0,
-    maximize 1'z subject to A z <= 1, z >= 0; then value = 1/(1'z) - k, the
-    column strategy is q = z / (1'z), and the dual variables under the slack
-    columns give the row strategy.
+    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
+    shape is solved by simplex (Bland's rule) on the shifted LP: with
+    A = M + k > 0, maximize 1'z subject to A z <= 1, z >= 0; then
+    value = 1/(1'z) - k, the column strategy is q = z / (1'z), and the dual
+    variables under the slack columns give the row strategy.  Both paths
+    return only strategies whose primal-dual gap is within LP_GAP_TOL.
+
+    Raises InputError for a matrix that is not 2-d, empty or not finite, and
+    ResourceError when the numerics fail the certificate (gap above
+    LP_GAP_TOL, a strategy entry below the clamp tolerance) or the simplex
+    does not terminate.
 
     The tableau is kept in plain Python lists: the matrices are tiny and the
     solver sits in the hot loop of every Shapley-operator evaluation, where
@@ -159,10 +215,12 @@ def matrix_game_value(M):
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InputError("matrix must be 2-d and nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix has non-finite entries")
     m, n = arr.shape
     rows = arr.tolist()
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise InputError("matrix has non-finite entries")
+    if m == 2 and n == 2:
+        return _solve_2x2(rows)
     if m == 1 and n == 1:
         one = np.array([1.0])
         return MatrixGameSolution(rows[0][0], one, one.copy())
@@ -202,7 +260,7 @@ def matrix_game_value(M):
                 ):
                     best, i = r, ii
         if i < 0:
-            raise InputError("unbounded matrix-game LP (internal)")
+            raise ResourceError("unbounded matrix-game LP (internal)")
         Ti = T[i]
         piv = Ti[j]
         for jj in range(width):
@@ -217,7 +275,7 @@ def matrix_game_value(M):
                     Tii[jj] -= f * Ti[jj]
         basis[i] = j
     else:
-        raise InputError("simplex failed to converge (internal)")
+        raise ResourceError("simplex failed to converge (internal)")
 
     total = obj[-1]
     value = 1.0 / total - shift
@@ -227,18 +285,10 @@ def matrix_game_value(M):
             z[b] = T[i][-1]
     q = _clamp_simplex([x / total for x in z])
     p = _clamp_simplex([obj[n + k] / total for k in range(m)])
-
-    # primal-dual gap contract
-    maximin = min(
-        sum(p[i] * rows[i][j] for i in range(m)) for j in range(n)
+    _check_gap(
+        min(sum(p[i] * rows[i][j] for i in range(m)) for j in range(n)),
+        max(sum(rows[i][j] * q[j] for j in range(n)) for i in range(m)),
     )
-    minimax = max(
-        sum(rows[i][j] * q[j] for j in range(n)) for i in range(m)
-    )
-    if minimax - maximin > LP_GAP_TOL:
-        raise InputError(
-            f"matrix-game solver gap {minimax - maximin:.3g} exceeds {LP_GAP_TOL}"
-        )
     return MatrixGameSolution(value, np.array(p), np.array(q))
 
 

@@ -29,6 +29,13 @@ def test_missing_operator_is_config_error(tmp_path):
     assert run(["value_iter", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_matrix_game_certificate_failure_is_resource_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(shapley, "LP_GAP_TOL", -1.0)
+    args = ["discounted", "--preset", "matching-pennies", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_RESOURCE
+    assert "resource error" in capsys.readouterr().err
+
+
 def test_translation_preset_value_iter(tmp_path):
     assert run(["value_iter", "--preset", "translation", "--out", str(tmp_path)]) == 0
     header, rows = csv_rows(tmp_path / "value_iter.csv")
