@@ -49,6 +49,10 @@ class Scenario:
     def __post_init__(self):
         if self.horizon <= 0:
             raise InputError("horizon must be positive")
+        if not isinstance(self.starts, (list, tuple, type(None))):
+            raise InputError("starts must be a list of points")
+        if not isinstance(self.extra, dict):
+            raise InputError("extra must be an object")
         if not self.name:
             self.name = self.operator.describe()
 
@@ -89,19 +93,15 @@ def _report(check, lhs, rhs, budget, context):
 
 
 def _ctx(sc, **kw):
-    d = {"scenario": sc.name}
-    d.update(kw)
-    return d
+    return {"scenario": sc.name, **kw}
 
 
 def _log_points(lo, hi, count=8):
-    pts = np.geomspace(lo, hi, count)
-    return np.unique(pts)
+    return np.unique(np.geomspace(lo, hi, count))
 
 
 def _node_indices(traj, targets):
-    idx = sorted({int(np.argmin(np.abs(traj.times - t))) for t in targets})
-    return idx
+    return sorted({int(np.argmin(np.abs(traj.times - t))) for t in targets})
 
 
 def _zeros(op):
@@ -110,6 +110,36 @@ def _zeros(op):
 
 def _second_start(op):
     return np.ones(op.dim)
+
+
+def _starts(sc, *defaults):
+    """The scenario's first len(defaults) start points, or the defaults."""
+    starts = defaults if sc.starts is None else sc.starts
+    if len(starts) < len(defaults):
+        raise InputError(
+            f"this check needs {len(defaults)} start point(s), got {len(starts)}"
+        )
+    return [core.as_vec(x, sc.operator.dim) for x in starts[:len(defaults)]]
+
+
+def _worst(candidates):
+    """The (lhs, rhs, ...) candidate with the largest lhs - rhs (first on ties)."""
+    return max(candidates, key=lambda c: c[0] - c[1])
+
+
+def _worst_increase(values):
+    """Largest step up along a sequence that should be non-increasing."""
+    return max(b - a for a, b in zip(values, values[1:]))
+
+
+def _decay(check, gaps, st, budget, ctx):
+    """Finite-horizon decay: the last gap is at most decay_factor x the first."""
+    return _report(check, gaps[-1], st.decay_factor * gaps[0], budget, ctx)
+
+
+def _vlambda_gap(op, x, lam, fp_tol):
+    """||x - v_lam||, with v_lam certified to fp_tol."""
+    return op.norm(x - discrete.solve_vlambda(op, lam, tol=fp_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +180,13 @@ def _check_accretivity(sc, st):
     return reports
 
 
-def _two_trajectories_U(sc, st):
-    op = sc.operator
-    starts = sc.starts or [_zeros(op), _second_start(op)]
-    T = float(sc.horizon)
-    t1 = continuous.integrate_U(op, starts[0], T, tol=st.ode_tol)
-    t2 = continuous.integrate_U(op, starts[1], T, tol=st.ode_tol)
-    return t1, t2
-
-
 def _check_solution_contraction(sc, st):
     op = sc.operator
-    t1, t2 = _two_trajectories_U(sc, st)
-    times = np.linspace(0.0, float(sc.horizon), 41)
-    gaps = [op.norm(t1.at(t) - t2.at(t)) for t in times]
-    worst = max(b - a for a, b in zip(gaps, gaps[1:]))
+    T = float(sc.horizon)
+    t1, t2 = (continuous.integrate_U(op, x, T, tol=st.ode_tol)
+              for x in _starts(sc, _zeros(op), _second_start(op)))
+    times = np.linspace(0.0, T, 41)
+    worst = _worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times])
     budget = BASE_TOL + 2.0 * (t1.err_bound[0] + t2.err_bound[0])
     return [_report("solution_contraction", worst, 0.0, budget,
                     _ctx(sc, checkpoints=len(times)))]
@@ -172,13 +194,10 @@ def _check_solution_contraction(sc, st):
 
 def _check_derivative_decay(sc, st):
     op = sc.operator
-    traj = continuous.integrate_U(
-        op, (sc.starts or [_second_start(op)])[0], float(sc.horizon),
-        tol=st.ode_tol,
-    )
+    (U0,) = _starts(sc, _second_start(op))
+    traj = continuous.integrate_U(op, U0, float(sc.horizon), tol=st.ode_tol)
     idx = _node_indices(traj, np.linspace(0.0, float(sc.horizon), 41))
-    gaps = [op.norm(traj.derivative[i]) for i in idx]
-    worst = max(b - a for a, b in zip(gaps, gaps[1:]))
+    worst = _worst_increase([op.norm(traj.derivative[i]) for i in idx])
     budget = BASE_TOL + 4.0 * traj.err_bound[0]
     return [_report("derivative_decay", worst, 0.0, budget,
                     _ctx(sc, checkpoints=len(idx)))]
@@ -187,24 +206,20 @@ def _check_derivative_decay(sc, st):
 def _check_chernoff(sc, st):
     op = sc.operator
     T = float(sc.horizon)
-    U0 = (sc.starts or [_zeros(op)])[0]
+    (U0,) = _starts(sc, _zeros(op))
     nmax = int(sc.extra.get("nmax", int(T)))
     grid = int(sc.extra.get("grid", 20))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
-    powers = [np.asarray(U0, dtype=float)]
+    powers = [U0]
     for _ in range(nmax):
         powers.append(apply_J(op, powers[-1]))
     ts = np.linspace(0.0, T, grid)
     ns = np.unique(np.linspace(0, nmax, grid).astype(int))
-    worst = None
-    for t in ts:
-        Ut = traj.at(t)
-        for n in ns:
-            lhs = op.norm(Ut - powers[n])
-            rhs = du0 * np.sqrt(t + (n - t) ** 2)
-            if worst is None or lhs - rhs > worst[0] - worst[1]:
-                worst = (lhs, rhs, float(t), int(n))
+    worst = _worst(
+        (op.norm(Ut - powers[n]), du0 * np.sqrt(t + (n - t) ** 2), float(t), int(n))
+        for t, Ut in zip(ts, map(traj.at, ts)) for n in ns
+    )
     budget = BASE_TOL + traj.err_bound[0]
     return [_report("chernoff", worst[0], worst[1], budget,
                     _ctx(sc, t=worst[2], n=worst[3],
@@ -230,7 +245,7 @@ def _check_convvn(sc, st):
 def _check_expo(sc, st):
     op = sc.operator
     T = float(sc.horizon)
-    U0 = (sc.starts or [_second_start(op)])[0]
+    (U0,) = _starts(sc, _second_start(op))
     ms = [int(m) for m in sc.extra.get("m_values", [25, 100, 400, 1600])]
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol, expo_check=False)
     a0 = op.norm(apply_A(op, U0))
@@ -247,9 +262,9 @@ def _check_expo(sc, st):
         reports.append(_report("expo", lhs, rhs, budget, _ctx(sc, m=m, T=T)))
     # measured errors should also decrease with m (up to integrator noise)
     if len(measured) >= 2:
-        worst = max(b - a for a, b in zip(measured, measured[1:]))
         reports.append(
-            _report("expo", worst, 0.0, BASE_TOL + 2.0 * traj.err_bound[-1],
+            _report("expo", _worst_increase(measured), 0.0,
+                    BASE_TOL + 2.0 * traj.err_bound[-1],
                     _ctx(sc, aspect="monotone_in_m", m_values=ms))
         )
     return reports
@@ -267,8 +282,7 @@ def _check_kobayashi(sc, st):
     rng = np.random.default_rng(sc.seed)
     pairs = int(sc.extra.get("pairs", 20))
     subgrid = int(sc.extra.get("subgrid", 10))
-    x0 = (sc.starts or [_zeros(op), _second_start(op)])[0]
-    xhat0 = (sc.starts or [_zeros(op), _second_start(op)])[1]
+    x0, xhat0 = _starts(sc, _zeros(op), _second_start(op))
     reports = []
     for p in range(pairs):
         s1 = sc.steps or _random_steps(rng)
@@ -277,13 +291,12 @@ def _check_kobayashi(sc, st):
         o2 = discrete.euler_scheme(op, xhat0, s2)
         ks = np.unique(np.linspace(0, len(s1), subgrid).astype(int))
         ls = np.unique(np.linspace(0, len(s2), subgrid).astype(int))
-        worst = None
-        for k in ks:
-            for l in ls:
-                lhs = op.norm(o1.points[k] - o2.points[l])
-                rhs = discrete.kobayashi_rhs(s1, s2, int(k), int(l), x0, xhat0, op)
-                if worst is None or lhs - rhs > worst[0] - worst[1]:
-                    worst = (lhs, rhs, int(k), int(l))
+        worst = _worst(
+            (op.norm(o1.points[k] - o2.points[l]),
+             discrete.kobayashi_rhs(s1, s2, int(k), int(l), x0, xhat0, op),
+             int(k), int(l))
+            for k in ks for l in ls
+        )
         reports.append(
             _report("kobayashi", worst[0], worst[1], BASE_TOL,
                     _ctx(sc, pair=p, k=worst[2], l=worst[3],
@@ -294,52 +307,46 @@ def _check_kobayashi(sc, st):
     return reports
 
 
-def _check_euler_vs_ode(sc, st):
+def _euler_vs_flow(sc, st, count):
+    """Euler orbit x and flow U from one start, compared at count indices k:
+    the (k, sigma_k, ||x_k - U(sigma_k)||), the steps, ||A(x_0)|| and the
+    flow's error bound."""
     op = sc.operator
     steps = sc.steps or discrete.StepSequence.harmonic(int(sc.horizon))
-    x0 = (sc.starts or [_second_start(op)])[0]
+    (x0,) = _starts(sc, _second_start(op))
     orbit = discrete.euler_scheme(op, x0, steps)
-    T = float(steps.sigma[-1])
-    traj = continuous.integrate_U(op, x0, T, tol=st.ode_tol)
-    a0 = op.norm(apply_A(op, x0))
-    ks = np.unique(np.linspace(1, len(steps), 12).astype(int))
-    reports = []
-    for k in ks:
+    traj = continuous.integrate_U(op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
+    gaps = []
+    for k in np.unique(np.linspace(1, len(steps), count).astype(int)):
         t = float(steps.sigma[k])
-        lhs = op.norm(orbit.points[k] - traj.at(t))
-        rhs = a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k])
-        budget = BASE_TOL + traj.err_bound[0]
-        reports.append(_report("euler_vs_ode", lhs, rhs, budget,
-                               _ctx(sc, k=int(k), t=t)))
-    return reports
+        gaps.append((int(k), t, op.norm(orbit.points[k] - traj.at(t))))
+    return gaps, steps, op.norm(apply_A(op, x0)), traj.err_bound[0]
+
+
+def _check_euler_vs_ode(sc, st):
+    gaps, steps, a0, err = _euler_vs_flow(sc, st, 12)
+    return [
+        _report("euler_vs_ode", gap,
+                a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
+                BASE_TOL + err, _ctx(sc, k=k, t=t))
+        for k, t, gap in gaps
+    ]
 
 
 def _check_normalized_euler(sc, st):
-    op = sc.operator
-    steps = sc.steps or discrete.StepSequence.harmonic(int(sc.horizon))
-    x0 = (sc.starts or [_second_start(op)])[0]
-    orbit = discrete.euler_scheme(op, x0, steps)
-    T = float(steps.sigma[-1])
-    traj = continuous.integrate_U(op, x0, T, tol=st.ode_tol)
-    a0 = op.norm(apply_A(op, x0))
-    ks = np.unique(np.linspace(1, len(steps), 8).astype(int))
-    reports = []
-    for k in ks:
-        t = float(steps.sigma[k])
-        if t <= 0:
-            continue
-        lhs = op.norm(orbit.points[k] - traj.at(t)) / t
-        rhs = a0 * np.sqrt(t) / t  # same start, so ||x0 - U0|| = 0
-        budget = BASE_TOL + traj.err_bound[0] / t
-        reports.append(_report("normalized_euler", lhs, rhs, budget,
-                               _ctx(sc, k=int(k), t=t)))
-    return reports
+    # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
+    gaps, _, a0, err = _euler_vs_flow(sc, st, 8)
+    return [
+        _report("normalized_euler", gap / t, a0 * np.sqrt(t) / t,
+                BASE_TOL + err / t, _ctx(sc, k=k, t=t))
+        for k, t, gap in gaps
+    ]
 
 
 def _check_interpolation(sc, st):
     op = sc.operator
     T = float(sc.horizon)
-    x0 = (sc.starts or [_second_start(op)])[0]
+    (x0,) = _starts(sc, _second_start(op))
     if sc.steps is not None:
         steps = sc.steps
     else:
@@ -367,27 +374,18 @@ def _need_param(sc):
     return sc.param
 
 
-def _gap_series(op, param, traj, times, fp_tol):
-    gaps = []
-    for t in times:
-        v = discrete.solve_vlambda(op, param.value(t), tol=fp_tol)
-        gaps.append(op.norm(traj.at(t) - v))
-    return gaps
-
-
 def _check_stationarity_gap(sc, st):
     op = sc.operator
     param = _need_param(sc)
     T = float(sc.horizon)
-    u0 = (sc.starts or [_second_start(op)])[0]
+    (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     idx = _node_indices(traj, _log_points(T / 100.0, T, 8))
     reports = []
     for i in idx:
         t = float(traj.times[i])
         lam = param.value(t)
-        v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
-        lhs = op.norm(traj.points[i] - v)
+        lhs = _vlambda_gap(op, traj.points[i], lam, st.fp_tol)
         rhs = op.norm(traj.derivative[i]) / lam
         budget = BASE_TOL + st.fp_tol + traj.err_bound[0] * (1.0 + 2.0 / lam)
         reports.append(_report("stationarity_gap", lhs, rhs, budget,
@@ -402,7 +400,7 @@ def _check_constant_decay(sc, st):
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
     T = float(sc.horizon)
-    u0 = (sc.starts or [_second_start(op)])[0]
+    (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
@@ -427,41 +425,59 @@ def _check_initial_independence(sc, st):
     op = sc.operator
     param = _need_param(sc)
     T = float(sc.horizon)
-    starts = sc.starts or [_zeros(op), _second_start(op)]
-    t1 = continuous.integrate_u(op, param, starts[0], T, tol=st.ode_tol)
-    t2 = continuous.integrate_u(op, param, starts[1], T, tol=st.ode_tol)
-    d0 = op.norm(np.asarray(starts[0], dtype=float) - np.asarray(starts[1], dtype=float))
+    x0, x1 = _starts(sc, _zeros(op), _second_start(op))
+    t1 = continuous.integrate_u(op, param, x0, T, tol=st.ode_tol)
+    t2 = continuous.integrate_u(op, param, x1, T, tol=st.ode_tol)
+    d0 = op.norm(x0 - x1)
     times = _log_points(T / 100.0, T, 8)
     reports = []
+    gaps = []
     for t in times:
         integ = continuous._adaptive_simpson(param.value, 0.0, float(t), st.quad_tol)
-        lhs = op.norm(t1.at(t) - t2.at(t))
+        gaps.append(op.norm(t1.at(t) - t2.at(t)))
         rhs = d0 * np.exp(-integ)
         budget = BASE_TOL + st.quad_tol + t1.err_bound[0] + t2.err_bound[0]
-        reports.append(_report("initial_independence", lhs, rhs, budget,
+        reports.append(_report("initial_independence", gaps[-1], rhs, budget,
                                _ctx(sc, t=float(t))))
-    g0 = op.norm(t1.at(times[0]) - t2.at(times[0]))
-    g1 = op.norm(t1.at(times[-1]) - t2.at(times[-1]))
-    budget = BASE_TOL + t1.err_bound[0] + t2.err_bound[0]
     reports.append(
-        _report("initial_independence", g1, st.decay_factor * g0, budget,
-                _ctx(sc, aspect="decay", t0=float(times[0]), t1=float(times[-1])))
+        _decay("initial_independence", gaps, st,
+               BASE_TOL + t1.err_bound[0] + t2.err_bound[0],
+               _ctx(sc, aspect="decay", t0=float(times[0]), t1=float(times[-1])))
     )
     return reports
 
 
-def _check_wn_tracks_vn(sc, st):
+def _vn_decay(check, sc, st, param, u0, points_key=None, **ctx):
+    """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
     op = sc.operator
-    param = sc.param or continuous.InverseTimeZeta()
     N = int(sc.horizon)
-    u0 = (sc.starts or [_zeros(op)])[0]
     traj = continuous.integrate_u(op, param, u0, float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 6)]
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
-    budget = BASE_TOL + 2.0 * traj.err_bound[0]
-    return [_report("wn_tracks_vn", gaps[-1], st.decay_factor * gaps[0], budget,
-                    _ctx(sc, n_values=ns, gaps=[float(g) for g in gaps]))]
+    if points_key:
+        ctx[points_key] = ns
+    return _decay(check, gaps, st, BASE_TOL + 2.0 * traj.err_bound[0],
+                  _ctx(sc, gaps=[float(g) for g in gaps], **ctx))
+
+
+def _vlambda_decay(check, sc, st, param, u0, points_key=None, **ctx):
+    """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
+    op = sc.operator
+    T = float(sc.horizon)
+    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
+    times = _log_points(T / 100.0, T, 6)
+    gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
+    if points_key:
+        ctx[points_key] = [float(t) for t in times]
+    return _decay(check, gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0],
+                  _ctx(sc, gaps=[float(g) for g in gaps], **ctx))
+
+
+def _check_wn_tracks_vn(sc, st):
+    param = sc.param or continuous.InverseTimeZeta()
+    (u0,) = _starts(sc, _zeros(sc.operator))
+    return [_vn_decay("wn_tracks_vn", sc, st, param, u0, points_key="n_values")]
 
 
 def _check_convboth(sc, st):
@@ -477,9 +493,9 @@ def _check_convboth(sc, st):
     reports = [_report("convboth", lhs_n, 0.0, BASE_TOL,
                        _ctx(sc, family="v_n", N=N))]
     for lam in [0.5, 0.1, 0.01]:
-        v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
         reports.append(
-            _report("convboth", op.norm(v - l), 0.0, BASE_TOL + st.fp_tol,
+            _report("convboth", _vlambda_gap(op, l, lam, st.fp_tol), 0.0,
+                    BASE_TOL + st.fp_tol,
                     _ctx(sc, family="v_lambda", **{"lambda": lam}))
         )
     return reports
@@ -489,18 +505,15 @@ def _check_hypothesis_H(sc, st):
     op = sc.operator
     C = h_constant(op)
     rng = np.random.default_rng(sc.seed)
-    worst = None
-    violations = 0
+    pairs = []
     for _ in range(st.samples):
         x = core.sample_ball(rng, op.dim, 10.0, op.norm_kind)
         lam, mu = rng.uniform(1e-3, 1.0, size=2)
-        lhs = op.norm(apply_Phi(op, lam, x) - apply_Phi(op, mu, x))
-        rhs = abs(lam - mu) * (C + op.norm(x))
-        if lhs > rhs + BASE_TOL:
-            violations += 1
-        if worst is None or lhs - rhs > worst[0] - worst[1]:
-            worst = (lhs, rhs)
-    return [_report("hypothesis_H", worst[0], worst[1], BASE_TOL,
+        pairs.append((op.norm(apply_Phi(op, lam, x) - apply_Phi(op, mu, x)),
+                      abs(lam - mu) * (C + op.norm(x))))
+    violations = sum(lhs > rhs + BASE_TOL for lhs, rhs in pairs)
+    lhs, rhs = _worst(pairs)
+    return [_report("hypothesis_H", lhs, rhs, BASE_TOL,
                     _ctx(sc, samples=st.samples, violations=violations, C=C))]
 
 
@@ -508,13 +521,12 @@ def _check_slow_param(sc, st):
     op = sc.operator
     param = _need_param(sc)
     T = float(sc.horizon)
-    u0 = (sc.starts or [_second_start(op)])[0]
+    (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     times = sc.extra.get("t_values", _log_points(T / 100.0, T, 5))
     reports = []
     for t in times:
-        v = discrete.solve_vlambda(op, param.value(t), tol=st.fp_tol)
-        lhs = op.norm(traj.at(t) - v)
+        lhs = _vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol)
         rhs = continuous.slow_param_bound(op, param, u0, float(t), tol=st.quad_tol)
         budget = BASE_TOL + st.fp_tol + st.quad_tol + traj.err_bound[0]
         reports.append(_report("slow_param", lhs, rhs, budget,
@@ -523,18 +535,9 @@ def _check_slow_param(sc, st):
 
 
 def _check_convder_decay(sc, st):
-    op = sc.operator
     param = _need_param(sc)
-    T = float(sc.horizon)
-    u0 = (sc.starts or [_second_start(op)])[0]
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    times = _log_points(T / 100.0, T, 6)
-    gaps = _gap_series(op, param, traj, times, st.fp_tol)
-    budget = BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0]
-    return [_report("convder_decay", gaps[-1], st.decay_factor * gaps[0],
-                    budget,
-                    _ctx(sc, t_values=[float(t) for t in times],
-                         gaps=[float(g) for g in gaps]))]
+    (u0,) = _starts(sc, _second_start(sc.operator))
+    return [_vlambda_decay("convder_decay", sc, st, param, u0, points_key="t_values")]
 
 
 def _check_two_param(sc, st):
@@ -544,19 +547,19 @@ def _check_two_param(sc, st):
     if mu_p is None:
         raise InputError("two_param needs a second parametrization")
     T = float(sc.horizon)
-    starts = sc.starts or [_zeros(op), _second_start(op)]
-    tu = continuous.integrate_u(op, lam_p, starts[0], T, tol=st.ode_tol)
-    tv = continuous.integrate_u(op, mu_p, starts[1], T, tol=st.ode_tol)
+    x0, x1 = _starts(sc, _zeros(op), _second_start(op))
+    tu = continuous.integrate_u(op, lam_p, x0, T, tol=st.ode_tol)
+    tv = continuous.integrate_u(op, mu_p, x1, T, tol=st.ode_tol)
     C = h_constant(op)
-    d0 = op.norm(np.asarray(starts[0], dtype=float) - np.asarray(starts[1], dtype=float))
+    d0 = op.norm(x0 - x1)
     # cumulative quadrature along the u-trajectory grid
     s = tu.times
     mu_vals = np.array([mu_p.value(t) for t in s])
-    Imu = np.concatenate(([0.0], np.cumsum(0.5 * (mu_vals[1:] + mu_vals[:-1]) * np.diff(s))))
+    Imu = continuous._cumtrapz(mu_vals, s)
     u_norms = np.array([op.norm(p) for p in tu.points])
     lam_vals = np.array([lam_p.value(t) for t in s])
-    integrand = (C + u_norms) * np.abs(lam_vals - mu_vals) * np.exp(Imu)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s))))
+    cum = continuous._cumtrapz(
+        (C + u_norms) * np.abs(lam_vals - mu_vals) * np.exp(Imu), s)
     u_bound = float(np.max(u_norms))  # finite-horizon surrogate for "u bounded"
     times = _log_points(T / 100.0, T, 6)
     reports = []
@@ -570,14 +573,13 @@ def _check_two_param(sc, st):
                                _ctx(sc, t=t, u_bound_observed=u_bound)))
     case = sc.extra.get("case")
     if case in ("a", "b"):
-        g0 = op.norm(tu.at(times[0]) - tv.at(times[0]))
-        g1 = op.norm(tu.at(times[-1]) - tv.at(times[-1]))
-        budget = BASE_TOL + tu.err_bound[0] + tv.err_bound[0]
+        gaps = [op.norm(tu.at(t) - tv.at(t)) for t in (times[0], times[-1])]
         reports.append(
-            _report("two_param", g1, st.decay_factor * g0, budget,
-                    _ctx(sc, aspect="decay", case=case,
-                         u_bound_observed=u_bound,
-                         note="boundedness checked over finite horizon only"))
+            _decay("two_param", gaps, st,
+                   BASE_TOL + tu.err_bound[0] + tv.err_bound[0],
+                   _ctx(sc, aspect="decay", case=case,
+                        u_bound_observed=u_bound,
+                        note="boundedness checked over finite horizon only"))
         )
     return reports
 
@@ -601,53 +603,31 @@ def _check_vlambda_lipschitz(sc, st):
 def _check_discrete_slow(sc, st):
     op = sc.operator
     N = int(sc.horizon)
-    i = np.arange(1, N + 1, dtype=float)
     lam_seq = sc.extra.get("lambda_seq")
     if lam_seq is None:
-        lam_seq = np.minimum(1.0, i**-0.5)
+        lam_seq = np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5)
+    elif np.size(lam_seq) < N:
+        raise InputError(
+            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {np.size(lam_seq)}"
+        )
     orbit = discrete.phi_recursion(op, lam_seq)
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 5)]
-    gaps = []
-    for n in ns:
-        v = discrete.solve_vlambda(op, float(lam_seq[n - 1]), tol=st.fp_tol)
-        gaps.append(op.norm(orbit.points[n] - v))
-    budget = BASE_TOL + 2.0 * st.fp_tol
-    return [_report("discrete_slow", gaps[-1], st.decay_factor * gaps[0],
-                    budget, _ctx(sc, n_values=ns,
-                                 gaps=[float(g) for g in gaps]))]
+    gaps = [_vlambda_gap(op, orbit.points[n], float(lam_seq[n - 1]), st.fp_tol)
+            for n in ns]
+    return [_decay("discrete_slow", gaps, st, BASE_TOL + 2.0 * st.fp_tol,
+                   _ctx(sc, n_values=ns, gaps=[float(g) for g in gaps]))]
 
 
 def _check_alpha_family(sc, st):
-    op = sc.operator
     alpha = float(sc.extra.get("alpha", 0.5))
-    T = float(sc.horizon)
-    u0 = (sc.starts or [_zeros(op)])[0]
-    reports = []
-    # alpha in (0, 1): u tracks the discounted family
-    param = continuous.PowerAlpha(alpha)
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    times = _log_points(T / 100.0, T, 6)
-    gaps = _gap_series(op, param, traj, times, st.fp_tol)
-    budget = BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0]
-    reports.append(
-        _report("alpha_family", gaps[-1], st.decay_factor * gaps[0], budget,
-                _ctx(sc, alpha=alpha, aspect="v_lambda_tracking",
-                     gaps=[float(g) for g in gaps]))
-    )
-    # alpha = 0: u(n) tracks v_n
-    param0 = continuous.PowerAlpha(0.0)
-    traj0 = continuous.integrate_u(op, param0, u0, T, tol=st.ode_tol)
-    N = int(T)
-    _, vn = discrete.iterate_Vn(op, N)
-    ns = [int(n) for n in _log_points(max(1, N // 100), N, 6)]
-    gaps0 = [op.norm(traj0.at(float(n)) - vn[n - 1]) for n in ns]
-    budget = BASE_TOL + 2.0 * traj0.err_bound[0]
-    reports.append(
-        _report("alpha_family", gaps0[-1], st.decay_factor * gaps0[0], budget,
-                _ctx(sc, alpha=0.0, aspect="v_n_tracking",
-                     gaps=[float(g) for g in gaps0]))
-    )
-    return reports
+    (u0,) = _starts(sc, _zeros(sc.operator))
+    # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
+    return [
+        _vlambda_decay("alpha_family", sc, st, continuous.PowerAlpha(alpha), u0,
+                       alpha=alpha, aspect="v_lambda_tracking"),
+        _vn_decay("alpha_family", sc, st, continuous.PowerAlpha(0.0), u0,
+                  alpha=0.0, aspect="v_n_tracking"),
+    ]
 
 
 CHECKS = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -155,15 +156,17 @@ def build_operator(spec):
         if name != "matching-pennies":
             raise InputError(f"operator: unknown game_builtin {name!r}")
         return shapley.ShapleyOperator(shapley.matching_pennies())
-    g = spec["random_game"]
-    return shapley.ShapleyOperator(
-        shapley.random_game(
-            int(g.get("states", 3)),
-            int(g.get("rows", 2)),
-            int(g.get("cols", 2)),
-            tuple(g.get("payoff_range", (-1.0, 1.0))),
-            seed=int(g.get("seed", 0)),
-        )
+    return shapley.ShapleyOperator(_random_game(spec["random_game"]))
+
+
+def _random_game(g):
+    """A seeded random game from a 'random_game' config object."""
+    return shapley.random_game(
+        int(g.get("states", 3)),
+        int(g.get("rows", 2)),
+        int(g.get("cols", 2)),
+        tuple(g.get("payoff_range", (-1.0, 1.0))),
+        seed=int(g.get("seed", 0)),
     )
 
 
@@ -354,9 +357,10 @@ def _emit_reports(reports, out):
 
 def _settings_from(cfg):
     st = bounds.Settings()
-    for name in ("ode_tol", "fp_tol", "quad_tol", "decay_factor", "samples", "seed"):
-        if name in cfg.get("settings", {}):
-            setattr(st, name, type(getattr(st, name))(cfg["settings"][name]))
+    given = cfg.get("settings", {})
+    for f in dataclasses.fields(st):
+        if f.name in given:
+            setattr(st, f.name, type(getattr(st, f.name))(given[f.name]))
     return st
 
 
@@ -392,13 +396,7 @@ def task_generate_game(cfg, out):
     g = cfg.get("random_game") or cfg.get("operator", {}).get("random_game")
     if not isinstance(g, dict):
         raise InputError("generate-game: needs a 'random_game' object")
-    game = shapley.random_game(
-        int(g.get("states", 3)),
-        int(g.get("rows", 2)),
-        int(g.get("cols", 2)),
-        tuple(g.get("payoff_range", (-1.0, 1.0))),
-        seed=int(g.get("seed", 0)),
-    )
+    game = _random_game(g)
     path = os.path.join(out, cfg.get("game_file", "game.json"))
     write_json(path, game.to_dict())
     shapley.load_game(path)  # every emitted file must reload cleanly

@@ -149,11 +149,6 @@ class Table(Parametrization):
         )
 
 
-def param_eval(param, t):
-    """(lam(t), lam'(t)); the derivative for Table is the piecewise slope."""
-    return param.value(t), param.derivative(t)
-
-
 # ---------------------------------------------------------------------------
 # RK4 with Richardson refinement
 
@@ -173,48 +168,43 @@ class Trajectory:
     derivative: np.ndarray
     norm_kind: str
 
-    def at(self, t):
-        """Dense evaluation by cubic Hermite interpolation between samples."""
+    def _hermite(self, t, basis, last):
+        """Combine the samples around t with the weights basis(s, h) of
+        (x_k, x'_k, x_k+1, x'_k+1), where t = times[k] + s h; last[-1] at
+        the final sample.  t outside the samples raises InputError."""
         times = self.times
         if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
             raise InputError(f"time {t} outside [{times[0]}, {times[-1]}]")
         t = min(max(t, times[0]), times[-1])
         k = int(np.searchsorted(times, t, side="right")) - 1
         if k >= times.size - 1:
-            return self.points[-1].copy()
+            return last[-1].copy()
         h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
+        w = basis((t - times[k]) / h, h)
         return (
-            h00 * self.points[k]
-            + h10 * h * self.derivative[k]
-            + h01 * self.points[k + 1]
-            + h11 * h * self.derivative[k + 1]
+            w[0] * self.points[k]
+            + w[1] * self.derivative[k]
+            + w[2] * self.points[k + 1]
+            + w[3] * self.derivative[k + 1]
         )
+
+    def at(self, t):
+        """Dense evaluation by cubic Hermite interpolation between samples."""
+        return self._hermite(t, _hermite_basis, self.points)
 
     def deriv_at(self, t):
         """Hermite-interpolated derivative between samples."""
-        times = self.times
-        t = min(max(t, times[0]), times[-1])
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        if k >= times.size - 1:
-            return self.derivative[-1].copy()
-        h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
-        # derivative of the Hermite basis
-        d00 = (6 * s * s - 6 * s) / h
-        d10 = 3 * s * s - 4 * s + 1
-        d01 = (6 * s - 6 * s * s) / h
-        d11 = 3 * s * s - 2 * s
-        return (
-            d00 * self.points[k]
-            + d10 * self.derivative[k]
-            + d01 * self.points[k + 1]
-            + d11 * self.derivative[k + 1]
-        )
+        return self._hermite(t, _hermite_basis_derivative, self.derivative)
+
+
+def _hermite_basis(s, h):
+    return ((1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2 * h,
+            s * s * (3 - 2 * s), s * s * (s - 1) * h)
+
+
+def _hermite_basis_derivative(s, h):
+    return ((6 * s * s - 6 * s) / h, 3 * s * s - 4 * s + 1,
+            (6 * s - 6 * s * s) / h, 3 * s * s - 2 * s)
 
 
 def _rk4_run(rhs, y0, T, n):
@@ -239,11 +229,11 @@ def _rk4_run(rhs, y0, T, n):
     return times, points, derivs
 
 
-def _integrate(rhs, y0, T, tol, norm_kind, n0=None):
+def _integrate(rhs, y0, T, tol, norm_kind):
     """Step-halving RK4 until consecutive refinements differ by <= tol/2."""
     if T <= 0.0 or tol <= 0.0:
         raise InputError("T and tol must be positive")
-    n = n0 or max(32, int(np.ceil(2.0 * T)))
+    n = max(32, int(np.ceil(2.0 * T)))
     total = n
     prev = _rk4_run(rhs, y0, T, n)
     while True:
@@ -279,7 +269,7 @@ def euler_power(op, t, m, x0):
     return x
 
 
-def integrate_U(op, U0, T, tol=1e-8, expo_check=True, n0=None):
+def integrate_U(op, U0, T, tol=1e-8, expo_check=True):
     """Solve U' = J(U) - U on [0, T] with certified tolerance tol.
 
     When expo_check is set the endpoint is cross-checked against the Euler
@@ -287,7 +277,7 @@ def integrate_U(op, U0, T, tol=1e-8, expo_check=True, n0=None):
     """
     U0 = np.asarray(U0, dtype=float)
     rhs = lambda t, x: -apply_A(op, x)
-    traj = _integrate(rhs, U0, T, tol, op.norm_kind, n0)
+    traj = _integrate(rhs, U0, T, tol, op.norm_kind)
     if expo_check:
         m = max(64, int(np.ceil(T)))
         bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
@@ -299,15 +289,20 @@ def integrate_U(op, U0, T, tol=1e-8, expo_check=True, n0=None):
     return traj
 
 
-def integrate_u(op, param, u0, T, tol=1e-8, n0=None):
+def integrate_u(op, param, u0, T, tol=1e-8):
     """Solve u' = Phi(lam(t), u) - u on [0, T] with certified tolerance."""
     u0 = np.asarray(u0, dtype=float)
     rhs = lambda t, x: apply_Phi(op, param.value(t), x) - x
-    return _integrate(rhs, u0, T, tol, op.norm_kind, n0)
+    return _integrate(rhs, u0, T, tol, op.norm_kind)
 
 
 # ---------------------------------------------------------------------------
 # the damping factor L(t) and the slow-parametrization bound
+
+def _cumtrapz(y, s):
+    """Cumulative trapezoid integral of samples y on the grid s, from 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(s))))
+
 
 def _adaptive_simpson(f, a, b, tol, depth=60):
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
@@ -343,7 +338,7 @@ def L_factor(param, t, quad_tol=1e-10):
         return 1.0
 
     def integrand(s):
-        lam, dlam = param_eval(param, s)
+        lam, dlam = param.value(s), param.derivative(s)
         if lam <= 0.0 or not np.isfinite(lam):
             raise InputError("lambda reaches 0 on the interval")
         return abs(dlam) / lam - lam
@@ -377,8 +372,7 @@ def slow_param_bound(op, param, u0, t, tol=1e-8, grid=2048):
         lam = np.array([param.value(si) for si in s])
         dlam = np.array([param.derivative(si) for si in s])
         g = np.abs(dlam) / lam - lam
-        # G(s) = int_0^s g, cumulative trapezoid
-        G = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(s))))
+        G = _cumtrapz(g, s)  # G(s) = int_0^s g
         outer = np.abs(dlam) * np.exp(-G)
         integral = float(np.sum(0.5 * (outer[1:] + outer[:-1]) * np.diff(s)))
         return float(np.exp(G[-1]) / lam[-1] * (du0 + (C + Cp) * integral))

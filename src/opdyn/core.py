@@ -66,6 +66,10 @@ class Operator:
     def J(self, x):
         raise NotImplementedError
 
+    def h_constant(self):
+        """Constant C with ||Phi(lam,x) - Phi(mu,x)|| <= |lam-mu| (C + ||x||)."""
+        raise InputError(f"no hypothesis-(H) constant known for {self.describe()}")
+
     def norm(self, x):
         return norm(x, self.norm_kind)
 
@@ -84,6 +88,9 @@ class Translation(Operator):
 
     def J(self, x):
         return as_vec(x, self.dim) + self.c
+
+    def h_constant(self):
+        return self.norm(self.c)
 
     def describe(self):
         return f"Translation(c={self.c.tolist()})"
@@ -113,6 +120,9 @@ class LinearIsometry(Operator):
 
     def J(self, x):
         return self.matrix @ as_vec(x, self.dim)
+
+    def h_constant(self):
+        return 0.0
 
     def describe(self):
         return f"LinearIsometry(dim={self.dim})"
@@ -155,6 +165,9 @@ class AffineNonexpansive(Operator):
     def J(self, x):
         return self.matrix @ as_vec(x, self.dim) + self.offset
 
+    def h_constant(self):
+        return self.norm(self.offset)
+
     def describe(self):
         return f"AffineNonexpansive(dim={self.dim})"
 
@@ -190,16 +203,7 @@ def h_constant(op):
     Per variant: Translation ||c||, LinearIsometry 0, AffineNonexpansive
     ||b||, Shapley max|payoff|.
     """
-    if isinstance(op, Translation):
-        return op.norm(op.c)
-    if isinstance(op, LinearIsometry):
-        return 0.0
-    if isinstance(op, AffineNonexpansive):
-        return op.norm(op.offset)
-    c = getattr(op, "h_constant", None)
-    if c is not None:
-        return float(c() if callable(c) else c)
-    raise InputError(f"no hypothesis-(H) constant known for {op.describe()}")
+    return op.h_constant()
 
 
 @dataclass
@@ -223,53 +227,43 @@ def sample_ball(rng, dim, radius, norm_kind):
     return x / r * radius * rng.uniform() ** (1.0 / dim)
 
 
-def check_nonexpansive(op, samples=200, radius=10.0, seed=0):
-    """Sampled check of ||J(x)-J(y)|| <= ||x-y||.
-
-    worst_ratio is the largest observed ratio; violations counts pairs
-    exceeding 1 + RATIO_TOL.
-    """
+def _sampled_pairs(op, samples, radius, seed):
+    """Seeded pairs (x, y, ||x - y||) from the ball; pairs closer than
+    PAIR_MIN_DIST are drawn but skipped."""
     if samples < 1:
         raise InputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
+    pairs = []
     for _ in range(samples):
         x = sample_ball(rng, op.dim, radius, op.norm_kind)
         y = sample_ball(rng, op.dim, radius, op.norm_kind)
         d = op.norm(x - y)
-        if d <= PAIR_MIN_DIST:
-            continue
-        ratio = op.norm(op.J(x) - op.J(y)) / d
-        worst = max(worst, ratio)
-        if ratio > 1.0 + RATIO_TOL:
-            violations += 1
-    return PropertyReport(samples, violations, worst, seed)
+        if d > PAIR_MIN_DIST:
+            pairs.append((x, y, d))
+    return pairs
+
+
+def check_nonexpansive(op, samples=200, radius=10.0, seed=0):
+    """Sampled check of ||J(x)-J(y)|| <= ||x-y||.
+
+    worst_ratio is the largest observed ratio (0 when every pair is
+    skipped); violations counts pairs exceeding 1 + RATIO_TOL.
+    """
+    ratios = [op.norm(op.J(x) - op.J(y)) / d
+              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
+    violations = sum(r > 1.0 + RATIO_TOL for r in ratios)
+    return PropertyReport(samples, violations, max(ratios, default=0.0), seed)
 
 
 def check_accretive(op, lam, samples=200, radius=10.0, seed=0):
     """Sampled check of ||x-y + lam(A(x)-A(y))|| >= ||x-y|| for lam > 0.
 
-    worst_ratio is the smallest observed ratio; violations counts pairs
-    below 1 - RATIO_TOL.
+    worst_ratio is the smallest observed ratio (1 when every pair is
+    skipped); violations counts pairs below 1 - RATIO_TOL.
     """
     if lam <= 0:
         raise InputError("lambda must be positive")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    violations = 0
-    for _ in range(samples):
-        x = sample_ball(rng, op.dim, radius, op.norm_kind)
-        y = sample_ball(rng, op.dim, radius, op.norm_kind)
-        d = op.norm(x - y)
-        if d <= PAIR_MIN_DIST:
-            continue
-        ratio = op.norm(x - y + lam * (apply_A(op, x) - apply_A(op, y))) / d
-        worst = min(worst, ratio)
-        if ratio < 1.0 - RATIO_TOL:
-            violations += 1
-    if not np.isfinite(worst):
-        worst = 1.0
-    return PropertyReport(samples, violations, worst, seed)
+    ratios = [op.norm(x - y + lam * (apply_A(op, x) - apply_A(op, y))) / d
+              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
+    violations = sum(r < 1.0 - RATIO_TOL for r in ratios)
+    return PropertyReport(samples, violations, min(ratios, default=1.0), seed)

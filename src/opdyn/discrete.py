@@ -71,7 +71,6 @@ class DiscreteOrbit:
 
     points: np.ndarray
     scheme: str
-    origin: np.ndarray
     steps: StepSequence | None = None
 
     def __len__(self):
@@ -89,7 +88,7 @@ def iterate_Vn(op, N):
     for k in range(1, N + 1):
         points[k] = apply_J(op, points[k - 1])
     vn = points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
-    orbit = DiscreteOrbit(points, "value_iteration", points[0].copy())
+    orbit = DiscreteOrbit(points, "value_iteration")
     return orbit, vn
 
 
@@ -131,18 +130,21 @@ def solve_vlambda(op, lam, tol=1e-10, w0=None, full=False):
     return result if full else result.v
 
 
-def euler_scheme(op, x0, steps):
-    """Explicit Euler orbit x_n = (1 - lam_n) x_{n-1} + lam_n J(x_{n-1})."""
+def _step_orbit(op, x0, steps, scheme, step):
+    """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence."""
     if not isinstance(steps, StepSequence):
         steps = StepSequence(np.asarray(steps, dtype=float))
-    x0 = as_vec(x0, op.dim)
-    N = len(steps)
-    points = np.empty((N + 1, op.dim))
-    points[0] = x0
-    for n in range(1, N + 1):
-        lam = steps.steps[n - 1]
-        points[n] = points[n - 1] - lam * apply_A(op, points[n - 1])
-    return DiscreteOrbit(points, "euler", x0.copy(), steps)
+    points = np.empty((len(steps) + 1, op.dim))
+    points[0] = as_vec(x0, op.dim)
+    for n, lam in enumerate(steps.steps, 1):
+        points[n] = step(lam, points[n - 1])
+    return DiscreteOrbit(points, scheme, steps)
+
+
+def euler_scheme(op, x0, steps):
+    """Explicit Euler orbit x_n = (1 - lam_n) x_{n-1} + lam_n J(x_{n-1})."""
+    return _step_orbit(op, x0, steps, "euler",
+                       lambda lam, x: x - lam * apply_A(op, x))
 
 
 def euler_interpolant(orbit, t):
@@ -160,19 +162,17 @@ def euler_interpolant(orbit, t):
     return (1.0 - frac) * orbit.points[k] + frac * orbit.points[k + 1]
 
 
-def phi_recursion(op, lambda_seq, w0=None):
-    """Orbit of w_n = Phi(lam_n, w_{n-1})."""
+def phi_recursion(op, lambda_seq):
+    """Orbit of w_n = Phi(lam_n, w_{n-1}) from w_0 = 0."""
     lam = np.asarray(lambda_seq, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise InputError("lambda sequence must be a nonempty 1-d sequence")
     if np.any(lam <= 0.0) or np.any(lam > 1.0):
         raise InputError("lambda values must lie in (0, 1]")
-    w0 = np.zeros(op.dim) if w0 is None else as_vec(w0, op.dim)
-    points = np.empty((lam.size + 1, op.dim))
-    points[0] = w0
+    points = np.zeros((lam.size + 1, op.dim))
     for n in range(1, lam.size + 1):
         points[n] = apply_Phi(op, lam[n - 1], points[n - 1])
-    return DiscreteOrbit(points, "phi_recursion", w0.copy())
+    return DiscreteOrbit(points, "phi_recursion")
 
 
 def resolvent(op, lam, y, tol=1e-12):
@@ -198,33 +198,19 @@ def resolvent(op, lam, y, tol=1e-12):
 
 def proximal_orbit(op, x0, steps):
     """Compose resolvent steps: x_n = (I + lam_n A)^{-1}(x_{n-1})."""
-    if not isinstance(steps, StepSequence):
-        steps = StepSequence(np.asarray(steps, dtype=float))
-    x0 = as_vec(x0, op.dim)
-    points = np.empty((len(steps) + 1, op.dim))
-    points[0] = x0
-    for n in range(1, len(steps) + 1):
-        points[n] = resolvent(op, steps.steps[n - 1], points[n - 1])
-    return DiscreteOrbit(points, "proximal", x0.copy(), steps)
+    return _step_orbit(op, x0, steps, "proximal",
+                       lambda lam, x: resolvent(op, lam, x))
 
 
-def kobayashi_rhs(steps1, steps2, k, l, x0, xhat0, op, z=None):
-    """Right-hand side of the two-scheme distance bound:
+def kobayashi_rhs(steps1, steps2, k, l, x0, xhat0, op):
+    """Right-hand side of the two-scheme distance bound, taken at z = x0:
 
-    ||x0 - z|| + ||xhat0 - z|| + ||A(z)|| sqrt((sigma_k - sigma_l)^2
-                                               + tau_k + tau_l).
-
-    z defaults to x0.
+    ||xhat0 - x0|| + ||A(x0)|| sqrt((sigma_k - sigma_l)^2 + tau_k + tau_l).
     """
     if k < 0 or k > len(steps1) or l < 0 or l > len(steps2):
         raise InputError("indices outside the step sequences")
     x0 = as_vec(x0, op.dim)
     xhat0 = as_vec(xhat0, op.dim)
-    z = x0 if z is None else as_vec(z, op.dim)
     ds = steps1.sigma[k] - steps2.sigma[l]
     root = np.sqrt(ds * ds + steps1.tau[k] + steps2.tau[l])
-    return (
-        op.norm(x0 - z)
-        + op.norm(xhat0 - z)
-        + op.norm(apply_A(op, z)) * root
-    )
+    return op.norm(xhat0 - x0) + op.norm(apply_A(op, x0)) * root

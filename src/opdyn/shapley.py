@@ -379,11 +379,6 @@ def shapley_apply(game, f):
     return out
 
 
-def hypothesis_H_constant(game):
-    """Largest absolute one-stage payoff, the Lipschitz constant in (H)."""
-    return max(float(np.max(np.abs(g))) for g in game.payoff)
-
-
 def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
     """Seeded random game: uniform payoffs, normalized-uniform transitions."""
     if num_states < 1 or m < 1 or n < 1:
@@ -425,7 +420,8 @@ class ShapleyOperator(Operator):
         return shapley_apply(self.game, x)
 
     def h_constant(self):
-        return hypothesis_H_constant(self.game)
+        """Largest absolute one-stage payoff, the Lipschitz constant in (H)."""
+        return max(float(np.max(np.abs(g))) for g in self.game.payoff)
 
     def describe(self):
         return f"Shapley({self.dim} states)"

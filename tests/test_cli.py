@@ -143,6 +143,28 @@ def test_verify_without_checks_is_config_error(tmp_path):
                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("check, sets", [
+    ("kobayashi", []),
+    ("solution_contraction", []),
+    ("initial_independence", ['param={"kind":"power_alpha"}']),
+    ("two_param", ['param={"kind":"power_alpha"}',
+                   'param2={"kind":"inverse_time_zeta"}']),
+    ("discrete_slow", ["horizon=10", 'extra={"lambda_seq":[0.5,0.5]}']),
+    ("discrete_slow", ["horizon=10", 'extra={"lambda_seq":0.5}']),
+    ("kobayashi", ["starts=5"]),
+    ("kobayashi", ["extra=3"]),
+])
+def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
+    # one start point where two are needed, a lambda sequence shorter than
+    # the horizon, or a value of the wrong type
+    args = ["verify", "--preset", "translation",
+            "--set", f'checks=["{check}"]', "--set", "starts=[[0.0]]"]
+    for item in sets:
+        args += ["--set", item]
+    assert run(args + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_verify_failure_sets_exit_one(tmp_path):
     # decay_factor = 0 makes every decay-type verdict fail
     code = run(["verify", "--preset", "translation",

@@ -112,6 +112,16 @@ def test_trajectory_rejects_out_of_range():
         traj.at(1.5)
 
 
+def test_trajectory_derivative_rejects_out_of_range():
+    op = core.Translation([1.0])
+    T = 1.0
+    traj = continuous.integrate_U(op, np.zeros(1), T, tol=1e-8)
+    assert traj.deriv_at(T)[0] == pytest.approx(1.0)
+    for t in (T + 1.0, -1.0):
+        with pytest.raises(InputError):
+            traj.deriv_at(t)
+
+
 def test_euler_power_translation():
     op = core.Translation([3.0])
     out = continuous.euler_power(op, 5.0, 10, np.array([1.0]))

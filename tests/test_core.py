@@ -168,6 +168,15 @@ def test_check_accretive_rejects_nonpositive_lambda():
         core.check_accretive(core.Translation([1.0]), 0.0)
 
 
+def test_zero_radius_skips_every_pair():
+    # every sampled pair coincides, so no ratio is formed
+    for op in (core.Translation([1.0]), core.rotation(0.5)):
+        rep = core.check_nonexpansive(op, samples=20, radius=0.0, seed=1)
+        assert (rep.worst_ratio, rep.violations, rep.samples) == (0.0, 0, 20)
+        rep = core.check_accretive(op, 0.5, samples=20, radius=0.0, seed=1)
+        assert (rep.worst_ratio, rep.violations, rep.samples) == (1.0, 0, 20)
+
+
 def test_sample_ball_stays_in_ball():
     rng = np.random.default_rng(0)
     for kind in (core.SUP, core.EUCLIDEAN):
