@@ -30,12 +30,15 @@ PAIR_MIN_DIST = 1e-9
 
 def as_vec(x, dim=None):
     """Validate and return a finite 1-d float array."""
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not a numeric vector: {exc}") from None
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
         raise InputError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError("vector has NaN or infinite entries")
     if dim is not None and v.shape[0] != dim:
         raise InputError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -177,13 +180,16 @@ def identity_operator(dim, norm_kind=SUP):
     return AffineNonexpansive(np.eye(dim), np.zeros(dim), norm_kind=norm_kind)
 
 
+# apply_J, apply_A and apply_Phi leave the validation of x to op.J, which
+# runs as_vec on its argument: one check per evaluation in the hot loops.
+
+
 def apply_J(op, x):
-    return op.J(as_vec(x, op.dim))
+    return op.J(x)
 
 
 def apply_A(op, x):
     """A = I - J."""
-    x = as_vec(x, op.dim)
     return x - op.J(x)
 
 
@@ -191,10 +197,10 @@ def apply_Phi(op, lam, x):
     """Phi(lam, x) = lam * J(((1 - lam)/lam) * x); Phi(1, x) = J(0)."""
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
-    x = as_vec(x, op.dim)
     if lam == 1.0:
+        as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
-    return lam * op.J(((1.0 - lam) / lam) * x)
+    return lam * op.J(np.multiply((1.0 - lam) / lam, x, dtype=float))
 
 
 def h_constant(op):

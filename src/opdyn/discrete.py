@@ -70,7 +70,6 @@ class DiscreteOrbit:
     """Points x_0 .. x_N of one discrete recursion."""
 
     points: np.ndarray
-    scheme: str
     steps: StepSequence | None = None
 
     def __len__(self):
@@ -88,7 +87,7 @@ def iterate_Vn(op, N):
     for k in range(1, N + 1):
         points[k] = apply_J(op, points[k - 1])
     vn = points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
-    orbit = DiscreteOrbit(points, "value_iteration")
+    orbit = DiscreteOrbit(points)
     return orbit, vn
 
 
@@ -130,7 +129,7 @@ def solve_vlambda(op, lam, tol=1e-10, w0=None, full=False):
     return result if full else result.v
 
 
-def _step_orbit(op, x0, steps, scheme, step):
+def _step_orbit(op, x0, steps, step):
     """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence."""
     if not isinstance(steps, StepSequence):
         steps = StepSequence(np.asarray(steps, dtype=float))
@@ -138,13 +137,12 @@ def _step_orbit(op, x0, steps, scheme, step):
     points[0] = as_vec(x0, op.dim)
     for n, lam in enumerate(steps.steps, 1):
         points[n] = step(lam, points[n - 1])
-    return DiscreteOrbit(points, scheme, steps)
+    return DiscreteOrbit(points, steps)
 
 
 def euler_scheme(op, x0, steps):
     """Explicit Euler orbit x_n = (1 - lam_n) x_{n-1} + lam_n J(x_{n-1})."""
-    return _step_orbit(op, x0, steps, "euler",
-                       lambda lam, x: x - lam * apply_A(op, x))
+    return _step_orbit(op, x0, steps, lambda lam, x: x - lam * apply_A(op, x))
 
 
 def euler_interpolant(orbit, t):
@@ -172,7 +170,7 @@ def phi_recursion(op, lambda_seq):
     points = np.zeros((lam.size + 1, op.dim))
     for n in range(1, lam.size + 1):
         points[n] = apply_Phi(op, lam[n - 1], points[n - 1])
-    return DiscreteOrbit(points, "phi_recursion")
+    return DiscreteOrbit(points)
 
 
 def resolvent(op, lam, y, tol=1e-12):
@@ -198,8 +196,7 @@ def resolvent(op, lam, y, tol=1e-12):
 
 def proximal_orbit(op, x0, steps):
     """Compose resolvent steps: x_n = (I + lam_n A)^{-1}(x_{n-1})."""
-    return _step_orbit(op, x0, steps, "proximal",
-                       lambda lam, x: resolvent(op, lam, x))
+    return _step_orbit(op, x0, steps, lambda lam, x: resolvent(op, lam, x))
 
 
 def kobayashi_rhs(steps1, steps2, k, l, x0, xhat0, op):

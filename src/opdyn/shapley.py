@@ -6,16 +6,24 @@ The one-stage operator maps a state-value vector f to
 
 where val is the minimax value of the auxiliary matrix game.  A 2x2 game is
 solved in closed form (pure saddle or Shapley-Snow kernel formula); every
-other shape by a dense simplex on the classical shifted LP.  Both paths end in
-the same primal-dual gap certificate.  An independent grid/formula oracle is
-kept alongside for cross-checking.
+other shape by a dense simplex on the classical LP, rescaled to entries in
+[1, 2].  Both paths end in the same primal-dual gap certificate, whose
+tolerance scales with the largest entry of the game.  An independent
+grid/formula oracle is kept alongside for cross-checking.
+
+A validated game groups its states by action shape (m, n) and stores one
+stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
+the per-state arrays are views into them, and all of them are read-only.  One
+J evaluation validates f once, assembles every stage game of a group with one
+stacked product P + R @ f, and solves each state's game by itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from math import isfinite
+from operator import mul
 
 import numpy as np
 
@@ -35,7 +43,9 @@ class StochasticGame:
     """Finite zero-sum stochastic game.
 
     payoff[s] is an (m_s, n_s) matrix; transition[s] is (m_s, n_s, S) with
-    row-stochastic last axis.
+    row-stochastic last axis.  After validation both are read-only views into
+    ``shape_groups``: one (states, payoff stack, transition stack) triple per
+    action shape, states in increasing order.
     """
 
     states: list
@@ -81,6 +91,20 @@ class StochasticGame:
             rho = rho / sums[..., None]
             self.payoff[s] = g
             self.transition[s] = rho
+        by_shape = {}
+        for s in range(S):
+            by_shape.setdefault(self.payoff[s].shape, []).append(s)
+        groups = []
+        for states in by_shape.values():
+            P = np.stack([self.payoff[s] for s in states])
+            R = np.stack([self.transition[s] for s in states])
+            P.flags.writeable = False
+            R.flags.writeable = False
+            for i, s in enumerate(states):
+                self.payoff[s] = P[i]
+                self.transition[s] = R[i]
+            groups.append((tuple(states), P, R))
+        self.shape_groups = tuple(groups)
 
     @property
     def num_states(self):
@@ -137,27 +161,41 @@ class MatrixGameSolution:
 
 
 def _clamp_simplex(p):
-    """Normalize a computed strategy vector, tolerating tiny negative slack."""
-    if min(p) < -STRATEGY_CLAMP:
+    """Normalize a computed strategy vector, tolerating tiny negative slack.
+
+    Entries in [-STRATEGY_CLAMP, 0] and NaN entries become 0 before the
+    division by the sum; a vector of positive entries is divided as it is.
+    """
+    lo = min(p)
+    if lo < -STRATEGY_CLAMP:
         raise ResourceError("strategy entry below clamp tolerance")
-    p = [x if x > 0.0 else 0.0 for x in p]
     total = sum(p)
-    if total <= 0.0:
-        raise ResourceError("strategy sums to zero")
+    # a NaN entry makes the sum NaN, so it takes the clamping branch too
+    if not (lo > 0.0 and total > 0.0):
+        p = [x if x > 0.0 else 0.0 for x in p]
+        total = sum(p)
+        if total <= 0.0:
+            raise ResourceError("strategy sums to zero")
     return [x / total for x in p]
 
 
-def _check_gap(maximin, minimax):
+def _check_gap(maximin, minimax, rows):
     """The certificate of every solver path.
 
     The row strategy guarantees at least maximin against every column and
     the column strategy at most minimax against every row, so the true value
-    lies between them.  Written as ``not gap <= tol`` so a NaN gap fails too.
+    lies between them.  Exact strategies still leave a gap of the rounding
+    of p.B, about eps * max|B|, so the gap is held to
+    LP_GAP_TOL * max(1, max|B|); the scale is only computed when the gap
+    exceeds LP_GAP_TOL.  Comparisons are written as ``gap <= tol`` so a NaN
+    gap fails too.
     """
-    if not minimax - maximin <= LP_GAP_TOL:
-        raise ResourceError(
-            f"matrix-game solver gap {minimax - maximin:.3g} exceeds {LP_GAP_TOL}"
-        )
+    gap = minimax - maximin
+    if gap <= LP_GAP_TOL:
+        return
+    tol = LP_GAP_TOL * max(1.0, max(abs(x) for row in rows for x in row))
+    if not gap <= tol:
+        raise ResourceError(f"matrix-game solver gap {gap:.3g} exceeds {tol:.3g}")
 
 
 def _solve_2x2(rows):
@@ -169,6 +207,8 @@ def _solve_2x2(rows):
     the hot path of every Shapley operator with 2x2 stage games.
     """
     (a, b), (c, d) = rows
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise InputError("matrix has non-finite entries")
     row1_min = min(a, b)
     col1_max = max(a, c)
     maximin = max(row1_min, min(c, d))
@@ -189,6 +229,7 @@ def _solve_2x2(rows):
     _check_gap(
         min(p1 * a + p2 * c, p1 * b + p2 * d),
         max(a * q1 + b * q2, c * q1 + d * q2),
+        rows,
     )
     return MatrixGameSolution(value, np.array(p), np.array(q))
 
@@ -197,16 +238,19 @@ def matrix_game_value(M):
     """Minimax value and optimal mixed strategies of the matrix game M.
 
     A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
-    shape is solved by simplex (Bland's rule) on the shifted LP: with
-    A = M + k > 0, maximize 1'z subject to A z <= 1, z >= 0; then
-    value = 1/(1'z) - k, the column strategy is q = z / (1'z), and the dual
-    variables under the slack columns give the row strategy.  Both paths
-    return only strategies whose primal-dual gap is within LP_GAP_TOL.
+    shape is solved by simplex (Bland's rule) on the rescaled LP: with
+    A = (M - lo) / w + 1, whose entries lie in [1, 2] (lo = min M,
+    w = max M - lo, or 1 for a constant M), maximize 1'z subject to
+    A z <= 1, z >= 0; then val(A) = 1/(1'z), val(M) = (val(A) - 1) w + lo,
+    the column strategy is q = z / (1'z), and the dual variables under the
+    slack columns give the row strategy.  The rescaling makes the pivot
+    thresholds independent of the magnitude of M.  Both paths return only
+    strategies whose primal-dual gap is within LP_GAP_TOL * max(1, max|M|).
 
     Raises InputError for a matrix that is not 2-d, empty or not finite, and
     ResourceError when the numerics fail the certificate (gap above
-    LP_GAP_TOL, a strategy entry below the clamp tolerance) or the simplex
-    does not terminate.
+    LP_GAP_TOL * max(1, max|M|), a strategy entry below the clamp
+    tolerance) or the simplex does not terminate.
 
     The tableau is kept in plain Python lists: the matrices are tiny and the
     solver sits in the hot loop of every Shapley-operator evaluation, where
@@ -217,15 +261,18 @@ def matrix_game_value(M):
         raise InputError("matrix must be 2-d and nonempty")
     m, n = arr.shape
     rows = arr.tolist()
-    if not all(math.isfinite(x) for row in rows for x in row):
-        raise InputError("matrix has non-finite entries")
     if m == 2 and n == 2:
         return _solve_2x2(rows)
+    if not all(isfinite(x) for row in rows for x in row):
+        raise InputError("matrix has non-finite entries")
     if m == 1 and n == 1:
         one = np.array([1.0])
         return MatrixGameSolution(rows[0][0], one, one.copy())
 
-    shift = 1.0 - min(min(r) for r in rows)
+    lo = min(map(min, rows))
+    w = max(map(max, rows)) - lo
+    if not w > 0.0:
+        w = 1.0
     # tableau: [A | I | 1] over the objective row [-1 | 0 | 0]
     width = n + m + 1
     T = [[0.0] * width for _ in range(m + 1)]
@@ -233,7 +280,7 @@ def matrix_game_value(M):
         Ti = T[i]
         ri = rows[i]
         for j in range(n):
-            Ti[j] = ri[j] + shift
+            Ti[j] = (ri[j] - lo) / w + 1.0
         Ti[n + i] = 1.0
         Ti[-1] = 1.0
     obj = T[m]
@@ -278,17 +325,20 @@ def matrix_game_value(M):
         raise ResourceError("simplex failed to converge (internal)")
 
     total = obj[-1]
-    value = 1.0 / total - shift
+    value = (1.0 / total - 1.0) * w + lo
     z = [0.0] * n
     for i, b in enumerate(basis):
         if b < n:
             z[b] = T[i][-1]
     q = _clamp_simplex([x / total for x in z])
     p = _clamp_simplex([obj[n + k] / total for k in range(m)])
-    _check_gap(
-        min(sum(p[i] * rows[i][j] for i in range(m)) for j in range(n)),
-        max(sum(rows[i][j] * q[j] for j in range(n)) for i in range(m)),
-    )
+    maximin = min(sum(map(mul, p, col)) for col in zip(*rows))
+    minimax = max(sum(map(mul, row, q)) for row in rows)
+    _check_gap(maximin, minimax, rows)
+    # The tableau's value carries the rounding of every pivot, which a tiny
+    # pivot on a nearly degenerate game amplifies; the certified bracket
+    # [maximin, minimax] does not.
+    value = min(max(value, maximin), minimax)
     return MatrixGameSolution(value, np.array(p), np.array(q))
 
 
@@ -370,12 +420,16 @@ def matrix_game_value_oracle(M, step=1.0 / 200):
 
 
 def shapley_apply(game, f):
-    """One application of the game's value operator to a state-value vector."""
+    """One application of the game's value operator to a state-value vector.
+
+    f is validated once; each action-shape group assembles all its stage
+    games with one stacked product, and each state's game is solved alone.
+    """
     f = as_vec(f, game.num_states)
     out = np.empty(game.num_states)
-    for s in range(game.num_states):
-        B = game.payoff[s] + game.transition[s] @ f
-        out[s] = matrix_game_value(B).value
+    for states, P, R in game.shape_groups:
+        for s, B in zip(states, P + R @ f):
+            out[s] = matrix_game_value(B).value
     return out
 
 

@@ -153,6 +153,7 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("discrete_slow", ["horizon=10", 'extra={"lambda_seq":0.5}']),
     ("kobayashi", ["starts=5"]),
     ("kobayashi", ["extra=3"]),
+    ("kobayashi", ['starts=[5, "x"]']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdyn import core
+from opdyn import core, shapley
 from opdyn.errors import InputError
 
 vectors = st.lists(
@@ -30,6 +30,37 @@ def test_as_vec_dim_check():
     assert core.as_vec(3.0).shape == (1,)
     with pytest.raises(InputError):
         core.as_vec([1.0, 2.0], dim=3)
+
+
+def test_as_vec_rejects_non_numeric_input():
+    for bad in ([5.0, "x"], ["x"], [[1.0], [1.0, 2.0]], {"a": 1}):
+        with pytest.raises(InputError):
+            core.as_vec(bad)
+
+
+_OPERATORS = [
+    core.Translation([1.0, -2.0]),
+    core.rotation(0.3),
+    core.AffineNonexpansive([[0.5, 0.25], [0.0, 1.0]], [1.0, 0.0]),
+    shapley.ShapleyOperator(shapley.random_game(2, 2, 2, seed=1)),
+]
+_APPLIES = {
+    "Phi(1)": lambda op, x: core.apply_Phi(op, 1.0, x),
+    "Phi(0.3)": lambda op, x: core.apply_Phi(op, 0.3, x),
+    "A": core.apply_A,
+    "J": core.apply_J,
+}
+
+
+@pytest.mark.parametrize("apply", list(_APPLIES.values()), ids=list(_APPLIES))
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
+def test_derived_maps_reject_bad_vectors(op, apply):
+    # apply_Phi, apply_A and apply_J leave the validation to op.J
+    assert apply(op, [0.5, -0.25]).shape == (2,)
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [1.0], [1.0, 2.0, 3.0],
+                np.array([np.nan, 1.0])):
+        with pytest.raises(InputError):
+            apply(op, bad)
 
 
 @given(x=vectors, y=vectors)

@@ -12,6 +12,11 @@ entries = st.floats(-1e3, 1e3, allow_nan=False)
 games_2x2 = st.lists(entries, min_size=4, max_size=4).map(
     lambda xs: np.array(xs).reshape(2, 2)
 )
+#: sizes and shifts of the scale properties
+magnitudes = st.floats(1e-6, 1e12)
+unit_2x2 = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(
+    lambda xs: np.array(xs).reshape(2, 2)
+)
 
 
 def scale_tol(*arrays):
@@ -102,15 +107,16 @@ def test_2x2_value_keeps_its_digits_far_from_zero():
         assert sol.value == pytest.approx(5e-4 + c, abs=1e-12 * abs(c))
 
 
-@given(M=games_2x2, c=entries)
+@given(M=unit_2x2, size=magnitudes, c=st.floats(-1.0, 1.0), shift=magnitudes)
 @settings(max_examples=200, deadline=None)
-def test_2x2_translation_property(M, c):
+def test_2x2_translation_property(M, size, c, shift):
+    M, c = size * M, c * shift
     got = shapley.matrix_game_value(M + c).value
     want = shapley.matrix_game_value(M).value + c
     assert got == pytest.approx(want, abs=scale_tol(M, np.array(c)))
 
 
-@given(M=games_2x2, a=st.floats(1e-3, 1e3))
+@given(M=games_2x2, a=magnitudes)
 @settings(max_examples=200, deadline=None)
 def test_2x2_scaling_property(M, a):
     got = shapley.matrix_game_value(a * M).value
@@ -128,6 +134,95 @@ def test_2x2_skew_transpose_property(M):
     assert sol.value == pytest.approx(
         shapley.matrix_game_value_oracle(M), abs=scale_tol(M)
     )
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (4, 4)])
+def test_simplex_translation_and_scaling_across_magnitudes(shape):
+    # the simplex runs on (M - min M) / spread + 1, so its pivots do not
+    # depend on the magnitude of M
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        M = rng.uniform(-1.0, 1.0, size=shape) * 10 ** rng.uniform(-6, 12)
+        c = rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-6, 12)
+        a = 10 ** rng.uniform(-6, 12)
+        v = shapley.matrix_game_value(M).value
+        assert shapley.matrix_game_value(M + c).value == pytest.approx(
+            v + c, abs=scale_tol(M, np.array(c)))
+        assert shapley.matrix_game_value(a * M).value == pytest.approx(
+            a * v, abs=scale_tol(a * M))
+
+
+@pytest.mark.parametrize("M", [
+    [[2.0, 1.0, -1.0, 0.0], [2.0, 1.00000001, 1e-08, 0.5]],
+    [[2.0, 1e-05, -1e-08, 1e-12], [1.00000001, 1e-12, 1.00000001, 0.5],
+     [2.0, 0.5, 1e-08, -1.0]],
+])
+def test_simplex_value_lies_in_its_certified_bracket(M):
+    # nearly degenerate games whose tableau value drifted by about 1e-8
+    # outside [maximin, minimax] through a pivot on a 1e-8 entry
+    M = np.array(M)
+    sol = shapley.matrix_game_value(M)
+    assert np.min(sol.row_strategy @ M) <= sol.value <= np.max(M @ sol.col_strategy)
+    assert sol.value == pytest.approx(
+        shapley.matrix_game_value_oracle(M), abs=scale_tol(M))
+
+
+def test_J_certifies_state_values_near_1e9():
+    # the rounding of p.B at entries near 1e9 is about 1e-7, above an
+    # absolute 1e-9 gap tolerance; the tolerance scales with max|B|
+    op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=7))
+    got = op.J(np.full(3, 1e9))
+    assert np.allclose(got, op.J(np.zeros(3)) + 1e9, rtol=0.0, atol=1.0)
+
+
+def mixed_shape_game(seed):
+    """Five states with 1x3, 2x2 and 3x2 stage games, interleaved."""
+    rng = np.random.default_rng(seed)
+    actions = [(2, 2), (1, 3), (3, 2), (2, 2), (1, 3)]
+    S = len(actions)
+    transition = []
+    for m, n in actions:
+        raw = rng.uniform(size=(m, n, S)) + 1e-6
+        transition.append(raw / raw.sum(axis=-1, keepdims=True))
+    return shapley.StochasticGame(
+        states=[f"s{i}" for i in range(S)],
+        actions=actions,
+        payoff=[rng.uniform(-1.0, 1.0, size=a) for a in actions],
+        transition=transition,
+    )
+
+
+@pytest.mark.parametrize("game", [
+    shapley.random_game(4, 2, 2, seed=5),
+    shapley.random_game(3, 3, 4, seed=6),
+    mixed_shape_game(8),
+])
+def test_stacked_stage_games_match_per_state_reference(game):
+    rng = np.random.default_rng(2)
+    for scale in (1e-3, 1.0, 1e6):
+        f = scale * rng.uniform(-1.0, 1.0, size=game.num_states)
+        want = [shapley.matrix_game_value(game.payoff[s] + game.transition[s] @ f).value
+                for s in range(game.num_states)]
+        assert shapley.shapley_apply(game, f).tolist() == want
+
+
+def test_game_groups_states_by_action_shape():
+    game = mixed_shape_game(8)
+    shapes = {P.shape[1:]: states for states, P, _ in game.shape_groups}
+    assert shapes == {(2, 2): (0, 3), (1, 3): (1, 4), (3, 2): (2,)}
+
+
+@pytest.mark.parametrize("game", [shapley.random_game(3, 2, 2, seed=7),
+                                  mixed_shape_game(8)])
+def test_stored_game_arrays_are_read_only(game):
+    with pytest.raises(ValueError, match="read-only"):
+        game.payoff[0][0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        game.transition[-1][0, 0, 0] = 0.5
+    for _, P, R in game.shape_groups:
+        for arr in (P, R):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] *= 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
