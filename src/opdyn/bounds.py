@@ -122,6 +122,23 @@ def _starts(sc, *defaults):
     return [core.as_vec(x, sc.operator.dim) for x in starts[:len(defaults)]]
 
 
+def _extra(sc, key, default, read=int):
+    """read(sc.extra[key]), or read(default) without the key; a value that
+    read cannot take is a config error."""
+    try:
+        return read(sc.extra.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"extra.{key}: {exc}") from None
+
+
+def _ints(values):
+    return [int(v) for v in values]
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
 def _worst(candidates):
     """The (lhs, rhs, ...) candidate with the largest lhs - rhs (first on ties)."""
     return max(candidates, key=lambda c: c[0] - c[1])
@@ -155,7 +172,7 @@ def _check_norm_bounds(sc, st):
         _report("norm_bounds", worst_vn, j0, BASE_TOL,
                 _ctx(sc, family="v_n", N=N))
     ]
-    lams = sc.extra.get("lambdas", [1.0, 0.5, 0.1, 0.01])
+    lams = _extra(sc, "lambdas", [1.0, 0.5, 0.1, 0.01], _floats)
     worst_vl = max(
         op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lams
     )
@@ -168,7 +185,7 @@ def _check_norm_bounds(sc, st):
 
 def _check_accretivity(sc, st):
     reports = []
-    for lam in sc.extra.get("lambdas", [0.1, 0.5, 1.0, 2.0]):
+    for lam in _extra(sc, "lambdas", [0.1, 0.5, 1.0, 2.0], _floats):
         rep = core.check_accretive(
             sc.operator, lam, samples=st.samples, seed=sc.seed
         )
@@ -207,8 +224,8 @@ def _check_chernoff(sc, st):
     op = sc.operator
     T = float(sc.horizon)
     (U0,) = _starts(sc, _zeros(op))
-    nmax = int(sc.extra.get("nmax", int(T)))
-    grid = int(sc.extra.get("grid", 20))
+    nmax = _extra(sc, "nmax", int(T))
+    grid = _extra(sc, "grid", 20)
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
@@ -229,7 +246,7 @@ def _check_chernoff(sc, st):
 def _check_convvn(sc, st):
     op = sc.operator
     N = int(sc.horizon)
-    ns = [int(n) for n in sc.extra.get("n_values", _log_points(max(2, N // 100), N, 4))]
+    ns = _extra(sc, "n_values", _log_points(max(2, N // 100), N, 4), _ints)
     traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     j0 = op.norm(apply_J(op, _zeros(op)))
@@ -246,7 +263,7 @@ def _check_expo(sc, st):
     op = sc.operator
     T = float(sc.horizon)
     (U0,) = _starts(sc, _second_start(op))
-    ms = [int(m) for m in sc.extra.get("m_values", [25, 100, 400, 1600])]
+    ms = _extra(sc, "m_values", [25, 100, 400, 1600], _ints)
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol, expo_check=False)
     a0 = op.norm(apply_A(op, U0))
     endpoint = traj.points[-1]
@@ -280,8 +297,8 @@ def _random_steps(rng, max_len=200):
 def _check_kobayashi(sc, st):
     op = sc.operator
     rng = np.random.default_rng(sc.seed)
-    pairs = int(sc.extra.get("pairs", 20))
-    subgrid = int(sc.extra.get("subgrid", 10))
+    pairs = _extra(sc, "pairs", 20)
+    subgrid = _extra(sc, "subgrid", 10)
     x0, xhat0 = _starts(sc, _zeros(op), _second_start(op))
     reports = []
     for p in range(pairs):
@@ -350,7 +367,7 @@ def _check_interpolation(sc, st):
     if sc.steps is not None:
         steps = sc.steps
     else:
-        n = int(sc.extra.get("n_steps", 100))
+        n = _extra(sc, "n_steps", 100)
         steps = discrete.StepSequence.constant(T / n, n)
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
@@ -404,7 +421,7 @@ def _check_constant_decay(sc, st):
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
-    ts = sc.extra.get("t_values", [1.0, 5.0, 10.0, 20.0])
+    ts = _extra(sc, "t_values", [1.0, 5.0, 10.0, 20.0], _floats)
     reports = []
     for t in ts:
         if t > T:
@@ -523,7 +540,7 @@ def _check_slow_param(sc, st):
     T = float(sc.horizon)
     (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    times = sc.extra.get("t_values", _log_points(T / 100.0, T, 5))
+    times = _extra(sc, "t_values", _log_points(T / 100.0, T, 5), _floats)
     reports = []
     for t in times:
         lhs = _vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol)
@@ -588,7 +605,7 @@ def _check_vlambda_lipschitz(sc, st):
     op = sc.operator
     C = h_constant(op)
     Cp = op.norm(apply_J(op, _zeros(op)))
-    lams = sc.extra.get("lambdas", list(np.geomspace(0.02, 1.0, 10)))
+    lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _floats)
     values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
     reports = []
     for lam, mu in zip(lams, lams[1:]):
@@ -603,12 +620,11 @@ def _check_vlambda_lipschitz(sc, st):
 def _check_discrete_slow(sc, st):
     op = sc.operator
     N = int(sc.horizon)
-    lam_seq = sc.extra.get("lambda_seq")
-    if lam_seq is None:
-        lam_seq = np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5)
-    elif np.size(lam_seq) < N:
+    lam_seq = _extra(sc, "lambda_seq",
+                     np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5), _floats)
+    if len(lam_seq) < N:
         raise InputError(
-            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {np.size(lam_seq)}"
+            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lam_seq)}"
         )
     orbit = discrete.phi_recursion(op, lam_seq)
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 5)]
@@ -619,7 +635,7 @@ def _check_discrete_slow(sc, st):
 
 
 def _check_alpha_family(sc, st):
-    alpha = float(sc.extra.get("alpha", 0.5))
+    alpha = _extra(sc, "alpha", 0.5, float)
     (u0,) = _starts(sc, _zeros(sc.operator))
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     return [

@@ -277,6 +277,8 @@ def task_value_iter(cfg, out):
 
 
 def task_discounted(cfg, out):
+    """discounted.csv: v_lam per lambda, with the solver's iterations (its
+    ``op.linearize`` calls, each one Phi evaluation) and certified error."""
     op = build_operator(cfg["operator"])
     lams = [float(l) for l in cfg.get("lambdas", [0.5, 0.1, 0.01])]
     tol = float(cfg.get("tol", 1e-10))

@@ -7,6 +7,10 @@ norm it is nonexpansive in.  Derived maps:
     Phi(lam, x)  = lam * J(((1 - lam) / lam) * x)        for lam in (0, 1]
 
 Phi(lam, .) is a (1 - lam)-contraction whenever J is nonexpansive.
+
+An operator may also provide ``linearize(x) -> (J(x), M)``, a linear model
+y -> J(x) + M (y - x) of J at x, which the fixed-point solvers use for
+policy (Newton) steps.
 """
 
 from __future__ import annotations
@@ -69,6 +73,14 @@ class Operator:
     def J(self, x):
         raise NotImplementedError
 
+    def linearize(self, x):
+        """(J(x), M) with y -> J(x) + M (y - x) a linear model of J at x.
+
+        M is a dim x dim array, or None when no model is known; the base
+        class knows none.  Validates x exactly as J does.
+        """
+        return self.J(x), None
+
     def h_constant(self):
         """Constant C with ||Phi(lam,x) - Phi(mu,x)|| <= |lam-mu| (C + ||x||)."""
         raise InputError(f"no hypothesis-(H) constant known for {self.describe()}")
@@ -91,6 +103,9 @@ class Translation(Operator):
 
     def J(self, x):
         return as_vec(x, self.dim) + self.c
+
+    def linearize(self, x):
+        return self.J(x), np.eye(self.dim)
 
     def h_constant(self):
         return self.norm(self.c)
@@ -123,6 +138,9 @@ class LinearIsometry(Operator):
 
     def J(self, x):
         return self.matrix @ as_vec(x, self.dim)
+
+    def linearize(self, x):
+        return self.J(x), self.matrix
 
     def h_constant(self):
         return 0.0
@@ -167,6 +185,9 @@ class AffineNonexpansive(Operator):
 
     def J(self, x):
         return self.matrix @ as_vec(x, self.dim) + self.offset
+
+    def linearize(self, x):
+        return self.J(x), self.matrix
 
     def h_constant(self):
         return self.norm(self.offset)

@@ -7,6 +7,11 @@ Conventions:
     Euler: x_n = x_{n-1} - lam_n A(x_{n-1}),  sigma_n = sum lam_i,
            tau_n = sum lam_i^2
     w_n  = Phi(lam_n, w_{n-1})
+
+v_lam and the resolvent are fixed points of contractions of the form
+w -> offset + beta J(gamma w); one certified loop solves both with
+safeguarded policy (Newton) steps built from ``Operator.linearize``, and
+counts its iterations in linearize calls.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .core import apply_A, apply_J, apply_Phi, as_vec
 from .errors import InputError, ResourceError
 
-#: iteration cap for the discounted fixed-point solver
+#: cap on the linearize calls of one certified fixed-point solve
 VLAMBDA_MAX_ITER = 10**7
 
 
@@ -99,33 +104,78 @@ class VLambdaResult:
     certified_error: float
 
 
+def _policy_step(w, t, M, kappa):
+    """Fixed point of the linear model w' -> t + kappa M (w' - w) of T at w,
+    or None when the system is singular or its solution is not finite."""
+    try:
+        y = np.linalg.solve(np.eye(w.size) - kappa * M, t - kappa * (M @ w))
+    except np.linalg.LinAlgError:
+        return None
+    return y if np.isfinite(y).all() else None
+
+
+def _fixed_point(op, w, tol, gamma, beta, offset, what):
+    """Certified fixed point of T(w) = offset + beta J(gamma w), from w.
+
+    T is a kappa-contraction with kappa = beta gamma < 1, so one evaluation
+    certifies any point: ||T(w) - w*|| <= kappa/(1-kappa) ||T(w) - w||.
+    Each iteration makes one ``op.linearize`` call at x = gamma w, which gives
+    T(w) and the model M of J at x.  The next candidate is the fixed point of
+    T with M frozen (a policy, or Newton, step; Pollatschek & Avi-Itzhak
+    1969).  Unguarded, those steps can cycle (van der Wal 1978), so a
+    candidate is kept only if it certifies or its residual is at most kappa
+    times that of the point it came from, which is what the plain step
+    w' = T(w) guarantees; otherwise, and whenever M is None, the plain step
+    is taken.  Returns (T(w), iterations, certified error) for the first w
+    whose certificate is within tol.
+    """
+    kappa = beta * gamma
+    factor = kappa / (1.0 - kappa)
+
+    def evaluate(w):
+        Jx, M = op.linearize(gamma * w)
+        t = beta * Jx if offset is None else offset + beta * Jx
+        return t, M, op.norm(t - w)
+
+    t, M, r = evaluate(w)
+    k, err = 1, factor * r
+    while not err <= tol:
+        if k >= VLAMBDA_MAX_ITER:
+            raise ResourceError(
+                f"{what}: iteration cap {VLAMBDA_MAX_ITER} hit "
+                f"(certified error {err:.3g} > tol {tol:.3g})"
+            )
+        y = None if M is None else _policy_step(w, t, M, kappa)
+        if y is None:
+            w, (t, M, r) = t, evaluate(t)
+        else:
+            ty, My, ry = evaluate(y)
+            if ry <= kappa * r or factor * ry <= tol:
+                w, t, M, r = y, ty, My, ry
+            else:
+                M = None  # rejected: the next step from w is the plain one
+        k += 1
+        err = factor * r
+    return t, k, err
+
+
 def solve_vlambda(op, lam, tol=1e-10, w0=None, full=False):
     """Fixed point of Phi(lam, .) with certified error <= tol.
 
-    Iterates w <- Phi(lam, w) from 0; the contraction factor is (1 - lam),
-    so the a-posteriori bound (1-lam)/lam * ||w_k - w_{k-1}|| certifies the
-    distance to the fixed point.  Returns the vector, or the full result
-    when full=True.
+    Phi(lam, w) = lam J(((1 - lam)/lam) w) is a (1 - lam)-contraction, so
+    (1-lam)/lam * ||Phi(lam, w) - w|| certifies the distance of Phi(lam, w)
+    to the fixed point.  Starting from w0 (default 0), ``_fixed_point`` takes
+    safeguarded policy steps; ``iterations`` counts ``op.linearize`` calls.
+    Returns the vector, or the full result when full=True.
     """
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
     if tol <= 0.0:
         raise InputError("tol must be positive")
     w = np.zeros(op.dim) if w0 is None else as_vec(w0, op.dim)
-    factor = (1.0 - lam) / lam
-    err = np.inf
-    for k in range(1, VLAMBDA_MAX_ITER + 1):
-        w_next = apply_Phi(op, lam, w)
-        err = factor * op.norm(w_next - w)
-        w = w_next
-        if err <= tol:
-            break
-    else:
-        raise ResourceError(
-            f"v_lambda iteration cap {VLAMBDA_MAX_ITER} hit at lambda={lam} "
-            f"(certified error {err:.3g} > tol {tol:.3g})"
-        )
-    result = VLambdaResult(w, w / lam, k, err)
+    v, k, err = _fixed_point(op, w, tol, (1.0 - lam) / lam, lam, None,
+                             f"v_lambda at lambda={lam}")
+    result = VLambdaResult(v, v / lam, k, err)
     return result if full else result.v
 
 
@@ -176,22 +226,17 @@ def phi_recursion(op, lambda_seq):
 def resolvent(op, lam, y, tol=1e-12):
     """Solve x + lam A(x) = y, i.e. x = (y + lam J(x)) / (1 + lam).
 
-    Fixed-point iteration with contraction factor lam/(1+lam); the
-    a-posteriori bound lam * ||x_k - x_{k-1}|| certifies the error.
+    The map is a lam/(1+lam)-contraction, so lam * ||T(x) - x|| certifies
+    T(x); ``_fixed_point`` solves it from x = y.
     """
     if lam <= 0.0:
         raise InputError("lambda must be positive")
     if tol <= 0.0:
         raise InputError("tol must be positive")
     y = as_vec(y, op.dim)
-    x = y.copy()
-    for _ in range(VLAMBDA_MAX_ITER):
-        x_next = (y + lam * apply_J(op, x)) / (1.0 + lam)
-        err = lam * op.norm(x_next - x)
-        x = x_next
-        if err <= tol:
-            return x
-    raise ResourceError("resolvent iteration cap hit")
+    x, _, _ = _fixed_point(op, y, tol, 1.0, lam / (1.0 + lam), y / (1.0 + lam),
+                           f"resolvent at lambda={lam}")
+    return x
 
 
 def proximal_orbit(op, x0, steps):

@@ -16,6 +16,9 @@ stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
 the per-state arrays are views into them, and all of them are read-only.  One
 J evaluation validates f once, assembles every stage game of a group with one
 stacked product P + R @ f, and solves each state's game by itself.
+``shapley_linearize`` solves the same games and also returns, from their
+optimal strategies, the frozen-strategy transition matrix: the linear model
+behind the policy steps of the v_lambda solver.
 """
 
 from __future__ import annotations
@@ -433,6 +436,29 @@ def shapley_apply(game, f):
     return out
 
 
+def shapley_linearize(game, f):
+    """J(f) and the frozen-strategy matrix M of the game at f.
+
+    Row s of M is the transition row p_s' rho_s q_s under the optimal
+    strategies (p_s, q_s) of state s's stage game at f, so M is row-stochastic
+    and y -> J(f) + M (y - f) is the operator with both players' strategies
+    frozen.  The stage games are assembled and solved as in shapley_apply,
+    whose loop stays separate because it is the hot path of every J.
+    """
+    f = as_vec(f, game.num_states)
+    S = game.num_states
+    out = np.empty(S)
+    M = np.empty((S, S))
+    for states, P, R in game.shape_groups:
+        sols = [matrix_game_value(B) for B in P + R @ f]
+        rows = list(states)
+        out[rows] = [sol.value for sol in sols]
+        p = np.array([sol.row_strategy for sol in sols])
+        q = np.array([sol.col_strategy for sol in sols])
+        M[rows] = np.einsum("ki,kijs,kj->ks", p, R, q)
+    return out, M
+
+
 def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
     """Seeded random game: uniform payoffs, normalized-uniform transitions."""
     if num_states < 1 or m < 1 or n < 1:
@@ -472,6 +498,9 @@ class ShapleyOperator(Operator):
 
     def J(self, x):
         return shapley_apply(self.game, x)
+
+    def linearize(self, x):
+        return shapley_linearize(self.game, x)
 
     def h_constant(self):
         """Largest absolute one-stage payoff, the Lipschitz constant in (H)."""

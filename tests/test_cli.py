@@ -154,10 +154,22 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("kobayashi", ["starts=5"]),
     ("kobayashi", ["extra=3"]),
     ("kobayashi", ['starts=[5, "x"]']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"pairs":"x"}']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"subgrid":[1]}']),
+    ("chernoff", ['extra={"nmax":1e999}']),
+    ("chernoff", ['extra={"grid":"x"}']),
+    ("convvn", ['extra={"n_values":5}']),
+    ("expo", ['extra={"m_values":["x"]}']),
+    ("interpolation", ['extra={"n_steps":null}']),
+    ("alpha_family", ['extra={"alpha":"x"}']),
+    ("accretivity", ['extra={"lambdas":"x"}']),
+    ("norm_bounds", ['extra={"lambdas":5}']),
+    ("constant_decay", ['extra={"t_values":"x"}']),
+    ("discrete_slow", ["horizon=2", 'extra={"lambda_seq":["x","y"]}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
-    # the horizon, or a value of the wrong type
+    # the horizon, or a value of the wrong type (extra values included)
     args = ["verify", "--preset", "translation",
             "--set", f'checks=["{check}"]', "--set", "starts=[[0.0]]"]
     for item in sets:

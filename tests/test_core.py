@@ -63,6 +63,39 @@ def test_derived_maps_reject_bad_vectors(op, apply):
             apply(op, bad)
 
 
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
+def test_linearize_matches_J_and_validates_like_it(op):
+    rng = np.random.default_rng(3)
+    for scale in (0.0, 1.0, 1e3):
+        x = scale * rng.uniform(-1.0, 1.0, size=op.dim)
+        Jx, M = op.linearize(x)
+        assert Jx.tolist() == op.J(x).tolist()
+        assert M.shape == (op.dim, op.dim)
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(InputError):
+            op.linearize(bad)
+
+
+@pytest.mark.parametrize("op", _OPERATORS[:3], ids=lambda op: op.describe())
+def test_linearize_is_exact_for_affine_operators(op):
+    x, y = np.array([0.5, -2.0]), np.array([3.0, 1.25])
+    Jx, M = op.linearize(x)
+    assert np.allclose(Jx + M @ (y - x), op.J(y), rtol=0.0, atol=1e-12)
+
+
+def test_base_operator_has_no_linear_model():
+    class Halving(core.Operator):
+        dim, norm_kind = 1, core.SUP
+
+        def J(self, x):
+            return 0.5 * core.as_vec(x, 1)
+
+    Jx, M = Halving().linearize([4.0])
+    assert Jx.tolist() == [2.0] and M is None
+    with pytest.raises(InputError):
+        Halving().linearize([np.nan])
+
+
 @given(x=vectors, y=vectors)
 @settings(max_examples=50)
 def test_norm_triangle_inequality(x, y):

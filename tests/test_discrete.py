@@ -53,6 +53,7 @@ def test_solve_vlambda_translation():
         res = discrete.solve_vlambda(op, lam, tol=1e-11, full=True)
         assert res.v[0] == pytest.approx(4.0, abs=1e-10)
         assert res.certified_error <= 1e-11
+        assert res.iterations <= 2
         # V_lambda = c / lambda
         assert res.V[0] == pytest.approx(4.0 / lam, rel=1e-9)
 
@@ -71,11 +72,115 @@ def test_solve_vlambda_validation():
         discrete.solve_vlambda(op, 0.5, tol=-1.0)
 
 
+class ValueIterationOnly(core.Operator):
+    """The wrapped operator without a linear model, so the solvers take
+    plain value-iteration steps only."""
+
+    def __init__(self, op):
+        self.op, self.dim, self.norm_kind = op, op.dim, op.norm_kind
+
+    def J(self, x):
+        return self.op.J(x)
+
+
+class WrongModel(ValueIterationOnly):
+    """The wrapped operator with a fixed, wrong linear model."""
+
+    def __init__(self, op, M):
+        super().__init__(op)
+        self.M = M
+
+    def linearize(self, x):
+        return self.op.J(x), self.M
+
+
+def _mixed_shape_game(seed):
+    rng = np.random.default_rng(seed)
+    actions = [(2, 2), (1, 3), (3, 2), (4, 4)]
+    S = len(actions)
+    transition = []
+    for m, n in actions:
+        raw = rng.uniform(size=(m, n, S)) + 1e-6
+        transition.append(raw / raw.sum(axis=-1, keepdims=True))
+    return shapley.StochasticGame(
+        states=[f"s{i}" for i in range(S)],
+        actions=actions,
+        payoff=[rng.uniform(-1.0, 1.0, size=a) for a in actions],
+        transition=transition,
+    )
+
+
+_GAMES = {
+    "uniform2x2": shapley.random_game(3, 2, 2, seed=7),
+    "grid4x4": shapley.random_game(8, 4, 4, seed=1),
+    "mixed": _mixed_shape_game(2),
+    "pennies": shapley.matching_pennies(),
+}
+
+
 def test_solve_vlambda_iteration_cap(monkeypatch):
-    monkeypatch.setattr(discrete, "VLAMBDA_MAX_ITER", 3)
+    # the policy step solves a translation exactly, in two linearize calls
+    monkeypatch.setattr(discrete, "VLAMBDA_MAX_ITER", 1)
     op = core.Translation([1.0])
     with pytest.raises(ResourceError, match="cap"):
         discrete.solve_vlambda(op, 1e-3, tol=1e-12)
+    monkeypatch.setattr(discrete, "VLAMBDA_MAX_ITER", 3)
+    with pytest.raises(ResourceError, match="cap"):
+        discrete.solve_vlambda(ValueIterationOnly(op), 1e-3, tol=1e-12)
+    with pytest.raises(ResourceError, match="cap"):
+        discrete.resolvent(ValueIterationOnly(core.rotation(0.5)), 10.0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01])
+@pytest.mark.parametrize("name", _GAMES)
+def test_policy_steps_agree_with_value_iteration(name, lam):
+    op = shapley.ShapleyOperator(_GAMES[name])
+    tol = 1e-10
+    res = discrete.solve_vlambda(op, lam, tol=tol, full=True)
+    ref = discrete.solve_vlambda(ValueIterationOnly(op), lam, tol=tol, full=True)
+    assert res.certified_error <= tol and ref.certified_error <= tol
+    assert res.iterations <= 20
+    assert op.norm(res.v - ref.v) <= 2.0 * tol
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+def test_resolvent_policy_steps_agree_with_value_iteration(lam):
+    op = shapley.ShapleyOperator(_GAMES["mixed"])
+    y = np.array([0.3, -0.8, 1.5, 0.0])
+    x = discrete.resolvent(op, lam, y, tol=1e-12)
+    ref = discrete.resolvent(ValueIterationOnly(op), lam, y, tol=1e-12)
+    assert op.norm(x - ref) <= 2e-12
+
+
+@pytest.mark.parametrize("lam, model", [
+    (0.1, "negated"),    # Newton candidates the safeguard must reject
+    (0.1, "overshoot"),  # candidates 100 plain steps long: unguarded, they diverge
+    (0.1, "dense"),      # a row-stochastic matrix unrelated to the game
+    (0.5, "singular"),   # I - (1 - lam) M = 0, so no candidate at all
+])
+def test_safeguard_certifies_despite_a_wrong_model(lam, model):
+    op = shapley.ShapleyOperator(_GAMES["grid4x4"])
+    M = {"negated": -np.eye(op.dim),
+         "dense": np.full((op.dim, op.dim), 1.0 / op.dim),
+         "overshoot": 1.1 * np.eye(op.dim),
+         "singular": 2.0 * np.eye(op.dim)}[model]
+    res = discrete.solve_vlambda(WrongModel(op, M), lam, tol=1e-10, full=True)
+    assert res.certified_error <= 1e-10
+    assert op.norm(res.v - discrete.solve_vlambda(op, lam, tol=1e-10)) <= 2e-10
+
+
+def test_small_lambda_solve_passes_the_oracle_residual():
+    # about 23,000 value-iteration steps; the policy steps take a handful
+    game = _GAMES["grid4x4"]
+    op = shapley.ShapleyOperator(game)
+    lam, tol = 1e-3, 1e-10
+    res = discrete.solve_vlambda(op, lam, tol=tol, full=True)
+    assert res.iterations <= 20 and res.certified_error <= tol
+    f = (1.0 - lam) / lam * res.v
+    stage = [game.payoff[s] + game.transition[s] @ f for s in range(game.num_states)]
+    J = np.array([shapley.matrix_game_value_oracle(B) for B in stage])
+    oracle_tol = 1e-9 * max(1.0, max(float(np.max(np.abs(B))) for B in stage))
+    assert np.max(np.abs(lam * J - res.v)) <= (2.0 - lam) * tol + lam * oracle_tol
 
 
 def test_euler_unit_steps_equal_value_iteration():

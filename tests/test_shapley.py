@@ -206,6 +206,28 @@ def test_stacked_stage_games_match_per_state_reference(game):
         assert shapley.shapley_apply(game, f).tolist() == want
 
 
+@pytest.mark.parametrize("game", [
+    shapley.random_game(4, 2, 2, seed=5),
+    shapley.random_game(3, 3, 4, seed=6),
+    mixed_shape_game(8),
+    shapley.matching_pennies(),
+])
+def test_linearize_freezes_the_optimal_strategies(game):
+    op = shapley.ShapleyOperator(game)
+    rng = np.random.default_rng(4)
+    for scale in (0.0, 1.0, 1e6):
+        f = scale * rng.uniform(-1.0, 1.0, size=game.num_states)
+        Jf, M = op.linearize(f)
+        assert Jf.tolist() == op.J(f).tolist()
+        assert np.all(M >= 0.0)
+        assert np.allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for s in range(game.num_states):
+            sol = shapley.matrix_game_value(game.payoff[s] + game.transition[s] @ f)
+            want = np.einsum("i,ijk,j->k", sol.row_strategy, game.transition[s],
+                             sol.col_strategy)
+            assert np.allclose(M[s], want, rtol=0.0, atol=1e-15)
+
+
 def test_game_groups_states_by_action_shape():
     game = mixed_shape_game(8)
     shapes = {P.shape[1:]: states for states, P, _ in game.shape_groups}
