@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import os
 import sys
@@ -358,12 +357,14 @@ def _emit_reports(reports, out):
 
 
 def _settings_from(cfg):
-    st = bounds.Settings()
     given = cfg.get("settings", {})
-    for f in dataclasses.fields(st):
-        if f.name in given:
-            setattr(st, f.name, type(getattr(st, f.name))(given[f.name]))
-    return st
+    if not isinstance(given, dict):
+        raise InputError("settings: must be an object")
+    st = bounds.Settings()
+    try:  # an unknown key fails getattr, a non-field attribute the constructor
+        return bounds.Settings(**{k: type(getattr(st, k))(v) for k, v in given.items()})
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"settings: {exc}") from None
 
 
 def task_verify(cfg, out):

@@ -181,7 +181,7 @@ def test_criterion_07_slow_parametrization(pennies):
     for t in (10.0, 100.0, 1000.0):
         v = discrete.solve_vlambda(pennies, param.value(t), tol=1e-10)
         gaps[t] = pennies.norm(traj.at(t) - v)
-        rhs = continuous.slow_param_bound(pennies, param, u0, t, tol=1e-9)
+        rhs = continuous.slow_param_bound(pennies, param, u0, t)
         budget = 1e-9 + 1e-10 + traj.err_bound[0] + 1e-9
         if gaps[t] > rhs + budget:
             ok = False
@@ -197,7 +197,7 @@ def test_criterion_07b_slow_parametrization_random3(random3, slow_gaps_random3):
     ok = True
     detail = []
     for t in (10.0, 100.0, 1000.0):
-        rhs = continuous.slow_param_bound(random3, param, u0, t, tol=1e-9)
+        rhs = continuous.slow_param_bound(random3, param, u0, t)
         budget = 1e-9 + 1e-10 + traj.err_bound[0] + 1e-9
         if gaps[t] > rhs + budget:
             ok = False

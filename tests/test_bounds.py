@@ -144,6 +144,12 @@ def test_stationarity_and_decay_on_translation(translation):
     _assert_all_pass(bounds.verify("slow_param", sc, FAST))
 
 
+def test_slow_param_inverse_time_zeta_on_pennies():
+    sc = bounds.Scenario(operator=shapley.ShapleyOperator(shapley.matching_pennies()),
+                         horizon=20, param=continuous.InverseTimeZeta())
+    _assert_all_pass(bounds.verify("slow_param", sc, FAST))
+
+
 def test_suite_plan_covers_every_check_twice():
     plan = bounds.suite_plan()
     counts = {}

@@ -166,6 +166,11 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("norm_bounds", ['extra={"lambdas":5}']),
     ("constant_decay", ['extra={"t_values":"x"}']),
     ("discrete_slow", ["horizon=2", 'extra={"lambda_seq":["x","y"]}']),
+    ("norm_bounds", ['settings={"ode_tol":"x"}']),
+    ("norm_bounds", ['settings={"decay_factor":null}']),
+    ("norm_bounds", ['settings={"ode_tool":1e-3}']),
+    ("norm_bounds", ['settings={"quad_tol":1e-9}']),
+    ("norm_bounds", ["settings=[1,2]"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than

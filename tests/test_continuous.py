@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from opdyn import continuous, core, discrete, shapley
-from opdyn.errors import InputError
+from opdyn.errors import InputError, ResourceError
 
 
 def test_zeta_roundtrip():
@@ -178,6 +179,61 @@ def test_L_factor_closed_forms():
     assert got == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("param, times", [
+    (continuous.Constant(0.3), [0.0, 2.5, 40.0]),
+    (continuous.PowerAlpha(0.0), [1.0, 10.0, 100.0]),
+    (continuous.PowerAlpha(0.5), [1.0, 10.0, 100.0]),
+    (continuous.InverseTimeZeta(), [1.0, 10.0, 100.0]),
+    # inside a cell, at a knot, past the last knot
+    (continuous.Table([(0.0, 1.0), (2.0, 0.5), (4.0, 0.25)]), [1.3, 2.0, 9.0]),
+])
+def test_integral_closed_forms_match_quad(param, times):
+    knots = list(getattr(param, "ts", []))
+    for t in times:
+        want, _ = quad(param.value, 0.0, t, points=[k for k in knots if 0 < k < t] or None,
+                       epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert param.integral(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("param", [
+    continuous.Constant(0.3),
+    continuous.PowerAlpha(0.0),
+    continuous.PowerAlpha(0.5),
+    continuous.InverseTimeZeta(),
+])
+def test_L_factor_matches_its_defining_integrand(param):
+    def integrand(s):
+        return abs(param.derivative(s)) / param.value(s) - param.value(s)
+
+    for t in (1.0, 10.0, 100.0):
+        want, _ = quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert continuous.L_factor(param, t) == pytest.approx(np.exp(want), rel=1e-11)
+
+
+def test_adaptive_simpson_raises_when_depth_runs_out():
+    def step(s):
+        return 1.0 if s >= 1.0 / 3.0 else 0.0
+
+    with pytest.raises(ResourceError, match="did not converge"):
+        continuous._adaptive_simpson(step, 0.0, 1.0, 1e-12)
+
+
+def test_slow_param_bound_inverse_time_zeta_is_exact():
+    # with X = zeta^{-1}(t): L(t)/lam(t) = (2+X)^2/(2(1+X)) and
+    # int_0^t |lam'|/L = 3/4 - 2/(2+X) + 1/(2+X)^2
+    op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7))
+    param = continuous.InverseTimeZeta()
+    u0 = np.ones(3)
+    du0 = op.norm(core.apply_Phi(op, 0.5, u0) - u0)
+    CC = core.h_constant(op) + op.norm(core.apply_J(op, np.zeros(3)))
+    for t in (10.0, 100.0):
+        X = continuous.zeta_inverse(t)
+        want = (2.0 + X) ** 2 / (2.0 * (1.0 + X)) * (
+            du0 + CC * (0.75 - 2.0 / (2.0 + X) + 1.0 / (2.0 + X) ** 2))
+        got = continuous.slow_param_bound(op, param, u0, t)
+        assert abs(got - want) <= continuous.QUAD_TOL * max(1.0, want)
+
+
 def test_slow_param_bound_translation():
     # for a translation u converges to v_lam = c; the bound must cover the gap
     op = core.Translation([1.0])
@@ -186,7 +242,7 @@ def test_slow_param_bound_translation():
     traj = continuous.integrate_u(op, param, u0, 50.0, tol=1e-9)
     for t in (5.0, 20.0, 50.0):
         gap = op.norm(traj.at(t) - op.c)
-        bound = continuous.slow_param_bound(op, param, u0, t, tol=1e-9)
+        bound = continuous.slow_param_bound(op, param, u0, t)
         assert gap <= bound + 1e-7
 
 
