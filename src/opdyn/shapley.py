@@ -7,9 +7,9 @@ The one-stage operator maps a state-value vector f to
 where val is the minimax value of the auxiliary matrix game.  A 2x2 game is
 solved in closed form (pure saddle or Shapley-Snow kernel formula); every
 other shape by a dense simplex on the classical LP, rescaled to entries in
-[1, 2].  Both paths end in the same primal-dual gap certificate, whose
-tolerance scales with the largest entry of the game.  An independent
-grid/formula oracle is kept alongside for cross-checking.
+[1, 2], in floats and, if that fails, in exact rationals.  All paths end in
+one primal-dual gap certificate, whose tolerance scales with the largest
+entry of the game.  A kernel-enumeration oracle is kept for cross-checking.
 
 A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from math import isfinite
 from operator import mul
 
@@ -237,76 +239,55 @@ def _solve_2x2(rows):
     return MatrixGameSolution(value, np.array(p), np.array(q))
 
 
-def matrix_game_value(M):
-    """Minimax value and optimal mixed strategies of the matrix game M.
+def _simplex(rows, piv_tol, tie_tol):
+    """Bland's-rule simplex on the rescaled LP of the matrix game ``rows``.
 
-    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
-    shape is solved by simplex (Bland's rule) on the rescaled LP: with
-    A = (M - lo) / w + 1, whose entries lie in [1, 2] (lo = min M,
+    With A = (M - lo) / w + 1, whose entries lie in [1, 2] (lo = min M,
     w = max M - lo, or 1 for a constant M), maximize 1'z subject to
-    A z <= 1, z >= 0; then val(A) = 1/(1'z), val(M) = (val(A) - 1) w + lo,
-    the column strategy is q = z / (1'z), and the dual variables under the
-    slack columns give the row strategy.  The rescaling makes the pivot
-    thresholds independent of the magnitude of M.  Both paths return only
-    strategies whose primal-dual gap is within LP_GAP_TOL * max(1, max|M|).
-
-    Raises InputError for a matrix that is not 2-d, empty or not finite, and
-    ResourceError when the numerics fail the certificate (gap above
-    LP_GAP_TOL * max(1, max|M|), a strategy entry below the clamp
-    tolerance) or the simplex does not terminate.
-
-    The tableau is kept in plain Python lists: the matrices are tiny and the
-    solver sits in the hot loop of every Shapley-operator evaluation, where
-    per-call array overhead dominates.
+    A z <= 1, z >= 0; then val(M) = (1/(1'z) - 1) w + lo, the column
+    strategy is z / (1'z), and the dual variables under the slack columns
+    give the row strategy; all three are returned.  The rescaling makes the
+    pivot and tie thresholds independent of the magnitude of M.  On Fraction
+    entries, with both thresholds 0, the same body is exact; zero and one
+    come from the entries, so Fractions never meet a float.  The tableau is
+    plain lists: the matrices are tiny and array overhead would dominate.
     """
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InputError("matrix must be 2-d and nonempty")
-    m, n = arr.shape
-    rows = arr.tolist()
-    if m == 2 and n == 2:
-        return _solve_2x2(rows)
-    if not all(isfinite(x) for row in rows for x in row):
-        raise InputError("matrix has non-finite entries")
-    if m == 1 and n == 1:
-        one = np.array([1.0])
-        return MatrixGameSolution(rows[0][0], one, one.copy())
-
+    m, n = len(rows), len(rows[0])
     lo = min(map(min, rows))
+    zero = lo - lo
+    one = zero + 1
     w = max(map(max, rows)) - lo
-    if not w > 0.0:
-        w = 1.0
+    if not w > zero:
+        w = one
     # tableau: [A | I | 1] over the objective row [-1 | 0 | 0]
     width = n + m + 1
-    T = [[0.0] * width for _ in range(m + 1)]
-    for i in range(m):
+    T = [[zero] * width for _ in range(m + 1)]
+    for i, ri in enumerate(rows):
         Ti = T[i]
-        ri = rows[i]
         for j in range(n):
-            Ti[j] = (ri[j] - lo) / w + 1.0
-        Ti[n + i] = 1.0
-        Ti[-1] = 1.0
+            Ti[j] = (ri[j] - lo) / w + one
+        Ti[n + i] = Ti[-1] = one
     obj = T[m]
-    for j in range(n):
-        obj[j] = -1.0
+    obj[:n] = [-one] * n
     basis = list(range(n, n + m))
+    neg_tol = -piv_tol
     for _ in range(200 * (m + n)):
         # Bland's rule: first improving column, smallest basis index on ties
         j = -1
         for jj in range(width - 1):
-            if obj[jj] < -1e-12:
+            if obj[jj] < neg_tol:
                 j = jj
                 break
         if j < 0:
             break
         i = -1
-        best = 0.0
+        best = zero
         for ii in range(m):
             a = T[ii][j]
-            if a > 1e-12:
+            if a > piv_tol:
                 r = T[ii][-1] / a
-                if i < 0 or r < best - 1e-15 or (
-                    r <= best + 1e-15 and basis[ii] < basis[i]
+                if i < 0 or r < best - tie_tol or (
+                    r <= best + tie_tol and basis[ii] < basis[i]
                 ):
                     best, i = r, ii
         if i < 0:
@@ -320,21 +301,30 @@ def matrix_game_value(M):
                 continue
             Tii = T[ii]
             f = Tii[j]
-            if f != 0.0:
+            if f != zero:
                 for jj in range(width):
                     Tii[jj] -= f * Ti[jj]
         basis[i] = j
     else:
         raise ResourceError("simplex failed to converge (internal)")
-
     total = obj[-1]
-    value = (1.0 / total - 1.0) * w + lo
-    z = [0.0] * n
+    value = (one / total - one) * w + lo
+    z = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             z[b] = T[i][-1]
-    q = _clamp_simplex([x / total for x in z])
-    p = _clamp_simplex([obj[n + k] / total for k in range(m)])
+    return value, [obj[n + k] / total for k in range(m)], [x / total for x in z]
+
+
+def _exact_simplex(rows):
+    """``_simplex`` on the exact rationals of the float rows, rounded to float."""
+    value, p, q = _simplex([[Fraction(x) for x in row] for row in rows], 0, 0)
+    return float(value), [float(x) for x in p], [float(x) for x in q]
+
+
+def _certify(rows, value, p, q):
+    """Normalize the simplex's strategies and certify them on the game rows."""
+    p, q = _clamp_simplex(p), _clamp_simplex(q)
     maximin = min(sum(map(mul, p, col)) for col in zip(*rows))
     minimax = max(sum(map(mul, row, q)) for row in rows)
     _check_gap(maximin, minimax, rows)
@@ -345,46 +335,57 @@ def matrix_game_value(M):
     return MatrixGameSolution(value, np.array(p), np.array(q))
 
 
-def _simplex_grid(dim, step):
-    """All probability vectors of length dim with entries multiple of step."""
-    k = int(round(1.0 / step))
-    if dim == 1:
-        yield np.array([1.0])
-        return
-    if dim == 2:
-        for i in range(k + 1):
-            yield np.array([i, k - i]) / k
-        return
-    if dim == 3:
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                yield np.array([i, j, k - i - j]) / k
-        return
-    raise InputError("grid oracle supports up to 3 actions")
+def matrix_game_value(M):
+    """Minimax value and optimal mixed strategies of the matrix game M.
+
+    A 2x2 game is solved in closed form by ``_solve_2x2``, every other shape
+    by ``_simplex`` in floats and, only when that raises ResourceError, again
+    on the exact rationals of the entries, rounded to float and certified in
+    turn.  Every path returns only strategies whose primal-dual gap is within
+    LP_GAP_TOL * max(1, max|M|).
+
+    Raises InputError for a matrix that is not 2-d, empty or not finite, and
+    ResourceError only when the exact pass also fails the certificate.
+    """
+    arr = np.asarray(M, dtype=float)
+    if arr.ndim != 2 or arr.size == 0:
+        raise InputError("matrix must be 2-d and nonempty")
+    rows = arr.tolist()
+    if arr.shape == (2, 2):
+        return _solve_2x2(rows)
+    if not all(isfinite(x) for row in rows for x in row):
+        raise InputError("matrix has non-finite entries")
+    try:
+        return _certify(rows, *_simplex(rows, 1e-12, 1e-15))
+    except ResourceError:
+        return _certify(rows, *_exact_simplex(rows))
 
 
 def _support_pairs(m, n):
     """All equal-size index subsets (rows, cols), smallest first."""
-    from itertools import combinations
-
     for k in range(1, min(m, n) + 1):
         for rows in combinations(range(m), k):
             for cols in combinations(range(n), k):
                 yield rows, cols
 
 
-def matrix_game_value_oracle(M, step=1.0 / 200):
+def matrix_game_value_oracle(M):
     """Independent brute-force value of a small matrix game.
 
     Vertex (kernel) enumeration: every matrix game has a square submatrix on
     which both players mix with equalizing strategies; each candidate kernel
     is solved by a dense linear system and kept only if the extended
     strategies are nonnegative and guarantee the value against every pure
-    reply.  Pure saddles are the 1x1 kernels.  A strategy grid of the given
-    step supplies a bracketing fallback (midpoint, accurate to
-    O(step * payoff range)) in case enumeration is defeated by degeneracy.
+    reply.  Pure saddles are the 1x1 kernels.  If degeneracy defeats the
+    enumeration, the exact rational simplex's value is returned; that
+    fallback shares its code with ``matrix_game_value``, so it is no
+    independent check.  Raises InputError like ``matrix_game_value``.
     """
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise InputError("matrix must be 2-d and nonempty")
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix has non-finite entries")
     m, n = M.shape
     tol = 1e-9 * max(1.0, float(np.max(np.abs(M))))
     for rows, cols in _support_pairs(m, n):
@@ -417,9 +418,7 @@ def matrix_game_value_oracle(M, step=1.0 / 200):
         q[list(cols)] = np.maximum(q_sub, 0.0)
         if float(np.min(p @ M)) >= v - tol and float(np.max(M @ q)) <= v + tol:
             return v
-    lower = max(float(np.min(p @ M)) for p in _simplex_grid(m, step))
-    upper = min(float(np.max(M @ q)) for q in _simplex_grid(n, step))
-    return 0.5 * (lower + upper)
+    return _exact_simplex(M.tolist())[0]
 
 
 def shapley_apply(game, f):
