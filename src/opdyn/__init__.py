@@ -33,7 +33,6 @@ from .core import (
     apply_Phi,
     check_accretive,
     check_nonexpansive,
-    h_constant,
     identity_operator,
     norm,
     rotation,
@@ -91,7 +90,6 @@ __all__ = [
     "check_nonexpansive",
     "euler_power",
     "euler_scheme",
-    "h_constant",
     "identity_operator",
     "integrate_U",
     "integrate_u",

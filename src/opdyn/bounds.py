@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import continuous, core, discrete, shapley
-from .core import apply_A, apply_J, apply_Phi, h_constant
+from .core import apply_A, apply_J, apply_Phi
 from .errors import InputError
 
 BASE_TOL = 1e-9
@@ -262,7 +262,7 @@ def _check_expo(sc, st):
     T = float(sc.horizon)
     (U0,) = _starts(sc, _second_start(op))
     ms = _extra(sc, "m_values", [25, 100, 400, 1600], _ints)
-    traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol, expo_check=False)
+    traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint = traj.points[-1]
     reports = []
@@ -516,7 +516,7 @@ def _check_convboth(sc, st):
 
 def _check_hypothesis_H(sc, st):
     op = sc.operator
-    C = h_constant(op)
+    C = op.h_constant()
     rng = np.random.default_rng(sc.seed)
     pairs = []
     for _ in range(st.samples):
@@ -563,7 +563,7 @@ def _check_two_param(sc, st):
     x0, x1 = _starts(sc, _zeros(op), _second_start(op))
     tu = continuous.integrate_u(op, lam_p, x0, T, tol=st.ode_tol)
     tv = continuous.integrate_u(op, mu_p, x1, T, tol=st.ode_tol)
-    C = h_constant(op)
+    C = op.h_constant()
     d0 = op.norm(x0 - x1)
     # int_0^s mu exactly, the outer integral by trapezoid, on the u grid
     s = tu.times
@@ -599,7 +599,7 @@ def _check_two_param(sc, st):
 
 def _check_vlambda_lipschitz(sc, st):
     op = sc.operator
-    C = h_constant(op)
+    C = op.h_constant()
     Cp = op.norm(apply_J(op, _zeros(op)))
     lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _floats)
     values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
@@ -670,10 +670,15 @@ CHECKS = {
 
 
 def verify(check, scenario, settings=None):
-    """Run one registry check on a scenario; returns a list of BoundReports."""
+    """Run one registry check on a scenario; returns a nonempty list of
+    BoundReports.  A check that yields no report (every point it would test
+    lies outside the scenario) raises InputError: it has verified nothing."""
     if check not in CHECKS:
         raise InputError(f"unknown check {check!r}")
-    return CHECKS[check](scenario, settings or Settings())
+    reports = CHECKS[check](scenario, settings or Settings())
+    if not reports:
+        raise InputError(f"{check}: no report on scenario {scenario.name!r}")
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -44,25 +44,21 @@ TASKS = (
 
 PRESETS = {
     "translation": {
-        "task": "value_iter",
         "operator": {"builtin": "translation", "c": [1.0]},
         "N": 50,
     },
     "rotation30": {
-        "task": "ode",
         "operator": {"builtin": "rotation", "theta_degrees": 30.0},
         "U0": [1.0, 0.0],
         "T": 20.0,
         "tol": 1e-8,
     },
     "matching-pennies": {
-        "task": "discounted",
         "operator": {"game_builtin": "matching-pennies"},
         "lambdas": [0.5, 0.1, 0.01],
         "tol": 1e-10,
     },
     "random3": {
-        "task": "value_iter",
         "operator": {
             "random_game": {
                 "states": 3, "rows": 2, "cols": 2,
@@ -71,9 +67,7 @@ PRESETS = {
         },
         "N": 100,
     },
-    "paper-suite": {
-        "task": "suite",
-    },
+    "paper-suite": {},
 }
 
 
@@ -121,6 +115,15 @@ def load_config(args):
     return cfg
 
 
+def _check_keys(spec, what, *keys):
+    """InputError unless spec is an object whose keys all lie in keys."""
+    if not isinstance(spec, dict):
+        raise InputError(f"{what}: must be an object")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise InputError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def build_operator(spec):
     if not isinstance(spec, dict):
         raise InputError("operator: must be an object")
@@ -132,22 +135,22 @@ def build_operator(spec):
     kind = sources[0]
     if kind == "builtin":
         name = spec["builtin"]
-        norm_kind = spec.get("norm", None)
+        norm_kind = spec.get("norm") or core.SUP
         if name == "translation":
-            return core.Translation(spec.get("c", [1.0]), norm_kind=norm_kind or core.SUP)
+            _check_keys(spec, "operator", "builtin", "c", "norm")
+            return core.Translation(spec.get("c", [1.0]), norm_kind=norm_kind)
         if name == "rotation":
-            if "theta_degrees" in spec:
-                theta = np.deg2rad(float(spec["theta_degrees"]))
-            else:
-                theta = float(spec.get("theta", np.pi / 6.0))
-            return core.rotation(theta)
+            _check_keys(spec, "operator", "builtin", "theta_degrees")
+            return core.rotation(np.deg2rad(float(spec.get("theta_degrees", 30.0))))
         if name == "affine":
-            return core.AffineNonexpansive(
-                spec["matrix"], spec["offset"], norm_kind=norm_kind or core.SUP
-            )
+            _check_keys(spec, "operator", "builtin", "matrix", "offset", "norm")
+            return core.AffineNonexpansive(spec["matrix"], spec["offset"],
+                                           norm_kind=norm_kind)
         if name == "identity":
+            _check_keys(spec, "operator", "builtin", "dim")
             return core.identity_operator(int(spec.get("dim", 1)))
         raise InputError(f"operator: unknown builtin {name!r}")
+    _check_keys(spec, "operator", kind)
     if kind == "game":
         return shapley.ShapleyOperator(shapley.load_game(spec["game"]))
     if kind == "game_builtin":
@@ -160,6 +163,7 @@ def build_operator(spec):
 
 def _random_game(g):
     """A seeded random game from a 'random_game' config object."""
+    _check_keys(g, "random_game", "states", "rows", "cols", "payoff_range", "seed")
     return shapley.random_game(
         int(g.get("states", 3)),
         int(g.get("rows", 2)),
@@ -176,12 +180,16 @@ def build_param(spec):
         raise InputError("param: must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "constant":
+        _check_keys(spec, "param", "kind", "lambda")
         return continuous.Constant(float(spec.get("lambda", 0.5)))
     if kind == "inverse_time_zeta":
+        _check_keys(spec, "param", "kind")
         return continuous.InverseTimeZeta()
     if kind == "power_alpha":
+        _check_keys(spec, "param", "kind", "alpha")
         return continuous.PowerAlpha(float(spec.get("alpha", 0.5)))
     if kind == "table":
+        _check_keys(spec, "param", "kind", "knots")
         return continuous.Table([(float(t), float(v)) for t, v in spec["knots"]])
     raise InputError(f"param: unknown kind {kind!r}")
 
@@ -193,14 +201,15 @@ def build_steps(spec):
         raise InputError("steps: must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "constant":
+        _check_keys(spec, "steps", "kind", "lambda", "N")
         return discrete.StepSequence.constant(
             float(spec.get("lambda", 0.5)), int(spec["N"])
         )
-    if kind == "harmonic":
-        return discrete.StepSequence.harmonic(int(spec["N"]))
-    if kind == "inverse_sqrt":
-        return discrete.StepSequence.inverse_sqrt(int(spec["N"]))
+    if kind in ("harmonic", "inverse_sqrt"):
+        _check_keys(spec, "steps", "kind", "N")
+        return getattr(discrete.StepSequence, kind)(int(spec["N"]))
     if kind == "explicit":
+        _check_keys(spec, "steps", "kind", "values")
         return discrete.StepSequence(np.asarray(spec["values"], dtype=float))
     raise InputError(f"steps: unknown kind {kind!r}")
 
@@ -219,18 +228,16 @@ def _fmt(value):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
+    """Write text to a temp file beside path, then rename it over path; the
+    temp file is removed when either step fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}")
-
-
-class _IOFailure(Exception):
-    pass
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path, header, rows):
@@ -449,7 +456,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"opdyn: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (_IOFailure, OSError) as exc:
+    except OSError as exc:
         print(f"opdyn: io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KeyError as exc:

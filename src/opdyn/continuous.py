@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_A, apply_J, apply_Phi, h_constant, norm
+from .core import apply_A, apply_J, apply_Phi, norm
+from .discrete import StepSequence, euler_scheme
 from .errors import InputError, ResourceError
 
 #: hard cap on total RK4 steps across refinements
@@ -191,7 +192,6 @@ class Trajectory:
     points: np.ndarray
     err_bound: np.ndarray
     derivative: np.ndarray
-    norm_kind: str
 
     def _hermite(self, t, basis, last):
         """Combine the samples around t with the weights basis(s, h) of
@@ -276,41 +276,35 @@ def _integrate(rhs, y0, T, tol, norm_kind):
         if diff <= 0.5 * tol:
             times, points, derivs = cur
             err = np.full(times.size, diff)
-            return Trajectory(times, points, err, derivs, norm_kind)
+            return Trajectory(times, points, err, derivs)
         prev = cur
 
 
 def euler_power(op, t, m, x0):
-    """U_t^m(x0) = (I - (t/m) A)^m (x0), Euler with m equal steps t/m."""
+    """U_t^m(x0) = (I - (t/m) A)^m (x0): the Euler scheme with m equal steps
+    t/m.  InputError unless m >= 1 and 0 < t/m <= 1 (so t <= 0 is rejected)."""
     if m < 1:
         raise InputError("m must be >= 1")
-    lam = t / m
-    if lam > 1.0 + 1e-12:
-        raise InputError("t/m must be <= 1 for a nonexpansive step")
-    lam = min(lam, 1.0)
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(m):
-        x = x - lam * apply_A(op, x)
-    return x
+    return euler_scheme(op, x0, StepSequence.constant(t / m, m)).points[-1]
 
 
-def integrate_U(op, U0, T, tol=1e-8, expo_check=True):
+def integrate_U(op, U0, T, tol=1e-8):
     """Solve U' = J(U) - U on [0, T] with certified tolerance tol.
 
-    When expo_check is set the endpoint is cross-checked against the Euler
-    power U_T^m, which must satisfy ||U_T^m - U(T)|| <= ||A(U0)|| T/sqrt(m).
+    The endpoint is cross-checked against the Euler power U_T^m, which must
+    satisfy ||U_T^m - U(T)|| <= ||A(U0)|| T/sqrt(m); a failure is a
+    ResourceError.
     """
     U0 = np.asarray(U0, dtype=float)
     rhs = lambda t, x: -apply_A(op, x)
     traj = _integrate(rhs, U0, T, tol, op.norm_kind)
-    if expo_check:
-        m = max(64, int(np.ceil(T)))
-        bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
-        gap = op.norm(euler_power(op, T, m, U0) - traj.points[-1])
-        if gap > bound + traj.err_bound[-1] + 1e-9:
-            raise ResourceError(
-                f"exponential-formula cross-check failed: {gap} > {bound}"
-            )
+    m = max(64, int(np.ceil(T)))
+    bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
+    gap = op.norm(euler_power(op, T, m, U0) - traj.points[-1])
+    if gap > bound + traj.err_bound[-1] + 1e-9:
+        raise ResourceError(
+            f"exponential-formula cross-check failed: {gap} > {bound}"
+        )
     return traj
 
 
@@ -329,11 +323,11 @@ def _cumtrapz(y, s):
     return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(s))))
 
 
-def _adaptive_simpson(f, a, b, tol, rel=0.0, depth=50):
+def _adaptive_simpson(f, a, b, tol, rel=0.0):
     """int_a^b f to an estimated error <= tol + rel int_a^b |f|, or ResourceError.
-    50 halvings of [0, t] leave pieces >= 4 ulp(t) wide, too wide to pass the
-    test by collapsing onto their own sample points."""
-    return _simpson_rec(f, a, b, f(a), f(0.5 * (a + b)), f(b), tol, rel, depth)
+    At most 50 halvings: they leave pieces of [0, t] >= 4 ulp(t) wide, too
+    wide to pass the test by collapsing onto their own sample points."""
+    return _simpson_rec(f, a, b, f(a), f(0.5 * (a + b)), f(b), tol, rel, 50)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, tol, rel, depth):
@@ -378,7 +372,7 @@ def slow_param_bound(op, param, u0, t):
     log_Lt = _log_L(param, t)
     lam0, lam_t = param.value(0.0), param.value(t)
     du0 = op.norm(apply_Phi(op, lam0, u0) - u0)
-    scale = (h_constant(op) + op.norm(apply_J(op, np.zeros(op.dim)))) / lam_t
+    scale = (op.h_constant() + op.norm(apply_J(op, np.zeros(op.dim)))) / lam_t
     head = np.exp(log_Lt) / lam_t * du0
 
     def integrand(s):  # L(t)/L(s) stays finite where 1/L(s) overflows

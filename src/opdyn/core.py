@@ -149,10 +149,11 @@ class LinearIsometry(Operator):
         return f"LinearIsometry(dim={self.dim})"
 
 
-def rotation(theta, norm_kind=EUCLIDEAN):
-    """Planar rotation by angle theta (radians)."""
+def rotation(theta):
+    """Planar rotation by angle theta (radians), an isometry of the euclidean
+    norm."""
     c, s = np.cos(theta), np.sin(theta)
-    return LinearIsometry([[c, -s], [s, c]], norm_kind=norm_kind)
+    return LinearIsometry([[c, -s], [s, c]])
 
 
 class AffineNonexpansive(Operator):
@@ -222,15 +223,6 @@ def apply_Phi(op, lam, x):
         as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
     return lam * op.J(np.multiply((1.0 - lam) / lam, x, dtype=float))
-
-
-def h_constant(op):
-    """Constant C with ||Phi(lam,x) - Phi(mu,x)|| <= |lam-mu| (C + ||x||).
-
-    Per variant: Translation ||c||, LinearIsometry 0, AffineNonexpansive
-    ||b||, Shapley max|payoff|.
-    """
-    return op.h_constant()
 
 
 @dataclass

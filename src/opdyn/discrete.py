@@ -159,21 +159,20 @@ def _fixed_point(op, w, tol, gamma, beta, offset, what):
     return t, k, err
 
 
-def solve_vlambda(op, lam, tol=1e-10, w0=None, full=False):
+def solve_vlambda(op, lam, tol=1e-10, full=False):
     """Fixed point of Phi(lam, .) with certified error <= tol.
 
     Phi(lam, w) = lam J(((1 - lam)/lam) w) is a (1 - lam)-contraction, so
     (1-lam)/lam * ||Phi(lam, w) - w|| certifies the distance of Phi(lam, w)
-    to the fixed point.  Starting from w0 (default 0), ``_fixed_point`` takes
-    safeguarded policy steps; ``iterations`` counts ``op.linearize`` calls.
+    to the fixed point.  Starting from 0, ``_fixed_point`` takes safeguarded
+    policy steps; ``iterations`` counts ``op.linearize`` calls.
     Returns the vector, or the full result when full=True.
     """
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
     if tol <= 0.0:
         raise InputError("tol must be positive")
-    w = np.zeros(op.dim) if w0 is None else as_vec(w0, op.dim)
-    v, k, err = _fixed_point(op, w, tol, (1.0 - lam) / lam, lam, None,
+    v, k, err = _fixed_point(op, np.zeros(op.dim), tol, (1.0 - lam) / lam, lam, None,
                              f"v_lambda at lambda={lam}")
     result = VLambdaResult(v, v / lam, k, err)
     return result if full else result.v

@@ -113,6 +113,14 @@ def test_bad_game_file_is_schema_error(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_failed_write_is_io_error_and_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "value_iter.csv").mkdir()  # no file can be renamed over it
+    args = ["value_iter", "--preset", "translation", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_IO
+    assert "io error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["value_iter.csv"]
+
+
 def test_generate_game_roundtrip_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["generate-game", "--preset", "random3"]
@@ -171,10 +179,19 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("norm_bounds", ['settings={"ode_tool":1e-3}']),
     ("norm_bounds", ['settings={"quad_tol":1e-9}']),
     ("norm_bounds", ["settings=[1,2]"]),
+    ("expo", ["horizon=2000"]),
+    ("constant_decay", ["horizon=0.5"]),
+    ("accretivity", ['operator={"builtin":"translation","C":[2]}']),
+    ("accretivity", ['operator={"builtin":"rotation","theta_degrees":30,"norm":"sup"}']),
+    ("accretivity", ['operator={"builtin":"rotation","theta":0.5}']),
+    ("accretivity", ['operator={"random_game":{"states":1,"sed":3}}']),
+    ("stationarity_gap", ["horizon=5", 'param={"kind":"power_alpha","alpa":0.1}']),
+    ("euler_vs_ode", ['steps={"kind":"harmonic","N":10,"lambda":0.5}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
-    # the horizon, or a value of the wrong type (extra values included)
+    # the horizon, a value of the wrong type (extra values included), a
+    # check with no report, or an unknown key in a spec object
     args = ["verify", "--preset", "translation",
             "--set", f'checks=["{check}"]', "--set", "starts=[[0.0]]"]
     for item in sets:

@@ -127,13 +127,32 @@ def test_euler_power_translation():
     op = core.Translation([3.0])
     out = continuous.euler_power(op, 5.0, 10, np.array([1.0]))
     assert out[0] == pytest.approx(16.0)
+    for t in (0.0, -1.0, 20.1):  # the step t/m must lie in (0, 1]
+        with pytest.raises(InputError):
+            continuous.euler_power(op, t, 20, np.array([1.0]))
+
+
+class _Doubling(core.Operator):
+    """J(x) = 2x, deliberately expansive."""
+
+    dim, norm_kind = 2, core.SUP
+
+    def J(self, x):
+        return 2.0 * core.as_vec(x, 2)
+
+
+def test_integrate_U_cross_check_catches_an_expansive_map():
+    # U' = U gives U(5) = e^5 U0, while (1 + 5/64)^64 U0 falls short by
+    # about 25, far above the bound ||A(U0)|| T/sqrt(64) = 0.625
+    with pytest.raises(ResourceError, match="cross-check failed"):
+        continuous.integrate_U(_Doubling(), np.array([1.0, 0.0]), 5.0)
 
 
 def test_expo_formula_on_rotation():
     op = core.rotation(np.pi / 6.0)
     U0 = np.array([1.0, 0.0])
     T = 5.0
-    traj = continuous.integrate_U(op, U0, T, tol=1e-10, expo_check=False)
+    traj = continuous.integrate_U(op, U0, T, tol=1e-10)
     a0 = op.norm(core.apply_A(op, U0))
     errors = []
     for m in (25, 100, 400):
@@ -225,7 +244,7 @@ def test_slow_param_bound_inverse_time_zeta_is_exact():
     param = continuous.InverseTimeZeta()
     u0 = np.ones(3)
     du0 = op.norm(core.apply_Phi(op, 0.5, u0) - u0)
-    CC = core.h_constant(op) + op.norm(core.apply_J(op, np.zeros(3)))
+    CC = op.h_constant() + op.norm(core.apply_J(op, np.zeros(3)))
     for t in (10.0, 100.0):
         X = continuous.zeta_inverse(t)
         want = (2.0 + X) ** 2 / (2.0 * (1.0 + X)) * (

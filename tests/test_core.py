@@ -182,15 +182,15 @@ def test_identity_operator_has_zero_A():
 
 
 def test_h_constants():
-    assert core.h_constant(core.Translation([3.0, -4.0])) == 4.0
-    assert core.h_constant(core.rotation(0.3)) == 0.0
-    assert core.h_constant(core.AffineNonexpansive([[0.5]], [-2.0])) == 2.0
+    assert core.Translation([3.0, -4.0]).h_constant() == 4.0
+    assert core.rotation(0.3).h_constant() == 0.0
+    assert core.AffineNonexpansive([[0.5]], [-2.0]).h_constant() == 2.0
     class Unknown(core.Operator):
         dim, norm_kind = 1, core.SUP
         def J(self, x):
             return x
     with pytest.raises(InputError):
-        core.h_constant(Unknown())
+        Unknown().h_constant()
 
 
 class _Expansive(core.Operator):

@@ -423,7 +423,7 @@ def test_matching_pennies_operator_is_identity():
 def test_h_constant_is_max_abs_payoff():
     game = shapley.random_game(2, 2, 2, (-3.0, 3.0), seed=5)
     want = max(float(np.max(np.abs(g))) for g in game.payoff)
-    assert core.h_constant(shapley.ShapleyOperator(game)) == want
+    assert shapley.ShapleyOperator(game).h_constant() == want
 
 
 def test_transition_row_sum_validation():
