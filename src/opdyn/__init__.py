@@ -29,7 +29,6 @@ from .core import (
     Operator,
     Translation,
     apply_A,
-    apply_J,
     apply_Phi,
     check_accretive,
     check_nonexpansive,
@@ -84,7 +83,6 @@ __all__ = [
     "Trajectory",
     "Translation",
     "apply_A",
-    "apply_J",
     "apply_Phi",
     "check_accretive",
     "check_nonexpansive",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import continuous, core, discrete, shapley
-from .core import apply_A, apply_J, apply_Phi
-from .errors import InputError
+from .core import apply_A, apply_Phi
+from .errors import InputError, convert
 
 BASE_TOL = 1e-9
 
@@ -123,10 +123,7 @@ def _starts(sc, *defaults):
 def _extra(sc, key, default, read=int):
     """read(sc.extra[key]), or read(default) without the key; a value that
     read cannot take is a config error."""
-    try:
-        return read(sc.extra.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"extra.{key}: {exc}") from None
+    return convert(read, sc.extra.get(key, default), f"extra.{key}")
 
 
 def _ints(values):
@@ -163,7 +160,7 @@ def _vlambda_gap(op, x, lam, fp_tol):
 def _check_norm_bounds(sc, st):
     op = sc.operator
     N = int(sc.horizon)
-    j0 = op.norm(apply_J(op, _zeros(op)))
+    j0 = op.norm(op.J(_zeros(op)))
     _, vn = discrete.iterate_Vn(op, max(N, 1))
     worst_vn = max(op.norm(v) for v in vn)
     reports = [
@@ -228,7 +225,7 @@ def _check_chernoff(sc, st):
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
     for _ in range(nmax):
-        powers.append(apply_J(op, powers[-1]))
+        powers.append(op.J(powers[-1]))
     ts = np.linspace(0.0, T, grid)
     ns = np.unique(np.linspace(0, nmax, grid).astype(int))
     worst = _worst(
@@ -247,7 +244,7 @@ def _check_convvn(sc, st):
     ns = _extra(sc, "n_values", _log_points(max(2, N // 100), N, 4), _ints)
     traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
-    j0 = op.norm(apply_J(op, _zeros(op)))
+    j0 = op.norm(op.J(_zeros(op)))
     reports = []
     for n in ns:
         lhs = op.norm(traj.at(float(n)) / n - vn[n - 1])
@@ -600,7 +597,7 @@ def _check_two_param(sc, st):
 def _check_vlambda_lipschitz(sc, st):
     op = sc.operator
     C = op.h_constant()
-    Cp = op.norm(apply_J(op, _zeros(op)))
+    Cp = op.norm(op.J(_zeros(op)))
     lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _floats)
     values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
     reports = []
@@ -684,28 +681,16 @@ def verify(check, scenario, settings=None):
 # ---------------------------------------------------------------------------
 # the default suite
 
-def default_operators():
-    return {
-        "translation": core.Translation([1.0]),
-        "rotation30": core.rotation(np.pi / 6.0),
-        "matching-pennies": shapley.ShapleyOperator(shapley.matching_pennies()),
-        "random3": shapley.ShapleyOperator(
-            shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7)
-        ),
-    }
-
-
-def suite_plan(ops=None):
+def suite_plan():
     """(check, scenario) pairs for the default verification suite.
 
     Every registry entry runs on at least one closed-form operator and one
     Shapley game.
     """
-    ops = ops or default_operators()
-    tr = ops["translation"]
-    rot = ops["rotation30"]
-    pen = ops["matching-pennies"]
-    rnd = ops["random3"]
+    tr = core.Translation([1.0])
+    rot = core.rotation(np.pi / 6.0)
+    pen = shapley.ShapleyOperator(shapley.matching_pennies())
+    rnd = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7))
     pa = continuous.PowerAlpha(0.5)
     itz = continuous.InverseTimeZeta()
     pa0 = continuous.PowerAlpha(0.0)
@@ -768,10 +753,10 @@ def suite_plan(ops=None):
     return plan
 
 
-def run_suite(settings=None, plan=None):
+def run_suite(settings=None):
     """Run the default suite; returns the flat list of reports."""
     settings = settings or Settings()
     reports = []
-    for check, scenario in plan or suite_plan():
+    for check, scenario in suite_plan():
         reports.extend(verify(check, scenario, settings))
     return reports

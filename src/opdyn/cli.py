@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import bounds, continuous, core, discrete, shapley
-from .errors import InputError, ResourceError, SchemaError
+from .errors import InputError, ResourceError, SchemaError, convert
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,15 +31,11 @@ EXIT_SCHEMA = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
 
-TASKS = (
-    "value_iter",
-    "discounted",
-    "euler",
-    "ode",
-    "phi_ode",
-    "verify",
-    "suite",
-    "generate-game",
+#: every top-level key some task reads; presets carry keys for other tasks
+CONFIG_KEYS = (
+    "operator", "N", "lambdas", "tol", "steps", "x0", "samples", "U0", "T",
+    "param", "u0", "checks", "horizon", "param2", "steps2", "starts", "seed",
+    "extra", "settings", "random_game", "game_file",
 )
 
 PRESETS = {
@@ -112,6 +108,7 @@ def load_config(args):
             raise InputError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _set_dotted(cfg, key, raw)
+    _check_keys(cfg, "config", *CONFIG_KEYS)
     return cfg
 
 
@@ -141,14 +138,17 @@ def build_operator(spec):
             return core.Translation(spec.get("c", [1.0]), norm_kind=norm_kind)
         if name == "rotation":
             _check_keys(spec, "operator", "builtin", "theta_degrees")
-            return core.rotation(np.deg2rad(float(spec.get("theta_degrees", 30.0))))
+            degrees = convert(float, spec.get("theta_degrees", 30.0),
+                              "operator.theta_degrees")
+            return core.rotation(np.deg2rad(degrees))
         if name == "affine":
             _check_keys(spec, "operator", "builtin", "matrix", "offset", "norm")
             return core.AffineNonexpansive(spec["matrix"], spec["offset"],
                                            norm_kind=norm_kind)
         if name == "identity":
             _check_keys(spec, "operator", "builtin", "dim")
-            return core.identity_operator(int(spec.get("dim", 1)))
+            return core.identity_operator(
+                convert(int, spec.get("dim", 1), "operator.dim"))
         raise InputError(f"operator: unknown builtin {name!r}")
     _check_keys(spec, "operator", kind)
     if kind == "game":
@@ -164,13 +164,19 @@ def build_operator(spec):
 def _random_game(g):
     """A seeded random game from a 'random_game' config object."""
     _check_keys(g, "random_game", "states", "rows", "cols", "payoff_range", "seed")
+
+    def read(key, default, kind=int):
+        return convert(kind, g.get(key, default), f"random_game.{key}")
+
     return shapley.random_game(
-        int(g.get("states", 3)),
-        int(g.get("rows", 2)),
-        int(g.get("cols", 2)),
-        tuple(g.get("payoff_range", (-1.0, 1.0))),
-        seed=int(g.get("seed", 0)),
+        read("states", 3), read("rows", 2), read("cols", 2),
+        read("payoff_range", (-1.0, 1.0), _interval), seed=read("seed", 0),
     )
+
+
+def _interval(pair):
+    lo, hi = pair
+    return float(lo), float(hi)
 
 
 def build_param(spec):
@@ -181,16 +187,18 @@ def build_param(spec):
     kind = spec["kind"]
     if kind == "constant":
         _check_keys(spec, "param", "kind", "lambda")
-        return continuous.Constant(float(spec.get("lambda", 0.5)))
+        lam = convert(float, spec.get("lambda", 0.5), "param.lambda")
+        return continuous.Constant(lam)
     if kind == "inverse_time_zeta":
         _check_keys(spec, "param", "kind")
         return continuous.InverseTimeZeta()
     if kind == "power_alpha":
         _check_keys(spec, "param", "kind", "alpha")
-        return continuous.PowerAlpha(float(spec.get("alpha", 0.5)))
+        alpha = convert(float, spec.get("alpha", 0.5), "param.alpha")
+        return continuous.PowerAlpha(alpha)
     if kind == "table":
         _check_keys(spec, "param", "kind", "knots")
-        return continuous.Table([(float(t), float(v)) for t, v in spec["knots"]])
+        return convert(continuous.Table, spec["knots"], "param.knots")
     raise InputError(f"param: unknown kind {kind!r}")
 
 
@@ -203,14 +211,15 @@ def build_steps(spec):
     if kind == "constant":
         _check_keys(spec, "steps", "kind", "lambda", "N")
         return discrete.StepSequence.constant(
-            float(spec.get("lambda", 0.5)), int(spec["N"])
+            convert(float, spec.get("lambda", 0.5), "steps.lambda"),
+            convert(int, spec["N"], "steps.N"),
         )
     if kind in ("harmonic", "inverse_sqrt"):
         _check_keys(spec, "steps", "kind", "N")
-        return getattr(discrete.StepSequence, kind)(int(spec["N"]))
+        return getattr(discrete.StepSequence, kind)(convert(int, spec["N"], "steps.N"))
     if kind == "explicit":
         _check_keys(spec, "steps", "kind", "values")
-        return discrete.StepSequence(np.asarray(spec["values"], dtype=float))
+        return convert(discrete.StepSequence, spec["values"], "steps.values")
     raise InputError(f"steps: unknown kind {kind!r}")
 
 
@@ -229,11 +238,15 @@ def _fmt(value):
 
 def _atomic_write(path, text):
     """Write text to a temp file beside path, then rename it over path; the
-    temp file is removed when either step fails."""
+    temp file is removed when either step fails.  The file gets the mode
+    open() would give it, 0666 less the umask, not mkstemp's 0600."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the only portable way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -271,7 +284,7 @@ def _coord_header(prefix, dim):
 
 def task_value_iter(cfg, out):
     op = build_operator(cfg["operator"])
-    N = int(cfg.get("N", 100))
+    N = convert(int, cfg.get("N", 100), "N")
     _, vn = discrete.iterate_Vn(op, N)
     header = ["n"] + _coord_header("v", op.dim) + ["norm_vn"]
     rows = [
@@ -286,8 +299,9 @@ def task_discounted(cfg, out):
     """discounted.csv: v_lam per lambda, with the solver's iterations (its
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
     op = build_operator(cfg["operator"])
-    lams = [float(l) for l in cfg.get("lambdas", [0.5, 0.1, 0.01])]
-    tol = float(cfg.get("tol", 1e-10))
+    lams = convert(lambda ls: [float(l) for l in ls],
+                   cfg.get("lambdas", [0.5, 0.1, 0.01]), "lambdas")
+    tol = convert(float, cfg.get("tol", 1e-10), "tol")
     header = ["lambda"] + _coord_header("v", op.dim) + ["iterations", "certified_error"]
     rows = []
     for lam in lams:
@@ -312,7 +326,7 @@ def task_euler(cfg, out):
 
 
 def _sample_rows(traj, cfg, param=None):
-    count = int(cfg.get("samples", 201))
+    count = convert(int, cfg.get("samples", 201), "samples")
     idx = np.unique(np.linspace(0, len(traj.times) - 1, count).astype(int))
     rows = []
     for i in idx:
@@ -327,8 +341,8 @@ def _sample_rows(traj, cfg, param=None):
 def task_ode(cfg, out):
     op = build_operator(cfg["operator"])
     U0 = cfg.get("U0", [0.0] * op.dim)
-    T = float(cfg.get("T", 20.0))
-    tol = float(cfg.get("tol", 1e-8))
+    T = convert(float, cfg.get("T", 20.0), "T")
+    tol = convert(float, cfg.get("tol", 1e-8), "tol")
     traj = continuous.integrate_U(op, U0, T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound"]
     write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, cfg))
@@ -339,8 +353,8 @@ def task_phi_ode(cfg, out):
     op = build_operator(cfg["operator"])
     param = build_param(cfg.get("param", {"kind": "power_alpha", "alpha": 0.5}))
     u0 = cfg.get("u0", [0.0] * op.dim)
-    T = float(cfg.get("T", 20.0))
-    tol = float(cfg.get("tol", 1e-8))
+    T = convert(float, cfg.get("T", 20.0), "T")
+    tol = convert(float, cfg.get("tol", 1e-8), "tol")
     traj = continuous.integrate_u(op, param, u0, T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound", "lambda"]
     write_csv(os.path.join(out, "phi_ode.csv"), header,
@@ -365,13 +379,10 @@ def _emit_reports(reports, out):
 
 def _settings_from(cfg):
     given = cfg.get("settings", {})
-    if not isinstance(given, dict):
-        raise InputError("settings: must be an object")
-    st = bounds.Settings()
-    try:  # an unknown key fails getattr, a non-field attribute the constructor
-        return bounds.Settings(**{k: type(getattr(st, k))(v) for k, v in given.items()})
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"settings: {exc}") from None
+    defaults = vars(bounds.Settings())
+    _check_keys(given, "settings", *defaults)
+    return bounds.Settings(**{k: convert(type(defaults[k]), v, f"settings.{k}")
+                              for k, v in given.items()})
 
 
 def task_verify(cfg, out):
@@ -381,13 +392,13 @@ def task_verify(cfg, out):
         raise InputError("verify: 'checks' must list at least one check id")
     scenario = bounds.Scenario(
         operator=op,
-        horizon=float(cfg.get("horizon", 50.0)),
+        horizon=convert(float, cfg.get("horizon", 50.0), "horizon"),
         param=build_param(cfg.get("param")),
         param2=build_param(cfg.get("param2")),
         steps=build_steps(cfg.get("steps")),
         steps2=build_steps(cfg.get("steps2")),
         starts=cfg.get("starts"),
-        seed=int(cfg.get("seed", 0)),
+        seed=convert(int, cfg.get("seed", 0), "seed"),
         extra=cfg.get("extra", {}),
     )
     settings = _settings_from(cfg)
@@ -407,7 +418,8 @@ def task_generate_game(cfg, out):
     if not isinstance(g, dict):
         raise InputError("generate-game: needs a 'random_game' object")
     game = _random_game(g)
-    path = os.path.join(out, cfg.get("game_file", "game.json"))
+    name = convert(os.fspath, cfg.get("game_file", "game.json"), "game_file")
+    path = os.path.join(out, name)
     write_json(path, game.to_dict())
     shapley.load_game(path)  # every emitted file must reload cleanly
     return EXIT_OK
@@ -430,7 +442,7 @@ def make_parser():
         prog="opdyn",
         description="Numerical laboratory for nonexpansive operator dynamics.",
     )
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=TASK_RUNNERS)
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--preset", help="named preset supplying config defaults")
     parser.add_argument(

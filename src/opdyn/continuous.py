@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_A, apply_J, apply_Phi, norm
-from .discrete import StepSequence, euler_scheme
+from .core import apply_A, apply_Phi, norm
+from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
 
 #: hard cap on total RK4 steps across refinements
@@ -193,33 +193,22 @@ class Trajectory:
     err_bound: np.ndarray
     derivative: np.ndarray
 
-    def _hermite(self, t, basis, last):
+    def _hermite(self, t, basis):
         """Combine the samples around t with the weights basis(s, h) of
-        (x_k, x'_k, x_k+1, x'_k+1), where t = times[k] + s h; last[-1] at
-        the final sample.  t outside the samples raises InputError."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise InputError(f"time {t} outside [{times[0]}, {times[-1]}]")
-        t = min(max(t, times[0]), times[-1])
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        if k >= times.size - 1:
-            return last[-1].copy()
-        h = times[k + 1] - times[k]
-        w = basis((t - times[k]) / h, h)
-        return (
-            w[0] * self.points[k]
-            + w[1] * self.derivative[k]
-            + w[2] * self.points[k + 1]
-            + w[3] * self.derivative[k + 1]
-        )
+        (x_k, x'_k, x_k+1, x'_k+1), where t = times[k] + s h (see
+        discrete.locate; t outside the samples raises InputError)."""
+        k, s = locate(self.times, t)
+        w = basis(s, self.times[k + 1] - self.times[k])
+        return (w[0] * self.points[k] + w[1] * self.derivative[k]
+                + w[2] * self.points[k + 1] + w[3] * self.derivative[k + 1])
 
     def at(self, t):
         """Dense evaluation by cubic Hermite interpolation between samples."""
-        return self._hermite(t, _hermite_basis, self.points)
+        return self._hermite(t, _hermite_basis)
 
     def deriv_at(self, t):
         """Hermite-interpolated derivative between samples."""
-        return self._hermite(t, _hermite_basis_derivative, self.derivative)
+        return self._hermite(t, _hermite_basis_derivative)
 
 
 def _hermite_basis(s, h):
@@ -372,7 +361,7 @@ def slow_param_bound(op, param, u0, t):
     log_Lt = _log_L(param, t)
     lam0, lam_t = param.value(0.0), param.value(t)
     du0 = op.norm(apply_Phi(op, lam0, u0) - u0)
-    scale = (op.h_constant() + op.norm(apply_J(op, np.zeros(op.dim)))) / lam_t
+    scale = (op.h_constant() + op.norm(op.J(np.zeros(op.dim)))) / lam_t
     head = np.exp(log_Lt) / lam_t * du0
 
     def integrand(s):  # L(t)/L(s) stays finite where 1/L(s) overflows

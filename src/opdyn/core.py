@@ -92,85 +92,17 @@ class Operator:
         return type(self).__name__
 
 
-class Translation(Operator):
-    """J(x) = x + c, an isometry in every norm."""
-
-    def __init__(self, c, norm_kind=SUP):
-        _check_norm_kind(norm_kind)
-        self.c = as_vec(c)
-        self.dim = self.c.shape[0]
-        self.norm_kind = norm_kind
-
-    def J(self, x):
-        return as_vec(x, self.dim) + self.c
-
-    def linearize(self, x):
-        return self.J(x), np.eye(self.dim)
-
-    def h_constant(self):
-        return self.norm(self.c)
-
-    def describe(self):
-        return f"Translation(c={self.c.tolist()})"
-
-
-class LinearIsometry(Operator):
-    """J(x) = Mx with M orthogonal (rotations being the standard demo)."""
-
-    def __init__(self, matrix, norm_kind=EUCLIDEAN):
-        _check_norm_kind(norm_kind)
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InputError("isometry matrix must be square")
-        if not np.all(np.isfinite(M)):
-            raise InputError("isometry matrix has non-finite entries")
-        if norm_kind == EUCLIDEAN:
-            if not np.allclose(M @ M.T, np.eye(M.shape[0]), atol=1e-9):
-                raise InputError("matrix is not orthogonal")
-        else:
-            # sup-norm isometries: signed permutation matrices
-            if not np.allclose(np.sort(np.abs(M), axis=1)[:, :-1], 0.0, atol=1e-12) or \
-               not np.allclose(np.max(np.abs(M), axis=1), 1.0, atol=1e-12):
-                raise InputError("matrix is not a sup-norm isometry")
-        self.matrix = M
-        self.dim = M.shape[0]
-        self.norm_kind = norm_kind
-
-    def J(self, x):
-        return self.matrix @ as_vec(x, self.dim)
-
-    def linearize(self, x):
-        return self.J(x), self.matrix
-
-    def h_constant(self):
-        return 0.0
-
-    def describe(self):
-        return f"LinearIsometry(dim={self.dim})"
-
-
-def rotation(theta):
-    """Planar rotation by angle theta (radians), an isometry of the euclidean
-    norm."""
-    c, s = np.cos(theta), np.sin(theta)
-    return LinearIsometry([[c, -s], [s, c]])
-
-
 class AffineNonexpansive(Operator):
     """J(x) = Mx + b with ||M|| <= 1 in the declared norm.
 
     The norm bound is a constructor invariant: sup norm uses the max
-    absolute row sum, euclidean the largest singular value.
+    absolute row sum, euclidean the largest singular value.  Translation
+    (M = I) and LinearIsometry (b = 0) check their own invariant instead.
     """
 
     def __init__(self, matrix, offset, norm_kind=SUP):
-        _check_norm_kind(norm_kind)
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InputError("matrix must be square")
-        if not np.all(np.isfinite(M)):
-            raise InputError("matrix has non-finite entries")
-        b = as_vec(offset, M.shape[0])
+        M = self._set_matrix(matrix, norm_kind)
+        self.offset = as_vec(offset, self.dim)
         if norm_kind == SUP:
             op_norm = float(np.max(np.sum(np.abs(M), axis=1)))
         else:
@@ -179,10 +111,17 @@ class AffineNonexpansive(Operator):
             raise InputError(
                 f"operator norm {op_norm:.6g} exceeds 1 in the {norm_kind} norm"
             )
-        self.matrix = M
-        self.offset = b
-        self.dim = M.shape[0]
-        self.norm_kind = norm_kind
+
+    def _set_matrix(self, matrix, norm_kind):
+        """Store and return M, finite and square, with dim and norm_kind."""
+        _check_norm_kind(norm_kind)
+        M = np.asarray(matrix, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise InputError("matrix must be square")
+        if not np.all(np.isfinite(M)):
+            raise InputError("matrix has non-finite entries")
+        self.matrix, self.dim, self.norm_kind = M, M.shape[0], norm_kind
+        return M
 
     def J(self, x):
         return self.matrix @ as_vec(x, self.dim) + self.offset
@@ -197,17 +136,50 @@ class AffineNonexpansive(Operator):
         return f"AffineNonexpansive(dim={self.dim})"
 
 
+class Translation(AffineNonexpansive):
+    """J(x) = x + c, an isometry in every norm."""
+
+    def __init__(self, c, norm_kind=SUP):
+        self.c = self.offset = as_vec(c)
+        self._set_matrix(np.eye(self.c.shape[0]), norm_kind)
+
+    def describe(self):
+        return f"Translation(c={self.c.tolist()})"
+
+
+class LinearIsometry(AffineNonexpansive):
+    """J(x) = Mx with M orthogonal (rotations being the standard demo)."""
+
+    def __init__(self, matrix, norm_kind=EUCLIDEAN):
+        M = self._set_matrix(matrix, norm_kind)
+        self.offset = np.zeros(self.dim)
+        if norm_kind == EUCLIDEAN:
+            if not np.allclose(M @ M.T, np.eye(self.dim), atol=1e-9):
+                raise InputError("matrix is not orthogonal")
+        else:
+            # sup-norm isometries: signed permutation matrices
+            if not np.allclose(np.sort(np.abs(M), axis=1)[:, :-1], 0.0, atol=1e-12) or \
+               not np.allclose(np.max(np.abs(M), axis=1), 1.0, atol=1e-12):
+                raise InputError("matrix is not a sup-norm isometry")
+
+    def describe(self):
+        return f"LinearIsometry(dim={self.dim})"
+
+
+def rotation(theta):
+    """Planar rotation by angle theta (radians), an isometry of the euclidean
+    norm."""
+    c, s = np.cos(theta), np.sin(theta)
+    return LinearIsometry([[c, -s], [s, c]])
+
+
 def identity_operator(dim, norm_kind=SUP):
     """J = I, so A = 0; useful as a degenerate test case."""
     return AffineNonexpansive(np.eye(dim), np.zeros(dim), norm_kind=norm_kind)
 
 
-# apply_J, apply_A and apply_Phi leave the validation of x to op.J, which
-# runs as_vec on its argument: one check per evaluation in the hot loops.
-
-
-def apply_J(op, x):
-    return op.J(x)
+# apply_A and apply_Phi leave the validation of x to op.J (called directly,
+# with no apply_J): J runs as_vec once per evaluation in the hot loops.
 
 
 def apply_A(op, x):

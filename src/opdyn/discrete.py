@@ -8,6 +8,9 @@ Conventions:
            tau_n = sum lam_i^2
     w_n  = Phi(lam_n, w_{n-1})
 
+Each scheme above is an orbit x_n = F(lam_n, x_{n-1}) along a StepSequence,
+computed by the one loop ``_step_orbit`` (V_n takes lam_n = 1 and F = J).
+
 v_lam and the resolvent are fixed points of contractions of the form
 w -> offset + beta J(gamma w); one certified loop solves both with
 safeguarded policy (Newton) steps built from ``Operator.linearize``, and
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_J, apply_Phi, as_vec
+from .core import apply_A, apply_Phi, as_vec
 from .errors import InputError, ResourceError
 
 #: cap on the linearize calls of one certified fixed-point solve
@@ -55,7 +58,7 @@ class StepSequence:
 
     @classmethod
     def constant(cls, lam, N):
-        return cls(np.full(N, float(lam)))
+        return cls([float(lam)] * N)
 
     @classmethod
     def harmonic(cls, N):
@@ -72,13 +75,34 @@ class StepSequence:
 
 @dataclass
 class DiscreteOrbit:
-    """Points x_0 .. x_N of one discrete recursion."""
+    """Points x_0 .. x_N of one discrete recursion along its steps."""
 
     points: np.ndarray
-    steps: StepSequence | None = None
+    steps: StepSequence
 
-    def __len__(self):
-        return self.points.shape[0] - 1
+
+def _step_orbit(op, x0, steps, step):
+    """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence."""
+    if not isinstance(steps, StepSequence):
+        steps = StepSequence(np.asarray(steps, dtype=float))
+    points = np.empty((len(steps) + 1, op.dim))
+    points[0] = as_vec(x0, op.dim)
+    for n, lam in enumerate(steps.steps, 1):
+        points[n] = step(lam, points[n - 1])
+    return DiscreteOrbit(points, steps)
+
+
+def locate(grid, t):
+    """(k, s) with t = grid[k] + s (grid[k+1] - grid[k]), s in [0, 1] (the
+    last sample gives k = len(grid) - 2, s = 1).  t is clamped onto the grid
+    from within 1e-12; further out it raises InputError."""
+    if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
+        raise InputError(f"time {t} outside [{grid[0]}, {grid[-1]}]")
+    t = min(max(t, grid[0]), grid[-1])
+    k = int(np.searchsorted(grid, t, side="right")) - 1
+    if k >= len(grid) - 1:
+        return len(grid) - 2, 1.0
+    return k, (t - grid[k]) / (grid[k + 1] - grid[k])
 
 
 def iterate_Vn(op, N):
@@ -88,12 +112,9 @@ def iterate_Vn(op, N):
     """
     if N < 1:
         raise InputError("N must be >= 1")
-    points = np.zeros((N + 1, op.dim))
-    for k in range(1, N + 1):
-        points[k] = apply_J(op, points[k - 1])
-    vn = points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
-    orbit = DiscreteOrbit(points)
-    return orbit, vn
+    orbit = _step_orbit(op, np.zeros(op.dim), StepSequence.constant(1.0, N),
+                        lambda _, x: op.J(x))
+    return orbit, orbit.points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
 
 
 @dataclass
@@ -178,17 +199,6 @@ def solve_vlambda(op, lam, tol=1e-10, full=False):
     return result if full else result.v
 
 
-def _step_orbit(op, x0, steps, step):
-    """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence."""
-    if not isinstance(steps, StepSequence):
-        steps = StepSequence(np.asarray(steps, dtype=float))
-    points = np.empty((len(steps) + 1, op.dim))
-    points[0] = as_vec(x0, op.dim)
-    for n, lam in enumerate(steps.steps, 1):
-        points[n] = step(lam, points[n - 1])
-    return DiscreteOrbit(points, steps)
-
-
 def euler_scheme(op, x0, steps):
     """Explicit Euler orbit x_n = (1 - lam_n) x_{n-1} + lam_n J(x_{n-1})."""
     return _step_orbit(op, x0, steps, lambda lam, x: x - lam * apply_A(op, x))
@@ -196,30 +206,14 @@ def euler_scheme(op, x0, steps):
 
 def euler_interpolant(orbit, t):
     """Piecewise-linear interpolation of an Euler orbit in sigma-time."""
-    if orbit.steps is None:
-        raise InputError("orbit carries no step sequence")
-    sigma = orbit.steps.sigma
-    if t < -1e-12 or t > sigma[-1] + 1e-12:
-        raise InputError(f"time {t} outside [0, {sigma[-1]}]")
-    t = min(max(t, 0.0), sigma[-1])
-    k = int(np.searchsorted(sigma, t, side="right")) - 1
-    if k >= len(sigma) - 1:
-        return orbit.points[-1].copy()
-    frac = (t - sigma[k]) / (sigma[k + 1] - sigma[k])
-    return (1.0 - frac) * orbit.points[k] + frac * orbit.points[k + 1]
+    k, s = locate(orbit.steps.sigma, t)
+    return (1.0 - s) * orbit.points[k] + s * orbit.points[k + 1]
 
 
 def phi_recursion(op, lambda_seq):
     """Orbit of w_n = Phi(lam_n, w_{n-1}) from w_0 = 0."""
-    lam = np.asarray(lambda_seq, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise InputError("lambda sequence must be a nonempty 1-d sequence")
-    if np.any(lam <= 0.0) or np.any(lam > 1.0):
-        raise InputError("lambda values must lie in (0, 1]")
-    points = np.zeros((lam.size + 1, op.dim))
-    for n in range(1, lam.size + 1):
-        points[n] = apply_Phi(op, lam[n - 1], points[n - 1])
-    return DiscreteOrbit(points)
+    return _step_orbit(op, np.zeros(op.dim), lambda_seq,
+                       lambda lam, x: apply_Phi(op, lam, x))
 
 
 def resolvent(op, lam, y, tol=1e-12):

@@ -27,3 +27,13 @@ class ResourceError(OpdynError, RuntimeError):
     primal-dual gap exceeds its tolerance, a strategy entry below the clamp
     tolerance, an unbounded or non-terminating simplex).
     """
+
+
+def convert(read, value, what):
+    """read(value), where read converts a config value (int, float, a list
+    of floats, a constructor); a TypeError, ValueError or OverflowError it
+    raises, an InputError included, becomes an InputError naming what."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what}: {exc}") from None

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -187,6 +188,23 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("accretivity", ['operator={"random_game":{"states":1,"sed":3}}']),
     ("stationarity_gap", ["horizon=5", 'param={"kind":"power_alpha","alpa":0.1}']),
     ("euler_vs_ode", ['steps={"kind":"harmonic","N":10,"lambda":0.5}']),
+    ("accretivity", ["horizon=x"]),
+    ("accretivity", ["seed=x"]),
+    ("accretivity", ["horizn=3"]),
+    ("accretivity", ['operator={"builtin":"rotation","theta_degrees":"x"}']),
+    ("accretivity", ['operator={"builtin":"identity","dim":"x"}']),
+    ("accretivity", ['operator={"random_game":{"states":"x"}}']),
+    ("accretivity", ['operator={"random_game":{"seed":1e999}}']),
+    ("accretivity", ['operator={"random_game":{"payoff_range":"x"}}']),
+    ("stationarity_gap", ["horizon=5", 'param={"kind":"power_alpha","alpha":"x"}']),
+    ("stationarity_gap", ["horizon=5", 'param={"kind":"constant","lambda":"x"}']),
+    ("stationarity_gap", ["horizon=5", 'param={"kind":"table","knots":[[0,"x"]]}']),
+    ("stationarity_gap", ["horizon=5", 'param={"kind":"table","knots":[0]}']),
+    ("euler_vs_ode", ['steps={"kind":"constant","N":"x"}']),
+    ("euler_vs_ode", ['steps={"kind":"constant","lambda":"x","N":3}']),
+    ("euler_vs_ode", ['steps={"kind":"constant","N":-3}']),
+    ("euler_vs_ode", ['steps={"kind":"harmonic","N":null}']),
+    ("euler_vs_ode", ['steps={"kind":"explicit","values":["x"]}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
@@ -218,3 +236,50 @@ def test_verify_failure_sets_exit_one(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--config", str(path),
                 "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+
+
+@pytest.mark.parametrize("task, preset, item", [
+    ("value_iter", "translation", "N=x"),
+    ("value_iter", "translation", "N=1e999"),
+    ("ode", "rotation30", "T=x"),
+    ("ode", "rotation30", "tol=[1]"),
+    ("ode", "rotation30", "samples=x"),
+    ("phi_ode", "matching-pennies", "T=x"),
+    ("discounted", "matching-pennies", "lambdas=x"),
+    ("discounted", "matching-pennies", "lambdas=5"),
+    ("discounted", "matching-pennies", "tol=x"),
+    ("generate-game", "random3", "game_file=5"),
+    ("suite", "paper-suite", "horizn=3"),
+    ("value_iter", "translation", "Nn=5"),
+])
+def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_every_preset_key_is_a_known_config_key():
+    for preset in cli.PRESETS.values():
+        assert set(preset) <= set(cli.CONFIG_KEYS)
+
+
+def test_unknown_task_is_rejected_with_the_known_ones_listed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.make_parser().parse_args(["value-iter"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(task in err for task in cli.TASK_RUNNERS)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_artifacts_get_the_mode_open_would_give(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert run(["value_iter", "--preset", "translation",
+                    "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    want = (tmp_path / "plain.txt").stat().st_mode
+    assert (tmp_path / "value_iter.csv").stat().st_mode == want

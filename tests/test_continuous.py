@@ -106,6 +106,15 @@ def test_trajectory_derivative_consistency():
         assert op.norm(traj.deriv_at(t) - fd) <= 1e-6
 
 
+def test_trajectory_dense_reads_hit_the_samples_exactly():
+    op = core.rotation(np.pi / 6.0)
+    traj = continuous.integrate_U(op, [1.0, 0.0], 2.0, tol=1e-8)
+    for i in (0, 1, traj.times.size // 2, traj.times.size - 1):
+        t = traj.times[i]
+        assert traj.at(t).tolist() == traj.points[i].tolist()
+        assert traj.deriv_at(t).tolist() == traj.derivative[i].tolist()
+
+
 def test_trajectory_rejects_out_of_range():
     op = core.Translation([1.0])
     traj = continuous.integrate_U(op, np.zeros(1), 1.0, tol=1e-8)
@@ -244,7 +253,7 @@ def test_slow_param_bound_inverse_time_zeta_is_exact():
     param = continuous.InverseTimeZeta()
     u0 = np.ones(3)
     du0 = op.norm(core.apply_Phi(op, 0.5, u0) - u0)
-    CC = op.h_constant() + op.norm(core.apply_J(op, np.zeros(3)))
+    CC = op.h_constant() + op.norm(op.J(np.zeros(3)))
     for t in (10.0, 100.0):
         X = continuous.zeta_inverse(t)
         want = (2.0 + X) ** 2 / (2.0 * (1.0 + X)) * (

@@ -48,14 +48,14 @@ _APPLIES = {
     "Phi(1)": lambda op, x: core.apply_Phi(op, 1.0, x),
     "Phi(0.3)": lambda op, x: core.apply_Phi(op, 0.3, x),
     "A": core.apply_A,
-    "J": core.apply_J,
+    "J": lambda op, x: op.J(x),
 }
 
 
 @pytest.mark.parametrize("apply", list(_APPLIES.values()), ids=list(_APPLIES))
 @pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
 def test_derived_maps_reject_bad_vectors(op, apply):
-    # apply_Phi, apply_A and apply_J leave the validation to op.J
+    # apply_Phi and apply_A leave the validation to op.J
     assert apply(op, [0.5, -0.25]).shape == (2,)
     for bad in ([np.nan, 0.0], [0.0, np.inf], [1.0], [1.0, 2.0, 3.0],
                 np.array([np.nan, 1.0])):
@@ -111,7 +111,7 @@ def test_norm_triangle_inequality(x, y):
 def test_translation_maps():
     op = core.Translation([2.0, -1.0])
     x = np.array([1.0, 1.0])
-    assert np.allclose(core.apply_J(op, x), [3.0, 0.0])
+    assert np.allclose(op.J(x), [3.0, 0.0])
     # A = I - J is constantly -c for a translation
     assert np.allclose(core.apply_A(op, x), [-2.0, 1.0])
 
@@ -167,6 +167,54 @@ def test_sup_isometry_signed_permutation():
         core.LinearIsometry(
             [[0.5, 0.5], [0.5, -0.5]], norm_kind=core.SUP
         )
+
+
+def test_closed_form_operators_share_the_affine_implementation():
+    for cls in (core.Translation, core.LinearIsometry):
+        assert issubclass(cls, core.AffineNonexpansive)
+        assert not {"J", "linearize", "h_constant"} & set(vars(cls))
+    assert "J" in vars(core.AffineNonexpansive)
+
+
+def test_translation_matches_its_own_formulas_bit_for_bit():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-3.0, 3.0, size=3)
+    op = core.Translation(c)
+    assert op.norm_kind == core.SUP and op.dim == 3
+    assert op.describe() == f"Translation(c={c.tolist()})"
+    assert op.h_constant() == float(np.max(np.abs(c)))
+    assert core.Translation(c, norm_kind=core.EUCLIDEAN).h_constant() == \
+        float(np.linalg.norm(c))
+    for _ in range(20):
+        x = rng.uniform(-10.0, 10.0, size=3)
+        assert op.J(x).tolist() == (x + c).tolist()
+        Jx, M = op.linearize(x)
+        assert Jx.tolist() == (x + c).tolist()
+        assert M.tolist() == np.eye(3).tolist()
+
+
+def test_linear_isometry_matches_its_own_formulas_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for op in (core.rotation(0.7),
+               core.LinearIsometry([[0.0, -1.0], [1.0, 0.0]], norm_kind=core.SUP)):
+        assert op.describe() == "LinearIsometry(dim=2)"
+        assert op.h_constant() == 0.0
+        for _ in range(20):
+            x = rng.uniform(-10.0, 10.0, size=2)
+            assert op.J(x).tolist() == (op.matrix @ x).tolist()
+            Jx, M = op.linearize(x)
+            assert Jx.tolist() == (op.matrix @ x).tolist() and M is op.matrix
+    assert core.rotation(0.7).norm_kind == core.EUCLIDEAN
+
+
+def test_closed_form_operators_validate_their_own_invariant():
+    with pytest.raises(InputError):
+        core.Translation([np.nan])
+    with pytest.raises(InputError):
+        core.Translation([1.0], norm_kind="l1")
+    for bad in ([[1.0, 0.0]], [[np.inf]], [[1.0]] * 2):
+        with pytest.raises(InputError):
+            core.LinearIsometry(bad)
 
 
 def test_affine_rejects_expansive_matrix():

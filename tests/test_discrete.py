@@ -213,6 +213,54 @@ def test_phi_recursion_matches_manual():
     assert np.allclose(orbit.points[2], w2)
 
 
+def test_iterate_Vn_and_phi_recursion_match_hand_loops_bit_for_bit():
+    op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=4))
+    orbit, vn = discrete.iterate_Vn(op, 12)
+    V = [np.zeros(3)]
+    for _ in range(12):
+        V.append(op.J(V[-1]))
+    assert orbit.points.tolist() == np.array(V).tolist()
+    assert vn.tolist() == [(V[n] / n).tolist() for n in range(1, 13)]
+    assert orbit.steps.steps.tolist() == [1.0] * 12
+    lam = np.random.default_rng(8).uniform(0.05, 1.0, size=15)
+    w = [np.zeros(3)]
+    for l in lam:
+        w.append(core.apply_Phi(op, l, w[-1]))
+    orbit = discrete.phi_recursion(op, lam)
+    assert orbit.points.tolist() == np.array(w).tolist()
+    assert orbit.steps.steps.tolist() == lam.tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, 1.5])
+def test_phi_recursion_rejects_steps_outside_unit_interval(bad):
+    op = core.Translation([1.0])
+    with pytest.raises(InputError):
+        discrete.phi_recursion(op, [0.5, bad])
+
+
+def test_locate_brackets_every_time_on_the_grid():
+    grid = np.array([0.0, 0.5, 1.5, 3.0])
+    assert discrete.locate(grid, 0.0) == (0, 0.0)
+    assert discrete.locate(grid, 3.0) == (2, 1.0)
+    assert discrete.locate(grid, 0.5) == (1, 0.0)
+    assert discrete.locate(grid, 1.5) == (2, 0.0)
+    assert discrete.locate(grid, 1.0) == (1, 0.5)
+    assert discrete.locate(grid, -1e-12) == (0, 0.0)
+    assert discrete.locate(grid, 3.0 + 1e-12) == (2, 1.0)
+    for t in (-2e-12, 3.0 + 2e-12):
+        with pytest.raises(InputError):
+            discrete.locate(grid, t)
+
+
+def test_euler_interpolant_at_each_sample_is_that_point():
+    op = shapley.ShapleyOperator(shapley.random_game(2, 2, 2, seed=3))
+    steps = discrete.StepSequence.harmonic(7)
+    orbit = discrete.euler_scheme(op, [0.4, -0.3], steps)
+    for k in range(8):
+        got = discrete.euler_interpolant(orbit, steps.sigma[k])
+        assert got.tolist() == orbit.points[k].tolist()
+
+
 def test_resolvent_translation_closed_form():
     # x + lam (x - (x + c)) = y  =>  x = y + lam c
     op = core.Translation([3.0])
