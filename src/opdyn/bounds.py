@@ -1,7 +1,10 @@
 """Registry of quantitative checks.
 
-Every entry computes the two sides of one inequality (or one decay /
-monotonicity statement) on a concrete scenario and reports the slack.
+Every entry is a generator over a concrete scenario: it yields one
+(lhs, rhs, budget, context) tuple per inequality (or decay / monotonicity
+statement) it tests.  `verify` is the one place that judges them: it turns
+each tuple into a BoundReport with slack rhs - lhs and verdict
+lhs <= rhs + budget, labelled with the check id and the scenario name.
 Asymptotic statements are operationalized as finite-horizon decay
 assertions: the final gap must be <= decay_factor times the initial gap
 over a horizon ratio of at least 100x.  Tolerance budgets propagate
@@ -27,6 +30,13 @@ class Settings:
     fp_tol: float = 1e-10
     decay_factor: float = 0.2
     samples: int = 200
+
+    def __post_init__(self):
+        for name in ("ode_tol", "fp_tol", "decay_factor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise InputError(f"settings.{name} must be finite and positive")
+        if self.samples < 1:
+            raise InputError("settings.samples must be >= 1")
 
 
 @dataclass
@@ -77,23 +87,6 @@ class BoundReport:
         }
 
 
-def _report(check, lhs, rhs, budget, context):
-    lhs, rhs, budget = float(lhs), float(rhs), float(budget)
-    return BoundReport(
-        check=check,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        tol_budget=budget,
-        verdict=bool(lhs <= rhs + budget),
-        context=context,
-    )
-
-
-def _ctx(sc, **kw):
-    return {"scenario": sc.name, **kw}
-
-
 def _log_points(lo, hi, count=8):
     return np.unique(np.geomspace(lo, hi, count))
 
@@ -120,18 +113,30 @@ def _starts(sc, *defaults):
     return [core.as_vec(x, sc.operator.dim) for x in starts[:len(defaults)]]
 
 
-def _extra(sc, key, default, read=int):
+def _extra(sc, key, default, read):
     """read(sc.extra[key]), or read(default) without the key; a value that
     read cannot take is a config error."""
     return convert(read, sc.extra.get(key, default), f"extra.{key}")
 
 
-def _ints(values):
-    return [int(v) for v in values]
+def _count(least):
+    """A read for _extra: an int that must be >= least."""
+    def read(value):
+        n = int(value)
+        if n < least:
+            raise InputError(f"must be >= {least}, got {n}")
+        return n
+    return read
 
 
-def _floats(values):
-    return [float(v) for v in values]
+def _list(kind):
+    """A read for _extra: a nonempty list of kind(entry)."""
+    def read(values):
+        out = [kind(v) for v in values]
+        if not out:
+            raise InputError("must list at least one value")
+        return out
+    return read
 
 
 def _worst(candidates):
@@ -144,9 +149,9 @@ def _worst_increase(values):
     return max(b - a for a, b in zip(values, values[1:]))
 
 
-def _decay(check, gaps, st, budget, ctx):
+def _decay(gaps, st, budget, context):
     """Finite-horizon decay: the last gap is at most decay_factor x the first."""
-    return _report(check, gaps[-1], st.decay_factor * gaps[0], budget, ctx)
+    return gaps[-1], st.decay_factor * gaps[0], budget, context
 
 
 def _vlambda_gap(op, x, lam, fp_tol):
@@ -155,41 +160,26 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# individual checks: each yields (lhs, rhs, budget, context) per inequality
 
 def _check_norm_bounds(sc, st):
     op = sc.operator
     N = int(sc.horizon)
     j0 = op.norm(op.J(_zeros(op)))
     _, vn = discrete.iterate_Vn(op, max(N, 1))
-    worst_vn = max(op.norm(v) for v in vn)
-    reports = [
-        _report("norm_bounds", worst_vn, j0, BASE_TOL,
-                _ctx(sc, family="v_n", N=N))
-    ]
-    lams = _extra(sc, "lambdas", [1.0, 0.5, 0.1, 0.01], _floats)
-    worst_vl = max(
-        op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lams
-    )
-    reports.append(
-        _report("norm_bounds", worst_vl, j0, BASE_TOL + st.fp_tol,
-                _ctx(sc, family="v_lambda", lambdas=list(lams)))
-    )
-    return reports
+    yield max(op.norm(v) for v in vn), j0, BASE_TOL, {"family": "v_n", "N": N}
+    lams = _extra(sc, "lambdas", [1.0, 0.5, 0.1, 0.01], _list(float))
+    yield (max(op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lams),
+           j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lams)})
 
 
 def _check_accretivity(sc, st):
-    reports = []
-    for lam in _extra(sc, "lambdas", [0.1, 0.5, 1.0, 2.0], _floats):
+    for lam in _extra(sc, "lambdas", [0.1, 0.5, 1.0, 2.0], _list(float)):
         rep = core.check_accretive(
             sc.operator, lam, samples=st.samples, seed=sc.seed
         )
-        reports.append(
-            _report("accretivity", 1.0 - rep.worst_ratio, 0.0, BASE_TOL,
-                    _ctx(sc, **{"lambda": lam, "samples": rep.samples,
-                                "violations": rep.violations}))
-        )
-    return reports
+        yield (1.0 - rep.worst_ratio, 0.0, BASE_TOL,
+               {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 
 
 def _check_solution_contraction(sc, st):
@@ -198,10 +188,9 @@ def _check_solution_contraction(sc, st):
     t1, t2 = (continuous.integrate_U(op, x, T, tol=st.ode_tol)
               for x in _starts(sc, _zeros(op), _second_start(op)))
     times = np.linspace(0.0, T, 41)
-    worst = _worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times])
-    budget = BASE_TOL + 2.0 * (t1.err_bound[0] + t2.err_bound[0])
-    return [_report("solution_contraction", worst, 0.0, budget,
-                    _ctx(sc, checkpoints=len(times)))]
+    yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
+           BASE_TOL + 2.0 * (t1.err_bound[0] + t2.err_bound[0]),
+           {"checkpoints": len(times)})
 
 
 def _check_derivative_decay(sc, st):
@@ -209,18 +198,16 @@ def _check_derivative_decay(sc, st):
     (U0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_U(op, U0, float(sc.horizon), tol=st.ode_tol)
     idx = _node_indices(traj, np.linspace(0.0, float(sc.horizon), 41))
-    worst = _worst_increase([op.norm(traj.derivative[i]) for i in idx])
-    budget = BASE_TOL + 4.0 * traj.err_bound[0]
-    return [_report("derivative_decay", worst, 0.0, budget,
-                    _ctx(sc, checkpoints=len(idx)))]
+    yield (_worst_increase([op.norm(traj.derivative[i]) for i in idx]), 0.0,
+           BASE_TOL + 4.0 * traj.err_bound[0], {"checkpoints": len(idx)})
 
 
 def _check_chernoff(sc, st):
     op = sc.operator
     T = float(sc.horizon)
     (U0,) = _starts(sc, _zeros(op))
-    nmax = _extra(sc, "nmax", int(T))
-    grid = _extra(sc, "grid", 20)
+    nmax = _extra(sc, "nmax", int(T), _count(0))
+    grid = _extra(sc, "grid", 20, _count(1))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
@@ -228,58 +215,45 @@ def _check_chernoff(sc, st):
         powers.append(op.J(powers[-1]))
     ts = np.linspace(0.0, T, grid)
     ns = np.unique(np.linspace(0, nmax, grid).astype(int))
-    worst = _worst(
+    lhs, rhs, t, n = _worst(
         (op.norm(Ut - powers[n]), du0 * np.sqrt(t + (n - t) ** 2), float(t), int(n))
         for t, Ut in zip(ts, map(traj.at, ts)) for n in ns
     )
-    budget = BASE_TOL + traj.err_bound[0]
-    return [_report("chernoff", worst[0], worst[1], budget,
-                    _ctx(sc, t=worst[2], n=worst[3],
-                         grid=[len(ts), len(ns)]))]
+    yield (lhs, rhs, BASE_TOL + traj.err_bound[0],
+           {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
 def _check_convvn(sc, st):
     op = sc.operator
     N = int(sc.horizon)
-    ns = _extra(sc, "n_values", _log_points(max(2, N // 100), N, 4), _ints)
+    ns = _extra(sc, "n_values", _log_points(max(2, N // 100), N, 4), _list(_count(1)))
     traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     j0 = op.norm(op.J(_zeros(op)))
-    reports = []
     for n in ns:
-        lhs = op.norm(traj.at(float(n)) / n - vn[n - 1])
-        rhs = j0 / np.sqrt(n)
-        budget = BASE_TOL + traj.err_bound[0] / n
-        reports.append(_report("convvn", lhs, rhs, budget, _ctx(sc, n=n)))
-    return reports
+        yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
+               BASE_TOL + traj.err_bound[0] / n, {"n": n})
 
 
 def _check_expo(sc, st):
     op = sc.operator
     T = float(sc.horizon)
     (U0,) = _starts(sc, _second_start(op))
-    ms = _extra(sc, "m_values", [25, 100, 400, 1600], _ints)
+    ms = _extra(sc, "m_values", [25, 100, 400, 1600], _list(int))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint = traj.points[-1]
-    reports = []
     measured = []
     for m in ms:
         if m < T:
             continue
-        lhs = op.norm(continuous.euler_power(op, T, m, U0) - endpoint)
-        rhs = a0 * T / np.sqrt(m)
-        measured.append(lhs)
-        budget = BASE_TOL + traj.err_bound[-1]
-        reports.append(_report("expo", lhs, rhs, budget, _ctx(sc, m=m, T=T)))
+        measured.append(op.norm(continuous.euler_power(op, T, m, U0) - endpoint))
+        yield (measured[-1], a0 * T / np.sqrt(m), BASE_TOL + traj.err_bound[-1],
+               {"m": m, "T": T})
     # measured errors should also decrease with m (up to integrator noise)
     if len(measured) >= 2:
-        reports.append(
-            _report("expo", _worst_increase(measured), 0.0,
-                    BASE_TOL + 2.0 * traj.err_bound[-1],
-                    _ctx(sc, aspect="monotone_in_m", m_values=ms))
-        )
-    return reports
+        yield (_worst_increase(measured), 0.0, BASE_TOL + 2.0 * traj.err_bound[-1],
+               {"aspect": "monotone_in_m", "m_values": ms})
 
 
 def _random_steps(rng, max_len=200):
@@ -292,10 +266,9 @@ def _random_steps(rng, max_len=200):
 def _check_kobayashi(sc, st):
     op = sc.operator
     rng = np.random.default_rng(sc.seed)
-    pairs = _extra(sc, "pairs", 20)
-    subgrid = _extra(sc, "subgrid", 10)
+    pairs = _extra(sc, "pairs", 20, _count(1))
+    subgrid = _extra(sc, "subgrid", 10, _count(1))
     x0, xhat0 = _starts(sc, _zeros(op), _second_start(op))
-    reports = []
     for p in range(pairs):
         s1 = sc.steps or _random_steps(rng)
         s2 = sc.steps2 or _random_steps(rng)
@@ -303,20 +276,16 @@ def _check_kobayashi(sc, st):
         o2 = discrete.euler_scheme(op, xhat0, s2)
         ks = np.unique(np.linspace(0, len(s1), subgrid).astype(int))
         ls = np.unique(np.linspace(0, len(s2), subgrid).astype(int))
-        worst = _worst(
+        lhs, rhs, k, l = _worst(
             (op.norm(o1.points[k] - o2.points[l]),
              discrete.kobayashi_rhs(s1, s2, int(k), int(l), x0, xhat0, op),
              int(k), int(l))
             for k in ks for l in ls
         )
-        reports.append(
-            _report("kobayashi", worst[0], worst[1], BASE_TOL,
-                    _ctx(sc, pair=p, k=worst[2], l=worst[3],
-                         lengths=[len(s1), len(s2)]))
-        )
+        yield (lhs, rhs, BASE_TOL,
+               {"pair": p, "k": k, "l": l, "lengths": [len(s1), len(s2)]})
         if sc.steps is not None:
             break
-    return reports
 
 
 def _euler_vs_flow(sc, st, count):
@@ -337,22 +306,16 @@ def _euler_vs_flow(sc, st, count):
 
 def _check_euler_vs_ode(sc, st):
     gaps, steps, a0, err = _euler_vs_flow(sc, st, 12)
-    return [
-        _report("euler_vs_ode", gap,
-                a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
-                BASE_TOL + err, _ctx(sc, k=k, t=t))
-        for k, t, gap in gaps
-    ]
+    for k, t, gap in gaps:
+        yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
+               BASE_TOL + err, {"k": k, "t": t})
 
 
 def _check_normalized_euler(sc, st):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
     gaps, _, a0, err = _euler_vs_flow(sc, st, 8)
-    return [
-        _report("normalized_euler", gap / t, a0 * np.sqrt(t) / t,
-                BASE_TOL + err / t, _ctx(sc, k=k, t=t))
-        for k, t, gap in gaps
-    ]
+    for k, t, gap in gaps:
+        yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
 
 
 def _check_interpolation(sc, st):
@@ -362,22 +325,18 @@ def _check_interpolation(sc, st):
     if sc.steps is not None:
         steps = sc.steps
     else:
-        n = _extra(sc, "n_steps", 100)
+        n = _extra(sc, "n_steps", 100, _count(1))
         steps = discrete.StepSequence.constant(T / n, n)
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
     orbit = discrete.euler_scheme(op, x0, steps)
     traj = continuous.integrate_U(op, x0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, x0))
-    rhs = a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(float(np.max(steps.steps)))
-    tprimes = np.linspace(0.0, T, 33)
-    lhs = max(
-        op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t))
-        for t in tprimes
-    )
-    budget = BASE_TOL + traj.err_bound[0]
-    return [_report("interpolation", lhs, rhs, budget,
-                    _ctx(sc, max_step=float(np.max(steps.steps)), T=T))]
+    max_step = float(np.max(steps.steps))
+    yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t))
+               for t in np.linspace(0.0, T, 33)),
+           a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(max_step),
+           BASE_TOL + traj.err_bound[0], {"max_step": max_step, "T": T})
 
 
 def _need_param(sc):
@@ -392,17 +351,13 @@ def _check_stationarity_gap(sc, st):
     T = float(sc.horizon)
     (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    idx = _node_indices(traj, _log_points(T / 100.0, T, 8))
-    reports = []
-    for i in idx:
+    for i in _node_indices(traj, _log_points(T / 100.0, T, 8)):
         t = float(traj.times[i])
         lam = param.value(t)
-        lhs = _vlambda_gap(op, traj.points[i], lam, st.fp_tol)
-        rhs = op.norm(traj.derivative[i]) / lam
-        budget = BASE_TOL + st.fp_tol + traj.err_bound[0] * (1.0 + 2.0 / lam)
-        reports.append(_report("stationarity_gap", lhs, rhs, budget,
-                               _ctx(sc, t=t, **{"lambda": lam})))
-    return reports
+        yield (_vlambda_gap(op, traj.points[i], lam, st.fp_tol),
+               op.norm(traj.derivative[i]) / lam,
+               BASE_TOL + st.fp_tol + traj.err_bound[0] * (1.0 + 2.0 / lam),
+               {"t": t, "lambda": lam})
 
 
 def _check_constant_decay(sc, st):
@@ -416,21 +371,14 @@ def _check_constant_decay(sc, st):
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
-    ts = _extra(sc, "t_values", [1.0, 5.0, 10.0, 20.0], _floats)
-    reports = []
-    for t in ts:
+    for t in _extra(sc, "t_values", [1.0, 5.0, 10.0, 20.0], _list(float)):
         if t > T:
             continue
         decay = np.exp(-lam * t)
-        lhs_d = op.norm(traj.deriv_at(t))
-        budget = BASE_TOL + 4.0 * traj.err_bound[0]
-        reports.append(_report("constant_decay", lhs_d, du0 * decay, budget,
-                               _ctx(sc, t=t, aspect="derivative")))
-        lhs_g = op.norm(traj.at(t) - v)
-        budget = BASE_TOL + st.fp_tol + traj.err_bound[0]
-        reports.append(_report("constant_decay", lhs_g, du0 * decay / lam,
-                               budget, _ctx(sc, t=t, aspect="gap")))
-    return reports
+        yield (op.norm(traj.deriv_at(t)), du0 * decay, BASE_TOL + 4.0 * traj.err_bound[0],
+               {"t": t, "aspect": "derivative"})
+        yield (op.norm(traj.at(t) - v), du0 * decay / lam,
+               BASE_TOL + st.fp_tol + traj.err_bound[0], {"t": t, "aspect": "gap"})
 
 
 def _check_initial_independence(sc, st):
@@ -443,21 +391,15 @@ def _check_initial_independence(sc, st):
     d0 = op.norm(x0 - x1)
     times = _log_points(T / 100.0, T, 8)
     budget = BASE_TOL + t1.err_bound[0] + t2.err_bound[0]
-    reports = []
     gaps = []
     for t in times:
         gaps.append(op.norm(t1.at(t) - t2.at(t)))
-        rhs = d0 * np.exp(-param.integral(float(t)))
-        reports.append(_report("initial_independence", gaps[-1], rhs, budget,
-                               _ctx(sc, t=float(t))))
-    reports.append(
-        _decay("initial_independence", gaps, st, budget,
-               _ctx(sc, aspect="decay", t0=float(times[0]), t1=float(times[-1])))
-    )
-    return reports
+        yield gaps[-1], d0 * np.exp(-param.integral(float(t))), budget, {"t": float(t)}
+    yield _decay(gaps, st, budget,
+                 {"aspect": "decay", "t0": float(times[0]), "t1": float(times[-1])})
 
 
-def _vn_decay(check, sc, st, param, u0, points_key=None, **ctx):
+def _vn_decay(sc, st, param, u0, points_key=None, **ctx):
     """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
     op = sc.operator
     N = int(sc.horizon)
@@ -467,11 +409,11 @@ def _vn_decay(check, sc, st, param, u0, points_key=None, **ctx):
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
         ctx[points_key] = ns
-    return _decay(check, gaps, st, BASE_TOL + 2.0 * traj.err_bound[0],
-                  _ctx(sc, gaps=[float(g) for g in gaps], **ctx))
+    return _decay(gaps, st, BASE_TOL + 2.0 * traj.err_bound[0],
+                  {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _vlambda_decay(check, sc, st, param, u0, points_key=None, **ctx):
+def _vlambda_decay(sc, st, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
     op = sc.operator
     T = float(sc.horizon)
@@ -480,35 +422,29 @@ def _vlambda_decay(check, sc, st, param, u0, points_key=None, **ctx):
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
-    return _decay(check, gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0],
-                  _ctx(sc, gaps=[float(g) for g in gaps], **ctx))
+    return _decay(gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0],
+                  {"gaps": [float(g) for g in gaps], **ctx})
 
 
 def _check_wn_tracks_vn(sc, st):
     param = sc.param or continuous.InverseTimeZeta()
     (u0,) = _starts(sc, _zeros(sc.operator))
-    return [_vn_decay("wn_tracks_vn", sc, st, param, u0, points_key="n_values")]
+    yield _vn_decay(sc, st, param, u0, points_key="n_values")
 
 
 def _check_convboth(sc, st):
     op = sc.operator
     if not isinstance(op, core.Translation):
-        return [_report("convboth", 0.0, 0.0, BASE_TOL,
-                        _ctx(sc, status="skipped: premise not certified"))]
+        yield 0.0, 0.0, BASE_TOL, {"status": "skipped: premise not certified"}
+        return
     # for a translation U'(t) = c for every t, so l = c
     l = op.c
     N = int(sc.horizon)
     _, vn = discrete.iterate_Vn(op, N)
-    lhs_n = op.norm(vn[-1] - l)
-    reports = [_report("convboth", lhs_n, 0.0, BASE_TOL,
-                       _ctx(sc, family="v_n", N=N))]
+    yield op.norm(vn[-1] - l), 0.0, BASE_TOL, {"family": "v_n", "N": N}
     for lam in [0.5, 0.1, 0.01]:
-        reports.append(
-            _report("convboth", _vlambda_gap(op, l, lam, st.fp_tol), 0.0,
-                    BASE_TOL + st.fp_tol,
-                    _ctx(sc, family="v_lambda", **{"lambda": lam}))
-        )
-    return reports
+        yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, BASE_TOL + st.fp_tol,
+               {"family": "v_lambda", "lambda": lam})
 
 
 def _check_hypothesis_H(sc, st):
@@ -522,9 +458,8 @@ def _check_hypothesis_H(sc, st):
         pairs.append((op.norm(apply_Phi(op, lam, x) - apply_Phi(op, mu, x)),
                       abs(lam - mu) * (C + op.norm(x))))
     violations = sum(lhs > rhs + BASE_TOL for lhs, rhs in pairs)
-    lhs, rhs = _worst(pairs)
-    return [_report("hypothesis_H", lhs, rhs, BASE_TOL,
-                    _ctx(sc, samples=st.samples, violations=violations, C=C))]
+    yield (*_worst(pairs), BASE_TOL,
+           {"samples": st.samples, "violations": violations, "C": C})
 
 
 def _check_slow_param(sc, st):
@@ -533,21 +468,17 @@ def _check_slow_param(sc, st):
     T = float(sc.horizon)
     (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    times = _extra(sc, "t_values", _log_points(T / 100.0, T, 5), _floats)
-    reports = []
-    for t in times:
-        lhs = _vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol)
-        rhs = continuous.slow_param_bound(op, param, u0, float(t))
-        budget = BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_bound[0]
-        reports.append(_report("slow_param", lhs, rhs, budget,
-                               _ctx(sc, t=float(t))))
-    return reports
+    budget = BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_bound[0]
+    for t in _extra(sc, "t_values", _log_points(T / 100.0, T, 5), _list(float)):
+        yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
+               continuous.slow_param_bound(op, param, u0, float(t)), budget,
+               {"t": float(t)})
 
 
 def _check_convder_decay(sc, st):
     param = _need_param(sc)
     (u0,) = _starts(sc, _second_start(sc.operator))
-    return [_vlambda_decay("convder_decay", sc, st, param, u0, points_key="t_values")]
+    yield _vlambda_decay(sc, st, param, u0, points_key="t_values")
 
 
 def _check_two_param(sc, st):
@@ -572,49 +503,37 @@ def _check_two_param(sc, st):
         (C + u_norms) * np.abs(lam_vals - mu_vals) * np.exp(Imu), s)
     u_bound = float(np.max(u_norms))  # finite-horizon surrogate for "u bounded"
     times = _log_points(T / 100.0, T, 6)
-    reports = []
     for t in times:
         i = int(np.argmin(np.abs(s - t)))
         t = float(s[i])
-        lhs = op.norm(tu.at(t) - tv.at(t))
         rhs = np.exp(-Imu[i]) * (d0 + cum[i])
-        budget = BASE_TOL + tu.err_bound[0] + tv.err_bound[0] + 1e-6 * max(1.0, rhs)
-        reports.append(_report("two_param", lhs, rhs, budget,
-                               _ctx(sc, t=t, u_bound_observed=u_bound)))
+        yield (op.norm(tu.at(t) - tv.at(t)), rhs,
+               BASE_TOL + tu.err_bound[0] + tv.err_bound[0] + 1e-6 * max(1.0, rhs),
+               {"t": t, "u_bound_observed": u_bound})
     case = sc.extra.get("case")
     if case in ("a", "b"):
         gaps = [op.norm(tu.at(t) - tv.at(t)) for t in (times[0], times[-1])]
-        reports.append(
-            _decay("two_param", gaps, st,
-                   BASE_TOL + tu.err_bound[0] + tv.err_bound[0],
-                   _ctx(sc, aspect="decay", case=case,
-                        u_bound_observed=u_bound,
-                        note="boundedness checked over finite horizon only"))
-        )
-    return reports
+        yield _decay(gaps, st, BASE_TOL + tu.err_bound[0] + tv.err_bound[0],
+                     {"aspect": "decay", "case": case, "u_bound_observed": u_bound,
+                      "note": "boundedness checked over finite horizon only"})
 
 
 def _check_vlambda_lipschitz(sc, st):
     op = sc.operator
     C = op.h_constant()
     Cp = op.norm(op.J(_zeros(op)))
-    lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _floats)
+    lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _list(float))
     values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
-    reports = []
     for lam, mu in zip(lams, lams[1:]):
-        lhs = op.norm(values[lam] - values[mu])
-        rhs = abs(1.0 - lam / mu) * (C + Cp)
-        budget = BASE_TOL + 2.0 * st.fp_tol
-        reports.append(_report("vlambda_lipschitz", lhs, rhs, budget,
-                               _ctx(sc, **{"lambda": float(lam), "mu": float(mu)})))
-    return reports
+        yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
+               BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
 
 
 def _check_discrete_slow(sc, st):
     op = sc.operator
     N = int(sc.horizon)
     lam_seq = _extra(sc, "lambda_seq",
-                     np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5), _floats)
+                     np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5), _list(float))
     if len(lam_seq) < N:
         raise InputError(
             f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lam_seq)}"
@@ -623,20 +542,18 @@ def _check_discrete_slow(sc, st):
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 5)]
     gaps = [_vlambda_gap(op, orbit.points[n], float(lam_seq[n - 1]), st.fp_tol)
             for n in ns]
-    return [_decay("discrete_slow", gaps, st, BASE_TOL + 2.0 * st.fp_tol,
-                   _ctx(sc, n_values=ns, gaps=[float(g) for g in gaps]))]
+    yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol,
+                 {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
 def _check_alpha_family(sc, st):
     alpha = _extra(sc, "alpha", 0.5, float)
     (u0,) = _starts(sc, _zeros(sc.operator))
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
-    return [
-        _vlambda_decay("alpha_family", sc, st, continuous.PowerAlpha(alpha), u0,
-                       alpha=alpha, aspect="v_lambda_tracking"),
-        _vn_decay("alpha_family", sc, st, continuous.PowerAlpha(0.0), u0,
-                  alpha=0.0, aspect="v_n_tracking"),
-    ]
+    yield _vlambda_decay(sc, st, continuous.PowerAlpha(alpha), u0,
+                         alpha=alpha, aspect="v_lambda_tracking")
+    yield _vn_decay(sc, st, continuous.PowerAlpha(0.0), u0,
+                    alpha=0.0, aspect="v_n_tracking")
 
 
 CHECKS = {
@@ -668,11 +585,18 @@ CHECKS = {
 
 def verify(check, scenario, settings=None):
     """Run one registry check on a scenario; returns a nonempty list of
-    BoundReports.  A check that yields no report (every point it would test
-    lies outside the scenario) raises InputError: it has verified nothing."""
+    BoundReports, one per inequality the check yields, labelled with the
+    check id and the scenario name.  A check that yields nothing (every
+    point it would test lies outside the scenario) raises InputError: it has
+    verified nothing."""
     if check not in CHECKS:
         raise InputError(f"unknown check {check!r}")
-    reports = CHECKS[check](scenario, settings or Settings())
+    reports = []
+    for lhs, rhs, budget, context in CHECKS[check](scenario, settings or Settings()):
+        lhs, rhs, budget = float(lhs), float(rhs), float(budget)
+        reports.append(BoundReport(check, lhs, rhs, rhs - lhs, budget,
+                                   lhs <= rhs + budget,
+                                   {"scenario": scenario.name, **context}))
     if not reports:
         raise InputError(f"{check}: no report on scenario {scenario.name!r}")
     return reports

@@ -363,17 +363,15 @@ def task_phi_ode(cfg, out):
 
 
 def _emit_reports(reports, out):
-    write_json(os.path.join(out, "reports.json"),
-               [r.to_dict() for r in reports])
-    header = ["check", "lhs", "rhs", "slack", "tol_budget", "verdict", "context"]
-    rows = [
-        [r.check, r.lhs, r.rhs, r.slack, r.tol_budget,
-         "pass" if r.verdict else "fail",
-         json.dumps(r.context, sort_keys=True, default=_json_default)
-             .replace(",", ";")]
-        for r in reports
-    ]
-    write_csv(os.path.join(out, "reports.csv"), header, rows)
+    """reports.json and reports.csv, both from BoundReport.to_dict; the CSV
+    writes the context as JSON with its commas turned into semicolons."""
+    dicts = [r.to_dict() for r in reports]
+    write_json(os.path.join(out, "reports.json"), dicts)
+    for d in dicts:
+        d["context"] = json.dumps(d["context"], sort_keys=True,
+                                  default=_json_default).replace(",", ";")
+    write_csv(os.path.join(out, "reports.csv"), list(dicts[0]),
+              [list(d.values()) for d in dicts])
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -388,8 +386,9 @@ def _settings_from(cfg):
 def task_verify(cfg, out):
     op = build_operator(cfg["operator"])
     checks = cfg.get("checks")
-    if not checks:
-        raise InputError("verify: 'checks' must list at least one check id")
+    if not (isinstance(checks, list) and checks
+            and all(isinstance(c, str) for c in checks)):
+        raise InputError("verify: 'checks' must be a nonempty list of check ids")
     scenario = bounds.Scenario(
         operator=op,
         horizon=convert(float, cfg.get("horizon", 50.0), "horizon"),
@@ -414,7 +413,9 @@ def task_suite(cfg, out):
 
 
 def task_generate_game(cfg, out):
-    g = cfg.get("random_game") or cfg.get("operator", {}).get("random_game")
+    operator = cfg.get("operator", {})
+    g = cfg.get("random_game") or (
+        operator.get("random_game") if isinstance(operator, dict) else None)
     if not isinstance(g, dict):
         raise InputError("generate-game: needs a 'random_game' object")
     game = _random_game(g)

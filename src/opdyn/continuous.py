@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_A, apply_Phi, norm
+from .core import apply_A, apply_Phi, as_vec, norm
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
 
@@ -151,28 +151,28 @@ class Table(Parametrization):
             raise InputError("knot values must lie in (0, 1]")
         self.ts = ts
         self.vs = vs
+        # slope of each piece; 0 on the held tail past the last knot
+        self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0)
         self._cum = _cumtrapz(vs, ts)  # exact on linear pieces
 
-    def value(self, t):
+    def _piece(self, t):
+        """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
+        knot on the held tail; the same arithmetic as np.interp."""
         if t < 0:
             raise InputError("t must be >= 0")
-        if t >= self.ts[-1]:
-            return float(self.vs[-1])
-        return float(np.interp(t, self.ts, self.vs))
+        k = int(np.searchsorted(self.ts, t, side="right")) - 1
+        dt = t - self.ts[k]
+        return k, dt, self._slope[k] * dt + self.vs[k]
+
+    def value(self, t):
+        return float(self._piece(t)[2])
 
     def derivative(self, t):
-        if t < 0:
-            raise InputError("t must be >= 0")
-        if t >= self.ts[-1]:
-            return 0.0
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        return float(
-            (self.vs[k + 1] - self.vs[k]) / (self.ts[k + 1] - self.ts[k])
-        )
+        return float(self._slope[self._piece(t)[0]])
 
     def integral(self, t):
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        return float(self._cum[k] + 0.5 * (self.vs[k] + self.value(t)) * (t - self.ts[k]))
+        k, dt, value = self._piece(t)
+        return float(self._cum[k] + 0.5 * (self.vs[k] + value) * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +278,14 @@ def euler_power(op, t, m, x0):
 
 
 def integrate_U(op, U0, T, tol=1e-8):
-    """Solve U' = J(U) - U on [0, T] with certified tolerance tol.
+    """Solve U' = J(U) - U on [0, T] with certified tolerance tol; U0 is
+    read by as_vec, so a scalar is a start on a dim-1 operator.
 
     The endpoint is cross-checked against the Euler power U_T^m, which must
     satisfy ||U_T^m - U(T)|| <= ||A(U0)|| T/sqrt(m); a failure is a
     ResourceError.
     """
-    U0 = np.asarray(U0, dtype=float)
+    U0 = as_vec(U0, op.dim)
     rhs = lambda t, x: -apply_A(op, x)
     traj = _integrate(rhs, U0, T, tol, op.norm_kind)
     m = max(64, int(np.ceil(T)))
@@ -298,8 +299,9 @@ def integrate_U(op, U0, T, tol=1e-8):
 
 
 def integrate_u(op, param, u0, T, tol=1e-8):
-    """Solve u' = Phi(lam(t), u) - u on [0, T] with certified tolerance."""
-    u0 = np.asarray(u0, dtype=float)
+    """Solve u' = Phi(lam(t), u) - u on [0, T] with certified tolerance;
+    u0 is read like integrate_U's U0."""
+    u0 = as_vec(u0, op.dim)
     rhs = lambda t, x: apply_Phi(op, param.value(t), x) - x
     return _integrate(rhs, u0, T, tol, op.norm_kind)
 

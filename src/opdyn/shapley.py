@@ -459,10 +459,13 @@ def shapley_linearize(game, f):
 
 
 def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
-    """Seeded random game: uniform payoffs, normalized-uniform transitions."""
+    """Seeded random game: payoffs uniform on payoff_range = (lo, hi), which
+    must be finite with lo <= hi, and normalized-uniform transitions."""
     if num_states < 1 or m < 1 or n < 1:
         raise InputError("sizes must be positive")
     lo, hi = payoff_range
+    if not (lo <= hi and isfinite(hi - lo)):
+        raise InputError(f"payoff_range needs finite lo <= hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     payoff = [rng.uniform(lo, hi, size=(m, n)) for _ in range(num_states)]
     transition = []

@@ -99,6 +99,12 @@ def test_chernoff_translation(translation):
     _assert_all_pass(bounds.verify("chernoff", sc, FAST))
 
 
+def test_convvn_rejects_a_zero_step_count(translation):
+    sc = bounds.Scenario(operator=translation, horizon=10, extra={"n_values": [0]})
+    with pytest.raises(InputError, match="extra.n_values: must be >= 1"):
+        bounds.verify("convvn", sc, FAST)
+
+
 def test_constant_decay_requires_constant_param(translation):
     sc = bounds.Scenario(operator=translation, horizon=10,
                          param=continuous.PowerAlpha(0.5))

@@ -145,6 +145,17 @@ def test_verify_task_emits_reports(tmp_path):
     assert header == ["check", "lhs", "rhs", "slack", "tol_budget",
                       "verdict", "context"]
     assert len(rows) == len(reports)
+    assert_csv_matches_json(rows, reports)
+
+
+def assert_csv_matches_json(rows, reports):
+    """Every reports.csv row holds its reports.json entry, field by field."""
+    for row, rep in zip(rows, reports):
+        assert row[0] == rep["check"]
+        assert [float(v) for v in row[1:5]] == [rep["lhs"], rep["rhs"], rep["slack"],
+                                                rep["tol_budget"]]
+        assert row[5] == rep["verdict"]
+        assert json.loads(row[6].replace(";", ",")) == rep["context"]
 
 
 def test_verify_without_checks_is_config_error(tmp_path):
@@ -205,11 +216,23 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("euler_vs_ode", ['steps={"kind":"constant","N":-3}']),
     ("euler_vs_ode", ['steps={"kind":"harmonic","N":null}']),
     ("euler_vs_ode", ['steps={"kind":"explicit","values":["x"]}']),
+    ("accretivity", ['operator={"random_game":{"payoff_range":[1,0]}}']),
+    ("accretivity", ['operator={"random_game":{"payoff_range":[0,1e999]}}']),
+    ("hypothesis_H", ['settings={"samples":0}']),
+    ("hypothesis_H", ['settings={"samples":-1}']),
+    ("discrete_slow", ['settings={"decay_factor":NaN}']),
+    ("chernoff", ['extra={"grid":0}']),
+    ("chernoff", ['extra={"grid":-2}']),
+    ("chernoff", ['extra={"nmax":-3}']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"subgrid":0}']),
+    ("interpolation", ['extra={"n_steps":0}']),
+    ("norm_bounds", ['extra={"lambdas":[]}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
     # the horizon, a value of the wrong type (extra values included), a
-    # check with no report, or an unknown key in a spec object
+    # check with no report, an unknown key in a spec object, or a setting,
+    # count or payoff range out of range
     args = ["verify", "--preset", "translation",
             "--set", f'checks=["{check}"]', "--set", "starts=[[0.0]]"]
     for item in sets:
@@ -219,7 +242,8 @@ def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
 
 
 def test_verify_failure_sets_exit_one(tmp_path):
-    # decay_factor = 0 makes every decay-type verdict fail
+    # decay_factor = 1e-30 makes every decay-type verdict fail (0 is a
+    # config error)
     code = run(["verify", "--preset", "translation",
                 "--set", 'checks=["accretivity"]',
                 "--set", 'extra={"lambdas":[0.5]}',
@@ -236,6 +260,11 @@ def test_verify_failure_sets_exit_one(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--config", str(path),
                 "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    reports = json.loads(read(tmp_path / "reports.json"))
+    _, rows = csv_rows(tmp_path / "reports.csv")
+    assert any(r["verdict"] == "fail" for r in reports)
+    assert any(row[5] == "fail" for row in rows)
+    assert_csv_matches_json(rows, reports)
 
 
 @pytest.mark.parametrize("task, preset, item", [
@@ -251,6 +280,9 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("generate-game", "random3", "game_file=5"),
     ("suite", "paper-suite", "horizn=3"),
     ("value_iter", "translation", "Nn=5"),
+    ("verify", "translation", "checks=5"),
+    ("generate-game", "random3", "operator=5"),
+    ("ode", "rotation30", "U0=5"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]

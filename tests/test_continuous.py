@@ -69,6 +69,42 @@ def test_table_param():
         continuous.Table([(0.0, 0.5), (0.0, 0.4)])
 
 
+def test_table_value_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(3)
+    ts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, size=9))))
+    vs = rng.uniform(0.05, 1.0, size=10)
+    p = continuous.Table(list(zip(ts, vs)))
+    knots = list(ts) + [np.nextafter(t, np.inf) for t in ts] + \
+        [np.nextafter(t, -np.inf) for t in ts[1:]]
+    between = list(rng.uniform(0.0, ts[-1], size=500))
+    past = [ts[-1] + d for d in (1e-12, 0.5, 1e3)]
+    for t in knots + between + past:
+        assert p.value(float(t)) == float(np.interp(t, ts, vs))
+    for k in range(9):  # a knot takes the slope to its right
+        want = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
+        assert p.derivative(float(ts[k])) == want
+        assert p.derivative(float(0.5 * (ts[k] + ts[k + 1]))) == want
+    for t in past + [ts[-1]]:
+        assert p.derivative(float(t)) == 0.0
+    for method in (p.value, p.derivative, p.integral):
+        with pytest.raises(InputError):
+            method(-1.0)
+
+
+def test_scalar_start_on_a_dim_one_operator_is_its_one_entry():
+    op = shapley.ShapleyOperator(shapley.matching_pennies())
+    param = continuous.PowerAlpha(0.5)
+    for scalar, vector in [
+        (continuous.integrate_U(op, 0.7, 3.0), continuous.integrate_U(op, [0.7], 3.0)),
+        (continuous.integrate_u(op, param, 0.7, 3.0),
+         continuous.integrate_u(op, param, [0.7], 3.0)),
+    ]:
+        assert np.array_equal(scalar.times, vector.times)
+        assert np.array_equal(scalar.points, vector.points)
+        assert np.array_equal(scalar.derivative, vector.derivative)
+        assert np.array_equal(scalar.err_bound, vector.err_bound)
+
+
 def test_table_not_admissible_for_c1_bounds():
     op = core.Translation([1.0])
     table = continuous.Table([(0.0, 0.5), (1.0, 0.4), (2.0, 0.4)])
