@@ -91,10 +91,6 @@ def _log_points(lo, hi, count=8):
     return np.unique(np.geomspace(lo, hi, count))
 
 
-def _node_indices(traj, targets):
-    return sorted({int(np.argmin(np.abs(traj.times - t))) for t in targets})
-
-
 def _zeros(op):
     return np.zeros(op.dim)
 
@@ -136,6 +132,15 @@ def _list(kind):
         if not out:
             raise InputError("must list at least one value")
         return out
+    return read
+
+
+def _choice(*options):
+    """A read for _extra: one of the options."""
+    def read(value):
+        if value not in options:
+            raise InputError(f"must be one of {list(options)}, got {value!r}")
+        return value
     return read
 
 
@@ -189,7 +194,7 @@ def _check_solution_contraction(sc, st):
               for x in _starts(sc, _zeros(op), _second_start(op)))
     times = np.linspace(0.0, T, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
-           BASE_TOL + 2.0 * (t1.err_bound[0] + t2.err_bound[0]),
+           BASE_TOL + 2.0 * (t1.err_at(times) + t2.err_at(times)),
            {"checkpoints": len(times)})
 
 
@@ -197,9 +202,10 @@ def _check_derivative_decay(sc, st):
     op = sc.operator
     (U0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_U(op, U0, float(sc.horizon), tol=st.ode_tol)
-    idx = _node_indices(traj, np.linspace(0.0, float(sc.horizon), 41))
-    yield (_worst_increase([op.norm(traj.derivative[i]) for i in idx]), 0.0,
-           BASE_TOL + 4.0 * traj.err_bound[0], {"checkpoints": len(idx)})
+    times = np.linspace(0.0, float(sc.horizon), 41)
+    # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
+    yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
+           BASE_TOL + 4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
 def _check_chernoff(sc, st):
@@ -219,7 +225,7 @@ def _check_chernoff(sc, st):
         (op.norm(Ut - powers[n]), du0 * np.sqrt(t + (n - t) ** 2), float(t), int(n))
         for t, Ut in zip(ts, map(traj.at, ts)) for n in ns
     )
-    yield (lhs, rhs, BASE_TOL + traj.err_bound[0],
+    yield (lhs, rhs, BASE_TOL + traj.err_at(ts),
            {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
@@ -232,7 +238,7 @@ def _check_convvn(sc, st):
     j0 = op.norm(op.J(_zeros(op)))
     for n in ns:
         yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
-               BASE_TOL + traj.err_bound[0] / n, {"n": n})
+               BASE_TOL + traj.err_at(float(n)) / n, {"n": n})
 
 
 def _check_expo(sc, st):
@@ -242,17 +248,16 @@ def _check_expo(sc, st):
     ms = _extra(sc, "m_values", [25, 100, 400, 1600], _list(int))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
-    endpoint = traj.points[-1]
+    endpoint, err = traj.points[-1], traj.err_at(T)
     measured = []
     for m in ms:
         if m < T:
             continue
         measured.append(op.norm(continuous.euler_power(op, T, m, U0) - endpoint))
-        yield (measured[-1], a0 * T / np.sqrt(m), BASE_TOL + traj.err_bound[-1],
-               {"m": m, "T": T})
+        yield measured[-1], a0 * T / np.sqrt(m), BASE_TOL + err, {"m": m, "T": T}
     # measured errors should also decrease with m (up to integrator noise)
     if len(measured) >= 2:
-        yield (_worst_increase(measured), 0.0, BASE_TOL + 2.0 * traj.err_bound[-1],
+        yield (_worst_increase(measured), 0.0, BASE_TOL + 2.0 * err,
                {"aspect": "monotone_in_m", "m_values": ms})
 
 
@@ -290,8 +295,8 @@ def _check_kobayashi(sc, st):
 
 def _euler_vs_flow(sc, st, count):
     """Euler orbit x and flow U from one start, compared at count indices k:
-    the (k, sigma_k, ||x_k - U(sigma_k)||), the steps, ||A(x_0)|| and the
-    flow's error bound."""
+    the (k, sigma_k, ||x_k - U(sigma_k)||, the flow's error bound there),
+    the steps and ||A(x_0)||."""
     op = sc.operator
     steps = sc.steps or discrete.StepSequence.harmonic(int(sc.horizon))
     (x0,) = _starts(sc, _second_start(op))
@@ -300,21 +305,21 @@ def _euler_vs_flow(sc, st, count):
     gaps = []
     for k in np.unique(np.linspace(1, len(steps), count).astype(int)):
         t = float(steps.sigma[k])
-        gaps.append((int(k), t, op.norm(orbit.points[k] - traj.at(t))))
-    return gaps, steps, op.norm(apply_A(op, x0)), traj.err_bound[0]
+        gaps.append((int(k), t, op.norm(orbit.points[k] - traj.at(t)), traj.err_at(t)))
+    return gaps, steps, op.norm(apply_A(op, x0))
 
 
 def _check_euler_vs_ode(sc, st):
-    gaps, steps, a0, err = _euler_vs_flow(sc, st, 12)
-    for k, t, gap in gaps:
+    gaps, steps, a0 = _euler_vs_flow(sc, st, 12)
+    for k, t, gap, err in gaps:
         yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
                BASE_TOL + err, {"k": k, "t": t})
 
 
 def _check_normalized_euler(sc, st):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
-    gaps, _, a0, err = _euler_vs_flow(sc, st, 8)
-    for k, t, gap in gaps:
+    gaps, _, a0 = _euler_vs_flow(sc, st, 8)
+    for k, t, gap, err in gaps:
         yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
 
 
@@ -333,10 +338,10 @@ def _check_interpolation(sc, st):
     traj = continuous.integrate_U(op, x0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, x0))
     max_step = float(np.max(steps.steps))
-    yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t))
-               for t in np.linspace(0.0, T, 33)),
+    times = np.linspace(0.0, T, 33)
+    yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t)) for t in times),
            a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(max_step),
-           BASE_TOL + traj.err_bound[0], {"max_step": max_step, "T": T})
+           BASE_TOL + traj.err_at(times), {"max_step": max_step, "T": T})
 
 
 def _need_param(sc):
@@ -351,12 +356,12 @@ def _check_stationarity_gap(sc, st):
     T = float(sc.horizon)
     (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    for i in _node_indices(traj, _log_points(T / 100.0, T, 8)):
-        t = float(traj.times[i])
-        lam = param.value(t)
-        yield (_vlambda_gap(op, traj.points[i], lam, st.fp_tol),
-               op.norm(traj.derivative[i]) / lam,
-               BASE_TOL + st.fp_tol + traj.err_bound[0] * (1.0 + 2.0 / lam),
+    for t in map(float, _log_points(T / 100.0, T, 8)):
+        lam, u = param.value(t), traj.at(t)
+        # u' = Phi(lam, u) - u is (2 - lam)-Lipschitz in u
+        yield (_vlambda_gap(op, u, lam, st.fp_tol),
+               op.norm(apply_Phi(op, lam, u) - u) / lam,
+               BASE_TOL + st.fp_tol + traj.err_at(t) * (1.0 + 2.0 / lam),
                {"t": t, "lambda": lam})
 
 
@@ -374,11 +379,11 @@ def _check_constant_decay(sc, st):
     for t in _extra(sc, "t_values", [1.0, 5.0, 10.0, 20.0], _list(float)):
         if t > T:
             continue
-        decay = np.exp(-lam * t)
-        yield (op.norm(traj.deriv_at(t)), du0 * decay, BASE_TOL + 4.0 * traj.err_bound[0],
+        decay, u, err = np.exp(-lam * t), traj.at(t), traj.err_at(t)
+        yield (op.norm(apply_Phi(op, lam, u) - u), du0 * decay, BASE_TOL + 4.0 * err,
                {"t": t, "aspect": "derivative"})
-        yield (op.norm(traj.at(t) - v), du0 * decay / lam,
-               BASE_TOL + st.fp_tol + traj.err_bound[0], {"t": t, "aspect": "gap"})
+        yield (op.norm(u - v), du0 * decay / lam,
+               BASE_TOL + st.fp_tol + err, {"t": t, "aspect": "gap"})
 
 
 def _check_initial_independence(sc, st):
@@ -390,7 +395,7 @@ def _check_initial_independence(sc, st):
     t2 = continuous.integrate_u(op, param, x1, T, tol=st.ode_tol)
     d0 = op.norm(x0 - x1)
     times = _log_points(T / 100.0, T, 8)
-    budget = BASE_TOL + t1.err_bound[0] + t2.err_bound[0]
+    budget = BASE_TOL + t1.err_at(times) + t2.err_at(times)
     gaps = []
     for t in times:
         gaps.append(op.norm(t1.at(t) - t2.at(t)))
@@ -409,7 +414,7 @@ def _vn_decay(sc, st, param, u0, points_key=None, **ctx):
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
         ctx[points_key] = ns
-    return _decay(gaps, st, BASE_TOL + 2.0 * traj.err_bound[0],
+    return _decay(gaps, st, BASE_TOL + 2.0 * traj.err_at(ns),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
@@ -422,7 +427,7 @@ def _vlambda_decay(sc, st, param, u0, points_key=None, **ctx):
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
-    return _decay(gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_bound[0],
+    return _decay(gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_at(times),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
@@ -468,10 +473,10 @@ def _check_slow_param(sc, st):
     T = float(sc.horizon)
     (u0,) = _starts(sc, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    budget = BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_bound[0]
     for t in _extra(sc, "t_values", _log_points(T / 100.0, T, 5), _list(float)):
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
-               continuous.slow_param_bound(op, param, u0, float(t)), budget,
+               continuous.slow_param_bound(op, param, u0, float(t)),
+               BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
                {"t": float(t)})
 
 
@@ -487,33 +492,40 @@ def _check_two_param(sc, st):
     mu_p = sc.param2
     if mu_p is None:
         raise InputError("two_param needs a second parametrization")
+    case = _extra(sc, "case", None, _choice("a", "b")) if "case" in sc.extra else None
     T = float(sc.horizon)
     x0, x1 = _starts(sc, _zeros(op), _second_start(op))
     tu = continuous.integrate_u(op, lam_p, x0, T, tol=st.ode_tol)
     tv = continuous.integrate_u(op, mu_p, x1, T, tol=st.ode_tol)
     C = op.h_constant()
     d0 = op.norm(x0 - x1)
-    # int_0^s mu exactly, the outer integral by trapezoid, on the u grid
-    s = tu.times
-    mu_vals = np.array([mu_p.value(t) for t in s])
-    Imu = np.array([mu_p.integral(t) for t in s])
-    u_norms = np.array([op.norm(p) for p in tu.points])
-    lam_vals = np.array([lam_p.value(t) for t in s])
-    cum = continuous._cumtrapz(
-        (C + u_norms) * np.abs(lam_vals - mu_vals) * np.exp(Imu), s)
-    u_bound = float(np.max(u_norms))  # finite-horizon surrogate for "u bounded"
+    u_bound = max(op.norm(p) for p in tu.points)  # finite-horizon surrogate for "u bounded"
     times = _log_points(T / 100.0, T, 6)
-    for t in times:
-        i = int(np.argmin(np.abs(s - t)))
-        t = float(s[i])
-        rhs = np.exp(-Imu[i]) * (d0 + cum[i])
+
+    def integrand(s):
+        return ((C + op.norm(tu.at(s))) * abs(lam_p.value(s) - mu_p.value(s))
+                * np.exp(mu_p.integral(s)))
+
+    # I(t) = int_0^t integrand piecewise between the read times and the
+    # kinks of lam and mu, each piece to QUAD_TOL (b - a)/T + QUAD_TOL x
+    # itself: I(t) is off by <= QUAD_TOL (1 + I(t)), so the rhs
+    # exp(-int_0^t mu) (d0 + I(t)) by <= QUAD_TOL (1 + rhs)
+    kinks = [k for k in (*lam_p.kinks(), *mu_p.kinks()) if 0.0 < k < T]
+    edges = sorted({0.0, *map(float, times), *kinks})
+    cum = {0.0: 0.0}
+    for a, b in zip(edges, edges[1:]):
+        cum[b] = cum[a] + continuous._adaptive_simpson(
+            integrand, a, b, continuous.QUAD_TOL * (b - a) / T, rel=continuous.QUAD_TOL)
+    for t in map(float, times):
+        rhs = np.exp(-mu_p.integral(t)) * (d0 + cum[t])
         yield (op.norm(tu.at(t) - tv.at(t)), rhs,
-               BASE_TOL + tu.err_bound[0] + tv.err_bound[0] + 1e-6 * max(1.0, rhs),
+               BASE_TOL + tu.err_at(t) + tv.err_at(t)
+               + continuous.QUAD_TOL * (1.0 + rhs),
                {"t": t, "u_bound_observed": u_bound})
-    case = sc.extra.get("case")
-    if case in ("a", "b"):
-        gaps = [op.norm(tu.at(t) - tv.at(t)) for t in (times[0], times[-1])]
-        yield _decay(gaps, st, BASE_TOL + tu.err_bound[0] + tv.err_bound[0],
+    if case is not None:
+        ends = (times[0], times[-1])
+        gaps = [op.norm(tu.at(t) - tv.at(t)) for t in ends]
+        yield _decay(gaps, st, BASE_TOL + tu.err_at(ends) + tv.err_at(ends),
                      {"aspect": "decay", "case": case, "u_bound_observed": u_bound,
                       "note": "boundedness checked over finite horizon only"})
 

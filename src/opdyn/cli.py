@@ -326,12 +326,14 @@ def task_euler(cfg, out):
 
 
 def _sample_rows(traj, cfg, param=None):
+    """One row per time of `samples` evenly spaced ones in [0, T]: the dense
+    output there, its error bound and (with param) lambda."""
     count = convert(int, cfg.get("samples", 201), "samples")
-    idx = np.unique(np.linspace(0, len(traj.times) - 1, count).astype(int))
+    if count < 1:
+        raise InputError(f"samples must be >= 1, got {count}")
     rows = []
-    for i in idx:
-        t = traj.times[i]
-        row = [t] + list(traj.points[i]) + [traj.err_bound[i]]
+    for t in np.linspace(0.0, traj.times[-1], count):
+        row = [t] + list(traj.at(t)) + [traj.err_at(t)]
         if param is not None:
             row.append(param.value(float(t)))
         rows.append(row)

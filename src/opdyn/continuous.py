@@ -11,8 +11,11 @@ change zeta(t) = t + ln(1+t), and the damping factor
 closed-form for the monotone C1 built-ins.  The one quadrature left is
 adaptive Simpson for int_0^t |lam'|/L in slow_param_bound.
 
-The integrator is classical RK4 with step halving; the certified error is
-the Richardson difference between the last two refinements.
+The integrator is one adaptive Dormand-Prince 5(4) pass with Shampine's
+dense output.  Its per-sample error bound carries the embedded local error
+estimates forward through the flow's contraction factor exp(-int lam)
+(factor 1 for U): the propagation is a theorem, the local estimates are
+estimates (see Trajectory).
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ import numpy as np
 from .core import apply_A, apply_Phi, as_vec, norm
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
-
-#: hard cap on total RK4 steps across refinements
-MAX_TOTAL_STEPS = 2**24
 
 #: error target of slow_param_bound's quadrature, relative to max(1, bound)
 QUAD_TOL = 1e-9
@@ -69,6 +69,10 @@ class Parametrization:
     def integral(self, t):
         """int_0^t lam(s) ds, exactly."""
         raise NotImplementedError
+
+    def kinks(self):
+        """Times where lam' jumps; the integrator ends a step at each."""
+        return ()
 
     def describe(self):
         return type(self).__name__
@@ -174,99 +178,174 @@ class Table(Parametrization):
         k, dt, value = self._piece(t)
         return float(self._cum[k] + 0.5 * (self.vs[k] + value) * dt)
 
+    def kinks(self):
+        return tuple(self.ts[1:])
+
 
 # ---------------------------------------------------------------------------
-# RK4 with Richardson refinement
+# Dormand-Prince 5(4) with its continuous extension
+
+#: Dormand & Prince (1980): nodes c_i and stage rows a_ij, the last row also
+#: the 5th-order weights b (and so the FSAL stage); e = b - b_hat, the
+#: weights of the embedded error estimate; d, the weights of the quartic
+#: term of Shampine's dense output (Hairer, Norsett & Wanner, Solving ODEs
+#: I, II.6)
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+
+#: share c of tol granted to the local error estimates: step k is accepted
+#: when est_k <= c tol h_k / T, so the estimates over [0, T] sum to <= c tol
+STEP_TOL_SHARE = 0.03
+
+#: the in-step term of a dense read is DENSE_FACTOR x est: over every step of
+#: the paper suite's integrations the dense output's local error reached
+#: 8.1 est (u' = (1 - u)/(1 + t)), while the step-end solution stays below est
+DENSE_FACTOR = 16.0
+
+#: longest step.  Linearized, both right-hand sides have their eigenvalues
+#: in the disc |z + 1| <= 1 (J is nonexpansive), and h <= 1 keeps h times
+#: that disc inside the method's stability region, where the embedded
+#: estimate tracks the local error (on a step of 6.7 it fell short of it)
+LONGEST_STEP = 1.0
+
+#: cap on attempted (accepted or rejected) steps of one integration
+MAX_STEPS = 2**20
+
 
 @dataclass
 class Trajectory:
-    """Sampled continuous trajectory with a certified error estimate.
+    """Dormand-Prince trajectory with an error bound per sample.
 
-    err_bound holds, at every sample, the sup over checkpoints of the
-    Richardson difference between the last two refinements (a conservative
-    per-sample bound).  derivative[i] is the RHS evaluated exactly at
-    (times[i], points[i]).
+    times[0] = 0 < ... < times[n] = T are the step ends, points[k] the
+    solution there and derivative[k] the RHS evaluated exactly at
+    (times[k], points[k]).  Between times[k] and times[k+1] (length h, at
+    t = times[k] + s h) the dense output is Shampine's continuous extension:
+    the cubic Hermite polynomial of the points and h x the derivatives at
+    both ends, plus s^2 (1 - s)^2 dense[k].
+
+    err_bound[0] = 0, and for the step k from times[k-1] to times[k]
+
+        err_bound[k] = b_{k-1} + DENSE_FACTOR le_k,
+        b_k = exp(-(Lam(t_k) - Lam(t_{k-1}))) b_{k-1} + le_k,   b_0 = 0,
+
+    where le_k is the step's embedded error estimate (the 5th- minus the
+    4th-order solution) and Lam = int_0^t lam for u' = Phi(lam(t), u) - u,
+    Lam = 0 for U' = J(U) - U.  The flow contracts by
+    exp(-(Lam(t) - Lam(s))) from s to t, so if each le_k bounds its step's
+    local error, the error at node k is at most b_k <= err_bound[k]: that
+    propagation is a theorem.  le_k is an estimate, not a proven bound, and
+    so is DENSE_FACTOR le_k as the local error of a dense read inside step
+    k, which err_bound[k] covers as well.  err_at gives the bound of reads
+    at any times.
     """
 
     times: np.ndarray
     points: np.ndarray
     err_bound: np.ndarray
     derivative: np.ndarray
+    dense: np.ndarray
 
-    def _hermite(self, t, basis):
-        """Combine the samples around t with the weights basis(s, h) of
-        (x_k, x'_k, x_k+1, x'_k+1), where t = times[k] + s h (see
+    def _step(self, t):
+        """(k, s, h) with t = times[k] + s h, h = times[k+1] - times[k] (see
         discrete.locate; t outside the samples raises InputError)."""
         k, s = locate(self.times, t)
-        w = basis(s, self.times[k + 1] - self.times[k])
-        return (w[0] * self.points[k] + w[1] * self.derivative[k]
-                + w[2] * self.points[k + 1] + w[3] * self.derivative[k + 1])
+        return k, s, self.times[k + 1] - self.times[k]
 
     def at(self, t):
-        """Dense evaluation by cubic Hermite interpolation between samples."""
-        return self._hermite(t, _hermite_basis)
+        """Dense evaluation by the Dormand-Prince continuous extension."""
+        k, s, h = self._step(t)
+        r = 1.0 - s
+        return ((1.0 + 2.0 * s) * r * r * self.points[k]
+                + s * r * r * h * self.derivative[k]
+                + s * s * (3.0 - 2.0 * s) * self.points[k + 1]
+                - s * s * r * h * self.derivative[k + 1]
+                + s * s * r * r * self.dense[k])
 
     def deriv_at(self, t):
-        """Hermite-interpolated derivative between samples."""
-        return self._hermite(t, _hermite_basis_derivative)
+        """Time derivative of the dense output."""
+        k, s, h = self._step(t)
+        r = 1.0 - s
+        return (6.0 * s * r / h * (self.points[k + 1] - self.points[k])
+                + r * (1.0 - 3.0 * s) * self.derivative[k]
+                + s * (3.0 * s - 2.0) * self.derivative[k + 1]
+                + 2.0 * s * r * (1.0 - 2.0 * s) / h * self.dense[k])
+
+    def err_at(self, times):
+        """Error bound of reads at these times (one time or several): the
+        largest err_bound[k] over them, with k the node at a node time and
+        the step's end node inside a step.  InputError outside the samples."""
+        ts = np.atleast_1d(np.asarray(times, dtype=float))
+        for t in ts:
+            locate(self.times, t)
+        idx = np.searchsorted(self.times, np.clip(ts, 0.0, self.times[-1]))
+        return float(np.max(self.err_bound[idx]))
 
 
-def _hermite_basis(s, h):
-    return ((1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2 * h,
-            s * s * (3 - 2 * s), s * s * (s - 1) * h)
+def _integrate(rhs, y0, T, tol, norm_kind, param=None):
+    """One Dormand-Prince 5(4) pass over [0, T] with FSAL and error per unit
+    step: a step is accepted when its estimate est <= STEP_TOL_SHARE tol h/T.
+    param is the lam of u' = Phi(lam(t), u) - u, or None for U' = J(U) - U:
+    its integral gives the contraction of the error bound (see Trajectory),
+    and each of its kinks in (0, T) is a step end.
 
-
-def _hermite_basis_derivative(s, h):
-    return ((6 * s * s - 6 * s) / h, 3 * s * s - 4 * s + 1,
-            (6 * s - 6 * s * s) / h, 3 * s * s - 2 * s)
-
-
-def _rk4_run(rhs, y0, T, n):
-    """Fixed-step classical RK4; returns (times, points, derivatives)."""
-    h = T / n
-    d = y0.shape[0]
-    times = np.linspace(0.0, T, n + 1)
-    points = np.empty((n + 1, d))
-    derivs = np.empty((n + 1, d))
-    y = y0.copy()
-    points[0] = y
-    derivs[0] = rhs(0.0, y)
-    for i in range(n):
-        t = times[i]
-        k1 = derivs[i]
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points[i + 1] = y
-        derivs[i + 1] = rhs(times[i + 1], y)
-    return times, points, derivs
-
-
-def _integrate(rhs, y0, T, tol, norm_kind):
-    """Step-halving RK4 until consecutive refinements differ by <= tol/2."""
+    ResourceError after MAX_STEPS attempted steps, or when a step shrinks
+    to a few ulps of the time it would reach.
+    """
     if T <= 0.0 or tol <= 0.0:
         raise InputError("T and tol must be positive")
-    n = max(32, int(np.ceil(2.0 * T)))
-    total = n
-    prev = _rk4_run(rhs, y0, T, n)
-    while True:
-        n *= 2
-        total += n
-        if total > MAX_TOTAL_STEPS:
-            raise ResourceError(
-                f"step cap {MAX_TOTAL_STEPS} reached before tol {tol}"
-            )
-        cur = _rk4_run(rhs, y0, T, n)
-        diff = max(
-            norm(cur[1][2 * i] - prev[1][i], norm_kind)
-            for i in range(prev[0].size)
-        )
-        if diff <= 0.5 * tol:
-            times, points, derivs = cur
-            err = np.full(times.size, diff)
-            return Trajectory(times, points, err, derivs)
-        prev = cur
+    kinks = param.kinks() if param is not None else ()
+    stops = [float(k) for k in kinks if 0.0 < k < T] + [float(T)]
+    target = STEP_TOL_SHARE * tol / T
+    K = np.empty((7, y0.shape[0]))
+    K[0] = rhs(0.0, y0)
+    times, points, derivs, dense, bounds = [0.0], [y0], [K[0].copy()], [], [0.0]
+    t, y, b, lam_int = 0.0, y0, 0.0, 0.0
+    slope = norm(K[0], norm_kind)
+    h = (target / slope) ** 0.25 if slope > 0.0 else T
+    attempts = 0
+    for stop in stops:
+        while t < stop:
+            attempts += 1
+            if attempts > MAX_STEPS:
+                raise ResourceError(f"step cap {MAX_STEPS} reached at t = {t} < T = {T}")
+            h = min(h, LONGEST_STEP)
+            end = stop if t + 1.1 * h >= stop else t + h
+            h = end - t
+            if h <= 4.0 * np.spacing(end):
+                raise ResourceError(f"step size underflow at t = {t}")
+            for i in range(1, 7):
+                stage = y + h * (_DP_A[i, :i] @ K[:i])
+                K[i] = rhs(end if i == 6 else t + _DP_C[i] * h, stage)
+            est = norm(h * (_DP_E @ K), norm_kind)
+            ratio = est / (target * h)
+            if ratio <= 1.0:
+                next_int = param.integral(end) if param is not None else 0.0
+                bounds.append(b + DENSE_FACTOR * est)
+                b = np.exp(lam_int - next_int) * b + est
+                dense.append(h * (_DP_D @ K))
+                t, y, lam_int = end, stage, next_int
+                times.append(t)
+                points.append(y)
+                derivs.append(K[6].copy())
+                K[0] = K[6]
+            # est ~ h^5 against a target ~ h: rescale h by ratio^(-1/4)
+            grow = 0.9 * ratio ** -0.25 if ratio > 0.0 else np.inf
+            h *= min(5.0, grow) if ratio <= 1.0 else max(0.2, grow)
+    return Trajectory(np.array(times), np.array(points), np.array(bounds),
+                      np.array(derivs), np.array(dense))
 
 
 def euler_power(op, t, m, x0):
@@ -278,7 +357,8 @@ def euler_power(op, t, m, x0):
 
 
 def integrate_U(op, U0, T, tol=1e-8):
-    """Solve U' = J(U) - U on [0, T] with certified tolerance tol; U0 is
+    """Solve U' = J(U) - U on [0, T] to tolerance tol: the local error
+    estimates sum to at most STEP_TOL_SHARE tol (see Trajectory).  U0 is
     read by as_vec, so a scalar is a start on a dim-1 operator.
 
     The endpoint is cross-checked against the Euler power U_T^m, which must
@@ -299,11 +379,11 @@ def integrate_U(op, U0, T, tol=1e-8):
 
 
 def integrate_u(op, param, u0, T, tol=1e-8):
-    """Solve u' = Phi(lam(t), u) - u on [0, T] with certified tolerance;
-    u0 is read like integrate_U's U0."""
+    """Solve u' = Phi(lam(t), u) - u on [0, T] to tolerance tol, like
+    integrate_U; u0 is read like its U0."""
     u0 = as_vec(u0, op.dim)
     rhs = lambda t, x: apply_Phi(op, param.value(t), x) - x
-    return _integrate(rhs, u0, T, tol, op.norm_kind)
+    return _integrate(rhs, u0, T, tol, op.norm_kind, param)
 
 
 # ---------------------------------------------------------------------------

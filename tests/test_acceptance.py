@@ -142,7 +142,7 @@ def test_criterion_05_euler_vs_ode_and_interpolation(random3):
         orbit = discrete.euler_scheme(op, x0, steps)
         gaps.append(op.norm(discrete.euler_interpolant(orbit, T) - traj.at(T)))
     # ... and the fixed-time gap shrinks monotonically within tolerance
-    tol = 1e-9 + 2.0 * traj.err_bound[0]
+    tol = 1e-9 + 2.0 * traj.err_at(T)
     mono = gaps[0] >= gaps[1] - tol and gaps[1] >= gaps[2] - tol
     report(5, "Euler-vs-ODE, interpolation bound, and refinement monotonicity",
            ok and mono, f"(gaps={gaps})")
@@ -166,7 +166,7 @@ def test_criterion_06_constant_parametrization(random3):
     v = discrete.solve_vlambda(op, 0.5, tol=1e-10)
     g0 = op.norm(traj.at(0.0) - v)
     g20 = op.norm(traj.at(20.0) - v)
-    decay_ok = g20 <= 0.01 * g0 + 1e-9 + traj.err_bound[0]
+    decay_ok = g20 <= 0.01 * g0 + 1e-9 + traj.err_at([0.0, 20.0])
     report(6, "constant-parametrization decay at lam in {0.5, 0.1}",
            ok and decay_ok, f"({detail} g0={g0:.3g} g20={g20:.3g})")
 
@@ -182,11 +182,11 @@ def test_criterion_07_slow_parametrization(pennies):
         v = discrete.solve_vlambda(pennies, param.value(t), tol=1e-10)
         gaps[t] = pennies.norm(traj.at(t) - v)
         rhs = continuous.slow_param_bound(pennies, param, u0, t)
-        budget = 1e-9 + 1e-10 + traj.err_bound[0] + 1e-9
+        budget = 1e-9 + 1e-10 + traj.err_at(t) + 1e-9
         if gaps[t] > rhs + budget:
             ok = False
             detail.append(f"t={t}: gap {gaps[t]:.3g} > bound {rhs:.3g}")
-    decay_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_bound[0]
+    decay_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_at([10.0, 1000.0])
     report(7, "slow-parametrization bound and decay (part 1: pennies)",
            ok and decay_ok, f"({detail} gaps={gaps})")
 
@@ -198,11 +198,11 @@ def test_criterion_07b_slow_parametrization_random3(random3, slow_gaps_random3):
     detail = []
     for t in (10.0, 100.0, 1000.0):
         rhs = continuous.slow_param_bound(random3, param, u0, t)
-        budget = 1e-9 + 1e-10 + traj.err_bound[0] + 1e-9
+        budget = 1e-9 + 1e-10 + traj.err_at(t) + 1e-9
         if gaps[t] > rhs + budget:
             ok = False
             detail.append(f"t={t}: gap {gaps[t]:.3g} > bound {rhs:.3g}")
-    decay_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_bound[0]
+    decay_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_at([10.0, 1000.0])
     elapsed = time.perf_counter() - t0
     report(7, "slow-parametrization bound and decay (part 2: random3)",
            ok and decay_ok,
@@ -236,9 +236,9 @@ def test_criterion_09_alpha_family(random3, slow_gaps_random3):
     _, vn = discrete.iterate_Vn(op, 1000)
     g10 = op.norm(w.at(10.0) - vn[9])
     g1000 = op.norm(w.at(1000.0) - vn[999])
-    wn_ok = g1000 <= 0.2 * g10 + 1e-9 + 2.0 * w.err_bound[0]
+    wn_ok = g1000 <= 0.2 * g10 + 1e-9 + 2.0 * w.err_at([10.0, 1000.0])
     _, _, traj, gaps = slow_gaps_random3
-    alpha_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_bound[0]
+    alpha_ok = gaps[1000.0] <= 0.2 * gaps[10.0] + 1e-9 + 2.0 * traj.err_at([10.0, 1000.0])
     report(9, "alpha-family dichotomy (v_n tracking and v_lam tracking)",
            wn_ok and alpha_ok,
            f"(g10={g10:.3g} g1000={g1000:.3g})")

@@ -150,6 +150,13 @@ def test_stationarity_and_decay_on_translation(translation):
     _assert_all_pass(bounds.verify("slow_param", sc, FAST))
 
 
+def test_stationarity_gap_reads_at_each_of_its_eight_targets(translation):
+    sc = bounds.Scenario(operator=translation, horizon=50,
+                         param=continuous.PowerAlpha(0.5))
+    reports = bounds.verify("stationarity_gap", sc, FAST)
+    assert [r.context["t"] for r in reports] == np.geomspace(0.5, 50.0, 8).tolist()
+
+
 def test_slow_param_inverse_time_zeta_on_pennies():
     sc = bounds.Scenario(operator=shapley.ShapleyOperator(shapley.matching_pennies()),
                          horizon=20, param=continuous.InverseTimeZeta())

@@ -95,6 +95,16 @@ def test_ode_task(tmp_path):
     assert float(rows[-1][0]) == 2.0
 
 
+def test_ode_samples_are_evenly_spaced_times(tmp_path):
+    # the rows are dense reads at np.linspace(0, T, samples), not nodes
+    assert run(["ode", "--preset", "rotation30", "--set", "samples=11",
+                "--out", str(tmp_path)]) == 0
+    _, rows = csv_rows(tmp_path / "ode.csv")
+    assert [float(row[0]) for row in rows] == np.linspace(0.0, 20.0, 11).tolist()
+    assert float(rows[0][3]) == 0.0
+    assert all(float(row[3]) > 0.0 for row in rows[1:])
+
+
 def test_phi_ode_task(tmp_path):
     assert run(["phi_ode", "--preset", "matching-pennies",
                 "--set", "T=2.0", "--set", "tol=1e-6",
@@ -227,6 +237,8 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"subgrid":0}']),
     ("interpolation", ['extra={"n_steps":0}']),
     ("norm_bounds", ['extra={"lambdas":[]}']),
+    ("two_param", ["starts=[[0.0], [1.0]]", "horizon=5", 'param={"kind":"power_alpha"}',
+                   'param2={"kind":"inverse_time_zeta"}', 'extra={"case":"A"}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
@@ -283,6 +295,8 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("verify", "translation", "checks=5"),
     ("generate-game", "random3", "operator=5"),
     ("ode", "rotation30", "U0=5"),
+    ("ode", "rotation30", "samples=0"),
+    ("phi_ode", "matching-pennies", "samples=-1"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]

@@ -193,6 +193,22 @@ def test_integrate_U_cross_check_catches_an_expansive_map():
         continuous.integrate_U(_Doubling(), np.array([1.0, 0.0]), 5.0)
 
 
+def test_integrate_U_of_an_expansive_map_at_a_large_horizon_raises():
+    # U = e^t U0 outgrows any step that keeps est <= c tol h / T: the step
+    # shrinks until it underflows (or the step cap is hit), never hangs
+    with pytest.raises(ResourceError, match="step"):
+        continuous.integrate_U(_Doubling(), np.array([1.0, 0.0]), 1e6)
+
+
+def test_table_knots_inside_the_horizon_are_step_ends():
+    op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7))
+    knots = [0.0, 0.37, 1.3, 2.0, 4.75, 6.0, 9.0]
+    param = continuous.Table([(t, 0.9 - 0.1 * i) for i, t in enumerate(knots)])
+    traj = continuous.integrate_u(op, param, np.ones(3), 6.0, tol=1e-6)
+    assert set(knots[:-1]) <= set(traj.times.tolist())
+    assert traj.times[-1] == 6.0
+
+
 def test_expo_formula_on_rotation():
     op = core.rotation(np.pi / 6.0)
     U0 = np.array([1.0, 0.0])
@@ -316,3 +332,83 @@ def test_integrate_validation():
         continuous.integrate_U(op, np.zeros(1), -1.0)
     with pytest.raises(InputError):
         continuous.integrate_U(op, np.zeros(1), 1.0, tol=0.0)
+
+
+_R3 = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7))
+_PENNIES = shapley.ShapleyOperator(shapley.matching_pennies())
+_TR = core.Translation([1.0])
+_ROT = core.rotation(np.pi / 6.0)
+_PA = continuous.PowerAlpha(0.5)
+_PA0 = continuous.PowerAlpha(0.0)
+_ITZ = continuous.InverseTimeZeta()
+_HALF = continuous.Constant(0.5)
+_TABLE = continuous.Table([(0.0, 0.6), (5.0, 0.5), (6.0, 0.5)])
+
+#: one integration per distinct (operator, lambda, start) that the paper
+#: suite integrates, at its shortest horizon there (None: U' = J(U) - U)
+_SUITE_FLOWS = [
+    (_ROT, None, 0.0, 20.0), (_ROT, None, 1.0, 5.0), (_R3, None, 0.0, 20.0),
+    (_R3, None, 1.0, 5.0), (_TR, None, 0.0, 25.0),
+    (_TR, _PA, 1.0, 50.0), (_R3, _PA, 1.0, 50.0), (_TR, _PA, 0.0, 50.0),
+    (_R3, _PA, 0.0, 50.0), (_PENNIES, _PA, 1.0, 100.0),
+    (_TR, _HALF, 1.0, 20.0), (_R3, _HALF, 1.0, 20.0), (_R3, _HALF, 0.0, 50.0),
+    (_TR, _ITZ, 0.0, 100.0), (_R3, _ITZ, 0.0, 100.0),
+    (_TR, _PA0, 1.0, 100.0), (_R3, _PA0, 1.0, 100.0), (_TR, _PA0, 0.0, 100.0),
+    (_R3, _PA0, 0.0, 100.0), (_R3, _TABLE, 1.0, 50.0),
+]
+
+#: accuracy granted to the DOP853 reference itself
+_REFERENCE_TOL = 1e-12
+
+
+def _dop853(op, param, x0, T):
+    """The flow at rtol = atol = 1e-13, restarted at each kink of lam."""
+    from scipy.integrate import solve_ivp
+
+    if param is None:
+        rhs, kinks = (lambda t, x: op.J(x) - x), ()
+    else:
+        rhs, kinks = (lambda t, x: core.apply_Phi(op, param.value(t), x) - x), param.kinks()
+    edges = [0.0] + [k for k in kinks if 0.0 < k < T] + [T]
+    pieces, y = [], x0
+    for a, b in zip(edges, edges[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-13,
+                        dense_output=True)
+        assert sol.success
+        pieces.append((b, sol.sol))
+        y = sol.sol(b)
+    return lambda t: next(sol for b, sol in pieces if t <= b)(t)
+
+
+@pytest.mark.parametrize("op, param, start, T", _SUITE_FLOWS)
+def test_err_bound_covers_the_error_at_nodes_and_inside_steps(op, param, start, T):
+    x0 = np.full(op.dim, start)
+    if param is None:
+        traj = continuous.integrate_U(op, x0, T, tol=1e-6)
+    else:
+        traj = continuous.integrate_u(op, param, x0, T, tol=1e-6)
+    ref = _dop853(op, param, x0, T)
+    reads = [(t, traj.err_bound[k]) for k, t in enumerate(traj.times)]
+    for k in range(traj.times.size - 1):
+        h = traj.times[k + 1] - traj.times[k]
+        reads += [(traj.times[k] + s * h, traj.err_bound[k + 1]) for s in (0.25, 0.5, 0.75)]
+    for t, bound in reads:
+        assert op.norm(traj.at(t) - ref(t)) <= bound + _REFERENCE_TOL, t
+        assert traj.err_at(t) == bound
+
+
+def test_each_step_local_error_is_within_its_estimate():
+    # late steps of this flow are long; the estimate has to keep up there
+    from scipy.integrate import solve_ivp
+
+    param = continuous.Constant(0.5)
+    traj = continuous.integrate_u(_R3, param, np.zeros(3), 50.0, tol=1e-6)
+    rhs = lambda t, x: core.apply_Phi(_R3, 0.5, x) - x
+    b = 0.0  # err_bound[k] = b_{k-1} + DENSE_FACTOR est_k
+    for k in range(1, traj.times.size):
+        est = (traj.err_bound[k] - b) / continuous.DENSE_FACTOR
+        t0, t1 = traj.times[k - 1], traj.times[k]
+        b = np.exp(param.integral(t0) - param.integral(t1)) * b + est
+        flow = solve_ivp(rhs, (t0, t1), traj.points[k - 1], method="DOP853",
+                         rtol=1e-13, atol=1e-15).y[:, -1]
+        assert _R3.norm(flow - traj.points[k]) <= est + _REFERENCE_TOL, t1
