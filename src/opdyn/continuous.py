@@ -275,7 +275,10 @@ class Trajectory:
                 + s * s * r * r * self.dense[k])
 
     def deriv_at(self, t):
-        """Time derivative of the dense output."""
+        """Time derivative of the dense output.
+
+        Not covered by ``err_bound``/``err_at``, which bound ``at`` only: on
+        rotation30 at tol 1e-8 its error reached 2.3 times ``err_at(t)``."""
         k, s, h = self._step(t)
         r = 1.0 - s
         return (6.0 * s * r / h * (self.points[k + 1] - self.points[k])

@@ -15,7 +15,8 @@ A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
 the per-state arrays are views into them, and all of them are read-only.  One
 J evaluation validates f once, assembles every stage game of a group with one
-stacked product P + R @ f, and solves each state's game by itself.
+stacked product P + R @ f; a 2x2 group is solved on Python floats by the
+closed form, every other shape one state at a time.
 ``shapley_linearize`` solves the same games and also returns, from their
 optimal strategies, the frozen-strategy transition matrix: the linear model
 behind the policy steps of the v_lambda solver.
@@ -203,23 +204,25 @@ def _check_gap(maximin, minimax, rows):
         raise ResourceError(f"matrix-game solver gap {gap:.3g} exceeds {tol:.3g}")
 
 
-def _solve_2x2(rows):
-    """Closed-form solution of a 2x2 game (Shapley & Snow 1950).
+def _solve_2x2(a, b, c, d):
+    """Closed-form solution (value, p, q) of the game [[a, b], [c, d]].
 
-    A pure saddle exists iff the pure maximin equals the pure minimax
-    (compared exactly); otherwise both players mix on the whole 2x2 kernel
-    with the equalizing strategies.  Scalar arithmetic throughout: this is
-    the hot path of every Shapley operator with 2x2 stage games.
+    Shapley & Snow 1950: a pure saddle exists iff the pure maximin equals
+    the pure minimax (compared exactly); otherwise both players mix on the
+    whole kernel with the equalizing strategies.  Floats in, floats and
+    tuples out, for ``shapley_apply``'s hot loop; ``y if y < x else x`` is
+    ``min(x, y)`` bit for bit (ties, 0.0 against -0.0), without the call.
     """
-    (a, b), (c, d) = rows
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise InputError("matrix has non-finite entries")
-    row1_min = min(a, b)
-    col1_max = max(a, c)
-    maximin = max(row1_min, min(c, d))
-    if maximin == min(col1_max, max(b, d)):
-        p = [1.0, 0.0] if row1_min == maximin else [0.0, 1.0]
-        q = [1.0, 0.0] if col1_max == maximin else [0.0, 1.0]
+    row1_min = b if b < a else a
+    row2_min = d if d < c else c
+    col1_max = c if c > a else a
+    col2_max = d if d > b else b
+    maximin = row2_min if row2_min > row1_min else row1_min
+    if maximin == (col2_max if col2_max < col1_max else col1_max):
+        p1, p2 = (1.0, 0.0) if row1_min == maximin else (0.0, 1.0)
+        q1, q2 = (1.0, 0.0) if col1_max == maximin else (0.0, 1.0)
         value = maximin
     else:
         # Without a saddle, a - b and d - c are nonzero with one sign, so den
@@ -227,16 +230,14 @@ def _solve_2x2(rows):
         # differences, which keeps it accurate to rounding when the entries
         # sit far from zero (ad - bc loses every digit at entries near 1e9).
         den = (a - b) + (d - c)
-        p = _clamp_simplex([(d - c) / den, (a - b) / den])
-        q = _clamp_simplex([(d - b) / den, (a - c) / den])
+        p1, p2 = _clamp_simplex([(d - c) / den, (a - b) / den])
+        q1, q2 = _clamp_simplex([(d - b) / den, (a - c) / den])
         value = a - (a - b) * (a - c) / den
-    (p1, p2), (q1, q2) = p, q
-    _check_gap(
-        min(p1 * a + p2 * c, p1 * b + p2 * d),
-        max(a * q1 + b * q2, c * q1 + d * q2),
-        rows,
-    )
-    return MatrixGameSolution(value, np.array(p), np.array(q))
+    lo1, lo2 = p1 * a + p2 * c, p1 * b + p2 * d
+    hi1, hi2 = a * q1 + b * q2, c * q1 + d * q2
+    _check_gap(lo2 if lo2 < lo1 else lo1, hi2 if hi2 > hi1 else hi1,
+               ((a, b), (c, d)))
+    return value, (p1, p2), (q1, q2)
 
 
 def _simplex(rows, piv_tol, tie_tol):
@@ -352,7 +353,8 @@ def matrix_game_value(M):
         raise InputError("matrix must be 2-d and nonempty")
     rows = arr.tolist()
     if arr.shape == (2, 2):
-        return _solve_2x2(rows)
+        value, p, q = _solve_2x2(*rows[0], *rows[1])
+        return MatrixGameSolution(value, np.array(p), np.array(q))
     if not all(isfinite(x) for row in rows for x in row):
         raise InputError("matrix has non-finite entries")
     try:
@@ -425,13 +427,20 @@ def shapley_apply(game, f):
     """One application of the game's value operator to a state-value vector.
 
     f is validated once; each action-shape group assembles all its stage
-    games with one stacked product, and each state's game is solved alone.
+    games with one stacked product; a 2x2 group is flattened once to floats
+    for ``_solve_2x2``, and other games are solved by ``matrix_game_value``.
     """
     f = as_vec(f, game.num_states)
     out = np.empty(game.num_states)
     for states, P, R in game.shape_groups:
-        for s, B in zip(states, P + R @ f):
-            out[s] = matrix_game_value(B).value
+        B = P + R @ f
+        if B.shape[1:] == (2, 2):
+            entries = iter(B.ravel().tolist())
+            for s, a, b, c, d in zip(states, entries, entries, entries, entries):
+                out[s] = _solve_2x2(a, b, c, d)[0]
+        else:
+            for s, Bs in zip(states, B):
+                out[s] = matrix_game_value(Bs).value
     return out
 
 
@@ -441,8 +450,8 @@ def shapley_linearize(game, f):
     Row s of M is the transition row p_s' rho_s q_s under the optimal
     strategies (p_s, q_s) of state s's stage game at f, so M is row-stochastic
     and y -> J(f) + M (y - f) is the operator with both players' strategies
-    frozen.  The stage games are assembled and solved as in shapley_apply,
-    whose loop stays separate because it is the hot path of every J.
+    frozen.  The stage games are assembled as in shapley_apply and solved
+    by ``matrix_game_value``, which also returns the strategies.
     """
     f = as_vec(f, game.num_states)
     S = game.num_states

@@ -1,4 +1,6 @@
 import json
+import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -339,6 +341,51 @@ def test_failed_gap_certificate_is_resource_error(monkeypatch, M):
     monkeypatch.setattr(shapley, "LP_GAP_TOL", -1.0)
     with pytest.raises(ResourceError, match="gap"):
         shapley.matrix_game_value(M)
+
+
+@pytest.mark.parametrize("game", [shapley.random_game(3, 2, 2, seed=7),
+                                  mixed_shape_game(8)])
+def test_J_certifies_every_stage_game(monkeypatch, game):
+    # J solves its 2x2 games without matrix_game_value; a negative tolerance
+    # fails every certificate, so J must raise on its first game too
+    op = shapley.ShapleyOperator(game)
+    f = np.linspace(-1.0, 1.0, game.num_states)
+    monkeypatch.setattr(shapley, "LP_GAP_TOL", -1.0)
+    with pytest.raises(ResourceError, match="gap"):
+        op.J(f)
+
+
+def saddle_value(a, b, c, d):
+    """max(min(a, b), min(c, d)) when it equals the pure minimax, else None."""
+    maximin = max(min(a, b), min(c, d))
+    return maximin if maximin == min(max(a, c), max(b, d)) else None
+
+
+def assert_same_float(got, want):
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_pure_saddles_follow_min_and_max_bit_for_bit():
+    saddles = 0
+    for a, b, c, d in product((0.0, -0.0, 1.0, -1.0), repeat=4):
+        game = shapley.StochasticGame(
+            states=["s0"], actions=[(2, 2)],
+            payoff=[np.array([[a, b], [c, d]])], transition=[np.ones((2, 2, 1))],
+        )
+        # J's assembly P + R @ 0 turns each -0.0 into 0.0, so the signed
+        # zeros reach the closed form only when it is called directly
+        stage = (game.payoff[0] + game.transition[0] @ np.zeros(1)).ravel().tolist()
+        want = saddle_value(*stage)
+        if want is not None:
+            got = float(shapley.ShapleyOperator(game).J(np.zeros(1))[0])
+            assert_same_float(got, want)
+        want = saddle_value(a, b, c, d)
+        if want is not None:
+            saddles += 1
+            assert_same_float(shapley._solve_2x2(a, b, c, d)[0], want)
+            got = shapley.matrix_game_value([[a, b], [c, d]]).value
+            assert_same_float(got, want)
+    assert saddles > 128  # most of the 256 games have one
 
 
 def test_game_schema_errors():
