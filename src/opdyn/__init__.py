@@ -41,8 +41,6 @@ from .discrete import (
     euler_scheme,
     iterate_Vn,
     phi_recursion,
-    proximal_orbit,
-    resolvent,
     solve_vlambda,
 )
 from .errors import InputError, OpdynError, ResourceError, SchemaError
@@ -98,9 +96,7 @@ __all__ = [
     "matrix_game_value_oracle",
     "norm",
     "phi_recursion",
-    "proximal_orbit",
     "random_game",
-    "resolvent",
     "rotation",
     "run_suite",
     "shapley_apply",

@@ -55,8 +55,8 @@ class Scenario:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InputError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise InputError("horizon must be positive and finite")
         if not isinstance(self.starts, (list, tuple, type(None))):
             raise InputError("starts must be a list of points")
         if not isinstance(self.extra, dict):

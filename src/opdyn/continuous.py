@@ -258,33 +258,16 @@ class Trajectory:
     derivative: np.ndarray
     dense: np.ndarray
 
-    def _step(self, t):
-        """(k, s, h) with t = times[k] + s h, h = times[k+1] - times[k] (see
-        discrete.locate; t outside the samples raises InputError)."""
-        k, s = locate(self.times, t)
-        return k, s, self.times[k + 1] - self.times[k]
-
     def at(self, t):
         """Dense evaluation by the Dormand-Prince continuous extension."""
-        k, s, h = self._step(t)
+        k, s = locate(self.times, t)
+        h = self.times[k + 1] - self.times[k]
         r = 1.0 - s
         return ((1.0 + 2.0 * s) * r * r * self.points[k]
                 + s * r * r * h * self.derivative[k]
                 + s * s * (3.0 - 2.0 * s) * self.points[k + 1]
                 - s * s * r * h * self.derivative[k + 1]
                 + s * s * r * r * self.dense[k])
-
-    def deriv_at(self, t):
-        """Time derivative of the dense output.
-
-        Not covered by ``err_bound``/``err_at``, which bound ``at`` only: on
-        rotation30 at tol 1e-8 its error reached 2.3 times ``err_at(t)``."""
-        k, s, h = self._step(t)
-        r = 1.0 - s
-        return (6.0 * s * r / h * (self.points[k + 1] - self.points[k])
-                + r * (1.0 - 3.0 * s) * self.derivative[k]
-                + s * (3.0 * s - 2.0) * self.derivative[k + 1]
-                + 2.0 * s * r * (1.0 - 2.0 * s) / h * self.dense[k])
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
@@ -307,8 +290,8 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.
     """
-    if T <= 0.0 or tol <= 0.0:
-        raise InputError("T and tol must be positive")
+    if not (0.0 < T < np.inf and tol > 0.0):
+        raise InputError("T must be positive and finite, tol positive")
     kinks = param.kinks() if param is not None else ()
     stops = [float(k) for k in kinks if 0.0 < k < T] + [float(T)]
     target = STEP_TOL_SHARE * tol / T

@@ -1,5 +1,5 @@
 """Discrete dynamics: value iteration, discounted fixed points, Euler
-schemes, the Phi-recursion and the implicit proximal resolvent.
+schemes and the Phi-recursion.
 
 Conventions:
     V_n  = J(V_{n-1}),  V_0 = 0,        v_n = V_n / n
@@ -11,10 +11,10 @@ Conventions:
 Each scheme above is an orbit x_n = F(lam_n, x_{n-1}) along a StepSequence,
 computed by the one loop ``_step_orbit`` (V_n takes lam_n = 1 and F = J).
 
-v_lam and the resolvent are fixed points of contractions of the form
-w -> offset + beta J(gamma w); one certified loop solves both with
-safeguarded policy (Newton) steps built from ``Operator.linearize``, and
-counts its iterations in linearize calls.
+v_lam is the fixed point of the (1 - lam)-contraction w -> lam J(gamma w),
+gamma = (1 - lam)/lam; ``solve_vlambda`` certifies it with safeguarded
+policy (Newton) steps built from ``Operator.linearize``, and counts its
+iterations in linearize calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .core import apply_A, apply_Phi, as_vec
 from .errors import InputError, ResourceError
 
-#: cap on the linearize calls of one certified fixed-point solve
+#: cap on the linearize calls of one v_lam solve
 VLAMBDA_MAX_ITER = 10**7
 
 
@@ -135,35 +135,43 @@ def _policy_step(w, t, M, kappa):
     return y if np.isfinite(y).all() else None
 
 
-def _fixed_point(op, w, tol, gamma, beta, offset, what):
-    """Certified fixed point of T(w) = offset + beta J(gamma w), from w.
+def solve_vlambda(op, lam, tol=1e-10, full=False):
+    """Fixed point v_lam of Phi(lam, .) with certified error <= tol.
 
-    T is a kappa-contraction with kappa = beta gamma < 1, so one evaluation
-    certifies any point: ||T(w) - w*|| <= kappa/(1-kappa) ||T(w) - w||.
-    Each iteration makes one ``op.linearize`` call at x = gamma w, which gives
-    T(w) and the model M of J at x.  The next candidate is the fixed point of
-    T with M frozen (a policy, or Newton, step; Pollatschek & Avi-Itzhak
-    1969).  Unguarded, those steps can cycle (van der Wal 1978), so a
-    candidate is kept only if it certifies or its residual is at most kappa
-    times that of the point it came from, which is what the plain step
-    w' = T(w) guarantees; otherwise, and whenever M is None, the plain step
-    is taken.  Returns (T(w), iterations, certified error) for the first w
-    whose certificate is within tol.
+    With gamma = (1 - lam)/lam, T(w) = Phi(lam, w) = lam J(gamma w) is a
+    kappa-contraction, kappa = lam gamma = 1 - lam, so one evaluation
+    certifies any point: ||T(w) - v_lam|| <= kappa/(1-kappa) ||T(w) - w||.
+    Starting from w = 0, each iteration makes one ``op.linearize`` call at
+    x = gamma w, which gives T(w) and the model M of J at x.  The next
+    candidate is the fixed point of T with M frozen (a policy, or Newton,
+    step; Pollatschek & Avi-Itzhak 1969).  Unguarded, those steps can cycle
+    (van der Wal 1978), so a candidate is kept only if it certifies or its
+    residual is at most kappa times that of the point it came from, which is
+    what the plain step w' = T(w) guarantees; otherwise, and whenever M is
+    None, the plain step is taken.  The result is T(w) for the first w whose
+    certificate is within tol; ``iterations`` counts ``op.linearize`` calls.
+    Returns the vector, or the full result when full=True.
     """
-    kappa = beta * gamma
+    if not 0.0 < lam <= 1.0:
+        raise InputError(f"lambda must lie in (0, 1], got {lam}")
+    if not tol > 0.0:
+        raise InputError("tol must be positive")
+    gamma = (1.0 - lam) / lam
+    kappa = lam * gamma
     factor = kappa / (1.0 - kappa)
 
     def evaluate(w):
         Jx, M = op.linearize(gamma * w)
-        t = beta * Jx if offset is None else offset + beta * Jx
+        t = lam * Jx
         return t, M, op.norm(t - w)
 
+    w = np.zeros(op.dim)
     t, M, r = evaluate(w)
     k, err = 1, factor * r
     while not err <= tol:
         if k >= VLAMBDA_MAX_ITER:
             raise ResourceError(
-                f"{what}: iteration cap {VLAMBDA_MAX_ITER} hit "
+                f"v_lambda at lambda={lam}: iteration cap {VLAMBDA_MAX_ITER} hit "
                 f"(certified error {err:.3g} > tol {tol:.3g})"
             )
         y = None if M is None else _policy_step(w, t, M, kappa)
@@ -177,25 +185,7 @@ def _fixed_point(op, w, tol, gamma, beta, offset, what):
                 M = None  # rejected: the next step from w is the plain one
         k += 1
         err = factor * r
-    return t, k, err
-
-
-def solve_vlambda(op, lam, tol=1e-10, full=False):
-    """Fixed point of Phi(lam, .) with certified error <= tol.
-
-    Phi(lam, w) = lam J(((1 - lam)/lam) w) is a (1 - lam)-contraction, so
-    (1-lam)/lam * ||Phi(lam, w) - w|| certifies the distance of Phi(lam, w)
-    to the fixed point.  Starting from 0, ``_fixed_point`` takes safeguarded
-    policy steps; ``iterations`` counts ``op.linearize`` calls.
-    Returns the vector, or the full result when full=True.
-    """
-    if not 0.0 < lam <= 1.0:
-        raise InputError(f"lambda must lie in (0, 1], got {lam}")
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
-    v, k, err = _fixed_point(op, np.zeros(op.dim), tol, (1.0 - lam) / lam, lam, None,
-                             f"v_lambda at lambda={lam}")
-    result = VLambdaResult(v, v / lam, k, err)
+    result = VLambdaResult(t, t / lam, k, err)
     return result if full else result.v
 
 
@@ -214,27 +204,6 @@ def phi_recursion(op, lambda_seq):
     """Orbit of w_n = Phi(lam_n, w_{n-1}) from w_0 = 0."""
     return _step_orbit(op, np.zeros(op.dim), lambda_seq,
                        lambda lam, x: apply_Phi(op, lam, x))
-
-
-def resolvent(op, lam, y, tol=1e-12):
-    """Solve x + lam A(x) = y, i.e. x = (y + lam J(x)) / (1 + lam).
-
-    The map is a lam/(1+lam)-contraction, so lam * ||T(x) - x|| certifies
-    T(x); ``_fixed_point`` solves it from x = y.
-    """
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
-    y = as_vec(y, op.dim)
-    x, _, _ = _fixed_point(op, y, tol, 1.0, lam / (1.0 + lam), y / (1.0 + lam),
-                           f"resolvent at lambda={lam}")
-    return x
-
-
-def proximal_orbit(op, x0, steps):
-    """Compose resolvent steps: x_n = (I + lam_n A)^{-1}(x_{n-1})."""
-    return _step_orbit(op, x0, steps, lambda lam, x: resolvent(op, lam, x))
 
 
 def kobayashi_rhs(steps1, steps2, k, l, x0, xhat0, op):

@@ -239,6 +239,8 @@ def test_verify_without_checks_is_config_error(tmp_path):
     ("norm_bounds", ['extra={"lambdas":[]}']),
     ("two_param", ["starts=[[0.0], [1.0]]", "horizon=5", 'param={"kind":"power_alpha"}',
                    'param2={"kind":"inverse_time_zeta"}', 'extra={"case":"A"}']),
+    ("norm_bounds", ["horizon=NaN"]),
+    ("solution_contraction", ["starts=[[0.0], [1.0]]", "horizon=Infinity"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
@@ -297,6 +299,10 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("ode", "rotation30", "U0=5"),
     ("ode", "rotation30", "samples=0"),
     ("phi_ode", "matching-pennies", "samples=-1"),
+    ("ode", "rotation30", "T=NaN"),
+    ("ode", "rotation30", "T=Infinity"),
+    ("phi_ode", "matching-pennies", "T=NaN"),
+    ("discounted", "matching-pennies", "tol=NaN"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]

@@ -133,22 +133,12 @@ def test_integrate_U_rotation_matches_matrix_exponential():
         assert op.norm(traj.at(t) - want) <= 1e-8
 
 
-def test_trajectory_derivative_consistency():
-    op = core.rotation(0.4)
-    traj = continuous.integrate_U(op, np.array([1.0, 0.0]), 4.0, tol=1e-9)
-    for t in (0.7, 2.3):
-        h = 1e-5
-        fd = (traj.at(t + h) - traj.at(t - h)) / (2.0 * h)
-        assert op.norm(traj.deriv_at(t) - fd) <= 1e-6
-
-
 def test_trajectory_dense_reads_hit_the_samples_exactly():
     op = core.rotation(np.pi / 6.0)
     traj = continuous.integrate_U(op, [1.0, 0.0], 2.0, tol=1e-8)
     for i in (0, 1, traj.times.size // 2, traj.times.size - 1):
         t = traj.times[i]
         assert traj.at(t).tolist() == traj.points[i].tolist()
-        assert traj.deriv_at(t).tolist() == traj.derivative[i].tolist()
 
 
 def test_trajectory_rejects_out_of_range():
@@ -156,16 +146,6 @@ def test_trajectory_rejects_out_of_range():
     traj = continuous.integrate_U(op, np.zeros(1), 1.0, tol=1e-8)
     with pytest.raises(InputError):
         traj.at(1.5)
-
-
-def test_trajectory_derivative_rejects_out_of_range():
-    op = core.Translation([1.0])
-    T = 1.0
-    traj = continuous.integrate_U(op, np.zeros(1), T, tol=1e-8)
-    assert traj.deriv_at(T)[0] == pytest.approx(1.0)
-    for t in (T + 1.0, -1.0):
-        with pytest.raises(InputError):
-            traj.deriv_at(t)
 
 
 def test_euler_power_translation():

@@ -73,7 +73,7 @@ def test_solve_vlambda_validation():
 
 
 class ValueIterationOnly(core.Operator):
-    """The wrapped operator without a linear model, so the solvers take
+    """The wrapped operator without a linear model, so the solver takes
     plain value-iteration steps only."""
 
     def __init__(self, op):
@@ -127,8 +127,6 @@ def test_solve_vlambda_iteration_cap(monkeypatch):
     monkeypatch.setattr(discrete, "VLAMBDA_MAX_ITER", 3)
     with pytest.raises(ResourceError, match="cap"):
         discrete.solve_vlambda(ValueIterationOnly(op), 1e-3, tol=1e-12)
-    with pytest.raises(ResourceError, match="cap"):
-        discrete.resolvent(ValueIterationOnly(core.rotation(0.5)), 10.0, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.1, 0.01])
@@ -141,15 +139,6 @@ def test_policy_steps_agree_with_value_iteration(name, lam):
     assert res.certified_error <= tol and ref.certified_error <= tol
     assert res.iterations <= 20
     assert op.norm(res.v - ref.v) <= 2.0 * tol
-
-
-@pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
-def test_resolvent_policy_steps_agree_with_value_iteration(lam):
-    op = shapley.ShapleyOperator(_GAMES["mixed"])
-    y = np.array([0.3, -0.8, 1.5, 0.0])
-    x = discrete.resolvent(op, lam, y, tol=1e-12)
-    ref = discrete.resolvent(ValueIterationOnly(op), lam, y, tol=1e-12)
-    assert op.norm(x - ref) <= 2e-12
 
 
 @pytest.mark.parametrize("lam, model", [
@@ -259,34 +248,6 @@ def test_euler_interpolant_at_each_sample_is_that_point():
     for k in range(8):
         got = discrete.euler_interpolant(orbit, steps.sigma[k])
         assert got.tolist() == orbit.points[k].tolist()
-
-
-def test_resolvent_translation_closed_form():
-    # x + lam (x - (x + c)) = y  =>  x = y + lam c
-    op = core.Translation([3.0])
-    for lam in (0.5, 2.0, 10.0):
-        x = discrete.resolvent(op, lam, [1.0], tol=1e-13)
-        assert x[0] == pytest.approx(1.0 + 3.0 * lam, abs=1e-12)
-
-
-def test_resolvent_satisfies_equation():
-    op = shapley.ShapleyOperator(shapley.random_game(2, 2, 2, seed=1))
-    y = np.array([0.3, -0.8])
-    lam = 1.5
-    x = discrete.resolvent(op, lam, y, tol=1e-13)
-    assert op.norm(x + lam * core.apply_A(op, x) - y) <= 1e-12
-
-
-def test_proximal_beats_explicit_on_rotation():
-    # the implicit scheme contracts to the fixed point 0 for a rotation,
-    # while the explicit unit-step scheme only moves along the circle
-    op = core.rotation(np.pi / 6.0)
-    x0 = np.array([1.0, 0.0])
-    steps = discrete.StepSequence.constant(1.0, 50)
-    prox = discrete.proximal_orbit(op, x0, steps)
-    expl = discrete.euler_scheme(op, x0, steps)
-    assert op.norm(prox.points[-1]) < 1e-3
-    assert op.norm(expl.points[-1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kobayashi_rhs_values_and_validation():
