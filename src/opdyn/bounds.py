@@ -1,9 +1,10 @@
 """Registry of quantitative checks.
 
-Every entry is a generator over a concrete scenario: it yields one
-(lhs, rhs, budget, context) tuple per inequality (or decay / monotonicity
-statement) it tests.  `verify` is the one place that judges them: it turns
-each tuple into a BoundReport with slack rhs - lhs and verdict
+Every entry is a generator over an operator and the inputs it declares as
+keyword-only parameters: it yields one (lhs, rhs, budget, context) tuple
+per inequality (or decay / monotonicity statement) it tests.  `verify` is
+the one place that binds those inputs from a Scenario and that judges the
+tuples: it turns each into a BoundReport with slack rhs - lhs and verdict
 lhs <= rhs + budget, labelled with the check id and the scenario name.
 Asymptotic statements are operationalized as finite-horizon decay
 assertions: the final gap must be <= decay_factor times the initial gap
@@ -13,7 +14,8 @@ additively: fixed 1e-9 plus every contributing certified numerical error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +43,11 @@ class Settings:
 
 @dataclass
 class Scenario:
-    """Everything a check may need: operator, horizons, parametrizations."""
+    """Everything a check may need: operator, horizons, parametrizations.
+
+    A check takes only some of the fields and extra keys (inputs(check));
+    verify rejects a field set away from its default, or an extra key, that
+    the check does not take."""
 
     operator: core.Operator
     name: str = ""
@@ -99,24 +105,18 @@ def _second_start(op):
     return np.ones(op.dim)
 
 
-def _starts(sc, *defaults):
-    """The scenario's first len(defaults) start points, or the defaults."""
-    starts = defaults if sc.starts is None else sc.starts
+def _starts(op, starts, *defaults):
+    """The first len(defaults) of the given start points, or the defaults."""
+    starts = defaults if starts is None else starts
     if len(starts) < len(defaults):
         raise InputError(
             f"this check needs {len(defaults)} start point(s), got {len(starts)}"
         )
-    return [core.as_vec(x, sc.operator.dim) for x in starts[:len(defaults)]]
-
-
-def _extra(sc, key, default, read):
-    """read(sc.extra[key]), or read(default) without the key; a value that
-    read cannot take is a config error."""
-    return convert(read, sc.extra.get(key, default), f"extra.{key}")
+    return [core.as_vec(x, op.dim) for x in starts[:len(defaults)]]
 
 
 def _count(least):
-    """A read for _extra: an int that must be >= least."""
+    """A reader: an int that must be >= least."""
     def read(value):
         n = int(value)
         if n < least:
@@ -126,7 +126,7 @@ def _count(least):
 
 
 def _list(kind):
-    """A read for _extra: a nonempty list of kind(entry)."""
+    """A reader: a nonempty list of kind(entry)."""
     def read(values):
         out = [kind(v) for v in values]
         if not out:
@@ -136,12 +136,30 @@ def _list(kind):
 
 
 def _choice(*options):
-    """A read for _extra: one of the options."""
+    """A reader: one of the options."""
     def read(value):
         if value not in options:
             raise InputError(f"must be one of {list(options)}, got {value!r}")
         return value
     return read
+
+
+#: one reader per extra key, whichever check takes it: it turns the config
+#: value into the check's argument
+READERS = {
+    "alpha": float,
+    "case": _choice("a", "b"),
+    "grid": _count(1),
+    "lambda_seq": _list(float),
+    "lambdas": _list(float),
+    "m_values": _list(int),
+    "n_steps": _count(1),
+    "n_values": _list(_count(1)),
+    "nmax": _count(0),
+    "pairs": _count(1),
+    "subgrid": _count(1),
+    "t_values": _list(float),
+}
 
 
 def _worst(candidates):
@@ -165,55 +183,50 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 
 # ---------------------------------------------------------------------------
-# individual checks: each yields (lhs, rhs, budget, context) per inequality
+# individual checks: check(op, settings, *, inputs) yields (lhs, rhs, budget,
+# context) per inequality.  Its keyword-only parameters are its inputs: a
+# Scenario field by name, any other an extra key read through READERS.  A
+# default of None stands for one the check derives from the scenario.
 
-def _check_norm_bounds(sc, st):
-    op = sc.operator
-    N = int(sc.horizon)
+def _check_norm_bounds(op, st, *, horizon, lambdas=(1.0, 0.5, 0.1, 0.01)):
+    N = int(horizon)
     j0 = op.norm(op.J(_zeros(op)))
     _, vn = discrete.iterate_Vn(op, max(N, 1))
     yield max(op.norm(v) for v in vn), j0, BASE_TOL, {"family": "v_n", "N": N}
-    lams = _extra(sc, "lambdas", [1.0, 0.5, 0.1, 0.01], _list(float))
-    yield (max(op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lams),
-           j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lams)})
+    yield (max(op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lambdas),
+           j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
-def _check_accretivity(sc, st):
-    for lam in _extra(sc, "lambdas", [0.1, 0.5, 1.0, 2.0], _list(float)):
-        rep = core.check_accretive(
-            sc.operator, lam, samples=st.samples, seed=sc.seed
-        )
+def _check_accretivity(op, st, *, seed, lambdas=(0.1, 0.5, 1.0, 2.0)):
+    for lam in lambdas:
+        rep = core.check_accretive(op, lam, samples=st.samples, seed=seed)
         yield (1.0 - rep.worst_ratio, 0.0, BASE_TOL,
                {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 
 
-def _check_solution_contraction(sc, st):
-    op = sc.operator
-    T = float(sc.horizon)
+def _check_solution_contraction(op, st, *, horizon, starts=None):
+    T = float(horizon)
     t1, t2 = (continuous.integrate_U(op, x, T, tol=st.ode_tol)
-              for x in _starts(sc, _zeros(op), _second_start(op)))
+              for x in _starts(op, starts, _zeros(op), _second_start(op)))
     times = np.linspace(0.0, T, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
            BASE_TOL + 2.0 * (t1.err_at(times) + t2.err_at(times)),
            {"checkpoints": len(times)})
 
 
-def _check_derivative_decay(sc, st):
-    op = sc.operator
-    (U0,) = _starts(sc, _second_start(op))
-    traj = continuous.integrate_U(op, U0, float(sc.horizon), tol=st.ode_tol)
-    times = np.linspace(0.0, float(sc.horizon), 41)
+def _check_derivative_decay(op, st, *, horizon, starts=None):
+    (U0,) = _starts(op, starts, _second_start(op))
+    traj = continuous.integrate_U(op, U0, float(horizon), tol=st.ode_tol)
+    times = np.linspace(0.0, float(horizon), 41)
     # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
     yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
            BASE_TOL + 4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
-def _check_chernoff(sc, st):
-    op = sc.operator
-    T = float(sc.horizon)
-    (U0,) = _starts(sc, _zeros(op))
-    nmax = _extra(sc, "nmax", int(T), _count(0))
-    grid = _extra(sc, "grid", 20, _count(1))
+def _check_chernoff(op, st, *, horizon, starts=None, nmax=None, grid=20):
+    T = float(horizon)
+    (U0,) = _starts(op, starts, _zeros(op))
+    nmax = int(T) if nmax is None else nmax
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
@@ -229,28 +242,26 @@ def _check_chernoff(sc, st):
            {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
-def _check_convvn(sc, st):
-    op = sc.operator
-    N = int(sc.horizon)
-    ns = _extra(sc, "n_values", _log_points(max(2, N // 100), N, 4), _list(_count(1)))
+def _check_convvn(op, st, *, horizon, n_values=None):
+    N = int(horizon)
+    if n_values is None:
+        n_values = [int(n) for n in _log_points(max(2, N // 100), N, 4)]
     traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     j0 = op.norm(op.J(_zeros(op)))
-    for n in ns:
+    for n in n_values:
         yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
                BASE_TOL + traj.err_at(float(n)) / n, {"n": n})
 
 
-def _check_expo(sc, st):
-    op = sc.operator
-    T = float(sc.horizon)
-    (U0,) = _starts(sc, _second_start(op))
-    ms = _extra(sc, "m_values", [25, 100, 400, 1600], _list(int))
+def _check_expo(op, st, *, horizon, starts=None, m_values=(25, 100, 400, 1600)):
+    T = float(horizon)
+    (U0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint, err = traj.points[-1], traj.err_at(T)
     measured = []
-    for m in ms:
+    for m in m_values:
         if m < T:
             continue
         measured.append(op.norm(continuous.euler_power(op, T, m, U0) - endpoint))
@@ -258,7 +269,7 @@ def _check_expo(sc, st):
     # measured errors should also decrease with m (up to integrator noise)
     if len(measured) >= 2:
         yield (_worst_increase(measured), 0.0, BASE_TOL + 2.0 * err,
-               {"aspect": "monotone_in_m", "m_values": ms})
+               {"aspect": "monotone_in_m", "m_values": list(m_values)})
 
 
 def _random_steps(rng, max_len=200):
@@ -268,15 +279,13 @@ def _random_steps(rng, max_len=200):
     return discrete.StepSequence(lam)
 
 
-def _check_kobayashi(sc, st):
-    op = sc.operator
-    rng = np.random.default_rng(sc.seed)
-    pairs = _extra(sc, "pairs", 20, _count(1))
-    subgrid = _extra(sc, "subgrid", 10, _count(1))
-    x0, xhat0 = _starts(sc, _zeros(op), _second_start(op))
+def _check_kobayashi(op, st, *, seed, starts=None, steps=None, steps2=None,
+                     pairs=20, subgrid=10):
+    rng = np.random.default_rng(seed)
+    x0, xhat0 = _starts(op, starts, _zeros(op), _second_start(op))
     for p in range(pairs):
-        s1 = sc.steps or _random_steps(rng)
-        s2 = sc.steps2 or _random_steps(rng)
+        s1 = steps or _random_steps(rng)
+        s2 = steps2 or _random_steps(rng)
         o1 = discrete.euler_scheme(op, x0, s1)
         o2 = discrete.euler_scheme(op, xhat0, s2)
         ks = np.unique(np.linspace(0, len(s1), subgrid).astype(int))
@@ -289,17 +298,16 @@ def _check_kobayashi(sc, st):
         )
         yield (lhs, rhs, BASE_TOL,
                {"pair": p, "k": k, "l": l, "lengths": [len(s1), len(s2)]})
-        if sc.steps is not None:
+        if steps is not None:
             break
 
 
-def _euler_vs_flow(sc, st, count):
+def _euler_vs_flow(op, st, count, horizon, steps, starts):
     """Euler orbit x and flow U from one start, compared at count indices k:
     the (k, sigma_k, ||x_k - U(sigma_k)||, the flow's error bound there),
     the steps and ||A(x_0)||."""
-    op = sc.operator
-    steps = sc.steps or discrete.StepSequence.harmonic(int(sc.horizon))
-    (x0,) = _starts(sc, _second_start(op))
+    steps = steps or discrete.StepSequence.harmonic(int(horizon))
+    (x0,) = _starts(op, starts, _second_start(op))
     orbit = discrete.euler_scheme(op, x0, steps)
     traj = continuous.integrate_U(op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
     gaps = []
@@ -309,29 +317,24 @@ def _euler_vs_flow(sc, st, count):
     return gaps, steps, op.norm(apply_A(op, x0))
 
 
-def _check_euler_vs_ode(sc, st):
-    gaps, steps, a0 = _euler_vs_flow(sc, st, 12)
+def _check_euler_vs_ode(op, st, *, horizon, steps=None, starts=None):
+    gaps, steps, a0 = _euler_vs_flow(op, st, 12, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
                BASE_TOL + err, {"k": k, "t": t})
 
 
-def _check_normalized_euler(sc, st):
+def _check_normalized_euler(op, st, *, horizon, steps=None, starts=None):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
-    gaps, _, a0 = _euler_vs_flow(sc, st, 8)
+    gaps, _, a0 = _euler_vs_flow(op, st, 8, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
 
 
-def _check_interpolation(sc, st):
-    op = sc.operator
-    T = float(sc.horizon)
-    (x0,) = _starts(sc, _second_start(op))
-    if sc.steps is not None:
-        steps = sc.steps
-    else:
-        n = _extra(sc, "n_steps", 100, _count(1))
-        steps = discrete.StepSequence.constant(T / n, n)
+def _check_interpolation(op, st, *, horizon, steps=None, starts=None, n_steps=100):
+    T = float(horizon)
+    (x0,) = _starts(op, starts, _second_start(op))
+    steps = steps or discrete.StepSequence.constant(T / n_steps, n_steps)
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
     orbit = discrete.euler_scheme(op, x0, steps)
@@ -344,17 +347,9 @@ def _check_interpolation(sc, st):
            BASE_TOL + traj.err_at(times), {"max_step": max_step, "T": T})
 
 
-def _need_param(sc):
-    if sc.param is None:
-        raise InputError("this check needs a parametrization")
-    return sc.param
-
-
-def _check_stationarity_gap(sc, st):
-    op = sc.operator
-    param = _need_param(sc)
-    T = float(sc.horizon)
-    (u0,) = _starts(sc, _second_start(op))
+def _check_stationarity_gap(op, st, *, horizon, param, starts=None):
+    T = float(horizon)
+    (u0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     for t in map(float, _log_points(T / 100.0, T, 8)):
         lam, u = param.value(t), traj.at(t)
@@ -365,18 +360,17 @@ def _check_stationarity_gap(sc, st):
                {"t": t, "lambda": lam})
 
 
-def _check_constant_decay(sc, st):
-    op = sc.operator
-    param = sc.param or continuous.Constant(0.5)
+def _check_constant_decay(op, st, *, horizon, param=continuous.Constant(0.5),
+                          starts=None, t_values=(1.0, 5.0, 10.0, 20.0)):
     if not isinstance(param, continuous.Constant):
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
-    T = float(sc.horizon)
-    (u0,) = _starts(sc, _second_start(op))
+    T = float(horizon)
+    (u0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
-    for t in _extra(sc, "t_values", [1.0, 5.0, 10.0, 20.0], _list(float)):
+    for t in t_values:
         if t > T:
             continue
         decay, u, err = np.exp(-lam * t), traj.at(t), traj.err_at(t)
@@ -386,11 +380,9 @@ def _check_constant_decay(sc, st):
                BASE_TOL + st.fp_tol + err, {"t": t, "aspect": "gap"})
 
 
-def _check_initial_independence(sc, st):
-    op = sc.operator
-    param = _need_param(sc)
-    T = float(sc.horizon)
-    x0, x1 = _starts(sc, _zeros(op), _second_start(op))
+def _check_initial_independence(op, st, *, horizon, param, starts=None):
+    T = float(horizon)
+    x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
     t1 = continuous.integrate_u(op, param, x0, T, tol=st.ode_tol)
     t2 = continuous.integrate_u(op, param, x1, T, tol=st.ode_tol)
     d0 = op.norm(x0 - x1)
@@ -404,10 +396,9 @@ def _check_initial_independence(sc, st):
                  {"aspect": "decay", "t0": float(times[0]), "t1": float(times[-1])})
 
 
-def _vn_decay(sc, st, param, u0, points_key=None, **ctx):
+def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
-    op = sc.operator
-    N = int(sc.horizon)
+    N = int(horizon)
     traj = continuous.integrate_u(op, param, u0, float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 6)]
@@ -418,10 +409,9 @@ def _vn_decay(sc, st, param, u0, points_key=None, **ctx):
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _vlambda_decay(sc, st, param, u0, points_key=None, **ctx):
+def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
-    op = sc.operator
-    T = float(sc.horizon)
+    T = float(horizon)
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
     times = _log_points(T / 100.0, T, 6)
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
@@ -431,31 +421,37 @@ def _vlambda_decay(sc, st, param, u0, points_key=None, **ctx):
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _check_wn_tracks_vn(sc, st):
-    param = sc.param or continuous.InverseTimeZeta()
-    (u0,) = _starts(sc, _zeros(sc.operator))
-    yield _vn_decay(sc, st, param, u0, points_key="n_values")
+def _check_wn_tracks_vn(op, st, *, horizon, param=continuous.InverseTimeZeta(),
+                        starts=None):
+    (u0,) = _starts(op, starts, _zeros(op))
+    yield _vn_decay(op, st, horizon, param, u0, points_key="n_values")
 
 
-def _check_convboth(sc, st):
-    op = sc.operator
-    if not isinstance(op, core.Translation):
-        yield 0.0, 0.0, BASE_TOL, {"status": "skipped: premise not certified"}
-        return
-    # for a translation U'(t) = c for every t, so l = c
-    l = op.c
-    N = int(sc.horizon)
+def _check_convboth(op, st, *, horizon):
+    N = int(horizon)
     _, vn = discrete.iterate_Vn(op, N)
-    yield op.norm(vn[-1] - l), 0.0, BASE_TOL, {"family": "v_n", "N": N}
-    for lam in [0.5, 0.1, 0.01]:
-        yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, BASE_TOL + st.fp_tol,
-               {"family": "v_lambda", "lambda": lam})
+    if isinstance(op, core.Translation):
+        # for a translation U'(t) = c for every t, so l = c
+        l = op.c
+        yield op.norm(vn[-1] - l), 0.0, BASE_TOL, {"family": "v_n", "N": N}
+        for lam in [0.5, 0.1, 0.01]:
+            yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, BASE_TOL + st.fp_tol,
+                   {"family": "v_lambda", "lambda": lam})
+    elif isinstance(op, shapley.ShapleyOperator) and N >= 2:
+        # a finite stochastic game's v_n and v_lam share one limit (Bewley &
+        # Kohlberg 1976), so ||v_n - v_{1/n}|| -> 0; n starts at 2, since
+        # v_1 = J(0) = v_{lam=1} makes the gap at n = 1 exactly 0
+        ns = [int(n) for n in _log_points(max(2, N // 100), N, 6)]
+        gaps = [_vlambda_gap(op, vn[n - 1], 1.0 / n, st.fp_tol) for n in ns]
+        ctx = {"family": "v_n - v_1/n", "n_values": ns, "gaps": [float(g) for g in gaps]}
+        if not any(gaps):
+            ctx["note"] = "every gap is 0"
+        yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol, ctx)
 
 
-def _check_hypothesis_H(sc, st):
-    op = sc.operator
+def _check_hypothesis_H(op, st, *, seed):
     C = op.h_constant()
-    rng = np.random.default_rng(sc.seed)
+    rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(st.samples):
         x = core.sample_ball(rng, op.dim, 10.0, op.norm_kind)
@@ -467,34 +463,26 @@ def _check_hypothesis_H(sc, st):
            {"samples": st.samples, "violations": violations, "C": C})
 
 
-def _check_slow_param(sc, st):
-    op = sc.operator
-    param = _need_param(sc)
-    T = float(sc.horizon)
-    (u0,) = _starts(sc, _second_start(op))
+def _check_slow_param(op, st, *, horizon, param, starts=None, t_values=None):
+    T = float(horizon)
+    (u0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
-    for t in _extra(sc, "t_values", _log_points(T / 100.0, T, 5), _list(float)):
+    for t in _log_points(T / 100.0, T, 5) if t_values is None else t_values:
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
                BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
                {"t": float(t)})
 
 
-def _check_convder_decay(sc, st):
-    param = _need_param(sc)
-    (u0,) = _starts(sc, _second_start(sc.operator))
-    yield _vlambda_decay(sc, st, param, u0, points_key="t_values")
+def _check_convder_decay(op, st, *, horizon, param, starts=None):
+    (u0,) = _starts(op, starts, _second_start(op))
+    yield _vlambda_decay(op, st, horizon, param, u0, points_key="t_values")
 
 
-def _check_two_param(sc, st):
-    op = sc.operator
-    lam_p = _need_param(sc)
-    mu_p = sc.param2
-    if mu_p is None:
-        raise InputError("two_param needs a second parametrization")
-    case = _extra(sc, "case", None, _choice("a", "b")) if "case" in sc.extra else None
-    T = float(sc.horizon)
-    x0, x1 = _starts(sc, _zeros(op), _second_start(op))
+def _check_two_param(op, st, *, horizon, param, param2, starts=None, case=None):
+    lam_p, mu_p = param, param2
+    T = float(horizon)
+    x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
     tu = continuous.integrate_u(op, lam_p, x0, T, tol=st.ode_tol)
     tv = continuous.integrate_u(op, mu_p, x1, T, tol=st.ode_tol)
     C = op.h_constant()
@@ -530,41 +518,38 @@ def _check_two_param(sc, st):
                       "note": "boundedness checked over finite horizon only"})
 
 
-def _check_vlambda_lipschitz(sc, st):
-    op = sc.operator
+def _check_vlambda_lipschitz(op, st, *, lambdas=None):
     C = op.h_constant()
     Cp = op.norm(op.J(_zeros(op)))
-    lams = _extra(sc, "lambdas", np.geomspace(0.02, 1.0, 10), _list(float))
+    lams = np.geomspace(0.02, 1.0, 10) if lambdas is None else lambdas
     values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
                BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
 
 
-def _check_discrete_slow(sc, st):
-    op = sc.operator
-    N = int(sc.horizon)
-    lam_seq = _extra(sc, "lambda_seq",
-                     np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5), _list(float))
-    if len(lam_seq) < N:
+def _check_discrete_slow(op, st, *, horizon, lambda_seq=None):
+    N = int(horizon)
+    if lambda_seq is None:
+        lambda_seq = np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5)
+    if len(lambda_seq) < N:
         raise InputError(
-            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lam_seq)}"
+            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lambda_seq)}"
         )
-    orbit = discrete.phi_recursion(op, lam_seq)
+    orbit = discrete.phi_recursion(op, lambda_seq)
     ns = [int(n) for n in _log_points(max(1, N // 100), N, 5)]
-    gaps = [_vlambda_gap(op, orbit.points[n], float(lam_seq[n - 1]), st.fp_tol)
+    gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
             for n in ns]
     yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol,
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
-def _check_alpha_family(sc, st):
-    alpha = _extra(sc, "alpha", 0.5, float)
-    (u0,) = _starts(sc, _zeros(sc.operator))
+def _check_alpha_family(op, st, *, horizon, starts=None, alpha=0.5):
+    (u0,) = _starts(op, starts, _zeros(op))
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
-    yield _vlambda_decay(sc, st, continuous.PowerAlpha(alpha), u0,
+    yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,
                          alpha=alpha, aspect="v_lambda_tracking")
-    yield _vn_decay(sc, st, continuous.PowerAlpha(0.0), u0,
+    yield _vn_decay(op, st, horizon, continuous.PowerAlpha(0.0), u0,
                     alpha=0.0, aspect="v_n_tracking")
 
 
@@ -594,17 +579,70 @@ CHECKS = {
     "alpha_family": _check_alpha_family,
 }
 
+#: the Scenario fields a check may take; its other inputs are extra keys
+FIELDS = ("horizon", "param", "param2", "steps", "steps2", "starts", "seed")
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.name in FIELDS}
+
+
+def inputs(check):
+    """The inputs a registry check takes, its keyword-only parameters, by
+    name: a Scenario field as itself, an extra key as extra.<key>."""
+    if check not in CHECKS:
+        raise InputError(f"unknown check {check!r}")
+    params = inspect.signature(CHECKS[check]).parameters.values()
+    return {p.name if p.name in FIELDS else f"extra.{p.name}": p
+            for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _match_inputs(scenario, checks):
+    """The inputs the scenario sets, by name as in inputs() (each field away
+    from its default, and each extra key), and the inputs each of checks
+    takes.  An input none of them takes is an InputError, raised once."""
+    given = {name: getattr(scenario, name) for name in FIELDS
+             if getattr(scenario, name) != _DEFAULTS[name]}
+    given.update((f"extra.{key}", value) for key, value in scenario.extra.items())
+    takes = [inputs(check) for check in checks]
+    unread = sorted(set(given).difference(*takes))
+    if unread:
+        raise InputError(f"{', '.join(unread)}: not an input of {' or '.join(checks)}")
+    return given, takes
+
+
+def per_check(checks, scenario):
+    """(check, scenario) for each of checks, each scenario holding only the
+    inputs its check takes; an input that none of them takes is an
+    InputError."""
+    out = []
+    for check, names in zip(checks, _match_inputs(scenario, checks)[1]):
+        unset = {name: _DEFAULTS[name] for name in FIELDS if name not in names}
+        extra = {k: v for k, v in scenario.extra.items() if f"extra.{k}" in names}
+        out.append((check, replace(scenario, **unset, extra=extra)))
+    return out
+
 
 def verify(check, scenario, settings=None):
     """Run one registry check on a scenario; returns a nonempty list of
     BoundReports, one per inequality the check yields, labelled with the
-    check id and the scenario name.  A check that yields nothing (every
-    point it would test lies outside the scenario) raises InputError: it has
-    verified nothing."""
-    if check not in CHECKS:
-        raise InputError(f"unknown check {check!r}")
+    check id and the scenario name.
+
+    The check's inputs are bound here, the one place that reads the
+    scenario's fields and extra keys: each field the check takes, and each
+    extra key it takes, converted by its READERS entry.  An input the
+    scenario sets that the check does not take, a required one it does not
+    set, and a check that yields nothing (every point it would test lies
+    outside the scenario: it has verified nothing) raise InputError."""
+    given, (takes,) = _match_inputs(scenario, [check])
+    kwargs = {}
+    for name, p in takes.items():
+        if name in FIELDS and getattr(scenario, name) is not None:
+            kwargs[name] = getattr(scenario, name)
+        elif name in given:
+            kwargs[p.name] = convert(READERS[p.name], given[name], name)
+        elif p.default is p.empty:
+            raise InputError(f"{check} needs {name}")
     reports = []
-    for lhs, rhs, budget, context in CHECKS[check](scenario, settings or Settings()):
+    checked = CHECKS[check](scenario.operator, settings or Settings(), **kwargs)
+    for lhs, rhs, budget, context in checked:
         lhs, rhs, budget = float(lhs), float(rhs), float(budget)
         reports.append(BoundReport(check, lhs, rhs, rhs - lhs, budget,
                                    lhs <= rhs + budget,

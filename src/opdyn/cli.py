@@ -35,7 +35,7 @@ EXIT_IO = 5
 CONFIG_KEYS = (
     "operator", "N", "lambdas", "tol", "steps", "x0", "samples", "U0", "T",
     "param", "u0", "checks", "horizon", "param2", "steps2", "starts", "seed",
-    "extra", "settings", "random_game", "game_file",
+    "extra", "settings", "game_file",
 )
 
 PRESETS = {
@@ -404,8 +404,8 @@ def task_verify(cfg, out):
     )
     settings = _settings_from(cfg)
     reports = []
-    for check in checks:
-        reports.extend(bounds.verify(check, scenario, settings))
+    for check, sc in bounds.per_check(checks, scenario):
+        reports.extend(bounds.verify(check, sc, settings))
     return _emit_reports(reports, out)
 
 
@@ -416,10 +416,9 @@ def task_suite(cfg, out):
 
 def task_generate_game(cfg, out):
     operator = cfg.get("operator", {})
-    g = cfg.get("random_game") or (
-        operator.get("random_game") if isinstance(operator, dict) else None)
+    g = operator.get("random_game") if isinstance(operator, dict) else None
     if not isinstance(g, dict):
-        raise InputError("generate-game: needs a 'random_game' object")
+        raise InputError("generate-game: needs an 'operator.random_game' object")
     game = _random_game(g)
     name = convert(os.fspath, cfg.get("game_file", "game.json"), "game_file")
     path = os.path.join(out, name)

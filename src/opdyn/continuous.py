@@ -290,8 +290,8 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.
     """
-    if not (0.0 < T < np.inf and tol > 0.0):
-        raise InputError("T must be positive and finite, tol positive")
+    if not (0.0 < T < np.inf and 0.0 < tol < np.inf):
+        raise InputError("T and tol must be positive and finite")
     kinks = param.kinks() if param is not None else ()
     stops = [float(k) for k in kinks if 0.0 < k < T] + [float(T)]
     target = STEP_TOL_SHARE * tol / T

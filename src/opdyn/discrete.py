@@ -154,8 +154,8 @@ def solve_vlambda(op, lam, tol=1e-10, full=False):
     """
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
-    if not tol > 0.0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
     gamma = (1.0 - lam) / lam
     kappa = lam * gamma
     factor = kappa / (1.0 - kappa)

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,11 +84,25 @@ def test_convboth_translation_and_skip(translation, game_op):
         "convboth", bounds.Scenario(operator=translation, horizon=50), FAST
     )
     _assert_all_pass(reports)
-    skipped = bounds.verify(
+    # on a game, ||v_n - v_1/n|| decays from n = 2 on
+    (decay,) = bounds.verify(
         "convboth", bounds.Scenario(operator=game_op, horizon=50), FAST
     )
-    assert skipped[0].verdict
-    assert "skipped" in skipped[0].context["status"]
+    _assert_all_pass([decay])
+    assert decay.context["n_values"][0] == 2
+    assert decay.lhs == decay.context["gaps"][-1] > 0.0
+    assert "note" not in decay.context
+    pennies = shapley.ShapleyOperator(shapley.matching_pennies())
+    (zero,) = bounds.verify(
+        "convboth", bounds.Scenario(operator=pennies, horizon=50), FAST
+    )
+    assert zero.verdict and not any(zero.context["gaps"])
+    assert zero.context["note"] == "every gap is 0"
+    # any other operator, or a game at a horizon below 2, is skipped, which
+    # leaves no report
+    for op, horizon in ((core.rotation(0.5), 50), (game_op, 1)):
+        with pytest.raises(InputError, match="no report"):
+            bounds.verify("convboth", bounds.Scenario(operator=op, horizon=horizon), FAST)
 
 
 def test_kobayashi_on_rotation():
@@ -115,8 +133,51 @@ def test_constant_decay_requires_constant_param(translation):
 def test_param_checks_require_param(translation):
     sc = bounds.Scenario(operator=translation, horizon=10)
     for check in ("stationarity_gap", "slow_param", "convder_decay"):
-        with pytest.raises(InputError, match="parametrization"):
+        with pytest.raises(InputError, match=f"{check} needs param$"):
             bounds.verify(check, sc, FAST)
+    sc = bounds.Scenario(operator=translation, horizon=10,
+                         param=continuous.PowerAlpha(0.5))
+    with pytest.raises(InputError, match="two_param needs param2$"):
+        bounds.verify("two_param", sc, FAST)
+
+
+@pytest.mark.parametrize("check, given, name", [
+    ("chernoff", {"extra": {"gird": 0}}, "extra.gird"),
+    ("chernoff", {"param2": continuous.PowerAlpha(0.5)}, "param2"),
+    ("accretivity", {"starts": [[0.0]]}, "starts"),
+    ("accretivity", {"horizon": 5.0}, "horizon"),
+    ("hypothesis_H", {"extra": {"lambdas": [0.5]}}, "extra.lambdas"),
+])
+def test_verify_rejects_an_input_its_check_does_not_read(translation, check, given, name):
+    sc = bounds.Scenario(operator=translation, **given)
+    with pytest.raises(InputError, match=f"^{name}: not an input of {check}$"):
+        bounds.verify(check, sc, FAST)
+
+
+def test_readme_table_lists_each_checks_keyword_only_parameters():
+    # README's "Check inputs" table against the registry: per check, the
+    # fields, then the extra keys, each as name or name=default
+    def shown(param):
+        d = param.default
+        if d is param.empty or d is None:
+            return param.name
+        return f"{param.name}={d.describe() if hasattr(d, 'describe') else json.dumps(d)}"
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("### Check inputs"):].split("\n\n")[2]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        check, fields, extra = (re.findall(r"`(\w+(?:=[^`]*)?)`", cell)
+                                for cell in line.strip("|").split("|"))
+        rows[check[0]] = (fields, extra)
+    want, extra_keys = {}, set()
+    for check in bounds.CHECKS:
+        takes = bounds.inputs(check)
+        want[check] = ([shown(p) for n, p in takes.items() if n in bounds.FIELDS],
+                       [shown(p) for n, p in takes.items() if n not in bounds.FIELDS])
+        extra_keys.update(p.name for n, p in takes.items() if n not in bounds.FIELDS)
+    assert rows == want
+    assert extra_keys == set(bounds.READERS)  # one reader per extra key, each used
 
 
 def test_failing_check_is_reported():

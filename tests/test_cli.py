@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from opdyn import cli, shapley
+from opdyn import bounds, cli, shapley
 
 
 def run(args):
@@ -241,18 +241,37 @@ def test_verify_without_checks_is_config_error(tmp_path):
                    'param2={"kind":"inverse_time_zeta"}', 'extra={"case":"A"}']),
     ("norm_bounds", ["horizon=NaN"]),
     ("solution_contraction", ["starts=[[0.0], [1.0]]", "horizon=Infinity"]),
+    ("chernoff", ['extra={"gird":0}']),
+    ("chernoff", ['param2={"kind":"power_alpha"}']),
+    ("euler_vs_ode", ['steps2={"kind":"harmonic","N":10}']),
+    ("accretivity", ["starts=[[0.0]]"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
     # the horizon, a value of the wrong type (extra values included), a
-    # check with no report, an unknown key in a spec object, or a setting,
-    # count or payoff range out of range
-    args = ["verify", "--preset", "translation",
-            "--set", f'checks=["{check}"]', "--set", "starts=[[0.0]]"]
+    # check with no report, an unknown key in a spec object, an input the
+    # check does not read, or a setting, count or payoff range out of range;
+    # a check that takes start points gets one
+    args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]']
+    if "starts" in bounds.inputs(check):
+        args += ["--set", "starts=[[0.0]]"]
     for item in sets:
         args += ["--set", item]
     assert run(args + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_gives_each_check_only_the_inputs_it_reads(tmp_path, capsys):
+    # grid is chernoff's, pairs is kobayashi's; gird is neither's, and is
+    # named once
+    args = ["verify", "--preset", "translation",
+            "--set", 'checks=["chernoff","kobayashi"]', "--out", str(tmp_path)]
+    assert run(args + ["--set", 'extra={"grid":5,"pairs":2}']) == 0
+    reports = json.loads(read(tmp_path / "reports.json"))
+    assert {r["check"] for r in reports} == {"chernoff", "kobayashi"}
+    assert run(args + ["--set", 'extra={"grid":5,"gird":5}']) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("extra.gird") == 1 and "extra.grid" not in err
 
 
 def test_verify_failure_sets_exit_one(tmp_path):
@@ -303,6 +322,10 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("ode", "rotation30", "T=Infinity"),
     ("phi_ode", "matching-pennies", "T=NaN"),
     ("discounted", "matching-pennies", "tol=NaN"),
+    ("ode", "rotation30", "tol=Infinity"),
+    ("phi_ode", "matching-pennies", "tol=Infinity"),
+    ("discounted", "matching-pennies", "tol=Infinity"),
+    ("generate-game", "random3", 'random_game={"states":2}'),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
