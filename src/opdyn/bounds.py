@@ -97,6 +97,11 @@ def _log_points(lo, hi, count=8):
     return np.unique(np.geomspace(lo, hi, count))
 
 
+def _log_ints(lo, hi, count):
+    """count log-spaced points from lo to hi, truncated to ints, each once."""
+    return np.unique(np.geomspace(lo, hi, count).astype(int)).tolist()
+
+
 def _zeros(op):
     return np.zeros(op.dim)
 
@@ -128,6 +133,8 @@ def _count(least):
 def _list(kind):
     """A reader: a nonempty list of kind(entry)."""
     def read(values):
+        if isinstance(values, str):
+            raise InputError(f"must be a list, got {values!r}")
         out = [kind(v) for v in values]
         if not out:
             raise InputError("must list at least one value")
@@ -245,7 +252,7 @@ def _check_chernoff(op, st, *, horizon, starts=None, nmax=None, grid=20):
 def _check_convvn(op, st, *, horizon, n_values=None):
     N = int(horizon)
     if n_values is None:
-        n_values = [int(n) for n in _log_points(max(2, N // 100), N, 4)]
+        n_values = _log_ints(max(2, N // 100), N, 4)
     traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
     j0 = op.norm(op.J(_zeros(op)))
@@ -280,10 +287,14 @@ def _random_steps(rng, max_len=200):
 
 
 def _check_kobayashi(op, st, *, seed, starts=None, steps=None, steps2=None,
-                     pairs=20, subgrid=10):
+                     pairs=None, subgrid=10):
+    if steps is not None:
+        if pairs is not None:
+            raise InputError("steps, extra.pairs: give one of them, not both")
+        pairs = 1
     rng = np.random.default_rng(seed)
     x0, xhat0 = _starts(op, starts, _zeros(op), _second_start(op))
-    for p in range(pairs):
+    for p in range(20 if pairs is None else pairs):
         s1 = steps or _random_steps(rng)
         s2 = steps2 or _random_steps(rng)
         o1 = discrete.euler_scheme(op, x0, s1)
@@ -298,8 +309,6 @@ def _check_kobayashi(op, st, *, seed, starts=None, steps=None, steps2=None,
         )
         yield (lhs, rhs, BASE_TOL,
                {"pair": p, "k": k, "l": l, "lengths": [len(s1), len(s2)]})
-        if steps is not None:
-            break
 
 
 def _euler_vs_flow(op, st, count, horizon, steps, starts):
@@ -331,10 +340,14 @@ def _check_normalized_euler(op, st, *, horizon, steps=None, starts=None):
         yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
 
 
-def _check_interpolation(op, st, *, horizon, steps=None, starts=None, n_steps=100):
+def _check_interpolation(op, st, *, horizon, steps=None, starts=None, n_steps=None):
     T = float(horizon)
     (x0,) = _starts(op, starts, _second_start(op))
-    steps = steps or discrete.StepSequence.constant(T / n_steps, n_steps)
+    if steps is None:
+        n_steps = 100 if n_steps is None else n_steps
+        steps = discrete.StepSequence.constant(T / n_steps, n_steps)
+    elif n_steps is not None:
+        raise InputError("steps, extra.n_steps: give one of them, not both")
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
     orbit = discrete.euler_scheme(op, x0, steps)
@@ -401,7 +414,7 @@ def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     N = int(horizon)
     traj = continuous.integrate_u(op, param, u0, float(N), tol=st.ode_tol)
     _, vn = discrete.iterate_Vn(op, N)
-    ns = [int(n) for n in _log_points(max(1, N // 100), N, 6)]
+    ns = _log_ints(max(1, N // 100), N, 6)
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
         ctx[points_key] = ns
@@ -441,7 +454,7 @@ def _check_convboth(op, st, *, horizon):
         # a finite stochastic game's v_n and v_lam share one limit (Bewley &
         # Kohlberg 1976), so ||v_n - v_{1/n}|| -> 0; n starts at 2, since
         # v_1 = J(0) = v_{lam=1} makes the gap at n = 1 exactly 0
-        ns = [int(n) for n in _log_points(max(2, N // 100), N, 6)]
+        ns = _log_ints(max(2, N // 100), N, 6)
         gaps = [_vlambda_gap(op, vn[n - 1], 1.0 / n, st.fp_tol) for n in ns]
         ctx = {"family": "v_n - v_1/n", "n_values": ns, "gaps": [float(g) for g in gaps]}
         if not any(gaps):
@@ -537,7 +550,7 @@ def _check_discrete_slow(op, st, *, horizon, lambda_seq=None):
             f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lambda_seq)}"
         )
     orbit = discrete.phi_recursion(op, lambda_seq)
-    ns = [int(n) for n in _log_points(max(1, N // 100), N, 5)]
+    ns = _log_ints(max(1, N // 100), N, 5)
     gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
             for n in ns]
     yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol,

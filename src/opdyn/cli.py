@@ -5,7 +5,8 @@ Command shape:
     opdyn <task> [--config cfg.json] [--preset name] [--set key=value ...] --out DIR
 
 Tasks: value_iter, discounted, euler, ode, phi_ode, verify, suite,
-generate-game.  Config is JSON; --set overrides dotted keys.  All artifacts
+generate-game; a task's keyword-only parameters are its top-level config
+keys.  Config is JSON; --set overrides dotted keys.  All artifacts
 are written atomically with shortest-round-trip float formatting, so
 re-running a config reproduces byte-identical files.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import os
 import sys
@@ -30,13 +32,6 @@ EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
-
-#: every top-level key some task reads; presets carry keys for other tasks
-CONFIG_KEYS = (
-    "operator", "N", "lambdas", "tol", "steps", "x0", "samples", "U0", "T",
-    "param", "u0", "checks", "horizon", "param2", "steps2", "starts", "seed",
-    "extra", "settings", "game_file",
-)
 
 PRESETS = {
     "translation": {
@@ -85,7 +80,9 @@ def _set_dotted(cfg, key, raw):
 
 
 def load_config(args):
-    cfg = {}
+    """The config (the preset, then the config file, then each --set) and
+    the top-level keys that the config file and --set give."""
+    cfg, given = {}, set()
     if args.preset:
         if args.preset not in PRESETS:
             raise InputError(
@@ -103,13 +100,31 @@ def load_config(args):
         if not isinstance(loaded, dict):
             raise InputError("config: top-level value must be an object")
         cfg.update(loaded)
+        given.update(loaded)
     for item in args.set or []:
         if "=" not in item:
             raise InputError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _set_dotted(cfg, key, raw)
-    _check_keys(cfg, "config", *CONFIG_KEYS)
-    return cfg
+        given.add(key.split(".")[0])
+    return cfg, given
+
+
+def bind(task, cfg, given):
+    """The keyword arguments of TASK_RUNNERS[task]: each key of cfg that it
+    takes, converted by the key's READERS entry (any other key as given).
+    A key in given that the task does not take, and a required key cfg
+    lacks, are an InputError; cfg's other keys (a preset's) are dropped."""
+    params = inspect.signature(TASK_RUNNERS[task]).parameters.values()
+    takes = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+    unread = sorted(given.difference(takes))
+    missing = [k for k, p in takes.items() if p.default is p.empty and k not in cfg]
+    if unread or missing:
+        raise InputError(f"{', '.join(unread or missing)}: "
+                         f"{'not a key of' if unread else 'missing for'} {task}, "
+                         f"whose keys are {', '.join(takes)}")
+    return {k: convert(READERS[k], v, k) if k in READERS else v
+            for k, v in cfg.items() if k in takes}
 
 
 def _check_keys(spec, what, *keys):
@@ -282,9 +297,8 @@ def _coord_header(prefix, dim):
     return [f"{prefix}_{i}" for i in range(dim)]
 
 
-def task_value_iter(cfg, out):
-    op = build_operator(cfg["operator"])
-    N = convert(int, cfg.get("N", 100), "N")
+def task_value_iter(out, *, operator, N=100):
+    op = build_operator(operator)
     _, vn = discrete.iterate_Vn(op, N)
     header = ["n"] + _coord_header("v", op.dim) + ["norm_vn"]
     rows = [
@@ -295,27 +309,23 @@ def task_value_iter(cfg, out):
     return EXIT_OK
 
 
-def task_discounted(cfg, out):
+def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
     """discounted.csv: v_lam per lambda, with the solver's iterations (its
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
-    op = build_operator(cfg["operator"])
-    lams = convert(lambda ls: [float(l) for l in ls],
-                   cfg.get("lambdas", [0.5, 0.1, 0.01]), "lambdas")
-    tol = convert(float, cfg.get("tol", 1e-10), "tol")
+    op = build_operator(operator)
     header = ["lambda"] + _coord_header("v", op.dim) + ["iterations", "certified_error"]
     rows = []
-    for lam in lams:
+    for lam in lambdas:
         res = discrete.solve_vlambda(op, lam, tol=tol, full=True)
         rows.append([lam] + list(res.v) + [res.iterations, res.certified_error])
     write_csv(os.path.join(out, "discounted.csv"), header, rows)
     return EXIT_OK
 
 
-def task_euler(cfg, out):
-    op = build_operator(cfg["operator"])
-    steps = build_steps(cfg.get("steps", {"kind": "harmonic", "N": 100}))
-    x0 = cfg.get("x0", [0.0] * op.dim)
-    orbit = discrete.euler_scheme(op, x0, steps)
+def task_euler(out, *, operator, steps=None, x0=None):
+    op = build_operator(operator)
+    steps = discrete.StepSequence.harmonic(100) if steps is None else build_steps(steps)
+    orbit = discrete.euler_scheme(op, np.zeros(op.dim) if x0 is None else x0, steps)
     header = ["n", "sigma", "tau"] + _coord_header("x", op.dim)
     rows = [
         [n, steps.sigma[n], steps.tau[n]] + list(orbit.points[n])
@@ -325,14 +335,11 @@ def task_euler(cfg, out):
     return EXIT_OK
 
 
-def _sample_rows(traj, cfg, param=None):
+def _sample_rows(traj, samples, param=None):
     """One row per time of `samples` evenly spaced ones in [0, T]: the dense
     output there, its error bound and (with param) lambda."""
-    count = convert(int, cfg.get("samples", 201), "samples")
-    if count < 1:
-        raise InputError(f"samples must be >= 1, got {count}")
     rows = []
-    for t in np.linspace(0.0, traj.times[-1], count):
+    for t in np.linspace(0.0, traj.times[-1], samples):
         row = [t] + list(traj.at(t)) + [traj.err_at(t)]
         if param is not None:
             row.append(param.value(float(t)))
@@ -340,27 +347,22 @@ def _sample_rows(traj, cfg, param=None):
     return rows
 
 
-def task_ode(cfg, out):
-    op = build_operator(cfg["operator"])
-    U0 = cfg.get("U0", [0.0] * op.dim)
-    T = convert(float, cfg.get("T", 20.0), "T")
-    tol = convert(float, cfg.get("tol", 1e-8), "tol")
-    traj = continuous.integrate_U(op, U0, T, tol=tol)
+def task_ode(out, *, operator, U0=None, T=20.0, tol=1e-8, samples=201):
+    op = build_operator(operator)
+    traj = continuous.integrate_U(op, np.zeros(op.dim) if U0 is None else U0, T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound"]
-    write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, cfg))
+    write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, samples))
     return EXIT_OK
 
 
-def task_phi_ode(cfg, out):
-    op = build_operator(cfg["operator"])
-    param = build_param(cfg.get("param", {"kind": "power_alpha", "alpha": 0.5}))
-    u0 = cfg.get("u0", [0.0] * op.dim)
-    T = convert(float, cfg.get("T", 20.0), "T")
-    tol = convert(float, cfg.get("tol", 1e-8), "tol")
-    traj = continuous.integrate_u(op, param, u0, T, tol=tol)
+def task_phi_ode(out, *, operator, param=None, u0=None, T=20.0, tol=1e-8, samples=201):
+    op = build_operator(operator)
+    param = continuous.PowerAlpha(0.5) if param is None else build_param(param)
+    traj = continuous.integrate_u(op, param, np.zeros(op.dim) if u0 is None else u0,
+                                  T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound", "lambda"]
     write_csv(os.path.join(out, "phi_ode.csv"), header,
-              _sample_rows(traj, cfg, param))
+              _sample_rows(traj, samples, param))
     return EXIT_OK
 
 
@@ -377,51 +379,60 @@ def _emit_reports(reports, out):
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_CHECK_FAILED
 
 
-def _settings_from(cfg):
-    given = cfg.get("settings", {})
+def _settings_from(given):
+    """A reader: the bounds.Settings that a 'settings' object sets."""
     defaults = vars(bounds.Settings())
     _check_keys(given, "settings", *defaults)
     return bounds.Settings(**{k: convert(type(defaults[k]), v, f"settings.{k}")
                               for k, v in given.items()})
 
 
-def task_verify(cfg, out):
-    op = build_operator(cfg["operator"])
-    checks = cfg.get("checks")
-    if not (isinstance(checks, list) and checks
-            and all(isinstance(c, str) for c in checks)):
-        raise InputError("verify: 'checks' must be a nonempty list of check ids")
+#: one reader per config key, whichever task takes it: it turns the config
+#: value into the task's argument; any other key reaches the task as given
+READERS = {
+    "N": bounds._count(1),
+    "T": float,
+    "tol": float,
+    "horizon": float,
+    "seed": int,
+    "samples": bounds._count(1),
+    "lambdas": bounds._list(float),
+    "checks": bounds._list(str),
+    "settings": _settings_from,
+    "game_file": os.fspath,
+}
+
+
+def task_verify(out, *, operator, checks, horizon=50.0, param=None, param2=None,
+                steps=None, steps2=None, starts=None, seed=0, extra=None,
+                settings=None):
     scenario = bounds.Scenario(
-        operator=op,
-        horizon=convert(float, cfg.get("horizon", 50.0), "horizon"),
-        param=build_param(cfg.get("param")),
-        param2=build_param(cfg.get("param2")),
-        steps=build_steps(cfg.get("steps")),
-        steps2=build_steps(cfg.get("steps2")),
-        starts=cfg.get("starts"),
-        seed=convert(int, cfg.get("seed", 0), "seed"),
-        extra=cfg.get("extra", {}),
+        operator=build_operator(operator),
+        horizon=horizon,
+        param=build_param(param),
+        param2=build_param(param2),
+        steps=build_steps(steps),
+        steps2=build_steps(steps2),
+        starts=starts,
+        seed=seed,
+        extra={} if extra is None else extra,
     )
-    settings = _settings_from(cfg)
     reports = []
     for check, sc in bounds.per_check(checks, scenario):
         reports.extend(bounds.verify(check, sc, settings))
     return _emit_reports(reports, out)
 
 
-def task_suite(cfg, out):
-    reports = bounds.run_suite(_settings_from(cfg))
-    return _emit_reports(reports, out)
+def task_suite(out, *, settings=None):
+    return _emit_reports(bounds.run_suite(settings), out)
 
 
-def task_generate_game(cfg, out):
-    operator = cfg.get("operator", {})
+def task_generate_game(out, *, operator, game_file="game.json"):
     g = operator.get("random_game") if isinstance(operator, dict) else None
     if not isinstance(g, dict):
         raise InputError("generate-game: needs an 'operator.random_game' object")
     game = _random_game(g)
-    name = convert(os.fspath, cfg.get("game_file", "game.json"), "game_file")
-    path = os.path.join(out, name)
+    path = os.path.join(out, game_file)
     write_json(path, game.to_dict())
     shapley.load_game(path)  # every emitted file must reload cleanly
     return EXIT_OK
@@ -458,9 +469,9 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        kwargs = bind(args.task, *load_config(args))
         os.makedirs(args.out, exist_ok=True)
-        return TASK_RUNNERS[args.task](cfg, args.out)
+        return TASK_RUNNERS[args.task](args.out, **kwargs)
     except SchemaError as exc:
         print(f"opdyn: schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -32,8 +32,11 @@ class ResourceError(OpdynError, RuntimeError):
 def convert(read, value, what):
     """read(value), where read converts a config value (int, float, a list
     of floats, a constructor); a TypeError, ValueError or OverflowError it
-    raises, an InputError included, becomes an InputError naming what."""
+    raises, an InputError included, becomes an InputError naming what,
+    unless it is an InputError that names what already."""
     try:
         return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, InputError) and str(exc).startswith((f"{what}:", f"{what}.")):
+            raise
         raise InputError(f"{what}: {exc}") from None

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opdyn import bounds, continuous, core, shapley
+from opdyn import bounds, continuous, core, discrete, shapley
 from opdyn.errors import InputError
 
 
@@ -103,6 +103,33 @@ def test_convboth_translation_and_skip(translation, game_op):
     for op, horizon in ((core.rotation(0.5), 50), (game_op, 1)):
         with pytest.raises(InputError, match="no report"):
             bounds.verify("convboth", bounds.Scenario(operator=op, horizon=horizon), FAST)
+
+
+def test_log_spaced_counts_are_read_once(translation):
+    # at horizon 3 the six log-spaced points from 2 to 3 truncate to 2 five
+    # times; each n is solved and reported once
+    pennies = shapley.ShapleyOperator(shapley.matching_pennies())
+    (rep,) = bounds.verify("convboth", bounds.Scenario(operator=pennies, horizon=3), FAST)
+    assert rep.context["n_values"] == [2, 3]
+    (rep,) = bounds.verify("discrete_slow", bounds.Scenario(operator=translation, horizon=3),
+                           FAST)
+    assert rep.context["n_values"] == [1, 2, 3]
+    assert [r.context["n"] for r in bounds.verify(
+        "convvn", bounds.Scenario(operator=translation, horizon=3), FAST)] == [2, 3]
+
+
+@pytest.mark.parametrize("check, steps, key", [
+    ("interpolation", discrete.StepSequence.constant(0.5, 20), "n_steps"),
+    ("kobayashi", discrete.StepSequence.harmonic(20), "pairs"),
+])
+def test_steps_and_the_count_they_replace_are_not_both_given(translation, check, steps,
+                                                            key):
+    horizon = {"horizon": 10} if check == "interpolation" else {}
+    sc = bounds.Scenario(operator=translation, steps=steps, extra={key: 7}, **horizon)
+    with pytest.raises(InputError, match=f"^steps, extra.{key}: give one of them, not both$"):
+        bounds.verify(check, sc, FAST)
+    del sc.extra[key]
+    _assert_all_pass(bounds.verify(check, sc, FAST))
 
 
 def test_kobayashi_on_rotation():

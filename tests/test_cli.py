@@ -1,5 +1,8 @@
+import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,9 +171,13 @@ def assert_csv_matches_json(rows, reports):
         assert json.loads(row[6].replace(";", ",")) == rep["context"]
 
 
-def test_verify_without_checks_is_config_error(tmp_path):
+def test_verify_without_checks_is_config_error(tmp_path, capsys):
     assert run(["verify", "--preset", "translation",
                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    # a string is not read as its characters
+    assert run(["verify", "--preset", "translation", "--set", "checks=norm_bounds",
+                "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "checks: must be a list, got 'norm_bounds'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check, sets", [
@@ -326,6 +333,13 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("phi_ode", "matching-pennies", "tol=Infinity"),
     ("discounted", "matching-pennies", "tol=Infinity"),
     ("generate-game", "random3", 'random_game={"states":2}'),
+    ("suite", "paper-suite", "horizon=5"),
+    ("ode", "rotation30", "N=5"),
+    ("discounted", "matching-pennies", "T=5"),
+    ("value_iter", "translation", "tol=1e-3"),
+    ("euler", "translation", "U0=[3]"),
+    ("phi_ode", "matching-pennies", "x0=[4]"),
+    ("discounted", "matching-pennies", "lambdas=[]"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
@@ -333,9 +347,70 @@ def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, p
     assert "config error" in capsys.readouterr().err
 
 
-def test_every_preset_key_is_a_known_config_key():
+def test_unread_key_is_named_with_the_keys_the_task_takes(tmp_path, capsys):
+    for task, preset, item in [("suite", "paper-suite", "horizon=5"),
+                               ("ode", "rotation30", "N=5"),
+                               ("euler", "translation", "U0=[3]"),
+                               ("phi_ode", "matching-pennies", "x0=[4]")]:
+        args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+        assert run(args) == cli.EXIT_CONFIG
+        key = item.split("=")[0]
+        assert f"config error: {key}: not a key of {task}, whose keys are " in (
+            capsys.readouterr().err)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"operator": {"builtin": "translation"}, "T": 5}))
+    assert run(["value_iter", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "config error: T: not a key of value_iter, whose keys are operator, N\n")
+    assert run(["verify", "--preset", "translation",
+                "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error: checks: missing for verify, whose keys are operator, checks," in (
+        capsys.readouterr().err)
+
+
+def test_preset_keys_the_task_does_not_take_are_dropped(tmp_path):
+    # rotation30 carries U0, T and tol for ode; value_iter takes none of them
+    assert run(["value_iter", "--preset", "rotation30", "--out", str(tmp_path)]) == 0
+    _, rows = csv_rows(tmp_path / "value_iter.csv")
+    assert len(rows) == 100
+
+
+def task_keys(task):
+    """The keyword-only parameters of a task function: its config keys."""
+    return [p for p in inspect.signature(task).parameters.values()
+            if p.kind is p.KEYWORD_ONLY]
+
+
+def test_every_preset_key_is_taken_by_some_task():
+    takes = {p.name for task in cli.TASK_RUNNERS.values() for p in task_keys(task)}
     for preset in cli.PRESETS.values():
-        assert set(preset) <= set(cli.CONFIG_KEYS)
+        assert set(preset) <= takes
+
+
+def test_readme_table_lists_each_tasks_keyword_only_parameters():
+    # README's "Task keys" table against the task signatures, each key as
+    # name or name=default; READERS reads only keys that some task takes
+    def shown(param):
+        d = param.default
+        if d is param.empty or d is None:
+            return param.name
+        return f"{param.name}={json.dumps(d)}"
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("### Task keys"):].split("\n\n")[2]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        task, keys = (re.findall(r"`([\w-]+(?:=[^`]*)?)`", cell)
+                      for cell in line.strip("|").split("|"))
+        rows[task[0]] = keys
+    want, taken = {}, set()
+    for name, task in cli.TASK_RUNNERS.items():
+        want[name] = [shown(p) for p in task_keys(task)]
+        taken.update(p.name for p in task_keys(task))
+        # a default is shared by every call, so none may be mutable
+        assert not any(isinstance(p.default, (list, dict, set)) for p in task_keys(task))
+    assert rows == want
+    assert set(cli.READERS) <= taken
 
 
 def test_unknown_task_is_rejected_with_the_known_ones_listed(capsys):
