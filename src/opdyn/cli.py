@@ -297,6 +297,13 @@ def _coord_header(prefix, dim):
     return [f"{prefix}_{i}" for i in range(dim)]
 
 
+def _start(op, value, key):
+    """The start point given as `key`, read by as_vec; zeros when not given."""
+    if value is None:
+        return np.zeros(op.dim)
+    return convert(lambda v: core.as_vec(v, op.dim), value, key)
+
+
 def task_value_iter(out, *, operator, N=100):
     op = build_operator(operator)
     _, vn = discrete.iterate_Vn(op, N)
@@ -325,7 +332,7 @@ def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
 def task_euler(out, *, operator, steps=None, x0=None):
     op = build_operator(operator)
     steps = discrete.StepSequence.harmonic(100) if steps is None else build_steps(steps)
-    orbit = discrete.euler_scheme(op, np.zeros(op.dim) if x0 is None else x0, steps)
+    orbit = discrete.euler_scheme(op, _start(op, x0, "x0"), steps)
     header = ["n", "sigma", "tau"] + _coord_header("x", op.dim)
     rows = [
         [n, steps.sigma[n], steps.tau[n]] + list(orbit.points[n])
@@ -349,7 +356,7 @@ def _sample_rows(traj, samples, param=None):
 
 def task_ode(out, *, operator, U0=None, T=20.0, tol=1e-8, samples=201):
     op = build_operator(operator)
-    traj = continuous.integrate_U(op, np.zeros(op.dim) if U0 is None else U0, T, tol=tol)
+    traj = continuous.integrate_U(op, _start(op, U0, "U0"), T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound"]
     write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, samples))
     return EXIT_OK
@@ -358,8 +365,7 @@ def task_ode(out, *, operator, U0=None, T=20.0, tol=1e-8, samples=201):
 def task_phi_ode(out, *, operator, param=None, u0=None, T=20.0, tol=1e-8, samples=201):
     op = build_operator(operator)
     param = continuous.PowerAlpha(0.5) if param is None else build_param(param)
-    traj = continuous.integrate_u(op, param, np.zeros(op.dim) if u0 is None else u0,
-                                  T, tol=tol)
+    traj = continuous.integrate_u(op, param, _start(op, u0, "u0"), T, tol=tol)
     header = ["t"] + _coord_header("u", op.dim) + ["err_bound", "lambda"]
     write_csv(os.path.join(out, "phi_ode.csv"), header,
               _sample_rows(traj, samples, param))

@@ -20,6 +20,7 @@ estimates (see Trajectory).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ def zeta_inverse(s):
         raise InputError("s must be >= 0")
     t = max(0.0, s - np.log1p(s))
     for _ in range(100):
-        r = zeta(t) - s
+        r = t + np.log1p(t) - s  # zeta(t) - s
         if abs(r) <= 1e-12:
             return t
         t = max(0.0, t - r / (1.0 + 1.0 / (1.0 + t)))
@@ -155,8 +156,9 @@ class Table(Parametrization):
             raise InputError("knot values must lie in (0, 1]")
         self.ts = ts
         self.vs = vs
+        self._knots = ts.tolist()
         # slope of each piece; 0 on the held tail past the last knot
-        self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0)
+        self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0).tolist()
         self._cum = _cumtrapz(vs, ts)  # exact on linear pieces
 
     def _piece(self, t):
@@ -164,15 +166,15 @@ class Table(Parametrization):
         knot on the held tail; the same arithmetic as np.interp."""
         if t < 0:
             raise InputError("t must be >= 0")
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        dt = t - self.ts[k]
+        k = bisect_right(self._knots, t) - 1
+        dt = t - self._knots[k]
         return k, dt, self._slope[k] * dt + self.vs[k]
 
     def value(self, t):
         return float(self._piece(t)[2])
 
     def derivative(self, t):
-        return float(self._slope[self._piece(t)[0]])
+        return self._slope[self._piece(t)[0]]
 
     def integral(self, t):
         k, dt, value = self._piece(t)
@@ -205,6 +207,9 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                   -10690763975 / 1880347072, 701980252875 / 199316789632,
                   -1453857185 / 822651844, 69997945 / 29380423])
+#: the stage rows a_i,:i and the nodes c_i (Python floats), cut once
+_DP_ROWS = [_DP_A[i, :i] for i in range(7)]
+_DP_NODES = _DP_C.tolist()
 
 #: share c of tol granted to the local error estimates: step k is accepted
 #: when est_k <= c tol h_k / T, so the estimates over [0, T] sum to <= c tol
@@ -259,15 +264,20 @@ class Trajectory:
     dense: np.ndarray
 
     def at(self, t):
-        """Dense evaluation by the Dormand-Prince continuous extension."""
+        """Dense evaluation by the Dormand-Prince continuous extension: its
+        five coefficients are computed on Python floats, then each scales its
+        vector, summed in the order written."""
         k, s = locate(self.times, t)
-        h = self.times[k + 1] - self.times[k]
+        h = float(self.times[k + 1]) - float(self.times[k])
         r = 1.0 - s
-        return ((1.0 + 2.0 * s) * r * r * self.points[k]
-                + s * r * r * h * self.derivative[k]
-                + s * s * (3.0 - 2.0 * s) * self.points[k + 1]
-                - s * s * r * h * self.derivative[k + 1]
-                + s * s * r * r * self.dense[k])
+        c0 = (1.0 + 2.0 * s) * r * r
+        c1 = s * r * r * h
+        c2 = s * s * (3.0 - 2.0 * s)
+        c3 = s * s * r * h
+        c4 = s * s * r * r
+        return (c0 * self.points[k] + c1 * self.derivative[k]
+                + c2 * self.points[k + 1] - c3 * self.derivative[k + 1]
+                + c4 * self.dense[k])
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
@@ -313,8 +323,8 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
             if h <= 4.0 * np.spacing(end):
                 raise ResourceError(f"step size underflow at t = {t}")
             for i in range(1, 7):
-                stage = y + h * (_DP_A[i, :i] @ K[:i])
-                K[i] = rhs(end if i == 6 else t + _DP_C[i] * h, stage)
+                stage = y + h * (_DP_ROWS[i] @ K[:i])
+                K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
             est = norm(h * (_DP_E @ K), norm_kind)
             ratio = est / (target * h)
             if ratio <= 1.0:

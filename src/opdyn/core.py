@@ -15,6 +15,7 @@ policy (Newton) steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,16 @@ RATIO_TOL = 1e-12
 #: pairs closer than this are skipped when forming ratios (0/0 noise)
 PAIR_MIN_DIST = 1e-9
 
+_FLOAT = np.dtype(float)
+
 
 def as_vec(x, dim=None):
-    """Validate and return a finite 1-d float array."""
+    """Validate and return a finite 1-d float array; x itself when it is one
+    (a finite sum is the fast finiteness test, a sum that overflows falls
+    through to the entrywise one)."""
+    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 1
+            and (dim is None or x.shape[0] == dim) and math.isfinite(sum(x.tolist()))):
+        return x
     try:
         v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -53,7 +61,7 @@ def norm(x, kind=SUP):
     """Norm of a vector: max|x_i| for sup, sqrt(sum x_i^2) for euclidean."""
     v = as_vec(x)
     if kind == SUP:
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return float(abs(v).max()) if v.size else 0.0
     if kind == EUCLIDEAN:
         return float(np.linalg.norm(v))
     raise InputError(f"unknown norm kind {kind!r}")

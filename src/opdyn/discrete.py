@@ -94,15 +94,18 @@ def _step_orbit(op, x0, steps, step):
 
 def locate(grid, t):
     """(k, s) with t = grid[k] + s (grid[k+1] - grid[k]), s in [0, 1] (the
-    last sample gives k = len(grid) - 2, s = 1).  t is clamped onto the grid
-    from within 1e-12; further out it raises InputError."""
-    if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
-        raise InputError(f"time {t} outside [{grid[0]}, {grid[-1]}]")
-    t = min(max(t, grid[0]), grid[-1])
-    k = int(np.searchsorted(grid, t, side="right")) - 1
+    last sample gives k = len(grid) - 2, s = 1), for a sorted float array
+    grid; s is a Python float.  t is clamped onto the grid from within
+    1e-12; further out it raises InputError."""
+    first, last = float(grid[0]), float(grid[-1])
+    if t < first - 1e-12 or t > last + 1e-12:
+        raise InputError(f"time {t} outside [{first}, {last}]")
+    t = min(max(float(t), first), last)
+    k = int(grid.searchsorted(t, side="right")) - 1
     if k >= len(grid) - 1:
         return len(grid) - 2, 1.0
-    return k, (t - grid[k]) / (grid[k + 1] - grid[k])
+    a = float(grid[k])
+    return k, (t - a) / (float(grid[k + 1]) - a)
 
 
 def iterate_Vn(op, N):

@@ -66,6 +66,8 @@ class StochasticGame:
         for field in ("actions", "payoff", "transition"):
             if len(getattr(self, field)) != S:
                 raise SchemaError(f"expected {S} entries", field)
+        # the validated arrays replace the entries of copies, not of the caller's lists
+        self.payoff, self.transition = list(self.payoff), list(self.transition)
         for s in range(S):
             m, n = self.actions[s]
             if m < 1 or n < 1:

@@ -347,6 +347,18 @@ def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, p
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, preset, item, message", [
+    ("ode", "rotation30", "U0=5", "U0: dimension mismatch: expected 2, got 1"),
+    ("phi_ode", "matching-pennies", "u0=[1, 2]", "u0: dimension mismatch: expected 1, got 2"),
+    ("euler", "translation", "x0=[1, 2]", "x0: dimension mismatch: expected 1, got 2"),
+])
+def test_start_point_of_the_wrong_dimension_is_named(tmp_path, capsys, task, preset,
+                                                     item, message):
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(f"config error: {message}\n")
+
+
 def test_unread_key_is_named_with_the_keys_the_task_takes(tmp_path, capsys):
     for task, preset, item in [("suite", "paper-suite", "horizon=5"),
                                ("ode", "rotation30", "N=5"),

@@ -141,6 +141,48 @@ def test_trajectory_dense_reads_hit_the_samples_exactly():
         assert traj.at(t).tolist() == traj.points[i].tolist()
 
 
+@pytest.mark.parametrize("flow", ["U", "table"])
+def test_trajectory_reads_inside_steps_are_the_extension_bit_for_bit(flow):
+    # the continuous extension written out on numpy scalars and arrays, at
+    # 50 interior times of every step
+    op = core.AffineNonexpansive([[0.5, -0.25, 0.25], [0.0, 0.6, -0.4],
+                                  [0.3, 0.3, -0.3]], [1.0, -0.5, 0.25])
+    start = np.array([0.5, 2.0, -1.0])
+    if flow == "U":
+        traj = continuous.integrate_U(op, start, 6.0, tol=1e-8)
+    else:
+        param = continuous.Table([(0.0, 0.9), (1.5, 0.4), (4.0, 0.7)])
+        traj = continuous.integrate_u(op, param, start, 6.0, tol=1e-8)
+    times, P, D = traj.times, traj.points, traj.derivative
+    for k in range(times.size - 1):
+        h = times[k + 1] - times[k]
+        for frac in np.linspace(0.0, 1.0, 52)[1:-1]:
+            t = times[k] + frac * h
+            s = (t - times[k]) / h
+            r = 1.0 - s
+            want = ((1.0 + 2.0 * s) * r * r * P[k]
+                    + s * r * r * h * D[k]
+                    + s * s * (3.0 - 2.0 * s) * P[k + 1]
+                    - s * s * r * h * D[k + 1]
+                    + s * s * r * r * traj.dense[k])
+            assert traj.at(t).tobytes() == want.tobytes()
+
+
+class _BlowsUp(core.Operator):
+    """J(x) = x + 1 below 3 and inf from there: U(t) = t reaches it at 3."""
+
+    dim, norm_kind = 1, core.SUP
+
+    def J(self, x):
+        x = core.as_vec(x, 1)
+        return x + 1.0 if x[0] < 3.0 else np.full(1, np.inf)
+
+
+def test_integrate_U_raises_when_J_turns_infinite():
+    with pytest.raises(InputError, match="NaN or infinite"):
+        continuous.integrate_U(_BlowsUp(), np.zeros(1), 10.0)
+
+
 def test_trajectory_rejects_out_of_range():
     op = core.Translation([1.0])
     traj = continuous.integrate_U(op, np.zeros(1), 1.0, tol=1e-8)

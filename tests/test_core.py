@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,40 @@ def test_as_vec_rejects_non_numeric_input():
     for bad in ([5.0, "x"], ["x"], [[1.0], [1.0, 2.0]], {"a": 1}):
         with pytest.raises(InputError):
             core.as_vec(bad)
+
+
+def test_as_vec_returns_a_valid_float_vector_itself():
+    v = np.array([1.0, -2.0, 3.5])
+    assert core.as_vec(v) is v
+    assert core.as_vec(v, dim=3) is v
+    assert core.as_vec(np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 1.0], "vector has NaN or infinite entries"),
+    ([np.inf, 1.0], "vector has NaN or infinite entries"),
+    ([np.inf, -np.inf], "vector has NaN or infinite entries"),
+    ([1.0, 2.0, 3.0], "dimension mismatch: expected 2, got 3"),
+    ([[1.0, 2.0], [3.0, 4.0]], r"expected a vector, got array of shape \(2, 2\)"),
+])
+def test_as_vec_messages_on_float_arrays_and_lists(bad, message):
+    for x in (np.array(bad), bad):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            core.as_vec(x, dim=2)
+
+
+def test_as_vec_accepts_a_finite_vector_whose_sum_overflows():
+    v = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert core.as_vec(v, dim=2) is v
+        assert core.as_vec([1e308, -1e308, 1e308]).tolist() == [1e308, -1e308, 1e308]
+
+
+def test_as_vec_converts_int_arrays_and_lists():
+    for x in (np.array([1, -2]), [1, -2], (1, -2), np.array([1.0, -2.0], dtype=np.float32)):
+        v = core.as_vec(x, dim=2)
+        assert v is not x and v.dtype == np.float64 and v.tolist() == [1.0, -2.0]
 
 
 _OPERATORS = [

@@ -478,3 +478,30 @@ def test_transition_row_sum_validation():
     doc["transition"][0][0][0] = [0.7]
     with pytest.raises(SchemaError, match="row sums"):
         shapley.load_game(doc)
+
+
+def test_two_games_from_one_pair_of_lists_are_equal_and_leave_the_lists_alone():
+    # the discounted-grid inputs: 8 states, 4x4 games, rows normalized by the
+    # caller, so a second normalization could move their last bits
+    rng = np.random.default_rng(1)
+    S, m, n = 8, 4, 4
+    payoff = [rng.uniform(-1.0, 1.0, size=(m, n)) for _ in range(S)]
+    transition = []
+    for _ in range(S):
+        raw = rng.uniform(0.0, 1.0, size=(m, n, S)) + 1e-3
+        transition.append(raw / raw.sum(axis=-1, keepdims=True))
+    given = list(payoff), list(transition)
+    games = [shapley.StochasticGame([f"s{i}" for i in range(S)], [(m, n)] * S,
+                                    payoff, transition) for _ in range(2)]
+    assert all(a is b for a, b in zip(payoff, given[0]))
+    assert all(a is b for a, b in zip(transition, given[1]))
+    (states1, P1, R1), = games[0].shape_groups
+    (states2, P2, R2), = games[1].shape_groups
+    assert states1 == states2
+    assert P1.tobytes() == P2.tobytes() and R1.tobytes() == R2.tobytes()
+    for game in games:
+        (_, _, R), = game.shape_groups
+        assert all(np.shares_memory(game.transition[s], R) for s in range(S))
+    x = rng.uniform(-1.0, 1.0, size=S)
+    J1, J2 = (shapley.ShapleyOperator(g).J(x) for g in games)
+    assert J1.tobytes() == J2.tobytes()
