@@ -26,7 +26,7 @@ from .errors import InputError, convert
 BASE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Settings:
     ode_tol: float = 1e-6
     fp_tol: float = 1e-10
@@ -120,10 +120,18 @@ def _starts(op, starts, *defaults):
     return [core.as_vec(x, op.dim) for x in starts[:len(defaults)]]
 
 
+def _integer(value):
+    """A reader: an int; an integral float such as 1e3 is one, a bool or a
+    fraction is not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _count(least):
-    """A reader: an int that must be >= least."""
+    """A reader: an integer that must be >= least."""
     def read(value):
-        n = int(value)
+        n = _integer(value)
         if n < least:
             raise InputError(f"must be >= {least}, got {n}")
         return n
@@ -159,7 +167,7 @@ READERS = {
     "grid": _count(1),
     "lambda_seq": _list(float),
     "lambdas": _list(float),
-    "m_values": _list(int),
+    "m_values": _list(_integer),
     "n_steps": _count(1),
     "n_values": _list(_count(1)),
     "nmax": _count(0),
@@ -315,7 +323,11 @@ def _euler_vs_flow(op, st, count, horizon, steps, starts):
     """Euler orbit x and flow U from one start, compared at count indices k:
     the (k, sigma_k, ||x_k - U(sigma_k)||, the flow's error bound there),
     the steps and ||A(x_0)||."""
-    steps = steps or discrete.StepSequence.harmonic(int(horizon))
+    if steps is None:
+        steps = discrete.StepSequence.harmonic(int(horizon))
+    elif abs(steps.sigma[-1] - horizon) > 1e-9:
+        raise InputError(f"steps, horizon: sigma_N = {steps.sigma[-1]} differs from "
+                         f"the horizon {horizon}")
     (x0,) = _starts(op, starts, _second_start(op))
     orbit = discrete.euler_scheme(op, x0, steps)
     traj = continuous.integrate_U(op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
@@ -682,6 +694,8 @@ def suite_plan():
     itz = continuous.InverseTimeZeta()
     pa0 = continuous.PowerAlpha(0.0)
     table_const = continuous.Table([(0.0, 0.6), (5.0, 0.5), (6.0, 0.5)])
+    harmonic = discrete.StepSequence.harmonic(100)
+    inverse_sqrt = discrete.StepSequence.inverse_sqrt(100)
 
     def S(op, **kw):
         return Scenario(operator=op, **kw)
@@ -704,8 +718,8 @@ def suite_plan():
         ("expo", S(rnd, horizon=5)),
         ("kobayashi", S(rot, extra={"pairs": 5})),
         ("kobayashi", S(rnd, extra={"pairs": 5})),
-        ("euler_vs_ode", S(rot, horizon=100, steps=discrete.StepSequence.harmonic(100))),
-        ("euler_vs_ode", S(rnd, horizon=100, steps=discrete.StepSequence.inverse_sqrt(100))),
+        ("euler_vs_ode", S(rot, horizon=float(harmonic.sigma[-1]), steps=harmonic)),
+        ("euler_vs_ode", S(rnd, horizon=float(inverse_sqrt.sigma[-1]), steps=inverse_sqrt)),
         ("normalized_euler", S(rot, horizon=100)),
         ("normalized_euler", S(rnd, horizon=100)),
         ("interpolation", S(rot, horizon=10)),

@@ -6,7 +6,8 @@ Command shape:
 
 Tasks: value_iter, discounted, euler, ode, phi_ode, verify, suite,
 generate-game; a task's keyword-only parameters are its top-level config
-keys.  Config is JSON; --set overrides dotted keys.  All artifacts
+keys, and a spec constructor's (OPERATORS, PARAMS, STEPS) the keys of its
+config object.  Config is JSON; --set overrides dotted keys.  All artifacts
 are written atomically with shortest-round-trip float formatting, so
 re-running a config reproduces byte-identical files.
 """
@@ -110,132 +111,102 @@ def load_config(args):
     return cfg, given
 
 
-def bind(task, cfg, given):
-    """The keyword arguments of TASK_RUNNERS[task]: each key of cfg that it
-    takes, converted by the key's READERS entry (any other key as given).
-    A key in given that the task does not take, and a required key cfg
-    lacks, are an InputError; cfg's other keys (a preset's) are dropped."""
-    params = inspect.signature(TASK_RUNNERS[task]).parameters.values()
-    takes = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+def bind(fn, cfg, given, name, at=""):
+    """The keyword arguments of fn, the task or spec constructor called
+    name: each key of cfg that fn takes, converted by the key's READERS
+    entry (any other key as given).  fn's keys are its keyword-only
+    parameters less a trailing _, so lambda_ is the key lambda.  A key in
+    given that fn does not take, and a required key cfg lacks, are an
+    InputError naming the key as at + key; cfg's other keys (a preset's)
+    are dropped."""
+    params = inspect.signature(fn).parameters.values()
+    takes = {p.name.rstrip("_"): p for p in params if p.kind is p.KEYWORD_ONLY}
     unread = sorted(given.difference(takes))
     missing = [k for k, p in takes.items() if p.default is p.empty and k not in cfg]
     if unread or missing:
-        raise InputError(f"{', '.join(unread or missing)}: "
-                         f"{'not a key of' if unread else 'missing for'} {task}, "
-                         f"whose keys are {', '.join(takes)}")
-    return {k: convert(READERS[k], v, k) if k in READERS else v
+        raise InputError(f"{', '.join(at + k for k in unread or missing)}: "
+                         f"{'not a key of' if unread else 'missing for'} {name}, "
+                         f"whose keys are {', '.join(takes) or 'none'}")
+    return {takes[k].name: convert(READERS[k], v, at + k) if k in READERS else v
             for k, v in cfg.items() if k in takes}
 
 
-def _check_keys(spec, what, *keys):
-    """InputError unless spec is an object whose keys all lie in keys."""
+def _build(fn, spec, name, at):
+    """fn called with its keys bound from spec, the config object at the
+    dotted key at; a TypeError or ValueError of fn is an InputError naming
+    at."""
     if not isinstance(spec, dict):
-        raise InputError(f"{what}: must be an object")
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise InputError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
+        raise InputError(f"{at}: must be an object")
+    kwargs = bind(fn, spec, set(spec), name, f"{at}.")
+    return convert(lambda kw: fn(**kw), kwargs, at)
 
 
-def build_operator(spec):
-    if not isinstance(spec, dict):
-        raise InputError("operator: must be an object")
-    sources = [k for k in ("builtin", "game", "game_builtin", "random_game") if k in spec]
+def _kind(kinds, at, tag="kind"):
+    """A reader of the spec object at the dotted key at: None as itself
+    (the default), else the object that kinds[spec[tag]] builds from the
+    spec's other keys."""
+    def read(spec):
+        if spec is None:
+            return None
+        if not isinstance(spec, dict) or spec.get(tag) not in kinds:
+            raise InputError(f"{at}: must be an object whose {tag} is one of "
+                             f"{', '.join(kinds)}")
+        kind, rest = spec[tag], {k: v for k, v in spec.items() if k != tag}
+        return _build(kinds[kind], rest, f"the {kind} {at}", at)
+    return read
+
+
+#: the spec objects' constructors: each one's keyword-only parameters are
+#: its keys, with their defaults.  An operator object names one of
+#: OPERATORS' keys: builtin and game_builtin name a constructor whose keys
+#: stand beside them, random_game and game are the keys of their own.
+OPERATORS = {
+    "builtin": {
+        "translation": lambda *, c=(1.0,), norm=None: core.Translation(
+            c, norm_kind=norm or core.SUP),
+        "rotation": lambda *, theta_degrees=30.0: core.rotation(np.deg2rad(theta_degrees)),
+        "affine": lambda *, matrix, offset, norm=None: core.AffineNonexpansive(
+            matrix, offset, norm_kind=norm or core.SUP),
+        "identity": lambda *, dim=1: core.identity_operator(dim),
+    },
+    "game_builtin": {
+        "matching-pennies": lambda: shapley.ShapleyOperator(shapley.matching_pennies()),
+    },
+    "random_game": lambda *, random_game: shapley.ShapleyOperator(random_game),
+    "game": lambda *, game: shapley.ShapleyOperator(shapley.load_game(game)),
+}
+
+
+def _random_game(*, states=3, rows=2, cols=2, payoff_range=(-1.0, 1.0), seed=0):
+    """The game of a random_game object."""
+    return shapley.random_game(states, rows, cols, payoff_range, seed)
+
+
+PARAMS = {
+    "constant": lambda *, lambda_=0.5: continuous.Constant(lambda_),
+    "inverse_time_zeta": continuous.InverseTimeZeta,
+    "power_alpha": lambda *, alpha=0.5: continuous.PowerAlpha(alpha),
+    "table": lambda *, knots: continuous.Table(knots),
+}
+STEPS = {
+    "constant": lambda *, lambda_=0.5, N: discrete.StepSequence.constant(lambda_, N),
+    "harmonic": lambda *, N: discrete.StepSequence.harmonic(N),
+    "inverse_sqrt": lambda *, N: discrete.StepSequence.inverse_sqrt(N),
+    "explicit": lambda *, values: discrete.StepSequence(values),
+}
+
+
+def _operator(spec):
+    """A reader: the operator that an operator object names with exactly
+    one of OPERATORS' keys."""
+    sources = [k for k in OPERATORS if isinstance(spec, dict) and k in spec]
     if len(sources) != 1:
-        raise InputError(
-            "operator: exactly one of builtin / game / game_builtin / random_game"
-        )
-    kind = sources[0]
-    if kind == "builtin":
-        name = spec["builtin"]
-        norm_kind = spec.get("norm") or core.SUP
-        if name == "translation":
-            _check_keys(spec, "operator", "builtin", "c", "norm")
-            return core.Translation(spec.get("c", [1.0]), norm_kind=norm_kind)
-        if name == "rotation":
-            _check_keys(spec, "operator", "builtin", "theta_degrees")
-            degrees = convert(float, spec.get("theta_degrees", 30.0),
-                              "operator.theta_degrees")
-            return core.rotation(np.deg2rad(degrees))
-        if name == "affine":
-            _check_keys(spec, "operator", "builtin", "matrix", "offset", "norm")
-            return core.AffineNonexpansive(spec["matrix"], spec["offset"],
-                                           norm_kind=norm_kind)
-        if name == "identity":
-            _check_keys(spec, "operator", "builtin", "dim")
-            return core.identity_operator(
-                convert(int, spec.get("dim", 1), "operator.dim"))
-        raise InputError(f"operator: unknown builtin {name!r}")
-    _check_keys(spec, "operator", kind)
-    if kind == "game":
-        return shapley.ShapleyOperator(shapley.load_game(spec["game"]))
-    if kind == "game_builtin":
-        name = spec["game_builtin"]
-        if name != "matching-pennies":
-            raise InputError(f"operator: unknown game_builtin {name!r}")
-        return shapley.ShapleyOperator(shapley.matching_pennies())
-    return shapley.ShapleyOperator(_random_game(spec["random_game"]))
-
-
-def _random_game(g):
-    """A seeded random game from a 'random_game' config object."""
-    _check_keys(g, "random_game", "states", "rows", "cols", "payoff_range", "seed")
-
-    def read(key, default, kind=int):
-        return convert(kind, g.get(key, default), f"random_game.{key}")
-
-    return shapley.random_game(
-        read("states", 3), read("rows", 2), read("cols", 2),
-        read("payoff_range", (-1.0, 1.0), _interval), seed=read("seed", 0),
-    )
-
-
-def _interval(pair):
-    lo, hi = pair
-    return float(lo), float(hi)
-
-
-def build_param(spec):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InputError("param: must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "constant":
-        _check_keys(spec, "param", "kind", "lambda")
-        lam = convert(float, spec.get("lambda", 0.5), "param.lambda")
-        return continuous.Constant(lam)
-    if kind == "inverse_time_zeta":
-        _check_keys(spec, "param", "kind")
-        return continuous.InverseTimeZeta()
-    if kind == "power_alpha":
-        _check_keys(spec, "param", "kind", "alpha")
-        alpha = convert(float, spec.get("alpha", 0.5), "param.alpha")
-        return continuous.PowerAlpha(alpha)
-    if kind == "table":
-        _check_keys(spec, "param", "kind", "knots")
-        return convert(continuous.Table, spec["knots"], "param.knots")
-    raise InputError(f"param: unknown kind {kind!r}")
-
-
-def build_steps(spec):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InputError("steps: must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "constant":
-        _check_keys(spec, "steps", "kind", "lambda", "N")
-        return discrete.StepSequence.constant(
-            convert(float, spec.get("lambda", 0.5), "steps.lambda"),
-            convert(int, spec["N"], "steps.N"),
-        )
-    if kind in ("harmonic", "inverse_sqrt"):
-        _check_keys(spec, "steps", "kind", "N")
-        return getattr(discrete.StepSequence, kind)(convert(int, spec["N"], "steps.N"))
-    if kind == "explicit":
-        _check_keys(spec, "steps", "kind", "values")
-        return convert(discrete.StepSequence, spec["values"], "steps.values")
-    raise InputError(f"steps: unknown kind {kind!r}")
+        raise InputError(f"operator: must be an object with exactly one of "
+                         f"{' / '.join(OPERATORS)}")
+    source = sources[0]
+    if isinstance(OPERATORS[source], dict):
+        return _kind(OPERATORS[source], "operator", source)(spec)
+    return _build(OPERATORS[source], spec, f"the {source} operator", "operator")
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +276,10 @@ def _start(op, value, key):
 
 
 def task_value_iter(out, *, operator, N=100):
-    op = build_operator(operator)
-    _, vn = discrete.iterate_Vn(op, N)
-    header = ["n"] + _coord_header("v", op.dim) + ["norm_vn"]
+    _, vn = discrete.iterate_Vn(operator, N)
+    header = ["n"] + _coord_header("v", operator.dim) + ["norm_vn"]
     rows = [
-        [n + 1] + list(vn[n]) + [op.norm(vn[n])]
+        [n + 1] + list(vn[n]) + [operator.norm(vn[n])]
         for n in range(N)
     ]
     write_csv(os.path.join(out, "value_iter.csv"), header, rows)
@@ -319,21 +289,19 @@ def task_value_iter(out, *, operator, N=100):
 def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
     """discounted.csv: v_lam per lambda, with the solver's iterations (its
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
-    op = build_operator(operator)
-    header = ["lambda"] + _coord_header("v", op.dim) + ["iterations", "certified_error"]
+    header = ["lambda"] + _coord_header("v", operator.dim) + ["iterations", "certified_error"]
     rows = []
     for lam in lambdas:
-        res = discrete.solve_vlambda(op, lam, tol=tol, full=True)
+        res = discrete.solve_vlambda(operator, lam, tol=tol, full=True)
         rows.append([lam] + list(res.v) + [res.iterations, res.certified_error])
     write_csv(os.path.join(out, "discounted.csv"), header, rows)
     return EXIT_OK
 
 
 def task_euler(out, *, operator, steps=None, x0=None):
-    op = build_operator(operator)
-    steps = discrete.StepSequence.harmonic(100) if steps is None else build_steps(steps)
-    orbit = discrete.euler_scheme(op, _start(op, x0, "x0"), steps)
-    header = ["n", "sigma", "tau"] + _coord_header("x", op.dim)
+    steps = discrete.StepSequence.harmonic(100) if steps is None else steps
+    orbit = discrete.euler_scheme(operator, _start(operator, x0, "x0"), steps)
+    header = ["n", "sigma", "tau"] + _coord_header("x", operator.dim)
     rows = [
         [n, steps.sigma[n], steps.tau[n]] + list(orbit.points[n])
         for n in range(len(steps) + 1)
@@ -355,18 +323,16 @@ def _sample_rows(traj, samples, param=None):
 
 
 def task_ode(out, *, operator, U0=None, T=20.0, tol=1e-8, samples=201):
-    op = build_operator(operator)
-    traj = continuous.integrate_U(op, _start(op, U0, "U0"), T, tol=tol)
-    header = ["t"] + _coord_header("u", op.dim) + ["err_bound"]
+    traj = continuous.integrate_U(operator, _start(operator, U0, "U0"), T, tol=tol)
+    header = ["t"] + _coord_header("u", operator.dim) + ["err_bound"]
     write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, samples))
     return EXIT_OK
 
 
 def task_phi_ode(out, *, operator, param=None, u0=None, T=20.0, tol=1e-8, samples=201):
-    op = build_operator(operator)
-    param = continuous.PowerAlpha(0.5) if param is None else build_param(param)
-    traj = continuous.integrate_u(op, param, _start(op, u0, "u0"), T, tol=tol)
-    header = ["t"] + _coord_header("u", op.dim) + ["err_bound", "lambda"]
+    param = continuous.PowerAlpha(0.5) if param is None else param
+    traj = continuous.integrate_u(operator, param, _start(operator, u0, "u0"), T, tol=tol)
+    header = ["t"] + _coord_header("u", operator.dim) + ["err_bound", "lambda"]
     write_csv(os.path.join(out, "phi_ode.csv"), header,
               _sample_rows(traj, samples, param))
     return EXIT_OK
@@ -385,27 +351,38 @@ def _emit_reports(reports, out):
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_CHECK_FAILED
 
 
-def _settings_from(given):
-    """A reader: the bounds.Settings that a 'settings' object sets."""
-    defaults = vars(bounds.Settings())
-    _check_keys(given, "settings", *defaults)
-    return bounds.Settings(**{k: convert(type(defaults[k]), v, f"settings.{k}")
-                              for k, v in given.items()})
-
-
-#: one reader per config key, whichever task takes it: it turns the config
-#: value into the task's argument; any other key reaches the task as given
+#: one reader per config key, whichever task or spec object takes it: it
+#: turns the config value into the argument; any other key is passed as given
 READERS = {
+    "operator": _operator,
     "N": bounds._count(1),
     "T": float,
     "tol": float,
     "horizon": float,
-    "seed": int,
+    "seed": bounds._count(0),
     "samples": bounds._count(1),
     "lambdas": bounds._list(float),
     "checks": bounds._list(str),
-    "settings": _settings_from,
+    "param": _kind(PARAMS, "param"),
+    "param2": _kind(PARAMS, "param2"),
+    "steps": _kind(STEPS, "steps"),
+    "steps2": _kind(STEPS, "steps2"),
+    "settings": lambda spec: _build(bounds.Settings, spec, "settings", "settings"),
     "game_file": os.fspath,
+    # the spec objects' keys
+    "theta_degrees": float,
+    "dim": bounds._count(1),
+    "random_game": lambda spec: _build(_random_game, spec, "random_game",
+                                      "operator.random_game"),
+    "states": bounds._count(1),
+    "rows": bounds._count(1),
+    "cols": bounds._count(1),
+    "payoff_range": bounds._list(float),
+    "lambda": float,
+    "alpha": float,
+    "ode_tol": float,
+    "fp_tol": float,
+    "decay_factor": float,
 }
 
 
@@ -413,12 +390,12 @@ def task_verify(out, *, operator, checks, horizon=50.0, param=None, param2=None,
                 steps=None, steps2=None, starts=None, seed=0, extra=None,
                 settings=None):
     scenario = bounds.Scenario(
-        operator=build_operator(operator),
+        operator=operator,
         horizon=horizon,
-        param=build_param(param),
-        param2=build_param(param2),
-        steps=build_steps(steps),
-        steps2=build_steps(steps2),
+        param=param,
+        param2=param2,
+        steps=steps,
+        steps2=steps2,
         starts=starts,
         seed=seed,
         extra={} if extra is None else extra,
@@ -434,12 +411,11 @@ def task_suite(out, *, settings=None):
 
 
 def task_generate_game(out, *, operator, game_file="game.json"):
-    g = operator.get("random_game") if isinstance(operator, dict) else None
-    if not isinstance(g, dict):
-        raise InputError("generate-game: needs an 'operator.random_game' object")
-    game = _random_game(g)
+    if not isinstance(operator, shapley.ShapleyOperator):
+        raise InputError("operator: generate-game needs a game "
+                         "(random_game, game_builtin or game)")
     path = os.path.join(out, game_file)
-    write_json(path, game.to_dict())
+    write_json(path, operator.game.to_dict())
     shapley.load_game(path)  # every emitted file must reload cleanly
     return EXIT_OK
 
@@ -475,7 +451,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        kwargs = bind(args.task, *load_config(args))
+        kwargs = bind(TASK_RUNNERS[args.task], *load_config(args), args.task)
         os.makedirs(args.out, exist_ok=True)
         return TASK_RUNNERS[args.task](args.out, **kwargs)
     except SchemaError as exc:
@@ -490,9 +466,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"opdyn: io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KeyError as exc:
-        print(f"opdyn: config error: missing field {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

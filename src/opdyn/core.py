@@ -126,6 +126,8 @@ class AffineNonexpansive(Operator):
         M = np.asarray(matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InputError("matrix must be square")
+        if not M.size:
+            raise InputError("matrix is empty: the dimension must be >= 1")
         if not np.all(np.isfinite(M)):
             raise InputError("matrix has non-finite entries")
         self.matrix, self.dim, self.norm_kind = M, M.shape[0], norm_kind

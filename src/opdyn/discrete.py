@@ -96,9 +96,9 @@ def locate(grid, t):
     """(k, s) with t = grid[k] + s (grid[k+1] - grid[k]), s in [0, 1] (the
     last sample gives k = len(grid) - 2, s = 1), for a sorted float array
     grid; s is a Python float.  t is clamped onto the grid from within
-    1e-12; further out it raises InputError."""
+    1e-12; further out, or NaN, it raises InputError."""
     first, last = float(grid[0]), float(grid[-1])
-    if t < first - 1e-12 or t > last + 1e-12:
+    if not first - 1e-12 <= t <= last + 1e-12:
         raise InputError(f"time {t} outside [{first}, {last}]")
     t = min(max(float(t), first), last)
     k = int(grid.searchsorted(t, side="right")) - 1

@@ -33,9 +33,12 @@ def convert(read, value, what):
     """read(value), where read converts a config value (int, float, a list
     of floats, a constructor); a TypeError, ValueError or OverflowError it
     raises, an InputError included, becomes an InputError naming what,
-    unless it is an InputError that names what already."""
+    unless it is an InputError that names what already or a SchemaError (a
+    malformed game document stays one, wherever it is read)."""
     try:
         return read(value)
+    except SchemaError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InputError) and str(exc).startswith((f"{what}:", f"{what}.")):
             raise

@@ -60,7 +60,7 @@ def test_set_override_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["value_iter", "--preset", "translation", "--set", "N=7"]
     assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
+    assert run(args[:-1] + ["N=7.0", "--out", str(out2)]) == 0  # an integral float
     assert read(out1 / "value_iter.csv") == read(out2 / "value_iter.csv")
     _, rows = csv_rows(out1 / "value_iter.csv")
     assert len(rows) == 7
@@ -145,6 +145,10 @@ def test_generate_game_roundtrip_and_determinism(tmp_path):
     want = shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7)
     for a, b in zip(game.payoff, want.payoff):
         assert np.allclose(a, b, atol=1e-15)
+    # any game operator, built as the other tasks build it
+    assert run(["generate-game", "--preset", "matching-pennies", "--out", str(out1)]) == 0
+    assert shapley.load_game(str(out1 / "game.json")).to_dict() == (
+        shapley.matching_pennies().to_dict())
 
 
 def test_verify_task_emits_reports(tmp_path):
@@ -252,6 +256,16 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("chernoff", ['param2={"kind":"power_alpha"}']),
     ("euler_vs_ode", ['steps2={"kind":"harmonic","N":10}']),
     ("accretivity", ["starts=[[0.0]]"]),
+    ("chernoff", ['extra={"grid":2.5}']),
+    ("chernoff", ['extra={"grid":true}']),
+    ("expo", ['extra={"m_values":[100.5]}']),
+    ("accretivity", ["seed=0.5"]),
+    ("accretivity", ["seed=-1"]),
+    ("hypothesis_H", ['settings={"samples":2.5}']),
+    ("accretivity", ['operator={"random_game":{"states":true}}']),
+    ("euler_vs_ode", ['steps={"kind":"harmonic","N":2.5}']),
+    ("euler_vs_ode", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
+    ("normalized_euler", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
@@ -340,6 +354,15 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("euler", "translation", "U0=[3]"),
     ("phi_ode", "matching-pennies", "x0=[4]"),
     ("discounted", "matching-pennies", "lambdas=[]"),
+    ("value_iter", "translation", "N=2.5"),
+    ("value_iter", "translation", "N=true"),
+    ("ode", "rotation30", "samples=2.5"),
+    ("value_iter", "translation", 'operator={"builtin":"identity","dim":0}'),
+    ("value_iter", "translation", 'operator={"builtin":"translation","c":[]}'),
+    ("value_iter", "translation", 'operator={"builtin":"affine","matrix":"x","offset":[0]}'),
+    ("generate-game", "random3", "operator.junk=1"),
+    ("generate-game", "random3", "operator.random_game.rows=2.5"),
+    ("generate-game", "translation", "game_file=x.json"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
@@ -357,6 +380,33 @@ def test_start_point_of_the_wrong_dimension_is_named(tmp_path, capsys, task, pre
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.endswith(f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("task, preset, item, message", [
+    ("generate-game", "random3", "operator.junk=1",
+     "operator.junk: not a key of the random_game operator, whose keys are random_game"),
+    ("generate-game", "random3", "operator.random_game.sed=1",
+     "operator.random_game.sed: not a key of random_game, whose keys are states, rows, "
+     "cols, payoff_range, seed"),
+    ("generate-game", "random3", "operator.random_game.states=true",
+     "operator.random_game.states: must be an integer, got True"),
+    ("value_iter", "translation", 'operator={"builtin":"affine","matrix":[[1]]}',
+     "operator.offset: missing for the affine operator, whose keys are matrix, offset, norm"),
+    ("value_iter", "translation", 'operator={"builtin":"identity","dim":0}',
+     "operator.dim: must be >= 1, got 0"),
+    ("value_iter", "translation", 'operator={"builtin":"translation","c":[]}',
+     "operator: matrix is empty: the dimension must be >= 1"),
+    ("phi_ode", "matching-pennies", 'param={"kind":"constant","lambda":2}',
+     "param: lambda must lie in (0, 1]"),
+    ("euler", "translation", 'steps={"kind":"harmonic"}',
+     "steps.N: missing for the harmonic steps, whose keys are N"),
+    ("suite", "paper-suite", 'settings={"samples":0}',
+     "settings.samples: must be >= 1, got 0"),
+])
+def test_spec_key_errors_name_the_dotted_key(tmp_path, capsys, task, preset, item, message):
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
 
 
 def test_unread_key_is_named_with_the_keys_the_task_takes(tmp_path, capsys):
@@ -388,9 +438,47 @@ def test_preset_keys_the_task_does_not_take_are_dropped(tmp_path):
 
 
 def task_keys(task):
-    """The keyword-only parameters of a task function: its config keys."""
+    """The keyword-only parameters of a task function or spec constructor:
+    its config keys."""
     return [p for p in inspect.signature(task).parameters.values()
             if p.kind is p.KEYWORD_ONLY]
+
+
+def shown(param):
+    """A key as README's tables show it: name, or name=default."""
+    name, d = param.name.rstrip("_"), param.default
+    if d is param.empty or d is None:
+        return name
+    return f"{name}={json.dumps(d)}"
+
+
+def readme_table(heading):
+    """README's table under heading: its rows' keys (the backquoted words of
+    the last cell) by the backquoted words of the other cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index(heading):].split("\n\n")[2]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        *selector, keys = (re.findall(r"`([\w-]+(?:=[^`]*)?)`", cell)
+                           for cell in line.strip("|").split("|"))
+        rows[tuple(word for cell in selector for word in cell)] = keys
+    return rows
+
+
+def spec_constructors():
+    """Each spec object's constructors, by the words README's "Spec keys"
+    table selects them with."""
+    out = {}
+    for source, make in cli.OPERATORS.items():
+        kinds = make.items() if isinstance(make, dict) else [(None, make)]
+        for kind, fn in kinds:
+            out[("operator", source if kind is None else f"{source}={json.dumps(kind)}")] = fn
+    out[("random_game",)] = cli._random_game
+    for names, kinds in ((("param", "param2"), cli.PARAMS), (("steps", "steps2"), cli.STEPS)):
+        for kind, fn in kinds.items():
+            out[(*names, f"kind={json.dumps(kind)}")] = fn
+    out[("settings",)] = bounds.Settings
+    return out
 
 
 def test_every_preset_key_is_taken_by_some_task():
@@ -401,28 +489,26 @@ def test_every_preset_key_is_taken_by_some_task():
 
 def test_readme_table_lists_each_tasks_keyword_only_parameters():
     # README's "Task keys" table against the task signatures, each key as
-    # name or name=default; READERS reads only keys that some task takes
-    def shown(param):
-        d = param.default
-        if d is param.empty or d is None:
-            return param.name
-        return f"{param.name}={json.dumps(d)}"
-
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = text[text.index("### Task keys"):].split("\n\n")[2]
-    rows = {}
-    for line in table.splitlines()[2:]:
-        task, keys = (re.findall(r"`([\w-]+(?:=[^`]*)?)`", cell)
-                      for cell in line.strip("|").split("|"))
-        rows[task[0]] = keys
+    # name or name=default; READERS reads only keys that some task or spec
+    # constructor takes
     want, taken = {}, set()
     for name, task in cli.TASK_RUNNERS.items():
-        want[name] = [shown(p) for p in task_keys(task)]
+        want[(name,)] = [shown(p) for p in task_keys(task)]
         taken.update(p.name for p in task_keys(task))
         # a default is shared by every call, so none may be mutable
         assert not any(isinstance(p.default, (list, dict, set)) for p in task_keys(task))
-    assert rows == want
+    assert readme_table("### Task keys") == want
+    for fn in spec_constructors().values():
+        taken.update(p.name.rstrip("_") for p in task_keys(fn))
     assert set(cli.READERS) <= taken
+
+
+def test_readme_table_lists_each_spec_constructors_keyword_only_parameters():
+    want = {}
+    for selector, fn in spec_constructors().items():
+        want[selector] = [shown(p) for p in task_keys(fn)]
+        assert not any(isinstance(p.default, (list, dict, set)) for p in task_keys(fn))
+    assert readme_table("### Spec keys") == want
 
 
 def test_unknown_task_is_rejected_with_the_known_ones_listed(capsys):

@@ -186,8 +186,11 @@ def test_integrate_U_raises_when_J_turns_infinite():
 def test_trajectory_rejects_out_of_range():
     op = core.Translation([1.0])
     traj = continuous.integrate_U(op, np.zeros(1), 1.0, tol=1e-8)
-    with pytest.raises(InputError):
-        traj.at(1.5)
+    for t in (1.5, np.nan):
+        with pytest.raises(InputError):
+            traj.at(t)
+        with pytest.raises(InputError):
+            traj.err_at(t)
 
 
 def test_euler_power_translation():

@@ -253,6 +253,14 @@ def test_closed_form_operators_validate_their_own_invariant():
             core.LinearIsometry(bad)
 
 
+def test_operators_of_dimension_zero_are_rejected():
+    for make in (lambda: core.Translation([]), lambda: core.identity_operator(0),
+                 lambda: core.AffineNonexpansive(np.zeros((0, 0)), []),
+                 lambda: core.LinearIsometry(np.zeros((0, 0)))):
+        with pytest.raises(InputError, match="matrix is empty"):
+            make()
+
+
 def test_affine_rejects_expansive_matrix():
     with pytest.raises(InputError):
         core.AffineNonexpansive([[1.5]], [0.0])

@@ -236,9 +236,13 @@ def test_locate_brackets_every_time_on_the_grid():
     assert discrete.locate(grid, 1.0) == (1, 0.5)
     assert discrete.locate(grid, -1e-12) == (0, 0.0)
     assert discrete.locate(grid, 3.0 + 1e-12) == (2, 1.0)
-    for t in (-2e-12, 3.0 + 2e-12):
+    for t in (-2e-12, 3.0 + 2e-12, np.nan):
         with pytest.raises(InputError):
             discrete.locate(grid, t)
+    orbit = discrete.euler_scheme(core.Translation([1.0]), [0.0],
+                                  discrete.StepSequence.harmonic(3))
+    with pytest.raises(InputError):
+        discrete.euler_interpolant(orbit, np.nan)
 
 
 def test_euler_interpolant_at_each_sample_is_that_point():
