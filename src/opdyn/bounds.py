@@ -3,9 +3,10 @@
 Every entry is a generator over an operator and the inputs it declares as
 keyword-only parameters: it yields one (lhs, rhs, budget, context) tuple
 per inequality (or decay / monotonicity statement) it tests.  `verify` is
-the one place that binds those inputs from a Scenario and that judges the
-tuples: it turns each into a BoundReport with slack rhs - lhs and verdict
-lhs <= rhs + budget, labelled with the check id and the scenario name.
+the one place that binds those inputs from a Scenario, with `bind`, and
+that judges the tuples: it turns each into a BoundReport with slack
+rhs - lhs and verdict lhs <= rhs + budget, labelled with the check id and
+the scenario name.
 Asymptotic statements are operationalized as finite-horizon decay
 assertions: the final gap must be <= decay_factor times the initial gap
 over a horizon ratio of at least 100x.  Tolerance budgets propagate
@@ -15,7 +16,7 @@ additively: fixed 1e-9 plus every contributing certified numerical error.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,34 +42,15 @@ class Settings:
             raise InputError("settings.samples must be >= 1")
 
 
-@dataclass
 class Scenario:
-    """Everything a check may need: operator, horizons, parametrizations.
+    """An operator, its name (by default the operator's description) and
+    the inputs of a check: keyword arguments, bound by verify as the
+    check's keyword-only parameters."""
 
-    A check takes only some of the fields and extra keys (inputs(check));
-    verify rejects a field set away from its default, or an extra key, that
-    the check does not take."""
-
-    operator: core.Operator
-    name: str = ""
-    horizon: float = 50.0
-    param: continuous.Parametrization | None = None
-    param2: continuous.Parametrization | None = None
-    steps: discrete.StepSequence | None = None
-    steps2: discrete.StepSequence | None = None
-    starts: list | None = None
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0 < self.horizon < np.inf:
-            raise InputError("horizon must be positive and finite")
-        if not isinstance(self.starts, (list, tuple, type(None))):
-            raise InputError("starts must be a list of points")
-        if not isinstance(self.extra, dict):
-            raise InputError("extra must be an object")
-        if not self.name:
-            self.name = self.operator.describe()
+    def __init__(self, operator, name="", **inputs):
+        self.operator = operator
+        self.name = name or operator.describe()
+        self.inputs = inputs
 
 
 @dataclass
@@ -120,6 +102,21 @@ def _starts(op, starts, *defaults):
     return [core.as_vec(x, op.dim) for x in starts[:len(defaults)]]
 
 
+def _float(value):
+    """A reader: a float; a bool is not one."""
+    if isinstance(value, bool):
+        raise InputError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive(value):
+    """A reader: a float that is positive and finite."""
+    x = _float(value)
+    if not 0.0 < x < np.inf:
+        raise InputError(f"must be positive and finite, got {x!r}")
+    return x
+
+
 def _integer(value):
     """A reader: an int; an integral float such as 1e3 is one, a bool or a
     fraction is not."""
@@ -159,22 +156,62 @@ def _choice(*options):
     return read
 
 
-#: one reader per extra key, whichever check takes it: it turns the config
-#: value into the check's argument
+def _points(values):
+    """A reader: a list of points, as given (each is read where it is used,
+    at the operator's dimension); None stands for the check's own."""
+    if not isinstance(values, (list, tuple, type(None))):
+        raise InputError("must be a list of points")
+    return values
+
+
+#: one reader per input key, whichever check takes it: it turns the given
+#: value into the check's argument; a key without one (param, param2, steps,
+#: steps2) is passed as given
 READERS = {
-    "alpha": float,
+    "alpha": _float,
     "case": _choice("a", "b"),
     "grid": _count(1),
-    "lambda_seq": _list(float),
-    "lambdas": _list(float),
+    "horizon": _positive,
+    "lambda_seq": _list(_float),
+    "lambdas": _list(_float),
     "m_values": _list(_integer),
     "n_steps": _count(1),
     "n_values": _list(_count(1)),
     "nmax": _count(0),
     "pairs": _count(1),
+    "seed": _count(0),
+    "starts": _points,
     "subgrid": _count(1),
-    "t_values": _list(float),
+    "t_values": _list(_float),
 }
+
+
+def keys(fn):
+    """fn's keys: its keyword-only parameters, by name less a trailing _
+    (so lambda_ is the key lambda)."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name.rstrip("_"): p for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def bind(fn, readers, cfg, given, name, at=""):
+    """The keyword arguments of fn, the check, task or spec constructor
+    called name: each key of cfg that fn takes (see keys), converted by the
+    key's entry in readers (any other key as given).  A key in given that
+    fn does not take, and a required key cfg lacks, are an InputError
+    naming the key as at + key; cfg's other keys (a preset's) are dropped.
+    A fn with **kwargs takes every other key in given as well, as given:
+    its own code reads them."""
+    takes = keys(fn)
+    rest = any(p.kind is p.VAR_KEYWORD for p in inspect.signature(fn).parameters.values())
+    unread = [] if rest else sorted(given.difference(takes))
+    missing = [k for k, p in takes.items() if p.default is p.empty and k not in cfg]
+    if unread or missing:
+        raise InputError(f"{', '.join(at + k for k in unread or missing)}: "
+                         f"{'not a key of' if unread else 'missing for'} {name}, "
+                         f"whose keys are {', '.join(takes) or 'none'}")
+    return {takes[k].name if k in takes else k:
+            convert(readers[k], v, at + k) if k in takes and k in readers else v
+            for k, v in cfg.items() if k in takes or (rest and k in given)}
 
 
 def _worst(candidates):
@@ -199,11 +236,11 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 # ---------------------------------------------------------------------------
 # individual checks: check(op, settings, *, inputs) yields (lhs, rhs, budget,
-# context) per inequality.  Its keyword-only parameters are its inputs: a
-# Scenario field by name, any other an extra key read through READERS.  A
-# default of None stands for one the check derives from the scenario.
+# context) per inequality.  Its keyword-only parameters are its inputs, each
+# a key of the scenario read through its READERS entry; a default of None
+# stands for one the check derives from the other inputs.
 
-def _check_norm_bounds(op, st, *, horizon, lambdas=(1.0, 0.5, 0.1, 0.01)):
+def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
     N = int(horizon)
     j0 = op.norm(op.J(_zeros(op)))
     _, vn = discrete.iterate_Vn(op, max(N, 1))
@@ -212,14 +249,14 @@ def _check_norm_bounds(op, st, *, horizon, lambdas=(1.0, 0.5, 0.1, 0.01)):
            j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
-def _check_accretivity(op, st, *, seed, lambdas=(0.1, 0.5, 1.0, 2.0)):
+def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
     for lam in lambdas:
         rep = core.check_accretive(op, lam, samples=st.samples, seed=seed)
         yield (1.0 - rep.worst_ratio, 0.0, BASE_TOL,
                {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 
 
-def _check_solution_contraction(op, st, *, horizon, starts=None):
+def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
     T = float(horizon)
     t1, t2 = (continuous.integrate_U(op, x, T, tol=st.ode_tol)
               for x in _starts(op, starts, _zeros(op), _second_start(op)))
@@ -229,7 +266,7 @@ def _check_solution_contraction(op, st, *, horizon, starts=None):
            {"checkpoints": len(times)})
 
 
-def _check_derivative_decay(op, st, *, horizon, starts=None):
+def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
     (U0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_U(op, U0, float(horizon), tol=st.ode_tol)
     times = np.linspace(0.0, float(horizon), 41)
@@ -238,7 +275,7 @@ def _check_derivative_decay(op, st, *, horizon, starts=None):
            BASE_TOL + 4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
-def _check_chernoff(op, st, *, horizon, starts=None, nmax=None, grid=20):
+def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
     T = float(horizon)
     (U0,) = _starts(op, starts, _zeros(op))
     nmax = int(T) if nmax is None else nmax
@@ -257,7 +294,7 @@ def _check_chernoff(op, st, *, horizon, starts=None, nmax=None, grid=20):
            {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
-def _check_convvn(op, st, *, horizon, n_values=None):
+def _check_convvn(op, st, *, horizon=50.0, n_values=None):
     N = int(horizon)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
@@ -269,7 +306,7 @@ def _check_convvn(op, st, *, horizon, n_values=None):
                BASE_TOL + traj.err_at(float(n)) / n, {"n": n})
 
 
-def _check_expo(op, st, *, horizon, starts=None, m_values=(25, 100, 400, 1600)):
+def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 1600)):
     T = float(horizon)
     (U0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
@@ -294,11 +331,11 @@ def _random_steps(rng, max_len=200):
     return discrete.StepSequence(lam)
 
 
-def _check_kobayashi(op, st, *, seed, starts=None, steps=None, steps2=None,
+def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, steps2=None,
                      pairs=None, subgrid=10):
     if steps is not None:
         if pairs is not None:
-            raise InputError("steps, extra.pairs: give one of them, not both")
+            raise InputError("steps, pairs: give one of them, not both")
         pairs = 1
     rng = np.random.default_rng(seed)
     x0, xhat0 = _starts(op, starts, _zeros(op), _second_start(op))
@@ -338,28 +375,28 @@ def _euler_vs_flow(op, st, count, horizon, steps, starts):
     return gaps, steps, op.norm(apply_A(op, x0))
 
 
-def _check_euler_vs_ode(op, st, *, horizon, steps=None, starts=None):
+def _check_euler_vs_ode(op, st, *, horizon=50.0, steps=None, starts=None):
     gaps, steps, a0 = _euler_vs_flow(op, st, 12, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
                BASE_TOL + err, {"k": k, "t": t})
 
 
-def _check_normalized_euler(op, st, *, horizon, steps=None, starts=None):
+def _check_normalized_euler(op, st, *, horizon=50.0, steps=None, starts=None):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
     gaps, _, a0 = _euler_vs_flow(op, st, 8, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
 
 
-def _check_interpolation(op, st, *, horizon, steps=None, starts=None, n_steps=None):
+def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_steps=None):
     T = float(horizon)
     (x0,) = _starts(op, starts, _second_start(op))
     if steps is None:
         n_steps = 100 if n_steps is None else n_steps
         steps = discrete.StepSequence.constant(T / n_steps, n_steps)
     elif n_steps is not None:
-        raise InputError("steps, extra.n_steps: give one of them, not both")
+        raise InputError("steps, n_steps: give one of them, not both")
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
     orbit = discrete.euler_scheme(op, x0, steps)
@@ -372,7 +409,7 @@ def _check_interpolation(op, st, *, horizon, steps=None, starts=None, n_steps=No
            BASE_TOL + traj.err_at(times), {"max_step": max_step, "T": T})
 
 
-def _check_stationarity_gap(op, st, *, horizon, param, starts=None):
+def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
     (u0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
@@ -385,7 +422,7 @@ def _check_stationarity_gap(op, st, *, horizon, param, starts=None):
                {"t": t, "lambda": lam})
 
 
-def _check_constant_decay(op, st, *, horizon, param=continuous.Constant(0.5),
+def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5),
                           starts=None, t_values=(1.0, 5.0, 10.0, 20.0)):
     if not isinstance(param, continuous.Constant):
         raise InputError("constant_decay needs a Constant parametrization")
@@ -405,7 +442,7 @@ def _check_constant_decay(op, st, *, horizon, param=continuous.Constant(0.5),
                BASE_TOL + st.fp_tol + err, {"t": t, "aspect": "gap"})
 
 
-def _check_initial_independence(op, st, *, horizon, param, starts=None):
+def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
     x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
     t1 = continuous.integrate_u(op, param, x0, T, tol=st.ode_tol)
@@ -446,13 +483,13 @@ def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _check_wn_tracks_vn(op, st, *, horizon, param=continuous.InverseTimeZeta(),
+def _check_wn_tracks_vn(op, st, *, horizon=50.0, param=continuous.InverseTimeZeta(),
                         starts=None):
     (u0,) = _starts(op, starts, _zeros(op))
     yield _vn_decay(op, st, horizon, param, u0, points_key="n_values")
 
 
-def _check_convboth(op, st, *, horizon):
+def _check_convboth(op, st, *, horizon=50.0):
     N = int(horizon)
     _, vn = discrete.iterate_Vn(op, N)
     if isinstance(op, core.Translation):
@@ -474,7 +511,7 @@ def _check_convboth(op, st, *, horizon):
         yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol, ctx)
 
 
-def _check_hypothesis_H(op, st, *, seed):
+def _check_hypothesis_H(op, st, *, seed=0):
     C = op.h_constant()
     rng = np.random.default_rng(seed)
     pairs = []
@@ -488,7 +525,7 @@ def _check_hypothesis_H(op, st, *, seed):
            {"samples": st.samples, "violations": violations, "C": C})
 
 
-def _check_slow_param(op, st, *, horizon, param, starts=None, t_values=None):
+def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
     T = float(horizon)
     (u0,) = _starts(op, starts, _second_start(op))
     traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
@@ -499,12 +536,12 @@ def _check_slow_param(op, st, *, horizon, param, starts=None, t_values=None):
                {"t": float(t)})
 
 
-def _check_convder_decay(op, st, *, horizon, param, starts=None):
+def _check_convder_decay(op, st, *, horizon=50.0, param, starts=None):
     (u0,) = _starts(op, starts, _second_start(op))
     yield _vlambda_decay(op, st, horizon, param, u0, points_key="t_values")
 
 
-def _check_two_param(op, st, *, horizon, param, param2, starts=None, case=None):
+def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=None):
     lam_p, mu_p = param, param2
     T = float(horizon)
     x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
@@ -553,7 +590,7 @@ def _check_vlambda_lipschitz(op, st, *, lambdas=None):
                BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
 
 
-def _check_discrete_slow(op, st, *, horizon, lambda_seq=None):
+def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
     N = int(horizon)
     if lambda_seq is None:
         lambda_seq = np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5)
@@ -569,7 +606,7 @@ def _check_discrete_slow(op, st, *, horizon, lambda_seq=None):
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
-def _check_alpha_family(op, st, *, horizon, starts=None, alpha=0.5):
+def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
     (u0,) = _starts(op, starts, _zeros(op))
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,
@@ -604,45 +641,29 @@ CHECKS = {
     "alpha_family": _check_alpha_family,
 }
 
-#: the Scenario fields a check may take; its other inputs are extra keys
-FIELDS = ("horizon", "param", "param2", "steps", "steps2", "starts", "seed")
-_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.name in FIELDS}
+
+def _check(name):
+    """The registry check called name."""
+    if name not in CHECKS:
+        raise InputError(f"unknown check {name!r}")
+    return CHECKS[name]
 
 
-def inputs(check):
-    """The inputs a registry check takes, its keyword-only parameters, by
-    name: a Scenario field as itself, an extra key as extra.<key>."""
-    if check not in CHECKS:
-        raise InputError(f"unknown check {check!r}")
-    params = inspect.signature(CHECKS[check]).parameters.values()
-    return {p.name if p.name in FIELDS else f"extra.{p.name}": p
-            for p in params if p.kind is p.KEYWORD_ONLY}
-
-
-def _match_inputs(scenario, checks):
-    """The inputs the scenario sets, by name as in inputs() (each field away
-    from its default, and each extra key), and the inputs each of checks
-    takes.  An input none of them takes is an InputError, raised once."""
-    given = {name: getattr(scenario, name) for name in FIELDS
-             if getattr(scenario, name) != _DEFAULTS[name]}
-    given.update((f"extra.{key}", value) for key, value in scenario.extra.items())
-    takes = [inputs(check) for check in checks]
-    unread = sorted(set(given).difference(*takes))
+def per_check(checks, operator, inputs, readers):
+    """(check, Scenario) for each of checks, each scenario holding the
+    operator and only the inputs its check takes; an input that none of
+    them takes is an InputError, which names it once.  Only then is each
+    input that has an entry in readers converted by it, once for all the
+    checks."""
+    takes = [keys(_check(check)) for check in checks]
+    unread = sorted(set(inputs).difference(*takes))
     if unread:
-        raise InputError(f"{', '.join(unread)}: not an input of {' or '.join(checks)}")
-    return given, takes
-
-
-def per_check(checks, scenario):
-    """(check, scenario) for each of checks, each scenario holding only the
-    inputs its check takes; an input that none of them takes is an
-    InputError."""
-    out = []
-    for check, names in zip(checks, _match_inputs(scenario, checks)[1]):
-        unset = {name: _DEFAULTS[name] for name in FIELDS if name not in names}
-        extra = {k: v for k, v in scenario.extra.items() if f"extra.{k}" in names}
-        out.append((check, replace(scenario, **unset, extra=extra)))
-    return out
+        known = dict.fromkeys(k for t in takes for k in t)
+        raise InputError(f"{', '.join(unread)}: not a key of {' or '.join(checks)}, "
+                         f"whose keys are {', '.join(known) or 'none'}")
+    inputs = {k: convert(readers[k], v, k) if k in readers else v for k, v in inputs.items()}
+    return [(check, Scenario(operator, **{k: v for k, v in inputs.items() if k in t}))
+            for check, t in zip(checks, takes)]
 
 
 def verify(check, scenario, settings=None):
@@ -650,24 +671,15 @@ def verify(check, scenario, settings=None):
     BoundReports, one per inequality the check yields, labelled with the
     check id and the scenario name.
 
-    The check's inputs are bound here, the one place that reads the
-    scenario's fields and extra keys: each field the check takes, and each
-    extra key it takes, converted by its READERS entry.  An input the
-    scenario sets that the check does not take, a required one it does not
-    set, and a check that yields nothing (every point it would test lies
-    outside the scenario: it has verified nothing) raise InputError."""
-    given, (takes,) = _match_inputs(scenario, [check])
-    kwargs = {}
-    for name, p in takes.items():
-        if name in FIELDS and getattr(scenario, name) is not None:
-            kwargs[name] = getattr(scenario, name)
-        elif name in given:
-            kwargs[p.name] = convert(READERS[p.name], given[name], name)
-        elif p.default is p.empty:
-            raise InputError(f"{check} needs {name}")
+    The check's inputs are bound here by bind, each through its READERS
+    entry.  An input the scenario gives that the check does not take, a
+    required one it does not give, and a check that yields nothing (every
+    point it would test lies outside the scenario: it has verified
+    nothing) raise InputError."""
+    fn = _check(check)
+    kwargs = bind(fn, READERS, scenario.inputs, set(scenario.inputs), check)
     reports = []
-    checked = CHECKS[check](scenario.operator, settings or Settings(), **kwargs)
-    for lhs, rhs, budget, context in checked:
+    for lhs, rhs, budget, context in fn(scenario.operator, settings or Settings(), **kwargs):
         lhs, rhs, budget = float(lhs), float(rhs), float(budget)
         reports.append(BoundReport(check, lhs, rhs, rhs - lhs, budget,
                                    lhs <= rhs + budget,
@@ -697,8 +709,7 @@ def suite_plan():
     harmonic = discrete.StepSequence.harmonic(100)
     inverse_sqrt = discrete.StepSequence.inverse_sqrt(100)
 
-    def S(op, **kw):
-        return Scenario(operator=op, **kw)
+    S = Scenario
 
     plan = [
         ("norm_bounds", S(tr, horizon=100)),
@@ -716,8 +727,8 @@ def suite_plan():
         ("convvn", S(rnd, horizon=100)),
         ("expo", S(rot, horizon=5)),
         ("expo", S(rnd, horizon=5)),
-        ("kobayashi", S(rot, extra={"pairs": 5})),
-        ("kobayashi", S(rnd, extra={"pairs": 5})),
+        ("kobayashi", S(rot, pairs=5)),
+        ("kobayashi", S(rnd, pairs=5)),
         ("euler_vs_ode", S(rot, horizon=float(harmonic.sigma[-1]), steps=harmonic)),
         ("euler_vs_ode", S(rnd, horizon=float(inverse_sqrt.sigma[-1]), steps=inverse_sqrt)),
         ("normalized_euler", S(rot, horizon=100)),
@@ -740,10 +751,10 @@ def suite_plan():
         ("slow_param", S(rnd, horizon=100, param=pa)),
         ("convder_decay", S(tr, horizon=100, param=pa)),
         ("convder_decay", S(rnd, horizon=100, param=pa)),
-        ("two_param", S(tr, horizon=100, param=itz, param2=pa0, extra={"case": "a"})),
-        ("two_param", S(rnd, horizon=100, param=itz, param2=pa0, extra={"case": "a"})),
+        ("two_param", S(tr, horizon=100, param=itz, param2=pa0, case="a")),
+        ("two_param", S(rnd, horizon=100, param=itz, param2=pa0, case="a")),
         ("two_param", S(rnd, horizon=50, param=continuous.Constant(0.5),
-                        param2=table_const, extra={"case": "b"})),
+                        param2=table_const, case="b")),
         ("vlambda_lipschitz", S(tr)),
         ("vlambda_lipschitz", S(rnd)),
         ("discrete_slow", S(tr, horizon=2000)),

@@ -6,8 +6,9 @@ Command shape:
 
 Tasks: value_iter, discounted, euler, ode, phi_ode, verify, suite,
 generate-game; a task's keyword-only parameters are its top-level config
-keys, and a spec constructor's (OPERATORS, PARAMS, STEPS) the keys of its
-config object.  Config is JSON; --set overrides dotted keys.  All artifacts
+keys (verify also takes its checks' inputs), and a spec constructor's
+(OPERATORS, PARAMS, STEPS) the keys of its config object; bounds.bind binds
+both.  Config is JSON; --set overrides dotted keys.  All artifacts
 are written atomically with shortest-round-trip float formatting, so
 re-running a config reproduces byte-identical files.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import inspect
 import json
 import os
 import sys
@@ -111,33 +111,13 @@ def load_config(args):
     return cfg, given
 
 
-def bind(fn, cfg, given, name, at=""):
-    """The keyword arguments of fn, the task or spec constructor called
-    name: each key of cfg that fn takes, converted by the key's READERS
-    entry (any other key as given).  fn's keys are its keyword-only
-    parameters less a trailing _, so lambda_ is the key lambda.  A key in
-    given that fn does not take, and a required key cfg lacks, are an
-    InputError naming the key as at + key; cfg's other keys (a preset's)
-    are dropped."""
-    params = inspect.signature(fn).parameters.values()
-    takes = {p.name.rstrip("_"): p for p in params if p.kind is p.KEYWORD_ONLY}
-    unread = sorted(given.difference(takes))
-    missing = [k for k, p in takes.items() if p.default is p.empty and k not in cfg]
-    if unread or missing:
-        raise InputError(f"{', '.join(at + k for k in unread or missing)}: "
-                         f"{'not a key of' if unread else 'missing for'} {name}, "
-                         f"whose keys are {', '.join(takes) or 'none'}")
-    return {takes[k].name: convert(READERS[k], v, at + k) if k in READERS else v
-            for k, v in cfg.items() if k in takes}
-
-
 def _build(fn, spec, name, at):
     """fn called with its keys bound from spec, the config object at the
     dotted key at; a TypeError or ValueError of fn is an InputError naming
     at."""
     if not isinstance(spec, dict):
         raise InputError(f"{at}: must be an object")
-    kwargs = bind(fn, spec, set(spec), name, f"{at}.")
+    kwargs = bounds.bind(fn, READERS, spec, set(spec), name, f"{at}.")
     return convert(lambda kw: fn(**kw), kwargs, at)
 
 
@@ -351,17 +331,17 @@ def _emit_reports(reports, out):
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_CHECK_FAILED
 
 
-#: one reader per config key, whichever task or spec object takes it: it
-#: turns the config value into the argument; any other key is passed as given
+#: one reader per config key, whichever task, check or spec object takes it:
+#: it turns the config value into the argument; any other key is passed as
+#: given.  A check's keys are read by bounds.READERS, and no key here reads
+#: one of them another way.
 READERS = {
+    **bounds.READERS,
     "operator": _operator,
     "N": bounds._count(1),
-    "T": float,
-    "tol": float,
-    "horizon": float,
-    "seed": bounds._count(0),
+    "T": bounds._float,
+    "tol": bounds._float,
     "samples": bounds._count(1),
-    "lambdas": bounds._list(float),
     "checks": bounds._list(str),
     "param": _kind(PARAMS, "param"),
     "param2": _kind(PARAMS, "param2"),
@@ -370,39 +350,34 @@ READERS = {
     "settings": lambda spec: _build(bounds.Settings, spec, "settings", "settings"),
     "game_file": os.fspath,
     # the spec objects' keys
-    "theta_degrees": float,
+    "theta_degrees": bounds._float,
     "dim": bounds._count(1),
     "random_game": lambda spec: _build(_random_game, spec, "random_game",
                                       "operator.random_game"),
     "states": bounds._count(1),
     "rows": bounds._count(1),
     "cols": bounds._count(1),
-    "payoff_range": bounds._list(float),
-    "lambda": float,
-    "alpha": float,
-    "ode_tol": float,
-    "fp_tol": float,
-    "decay_factor": float,
+    "payoff_range": bounds._list(bounds._float),
+    "lambda": bounds._float,
+    "ode_tol": bounds._float,
+    "fp_tol": bounds._float,
+    "decay_factor": bounds._float,
 }
 
 
-def task_verify(out, *, operator, checks, horizon=50.0, param=None, param2=None,
-                steps=None, steps2=None, starts=None, seed=0, extra=None,
-                settings=None):
-    scenario = bounds.Scenario(
-        operator=operator,
-        horizon=horizon,
-        param=param,
-        param2=param2,
-        steps=steps,
-        steps2=steps2,
-        starts=starts,
-        seed=seed,
-        extra={} if extra is None else extra,
-    )
+#: the checks' inputs that are spec objects: task_verify builds them, and a
+#: null one is left out, as if not given; bounds.verify reads the others
+SPECS = ("param", "param2", "steps", "steps2")
+
+
+def task_verify(out, /, *, operator, checks, settings=None, **inputs):
+    """reports.json and reports.csv of each of checks on the operator; the
+    other top-level keys are the checks' inputs (see bounds.per_check)."""
+    inputs = {k: v for k, v in inputs.items() if v is not None or k not in SPECS}
     reports = []
-    for check, sc in bounds.per_check(checks, scenario):
-        reports.extend(bounds.verify(check, sc, settings))
+    for check, scenario in bounds.per_check(checks, operator, inputs,
+                                            {k: READERS[k] for k in SPECS}):
+        reports.extend(bounds.verify(check, scenario, settings))
     return _emit_reports(reports, out)
 
 
@@ -451,7 +426,8 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        kwargs = bind(TASK_RUNNERS[args.task], *load_config(args), args.task)
+        kwargs = bounds.bind(TASK_RUNNERS[args.task], READERS, *load_config(args),
+                             args.task)
         os.makedirs(args.out, exist_ok=True)
         return TASK_RUNNERS[args.task](args.out, **kwargs)
     except SchemaError as exc:

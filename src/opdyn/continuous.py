@@ -38,14 +38,14 @@ QUAD_TOL = 1e-9
 
 def zeta(t):
     """zeta(t) = t + ln(1 + t) for t >= 0."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise InputError("t must be >= 0")
     return t + np.log1p(t)
 
 
 def zeta_inverse(s):
     """Inverse of zeta by Newton iteration (zeta' in (1, 2], so it is safe)."""
-    if s < 0:
+    if not s >= 0:  # NaN too
         raise InputError("s must be >= 0")
     t = max(0.0, s - np.log1p(s))
     for _ in range(100):
@@ -164,7 +164,7 @@ class Table(Parametrization):
     def _piece(self, t):
         """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
         knot on the held tail; the same arithmetic as np.interp."""
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise InputError("t must be >= 0")
         k = bisect_right(self._knots, t) - 1
         dt = t - self._knots[k]
@@ -416,7 +416,7 @@ def _log_L(param, t):
     """ln L(t) in closed form (see L_factor); InputError unless lam is C1."""
     if not param.is_c1:
         raise InputError(f"{param.describe()} is not C1; this quantity needs lam'")
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise InputError("t must be >= 0")
     return abs(np.log(param.value(0.0) / param.value(t))) - param.integral(t)
 

@@ -75,8 +75,7 @@ def test_criterion_02_exponential_formula(rotation30, random3):
     ok = True
     detail = []
     for op in (rotation30, random3):
-        sc = bounds.Scenario(operator=op, horizon=5.0,
-                             extra={"m_values": [25, 100, 400, 1600]})
+        sc = bounds.Scenario(operator=op, horizon=5.0, m_values=[25, 100, 400, 1600])
         reps = bounds.verify("expo", sc, bounds.Settings(ode_tol=1e-8))
         ok &= all(r.verdict for r in reps)
         detail.extend(f"{r.context}: slack {r.slack:.3g}" for r in reps if not r.verdict)
@@ -89,14 +88,12 @@ def test_criterion_03_chernoff_and_convvn(random3):
     t0 = time.perf_counter()
     cher = bounds.verify(
         "chernoff",
-        bounds.Scenario(operator=random3, horizon=50.0,
-                        extra={"grid": 20, "nmax": 50}),
+        bounds.Scenario(operator=random3, horizon=50.0, grid=20, nmax=50),
         bounds.Settings(ode_tol=1e-6),
     )
     conv = bounds.verify(
         "convvn",
-        bounds.Scenario(operator=random3, horizon=1000,
-                        extra={"n_values": [10, 100, 1000]}),
+        bounds.Scenario(operator=random3, horizon=1000, n_values=[10, 100, 1000]),
         bounds.Settings(ode_tol=1e-5),
     )
     ok = all(r.verdict for r in cher + conv)
@@ -109,8 +106,7 @@ def test_criterion_04_kobayashi(rotation30, random3):
     t0 = time.perf_counter()
     ok = True
     for op, seed in ((rotation30, 0), (random3, 1)):
-        sc = bounds.Scenario(operator=op, seed=seed,
-                             extra={"pairs": 50, "subgrid": 10})
+        sc = bounds.Scenario(operator=op, seed=seed, pairs=50, subgrid=10)
         reps = bounds.verify("kobayashi", sc, bounds.Settings())
         ok &= all(r.verdict for r in reps)
     elapsed = time.perf_counter() - t0
@@ -156,7 +152,7 @@ def test_criterion_06_constant_parametrization(random3):
         sc = bounds.Scenario(operator=op, horizon=20.0,
                              param=continuous.Constant(lam),
                              starts=[np.ones(3)],
-                             extra={"t_values": [1.0, 5.0, 10.0, 20.0]})
+                             t_values=[1.0, 5.0, 10.0, 20.0])
         reps = bounds.verify("constant_decay", sc, bounds.Settings(ode_tol=1e-8))
         ok &= all(r.verdict for r in reps)
         detail.extend(str(r.context) for r in reps if not r.verdict)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -36,8 +37,11 @@ def test_verify_rejects_unknown_check(translation):
 
 
 def test_scenario_rejects_bad_horizon(translation):
-    with pytest.raises(InputError):
-        bounds.Scenario(operator=translation, horizon=0.0)
+    # the horizon's reader rejects it when verify binds it
+    for horizon in (0.0, -1.0, float("nan"), float("inf"), True):
+        sc = bounds.Scenario(operator=translation, horizon=horizon)
+        with pytest.raises(InputError, match="^horizon: must be "):
+            bounds.verify("norm_bounds", sc, FAST)
 
 
 def test_registry_covers_all_checks():
@@ -125,28 +129,26 @@ def test_log_spaced_counts_are_read_once(translation):
 def test_steps_and_the_count_they_replace_are_not_both_given(translation, check, steps,
                                                             key):
     horizon = {"horizon": 10} if check == "interpolation" else {}
-    sc = bounds.Scenario(operator=translation, steps=steps, extra={key: 7}, **horizon)
-    with pytest.raises(InputError, match=f"^steps, extra.{key}: give one of them, not both$"):
+    sc = bounds.Scenario(operator=translation, steps=steps, **{key: 7}, **horizon)
+    with pytest.raises(InputError, match=f"^steps, {key}: give one of them, not both$"):
         bounds.verify(check, sc, FAST)
-    del sc.extra[key]
+    del sc.inputs[key]
     _assert_all_pass(bounds.verify(check, sc, FAST))
 
 
 def test_kobayashi_on_rotation():
-    sc = bounds.Scenario(operator=core.rotation(np.pi / 6.0),
-                         extra={"pairs": 3})
+    sc = bounds.Scenario(operator=core.rotation(np.pi / 6.0), pairs=3)
     _assert_all_pass(bounds.verify("kobayashi", sc, FAST))
 
 
 def test_chernoff_translation(translation):
-    sc = bounds.Scenario(operator=translation, horizon=10,
-                         extra={"grid": 8, "nmax": 10})
+    sc = bounds.Scenario(operator=translation, horizon=10, grid=8, nmax=10)
     _assert_all_pass(bounds.verify("chernoff", sc, FAST))
 
 
 def test_convvn_rejects_a_zero_step_count(translation):
-    sc = bounds.Scenario(operator=translation, horizon=10, extra={"n_values": [0]})
-    with pytest.raises(InputError, match="extra.n_values: must be >= 1"):
+    sc = bounds.Scenario(operator=translation, horizon=10, n_values=[0])
+    with pytest.raises(InputError, match="^n_values: must be >= 1"):
         bounds.verify("convvn", sc, FAST)
 
 
@@ -160,30 +162,33 @@ def test_constant_decay_requires_constant_param(translation):
 def test_param_checks_require_param(translation):
     sc = bounds.Scenario(operator=translation, horizon=10)
     for check in ("stationarity_gap", "slow_param", "convder_decay"):
-        with pytest.raises(InputError, match=f"{check} needs param$"):
+        with pytest.raises(InputError, match=f"^param: missing for {check}, whose keys "):
             bounds.verify(check, sc, FAST)
     sc = bounds.Scenario(operator=translation, horizon=10,
                          param=continuous.PowerAlpha(0.5))
-    with pytest.raises(InputError, match="two_param needs param2$"):
+    with pytest.raises(InputError, match="^param2: missing for two_param, whose keys "):
         bounds.verify("two_param", sc, FAST)
 
 
 @pytest.mark.parametrize("check, given, name", [
-    ("chernoff", {"extra": {"gird": 0}}, "extra.gird"),
+    ("chernoff", {"gird": 0}, "gird"),
     ("chernoff", {"param2": continuous.PowerAlpha(0.5)}, "param2"),
     ("accretivity", {"starts": [[0.0]]}, "starts"),
     ("accretivity", {"horizon": 5.0}, "horizon"),
-    ("hypothesis_H", {"extra": {"lambdas": [0.5]}}, "extra.lambdas"),
+    ("hypothesis_H", {"lambdas": [0.5]}, "lambdas"),
+    ("accretivity", {"horizon": 50.0}, "horizon"),
+    ("vlambda_lipschitz", {"seed": 0}, "seed"),
 ])
 def test_verify_rejects_an_input_its_check_does_not_read(translation, check, given, name):
+    # at the check's default value too: an input is given when it is given
     sc = bounds.Scenario(operator=translation, **given)
-    with pytest.raises(InputError, match=f"^{name}: not an input of {check}$"):
+    with pytest.raises(InputError, match=f"^{name}: not a key of {check}, whose keys are "):
         bounds.verify(check, sc, FAST)
 
 
 def test_readme_table_lists_each_checks_keyword_only_parameters():
-    # README's "Check inputs" table against the registry: per check, the
-    # fields, then the extra keys, each as name or name=default
+    # README's "Check inputs" table against the check signatures, each input
+    # as name or name=default
     def shown(param):
         d = param.default
         if d is param.empty or d is None:
@@ -194,17 +199,19 @@ def test_readme_table_lists_each_checks_keyword_only_parameters():
     table = text[text.index("### Check inputs"):].split("\n\n")[2]
     rows = {}
     for line in table.splitlines()[2:]:
-        check, fields, extra = (re.findall(r"`(\w+(?:=[^`]*)?)`", cell)
-                                for cell in line.strip("|").split("|"))
-        rows[check[0]] = (fields, extra)
-    want, extra_keys = {}, set()
-    for check in bounds.CHECKS:
-        takes = bounds.inputs(check)
-        want[check] = ([shown(p) for n, p in takes.items() if n in bounds.FIELDS],
-                       [shown(p) for n, p in takes.items() if n not in bounds.FIELDS])
-        extra_keys.update(p.name for n, p in takes.items() if n not in bounds.FIELDS)
+        check, names = (re.findall(r"`(\w+(?:=[^`]*)?)`", cell)
+                        for cell in line.strip("|").split("|"))
+        rows[check[0]] = names
+    want, taken = {}, set()
+    for check, fn in bounds.CHECKS.items():
+        params = [p for p in inspect.signature(fn).parameters.values()
+                  if p.kind is p.KEYWORD_ONLY]
+        want[check] = [shown(p) for p in params]
+        taken.update(p.name for p in params)
     assert rows == want
-    assert extra_keys == set(bounds.READERS)  # one reader per extra key, each used
+    # one reader per input, each used; the inputs without one are objects
+    assert set(bounds.READERS) <= taken
+    assert taken - set(bounds.READERS) == {"param", "param2", "steps", "steps2"}
 
 
 def test_failing_check_is_reported():
@@ -217,7 +224,7 @@ def test_failing_check_is_reported():
 
     reports = bounds.verify(
         "accretivity",
-        bounds.Scenario(operator=Shrinking(), extra={"lambdas": [0.5]}),
+        bounds.Scenario(operator=Shrinking(), lambdas=[0.5]),
         FAST,
     )
     assert any(not r.verdict for r in reports)

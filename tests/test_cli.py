@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from opdyn import bounds, cli, shapley
+from opdyn.errors import InputError
 
 
 def run(args):
@@ -190,23 +191,23 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("initial_independence", ['param={"kind":"power_alpha"}']),
     ("two_param", ['param={"kind":"power_alpha"}',
                    'param2={"kind":"inverse_time_zeta"}']),
-    ("discrete_slow", ["horizon=10", 'extra={"lambda_seq":[0.5,0.5]}']),
-    ("discrete_slow", ["horizon=10", 'extra={"lambda_seq":0.5}']),
+    ("discrete_slow", ["horizon=10", 'lambda_seq=[0.5,0.5]']),
+    ("discrete_slow", ["horizon=10", 'lambda_seq=0.5']),
     ("kobayashi", ["starts=5"]),
     ("kobayashi", ["extra=3"]),
     ("kobayashi", ['starts=[5, "x"]']),
-    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"pairs":"x"}']),
-    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"subgrid":[1]}']),
-    ("chernoff", ['extra={"nmax":1e999}']),
-    ("chernoff", ['extra={"grid":"x"}']),
-    ("convvn", ['extra={"n_values":5}']),
-    ("expo", ['extra={"m_values":["x"]}']),
-    ("interpolation", ['extra={"n_steps":null}']),
-    ("alpha_family", ['extra={"alpha":"x"}']),
-    ("accretivity", ['extra={"lambdas":"x"}']),
-    ("norm_bounds", ['extra={"lambdas":5}']),
-    ("constant_decay", ['extra={"t_values":"x"}']),
-    ("discrete_slow", ["horizon=2", 'extra={"lambda_seq":["x","y"]}']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs="x"']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'subgrid=[1]']),
+    ("chernoff", ['nmax=1e999']),
+    ("chernoff", ['grid="x"']),
+    ("convvn", ['n_values=5']),
+    ("expo", ['m_values=["x"]']),
+    ("interpolation", ['n_steps=null']),
+    ("alpha_family", ['alpha="x"']),
+    ("accretivity", ['lambdas="x"']),
+    ("norm_bounds", ['lambdas=5']),
+    ("constant_decay", ['t_values="x"']),
+    ("discrete_slow", ["horizon=2", 'lambda_seq=["x","y"]']),
     ("norm_bounds", ['settings={"ode_tol":"x"}']),
     ("norm_bounds", ['settings={"decay_factor":null}']),
     ("norm_bounds", ['settings={"ode_tool":1e-3}']),
@@ -242,23 +243,23 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("hypothesis_H", ['settings={"samples":0}']),
     ("hypothesis_H", ['settings={"samples":-1}']),
     ("discrete_slow", ['settings={"decay_factor":NaN}']),
-    ("chernoff", ['extra={"grid":0}']),
-    ("chernoff", ['extra={"grid":-2}']),
-    ("chernoff", ['extra={"nmax":-3}']),
-    ("kobayashi", ["starts=[[0.0], [1.0]]", 'extra={"subgrid":0}']),
-    ("interpolation", ['extra={"n_steps":0}']),
-    ("norm_bounds", ['extra={"lambdas":[]}']),
+    ("chernoff", ['grid=0']),
+    ("chernoff", ['grid=-2']),
+    ("chernoff", ['nmax=-3']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'subgrid=0']),
+    ("interpolation", ['n_steps=0']),
+    ("norm_bounds", ['lambdas=[]']),
     ("two_param", ["starts=[[0.0], [1.0]]", "horizon=5", 'param={"kind":"power_alpha"}',
-                   'param2={"kind":"inverse_time_zeta"}', 'extra={"case":"A"}']),
+                   'param2={"kind":"inverse_time_zeta"}', 'case="A"']),
     ("norm_bounds", ["horizon=NaN"]),
     ("solution_contraction", ["starts=[[0.0], [1.0]]", "horizon=Infinity"]),
-    ("chernoff", ['extra={"gird":0}']),
+    ("chernoff", ['gird=0']),
     ("chernoff", ['param2={"kind":"power_alpha"}']),
     ("euler_vs_ode", ['steps2={"kind":"harmonic","N":10}']),
     ("accretivity", ["starts=[[0.0]]"]),
-    ("chernoff", ['extra={"grid":2.5}']),
-    ("chernoff", ['extra={"grid":true}']),
-    ("expo", ['extra={"m_values":[100.5]}']),
+    ("chernoff", ['grid=2.5']),
+    ("chernoff", ['grid=true']),
+    ("expo", ['m_values=[100.5]']),
     ("accretivity", ["seed=0.5"]),
     ("accretivity", ["seed=-1"]),
     ("hypothesis_H", ['settings={"samples":2.5}']),
@@ -266,15 +267,18 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("euler_vs_ode", ['steps={"kind":"harmonic","N":2.5}']),
     ("euler_vs_ode", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
     ("normalized_euler", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
+    ("chernoff", ["horizon=true"]),
+    ("alpha_family", ["alpha=false"]),
+    ("constant_decay", ["t_values=[1.0, true]"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
-    # the horizon, a value of the wrong type (extra values included), a
-    # check with no report, an unknown key in a spec object, an input the
-    # check does not read, or a setting, count or payoff range out of range;
-    # a check that takes start points gets one
+    # the horizon, a value of the wrong type, a check with no report, an
+    # unknown key in a spec object, an input the check does not read, or a
+    # setting, count or payoff range out of range; a check that takes start
+    # points gets one
     args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]']
-    if "starts" in bounds.inputs(check):
+    if "starts" in bounds.keys(bounds.CHECKS[check]):
         args += ["--set", "starts=[[0.0]]"]
     for item in sets:
         args += ["--set", item]
@@ -284,15 +288,62 @@ def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
 
 def test_verify_gives_each_check_only_the_inputs_it_reads(tmp_path, capsys):
     # grid is chernoff's, pairs is kobayashi's; gird is neither's, and is
-    # named once
+    # named once, alone
     args = ["verify", "--preset", "translation",
             "--set", 'checks=["chernoff","kobayashi"]', "--out", str(tmp_path)]
-    assert run(args + ["--set", 'extra={"grid":5,"pairs":2}']) == 0
+    assert run(args + ["--set", "grid=5", "--set", "pairs=2"]) == 0
     reports = json.loads(read(tmp_path / "reports.json"))
     assert {r["check"] for r in reports} == {"chernoff", "kobayashi"}
-    assert run(args + ["--set", 'extra={"grid":5,"gird":5}']) == cli.EXIT_CONFIG
+    assert run(args + ["--set", "grid=5", "--set", "gird=5"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.count("extra.gird") == 1 and "extra.grid" not in err
+    assert err.startswith("opdyn: config error: gird: not a key of chernoff or kobayashi, "
+                          "whose keys are ")
+    assert err.count("gird") == 1
+
+
+@pytest.mark.parametrize("check, item", [
+    ("accretivity", "horizon=50"),
+    ("hypothesis_H", "horizon=50"),
+    ("vlambda_lipschitz", "horizon=50"),
+    ("vlambda_lipschitz", "seed=0"),
+])
+def test_an_input_the_check_does_not_take_is_named_at_its_default_too(tmp_path, capsys,
+                                                                      check, item):
+    # an input is given when it is given, whatever its value
+    args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]',
+            "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    key = item.split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"opdyn: config error: {key}: not a key of {check}, whose keys are ")
+
+
+@pytest.mark.parametrize("item", ["T=x", 'random_game={"states":0}', "out=x"])
+def test_verify_names_a_stray_key_before_it_reads_any_value(tmp_path, capsys, item):
+    # a key no check takes is named as such, not read (nor a game built)
+    args = ["verify", "--preset", "translation", "--set", 'checks=["chernoff"]',
+            "--set", 'param={"kind":"bogus"}', "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    named = ", ".join(sorted([item.split("=")[0], "param"]))
+    assert capsys.readouterr().err.startswith(
+        f"opdyn: config error: {named}: not a key of chernoff, whose keys are ")
+
+
+@pytest.mark.parametrize("check, code, message", [
+    ("wn_tracks_vn", cli.EXIT_OK, ""),
+    ("constant_decay", cli.EXIT_OK, ""),
+    ("chernoff", cli.EXIT_OK, ""),
+    ("stationarity_gap", cli.EXIT_CONFIG,
+     "opdyn: config error: param: missing for stationarity_gap, whose keys are "),
+])
+def test_a_null_spec_object_is_as_if_not_given(tmp_path, capsys, check, code, message):
+    # param is wn_tracks_vn's (InverseTimeZeta by default), constant_decay's
+    # (Constant(0.5)) and stationarity_gap's (required), and steps2 is
+    # kobayashi's alone: null leaves each out, whichever check takes it
+    args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]',
+            "--set", "param=null", "--set", "steps2=null", "--out", str(tmp_path)]
+    assert run(args) == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_verify_failure_sets_exit_one(tmp_path):
@@ -300,7 +351,7 @@ def test_verify_failure_sets_exit_one(tmp_path):
     # config error)
     code = run(["verify", "--preset", "translation",
                 "--set", 'checks=["accretivity"]',
-                "--set", 'extra={"lambdas":[0.5]}',
+                "--set", 'lambdas=[0.5]',
                 "--set", 'operator={"builtin":"rotation","theta_degrees":30}',
                 "--out", str(tmp_path)])
     assert code == 0  # rotation passes accretivity; now force a failure
@@ -363,6 +414,9 @@ def test_verify_failure_sets_exit_one(tmp_path):
     ("generate-game", "random3", "operator.junk=1"),
     ("generate-game", "random3", "operator.random_game.rows=2.5"),
     ("generate-game", "translation", "game_file=x.json"),
+    ("ode", "rotation30", "T=true"),
+    ("phi_ode", "matching-pennies", "tol=true"),
+    ("verify", "translation", "out=x"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
@@ -489,8 +543,8 @@ def test_every_preset_key_is_taken_by_some_task():
 
 def test_readme_table_lists_each_tasks_keyword_only_parameters():
     # README's "Task keys" table against the task signatures, each key as
-    # name or name=default; READERS reads only keys that some task or spec
-    # constructor takes
+    # name or name=default; READERS reads only keys that some task, check or
+    # spec constructor takes
     want, taken = {}, set()
     for name, task in cli.TASK_RUNNERS.items():
         want[(name,)] = [shown(p) for p in task_keys(task)]
@@ -498,9 +552,28 @@ def test_readme_table_lists_each_tasks_keyword_only_parameters():
         # a default is shared by every call, so none may be mutable
         assert not any(isinstance(p.default, (list, dict, set)) for p in task_keys(task))
     assert readme_table("### Task keys") == want
-    for fn in spec_constructors().values():
+    for fn in [*spec_constructors().values(), *bounds.CHECKS.values()]:
         taken.update(p.name.rstrip("_") for p in task_keys(fn))
     assert set(cli.READERS) <= taken
+
+
+def test_a_checks_keys_are_read_by_bounds_readers_alone():
+    # no task or spec key reads a check's key another way
+    for key, read in bounds.READERS.items():
+        assert cli.READERS[key] is read
+
+
+FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol",
+              "fp_tol", "decay_factor"]
+FLOAT_LIST_KEYS = ["lambdas", "t_values", "lambda_seq", "payoff_range"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + FLOAT_LIST_KEYS)
+def test_float_keys_reject_a_bool(key):
+    value = [0.5, True] if key in FLOAT_LIST_KEYS else True
+    with pytest.raises(InputError, match="^must be a number, got True$"):
+        cli.READERS[key](value)
+    assert cli.READERS[key]([0.5] if key in FLOAT_LIST_KEYS else 0.5) in (0.5, [0.5])
 
 
 def test_readme_table_lists_each_spec_constructors_keyword_only_parameters():

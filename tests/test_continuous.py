@@ -18,6 +18,22 @@ def test_zeta_values():
     assert continuous.zeta(1.0) == pytest.approx(1.0 + np.log(2.0))
 
 
+@pytest.mark.parametrize("read", [
+    continuous.zeta,
+    continuous.zeta_inverse,
+    continuous.InverseTimeZeta().value,
+    continuous.InverseTimeZeta().integral,
+    continuous.Table([(0.0, 0.5), (1.0, 0.6)]).value,
+    continuous.Table([(0.0, 0.5), (1.0, 0.6)]).integral,
+    lambda t: continuous.L_factor(continuous.PowerAlpha(0.5), t),
+], ids=["zeta", "zeta_inverse", "itz_value", "itz_integral", "table_value",
+        "table_integral", "L_factor"])
+@pytest.mark.parametrize("t", [-1.0, np.nan])
+def test_a_negative_or_nan_time_is_an_input_error(read, t):
+    with pytest.raises(InputError, match="must be >= 0"):
+        read(t)
+
+
 def test_inverse_time_zeta_asymptotics():
     p = continuous.InverseTimeZeta()
     assert p.value(0.0) == pytest.approx(0.5)
