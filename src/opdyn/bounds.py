@@ -156,6 +156,16 @@ def _choice(*options):
     return read
 
 
+def _instance(cls):
+    """A reader: an instance of cls, as given (``opdyn verify`` builds one
+    from its spec object before the check binds it)."""
+    def read(value):
+        if not isinstance(value, cls):
+            raise InputError(f"must be a {cls.__name__}, got {type(value).__name__}")
+        return value
+    return read
+
+
 def _points(values):
     """A reader: a list of points, as given (each is read where it is used,
     at the operator's dimension); None stands for the check's own."""
@@ -165,8 +175,7 @@ def _points(values):
 
 
 #: one reader per input key, whichever check takes it: it turns the given
-#: value into the check's argument; a key without one (param, param2, steps,
-#: steps2) is passed as given
+#: value into the check's argument
 READERS = {
     "alpha": _float,
     "case": _choice("a", "b"),
@@ -179,8 +188,12 @@ READERS = {
     "n_values": _list(_count(1)),
     "nmax": _count(0),
     "pairs": _count(1),
+    "param": _instance(continuous.Parametrization),
+    "param2": _instance(continuous.Parametrization),
     "seed": _count(0),
     "starts": _points,
+    "steps": _instance(discrete.StepSequence),
+    "steps2": _instance(discrete.StepSequence),
     "subgrid": _count(1),
     "t_values": _list(_float),
 }
@@ -250,8 +263,8 @@ def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
 
 
 def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
-    for lam in lambdas:
-        rep = core.check_accretive(op, lam, samples=st.samples, seed=seed)
+    reports = core._accretive_reports(op, lambdas, samples=st.samples, seed=seed)
+    for lam, rep in zip(lambdas, reports):
         yield (1.0 - rep.worst_ratio, 0.0, BASE_TOL,
                {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 

@@ -334,7 +334,9 @@ def _emit_reports(reports, out):
 #: one reader per config key, whichever task, check or spec object takes it:
 #: it turns the config value into the argument; any other key is passed as
 #: given.  A check's keys are read by bounds.READERS, and no key here reads
-#: one of them another way.
+#: one of them another way, but for the spec objects param, param2, steps
+#: and steps2: their readers here build the object from its spec, and the
+#: one in bounds.READERS takes it as built.
 READERS = {
     **bounds.READERS,
     "operator": _operator,
@@ -366,7 +368,8 @@ READERS = {
 
 
 #: the checks' inputs that are spec objects: task_verify builds them, and a
-#: null one is left out, as if not given; bounds.verify reads the others
+#: null one is left out, as if not given; bounds.verify reads the others and
+#: takes these as built
 SPECS = ("param", "param2", "steps", "steps2")
 
 

@@ -20,6 +20,7 @@ estimates (see Trajectory).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -234,12 +235,15 @@ MAX_STEPS = 2**20
 class Trajectory:
     """Dormand-Prince trajectory with an error bound per sample.
 
-    times[0] = 0 < ... < times[n] = T are the step ends, points[k] the
-    solution there and derivative[k] the RHS evaluated exactly at
-    (times[k], points[k]).  Between times[k] and times[k+1] (length h, at
-    t = times[k] + s h) the dense output is Shampine's continuous extension:
-    the cubic Hermite polynomial of the points and h x the derivatives at
-    both ends, plus s^2 (1 - s)^2 dense[k].
+    times[0] = 0 < ... < times[n] = T are the step ends.  nodes is one
+    (n+1, 2, d) block: nodes[k, 0] = points[k] is the solution at times[k]
+    and nodes[k, 1] = derivative[k] the RHS evaluated exactly at
+    (times[k], points[k]); points and derivative are views of it.  Between
+    times[k] and times[k+1] (length h, at t = times[k] + s h) the dense
+    output is Shampine's continuous extension: the cubic Hermite polynomial
+    of the points and h x the derivatives at both ends, plus
+    s^2 (1 - s)^2 dense[k].  The four node vectors of step k are the
+    contiguous rows of nodes[k:k+2].
 
     err_bound[0] = 0, and for the step k from times[k-1] to times[k]
 
@@ -258,34 +262,46 @@ class Trajectory:
     """
 
     times: np.ndarray
-    points: np.ndarray
+    nodes: np.ndarray
     err_bound: np.ndarray
-    derivative: np.ndarray
     dense: np.ndarray
+
+    @property
+    def points(self):
+        return self.nodes[:, 0]
+
+    @property
+    def derivative(self):
+        return self.nodes[:, 1]
 
     def at(self, t):
         """Dense evaluation by the Dormand-Prince continuous extension: its
-        five coefficients are computed on Python floats, then each scales its
-        vector, summed in the order written."""
-        k, s = locate(self.times, t)
-        h = float(self.times[k + 1]) - float(self.times[k])
+        five coefficients are computed on Python floats, the column
+        (c0, c1, c2, -c3) scales the rows (P_k, D_k, P_k+1, D_k+1) of the
+        node block, which are summed in that order, and c4 dense[k] is added
+        last.  The sum starts from -0.0, the identity that keeps a signed
+        zero (NumPy's reduce starts from 0.0), so the read is
+        c0 P_k + c1 D_k + c2 P_k+1 - c3 D_k+1 + c4 dense[k] bit for bit."""
+        times = memoryview(self.times)
+        k, s = locate(times, t)
+        h = times[k + 1] - times[k]
         r = 1.0 - s
         c0 = (1.0 + 2.0 * s) * r * r
         c1 = s * r * r * h
         c2 = s * s * (3.0 - 2.0 * s)
         c3 = s * s * r * h
         c4 = s * s * r * r
-        return (c0 * self.points[k] + c1 * self.derivative[k]
-                + c2 * self.points[k + 1] - c3 * self.derivative[k + 1]
-                + c4 * self.dense[k])
+        terms = np.array((c0, c1, c2, -c3))[:, None] * self.nodes[k:k + 2].reshape(4, -1)
+        return np.add.reduce(terms, initial=-0.0) + c4 * self.dense[k]
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
         largest err_bound[k] over them, with k the node at a node time and
         the step's end node inside a step.  InputError outside the samples."""
         ts = np.atleast_1d(np.asarray(times, dtype=float))
+        grid = memoryview(self.times)
         for t in ts:
-            locate(self.times, t)
+            locate(grid, t)
         idx = np.searchsorted(self.times, np.clip(ts, 0.0, self.times[-1]))
         return float(np.max(self.err_bound[idx]))
 
@@ -306,8 +322,9 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     stops = [float(k) for k in kinks if 0.0 < k < T] + [float(T)]
     target = STEP_TOL_SHARE * tol / T
     K = np.empty((7, y0.shape[0]))
+    prefixes = [K[:i] for i in range(7)]  # views: the stages written so far
     K[0] = rhs(0.0, y0)
-    times, points, derivs, dense, bounds = [0.0], [y0], [K[0].copy()], [], [0.0]
+    times, nodes, dense, bounds = [0.0], [y0, K[0].copy()], [], [0.0]
     t, y, b, lam_int = 0.0, y0, 0.0, 0.0
     slope = norm(K[0], norm_kind)
     h = (target / slope) ** 0.25 if slope > 0.0 else T
@@ -320,10 +337,10 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
             h = min(h, LONGEST_STEP)
             end = stop if t + 1.1 * h >= stop else t + h
             h = end - t
-            if h <= 4.0 * np.spacing(end):
+            if h <= 4.0 * math.ulp(end):
                 raise ResourceError(f"step size underflow at t = {t}")
             for i in range(1, 7):
-                stage = y + h * (_DP_ROWS[i] @ K[:i])
+                stage = y + h * (_DP_ROWS[i] @ prefixes[i])
                 K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
             est = norm(h * (_DP_E @ K), norm_kind)
             ratio = est / (target * h)
@@ -334,14 +351,13 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
                 dense.append(h * (_DP_D @ K))
                 t, y, lam_int = end, stage, next_int
                 times.append(t)
-                points.append(y)
-                derivs.append(K[6].copy())
+                nodes += (y, K[6].copy())
                 K[0] = K[6]
             # est ~ h^5 against a target ~ h: rescale h by ratio^(-1/4)
             grow = 0.9 * ratio ** -0.25 if ratio > 0.0 else np.inf
             h *= min(5.0, grow) if ratio <= 1.0 else max(0.2, grow)
-    return Trajectory(np.array(times), np.array(points), np.array(bounds),
-                      np.array(derivs), np.array(dense))
+    return Trajectory(np.array(times), np.array(nodes).reshape(len(times), 2, -1),
+                      np.array(bounds), np.array(dense))
 
 
 def euler_power(op, t, m, x0):

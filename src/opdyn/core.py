@@ -260,11 +260,23 @@ def check_accretive(op, lam, samples=200, radius=10.0, seed=0):
     """Sampled check of ||x-y + lam(A(x)-A(y))|| >= ||x-y|| for lam > 0.
 
     worst_ratio is the smallest observed ratio (1 when every pair is
-    skipped); violations counts pairs below 1 - RATIO_TOL.
+    skipped); violations counts pairs below 1 - RATIO_TOL.  The one-lam
+    case of ``_accretive_reports``, whose one draw serves every lam.
     """
-    if lam <= 0:
+    (report,) = _accretive_reports(op, (lam,), samples, radius, seed)
+    return report
+
+
+def _accretive_reports(op, lams, samples=200, radius=10.0, seed=0):
+    """check_accretive's report for each lam in lams, from one draw of the
+    pairs and one evaluation of A at each of their points."""
+    if any(lam <= 0 for lam in lams):
         raise InputError("lambda must be positive")
-    ratios = [op.norm(x - y + lam * (apply_A(op, x) - apply_A(op, y))) / d
-              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
-    violations = sum(r < 1.0 - RATIO_TOL for r in ratios)
-    return PropertyReport(samples, violations, min(ratios, default=1.0), seed)
+    diffs = [(x - y, apply_A(op, x) - apply_A(op, y), d)
+             for x, y, d in _sampled_pairs(op, samples, radius, seed)]
+    reports = []
+    for lam in lams:
+        ratios = [op.norm(dx + lam * dA) / d for dx, dA, d in diffs]
+        violations = sum(r < 1.0 - RATIO_TOL for r in ratios)
+        reports.append(PropertyReport(samples, violations, min(ratios, default=1.0), seed))
+    return reports

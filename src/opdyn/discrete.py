@@ -19,6 +19,7 @@ iterations in linearize calls.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,14 +95,16 @@ def _step_orbit(op, x0, steps, step):
 
 def locate(grid, t):
     """(k, s) with t = grid[k] + s (grid[k+1] - grid[k]), s in [0, 1] (the
-    last sample gives k = len(grid) - 2, s = 1), for a sorted float array
-    grid; s is a Python float.  t is clamped onto the grid from within
-    1e-12; further out, or NaN, it raises InputError."""
+    last sample gives k = len(grid) - 2, s = 1), for a sorted sequence of
+    floats grid; s is a Python float.  Pass a list, or a memoryview of a
+    float array, whose items are Python floats: bisect reads an array's
+    items as NumPy scalars.  t is clamped onto the grid from within 1e-12;
+    further out, or NaN, it raises InputError."""
     first, last = float(grid[0]), float(grid[-1])
     if not first - 1e-12 <= t <= last + 1e-12:
         raise InputError(f"time {t} outside [{first}, {last}]")
     t = min(max(float(t), first), last)
-    k = int(grid.searchsorted(t, side="right")) - 1
+    k = bisect_right(grid, t) - 1
     if k >= len(grid) - 1:
         return len(grid) - 2, 1.0
     a = float(grid[k])
@@ -199,7 +202,7 @@ def euler_scheme(op, x0, steps):
 
 def euler_interpolant(orbit, t):
     """Piecewise-linear interpolation of an Euler orbit in sigma-time."""
-    k, s = locate(orbit.steps.sigma, t)
+    k, s = locate(memoryview(orbit.steps.sigma), t)
     return (1.0 - s) * orbit.points[k] + s * orbit.points[k + 1]
 
 

@@ -187,6 +187,16 @@ def _clamp_simplex(p):
     return [x / total for x in p]
 
 
+def _clamp_pair(x, y):
+    """``_clamp_simplex([x, y])`` bit for bit, without a list when both
+    entries are positive: they are divided by x + y, which equals
+    sum([x, y]); any other pair, NaN included, takes ``_clamp_simplex``."""
+    if x > 0.0 and y > 0.0:
+        total = x + y
+        return x / total, y / total
+    return _clamp_simplex([x, y])
+
+
 def _check_gap(maximin, minimax, rows):
     """The certificate of every solver path.
 
@@ -232,8 +242,8 @@ def _solve_2x2(a, b, c, d):
         # differences, which keeps it accurate to rounding when the entries
         # sit far from zero (ad - bc loses every digit at entries near 1e9).
         den = (a - b) + (d - c)
-        p1, p2 = _clamp_simplex([(d - c) / den, (a - b) / den])
-        q1, q2 = _clamp_simplex([(d - b) / den, (a - c) / den])
+        p1, p2 = _clamp_pair((d - c) / den, (a - b) / den)
+        q1, q2 = _clamp_pair((d - b) / den, (a - c) / den)
         value = a - (a - b) * (a - c) / den
     lo1, lo2 = p1 * a + p2 * c, p1 * b + p2 * d
     hi1, hi2 = a * q1 + b * q2, c * q1 + d * q2

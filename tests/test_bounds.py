@@ -170,6 +170,23 @@ def test_param_checks_require_param(translation):
         bounds.verify("two_param", sc, FAST)
 
 
+@pytest.mark.parametrize("check, given, key, kind", [
+    ("stationarity_gap", {"param": 0.5}, "param", "Parametrization"),
+    ("two_param", {"param": continuous.PowerAlpha(0.5), "param2": {"kind": "constant"}},
+     "param2", "Parametrization"),
+    ("euler_vs_ode", {"steps": [0.5, 0.5]}, "steps", "StepSequence"),
+    ("kobayashi", {"steps": discrete.StepSequence.harmonic(3), "steps2": None},
+     "steps2", "StepSequence"),
+])
+def test_a_spec_input_of_the_wrong_type_is_an_input_error_naming_it(translation, check,
+                                                                      given, key, kind):
+    # param and param2 must be Parametrizations, steps and steps2
+    # StepSequences: anything else is named before the check runs
+    sc = bounds.Scenario(operator=translation, **given)
+    with pytest.raises(InputError, match=f"^{key}: must be a {kind}, got "):
+        bounds.verify(check, sc, FAST)
+
+
 @pytest.mark.parametrize("check, given, name", [
     ("chernoff", {"gird": 0}, "gird"),
     ("chernoff", {"param2": continuous.PowerAlpha(0.5)}, "param2"),
@@ -209,9 +226,8 @@ def test_readme_table_lists_each_checks_keyword_only_parameters():
         want[check] = [shown(p) for p in params]
         taken.update(p.name for p in params)
     assert rows == want
-    # one reader per input, each used; the inputs without one are objects
-    assert set(bounds.READERS) <= taken
-    assert taken - set(bounds.READERS) == {"param", "param2", "steps", "steps2"}
+    # one reader per input, each used
+    assert set(bounds.READERS) == taken
 
 
 def test_failing_check_is_reported():
@@ -229,6 +245,24 @@ def test_failing_check_is_reported():
     )
     assert any(not r.verdict for r in reports)
     assert all(r.slack < 0 for r in reports if not r.verdict)
+
+
+def test_accretivity_evaluates_J_twice_per_sample_for_all_lambdas():
+    # one draw of pairs and one A(x), A(y) per pair serve every lambda
+    class Counting(core.Translation):
+        calls = 0
+
+        def J(self, x):
+            Counting.calls += 1
+            return super().J(x)
+
+    for lambdas in ([0.5], [0.1, 0.5, 1.0, 2.0]):
+        Counting.calls = 0
+        reports = bounds.verify("accretivity",
+                                bounds.Scenario(Counting([1.0, 2.0]), lambdas=lambdas),
+                                bounds.Settings(samples=30))
+        assert [r.context["lambda"] for r in reports] == lambdas
+        assert Counting.calls == 2 * 30
 
 
 def test_euler_vs_ode_translation(translation):

@@ -157,10 +157,23 @@ def test_trajectory_dense_reads_hit_the_samples_exactly():
         assert traj.at(t).tolist() == traj.points[i].tolist()
 
 
+def extension(traj, k, s):
+    """The continuous extension of step k at s, written out on numpy
+    scalars and arrays in the order of its terms."""
+    times, P, D = traj.times, traj.points, traj.derivative
+    h = times[k + 1] - times[k]
+    r = 1.0 - s
+    return ((1.0 + 2.0 * s) * r * r * P[k]
+            + s * r * r * h * D[k]
+            + s * s * (3.0 - 2.0 * s) * P[k + 1]
+            - s * s * r * h * D[k + 1]
+            + s * s * r * r * traj.dense[k])
+
+
 @pytest.mark.parametrize("flow", ["U", "table"])
 def test_trajectory_reads_inside_steps_are_the_extension_bit_for_bit(flow):
-    # the continuous extension written out on numpy scalars and arrays, at
-    # 50 interior times of every step
+    # at 50 interior times of every step, at every node time (s = 0 in the
+    # step it starts) and at T (s = 1 in the last step)
     op = core.AffineNonexpansive([[0.5, -0.25, 0.25], [0.0, 0.6, -0.4],
                                   [0.3, 0.3, -0.3]], [1.0, -0.5, 0.25])
     start = np.array([0.5, 2.0, -1.0])
@@ -169,19 +182,35 @@ def test_trajectory_reads_inside_steps_are_the_extension_bit_for_bit(flow):
     else:
         param = continuous.Table([(0.0, 0.9), (1.5, 0.4), (4.0, 0.7)])
         traj = continuous.integrate_u(op, param, start, 6.0, tol=1e-8)
-    times, P, D = traj.times, traj.points, traj.derivative
-    for k in range(times.size - 1):
+    times = traj.times
+    n = times.size - 1
+    for k in range(n):
         h = times[k + 1] - times[k]
         for frac in np.linspace(0.0, 1.0, 52)[1:-1]:
             t = times[k] + frac * h
-            s = (t - times[k]) / h
-            r = 1.0 - s
-            want = ((1.0 + 2.0 * s) * r * r * P[k]
-                    + s * r * r * h * D[k]
-                    + s * s * (3.0 - 2.0 * s) * P[k + 1]
-                    - s * s * r * h * D[k + 1]
-                    + s * s * r * r * traj.dense[k])
-            assert traj.at(t).tobytes() == want.tobytes()
+            assert traj.at(t).tobytes() == extension(traj, k, (t - times[k]) / h).tobytes()
+        assert traj.at(times[k]).tobytes() == extension(traj, k, 0.0).tobytes()
+    assert traj.at(times[n]).tobytes() == extension(traj, n - 1, 1.0).tobytes()
+
+
+def test_trajectory_reads_keep_signed_zeros():
+    # a node block of signed zeros and ones: every read is the extension
+    # bit for bit, with -0.0 where every term is -0.0 (the entry 0 of step
+    # 0, whose D_1 term is subtracted), which a sum from 0.0 would lose
+    rng = np.random.default_rng(3)
+    nodes = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(4, 2, 6))
+    dense = rng.choice([-0.0, 0.0, 2.0], size=(3, 6))
+    nodes[:, 0, 0] = nodes[0, 1, 0] = dense[0, 0] = -0.0
+    nodes[1, 1, 0] = 0.0
+    traj = continuous.Trajectory(np.array([0.0, 0.5, 1.5, 2.0]), nodes, np.zeros(4), dense)
+    assert np.shares_memory(traj.points, traj.nodes)
+    assert np.shares_memory(traj.derivative, traj.nodes)
+    for k in range(3):
+        h = traj.times[k + 1] - traj.times[k]
+        for t in traj.times[k] + np.array([0.0, 0.25, 0.5]) * h:
+            got = traj.at(t)
+            assert got.tobytes() == extension(traj, k, (t - traj.times[k]) / h).tobytes()
+            assert np.signbit(got[0]) or k > 0
 
 
 class _BlowsUp(core.Operator):

@@ -319,6 +319,22 @@ def test_check_accretive():
     assert bad.worst_ratio == pytest.approx(0.5)
 
 
+def test_one_accretivity_draw_gives_each_lambdas_report_field_for_field():
+    # each lam's report from the shared draw is check_accretive's, and its
+    # ratios are the written-out ||x - y + lam (A(x) - A(y))|| / d
+    lams = (0.1, 0.5, 1.0, 2.0)
+    for op in (core.Translation([1.0, 2.0]), core.rotation(0.7), _Expansive(),
+               shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=4))):
+        shared = core._accretive_reports(op, lams, samples=50, seed=9)
+        assert shared == [core.check_accretive(op, lam, samples=50, seed=9) for lam in lams]
+        pairs = core._sampled_pairs(op, 50, 10.0, 9)
+        for lam, rep in zip(lams, shared):
+            ratios = [op.norm(x - y + lam * (core.apply_A(op, x) - core.apply_A(op, y))) / d
+                      for x, y, d in pairs]
+            assert rep.worst_ratio == min(ratios)
+            assert rep.violations == sum(r < 1.0 - core.RATIO_TOL for r in ratios)
+
+
 def test_check_accretive_rejects_nonpositive_lambda():
     with pytest.raises(InputError):
         core.check_accretive(core.Translation([1.0]), 0.0)

@@ -245,6 +245,19 @@ def test_locate_brackets_every_time_on_the_grid():
         discrete.euler_interpolant(orbit, np.nan)
 
 
+def test_locate_is_the_same_on_a_list_an_array_and_its_memoryview():
+    grid = np.cumsum(np.random.default_rng(2).uniform(0.01, 1.0, 40))
+    grid[0] = 0.0
+    ts = np.concatenate((grid, np.random.default_rng(3).uniform(0.0, grid[-1], 200),
+                         [-1e-12, grid[-1] + 1e-12]))
+    for t in ts.tolist() + list(ts):
+        want = discrete.locate(grid.tolist(), t)
+        assert type(want[0]) is int and type(want[1]) is float
+        for seq in (grid, memoryview(grid)):
+            got = discrete.locate(seq, t)
+            assert got == want and type(got[1]) is float
+
+
 def test_euler_interpolant_at_each_sample_is_that_point():
     op = shapley.ShapleyOperator(shapley.random_game(2, 2, 2, seed=3))
     steps = discrete.StepSequence.harmonic(7)

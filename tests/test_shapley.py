@@ -133,6 +133,58 @@ def test_2x2_value_keeps_its_digits_far_from_zero():
         assert sol.value == pytest.approx(5e-4 + c, abs=1e-12 * abs(c))
 
 
+def solve_2x2_on_lists(a, b, c, d):
+    """_solve_2x2 with both strategies clamped through _clamp_simplex's
+    lists, as it was written before the pair form."""
+    row1_min, row2_min = min(a, b), min(c, d)
+    col1_max, col2_max = max(a, c), max(b, d)
+    maximin = max(row1_min, row2_min)
+    if maximin == min(col1_max, col2_max):
+        return None  # a pure saddle: no strategy is clamped
+    den = (a - b) + (d - c)
+    p = shapley._clamp_simplex([(d - c) / den, (a - b) / den])
+    q = shapley._clamp_simplex([(d - b) / den, (a - c) / den])
+    return a - (a - b) * (a - c) / den, tuple(p), tuple(q)
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_2x2_mixed_strategies_equal_the_list_clamp_bit_for_bit():
+    rng = np.random.default_rng(12)
+    games = [rng.uniform(-1.0, 1.0, 4) * scale + shift
+             for scale, shift in ((1.0, 0.0), (1e9, 0.0), (1.0, 1e9), (1e-9, 0.0))
+             for _ in range(500)]
+    games += [rng.integers(-2, 3, 4).astype(float) for _ in range(500)]
+    # (d - c) / den and (d - b) / den underflow to exactly 0: the clamping branch
+    games.append(np.array([1e10, 0.0, 0.0, 5e-324]))
+    mixed = 0
+    for a, b, c, d in (g.tolist() for g in games):
+        want = solve_2x2_on_lists(a, b, c, d)
+        if want is not None:
+            mixed += 1
+            value, p, q = shapley._solve_2x2(a, b, c, d)
+            assert float_bits([value, *p, *q]) == float_bits([want[0], *want[1], *want[2]])
+    assert mixed > 500
+    assert shapley._solve_2x2(1e10, 0.0, 0.0, 5e-324)[1:] == ((0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("x, y", [
+    (0.25, 0.75), (1e-300, 1.0), (5e-324, 5e-324), (1e308, 1e308),
+    (0.0, 1.0), (1.0, -0.0), (-1e-12, 0.5), (-5e-13, 2.0), (float("nan"), 1.0),
+    (1.0, float("nan")), (-2e-12, 1.0), (0.0, -0.0), (-1e-13, -1e-13),
+])
+def test_pair_clamp_is_the_list_clamp_bit_for_bit(x, y):
+    # the same results, or the same ResourceError
+    def outcome(clamp, *args):
+        try:
+            return float_bits(clamp(*args))
+        except ResourceError as exc:
+            return str(exc)
+    assert outcome(shapley._clamp_pair, x, y) == outcome(shapley._clamp_simplex, [x, y])
+
+
 # The three scale properties keep their 2x2 names and tolerances and also
 # draw 3x2, 2x3, 3x3 and 4x4 games, which are held to certified_tol.
 @given(M=games(st.floats(-1.0, 1.0)), size=magnitudes, c=st.floats(-1.0, 1.0),
