@@ -182,7 +182,7 @@ READERS = {
     "grid": _count(1),
     "horizon": _positive,
     "lambda_seq": _list(_float),
-    "lambdas": _list(_float),
+    "lambdas": _list(_positive),
     "m_values": _list(_integer),
     "n_steps": _count(1),
     "n_values": _list(_count(1)),

@@ -5,21 +5,29 @@ The one-stage operator maps a state-value vector f to
     J(f)(w) = val [ g(i, j, w) + sum_w' f(w') rho(w' | i, j, w) ]
 
 where val is the minimax value of the auxiliary matrix game.  A 2x2 game is
-solved in closed form (pure saddle or Shapley-Snow kernel formula); every
-other shape by a dense simplex on the classical LP, rescaled to entries in
-[1, 2], in floats and, if that fails, in exact rationals.  All paths end in
-one primal-dual gap certificate, whose tolerance scales with the largest
-entry of the game.  A kernel-enumeration oracle is kept for cross-checking.
+solved in closed form (pure saddle or Shapley-Snow kernel formula).  Every
+other shape is solved on a support: the equalizing system on a k x k block,
+k <= 3, in closed form, accepted only under strict complementarity by a
+margin, which makes the block the game's only optimal support.  The block
+tried first is a guess, the support the same state's last solve accepted;
+failing that, a dense simplex on the classical LP, rescaled to entries in
+[1, 2], in floats and, if that fails, in exact rationals, names the block,
+and its own solution is returned when no block is accepted.  An accepted
+guess is the block the simplex would have named, so the result, and J, do
+not depend on the guess or on the order of calls.  All paths end in one
+primal-dual gap certificate, whose tolerance scales with the largest entry
+of the game.  A kernel-enumeration oracle is kept for cross-checking.
 
 A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
 the per-state arrays are views into them, and all of them are read-only.  One
 J evaluation validates f once, assembles every stage game of a group with one
 stacked product P + R @ f; a 2x2 group is solved on Python floats by the
-closed form, every other shape one state at a time.
-``shapley_linearize`` solves the same games and also returns, from their
-optimal strategies, the frozen-strategy transition matrix: the linear model
-behind the policy steps of the v_lambda solver.
+closed form, every other shape one state at a time, with the state's guess
+that ``ShapleyOperator`` keeps.  ``shapley_linearize`` solves the same games
+and also returns, from their optimal strategies, the frozen-strategy
+transition matrix: the linear model behind the policy steps of the v_lambda
+solver.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isfinite
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -163,9 +171,14 @@ def load_game(source):
 
 @dataclass
 class MatrixGameSolution:
+    """A certified solution; ``support`` is the (rows, cols) pair of index
+    tuples of the kernel it was solved on, or None for a simplex or 2x2
+    closed-form result."""
+
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
+    support: tuple | None = None
 
 
 def _clamp_simplex(p):
@@ -336,26 +349,123 @@ def _exact_simplex(rows):
 
 
 def _certify(rows, value, p, q):
-    """Normalize the simplex's strategies and certify them on the game rows."""
+    """Normalize the simplex's strategies and certify them on the game rows.
+
+    Returns (value, p, q, lo, hi): lo holds the payoff of p against each
+    column, hi that of each row against q.
+    """
     p, q = _clamp_simplex(p), _clamp_simplex(q)
-    maximin = min(sum(map(mul, p, col)) for col in zip(*rows))
-    minimax = max(sum(map(mul, row, q)) for row in rows)
+    lo = [sum(map(mul, p, col)) for col in zip(*rows)]
+    hi = [sum(map(mul, row, q)) for row in rows]
+    maximin, minimax = min(lo), max(hi)
     _check_gap(maximin, minimax, rows)
     # The tableau's value carries the rounding of every pivot, which a tiny
     # pivot on a nearly degenerate game amplifies; the certified bracket
     # [maximin, minimax] does not.
+    return min(max(value, maximin), minimax), p, q, lo, hi
+
+
+def _kernel(rows, support, margin):
+    """The Shapley-Snow solution of the game ``rows`` on ``support``, or None
+    unless it is accepted.
+
+    support = (I, J), two increasing index tuples, names a k x k block B
+    with k <= 3.  With A = B - c, c = B[0][0], the equalizing strategies are
+    p ∝ 1'adj(A) and q ∝ adj(A)1, and the value is c + det(A) / 1'adj(A)1
+    (Shapley & Snow 1950); the shift leaves p and q as they are and keeps
+    the digits of entries far from zero, as ``_solve_2x2`` does.  The result
+    is accepted only under strict complementarity by margin: every weight
+    of p and q times the spread of A's entries exceeds margin, so no action
+    of the block could be dropped within the certificate's tolerance; the
+    best replies within margin of the value are exactly the block's rows
+    and columns; and the gap certificate holds on the whole game.  A block
+    that passes is the game's only optimal support.  The value is clamped
+    into [maximin, minimax], as in ``_certify``.
+    """
+    I, J = support
+    k = len(I)
+    if k != len(J) or not 0 < k <= 3:
+        return None
+    block = [rows[i] for i in I]
+    if k == 1:
+        # a strict saddle: p and q are pure, so the payoffs are row i and column j
+        (j,) = J
+        value = block[0][j]
+        p = q = (1.0,)
+        lo, hi = block[0], [row[j] for row in rows]
+    else:
+        pick = itemgetter(*J)
+        # P and Q are the row and column sums of the cofactors of A, whose
+        # top left entry is 0; det(A) is expanded along its first row
+        if k == 2:
+            (c, b), (d, e) = map(pick, block)
+            b, d, e = b - c, d - c, e - c
+            spread = max(0.0, b, d, e) - min(0.0, b, d, e)
+            P, Q, det = (e - d, -b), (e - b, -d), -b * d
+        else:
+            (c, a01, a02), (a10, a11, a12), (a20, a21, a22) = map(pick, block)
+            A = a01, a02, a10, a11, a12, a20, a21, a22 = (
+                a01 - c, a02 - c, a10 - c, a11 - c, a12 - c, a20 - c, a21 - c, a22 - c)
+            spread = max(0.0, *A) - min(0.0, *A)
+            c00, c01, c02 = a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20
+            c10, c11, c12 = a02 * a21 - a01 * a22, -a02 * a20, a01 * a20
+            c20, c21, c22 = a01 * a12 - a02 * a11, a02 * a10, -a01 * a10
+            P = (c00 + c01 + c02, c10 + c11 + c12, c20 + c21 + c22)
+            Q = (c00 + c10 + c20, c01 + c11 + c21, c02 + c12 + c22)
+            det = a01 * c01 + a02 * c02
+        sp, sq = sum(P), sum(Q)
+        if sp == 0.0 or sq == 0.0:
+            return None
+        p, q = [x / sp for x in P], [x / sq for x in Q]
+        # every action must move the payoffs by more than the margin; NaN,
+        # from a product that overflows, fails this test too
+        if not min(p + q) * spread > margin:
+            return None
+        value = c + det / sp
+        lo = [sum(map(mul, p, col)) for col in zip(*block)]
+        hi = [sum(map(mul, q, pick(row))) for row in rows]
+    if (tuple([j for j, x in enumerate(lo) if x <= value + margin]) != J
+            or tuple([i for i, x in enumerate(hi) if x >= value - margin]) != I):
+        return None
+    maximin, minimax = min(lo), max(hi)
+    try:
+        _check_gap(maximin, minimax, rows)
+    except ResourceError:
+        return None
+    row, col = [0.0] * len(rows), [0.0] * len(rows[0])
+    for i, x in zip(I, p):
+        row[i] = x
+    for j, x in zip(J, q):
+        col[j] = x
     value = min(max(value, maximin), minimax)
-    return MatrixGameSolution(value, np.array(p), np.array(q))
+    return MatrixGameSolution(value, np.array(row), np.array(col), support)
 
 
-def matrix_game_value(M):
+def matrix_game_value(M, support=None):
     """Minimax value and optimal mixed strategies of the matrix game M.
 
-    A 2x2 game is solved in closed form by ``_solve_2x2``, every other shape
-    by ``_simplex`` in floats and, only when that raises ResourceError, again
-    on the exact rationals of the entries, rounded to float and certified in
-    turn.  Every path returns only strategies whose primal-dual gap is within
-    LP_GAP_TOL * max(1, max|M|).
+    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
+    shape is solved on a support: ``_kernel`` solves the equalizing system
+    on a k x k block (k <= 3) in closed form and accepts the result only
+    under strict complementarity with margin LP_GAP_TOL * max(1, max|M|),
+    which makes the block the game's only optimal support.  The given
+    support, a guess such as the one an earlier solve of a nearby game
+    accepted, is tried first.  Otherwise ``_simplex`` runs, in floats and,
+    only when that raises ResourceError, again on the exact rationals of the
+    entries, rounded to float.  Its certified strategies are read as a
+    support twice, as the actions they play and as the best replies to them
+    within half the margin, and the kernel solution on either is returned
+    when it is accepted, the simplex's otherwise.
+
+    The result does not depend on the guess, bit for bit: the kernel's
+    output is a function of (M, block) alone, at most one block is
+    accepted, and that block is what both readings of any strategies near
+    the optimal ones name, so the simplex would have named the block a
+    guess is accepted on.  A game without a strictly complementary block of
+    size 3 or less (ties, degeneracy, a 4x4 mix) gets the simplex's
+    solution, warm or cold.  Every path returns only strategies whose
+    primal-dual gap is within LP_GAP_TOL * max(1, max|M|); ``support`` of
+    the result is the accepted block, or None.
 
     Raises InputError for a matrix that is not 2-d, empty or not finite, and
     ResourceError only when the exact pass also fails the certificate.
@@ -367,12 +477,31 @@ def matrix_game_value(M):
     if arr.shape == (2, 2):
         value, p, q = _solve_2x2(*rows[0], *rows[1])
         return MatrixGameSolution(value, np.array(p), np.array(q))
-    if not all(isfinite(x) for row in rows for x in row):
+    entries = arr.ravel().tolist()
+    if not all(map(isfinite, entries)):
         raise InputError("matrix has non-finite entries")
+    margin = LP_GAP_TOL * max(1.0, max(entries), -min(entries))
+    if support is not None:
+        sol = _kernel(rows, support, margin)
+        if sol is not None:
+            return sol
     try:
-        return _certify(rows, *_simplex(rows, 1e-12, 1e-15))
+        value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15))
     except ResourceError:
-        return _certify(rows, *_exact_simplex(rows))
+        value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows))
+    # two readings of the support the simplex found: the actions its
+    # strategies play, and the best replies to them within half the margin
+    played = (tuple(i for i, x in enumerate(p) if x > 0.0),
+              tuple(j for j, x in enumerate(q) if x > 0.0))
+    maximin, minimax = min(lo), max(hi)
+    best = (tuple(i for i, x in enumerate(hi) if x >= minimax - margin / 2),
+            tuple(j for j, x in enumerate(lo) if x <= maximin + margin / 2))
+    sol = _kernel(rows, played, margin)
+    if sol is None and best != played:
+        sol = _kernel(rows, best, margin)
+    if sol is not None:
+        return sol
+    return MatrixGameSolution(value, np.array(p), np.array(q))
 
 
 def _support_pairs(m, n):
@@ -435,14 +564,19 @@ def matrix_game_value_oracle(M):
     return _exact_simplex(M.tolist())[0]
 
 
-def shapley_apply(game, f):
+def shapley_apply(game, f, supports=None):
     """One application of the game's value operator to a state-value vector.
 
     f is validated once; each action-shape group assembles all its stage
     games with one stacked product; a 2x2 group is flattened once to floats
     for ``_solve_2x2``, and other games are solved by ``matrix_game_value``.
+    supports, if given, holds one support guess per state: each non-2x2
+    solve reads its state's entry and stores the support it accepted there.
+    The guesses change the cost, never the result.
     """
     f = as_vec(f, game.num_states)
+    if supports is None:
+        supports = [None] * game.num_states
     out = np.empty(game.num_states)
     for states, P, R in game.shape_groups:
         B = P + R @ f
@@ -452,26 +586,33 @@ def shapley_apply(game, f):
                 out[s] = _solve_2x2(a, b, c, d)[0]
         else:
             for s, Bs in zip(states, B):
-                out[s] = matrix_game_value(Bs).value
+                sol = matrix_game_value(Bs, supports[s])
+                out[s] = sol.value
+                supports[s] = sol.support
     return out
 
 
-def shapley_linearize(game, f):
+def shapley_linearize(game, f, supports=None):
     """J(f) and the frozen-strategy matrix M of the game at f.
 
     Row s of M is the transition row p_s' rho_s q_s under the optimal
     strategies (p_s, q_s) of state s's stage game at f, so M is row-stochastic
     and y -> J(f) + M (y - f) is the operator with both players' strategies
     frozen.  The stage games are assembled as in shapley_apply and solved
-    by ``matrix_game_value``, which also returns the strategies.
+    by ``matrix_game_value``, which also returns the strategies; supports is
+    read and updated as there.
     """
     f = as_vec(f, game.num_states)
     S = game.num_states
+    if supports is None:
+        supports = [None] * S
     out = np.empty(S)
     M = np.empty((S, S))
     for states, P, R in game.shape_groups:
-        sols = [matrix_game_value(B) for B in P + R @ f]
+        sols = [matrix_game_value(B, supports[s]) for s, B in zip(states, P + R @ f)]
         rows = list(states)
+        for s, sol in zip(states, sols):
+            supports[s] = sol.support
         out[rows] = [sol.value for sol in sols]
         p = np.array([sol.row_strategy for sol in sols])
         q = np.array([sol.col_strategy for sol in sols])
@@ -518,12 +659,15 @@ class ShapleyOperator(Operator):
         self.game = game
         self.dim = game.num_states
         self.norm_kind = SUP
+        #: per state, the support its last non-2x2 solve accepted: a guess
+        #: that makes the next solve cheaper and never changes its result
+        self.supports = [None] * game.num_states
 
     def J(self, x):
-        return shapley_apply(self.game, x)
+        return shapley_apply(self.game, x, self.supports)
 
     def linearize(self, x):
-        return shapley_linearize(self.game, x)
+        return shapley_linearize(self.game, x, self.supports)
 
     def h_constant(self):
         """Largest absolute one-stage payoff, the Lipschitz constant in (H)."""

@@ -436,6 +436,17 @@ def test_start_point_of_the_wrong_dimension_is_named(tmp_path, capsys, task, pre
     assert capsys.readouterr().err.endswith(f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-1", "-1.0"), ("0", "0.0")])
+def test_a_lambdas_entry_that_is_not_positive_and_finite_is_named(tmp_path, capsys,
+                                                                   value, shown):
+    args = ["verify", "--preset", "translation", "--set", 'checks=["accretivity"]',
+            "--set", f"lambdas=[0.5, {value}]", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        f"config error: lambdas: must be positive and finite, got {shown}\n")
+
+
 @pytest.mark.parametrize("task, preset, item, message", [
     ("generate-game", "random3", "operator.junk=1",
      "operator.junk: not a key of the random_game operator, whose keys are random_game"),

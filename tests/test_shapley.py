@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -345,6 +345,84 @@ def test_linearize_freezes_the_optimal_strategies(game):
             want = np.einsum("i,ijk,j->k", sol.row_strategy, game.transition[s],
                              sol.col_strategy)
             assert np.allclose(M[s], want, rtol=0.0, atol=1e-15)
+
+
+def solution_bits(sol):
+    """Everything a solution holds, as comparable bytes and tuples."""
+    return (float_bits([sol.value]), sol.row_strategy.tobytes(),
+            sol.col_strategy.tobytes(), sol.support)
+
+
+def index_sets(size):
+    """Every nonempty increasing index tuple of range(size)."""
+    return [c for k in range(1, size + 1) for c in combinations(range(size), k)]
+
+
+@pytest.mark.parametrize("game", [
+    shapley.random_game(4, 3, 3, seed=3),
+    shapley.random_game(8, 4, 4, seed=0),
+    mixed_shape_game(0),
+], ids=["4x3x3", "8x4x4", "mixed"])
+def test_J_and_linearize_do_not_depend_on_call_history(monkeypatch, game):
+    # the operator keeps each state's last support as a guess; a random walk
+    # makes neighbouring points share supports, so most guesses are taken
+    S = game.num_states
+    rng = np.random.default_rng(5)
+    points = np.cumsum(rng.uniform(-0.3, 0.3, size=(30, S)), axis=0)
+    solve, taken = shapley.matrix_game_value, []
+
+    def counting(M, support=None):
+        sol = solve(M, support)
+        taken.append(support is not None and sol.support == support)
+        return sol
+
+    monkeypatch.setattr(shapley, "matrix_game_value", counting)
+
+    def results(op, order):
+        out = {}
+        for k in order:
+            Jx, (Lx, M) = op.J(points[k]), op.linearize(points[k])
+            out[k] = (Jx.tobytes(), Lx.tobytes(), M.tobytes())
+        return out
+
+    forward = results(shapley.ShapleyOperator(game), range(len(points)))
+    op = shapley.ShapleyOperator(game)
+    backward = results(op, reversed(range(len(points))))
+    assert sum(taken) > len(taken) // 2
+    warm_again = results(op, range(len(points)))
+    fresh = {k: results(shapley.ShapleyOperator(game), [k])[k] for k in range(len(points))}
+    assert forward == backward == warm_again == fresh
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 4)])
+def test_a_support_guess_never_changes_the_result(shape):
+    # every candidate support, wrong guesses included, on seeded games with
+    # entries in [-1, 1] and on ones tied up to 1e-8 from DEGENERATE
+    rng = np.random.default_rng(17)
+    games = [rng.uniform(-1.0, 1.0, size=shape) for _ in range(12)]
+    games += [rng.choice(DEGENERATE, size=shape) for _ in range(12)]
+    guesses = [(rows, cols) for rows in index_sets(shape[0])
+               for cols in index_sets(shape[1])]
+    kernels = 0
+    for M in games:
+        cold = shapley.matrix_game_value(M)
+        kernels += cold.support is not None
+        want = solution_bits(cold)
+        for guess in guesses:
+            assert solution_bits(shapley.matrix_game_value(M, guess)) == want, (M, guess)
+    assert kernels >= 12
+
+
+def test_a_tied_game_takes_the_simplex_result_cold_and_warm():
+    # columns 0 and 1 are equal, so the optimal column strategy is not
+    # unique and no block is strictly complementary
+    M = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, -1.0]])
+    cold = shapley.matrix_game_value(M)
+    assert cold.support is None
+    assert cold.value == pytest.approx(0.5, abs=1e-15)
+    assert_certified(M, cold)
+    for guess in [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 1, 2), (0, 1, 2)), ((0,), (2,))]:
+        assert solution_bits(shapley.matrix_game_value(M, guess)) == solution_bits(cold)
 
 
 def test_game_groups_states_by_action_shape():
