@@ -6,7 +6,7 @@ finite zero-sum stochastic games; discrete schemes and certified ODE
 integration; and a registry of quantitative inequality checks.
 """
 
-from .bounds import BoundReport, Scenario, Settings, run_suite, suite_plan, verify
+from .bounds import BoundReport, Scenario, Settings, run_checks, run_suite, suite_plan, verify
 from .continuous import (
     Constant,
     InverseTimeZeta,
@@ -98,6 +98,7 @@ __all__ = [
     "phi_recursion",
     "random_game",
     "rotation",
+    "run_checks",
     "run_suite",
     "shapley_apply",
     "slow_param_bound",

@@ -6,7 +6,9 @@ per inequality (or decay / monotonicity statement) it tests.  `verify` is
 the one place that binds those inputs from a Scenario, with `bind`, and
 that judges the tuples: it turns each into a BoundReport with slack
 rhs - lhs and verdict lhs <= rhs + budget, labelled with the check id and
-the scenario name.
+the scenario name.  `run_checks` runs verify on many (check, scenario)
+pairs, and within one such run a flow, v_lam or v_n that two checks read
+from the same inputs is solved once (see run_checks).
 Asymptotic statements are operationalized as finite-horizon decay
 assertions: the final gap must be <= decay_factor times the initial gap
 over a horizon ratio of at least 100x.  Tolerance budgets propagate
@@ -15,7 +17,9 @@ additively: fixed 1e-9 plus every contributing certified numerical error.
 
 from __future__ import annotations
 
+import contextvars
 import inspect
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,9 +246,38 @@ def _decay(gaps, st, budget, context):
     return gaps[-1], st.decay_factor * gaps[0], budget, context
 
 
+#: the solves shared by the checks of the running run_checks call, or None
+_SHARED = contextvars.ContextVar("opdyn.bounds.shared", default=None)
+
+
+def _key(value):
+    """A value's part of a shared solve's key (see run_checks)."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, int):
+        return type(value), value
+    return id(value)
+
+
+def _shared(module, name, *args, **kwargs):
+    """module.name(*args, **kwargs), with the solver looked up when called
+    (a function bound at import would miss a patched one); inside
+    run_checks, the stored result of an earlier call with the same key."""
+    solve = getattr(module, name)
+    memo = _SHARED.get()
+    if memo is None:
+        return solve(*args, **kwargs)
+    key = (name, *map(_key, args), *((k, _key(v)) for k, v in sorted(kwargs.items())))
+    if key not in memo:
+        memo[key] = args, kwargs, solve(*args, **kwargs)
+    return memo[key][2]
+
+
 def _vlambda_gap(op, x, lam, fp_tol):
     """||x - v_lam||, with v_lam certified to fp_tol."""
-    return op.norm(x - discrete.solve_vlambda(op, lam, tol=fp_tol))
+    return op.norm(x - _shared(discrete, "solve_vlambda", op, lam, tol=fp_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +289,10 @@ def _vlambda_gap(op, x, lam, fp_tol):
 def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
     N = int(horizon)
     j0 = op.norm(op.J(_zeros(op)))
-    _, vn = discrete.iterate_Vn(op, max(N, 1))
+    _, vn = _shared(discrete, "iterate_Vn", op, max(N, 1))
     yield max(op.norm(v) for v in vn), j0, BASE_TOL, {"family": "v_n", "N": N}
-    yield (max(op.norm(discrete.solve_vlambda(op, lam, tol=st.fp_tol)) for lam in lambdas),
+    yield (max(op.norm(_shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol))
+               for lam in lambdas),
            j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
@@ -271,7 +305,7 @@ def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
 
 def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
     T = float(horizon)
-    t1, t2 = (continuous.integrate_U(op, x, T, tol=st.ode_tol)
+    t1, t2 = (_shared(continuous, "integrate_U", op, x, T, tol=st.ode_tol)
               for x in _starts(op, starts, _zeros(op), _second_start(op)))
     times = np.linspace(0.0, T, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
@@ -281,7 +315,7 @@ def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
 
 def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
     (U0,) = _starts(op, starts, _second_start(op))
-    traj = continuous.integrate_U(op, U0, float(horizon), tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_U", op, U0, float(horizon), tol=st.ode_tol)
     times = np.linspace(0.0, float(horizon), 41)
     # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
     yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
@@ -292,7 +326,7 @@ def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
     T = float(horizon)
     (U0,) = _starts(op, starts, _zeros(op))
     nmax = int(T) if nmax is None else nmax
-    traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_U", op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
     for _ in range(nmax):
@@ -311,8 +345,8 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
     N = int(horizon)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
-    traj = continuous.integrate_U(op, _zeros(op), float(N), tol=st.ode_tol)
-    _, vn = discrete.iterate_Vn(op, N)
+    traj = _shared(continuous, "integrate_U", op, _zeros(op), float(N), tol=st.ode_tol)
+    _, vn = _shared(discrete, "iterate_Vn", op, N)
     j0 = op.norm(op.J(_zeros(op)))
     for n in n_values:
         yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
@@ -322,7 +356,7 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
 def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 1600)):
     T = float(horizon)
     (U0,) = _starts(op, starts, _second_start(op))
-    traj = continuous.integrate_U(op, U0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_U", op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint, err = traj.points[-1], traj.err_at(T)
     measured = []
@@ -380,7 +414,7 @@ def _euler_vs_flow(op, st, count, horizon, steps, starts):
                          f"the horizon {horizon}")
     (x0,) = _starts(op, starts, _second_start(op))
     orbit = discrete.euler_scheme(op, x0, steps)
-    traj = continuous.integrate_U(op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_U", op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
     gaps = []
     for k in np.unique(np.linspace(1, len(steps), count).astype(int)):
         t = float(steps.sigma[k])
@@ -413,7 +447,7 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
     if abs(steps.sigma[-1] - T) > 1e-9:
         raise InputError("interpolation check needs sigma_N = horizon")
     orbit = discrete.euler_scheme(op, x0, steps)
-    traj = continuous.integrate_U(op, x0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_U", op, x0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, x0))
     max_step = float(np.max(steps.steps))
     times = np.linspace(0.0, T, 33)
@@ -425,7 +459,7 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
 def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
     (u0,) = _starts(op, starts, _second_start(op))
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
     for t in map(float, _log_points(T / 100.0, T, 8)):
         lam, u = param.value(t), traj.at(t)
         # u' = Phi(lam, u) - u is (2 - lam)-Lipschitz in u
@@ -442,9 +476,9 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
     lam = param.lam
     T = float(horizon)
     (u0,) = _starts(op, starts, _second_start(op))
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
-    v = discrete.solve_vlambda(op, lam, tol=st.fp_tol)
+    v = _shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol)
     for t in t_values:
         if t > T:
             continue
@@ -458,8 +492,8 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
 def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
     x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
-    t1 = continuous.integrate_u(op, param, x0, T, tol=st.ode_tol)
-    t2 = continuous.integrate_u(op, param, x1, T, tol=st.ode_tol)
+    t1 = _shared(continuous, "integrate_u", op, param, x0, T, tol=st.ode_tol)
+    t2 = _shared(continuous, "integrate_u", op, param, x1, T, tol=st.ode_tol)
     d0 = op.norm(x0 - x1)
     times = _log_points(T / 100.0, T, 8)
     budget = BASE_TOL + t1.err_at(times) + t2.err_at(times)
@@ -474,8 +508,8 @@ def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
 def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
     N = int(horizon)
-    traj = continuous.integrate_u(op, param, u0, float(N), tol=st.ode_tol)
-    _, vn = discrete.iterate_Vn(op, N)
+    traj = _shared(continuous, "integrate_u", op, param, u0, float(N), tol=st.ode_tol)
+    _, vn = _shared(discrete, "iterate_Vn", op, N)
     ns = _log_ints(max(1, N // 100), N, 6)
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
@@ -487,7 +521,7 @@ def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
 def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
     T = float(horizon)
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
     times = _log_points(T / 100.0, T, 6)
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
@@ -504,7 +538,7 @@ def _check_wn_tracks_vn(op, st, *, horizon=50.0, param=continuous.InverseTimeZet
 
 def _check_convboth(op, st, *, horizon=50.0):
     N = int(horizon)
-    _, vn = discrete.iterate_Vn(op, N)
+    _, vn = _shared(discrete, "iterate_Vn", op, N)
     if isinstance(op, core.Translation):
         # for a translation U'(t) = c for every t, so l = c
         l = op.c
@@ -541,7 +575,7 @@ def _check_hypothesis_H(op, st, *, seed=0):
 def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
     T = float(horizon)
     (u0,) = _starts(op, starts, _second_start(op))
-    traj = continuous.integrate_u(op, param, u0, T, tol=st.ode_tol)
+    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
     for t in _log_points(T / 100.0, T, 5) if t_values is None else t_values:
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
@@ -558,8 +592,8 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
     lam_p, mu_p = param, param2
     T = float(horizon)
     x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
-    tu = continuous.integrate_u(op, lam_p, x0, T, tol=st.ode_tol)
-    tv = continuous.integrate_u(op, mu_p, x1, T, tol=st.ode_tol)
+    tu = _shared(continuous, "integrate_u", op, lam_p, x0, T, tol=st.ode_tol)
+    tv = _shared(continuous, "integrate_u", op, mu_p, x1, T, tol=st.ode_tol)
     C = op.h_constant()
     d0 = op.norm(x0 - x1)
     u_bound = max(op.norm(p) for p in tu.points)  # finite-horizon surrogate for "u bounded"
@@ -597,7 +631,7 @@ def _check_vlambda_lipschitz(op, st, *, lambdas=None):
     C = op.h_constant()
     Cp = op.norm(op.J(_zeros(op)))
     lams = np.geomspace(0.02, 1.0, 10) if lambdas is None else lambdas
-    values = {lam: discrete.solve_vlambda(op, lam, tol=st.fp_tol) for lam in lams}
+    values = {lam: _shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
                BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
@@ -702,6 +736,29 @@ def verify(check, scenario, settings=None):
     return reports
 
 
+def run_checks(pairs, settings=None):
+    """verify on each (check, Scenario) pair, in order; returns the flat
+    list of reports.
+
+    The checks of one call share their solves: every integrate_U,
+    integrate_u, solve_vlambda and iterate_Vn call they make goes through
+    _shared, and a call with the key of an earlier one gets the earlier
+    result itself, not a copy, so no check may write into one.  The key is
+    the solver's name and each argument: the operator and a
+    parametrization by identity, an array by dtype, shape and bytes, a
+    float by its bits (a start of -0.0 is not one of 0.0) and an int by
+    value.  Each entry holds its arguments, so no id in a key is reused
+    while the memo lives: alpha_family's PowerAlpha(0.5) is dropped before
+    its PowerAlpha(0.0) is built, and could otherwise lend it its id and
+    its flow.  The memo lives for this call alone and is dropped when it
+    returns or raises; verify called outside run_checks shares nothing."""
+    token = _SHARED.set({})
+    try:
+        return [r for check, scenario in pairs for r in verify(check, scenario, settings)]
+    finally:
+        _SHARED.reset(token)
+
+
 # ---------------------------------------------------------------------------
 # the default suite
 
@@ -780,8 +837,4 @@ def suite_plan():
 
 def run_suite(settings=None):
     """Run the default suite; returns the flat list of reports."""
-    settings = settings or Settings()
-    reports = []
-    for check, scenario in suite_plan():
-        reports.extend(verify(check, scenario, settings))
-    return reports
+    return run_checks(suite_plan(), settings)

@@ -377,11 +377,8 @@ def task_verify(out, /, *, operator, checks, settings=None, **inputs):
     """reports.json and reports.csv of each of checks on the operator; the
     other top-level keys are the checks' inputs (see bounds.per_check)."""
     inputs = {k: v for k, v in inputs.items() if v is not None or k not in SPECS}
-    reports = []
-    for check, scenario in bounds.per_check(checks, operator, inputs,
-                                            {k: READERS[k] for k in SPECS}):
-        reports.extend(bounds.verify(check, scenario, settings))
-    return _emit_reports(reports, out)
+    pairs = bounds.per_check(checks, operator, inputs, {k: READERS[k] for k in SPECS})
+    return _emit_reports(bounds.run_checks(pairs, settings), out)
 
 
 def task_suite(out, *, settings=None):

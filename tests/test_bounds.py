@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opdyn import bounds, continuous, core, discrete, shapley
+from opdyn import bounds, cli, continuous, core, discrete, shapley
 from opdyn.errors import InputError
 
 
@@ -299,3 +299,109 @@ def test_suite_plan_covers_every_check_twice():
         counts[check] = counts.get(check, 0) + 1
     assert set(counts) == set(bounds.CHECKS)
     assert all(c >= 2 for c in counts.values())
+
+
+# ---------------------------------------------------------------------------
+# solves shared within one run_checks call
+
+SHARED_SOLVERS = [(continuous, "integrate_U"), (continuous, "integrate_u"),
+                  (discrete, "solve_vlambda"), (discrete, "iterate_Vn")]
+
+
+def _counted(solve, name, counts):
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return solve(*args, **kwargs)
+    return counting
+
+
+def _solver_calls(counts):
+    """(integrations, v_lambda solves, iterate_Vn calls) made."""
+    return (counts.get("integrate_U", 0) + counts.get("integrate_u", 0),
+            counts.get("solve_vlambda", 0), counts.get("iterate_Vn", 0))
+
+
+def _as_json(reports):
+    return [json.dumps(r.to_dict(), sort_keys=True, default=cli._json_default)
+            for r in reports]
+
+
+@pytest.fixture(scope="module")
+def suite_runs():
+    """The reports and solver calls of two run_suite calls, then of verify
+    on each suite_plan entry outside any run_checks call."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        counts = {}
+        for module, name in SHARED_SOLVERS:
+            mp.setattr(module, name, _counted(getattr(module, name), name, counts))
+        for _ in range(2):
+            counts.clear()
+            runs.append((bounds.run_suite(), _solver_calls(counts)))
+        counts.clear()
+        alone = [r for check, sc in bounds.suite_plan() for r in bounds.verify(check, sc)]
+        runs.append((alone, _solver_calls(counts)))
+    return runs
+
+
+def test_run_suite_reports_equal_each_plan_entry_verified_alone(suite_runs):
+    # a check that wrote into a shared result would change a later report
+    (shared, _), (again, _), (alone, _) = suite_runs
+    assert len(shared) == 208
+    assert _as_json(shared) == _as_json(alone)
+    assert _as_json(again) == _as_json(alone)
+
+
+def test_run_suite_solves_each_repeated_flow_vlambda_and_vn_once(suite_runs):
+    # 42 integrations, 99 v_lambda solves and 10 iterate_Vn calls without
+    # sharing; the solvers are looked up when called, so the counting
+    # wrappers see every call that is made
+    (_, first), (_, second), (_, alone) = suite_runs
+    assert first == second == (36, 76, 4)
+    assert alone == (42, 99, 10)
+    assert bounds._SHARED.get() is None
+
+
+def _probe(monkeypatch, check):
+    """run_checks on one pair of the check fn, on a translation."""
+    monkeypatch.setitem(bounds.CHECKS, "probe", check)
+    return bounds.run_checks([("probe", bounds.Scenario(core.Translation([1.0])))], FAST)
+
+
+def test_a_rebuilt_parametrization_gets_its_own_flow(monkeypatch):
+    # each PowerAlpha is dropped after its call, so without the entry holding
+    # it the next one could take its id and read its flow
+    def check(op, st):
+        start = np.ones(op.dim)
+        shared = [bounds._shared(continuous, "integrate_u", op, continuous.PowerAlpha(alpha),
+                                 start, 5.0, tol=st.ode_tol) for alpha in (0.5, 0.0)]
+        for alpha, traj in zip((0.5, 0.0), shared):
+            alone = continuous.integrate_u(op, continuous.PowerAlpha(alpha), start, 5.0,
+                                           tol=st.ode_tol)
+            assert traj.nodes.tobytes() == alone.nodes.tobytes()
+            yield 0.0, 0.0, bounds.BASE_TOL, {"alpha": alpha}
+
+    assert len(_probe(monkeypatch, check)) == 2
+
+
+def test_starts_that_differ_in_the_sign_of_a_zero_are_different_keys(monkeypatch):
+    assert bounds._key(0.0) != bounds._key(-0.0)
+    assert bounds._key(np.array([0.0])) != bounds._key(np.array([-0.0]))
+    assert bounds._key(np.array([0.0])) != bounds._key(np.array([0.0], dtype=np.float32))
+    assert bounds._key(np.zeros(2)) != bounds._key(np.zeros((2, 1)))
+
+    def check(op, st):
+        # U(t) = U0 + t c keeps the sign of a zero start at t = 0
+        for zero in (0.0, -0.0, 0.0):
+            traj = bounds._shared(continuous, "integrate_U", op, np.array([zero]), 2.0,
+                                  tol=st.ode_tol)
+            assert np.signbit(traj.points[0, 0]) == np.signbit(zero)
+            yield 0.0, 0.0, bounds.BASE_TOL, {}
+
+    assert len(_probe(monkeypatch, check)) == 3
+
+
+def test_the_memo_ends_with_its_run_checks_call_when_a_check_fails():
+    with pytest.raises(InputError, match="unknown check"):
+        bounds.run_checks([("no_such_check", bounds.Scenario(core.Translation([1.0])))])
+    assert bounds._SHARED.get() is None
