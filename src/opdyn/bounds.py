@@ -79,8 +79,9 @@ class BoundReport:
         }
 
 
-def _log_points(lo, hi, count=8):
-    return np.unique(np.geomspace(lo, hi, count))
+def _log_points(T, count):
+    """count log-spaced times from T/100 to T, each once."""
+    return np.unique(np.geomspace(T / 100.0, T, count))
 
 
 def _log_ints(lo, hi, count):
@@ -88,22 +89,24 @@ def _log_ints(lo, hi, count):
     return np.unique(np.geomspace(lo, hi, count).astype(int)).tolist()
 
 
-def _zeros(op):
-    return np.zeros(op.dim)
+def _starts(op, starts, *fills, key="starts"):
+    """The first len(fills) of the given start points, read at the
+    operator's dimension, or else one vector filled with each of fills (0.0
+    or 1.0); an error in them is an InputError naming key."""
+    if starts is None:
+        return [np.full(op.dim, fill) for fill in fills]
+    if len(starts) < len(fills):
+        raise InputError(f"{key}: this check needs {len(fills)} start point(s), "
+                         f"got {len(starts)}")
+    return convert(lambda xs: [core.as_vec(x, op.dim) for x in xs[:len(fills)]], starts, key)
 
 
-def _second_start(op):
-    return np.ones(op.dim)
-
-
-def _starts(op, starts, *defaults):
-    """The first len(defaults) of the given start points, or the defaults."""
-    starts = defaults if starts is None else starts
-    if len(starts) < len(defaults):
-        raise InputError(
-            f"this check needs {len(defaults)} start point(s), got {len(starts)}"
-        )
-    return [core.as_vec(x, op.dim) for x in starts[:len(defaults)]]
+def _ending_at(steps, horizon):
+    """steps, whose sigma_N must lie within 1e-9 of the horizon."""
+    if abs(steps.sigma[-1] - horizon) > 1e-9:
+        raise InputError(f"steps, horizon: sigma_N = {steps.sigma[-1]} differs from "
+                         f"the horizon {horizon}")
+    return steps
 
 
 def _float(value):
@@ -261,15 +264,13 @@ def _key(value):
     return id(value)
 
 
-def _shared(module, name, *args, **kwargs):
-    """module.name(*args, **kwargs), with the solver looked up when called
-    (a function bound at import would miss a patched one); inside
-    run_checks, the stored result of an earlier call with the same key."""
-    solve = getattr(module, name)
+def _shared(solve, *args, **kwargs):
+    """solve(*args, **kwargs); inside run_checks, the stored result of an
+    earlier call with the same key."""
     memo = _SHARED.get()
     if memo is None:
         return solve(*args, **kwargs)
-    key = (name, *map(_key, args), *((k, _key(v)) for k, v in sorted(kwargs.items())))
+    key = (solve, *map(_key, args), *((k, _key(v)) for k, v in sorted(kwargs.items())))
     if key not in memo:
         memo[key] = args, kwargs, solve(*args, **kwargs)
     return memo[key][2]
@@ -277,7 +278,7 @@ def _shared(module, name, *args, **kwargs):
 
 def _vlambda_gap(op, x, lam, fp_tol):
     """||x - v_lam||, with v_lam certified to fp_tol."""
-    return op.norm(x - _shared(discrete, "solve_vlambda", op, lam, tol=fp_tol))
+    return op.norm(x - _shared(discrete.solve_vlambda, op, lam, tol=fp_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +289,10 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
     N = int(horizon)
-    j0 = op.norm(op.J(_zeros(op)))
-    _, vn = _shared(discrete, "iterate_Vn", op, max(N, 1))
+    j0 = op.norm(op.J(np.zeros(op.dim)))
+    _, vn = _shared(discrete.iterate_Vn, op, max(N, 1))
     yield max(op.norm(v) for v in vn), j0, BASE_TOL, {"family": "v_n", "N": N}
-    yield (max(op.norm(_shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol))
+    yield (max(op.norm(_shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol))
                for lam in lambdas),
            j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
@@ -305,8 +306,8 @@ def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
 
 def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
     T = float(horizon)
-    t1, t2 = (_shared(continuous, "integrate_U", op, x, T, tol=st.ode_tol)
-              for x in _starts(op, starts, _zeros(op), _second_start(op)))
+    t1, t2 = (_shared(continuous.integrate_U, op, x, T, tol=st.ode_tol)
+              for x in _starts(op, starts, 0.0, 1.0))
     times = np.linspace(0.0, T, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
            BASE_TOL + 2.0 * (t1.err_at(times) + t2.err_at(times)),
@@ -314,8 +315,8 @@ def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
 
 
 def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
-    (U0,) = _starts(op, starts, _second_start(op))
-    traj = _shared(continuous, "integrate_U", op, U0, float(horizon), tol=st.ode_tol)
+    (U0,) = _starts(op, starts, 1.0)
+    traj = _shared(continuous.integrate_U, op, U0, float(horizon), tol=st.ode_tol)
     times = np.linspace(0.0, float(horizon), 41)
     # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
     yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
@@ -324,9 +325,9 @@ def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
 
 def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
     T = float(horizon)
-    (U0,) = _starts(op, starts, _zeros(op))
+    (U0,) = _starts(op, starts, 0.0)
     nmax = int(T) if nmax is None else nmax
-    traj = _shared(continuous, "integrate_U", op, U0, T, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
     for _ in range(nmax):
@@ -345,9 +346,9 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
     N = int(horizon)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
-    traj = _shared(continuous, "integrate_U", op, _zeros(op), float(N), tol=st.ode_tol)
-    _, vn = _shared(discrete, "iterate_Vn", op, N)
-    j0 = op.norm(op.J(_zeros(op)))
+    traj = _shared(continuous.integrate_U, op, np.zeros(op.dim), float(N), tol=st.ode_tol)
+    _, vn = _shared(discrete.iterate_Vn, op, N)
+    j0 = op.norm(op.J(np.zeros(op.dim)))
     for n in n_values:
         yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
                BASE_TOL + traj.err_at(float(n)) / n, {"n": n})
@@ -355,8 +356,8 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
 
 def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 1600)):
     T = float(horizon)
-    (U0,) = _starts(op, starts, _second_start(op))
-    traj = _shared(continuous, "integrate_U", op, U0, T, tol=st.ode_tol)
+    (U0,) = _starts(op, starts, 1.0)
+    traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint, err = traj.points[-1], traj.err_at(T)
     measured = []
@@ -371,8 +372,8 @@ def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 16
                {"aspect": "monotone_in_m", "m_values": list(m_values)})
 
 
-def _random_steps(rng, max_len=200):
-    n = int(rng.integers(10, max_len + 1))
+def _random_steps(rng):
+    n = int(rng.integers(10, 201))
     lam = rng.uniform(0.0, 1.0, size=n)
     lam[lam <= 1e-9] = 1e-9  # steps must stay in (0, 1]
     return discrete.StepSequence(lam)
@@ -385,18 +386,17 @@ def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, steps2=None,
             raise InputError("steps, pairs: give one of them, not both")
         pairs = 1
     rng = np.random.default_rng(seed)
-    x0, xhat0 = _starts(op, starts, _zeros(op), _second_start(op))
+    x0, xhat0 = _starts(op, starts, 0.0, 1.0)
     for p in range(20 if pairs is None else pairs):
         s1 = steps or _random_steps(rng)
         s2 = steps2 or _random_steps(rng)
         o1 = discrete.euler_scheme(op, x0, s1)
         o2 = discrete.euler_scheme(op, xhat0, s2)
+        bound = discrete.kobayashi_rhs(op, x0, xhat0, s1, s2)
         ks = np.unique(np.linspace(0, len(s1), subgrid).astype(int))
         ls = np.unique(np.linspace(0, len(s2), subgrid).astype(int))
         lhs, rhs, k, l = _worst(
-            (op.norm(o1.points[k] - o2.points[l]),
-             discrete.kobayashi_rhs(s1, s2, int(k), int(l), x0, xhat0, op),
-             int(k), int(l))
+            (op.norm(o1.points[k] - o2.points[l]), bound[k, l], int(k), int(l))
             for k in ks for l in ls
         )
         yield (lhs, rhs, BASE_TOL,
@@ -409,12 +409,11 @@ def _euler_vs_flow(op, st, count, horizon, steps, starts):
     the steps and ||A(x_0)||."""
     if steps is None:
         steps = discrete.StepSequence.harmonic(int(horizon))
-    elif abs(steps.sigma[-1] - horizon) > 1e-9:
-        raise InputError(f"steps, horizon: sigma_N = {steps.sigma[-1]} differs from "
-                         f"the horizon {horizon}")
-    (x0,) = _starts(op, starts, _second_start(op))
+    else:
+        steps = _ending_at(steps, horizon)
+    (x0,) = _starts(op, starts, 1.0)
     orbit = discrete.euler_scheme(op, x0, steps)
-    traj = _shared(continuous, "integrate_U", op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
     gaps = []
     for k in np.unique(np.linspace(1, len(steps), count).astype(int)):
         t = float(steps.sigma[k])
@@ -438,19 +437,18 @@ def _check_normalized_euler(op, st, *, horizon=50.0, steps=None, starts=None):
 
 def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_steps=None):
     T = float(horizon)
-    (x0,) = _starts(op, starts, _second_start(op))
+    (x0,) = _starts(op, starts, 1.0)
     if steps is None:
         n_steps = 100 if n_steps is None else n_steps
         steps = discrete.StepSequence.constant(T / n_steps, n_steps)
     elif n_steps is not None:
         raise InputError("steps, n_steps: give one of them, not both")
-    if abs(steps.sigma[-1] - T) > 1e-9:
-        raise InputError("interpolation check needs sigma_N = horizon")
-    orbit = discrete.euler_scheme(op, x0, steps)
-    traj = _shared(continuous, "integrate_U", op, x0, T, tol=st.ode_tol)
+    orbit = discrete.euler_scheme(op, x0, _ending_at(steps, horizon))
+    traj = _shared(continuous.integrate_U, op, x0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, x0))
     max_step = float(np.max(steps.steps))
-    times = np.linspace(0.0, T, 33)
+    # both are read up to sigma_N, which may fall short of T by up to 1e-9
+    times = np.minimum(np.linspace(0.0, T, 33), steps.sigma[-1])
     yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t)) for t in times),
            a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(max_step),
            BASE_TOL + traj.err_at(times), {"max_step": max_step, "T": T})
@@ -458,9 +456,9 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
 
 def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
-    (u0,) = _starts(op, starts, _second_start(op))
-    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
-    for t in map(float, _log_points(T / 100.0, T, 8)):
+    (u0,) = _starts(op, starts, 1.0)
+    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
+    for t in map(float, _log_points(T, 8)):
         lam, u = param.value(t), traj.at(t)
         # u' = Phi(lam, u) - u is (2 - lam)-Lipschitz in u
         yield (_vlambda_gap(op, u, lam, st.fp_tol),
@@ -475,10 +473,10 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
     T = float(horizon)
-    (u0,) = _starts(op, starts, _second_start(op))
-    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
+    (u0,) = _starts(op, starts, 1.0)
+    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
-    v = _shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol)
+    v = _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol)
     for t in t_values:
         if t > T:
             continue
@@ -491,11 +489,11 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
 
 def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
     T = float(horizon)
-    x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
-    t1 = _shared(continuous, "integrate_u", op, param, x0, T, tol=st.ode_tol)
-    t2 = _shared(continuous, "integrate_u", op, param, x1, T, tol=st.ode_tol)
+    x0, x1 = _starts(op, starts, 0.0, 1.0)
+    t1 = _shared(continuous.integrate_u, op, param, x0, T, tol=st.ode_tol)
+    t2 = _shared(continuous.integrate_u, op, param, x1, T, tol=st.ode_tol)
     d0 = op.norm(x0 - x1)
-    times = _log_points(T / 100.0, T, 8)
+    times = _log_points(T, 8)
     budget = BASE_TOL + t1.err_at(times) + t2.err_at(times)
     gaps = []
     for t in times:
@@ -508,8 +506,8 @@ def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
 def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
     N = int(horizon)
-    traj = _shared(continuous, "integrate_u", op, param, u0, float(N), tol=st.ode_tol)
-    _, vn = _shared(discrete, "iterate_Vn", op, N)
+    traj = _shared(continuous.integrate_u, op, param, u0, float(N), tol=st.ode_tol)
+    _, vn = _shared(discrete.iterate_Vn, op, N)
     ns = _log_ints(max(1, N // 100), N, 6)
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
@@ -521,8 +519,8 @@ def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
 def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
     T = float(horizon)
-    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
-    times = _log_points(T / 100.0, T, 6)
+    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
+    times = _log_points(T, 6)
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
@@ -532,13 +530,13 @@ def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
 
 def _check_wn_tracks_vn(op, st, *, horizon=50.0, param=continuous.InverseTimeZeta(),
                         starts=None):
-    (u0,) = _starts(op, starts, _zeros(op))
+    (u0,) = _starts(op, starts, 0.0)
     yield _vn_decay(op, st, horizon, param, u0, points_key="n_values")
 
 
 def _check_convboth(op, st, *, horizon=50.0):
     N = int(horizon)
-    _, vn = _shared(discrete, "iterate_Vn", op, N)
+    _, vn = _shared(discrete.iterate_Vn, op, N)
     if isinstance(op, core.Translation):
         # for a translation U'(t) = c for every t, so l = c
         l = op.c
@@ -574,9 +572,9 @@ def _check_hypothesis_H(op, st, *, seed=0):
 
 def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
     T = float(horizon)
-    (u0,) = _starts(op, starts, _second_start(op))
-    traj = _shared(continuous, "integrate_u", op, param, u0, T, tol=st.ode_tol)
-    for t in _log_points(T / 100.0, T, 5) if t_values is None else t_values:
+    (u0,) = _starts(op, starts, 1.0)
+    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
+    for t in _log_points(T, 5) if t_values is None else t_values:
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
                BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
@@ -584,20 +582,20 @@ def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None
 
 
 def _check_convder_decay(op, st, *, horizon=50.0, param, starts=None):
-    (u0,) = _starts(op, starts, _second_start(op))
+    (u0,) = _starts(op, starts, 1.0)
     yield _vlambda_decay(op, st, horizon, param, u0, points_key="t_values")
 
 
 def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=None):
     lam_p, mu_p = param, param2
     T = float(horizon)
-    x0, x1 = _starts(op, starts, _zeros(op), _second_start(op))
-    tu = _shared(continuous, "integrate_u", op, lam_p, x0, T, tol=st.ode_tol)
-    tv = _shared(continuous, "integrate_u", op, mu_p, x1, T, tol=st.ode_tol)
+    x0, x1 = _starts(op, starts, 0.0, 1.0)
+    tu = _shared(continuous.integrate_u, op, lam_p, x0, T, tol=st.ode_tol)
+    tv = _shared(continuous.integrate_u, op, mu_p, x1, T, tol=st.ode_tol)
     C = op.h_constant()
     d0 = op.norm(x0 - x1)
     u_bound = max(op.norm(p) for p in tu.points)  # finite-horizon surrogate for "u bounded"
-    times = _log_points(T / 100.0, T, 6)
+    times = _log_points(T, 6)
 
     def integrand(s):
         return ((C + op.norm(tu.at(s))) * abs(lam_p.value(s) - mu_p.value(s))
@@ -629,9 +627,9 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
 
 def _check_vlambda_lipschitz(op, st, *, lambdas=None):
     C = op.h_constant()
-    Cp = op.norm(op.J(_zeros(op)))
+    Cp = op.norm(op.J(np.zeros(op.dim)))
     lams = np.geomspace(0.02, 1.0, 10) if lambdas is None else lambdas
-    values = {lam: _shared(discrete, "solve_vlambda", op, lam, tol=st.fp_tol) for lam in lams}
+    values = {lam: _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
                BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
@@ -654,7 +652,7 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
 
 
 def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
-    (u0,) = _starts(op, starts, _zeros(op))
+    (u0,) = _starts(op, starts, 0.0)
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,
                          alpha=alpha, aspect="v_lambda_tracking")
@@ -744,7 +742,7 @@ def run_checks(pairs, settings=None):
     integrate_u, solve_vlambda and iterate_Vn call they make goes through
     _shared, and a call with the key of an earlier one gets the earlier
     result itself, not a copy, so no check may write into one.  The key is
-    the solver's name and each argument: the operator and a
+    the solver itself and each argument: the operator and a
     parametrization by identity, an array by dtype, shape and bytes, a
     float by its bits (a start of -0.0 is not one of 0.0) and an int by
     value.  Each entry holds its arguments, so no id in a key is reused

@@ -249,10 +249,8 @@ def _coord_header(prefix, dim):
 
 
 def _start(op, value, key):
-    """The start point given as `key`, read by as_vec; zeros when not given."""
-    if value is None:
-        return np.zeros(op.dim)
-    return convert(lambda v: core.as_vec(v, op.dim), value, key)
+    """The start point given as `key`, read by bounds._starts; zeros when not given."""
+    return bounds._starts(op, None if value is None else [value], 0.0, key=key)[0]
 
 
 def task_value_iter(out, *, operator, N=100):

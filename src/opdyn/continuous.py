@@ -298,12 +298,9 @@ class Trajectory:
         """Error bound of reads at these times (one time or several): the
         largest err_bound[k] over them, with k the node at a node time and
         the step's end node inside a step.  InputError outside the samples."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
         grid = memoryview(self.times)
-        for t in ts:
-            locate(grid, t)
-        idx = np.searchsorted(self.times, np.clip(ts, 0.0, self.times[-1]))
-        return float(np.max(self.err_bound[idx]))
+        located = [locate(grid, t) for t in np.atleast_1d(times).astype(float).tolist()]
+        return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
 
 
 def _integrate(rhs, y0, T, tol, norm_kind, param=None):

@@ -183,9 +183,9 @@ def rotation(theta):
     return LinearIsometry([[c, -s], [s, c]])
 
 
-def identity_operator(dim, norm_kind=SUP):
+def identity_operator(dim):
     """J = I, so A = 0; useful as a degenerate test case."""
-    return AffineNonexpansive(np.eye(dim), np.zeros(dim), norm_kind=norm_kind)
+    return AffineNonexpansive(np.eye(dim), np.zeros(dim))
 
 
 # apply_A and apply_Phi leave the validation of x to op.J (called directly,

@@ -212,15 +212,21 @@ def phi_recursion(op, lambda_seq):
                        lambda lam, x: apply_Phi(op, lam, x))
 
 
-def kobayashi_rhs(steps1, steps2, k, l, x0, xhat0, op):
-    """Right-hand side of the two-scheme distance bound, taken at z = x0:
+def kobayashi_rhs(op, x0, xhat0, steps1, steps2):
+    """Right-hand sides of the two-scheme distance bound, taken at z = x0,
+    for every k <= len(steps1) and l <= len(steps2): the grid whose (k, l)
+    entry is
 
     ||xhat0 - x0|| + ||A(x0)|| sqrt((sigma_k - sigma_l)^2 + tau_k + tau_l).
     """
-    if k < 0 or k > len(steps1) or l < 0 or l > len(steps2):
-        raise InputError("indices outside the step sequences")
     x0 = as_vec(x0, op.dim)
     xhat0 = as_vec(xhat0, op.dim)
-    ds = steps1.sigma[k] - steps2.sigma[l]
-    root = np.sqrt(ds * ds + steps1.tau[k] + steps2.tau[l])
-    return op.norm(xhat0 - x0) + op.norm(apply_A(op, x0)) * root
+    # in place: the grid is the one array of its size that is made
+    grid = steps1.sigma[:, None] - steps2.sigma[None, :]
+    grid *= grid
+    grid += steps1.tau[:, None]
+    grid += steps2.tau[None, :]
+    np.sqrt(grid, out=grid)
+    grid *= op.norm(apply_A(op, x0))
+    grid += op.norm(xhat0 - x0)
+    return grid

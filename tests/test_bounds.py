@@ -354,8 +354,8 @@ def test_run_suite_reports_equal_each_plan_entry_verified_alone(suite_runs):
 
 def test_run_suite_solves_each_repeated_flow_vlambda_and_vn_once(suite_runs):
     # 42 integrations, 99 v_lambda solves and 10 iterate_Vn calls without
-    # sharing; the solvers are looked up when called, so the counting
-    # wrappers see every call that is made
+    # sharing; each call site reads its solver off the module when it runs,
+    # so the counting wrappers see every call that is made
     (_, first), (_, second), (_, alone) = suite_runs
     assert first == second == (36, 76, 4)
     assert alone == (42, 99, 10)
@@ -373,7 +373,7 @@ def test_a_rebuilt_parametrization_gets_its_own_flow(monkeypatch):
     # it the next one could take its id and read its flow
     def check(op, st):
         start = np.ones(op.dim)
-        shared = [bounds._shared(continuous, "integrate_u", op, continuous.PowerAlpha(alpha),
+        shared = [bounds._shared(continuous.integrate_u, op, continuous.PowerAlpha(alpha),
                                  start, 5.0, tol=st.ode_tol) for alpha in (0.5, 0.0)]
         for alpha, traj in zip((0.5, 0.0), shared):
             alone = continuous.integrate_u(op, continuous.PowerAlpha(alpha), start, 5.0,
@@ -393,7 +393,7 @@ def test_starts_that_differ_in_the_sign_of_a_zero_are_different_keys(monkeypatch
     def check(op, st):
         # U(t) = U0 + t c keeps the sign of a zero start at t = 0
         for zero in (0.0, -0.0, 0.0):
-            traj = bounds._shared(continuous, "integrate_U", op, np.array([zero]), 2.0,
+            traj = bounds._shared(continuous.integrate_U, op, np.array([zero]), 2.0,
                                   tol=st.ode_tol)
             assert np.signbit(traj.points[0, 0]) == np.signbit(zero)
             yield 0.0, 0.0, bounds.BASE_TOL, {}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opdyn import bounds, cli, shapley
+from opdyn import bounds, cli, discrete, shapley
 from opdyn.errors import InputError
 
 
@@ -434,6 +434,47 @@ def test_start_point_of_the_wrong_dimension_is_named(tmp_path, capsys, task, pre
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.endswith(f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["checks=[\"expo\"]", "horizon=5", "starts=[[1, 2]]"],
+     "starts: dimension mismatch: expected 1, got 2"),
+    (["checks=[\"expo\"]", "horizon=5", 'starts=[["x"]]'],
+     "starts: not a numeric vector: could not convert string to float: 'x'"),
+    (["checks=[\"kobayashi\"]", "starts=[[0.0]]"],
+     "starts: this check needs 2 start point(s), got 1"),
+], ids=["wrong-dimension", "not-numeric", "too-few"])
+def test_a_start_point_error_of_a_check_names_starts(tmp_path, capsys, sets, message):
+    # the start points of a check are read as the tasks' U0, u0 and x0 are
+    args = ["verify", "--preset", "translation", "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
+
+
+@pytest.mark.parametrize("horizon", [60.7, 777.7])
+def test_interpolation_reads_its_own_steps_up_to_their_last_sigma(tmp_path, horizon):
+    # n_steps equal steps end 1.1e-12 short of these horizons: within the
+    # check's 1e-9 rule, but beyond the 1e-12 that locate clamps
+    sigma_n = discrete.StepSequence.constant(horizon / 1000, 1000).sigma[-1]
+    assert 1e-12 < horizon - sigma_n <= 1e-9
+    args = ["verify", "--preset", "translation", "--set", 'checks=["interpolation"]',
+            "--set", f"horizon={horizon}", "--set", "n_steps=1000", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_OK
+    reports = json.loads(read(tmp_path / "reports.json"))
+    assert reports and all(r["verdict"] == "pass" for r in reports)
+
+
+def test_steps_that_end_away_from_the_horizon_get_one_message(tmp_path, capsys):
+    for check in ("euler_vs_ode", "normalized_euler", "interpolation"):
+        args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]',
+                "--set", "horizon=7", "--set", 'steps={"kind":"harmonic","N":20}',
+                "--out", str(tmp_path)]
+        assert run(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "opdyn: config error: steps, horizon: sigma_N = 3.597739657143682 differs "
+            "from the horizon 7.0\n")
 
 
 @pytest.mark.parametrize("value, shown", [

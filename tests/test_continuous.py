@@ -238,6 +238,14 @@ def test_trajectory_rejects_out_of_range():
             traj.err_at(t)
 
 
+def test_err_at_clamps_times_just_outside_the_samples_onto_the_end_nodes():
+    op = core.rotation(np.pi / 6.0)
+    traj = continuous.integrate_U(op, np.ones(2), 3.0, tol=1e-8)
+    T = traj.times[-1]
+    assert traj.err_at(-1e-13) == traj.err_bound[0] == 0.0
+    assert traj.err_at([T + 1e-13]) == traj.err_bound[-1]
+
+
 def test_euler_power_translation():
     op = core.Translation([3.0])
     out = continuous.euler_power(op, 5.0, 10, np.array([1.0]))

@@ -271,12 +271,31 @@ def test_kobayashi_rhs_values_and_validation():
     op = core.Translation([1.0])
     s1 = discrete.StepSequence.constant(0.5, 4)
     s2 = discrete.StepSequence.constant(0.25, 8)
-    rhs = discrete.kobayashi_rhs(s1, s2, 4, 8, [0.0], [1.0], op)
+    rhs = discrete.kobayashi_rhs(op, [0.0], [1.0], s1, s2)
+    assert rhs.shape == (5, 9)
     # sigma budgets coincide at (4, 8); only the tau terms remain
     want = 1.0 + 1.0 * np.sqrt(4 * 0.25 + 8 * 0.0625)
-    assert rhs == pytest.approx(want)
-    with pytest.raises(InputError):
-        discrete.kobayashi_rhs(s1, s2, 5, 0, [0.0], [1.0], op)
+    assert rhs[4, 8] == pytest.approx(want)
+    assert rhs[0, 0] == 1.0
+    for x0, xhat0 in (([0.0, 0.0], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(InputError):
+            discrete.kobayashi_rhs(op, x0, xhat0, s1, s2)
+
+
+def test_kobayashi_rhs_grid_is_the_scalar_formula_at_every_pair():
+    op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=5))
+    rng = np.random.default_rng(11)
+    x0, xhat0 = rng.uniform(-2.0, 2.0, size=(2, 3))
+    s1 = discrete.StepSequence(rng.uniform(0.01, 1.0, size=23))
+    s2 = discrete.StepSequence(rng.uniform(0.01, 1.0, size=17))
+    grid = discrete.kobayashi_rhs(op, x0, xhat0, s1, s2)
+    assert grid.shape == (24, 18)
+    d0, a0 = op.norm(xhat0 - x0), op.norm(core.apply_A(op, x0))
+    for k in range(24):
+        for l in range(18):
+            ds = s1.sigma[k] - s2.sigma[l]
+            want = d0 + a0 * np.sqrt(ds * ds + s1.tau[k] + s2.tau[l])
+            assert grid[k, l] == want, (k, l)
 
 
 def test_kobayashi_inequality_sampled():
@@ -289,8 +308,8 @@ def test_kobayashi_inequality_sampled():
         s2 = discrete.StepSequence(rng.uniform(0.05, 1.0, size=30))
         o1 = discrete.euler_scheme(op, x0, s1)
         o2 = discrete.euler_scheme(op, xhat0, s2)
+        rhs = discrete.kobayashi_rhs(op, x0, xhat0, s1, s2)
         for k in (0, 10, 30):
             for l in (0, 15, 30):
                 lhs = op.norm(o1.points[k] - o2.points[l])
-                rhs = discrete.kobayashi_rhs(s1, s2, k, l, x0, xhat0, op)
-                assert lhs <= rhs + 1e-9
+                assert lhs <= rhs[k, l] + 1e-9
