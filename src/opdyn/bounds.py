@@ -439,15 +439,19 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
     T = float(horizon)
     (x0,) = _starts(op, starts, 1.0)
     if steps is None:
+        # n steps of T/n: their sigma_N drifts from T as n grows, past 1e-9
+        # at large T, and the reads below stop at it
         n_steps = 100 if n_steps is None else n_steps
         steps = discrete.StepSequence.constant(T / n_steps, n_steps)
     elif n_steps is not None:
         raise InputError("steps, n_steps: give one of them, not both")
-    orbit = discrete.euler_scheme(op, x0, _ending_at(steps, horizon))
+    else:
+        steps = _ending_at(steps, horizon)
+    orbit = discrete.euler_scheme(op, x0, steps)
     traj = _shared(continuous.integrate_U, op, x0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, x0))
     max_step = float(np.max(steps.steps))
-    # both are read up to sigma_N, which may fall short of T by up to 1e-9
+    # both are read up to sigma_N, which may fall short of T
     times = np.minimum(np.linspace(0.0, T, 33), steps.sigma[-1])
     yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t)) for t in times),
            a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(max_step),

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_Phi, as_vec, norm
+from .core import SUP, apply_A, apply_Phi, as_vec, norm
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
 
@@ -45,12 +45,16 @@ def zeta(t):
 
 
 def zeta_inverse(s):
-    """Inverse of zeta by Newton iteration (zeta' in (1, 2], so it is safe)."""
+    """Inverse of zeta by Newton iteration (zeta' in (1, 2], so it is safe),
+    as a Python float.  The iteration runs on Python floats, whose
+    arithmetic is the same IEEE operations as on NumPy scalars; log1p stays
+    NumPy's, whose last bits differ from math.log1p's."""
     if not s >= 0:  # NaN too
         raise InputError("s must be >= 0")
-    t = max(0.0, s - np.log1p(s))
+    s = float(s)
+    t = max(0.0, s - float(np.log1p(s)))
     for _ in range(100):
-        r = t + np.log1p(t) - s  # zeta(t) - s
+        r = t + float(np.log1p(t)) - s  # zeta(t) - s
         if abs(r) <= 1e-12:
             return t
         t = max(0.0, t - r / (1.0 + 1.0 / (1.0 + t)))
@@ -106,7 +110,7 @@ class InverseTimeZeta(Parametrization):
         return 1.0 / (2.0 + zeta_inverse(t))
 
     def derivative(self, t):
-        x = zeta_inverse(t)
+        x = np.float64(zeta_inverse(t))  # its ** 2 overflows to inf, a float's raises
         dinv = 1.0 / (1.0 + 1.0 / (1.0 + x))
         return -dinv / (2.0 + x) ** 2
 
@@ -230,6 +234,13 @@ LONGEST_STEP = 1.0
 #: cap on attempted (accepted or rejected) steps of one integration
 MAX_STEPS = 2**20
 
+#: smallest dimension whose dense reads sum on NumPy, not on Python floats:
+#: the crossover, measured on dim-d affine flows under InverseTimeZeta (2-core
+#: x86-64 host, Python 3.11, NumPy 2.4), where Python floats were faster in
+#: 12 of 15 runs at d = 14 and 7 of 15 at 16 (4.4 against 7.6 us per read at
+#: d = 2), NumPy in 11 of 15 at d = 18
+NUMPY_READ_MIN_DIM = 16
+
 
 @dataclass
 class Trajectory:
@@ -259,12 +270,19 @@ class Trajectory:
     so is DENSE_FACTOR le_k as the local error of a dense read inside step
     k, which err_bound[k] covers as well.  err_at gives the bound of reads
     at any times.
+
+    The arrays are not to be changed once made: reads bracket their times
+    on a list copy of times, made with the trajectory.
     """
 
     times: np.ndarray
     nodes: np.ndarray
     err_bound: np.ndarray
     dense: np.ndarray
+    _grid: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._grid = self.times.tolist()
 
     @property
     def points(self):
@@ -275,30 +293,43 @@ class Trajectory:
         return self.nodes[:, 1]
 
     def at(self, t):
-        """Dense evaluation by the Dormand-Prince continuous extension: its
-        five coefficients are computed on Python floats, the column
-        (c0, c1, c2, -c3) scales the rows (P_k, D_k, P_k+1, D_k+1) of the
-        node block, which are summed in that order, and c4 dense[k] is added
-        last.  The sum starts from -0.0, the identity that keeps a signed
-        zero (NumPy's reduce starts from 0.0), so the read is
-        c0 P_k + c1 D_k + c2 P_k+1 - c3 D_k+1 + c4 dense[k] bit for bit."""
-        times = memoryview(self.times)
-        k, s = locate(times, t)
-        h = times[k + 1] - times[k]
+        """Dense evaluation by the Dormand-Prince continuous extension, read
+        as
+
+            c0 P_k + c1 D_k + c2 P_k+1 - c3 D_k+1 + c4 dense[k]
+
+        entry by entry, in that order, with (P, D) the node block's rows.
+        The step k and s are bracketed on the list grid and the five
+        coefficients computed on Python floats.  Below NUMPY_READ_MIN_DIM
+        entries the sum runs on Python floats too; from it on NumPy scales
+        the rows (P_k, D_k, P_k+1, D_k+1) by (c0, c1, c2, -c3), sums them
+        in that order by add.reduce from -0.0, and adds c4 dense[k] last.
+        Both are the same IEEE operations in the same order, so they agree
+        bit for bit.  -0.0 is the exact identity of +: a sum started from
+        it, or from its first term, keeps a signed zero that a sum from 0.0
+        (NumPy's reduce with no initial value) would lose."""
+        grid = self._grid
+        k, s = locate(grid, t)
+        h = grid[k + 1] - grid[k]
         r = 1.0 - s
         c0 = (1.0 + 2.0 * s) * r * r
         c1 = s * r * r * h
         c2 = s * s * (3.0 - 2.0 * s)
         c3 = s * s * r * h
         c4 = s * s * r * r
-        terms = np.array((c0, c1, c2, -c3))[:, None] * self.nodes[k:k + 2].reshape(4, -1)
-        return np.add.reduce(terms, initial=-0.0) + c4 * self.dense[k]
+        if self.nodes.shape[2] >= NUMPY_READ_MIN_DIM:
+            terms = np.array((c0, c1, c2, -c3))[:, None] * self.nodes[k:k + 2].reshape(4, -1)
+            return np.add.reduce(terms, initial=-0.0) + c4 * self.dense[k]
+        (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
+        dk = self.dense[k].tolist()
+        return np.array([c0 * p0[i] + c1 * d0[i] + c2 * p1[i] - c3 * d1[i] + c4 * dk[i]
+                         for i in range(len(dk))])
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
         largest err_bound[k] over them, with k the node at a node time and
         the step's end node inside a step.  InputError outside the samples."""
-        grid = memoryview(self.times)
+        grid = self._grid
         located = [locate(grid, t) for t in np.atleast_1d(times).astype(float).tolist()]
         return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
 
@@ -309,6 +340,11 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     param is the lam of u' = Phi(lam(t), u) - u, or None for U' = J(U) - U:
     its integral gives the contraction of the error bound (see Trajectory),
     and each of its kinks in (0, T) is a step end.
+
+    y0 is a validated start; rhs may skip validating the stage vectors it
+    gets.  A NaN or infinite stage value reaches the step's estimate est,
+    through the weights of est or of the later stages, so it is an
+    InputError, checked once per step on est.
 
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.
@@ -323,7 +359,8 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     K[0] = rhs(0.0, y0)
     times, nodes, dense, bounds = [0.0], [y0, K[0].copy()], [], [0.0]
     t, y, b, lam_int = 0.0, y0, 0.0, 0.0
-    slope = norm(K[0], norm_kind)
+    slope = norm(K[0], norm_kind)  # validates the first RHS value
+    sup = norm_kind == SUP
     h = (target / slope) ** 0.25 if slope > 0.0 else T
     attempts = 0
     for stop in stops:
@@ -339,12 +376,15 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
             for i in range(1, 7):
                 stage = y + h * (_DP_ROWS[i] @ prefixes[i])
                 K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
-            est = norm(h * (_DP_E @ K), norm_kind)
+            local = h * (_DP_E @ K)
+            est = float(abs(local).max()) if sup else float(np.linalg.norm(local))
+            if not math.isfinite(est):
+                raise InputError("vector has NaN or infinite entries")
             ratio = est / (target * h)
             if ratio <= 1.0:
                 next_int = param.integral(end) if param is not None else 0.0
                 bounds.append(b + DENSE_FACTOR * est)
-                b = np.exp(lam_int - next_int) * b + est
+                b = float(np.exp(lam_int - next_int)) * b + est
                 dense.append(h * (_DP_D @ K))
                 t, y, lam_int = end, stage, next_int
                 times.append(t)
@@ -375,7 +415,7 @@ def integrate_U(op, U0, T, tol=1e-8):
     ResourceError.
     """
     U0 = as_vec(U0, op.dim)
-    rhs = lambda t, x: -apply_A(op, x)
+    rhs = lambda t, x: -apply_A(op, x, checked=False)
     traj = _integrate(rhs, U0, T, tol, op.norm_kind)
     m = max(64, int(np.ceil(T)))
     bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
@@ -391,7 +431,7 @@ def integrate_u(op, param, u0, T, tol=1e-8):
     """Solve u' = Phi(lam(t), u) - u on [0, T] to tolerance tol, like
     integrate_U; u0 is read like its U0."""
     u0 = as_vec(u0, op.dim)
-    rhs = lambda t, x: apply_Phi(op, param.value(t), x) - x
+    rhs = lambda t, x: apply_Phi(op, param.value(t), x, checked=False) - x
     return _integrate(rhs, u0, T, tol, op.norm_kind, param)
 
 

@@ -81,6 +81,13 @@ class Operator:
     def J(self, x):
         raise NotImplementedError
 
+    def J_unchecked(self, x):
+        """J(x) for x already a finite float vector of length dim, with no
+        validation.  The default is J, so a subclass that defines only J
+        runs unchanged; one that overrides J of a class with its own
+        J_unchecked (AffineNonexpansive, ShapleyOperator) overrides it too."""
+        return self.J(x)
+
     def linearize(self, x):
         """(J(x), M) with y -> J(x) + M (y - x) a linear model of J at x.
 
@@ -134,7 +141,10 @@ class AffineNonexpansive(Operator):
         return M
 
     def J(self, x):
-        return self.matrix @ as_vec(x, self.dim) + self.offset
+        return self.J_unchecked(as_vec(x, self.dim))
+
+    def J_unchecked(self, x):
+        return self.matrix @ x + self.offset
 
     def linearize(self, x):
         return self.J(x), self.matrix
@@ -188,23 +198,30 @@ def identity_operator(dim):
     return AffineNonexpansive(np.eye(dim), np.zeros(dim))
 
 
-# apply_A and apply_Phi leave the validation of x to op.J (called directly,
-# with no apply_J): J runs as_vec once per evaluation in the hot loops.
+# Who validates: op.J and op.linearize run as_vec on x, and apply_A and
+# apply_Phi leave x to op.J (called directly, with no apply_J).  With
+# checked=False they call op.J_unchecked, which skips as_vec, on an x built
+# from an already validated start: the integrator's right-hand side and the
+# orbit loops (so the Euler power too) do, and check finiteness once per
+# step or per orbit instead.
 
 
-def apply_A(op, x):
+def apply_A(op, x, checked=True):
     """A = I - J."""
-    return x - op.J(x)
+    return x - (op.J(x) if checked else op.J_unchecked(x))
 
 
-def apply_Phi(op, lam, x):
+def apply_Phi(op, lam, x, checked=True):
     """Phi(lam, x) = lam * J(((1 - lam)/lam) * x); Phi(1, x) = J(0)."""
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
     if lam == 1.0:
-        as_vec(x, op.dim)  # J never sees x here
+        if checked:
+            as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
-    return lam * op.J(np.multiply((1.0 - lam) / lam, x, dtype=float))
+    if checked:
+        return lam * op.J(np.multiply((1.0 - lam) / lam, x, dtype=float))
+    return lam * op.J_unchecked((1.0 - lam) / lam * x)
 
 
 @dataclass

@@ -9,7 +9,9 @@ Conventions:
     w_n  = Phi(lam_n, w_{n-1})
 
 Each scheme above is an orbit x_n = F(lam_n, x_{n-1}) along a StepSequence,
-computed by the one loop ``_step_orbit`` (V_n takes lam_n = 1 and F = J).
+computed by the one loop ``_step_orbit`` (V_n takes lam_n = 1 and F = J),
+which validates x_0 and the finished orbit once and evaluates F through the
+operator's unchecked map in between.
 
 v_lam is the fixed point of the (1 - lam)-contraction w -> lam J(gamma w),
 gamma = (1 - lam)/lam; ``solve_vlambda`` certifies it with safeguarded
@@ -83,13 +85,17 @@ class DiscreteOrbit:
 
 
 def _step_orbit(op, x0, steps, step):
-    """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence."""
+    """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence.  x0 is read by
+    as_vec; step may skip validating x (each x is a row of the orbit, built
+    from x0), so the orbit is checked for finiteness once, at the end."""
     if not isinstance(steps, StepSequence):
         steps = StepSequence(np.asarray(steps, dtype=float))
     points = np.empty((len(steps) + 1, op.dim))
     points[0] = as_vec(x0, op.dim)
     for n, lam in enumerate(steps.steps, 1):
         points[n] = step(lam, points[n - 1])
+    if not np.isfinite(points).all():
+        raise InputError("vector has NaN or infinite entries")
     return DiscreteOrbit(points, steps)
 
 
@@ -119,7 +125,7 @@ def iterate_Vn(op, N):
     if N < 1:
         raise InputError("N must be >= 1")
     orbit = _step_orbit(op, np.zeros(op.dim), StepSequence.constant(1.0, N),
-                        lambda _, x: op.J(x))
+                        lambda _, x: op.J_unchecked(x))
     return orbit, orbit.points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
 
 
@@ -197,7 +203,8 @@ def solve_vlambda(op, lam, tol=1e-10, full=False):
 
 def euler_scheme(op, x0, steps):
     """Explicit Euler orbit x_n = (1 - lam_n) x_{n-1} + lam_n J(x_{n-1})."""
-    return _step_orbit(op, x0, steps, lambda lam, x: x - lam * apply_A(op, x))
+    return _step_orbit(op, x0, steps,
+                       lambda lam, x: x - lam * apply_A(op, x, checked=False))
 
 
 def euler_interpolant(orbit, t):
@@ -209,7 +216,7 @@ def euler_interpolant(orbit, t):
 def phi_recursion(op, lambda_seq):
     """Orbit of w_n = Phi(lam_n, w_{n-1}) from w_0 = 0."""
     return _step_orbit(op, np.zeros(op.dim), lambda_seq,
-                       lambda lam, x: apply_Phi(op, lam, x))
+                       lambda lam, x: apply_Phi(op, lam, x, checked=False))
 
 
 def kobayashi_rhs(op, x0, xhat0, steps1, steps2):

@@ -574,7 +574,12 @@ def shapley_apply(game, f, supports=None):
     solve reads its state's entry and stores the support it accepted there.
     The guesses change the cost, never the result.
     """
-    f = as_vec(f, game.num_states)
+    return _apply(game, as_vec(f, game.num_states), supports)
+
+
+def _apply(game, f, supports=None):
+    """shapley_apply on f already a finite float vector of length
+    num_states, with no validation."""
     if supports is None:
         supports = [None] * game.num_states
     out = np.empty(game.num_states)
@@ -664,7 +669,10 @@ class ShapleyOperator(Operator):
         self.supports = [None] * game.num_states
 
     def J(self, x):
-        return shapley_apply(self.game, x, self.supports)
+        return self.J_unchecked(as_vec(x, self.dim))
+
+    def J_unchecked(self, x):
+        return _apply(self.game, x, self.supports)
 
     def linearize(self, x):
         return shapley_linearize(self.game, x, self.supports)

@@ -466,6 +466,18 @@ def test_interpolation_reads_its_own_steps_up_to_their_last_sigma(tmp_path, hori
     assert reports and all(r["verdict"] == "pass" for r in reports)
 
 
+def test_interpolation_runs_its_own_steps_whose_sigma_drifts_past_the_rule(tmp_path):
+    # 13001 steps of 10000/13001 sum to 1.05e-9 short of the horizon: the
+    # 1e-9 rule holds given steps only, and the reads stop at sigma_N
+    sigma_n = discrete.StepSequence.constant(10000.0 / 13001, 13001).sigma[-1]
+    assert 1e-9 < 10000.0 - sigma_n
+    args = ["verify", "--preset", "translation", "--set", 'checks=["interpolation"]',
+            "--set", "horizon=10000", "--set", "n_steps=13001", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_OK
+    reports = json.loads(read(tmp_path / "reports.json"))
+    assert reports and all(r["verdict"] == "pass" for r in reports)
+
+
 def test_steps_that_end_away_from_the_horizon_get_one_message(tmp_path, capsys):
     for check in ("euler_vs_ode", "normalized_euler", "interpolation"):
         args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]',

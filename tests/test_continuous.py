@@ -13,6 +13,24 @@ def test_zeta_roundtrip():
         assert continuous.zeta_inverse(s) == pytest.approx(t, abs=1e-9)
 
 
+def _zeta_inverse_on_numpy_scalars(s):
+    """zeta_inverse's Newton loop as it ran on NumPy scalars: the reference."""
+    t = max(0.0, s - np.log1p(s))
+    for _ in range(100):
+        r = t + np.log1p(t) - s
+        if abs(r) <= 1e-12:
+            return t
+        t = max(0.0, t - r / (1.0 + 1.0 / (1.0 + t)))
+    raise AssertionError("no convergence")
+
+
+def test_zeta_inverse_is_a_float_bit_equal_to_the_numpy_scalar_loop():
+    for s in [0.0] + np.geomspace(1e-12, 1e6, 3001).tolist():
+        got = continuous.zeta_inverse(s)
+        assert type(got) is float
+        assert got.hex() == float(_zeta_inverse_on_numpy_scalars(s)).hex()
+
+
 def test_zeta_values():
     assert continuous.zeta(0.0) == 0.0
     assert continuous.zeta(1.0) == pytest.approx(1.0 + np.log(2.0))
@@ -211,6 +229,75 @@ def test_trajectory_reads_keep_signed_zeros():
             got = traj.at(t)
             assert got.tobytes() == extension(traj, k, (t - traj.times[k]) / h).tobytes()
             assert np.signbit(got[0]) or k > 0
+
+
+def _affine(dim, seed=16):
+    """Seeded sup-norm affine map whose every absolute row sum is 1."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    M /= np.sum(np.abs(M), axis=1, keepdims=True)
+    return core.AffineNonexpansive(M, rng.uniform(-1.0, 1.0, size=dim), norm_kind=core.SUP)
+
+
+@pytest.mark.parametrize("flow", ["translation", "affine16"])
+def test_reads_on_python_floats_and_on_numpy_are_the_extension_bit_for_bit(flow):
+    # d = 1 sums on Python floats, d = 16 on NumPy; at 9 interior times of
+    # every step, at every node time and at T
+    assert continuous.NUMPY_READ_MIN_DIM == 16
+    if flow == "translation":
+        traj = continuous.integrate_U(core.Translation([1.0]), [0.5], 6.0, tol=1e-8)
+    else:
+        op = _affine(16)
+        start = np.random.default_rng(1).uniform(-1.0, 1.0, size=16)
+        traj = continuous.integrate_u(op, continuous.InverseTimeZeta(), start, 6.0, tol=1e-8)
+    times = traj.times
+    n = times.size - 1
+    for k in range(n):
+        h = times[k + 1] - times[k]
+        for frac in np.linspace(0.0, 1.0, 11)[1:-1]:
+            t = times[k] + frac * h
+            assert traj.at(t).tobytes() == extension(traj, k, (t - times[k]) / h).tobytes()
+        assert traj.at(times[k]).tobytes() == extension(traj, k, 0.0).tobytes()
+    assert traj.at(times[n]).tobytes() == extension(traj, n - 1, 1.0).tobytes()
+
+
+class _OnlyJ(core.Operator):
+    """A user operator that defines J alone, validating and counting: the
+    map of an AffineNonexpansive."""
+
+    def __init__(self, affine):
+        self.affine, self.dim, self.norm_kind, self.calls = affine, affine.dim, core.SUP, 0
+
+    def J(self, x):
+        self.calls += 1
+        return self.affine.matrix @ core.as_vec(x, self.dim) + self.affine.offset
+
+
+@pytest.mark.parametrize("run", [
+    lambda op, x0: continuous.integrate_U(op, x0, 5.0).nodes,
+    lambda op, x0: continuous.integrate_u(op, continuous.PowerAlpha(0.5), x0, 5.0).nodes,
+    lambda op, x0: discrete.euler_scheme(op, x0, discrete.StepSequence.harmonic(20)).points,
+    lambda op, x0: discrete.iterate_Vn(op, 20)[0].points,
+    lambda op, x0: discrete.phi_recursion(op, discrete.StepSequence.harmonic(20)).points,
+], ids=["integrate_U", "integrate_u", "euler_scheme", "iterate_Vn", "phi_recursion"])
+def test_an_operator_that_defines_only_J_runs_through_its_J(run):
+    # J_unchecked defaults to J: the loops that call the unchecked map call
+    # the subclass's J, and get the built-in map's bits
+    affine = _affine(3)
+    op, x0 = _OnlyJ(affine), np.array([0.5, -1.0, 2.0])
+    assert run(op, x0).tobytes() == run(affine, x0).tobytes()
+    assert op.calls > 0
+
+
+def test_a_nan_start_or_step_is_still_an_input_error():
+    op, bad = _affine(3), [np.nan, 0.0, 0.0]
+    for run in (lambda: continuous.integrate_U(op, bad, 1.0),
+                lambda: continuous.integrate_u(op, continuous.PowerAlpha(0.5), bad, 1.0),
+                lambda: continuous.euler_power(op, 1.0, 4, bad),
+                lambda: discrete.euler_scheme(op, bad, discrete.StepSequence.harmonic(5)),
+                lambda: discrete.phi_recursion(op, [0.5, np.nan])):
+        with pytest.raises(InputError):
+            run()
 
 
 class _BlowsUp(core.Operator):

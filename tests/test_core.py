@@ -100,6 +100,19 @@ def test_derived_maps_reject_bad_vectors(op, apply):
 
 
 @pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
+def test_unchecked_maps_are_the_checked_ones_bit_for_bit(op):
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1.0, 1e3):
+        x = scale * rng.uniform(-1.0, 1.0, size=op.dim)
+        assert op.J_unchecked(x).tobytes() == op.J(x).tobytes()
+        assert (core.apply_A(op, x, checked=False).tobytes()
+                == core.apply_A(op, x).tobytes())
+        for lam in (1.0, 0.3):
+            assert (core.apply_Phi(op, lam, x, checked=False).tobytes()
+                    == core.apply_Phi(op, lam, x).tobytes())
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
 def test_linearize_matches_J_and_validates_like_it(op):
     rng = np.random.default_rng(3)
     for scale in (0.0, 1.0, 1e3):

@@ -227,6 +227,17 @@ def test_phi_recursion_rejects_steps_outside_unit_interval(bad):
         discrete.phi_recursion(op, [0.5, bad])
 
 
+def test_an_orbit_that_overflows_is_an_input_error():
+    # the orbit loops evaluate the unchecked map and check the orbit once
+    op = core.Translation([1e308])
+    for run in (lambda: discrete.iterate_Vn(op, 5),
+                lambda: discrete.euler_scheme(op, [1e308], discrete.StepSequence.constant(1.0, 5)),
+                lambda: discrete.phi_recursion(op, discrete.StepSequence.constant(0.5, 5))):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError, match="NaN or infinite"):
+            run()
+
+
 def test_locate_brackets_every_time_on_the_grid():
     grid = np.array([0.0, 0.5, 1.5, 3.0])
     assert discrete.locate(grid, 0.0) == (0, 0.0)
