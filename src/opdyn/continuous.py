@@ -234,13 +234,6 @@ LONGEST_STEP = 1.0
 #: cap on attempted (accepted or rejected) steps of one integration
 MAX_STEPS = 2**20
 
-#: smallest dimension whose dense reads sum on NumPy, not on Python floats:
-#: the crossover, measured on dim-d affine flows under InverseTimeZeta (2-core
-#: x86-64 host, Python 3.11, NumPy 2.4), where Python floats were faster in
-#: 12 of 15 runs at d = 14 and 7 of 15 at 16 (4.4 against 7.6 us per read at
-#: d = 2), NumPy in 11 of 15 at d = 18
-NUMPY_READ_MIN_DIM = 16
-
 
 @dataclass
 class Trajectory:
@@ -299,15 +292,11 @@ class Trajectory:
             c0 P_k + c1 D_k + c2 P_k+1 - c3 D_k+1 + c4 dense[k]
 
         entry by entry, in that order, with (P, D) the node block's rows.
-        The step k and s are bracketed on the list grid and the five
-        coefficients computed on Python floats.  Below NUMPY_READ_MIN_DIM
-        entries the sum runs on Python floats too; from it on NumPy scales
-        the rows (P_k, D_k, P_k+1, D_k+1) by (c0, c1, c2, -c3), sums them
-        in that order by add.reduce from -0.0, and adds c4 dense[k] last.
-        Both are the same IEEE operations in the same order, so they agree
-        bit for bit.  -0.0 is the exact identity of +: a sum started from
-        it, or from its first term, keeps a signed zero that a sum from 0.0
-        (NumPy's reduce with no initial value) would lose."""
+        The step k and s are bracketed on the list grid, and the five
+        coefficients and the sum are computed on Python floats: the same
+        IEEE operations, in the same order, as NumPy's elementwise ones.
+        The sum starts from its first term, which keeps a signed zero that
+        a sum from 0.0 (NumPy's reduce with no initial value) would lose."""
         grid = self._grid
         k, s = locate(grid, t)
         h = grid[k + 1] - grid[k]
@@ -317,9 +306,6 @@ class Trajectory:
         c2 = s * s * (3.0 - 2.0 * s)
         c3 = s * s * r * h
         c4 = s * s * r * r
-        if self.nodes.shape[2] >= NUMPY_READ_MIN_DIM:
-            terms = np.array((c0, c1, c2, -c3))[:, None] * self.nodes[k:k + 2].reshape(4, -1)
-            return np.add.reduce(terms, initial=-0.0) + c4 * self.dense[k]
         (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
         dk = self.dense[k].tolist()
         return np.array([c0 * p0[i] + c1 * d0[i] + c2 * p1[i] - c3 * d1[i] + c4 * dk[i]

@@ -81,11 +81,19 @@ class Operator:
     def J(self, x):
         raise NotImplementedError
 
+    def __init_subclass__(cls, **kwargs):
+        # a class that defines J but not J_unchecked runs its own J
+        # everywhere, also where it inherits another class's J_unchecked
+        super().__init_subclass__(**kwargs)
+        if "J" in cls.__dict__ and "J_unchecked" not in cls.__dict__:
+            cls.J_unchecked = Operator.J_unchecked
+
     def J_unchecked(self, x):
         """J(x) for x already a finite float vector of length dim, with no
-        validation.  The default is J, so a subclass that defines only J
-        runs unchanged; one that overrides J of a class with its own
-        J_unchecked (AffineNonexpansive, ShapleyOperator) overrides it too."""
+        validation: the same map as J, bit for bit.  The default is J, and
+        a class that defines J but not J_unchecked gets that default back,
+        so a subclass that overrides only J (of AffineNonexpansive or
+        ShapleyOperator too) runs its J everywhere."""
         return self.J(x)
 
     def linearize(self, x):
@@ -141,7 +149,9 @@ class AffineNonexpansive(Operator):
         return M
 
     def J(self, x):
-        return self.J_unchecked(as_vec(x, self.dim))
+        # by class: in a subclass that overrides J alone, self.J_unchecked
+        # calls that J, which may call this one
+        return AffineNonexpansive.J_unchecked(self, as_vec(x, self.dim))
 
     def J_unchecked(self, x):
         return self.matrix @ x + self.offset
@@ -219,9 +229,8 @@ def apply_Phi(op, lam, x, checked=True):
         if checked:
             as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
-    if checked:
-        return lam * op.J(np.multiply((1.0 - lam) / lam, x, dtype=float))
-    return lam * op.J_unchecked((1.0 - lam) / lam * x)
+    return lam * (op.J if checked else op.J_unchecked)(
+        np.multiply((1.0 - lam) / lam, x, dtype=float))
 
 
 @dataclass

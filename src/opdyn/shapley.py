@@ -669,7 +669,7 @@ class ShapleyOperator(Operator):
         self.supports = [None] * game.num_states
 
     def J(self, x):
-        return self.J_unchecked(as_vec(x, self.dim))
+        return _apply(self.game, as_vec(x, self.dim), self.supports)
 
     def J_unchecked(self, x):
         return _apply(self.game, x, self.supports)

@@ -240,10 +240,9 @@ def _affine(dim, seed=16):
 
 
 @pytest.mark.parametrize("flow", ["translation", "affine16"])
-def test_reads_on_python_floats_and_on_numpy_are_the_extension_bit_for_bit(flow):
-    # d = 1 sums on Python floats, d = 16 on NumPy; at 9 interior times of
-    # every step, at every node time and at T
-    assert continuous.NUMPY_READ_MIN_DIM == 16
+def test_reads_on_python_floats_are_the_extension_bit_for_bit(flow):
+    # d = 1 and d = 16, at 9 interior times of every step, at every node
+    # time and at T
     if flow == "translation":
         traj = continuous.integrate_U(core.Translation([1.0]), [0.5], 6.0, tol=1e-8)
     else:
@@ -273,6 +272,17 @@ class _OnlyJ(core.Operator):
         return self.affine.matrix @ core.as_vec(x, self.dim) + self.affine.offset
 
 
+class _HalvedTranslation(core.Translation):
+    """J(x) = (x + c) / 2, overriding J alone, counting: it must not fall
+    back to the J_unchecked that Translation inherits."""
+
+    calls = 0
+
+    def J(self, x):
+        self.calls += 1
+        return 0.5 * super().J(x)
+
+
 @pytest.mark.parametrize("run", [
     lambda op, x0: continuous.integrate_U(op, x0, 5.0).nodes,
     lambda op, x0: continuous.integrate_u(op, continuous.PowerAlpha(0.5), x0, 5.0).nodes,
@@ -280,12 +290,17 @@ class _OnlyJ(core.Operator):
     lambda op, x0: discrete.iterate_Vn(op, 20)[0].points,
     lambda op, x0: discrete.phi_recursion(op, discrete.StepSequence.harmonic(20)).points,
 ], ids=["integrate_U", "integrate_u", "euler_scheme", "iterate_Vn", "phi_recursion"])
-def test_an_operator_that_defines_only_J_runs_through_its_J(run):
-    # J_unchecked defaults to J: the loops that call the unchecked map call
-    # the subclass's J, and get the built-in map's bits
-    affine = _affine(3)
-    op, x0 = _OnlyJ(affine), np.array([0.5, -1.0, 2.0])
-    assert run(op, x0).tobytes() == run(affine, x0).tobytes()
+@pytest.mark.parametrize("ops", [
+    lambda: (_OnlyJ(_affine(3)), _affine(3)),
+    lambda: (_HalvedTranslation([0.5, -0.25, 1.0]),
+             core.AffineNonexpansive(0.5 * np.eye(3), [0.25, -0.125, 0.5])),
+], ids=["operator", "translation_subclass"])
+def test_an_operator_that_defines_only_J_runs_through_its_J(run, ops):
+    # J_unchecked is J for a class that defines J alone: the loops that call
+    # the unchecked map call the subclass's J, and get the built-in map's bits
+    op, same_map = ops()
+    x0 = np.array([0.5, -1.0, 2.0])
+    assert run(op, x0).tobytes() == run(same_map, x0).tobytes()
     assert op.calls > 0
 
 
