@@ -52,7 +52,6 @@ from .shapley import (
     matrix_game_value,
     matrix_game_value_oracle,
     random_game,
-    shapley_apply,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "rotation",
     "run_checks",
     "run_suite",
-    "shapley_apply",
     "slow_param_bound",
     "solve_vlambda",
     "suite_plan",

@@ -104,18 +104,33 @@ class Constant(Parametrization):
 
 
 class InverseTimeZeta(Parametrization):
-    """lam(t) = 1/(2 + zeta^{-1}(t)), asymptotically 1/t + ln(t)/t^2."""
+    """lam(t) = 1/(2 + zeta^{-1}(t)), asymptotically 1/t + ln(t)/t^2.
+
+    The last (t, zeta^{-1}(t)) is kept, keyed by the exact t, so value,
+    derivative and integral at one time (as an integrator step reads them)
+    solve zeta^{-1} once; a NaN t never matches and raises as before.
+    """
+
+    _last = (math.nan, 0.0)
+
+    def _zeta_inverse(self, t):
+        last_t, x = self._last
+        if t != last_t:
+            x = zeta_inverse(t)
+            self._last = (t, x)
+        return x
 
     def value(self, t):
-        return 1.0 / (2.0 + zeta_inverse(t))
+        return 1.0 / (2.0 + self._zeta_inverse(t))
 
     def derivative(self, t):
-        x = np.float64(zeta_inverse(t))  # its ** 2 overflows to inf, a float's raises
+        x = np.float64(self._zeta_inverse(t))  # its ** 2 overflows to inf, a float's raises
         dinv = 1.0 / (1.0 + 1.0 / (1.0 + x))
         return -dinv / (2.0 + x) ** 2
 
     def integral(self, t):
-        return float(np.log1p(zeta_inverse(t)))  # lam dt = dx / (1 + x) at t = zeta(x)
+        # lam dt = dx / (1 + x) at t = zeta(x)
+        return float(np.log1p(self._zeta_inverse(t)))
 
 
 class PowerAlpha(Parametrization):

@@ -73,28 +73,28 @@ def _check_norm_kind(kind):
 
 
 class Operator:
-    """A nonexpansive map J on R^dim, in the declared norm."""
+    """A nonexpansive map J on R^dim, in the declared norm.
+
+    A subclass defines ``map(x)``, J on an x that is already a finite float
+    vector of length dim.  ``J`` alone validates: it reads x with as_vec and
+    calls ``map``, and a class body that defines J is a TypeError.
+    """
 
     dim: int
     norm_kind: str
 
-    def J(self, x):
-        raise NotImplementedError
-
     def __init_subclass__(cls, **kwargs):
-        # a class that defines J but not J_unchecked runs its own J
-        # everywhere, also where it inherits another class's J_unchecked
         super().__init_subclass__(**kwargs)
-        if "J" in cls.__dict__ and "J_unchecked" not in cls.__dict__:
-            cls.J_unchecked = Operator.J_unchecked
+        if "J" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} defines J: define map(x) instead, "
+                            "which Operator.J calls on the validated x")
 
-    def J_unchecked(self, x):
-        """J(x) for x already a finite float vector of length dim, with no
-        validation: the same map as J, bit for bit.  The default is J, and
-        a class that defines J but not J_unchecked gets that default back,
-        so a subclass that overrides only J (of AffineNonexpansive or
-        ShapleyOperator too) runs its J everywhere."""
-        return self.J(x)
+    def J(self, x):
+        return self.map(as_vec(x, self.dim))
+
+    def map(self, x):
+        """J(x) for x a finite float vector of length dim, with no validation."""
+        raise NotImplementedError
 
     def linearize(self, x):
         """(J(x), M) with y -> J(x) + M (y - x) a linear model of J at x.
@@ -148,12 +148,7 @@ class AffineNonexpansive(Operator):
         self.matrix, self.dim, self.norm_kind = M, M.shape[0], norm_kind
         return M
 
-    def J(self, x):
-        # by class: in a subclass that overrides J alone, self.J_unchecked
-        # calls that J, which may call this one
-        return AffineNonexpansive.J_unchecked(self, as_vec(x, self.dim))
-
-    def J_unchecked(self, x):
+    def map(self, x):
         return self.matrix @ x + self.offset
 
     def linearize(self, x):
@@ -187,10 +182,13 @@ class LinearIsometry(AffineNonexpansive):
             if not np.allclose(M @ M.T, np.eye(self.dim), atol=1e-9):
                 raise InputError("matrix is not orthogonal")
         else:
-            # sup-norm isometries: signed permutation matrices
-            if not np.allclose(np.sort(np.abs(M), axis=1)[:, :-1], 0.0, atol=1e-12) or \
-               not np.allclose(np.max(np.abs(M), axis=1), 1.0, atol=1e-12):
-                raise InputError("matrix is not a sup-norm isometry")
+            # sup-norm isometries: signed permutation matrices, so |M| has
+            # one 1 in every row and every column and zeros elsewhere
+            A = np.abs(M)
+            one = np.abs(A - 1.0) <= 1e-12
+            if not (np.all(one | (A <= 1e-12))
+                    and np.all(one.sum(axis=0) == 1) and np.all(one.sum(axis=1) == 1)):
+                raise InputError("matrix is not a sup-norm isometry (a signed permutation)")
 
     def describe(self):
         return f"LinearIsometry(dim={self.dim})"
@@ -208,17 +206,17 @@ def identity_operator(dim):
     return AffineNonexpansive(np.eye(dim), np.zeros(dim))
 
 
-# Who validates: op.J and op.linearize run as_vec on x, and apply_A and
-# apply_Phi leave x to op.J (called directly, with no apply_J).  With
-# checked=False they call op.J_unchecked, which skips as_vec, on an x built
-# from an already validated start: the integrator's right-hand side and the
-# orbit loops (so the Euler power too) do, and check finiteness once per
-# step or per orbit instead.
+# Who validates: Operator.J runs as_vec on x and calls op.map, and
+# op.linearize validates x as J does; apply_A and apply_Phi leave x to op.J
+# (called directly, with no apply_J).  With checked=False they call op.map,
+# which skips as_vec, on an x built from an already validated start: the
+# integrator's right-hand side and the orbit loops (so the Euler power too)
+# do, and check finiteness once per step or per orbit instead.
 
 
 def apply_A(op, x, checked=True):
     """A = I - J."""
-    return x - (op.J(x) if checked else op.J_unchecked(x))
+    return x - (op.J(x) if checked else op.map(x))
 
 
 def apply_Phi(op, lam, x, checked=True):
@@ -229,7 +227,7 @@ def apply_Phi(op, lam, x, checked=True):
         if checked:
             as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
-    return lam * (op.J if checked else op.J_unchecked)(
+    return lam * (op.J if checked else op.map)(
         np.multiply((1.0 - lam) / lam, x, dtype=float))
 
 
@@ -296,8 +294,9 @@ def check_accretive(op, lam, samples=200, radius=10.0, seed=0):
 def _accretive_reports(op, lams, samples=200, radius=10.0, seed=0):
     """check_accretive's report for each lam in lams, from one draw of the
     pairs and one evaluation of A at each of their points."""
-    if any(lam <= 0 for lam in lams):
-        raise InputError("lambda must be positive")
+    for lam in lams:
+        if not 0.0 < lam < math.inf:  # NaN too
+            raise InputError(f"lambda must be positive and finite, got {lam}")
     diffs = [(x - y, apply_A(op, x) - apply_A(op, y), d)
              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
     reports = []

@@ -11,7 +11,7 @@ Conventions:
 Each scheme above is an orbit x_n = F(lam_n, x_{n-1}) along a StepSequence,
 computed by the one loop ``_step_orbit`` (V_n takes lam_n = 1 and F = J),
 which validates x_0 and the finished orbit once and evaluates F through the
-operator's unchecked map in between.
+operator's ``map``, which skips validation, in between.
 
 v_lam is the fixed point of the (1 - lam)-contraction w -> lam J(gamma w),
 gamma = (1 - lam)/lam; ``solve_vlambda`` certifies it with safeguarded
@@ -125,7 +125,7 @@ def iterate_Vn(op, N):
     if N < 1:
         raise InputError("N must be >= 1")
     orbit = _step_orbit(op, np.zeros(op.dim), StepSequence.constant(1.0, N),
-                        lambda _, x: op.J_unchecked(x))
+                        lambda _, x: op.map(x))
     return orbit, orbit.points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
 
 

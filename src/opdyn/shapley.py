@@ -20,14 +20,14 @@ of the game.  A kernel-enumeration oracle is kept for cross-checking.
 
 A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
-the per-state arrays are views into them, and all of them are read-only.  One
-J evaluation validates f once, assembles every stage game of a group with one
-stacked product P + R @ f; a 2x2 group is solved on Python floats by the
-closed form, every other shape one state at a time, with the state's guess
-that ``ShapleyOperator`` keeps.  ``shapley_linearize`` solves the same games
-and also returns, from their optimal strategies, the frozen-strategy
-transition matrix: the linear model behind the policy steps of the v_lambda
-solver.
+the per-state arrays are views into them, and all of them are read-only.
+``ShapleyOperator.map``, which ``Operator.J`` calls once it has validated f,
+assembles every stage game of a group with one stacked product P + R @ f; a
+2x2 group is solved on Python floats by the closed form, every other shape
+one state at a time, with the state's guess that the operator keeps.
+``ShapleyOperator.linearize`` solves the same games and also returns, from
+their optimal strategies, the frozen-strategy transition matrix: the linear
+model behind the policy steps of the v_lambda solver.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _solve_2x2(a, b, c, d):
     Shapley & Snow 1950: a pure saddle exists iff the pure maximin equals
     the pure minimax (compared exactly); otherwise both players mix on the
     whole kernel with the equalizing strategies.  Floats in, floats and
-    tuples out, for ``shapley_apply``'s hot loop; ``y if y < x else x`` is
+    tuples out, for ``ShapleyOperator.map``'s hot loop; ``y if y < x else x`` is
     ``min(x, y)`` bit for bit (ties, 0.0 against -0.0), without the call.
     """
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
@@ -564,67 +564,6 @@ def matrix_game_value_oracle(M):
     return _exact_simplex(M.tolist())[0]
 
 
-def shapley_apply(game, f, supports=None):
-    """One application of the game's value operator to a state-value vector.
-
-    f is validated once; each action-shape group assembles all its stage
-    games with one stacked product; a 2x2 group is flattened once to floats
-    for ``_solve_2x2``, and other games are solved by ``matrix_game_value``.
-    supports, if given, holds one support guess per state: each non-2x2
-    solve reads its state's entry and stores the support it accepted there.
-    The guesses change the cost, never the result.
-    """
-    return _apply(game, as_vec(f, game.num_states), supports)
-
-
-def _apply(game, f, supports=None):
-    """shapley_apply on f already a finite float vector of length
-    num_states, with no validation."""
-    if supports is None:
-        supports = [None] * game.num_states
-    out = np.empty(game.num_states)
-    for states, P, R in game.shape_groups:
-        B = P + R @ f
-        if B.shape[1:] == (2, 2):
-            entries = iter(B.ravel().tolist())
-            for s, a, b, c, d in zip(states, entries, entries, entries, entries):
-                out[s] = _solve_2x2(a, b, c, d)[0]
-        else:
-            for s, Bs in zip(states, B):
-                sol = matrix_game_value(Bs, supports[s])
-                out[s] = sol.value
-                supports[s] = sol.support
-    return out
-
-
-def shapley_linearize(game, f, supports=None):
-    """J(f) and the frozen-strategy matrix M of the game at f.
-
-    Row s of M is the transition row p_s' rho_s q_s under the optimal
-    strategies (p_s, q_s) of state s's stage game at f, so M is row-stochastic
-    and y -> J(f) + M (y - f) is the operator with both players' strategies
-    frozen.  The stage games are assembled as in shapley_apply and solved
-    by ``matrix_game_value``, which also returns the strategies; supports is
-    read and updated as there.
-    """
-    f = as_vec(f, game.num_states)
-    S = game.num_states
-    if supports is None:
-        supports = [None] * S
-    out = np.empty(S)
-    M = np.empty((S, S))
-    for states, P, R in game.shape_groups:
-        sols = [matrix_game_value(B, supports[s]) for s, B in zip(states, P + R @ f)]
-        rows = list(states)
-        for s, sol in zip(states, sols):
-            supports[s] = sol.support
-        out[rows] = [sol.value for sol in sols]
-        p = np.array([sol.row_strategy for sol in sols])
-        q = np.array([sol.col_strategy for sol in sols])
-        M[rows] = np.einsum("ki,kijs,kj->ks", p, R, q)
-    return out, M
-
-
 def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
     """Seeded random game: payoffs uniform on payoff_range = (lo, hi), which
     must be finite with lo <= hi, and normalized-uniform transitions."""
@@ -668,14 +607,54 @@ class ShapleyOperator(Operator):
         #: that makes the next solve cheaper and never changes its result
         self.supports = [None] * game.num_states
 
-    def J(self, x):
-        return _apply(self.game, as_vec(x, self.dim), self.supports)
+    def map(self, x):
+        """One application of the game's value operator to x.
 
-    def J_unchecked(self, x):
-        return _apply(self.game, x, self.supports)
+        Each action-shape group assembles all its stage games with one
+        stacked product; a 2x2 group is flattened once to floats for
+        ``_solve_2x2``, and other games are solved by ``matrix_game_value``
+        with their state's support guess, which the solve replaces by the
+        support it accepted.  The guesses change the cost, never the result.
+        """
+        supports = self.supports
+        out = np.empty(self.dim)
+        for states, P, R in self.game.shape_groups:
+            B = P + R @ x
+            if B.shape[1:] == (2, 2):
+                entries = iter(B.ravel().tolist())
+                for s, a, b, c, d in zip(states, entries, entries, entries, entries):
+                    out[s] = _solve_2x2(a, b, c, d)[0]
+            else:
+                for s, Bs in zip(states, B):
+                    sol = matrix_game_value(Bs, supports[s])
+                    out[s] = sol.value
+                    supports[s] = sol.support
+        return out
 
     def linearize(self, x):
-        return shapley_linearize(self.game, x, self.supports)
+        """J(x) and the frozen-strategy matrix M of the game at x.
+
+        Row s of M is the transition row p_s' rho_s q_s under the optimal
+        strategies (p_s, q_s) of state s's stage game at x, so M is
+        row-stochastic and y -> J(x) + M (y - x) is the operator with both
+        players' strategies frozen.  The stage games are assembled as in
+        ``map`` and solved by ``matrix_game_value``, which also returns the
+        strategies; the support guesses are read and updated as there.
+        """
+        x = as_vec(x, self.dim)
+        supports = self.supports
+        out = np.empty(self.dim)
+        M = np.empty((self.dim, self.dim))
+        for states, P, R in self.game.shape_groups:
+            sols = [matrix_game_value(B, supports[s]) for s, B in zip(states, P + R @ x)]
+            rows = list(states)
+            for s, sol in zip(states, sols):
+                supports[s] = sol.support
+            out[rows] = [sol.value for sol in sols]
+            p = np.array([sol.row_strategy for sol in sols])
+            q = np.array([sol.col_strategy for sol in sols])
+            M[rows] = np.einsum("ki,kijs,kj->ks", p, R, q)
+        return out, M
 
     def h_constant(self):
         """Largest absolute one-stage payoff, the Lipschitz constant in (H)."""

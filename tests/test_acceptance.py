@@ -251,17 +251,15 @@ def test_criterion_10_property_suites(rotation30, random3):
                             bounds.Settings())[0]
         violations += rep.context["violations"]
     # Shapley monotonicity and constant additivity
-    game = random3.game
+    J = shapley.ShapleyOperator(random3.game).J
     rng = np.random.default_rng(0)
     for _ in range(100):
         f = rng.uniform(-5.0, 5.0, size=3)
         g = f + rng.uniform(0.0, 3.0, size=3)
-        if not np.all(shapley.shapley_apply(game, f)
-                      <= shapley.shapley_apply(game, g) + 1e-9):
+        if not np.all(J(f) <= J(g) + 1e-9):
             violations += 1
         c = float(rng.uniform(-4.0, 4.0))
-        if not np.allclose(shapley.shapley_apply(game, f + c),
-                           shapley.shapley_apply(game, f) + c, atol=1e-9):
+        if not np.allclose(J(f + c), J(f) + c, atol=1e-9):
             violations += 1
     # LP vs brute-force oracle on twenty seeded matrices
     rng = np.random.default_rng(42)

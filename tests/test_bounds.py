@@ -235,8 +235,8 @@ def test_failing_check_is_reported():
     class Shrinking(core.Operator):
         dim, norm_kind = 1, core.SUP
 
-        def J(self, x):
-            return 3.0 * core.as_vec(x, 1)
+        def map(self, x):
+            return 3.0 * x
 
     reports = bounds.verify(
         "accretivity",
@@ -252,9 +252,9 @@ def test_accretivity_evaluates_J_twice_per_sample_for_all_lambdas():
     class Counting(core.Translation):
         calls = 0
 
-        def J(self, x):
+        def map(self, x):
             Counting.calls += 1
-            return super().J(x)
+            return super().map(x)
 
     for lambdas in ([0.5], [0.1, 0.5, 1.0, 2.0]):
         Counting.calls = 0

@@ -260,27 +260,27 @@ def test_reads_on_python_floats_are_the_extension_bit_for_bit(flow):
     assert traj.at(times[n]).tobytes() == extension(traj, n - 1, 1.0).tobytes()
 
 
-class _OnlyJ(core.Operator):
-    """A user operator that defines J alone, validating and counting: the
-    map of an AffineNonexpansive."""
+class _OnlyMap(core.Operator):
+    """A user operator that defines map alone, counting: the map of an
+    AffineNonexpansive."""
 
     def __init__(self, affine):
         self.affine, self.dim, self.norm_kind, self.calls = affine, affine.dim, core.SUP, 0
 
-    def J(self, x):
+    def map(self, x):
         self.calls += 1
-        return self.affine.matrix @ core.as_vec(x, self.dim) + self.affine.offset
+        return self.affine.matrix @ x + self.affine.offset
 
 
 class _HalvedTranslation(core.Translation):
-    """J(x) = (x + c) / 2, overriding J alone, counting: it must not fall
-    back to the J_unchecked that Translation inherits."""
+    """J(x) = (x + c) / 2, overriding map, counting: the loops must run it,
+    not the map that Translation inherits."""
 
     calls = 0
 
-    def J(self, x):
+    def map(self, x):
         self.calls += 1
-        return 0.5 * super().J(x)
+        return 0.5 * super().map(x)
 
 
 @pytest.mark.parametrize("run", [
@@ -291,17 +291,39 @@ class _HalvedTranslation(core.Translation):
     lambda op, x0: discrete.phi_recursion(op, discrete.StepSequence.harmonic(20)).points,
 ], ids=["integrate_U", "integrate_u", "euler_scheme", "iterate_Vn", "phi_recursion"])
 @pytest.mark.parametrize("ops", [
-    lambda: (_OnlyJ(_affine(3)), _affine(3)),
+    lambda: (_OnlyMap(_affine(3)), _affine(3)),
     lambda: (_HalvedTranslation([0.5, -0.25, 1.0]),
              core.AffineNonexpansive(0.5 * np.eye(3), [0.25, -0.125, 0.5])),
 ], ids=["operator", "translation_subclass"])
-def test_an_operator_that_defines_only_J_runs_through_its_J(run, ops):
-    # J_unchecked is J for a class that defines J alone: the loops that call
-    # the unchecked map call the subclass's J, and get the built-in map's bits
+def test_an_operator_that_defines_only_map_runs_through_its_map(run, ops):
+    # the loops call the subclass's map, validated or not, and get the
+    # built-in map's bits
     op, same_map = ops()
     x0 = np.array([0.5, -1.0, 2.0])
     assert run(op, x0).tobytes() == run(same_map, x0).tobytes()
     assert op.calls > 0
+
+
+def test_inverse_time_zeta_solves_zeta_inverse_once_per_time(monkeypatch):
+    # an integrator step reads lam, lam' and int lam at repeated times
+    times = []
+    solve = continuous.zeta_inverse
+
+    def counted(s):
+        times.append(s)
+        return solve(s)
+
+    monkeypatch.setattr(continuous, "zeta_inverse", counted)
+    param = continuous.InverseTimeZeta()
+    reads = []
+    for name in ("value", "derivative", "integral"):
+        read = getattr(param, name)
+        monkeypatch.setattr(param, name, lambda t, read=read: reads.append(t) or read(t))
+    continuous.integrate_u(_affine(3), param, np.ones(3), 20.0, tol=1e-8)
+    assert len(reads) > len(set(reads)) > 10
+    assert len(times) == len(set(times)) == len(set(reads))
+    with pytest.raises(InputError):
+        param.value(np.nan)
 
 
 def test_a_nan_start_or_step_is_still_an_input_error():
@@ -320,13 +342,14 @@ class _BlowsUp(core.Operator):
 
     dim, norm_kind = 1, core.SUP
 
-    def J(self, x):
-        x = core.as_vec(x, 1)
+    def map(self, x):
         return x + 1.0 if x[0] < 3.0 else np.full(1, np.inf)
 
 
 def test_integrate_U_raises_when_J_turns_infinite():
-    with pytest.raises(InputError, match="NaN or infinite"):
+    # map is not validated: the infinite stage reaches A = x - J(x) as
+    # inf - inf, and the step's check on its estimate raises
+    with np.errstate(invalid="ignore"), pytest.raises(InputError, match="NaN or infinite"):
         continuous.integrate_U(_BlowsUp(), np.zeros(1), 10.0)
 
 
@@ -362,8 +385,8 @@ class _Doubling(core.Operator):
 
     dim, norm_kind = 2, core.SUP
 
-    def J(self, x):
-        return 2.0 * core.as_vec(x, 2)
+    def map(self, x):
+        return 2.0 * x
 
 
 def test_integrate_U_cross_check_catches_an_expansive_map():

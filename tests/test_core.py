@@ -104,7 +104,7 @@ def test_unchecked_maps_are_the_checked_ones_bit_for_bit(op):
     rng = np.random.default_rng(5)
     for scale in (0.0, 1.0, 1e3):
         x = scale * rng.uniform(-1.0, 1.0, size=op.dim)
-        assert op.J_unchecked(x).tobytes() == op.J(x).tobytes()
+        assert op.map(x).tobytes() == op.J(x).tobytes()
         assert (core.apply_A(op, x, checked=False).tobytes()
                 == core.apply_A(op, x).tobytes())
         for lam in (1.0, 0.3):
@@ -136,8 +136,8 @@ def test_base_operator_has_no_linear_model():
     class Halving(core.Operator):
         dim, norm_kind = 1, core.SUP
 
-        def J(self, x):
-            return 0.5 * core.as_vec(x, 1)
+        def map(self, x):
+            return 0.5 * x
 
     Jx, M = Halving().linearize([4.0])
     assert Jx.tolist() == [2.0] and M is None
@@ -212,17 +212,34 @@ def test_linear_isometry_rejects_non_orthogonal():
 def test_sup_isometry_signed_permutation():
     op = core.LinearIsometry([[0.0, -1.0], [1.0, 0.0]], norm_kind=core.SUP)
     assert np.allclose(op.J([2.0, 3.0]), [-3.0, 2.0])
-    with pytest.raises(InputError):
-        core.LinearIsometry(
-            [[0.5, 0.5], [0.5, -0.5]], norm_kind=core.SUP
-        )
+    op = core.LinearIsometry([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                             norm_kind=core.SUP)
+    assert op.J([1.0, 2.0, 3.0]).tolist() == [-3.0, 1.0, -2.0]
+    # the last three have one unit entry per row, not per column:
+    # the first maps (1, 5) to (1, 1)
+    for bad in ([[0.5, 0.5], [0.5, -0.5]], [[1.0, 0.0], [1.0, 0.0]],
+                [[0.0, -1.0], [0.0, 1.0]],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]):
+        with pytest.raises(InputError, match="sup-norm isometry"):
+            core.LinearIsometry(bad, norm_kind=core.SUP)
+
+
+def test_a_class_that_defines_J_is_a_type_error():
+    # Operator.J alone validates; a subclass defines map
+    for base in (core.Operator, core.AffineNonexpansive, core.Translation,
+                 shapley.ShapleyOperator):
+        with pytest.raises(TypeError, match="map"):
+            type("DefinesJ", (base,), {"J": lambda self, x: x})
+    assert not [cls for cls in (core.AffineNonexpansive, core.Translation,
+                                core.LinearIsometry, shapley.ShapleyOperator)
+                if "J" in vars(cls)]
 
 
 def test_closed_form_operators_share_the_affine_implementation():
     for cls in (core.Translation, core.LinearIsometry):
         assert issubclass(cls, core.AffineNonexpansive)
-        assert not {"J", "linearize", "h_constant"} & set(vars(cls))
-    assert "J" in vars(core.AffineNonexpansive)
+        assert not {"J", "map", "linearize", "h_constant"} & set(vars(cls))
+    assert "map" in vars(core.AffineNonexpansive)
 
 
 def test_translation_matches_its_own_formulas_bit_for_bit():
@@ -292,7 +309,7 @@ def test_h_constants():
     assert core.AffineNonexpansive([[0.5]], [-2.0]).h_constant() == 2.0
     class Unknown(core.Operator):
         dim, norm_kind = 1, core.SUP
-        def J(self, x):
+        def map(self, x):
             return x
     with pytest.raises(InputError):
         Unknown().h_constant()
@@ -305,8 +322,8 @@ class _Expansive(core.Operator):
         self.dim = 2
         self.norm_kind = core.SUP
 
-    def J(self, x):
-        return 2.0 * core.as_vec(x, 2)
+    def map(self, x):
+        return 2.0 * x
 
 
 def test_check_nonexpansive_passes_and_fails():
@@ -349,8 +366,13 @@ def test_one_accretivity_draw_gives_each_lambdas_report_field_for_field():
 
 
 def test_check_accretive_rejects_nonpositive_lambda():
-    with pytest.raises(InputError):
-        core.check_accretive(core.Translation([1.0]), 0.0)
+    # NaN and inf too, with a message that names lambda
+    op = core.Translation([1.0])
+    for lam in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(InputError, match="lambda must be positive and finite"):
+            core.check_accretive(op, lam)
+        with pytest.raises(InputError, match="lambda must be positive and finite"):
+            core._accretive_reports(op, (0.5, lam))
 
 
 def test_zero_radius_skips_every_pair():

@@ -79,8 +79,8 @@ class ValueIterationOnly(core.Operator):
     def __init__(self, op):
         self.op, self.dim, self.norm_kind = op, op.dim, op.norm_kind
 
-    def J(self, x):
-        return self.op.J(x)
+    def map(self, x):
+        return self.op.map(x)
 
 
 class WrongModel(ValueIterationOnly):

@@ -322,7 +322,7 @@ def test_stacked_stage_games_match_per_state_reference(game):
         f = scale * rng.uniform(-1.0, 1.0, size=game.num_states)
         want = [shapley.matrix_game_value(game.payoff[s] + game.transition[s] @ f).value
                 for s in range(game.num_states)]
-        assert shapley.shapley_apply(game, f).tolist() == want
+        assert shapley.ShapleyOperator(game).J(f).tolist() == want
 
 
 @pytest.mark.parametrize("game", [
@@ -567,7 +567,7 @@ def test_degenerate_single_action_game():
         transition=[np.ones((1, 1, 1))],
     )
     for f in (0.0, 2.0, -3.5):
-        out = shapley.shapley_apply(game, [f])
+        out = shapley.ShapleyOperator(game).J([f])
         assert out[0] == pytest.approx(5.0 + f, abs=1e-12)
 
 
@@ -578,15 +578,15 @@ def test_shapley_operator_nonexpansive_sup():
 
 
 def test_shapley_monotone_and_additive():
-    game = shapley.random_game(3, 2, 2, seed=3)
+    J = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=3)).J
     rng = np.random.default_rng(0)
     for _ in range(50):
         f = rng.uniform(-5.0, 5.0, size=3)
         g = f + rng.uniform(0.0, 3.0, size=3)
-        Jf, Jg = shapley.shapley_apply(game, f), shapley.shapley_apply(game, g)
+        Jf, Jg = J(f), J(g)
         assert np.all(Jf <= Jg + 1e-9), "monotonicity"
         c = float(rng.uniform(-4.0, 4.0))
-        Jfc = shapley.shapley_apply(game, f + c)
+        Jfc = J(f + c)
         assert np.allclose(Jfc, Jf + c, atol=1e-9), "constant additivity"
 
 
