@@ -335,6 +335,7 @@ class Trajectory:
         return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # est is checked instead
 def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     """One Dormand-Prince 5(4) pass over [0, T] with FSAL and error per unit
     step: a step is accepted when its estimate est <= STEP_TOL_SHARE tol h/T.
@@ -345,7 +346,9 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     y0 is a validated start; rhs may skip validating the stage vectors it
     gets.  A NaN or infinite stage value reaches the step's estimate est,
     through the weights of est or of the later stages, so it is an
-    InputError, checked once per step on est.
+    InputError, checked once per step on est.  NumPy's overflow and invalid
+    warnings on the way are silenced, so the caller gets that InputError
+    also under -W error.
 
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.

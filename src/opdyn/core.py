@@ -183,9 +183,10 @@ class LinearIsometry(AffineNonexpansive):
                 raise InputError("matrix is not orthogonal")
         else:
             # sup-norm isometries: signed permutation matrices, so |M| has
-            # one 1 in every row and every column and zeros elsewhere
+            # one 1 in every row and every column and zeros elsewhere (the
+            # ones within isclose's default rtol, the zeros within 1e-12)
             A = np.abs(M)
-            one = np.abs(A - 1.0) <= 1e-12
+            one = np.isclose(A, 1.0, atol=1e-12)
             if not (np.all(one | (A <= 1e-12))
                     and np.all(one.sum(axis=0) == 1) and np.all(one.sum(axis=1) == 1)):
                 raise InputError("matrix is not a sup-norm isometry (a signed permutation)")

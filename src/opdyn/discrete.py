@@ -84,10 +84,12 @@ class DiscreteOrbit:
     steps: StepSequence
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the orbit is checked instead
 def _step_orbit(op, x0, steps, step):
     """Orbit x_n = step(lam_n, x_{n-1}) along a step sequence.  x0 is read by
     as_vec; step may skip validating x (each x is a row of the orbit, built
-    from x0), so the orbit is checked for finiteness once, at the end."""
+    from x0), so the orbit is checked for finiteness once, at the end, and
+    NumPy's overflow and invalid warnings on the way are silenced."""
     if not isinstance(steps, StepSequence):
         steps = StepSequence(np.asarray(steps, dtype=float))
     points = np.empty((len(steps) + 1, op.dim))

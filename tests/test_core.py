@@ -215,6 +215,11 @@ def test_sup_isometry_signed_permutation():
     op = core.LinearIsometry([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
                              norm_kind=core.SUP)
     assert op.J([1.0, 2.0, 3.0]).tolist() == [-3.0, 1.0, -2.0]
+    # a unit entry may be off by about 1e-5 relative, a zero by 1e-12
+    core.LinearIsometry([[0.0, 1.0 - 1e-9], [1.0, 0.0]], norm_kind=core.SUP)
+    for bad in ([[0.0, 1.0 - 1e-4], [1.0, 0.0]], [[1e-9, 1.0], [1.0, 0.0]]):
+        with pytest.raises(InputError, match="sup-norm isometry"):
+            core.LinearIsometry(bad, norm_kind=core.SUP)
     # the last three have one unit entry per row, not per column:
     # the first maps (1, 5) to (1, 1)
     for bad in ([[0.5, 0.5], [0.5, -0.5]], [[1.0, 0.0], [1.0, 0.0]],

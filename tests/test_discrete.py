@@ -233,8 +233,7 @@ def test_an_orbit_that_overflows_is_an_input_error():
     for run in (lambda: discrete.iterate_Vn(op, 5),
                 lambda: discrete.euler_scheme(op, [1e308], discrete.StepSequence.constant(1.0, 5)),
                 lambda: discrete.phi_recursion(op, discrete.StepSequence.constant(0.5, 5))):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InputError, match="NaN or infinite"):
+        with pytest.raises(InputError, match="NaN or infinite"):
             run()
 
 

@@ -10,9 +10,8 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"
                     re.S | re.M)
 
 
-def test_readme_has_the_library_and_operator_examples():
-    assert len(BLOCKS) == 2
-    assert "def map(self, x)" in BLOCKS[1]
+def test_readme_has_an_operator_example():
+    assert any("def map(self, x)" in block for block in BLOCKS)
 
 
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
