@@ -642,7 +642,7 @@ def _check_vlambda_lipschitz(op, st, *, lambdas=None):
 def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
     N = int(horizon)
     if lambda_seq is None:
-        lambda_seq = np.minimum(1.0, np.arange(1, N + 1, dtype=float)**-0.5)
+        lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
     if len(lambda_seq) < N:
         raise InputError(
             f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lambda_seq)}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SUP, apply_A, apply_Phi, as_vec, norm
+from .core import apply_A, apply_Phi, as_vec, norm
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
 
@@ -48,23 +48,29 @@ def zeta_inverse(s):
     """Inverse of zeta by Newton iteration (zeta' in (1, 2], so it is safe),
     as a Python float.  The iteration runs on Python floats, whose
     arithmetic is the same IEEE operations as on NumPy scalars; log1p stays
-    NumPy's, whose last bits differ from math.log1p's."""
+    NumPy's, whose last bits differ from math.log1p's.  Above s = 8192 an
+    ulp of s exceeds the 1e-12 rule and Newton may cycle; then the iterate
+    of least residual is taken if that is within 4 ulp(s)."""
     if not s >= 0:  # NaN too
         raise InputError("s must be >= 0")
     s = float(s)
     t = max(0.0, s - float(np.log1p(s)))
+    best_off = best_t = math.inf
     for _ in range(100):
         r = t + float(np.log1p(t)) - s  # zeta(t) - s
-        if abs(r) <= 1e-12:
+        off = abs(r)
+        if off <= 1e-12:
             return t
+        if off < best_off:
+            best_off, best_t = off, t
         t = max(0.0, t - r / (1.0 + 1.0 / (1.0 + t)))
+    if best_off <= 4.0 * math.ulp(s):
+        return best_t
     raise ResourceError("zeta inverse did not converge")
 
 
 class Parametrization:
-    """A path t -> lam(t) in (0, 1]."""
-
-    is_c1 = True
+    """A path t -> lam(t) in (0, 1], C1 except at its kinks()."""
 
     def value(self, t):
         raise NotImplementedError
@@ -77,7 +83,9 @@ class Parametrization:
         raise NotImplementedError
 
     def kinks(self):
-        """Times where lam' jumps; the integrator ends a step at each."""
+        """Times where lam' jumps: the one declaration that lam is not C1.
+        The integrator and two_param split there, and L_factor and
+        slow_param_bound reject a lam with any."""
         return ()
 
     def describe(self):
@@ -157,10 +165,8 @@ class PowerAlpha(Parametrization):
 
 class Table(Parametrization):
     """Piecewise-linear path through knots (t_i, lam_i); held constant after
-    the last knot.  Continuous but not C1: jump points take the right slope.
-    """
-
-    is_c1 = False
+    the last knot.  Continuous; its kinks are the knots after the first,
+    each taking the slope to its right."""
 
     def __init__(self, knots):
         knots = [(float(t), float(v)) for t, v in knots]
@@ -179,7 +185,8 @@ class Table(Parametrization):
         self._knots = ts.tolist()
         # slope of each piece; 0 on the held tail past the last knot
         self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0).tolist()
-        self._cum = _cumtrapz(vs, ts)  # exact on linear pieces
+        # int_0^ts[k] lam by the trapezoid rule, exact on linear pieces
+        self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))))
 
     def _piece(self, t):
         """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
@@ -270,14 +277,14 @@ class Trajectory:
         b_k = exp(-(Lam(t_k) - Lam(t_{k-1}))) b_{k-1} + le_k,   b_0 = 0,
 
     where le_k is the step's embedded error estimate (the 5th- minus the
-    4th-order solution) and Lam = int_0^t lam for u' = Phi(lam(t), u) - u,
-    Lam = 0 for U' = J(U) - U.  The flow contracts by
-    exp(-(Lam(t) - Lam(s))) from s to t, so if each le_k bounds its step's
-    local error, the error at node k is at most b_k <= err_bound[k]: that
-    propagation is a theorem.  le_k is an estimate, not a proven bound, and
-    so is DENSE_FACTOR le_k as the local error of a dense read inside step
-    k, which err_bound[k] covers as well.  err_at gives the bound of reads
-    at any times.
+    4th-order solution) in the operator's core.norm, and Lam = int_0^t lam
+    for u' = Phi(lam(t), u) - u, Lam = 0 for U' = J(U) - U.  The flow
+    contracts by exp(-(Lam(t) - Lam(s))) from s to t, so if each le_k
+    bounds its step's local error, the error at node k is at most
+    b_k <= err_bound[k]: that propagation is a theorem.  le_k is an
+    estimate, not a proven bound, and so is DENSE_FACTOR le_k as the local
+    error of a dense read inside step k, which err_bound[k] covers as well.
+    err_at gives the bound of reads at any times.
 
     The arrays are not to be changed once made: reads bracket their times
     on a list copy of times, made with the trajectory.
@@ -343,12 +350,13 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     its integral gives the contraction of the error bound (see Trajectory),
     and each of its kinks in (0, T) is a step end.
 
-    y0 is a validated start; rhs may skip validating the stage vectors it
-    gets.  A NaN or infinite stage value reaches the step's estimate est,
-    through the weights of est or of the later stages, so it is an
-    InputError, checked once per step on est.  NumPy's overflow and invalid
-    warnings on the way are silenced, so the caller gets that InputError
-    also under -W error.
+    est is core.norm(local, norm_kind) of the step's local error estimate,
+    in the operator's own norm.  y0 is a validated start; rhs may skip
+    validating the stage vectors it gets.  A NaN or infinite stage value
+    reaches local, through its weights or those of the later stages, so
+    core.norm's as_vec makes it an InputError, once per step.  NumPy's
+    overflow and invalid warnings on the way are silenced, so the caller
+    gets that InputError also under -W error.
 
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.
@@ -364,7 +372,6 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     times, nodes, dense, bounds = [0.0], [y0, K[0].copy()], [], [0.0]
     t, y, b, lam_int = 0.0, y0, 0.0, 0.0
     slope = norm(K[0], norm_kind)  # validates the first RHS value
-    sup = norm_kind == SUP
     h = (target / slope) ** 0.25 if slope > 0.0 else T
     attempts = 0
     for stop in stops:
@@ -381,9 +388,7 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
                 stage = y + h * (_DP_ROWS[i] @ prefixes[i])
                 K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
             local = h * (_DP_E @ K)
-            est = float(abs(local).max()) if sup else float(np.linalg.norm(local))
-            if not math.isfinite(est):
-                raise InputError("vector has NaN or infinite entries")
+            est = norm(local, norm_kind)  # InputError if not finite
             ratio = est / (target * h)
             if ratio <= 1.0:
                 next_int = param.integral(end) if param is not None else 0.0
@@ -442,11 +447,6 @@ def integrate_u(op, param, u0, T, tol=1e-8):
 # ---------------------------------------------------------------------------
 # the damping factor L(t) and the slow-parametrization bound
 
-def _cumtrapz(y, s):
-    """Cumulative trapezoid integral of samples y on the grid s, from 0."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(s))))
-
-
 def _adaptive_simpson(f, a, b, tol, rel=0.0):
     """int_a^b f to an estimated error <= tol + rel int_a^b |f|, or ResourceError.
     At most 50 halvings: they leave pieces of [0, t] >= 4 ulp(t) wide, too
@@ -470,8 +470,8 @@ def _simpson_rec(f, a, b, fa, fm, fb, tol, rel, depth):
 
 
 def _log_L(param, t):
-    """ln L(t) in closed form (see L_factor); InputError unless lam is C1."""
-    if not param.is_c1:
+    """ln L(t) in closed form (see L_factor); InputError if lam has kinks."""
+    if len(param.kinks()):
         raise InputError(f"{param.describe()} is not C1; this quantity needs lam'")
     if not t >= 0:  # NaN too
         raise InputError("t must be >= 0")

@@ -67,11 +67,6 @@ def norm(x, kind=SUP):
     raise InputError(f"unknown norm kind {kind!r}")
 
 
-def _check_norm_kind(kind):
-    if kind not in _NORM_KINDS:
-        raise InputError(f"unknown norm kind {kind!r}")
-
-
 class Operator:
     """A nonexpansive map J on R^dim, in the declared norm.
 
@@ -137,7 +132,8 @@ class AffineNonexpansive(Operator):
 
     def _set_matrix(self, matrix, norm_kind):
         """Store and return M, finite and square, with dim and norm_kind."""
-        _check_norm_kind(norm_kind)
+        if norm_kind not in _NORM_KINDS:
+            raise InputError(f"unknown norm kind {norm_kind!r}")
         M = np.asarray(matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InputError("matrix must be square")

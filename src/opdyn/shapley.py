@@ -59,7 +59,9 @@ class StochasticGame:
     payoff[s] is an (m_s, n_s) matrix; transition[s] is (m_s, n_s, S) with
     row-stochastic last axis.  After validation both are read-only views into
     ``shape_groups``: one (states, payoff stack, transition stack) triple per
-    action shape, states in increasing order.
+    action shape, states in increasing order.  ``dataclasses.replace`` makes
+    a new game, so it validates and renormalizes the rows again, which may
+    move their last bits.
     """
 
     states: list

@@ -118,6 +118,15 @@ def test_phi_ode_task(tmp_path):
     assert float(rows[0][3]) == 1.0  # PowerAlpha(0.5) starts at 1
 
 
+def test_phi_ode_under_inverse_time_zeta_runs_to_ten_thousand(tmp_path):
+    # its zeta^{-1} reads cross s = 8400.69, where Newton cycles
+    assert run(["phi_ode", "--preset", "matching-pennies",
+                "--set", 'param={"kind":"inverse_time_zeta"}', "--set", "T=10000",
+                "--set", "samples=3", "--out", str(tmp_path)]) == 0
+    _, rows = csv_rows(tmp_path / "phi_ode.csv")
+    assert [float(row[0]) for row in rows] == [0.0, 5000.0, 10000.0]
+
+
 def test_bad_game_file_is_schema_error(tmp_path, capsys):
     bad = tmp_path / "game.json"
     bad.write_text(json.dumps({"states": ["s"], "actions": [[1, 1]]}))
@@ -525,6 +534,38 @@ def test_spec_key_errors_name_the_dotted_key(tmp_path, capsys, task, preset, ite
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
+
+
+@pytest.mark.parametrize("task, preset, item, message", [
+    ("phi_ode", "matching-pennies", 'param={"kind":"nope"}',
+     "param: must be an object whose kind is one of constant, inverse_time_zeta, "
+     "power_alpha, table"),
+    ("value_iter", "translation", 'operator={"builtin":"nope"}',
+     "operator: must be an object whose builtin is one of translation, rotation, "
+     "affine, identity"),
+    ("ode", "rotation30", "T", "--set expects key=value, got 'T'"),
+    ("ode", "rotation30", "U0.x=1", "--set U0.x: 'U0' is not an object"),
+])
+def test_unknown_kind_or_malformed_set_names_the_key(tmp_path, capsys, task, preset,
+                                                     item, message):
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config: "),
+    ("{bad", "config is not valid JSON: "),
+    ("[1, 2]", "config: top-level value must be an object"),
+])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    args = ["ode", "--preset", "rotation30", "--config", str(path), "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"opdyn: config error: {message}")
+    assert not (tmp_path / "ode.csv").exists()
 
 
 def test_unread_key_is_named_with_the_keys_the_task_takes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,6 +31,24 @@ def test_zeta_inverse_is_a_float_bit_equal_to_the_numpy_scalar_loop():
         got = continuous.zeta_inverse(s)
         assert type(got) is float
         assert got.hex() == float(_zeta_inverse_on_numpy_scalars(s)).hex()
+
+
+def test_zeta_inverse_takes_the_best_iterate_where_newton_cycles():
+    # above s = 8192 an ulp of s exceeds the 1e-12 rule: at the first five
+    # s Newton cycles between neighbouring t whose residuals straddle it
+    cycling = [8400.69, 9511.4, 9575.6, 9913.4, 19485.8]
+    sweep = np.random.default_rng(0).uniform(8192.0, 20000.0, 5000).tolist()
+    for s in cycling + sweep:
+        t = continuous.zeta_inverse(s)
+        assert abs(t + float(np.log1p(t)) - s) <= 4.0 * math.ulp(s)
+        try:
+            want = _zeta_inverse_on_numpy_scalars(s)
+        except AssertionError:
+            continue
+        assert t == want  # a converging loop keeps its bits
+    for s in cycling:
+        with pytest.raises(AssertionError):
+            _zeta_inverse_on_numpy_scalars(s)
 
 
 def test_zeta_values():
@@ -96,7 +116,7 @@ def test_table_param():
     assert p.value(10.0) == 0.5
     assert p.derivative(1.0) == pytest.approx(-0.25)
     assert p.derivative(3.0) == 0.0
-    assert not p.is_c1
+    assert p.kinks()
     with pytest.raises(InputError):
         continuous.Table([(1.0, 0.5)])  # must start at t = 0
     with pytest.raises(InputError):
@@ -146,6 +166,23 @@ def test_table_not_admissible_for_c1_bounds():
         continuous.L_factor(table, 1.0)
     with pytest.raises(InputError, match="C1"):
         continuous.slow_param_bound(op, table, np.zeros(1), 1.0)
+
+    class Kinked(continuous.PowerAlpha):  # declares its kink by kinks() alone
+        def kinks(self):
+            return (2.0,)
+
+    for param in (table, Kinked(0.5)):
+        with pytest.raises(InputError, match="not C1"):
+            continuous.L_factor(param, 1.0)
+        with pytest.raises(InputError, match="not C1"):
+            continuous.slow_param_bound(op, param, np.zeros(1), 1.0)
+    # one knot is a constant lam, with no kink
+    constant, one_knot = continuous.Constant(0.5), continuous.Table([(0.0, 0.5)])
+    assert one_knot.kinks() == ()
+    for t in (0.0, 0.7, 3.0, 250.0):
+        assert continuous.L_factor(one_knot, t) == continuous.L_factor(constant, t)
+        assert (continuous.slow_param_bound(op, one_knot, np.zeros(1), t)
+                == continuous.slow_param_bound(op, constant, np.zeros(1), t))
 
 
 def test_integrate_U_translation_exact():

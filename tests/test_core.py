@@ -303,6 +303,18 @@ def test_affine_rejects_expansive_matrix():
         core.AffineNonexpansive([[0.8, 0.8], [0.0, 1.0]], [0.0, 0.0])
 
 
+def test_affine_operator_norm_is_the_declared_norms():
+    # a 45 degree rotation: norm 1 as a euclidean map, sqrt(2) as a sup one
+    c = np.sqrt(0.5)
+    R, offset = [[c, -c], [c, c]], [1.0, -2.0]
+    op = core.AffineNonexpansive(R, offset, norm_kind=core.EUCLIDEAN)
+    assert np.array_equal(op.J([1.0, 0.0]), [c + 1.0, c - 2.0])
+    with pytest.raises(InputError, match=r"operator norm 1\.41421 exceeds 1 in the sup norm"):
+        core.AffineNonexpansive(R, offset, norm_kind=core.SUP)
+    with pytest.raises(InputError, match=r"operator norm 1\.01 exceeds 1 in the euclidean norm"):
+        core.AffineNonexpansive(1.01 * np.array(R), offset, norm_kind=core.EUCLIDEAN)
+
+
 def test_identity_operator_has_zero_A():
     op = core.identity_operator(3)
     assert np.allclose(core.apply_A(op, [1.0, -2.0, 3.0]), 0.0)

@@ -540,6 +540,47 @@ def test_game_schema_errors():
         shapley.load_game("{not json")
 
 
+def _edited_pennies(key, value):
+    doc = shapley.matching_pennies().to_dict()
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, location, message", [
+    ({"states": [], "actions": [], "payoff": [], "transition": []},
+     "states", "at least one state required"),
+    (_edited_pennies("actions", [[2, 2], [2, 2]]), "actions", "expected 1 entries"),
+    (_edited_pennies("actions", [[0, 2]]), "actions[0]", "action counts must be positive"),
+    (_edited_pennies("payoff", [[[1.0, -1.0], [-1.0, math.inf]]]),
+     "payoff[0]", "non-finite payoff entry"),
+    (_edited_pennies("transition", [[[[1.0], [1.0]]]]),
+     "transition[0]", "expected shape (2, 2, 1), got (1, 2, 1)"),
+    (_edited_pennies("transition", [[[[1.5], [1.0]], [[1.0], [1.0]]]]),
+     "transition[0]", "probability outside [0, 1]"),
+    (_edited_pennies("actions", [5]), "document", "'int' object is not iterable"),
+    (_edited_pennies("payoff", [[["a", 1.0], [1.0, 1.0]]]),
+     "document", "could not convert string to float: 'a'"),
+])
+def test_each_game_schema_error_names_its_location(doc, location, message):
+    with pytest.raises(SchemaError) as caught:
+        shapley.load_game(doc)
+    assert caught.value.location == location
+    assert str(caught.value) == f"{location}: {message}"
+
+
+def test_unreadable_game_documents_name_their_location(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SchemaError, match="cannot read game file") as caught:
+        shapley.load_game(missing)
+    assert caught.value.location == missing
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(SchemaError) as caught:
+        shapley.load_game(str(listed))
+    assert caught.value.location == "document"
+    assert str(caught.value) == "document: top-level value must be an object"
+
+
 def test_game_roundtrip(tmp_path):
     game = shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7)
     path = tmp_path / "game.json"
