@@ -2,17 +2,20 @@
 
 Every entry is a generator over an operator and the inputs it declares as
 keyword-only parameters: it yields one (lhs, rhs, budget, context) tuple
-per inequality (or decay / monotonicity statement) it tests.  `verify` is
-the one place that binds those inputs from a Scenario, with `bind`, and
-that judges the tuples: it turns each into a BoundReport with slack
-rhs - lhs and verdict lhs <= rhs + budget, labelled with the check id and
-the scenario name.  `run_checks` runs verify on many (check, scenario)
-pairs, and within one such run a flow, v_lam or v_n that two checks read
-from the same inputs is solved once (see run_checks).
+per inequality (or decay / monotonicity statement) it tests, where budget
+is the certified numerical error of that comparison alone (0.0 where it
+has none).  `verify` is the one place that binds those inputs from a
+Scenario, with `bind`, and that judges the tuples: it turns each into a
+BoundReport with slack rhs - lhs, tol_budget 1e-9 + budget and verdict
+lhs <= rhs + tol_budget, labelled with the check id and the scenario name.
+`run_checks` runs verify on many (check, scenario) pairs, and within one
+such run a flow, v_lam or v_n that two checks read from the same inputs is
+solved once (see run_checks).
 Asymptotic statements are operationalized as finite-horizon decay
 assertions: the final gap must be <= decay_factor times the initial gap
 over a horizon ratio of at least 100x.  Tolerance budgets propagate
-additively: fixed 1e-9 plus every contributing certified numerical error.
+additively: a check sums every certified numerical error that contributes,
+and verify adds the one fixed rounding allowance of 1e-9.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import continuous, core, discrete, shapley
 from .core import apply_A, apply_Phi
 from .errors import InputError, convert
 
+#: the one rounding allowance: verify adds it to every budget a check yields
 BASE_TOL = 1e-9
 
 
@@ -107,6 +111,16 @@ def _ending_at(steps, horizon):
         raise InputError(f"steps, horizon: sigma_N = {steps.sigma[-1]} differs from "
                          f"the horizon {horizon}")
     return steps
+
+
+def _last_n(check, horizon, least):
+    """N = int(horizon), the last n the check reads (of v_n, of a flow at
+    integer times or of its own harmonic steps); a horizon below least, the
+    least N the check can read at, is an InputError naming the horizon."""
+    if horizon < least:
+        raise InputError(f"horizon: {check} needs a horizon of at least {least}, "
+                         f"got {horizon}")
+    return int(horizon)
 
 
 def _float(value):
@@ -283,48 +297,48 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 # ---------------------------------------------------------------------------
 # individual checks: check(op, settings, *, inputs) yields (lhs, rhs, budget,
-# context) per inequality.  Its keyword-only parameters are its inputs, each
-# a key of the scenario read through its READERS entry; a default of None
-# stands for one the check derives from the other inputs.
+# context) per inequality, budget being its certified numerical error (verify
+# adds the rounding allowance).  Its keyword-only parameters are its inputs,
+# each a key of the scenario read through its READERS entry; a default of
+# None stands for one the check derives from the other inputs.
 
 def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
-    N = int(horizon)
+    N = _last_n("norm_bounds", horizon, 1)
     j0 = op.norm(op.J(np.zeros(op.dim)))
-    _, vn = _shared(discrete.iterate_Vn, op, max(N, 1))
-    yield max(op.norm(v) for v in vn), j0, BASE_TOL, {"family": "v_n", "N": N}
+    _, vn = _shared(discrete.iterate_Vn, op, N)
+    yield max(op.norm(v) for v in vn), j0, 0.0, {"family": "v_n", "N": N}
     yield (max(op.norm(_shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol))
                for lam in lambdas),
-           j0, BASE_TOL + st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
+           j0, st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
 def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
     reports = core._accretive_reports(op, lambdas, samples=st.samples, seed=seed)
     for lam, rep in zip(lambdas, reports):
-        yield (1.0 - rep.worst_ratio, 0.0, BASE_TOL,
+        yield (1.0 - rep.worst_ratio, 0.0, 0.0,
                {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 
 
 def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
-    T = float(horizon)
-    t1, t2 = (_shared(continuous.integrate_U, op, x, T, tol=st.ode_tol)
+    t1, t2 = (_shared(continuous.integrate_U, op, x, horizon, tol=st.ode_tol)
               for x in _starts(op, starts, 0.0, 1.0))
-    times = np.linspace(0.0, T, 41)
+    times = np.linspace(0.0, horizon, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
-           BASE_TOL + 2.0 * (t1.err_at(times) + t2.err_at(times)),
+           2.0 * (t1.err_at(times) + t2.err_at(times)),
            {"checkpoints": len(times)})
 
 
 def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
     (U0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_U, op, U0, float(horizon), tol=st.ode_tol)
-    times = np.linspace(0.0, float(horizon), 41)
+    traj = _shared(continuous.integrate_U, op, U0, horizon, tol=st.ode_tol)
+    times = np.linspace(0.0, horizon, 41)
     # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
     yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
-           BASE_TOL + 4.0 * traj.err_at(times), {"checkpoints": len(times)})
+           4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
 def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
-    T = float(horizon)
+    T = horizon
     (U0,) = _starts(op, starts, 0.0)
     nmax = int(T) if nmax is None else nmax
     traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
@@ -338,12 +352,12 @@ def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
         (op.norm(Ut - powers[n]), du0 * np.sqrt(t + (n - t) ** 2), float(t), int(n))
         for t, Ut in zip(ts, map(traj.at, ts)) for n in ns
     )
-    yield (lhs, rhs, BASE_TOL + traj.err_at(ts),
+    yield (lhs, rhs, traj.err_at(ts),
            {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
 def _check_convvn(op, st, *, horizon=50.0, n_values=None):
-    N = int(horizon)
+    N = _last_n("convvn", horizon, 2)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
     traj = _shared(continuous.integrate_U, op, np.zeros(op.dim), float(N), tol=st.ode_tol)
@@ -351,11 +365,11 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
     j0 = op.norm(op.J(np.zeros(op.dim)))
     for n in n_values:
         yield (op.norm(traj.at(float(n)) / n - vn[n - 1]), j0 / np.sqrt(n),
-               BASE_TOL + traj.err_at(float(n)) / n, {"n": n})
+               traj.err_at(float(n)) / n, {"n": n})
 
 
 def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 1600)):
-    T = float(horizon)
+    T = horizon
     (U0,) = _starts(op, starts, 1.0)
     traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
@@ -365,10 +379,10 @@ def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 16
         if m < T:
             continue
         measured.append(op.norm(continuous.euler_power(op, T, m, U0) - endpoint))
-        yield measured[-1], a0 * T / np.sqrt(m), BASE_TOL + err, {"m": m, "T": T}
+        yield measured[-1], a0 * T / np.sqrt(m), err, {"m": m, "T": T}
     # measured errors should also decrease with m (up to integrator noise)
     if len(measured) >= 2:
-        yield (_worst_increase(measured), 0.0, BASE_TOL + 2.0 * err,
+        yield (_worst_increase(measured), 0.0, 2.0 * err,
                {"aspect": "monotone_in_m", "m_values": list(m_values)})
 
 
@@ -399,16 +413,16 @@ def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, steps2=None,
             (op.norm(o1.points[k] - o2.points[l]), bound[k, l], int(k), int(l))
             for k in ks for l in ls
         )
-        yield (lhs, rhs, BASE_TOL,
+        yield (lhs, rhs, 0.0,
                {"pair": p, "k": k, "l": l, "lengths": [len(s1), len(s2)]})
 
 
-def _euler_vs_flow(op, st, count, horizon, steps, starts):
+def _euler_vs_flow(op, st, check, count, horizon, steps, starts):
     """Euler orbit x and flow U from one start, compared at count indices k:
     the (k, sigma_k, ||x_k - U(sigma_k)||, the flow's error bound there),
     the steps and ||A(x_0)||."""
     if steps is None:
-        steps = discrete.StepSequence.harmonic(int(horizon))
+        steps = discrete.StepSequence.harmonic(_last_n(check, horizon, 1))
     else:
         steps = _ending_at(steps, horizon)
     (x0,) = _starts(op, starts, 1.0)
@@ -422,21 +436,21 @@ def _euler_vs_flow(op, st, count, horizon, steps, starts):
 
 
 def _check_euler_vs_ode(op, st, *, horizon=50.0, steps=None, starts=None):
-    gaps, steps, a0 = _euler_vs_flow(op, st, 12, horizon, steps, starts)
+    gaps, steps, a0 = _euler_vs_flow(op, st, "euler_vs_ode", 12, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
-               BASE_TOL + err, {"k": k, "t": t})
+               err, {"k": k, "t": t})
 
 
 def _check_normalized_euler(op, st, *, horizon=50.0, steps=None, starts=None):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
-    gaps, _, a0 = _euler_vs_flow(op, st, 8, horizon, steps, starts)
+    gaps, _, a0 = _euler_vs_flow(op, st, "normalized_euler", 8, horizon, steps, starts)
     for k, t, gap, err in gaps:
-        yield gap / t, a0 * np.sqrt(t) / t, BASE_TOL + err / t, {"k": k, "t": t}
+        yield gap / t, a0 * np.sqrt(t) / t, err / t, {"k": k, "t": t}
 
 
 def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_steps=None):
-    T = float(horizon)
+    T = horizon
     (x0,) = _starts(op, starts, 1.0)
     if steps is None:
         # n steps of T/n: their sigma_N drifts from T as n grows, past 1e-9
@@ -455,19 +469,18 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
     times = np.minimum(np.linspace(0.0, T, 33), steps.sigma[-1])
     yield (max(op.norm(discrete.euler_interpolant(orbit, t) - traj.at(t)) for t in times),
            a0 * (1.0 + (1.0 + np.sqrt(2.0)) * T) * np.sqrt(max_step),
-           BASE_TOL + traj.err_at(times), {"max_step": max_step, "T": T})
+           traj.err_at(times), {"max_step": max_step, "T": T})
 
 
 def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
-    T = float(horizon)
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
-    for t in map(float, _log_points(T, 8)):
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    for t in map(float, _log_points(horizon, 8)):
         lam, u = param.value(t), traj.at(t)
         # u' = Phi(lam, u) - u is (2 - lam)-Lipschitz in u
         yield (_vlambda_gap(op, u, lam, st.fp_tol),
                op.norm(apply_Phi(op, lam, u) - u) / lam,
-               BASE_TOL + st.fp_tol + traj.err_at(t) * (1.0 + 2.0 / lam),
+               st.fp_tol + traj.err_at(t) * (1.0 + 2.0 / lam),
                {"t": t, "lambda": lam})
 
 
@@ -476,29 +489,27 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
     if not isinstance(param, continuous.Constant):
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
-    T = float(horizon)
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol)
     for t in t_values:
-        if t > T:
+        if t > horizon:
             continue
         decay, u, err = np.exp(-lam * t), traj.at(t), traj.err_at(t)
-        yield (op.norm(apply_Phi(op, lam, u) - u), du0 * decay, BASE_TOL + 4.0 * err,
+        yield (op.norm(apply_Phi(op, lam, u) - u), du0 * decay, 4.0 * err,
                {"t": t, "aspect": "derivative"})
-        yield (op.norm(u - v), du0 * decay / lam,
-               BASE_TOL + st.fp_tol + err, {"t": t, "aspect": "gap"})
+        yield op.norm(u - v), du0 * decay / lam, st.fp_tol + err, {"t": t, "aspect": "gap"}
 
 
 def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
-    T = float(horizon)
+    T = horizon
     x0, x1 = _starts(op, starts, 0.0, 1.0)
     t1 = _shared(continuous.integrate_u, op, param, x0, T, tol=st.ode_tol)
     t2 = _shared(continuous.integrate_u, op, param, x1, T, tol=st.ode_tol)
     d0 = op.norm(x0 - x1)
     times = _log_points(T, 8)
-    budget = BASE_TOL + t1.err_at(times) + t2.err_at(times)
+    budget = t1.err_at(times) + t2.err_at(times)
     gaps = []
     for t in times:
         gaps.append(op.norm(t1.at(t) - t2.at(t)))
@@ -507,57 +518,57 @@ def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
                  {"aspect": "decay", "t0": float(times[0]), "t1": float(times[-1])})
 
 
-def _vn_decay(op, st, horizon, param, u0, points_key=None, **ctx):
-    """Decay of ||u(n) - v_n|| along n = N/100 .. N, N the horizon."""
-    N = int(horizon)
+def _vn_decay(op, st, N, param, u0, points_key=None, **ctx):
+    """Decay of ||u(n) - v_n|| along n = N/100 .. N."""
     traj = _shared(continuous.integrate_u, op, param, u0, float(N), tol=st.ode_tol)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     ns = _log_ints(max(1, N // 100), N, 6)
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
         ctx[points_key] = ns
-    return _decay(gaps, st, BASE_TOL + 2.0 * traj.err_at(ns),
+    return _decay(gaps, st, 2.0 * traj.err_at(ns),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
 def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
-    T = float(horizon)
-    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
-    times = _log_points(T, 6)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    times = _log_points(horizon, 6)
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
-    return _decay(gaps, st, BASE_TOL + st.fp_tol + 2.0 * traj.err_at(times),
+    return _decay(gaps, st, st.fp_tol + 2.0 * traj.err_at(times),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
 def _check_wn_tracks_vn(op, st, *, horizon=50.0, param=continuous.InverseTimeZeta(),
                         starts=None):
+    N = _last_n("wn_tracks_vn", horizon, 2)
     (u0,) = _starts(op, starts, 0.0)
-    yield _vn_decay(op, st, horizon, param, u0, points_key="n_values")
+    yield _vn_decay(op, st, N, param, u0, points_key="n_values")
 
 
 def _check_convboth(op, st, *, horizon=50.0):
-    N = int(horizon)
+    N = _last_n("convboth", horizon, 3)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     if isinstance(op, core.Translation):
         # for a translation U'(t) = c for every t, so l = c
         l = op.c
-        yield op.norm(vn[-1] - l), 0.0, BASE_TOL, {"family": "v_n", "N": N}
+        yield op.norm(vn[-1] - l), 0.0, 0.0, {"family": "v_n", "N": N}
         for lam in [0.5, 0.1, 0.01]:
-            yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, BASE_TOL + st.fp_tol,
+            yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, st.fp_tol,
                    {"family": "v_lambda", "lambda": lam})
-    elif isinstance(op, shapley.ShapleyOperator) and N >= 2:
+    elif isinstance(op, shapley.ShapleyOperator):
         # a finite stochastic game's v_n and v_lam share one limit (Bewley &
         # Kohlberg 1976), so ||v_n - v_{1/n}|| -> 0; n starts at 2, since
-        # v_1 = J(0) = v_{lam=1} makes the gap at n = 1 exactly 0
+        # v_1 = J(0) = v_{lam=1} makes the gap at n = 1 exactly 0, and the
+        # decay needs a second n
         ns = _log_ints(max(2, N // 100), N, 6)
         gaps = [_vlambda_gap(op, vn[n - 1], 1.0 / n, st.fp_tol) for n in ns]
         ctx = {"family": "v_n - v_1/n", "n_values": ns, "gaps": [float(g) for g in gaps]}
         if not any(gaps):
             ctx["note"] = "every gap is 0"
-        yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol, ctx)
+        yield _decay(gaps, st, 2.0 * st.fp_tol, ctx)
 
 
 def _check_hypothesis_H(op, st, *, seed=0):
@@ -570,18 +581,17 @@ def _check_hypothesis_H(op, st, *, seed=0):
         pairs.append((op.norm(apply_Phi(op, lam, x) - apply_Phi(op, mu, x)),
                       abs(lam - mu) * (C + op.norm(x))))
     violations = sum(lhs > rhs + BASE_TOL for lhs, rhs in pairs)
-    yield (*_worst(pairs), BASE_TOL,
+    yield (*_worst(pairs), 0.0,
            {"samples": st.samples, "violations": violations, "C": C})
 
 
 def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
-    T = float(horizon)
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, T, tol=st.ode_tol)
-    for t in _log_points(T, 5) if t_values is None else t_values:
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    for t in _log_points(horizon, 5) if t_values is None else t_values:
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
-               BASE_TOL + st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
+               st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
                {"t": float(t)})
 
 
@@ -592,7 +602,7 @@ def _check_convder_decay(op, st, *, horizon=50.0, param, starts=None):
 
 def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=None):
     lam_p, mu_p = param, param2
-    T = float(horizon)
+    T = horizon
     x0, x1 = _starts(op, starts, 0.0, 1.0)
     tu = _shared(continuous.integrate_u, op, lam_p, x0, T, tol=st.ode_tol)
     tv = _shared(continuous.integrate_u, op, mu_p, x1, T, tol=st.ode_tol)
@@ -618,13 +628,12 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
     for t in map(float, times):
         rhs = np.exp(-mu_p.integral(t)) * (d0 + cum[t])
         yield (op.norm(tu.at(t) - tv.at(t)), rhs,
-               BASE_TOL + tu.err_at(t) + tv.err_at(t)
-               + continuous.QUAD_TOL * (1.0 + rhs),
+               tu.err_at(t) + tv.err_at(t) + continuous.QUAD_TOL * (1.0 + rhs),
                {"t": t, "u_bound_observed": u_bound})
     if case is not None:
         ends = (times[0], times[-1])
         gaps = [op.norm(tu.at(t) - tv.at(t)) for t in ends]
-        yield _decay(gaps, st, BASE_TOL + tu.err_at(ends) + tv.err_at(ends),
+        yield _decay(gaps, st, tu.err_at(ends) + tv.err_at(ends),
                      {"aspect": "decay", "case": case, "u_bound_observed": u_bound,
                       "note": "boundedness checked over finite horizon only"})
 
@@ -636,11 +645,11 @@ def _check_vlambda_lipschitz(op, st, *, lambdas=None):
     values = {lam: _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
-               BASE_TOL + 2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
+               2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
 
 
 def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
-    N = int(horizon)
+    N = _last_n("discrete_slow", horizon, 2)
     if lambda_seq is None:
         lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
     if len(lambda_seq) < N:
@@ -651,16 +660,17 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
     ns = _log_ints(max(1, N // 100), N, 5)
     gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
             for n in ns]
-    yield _decay(gaps, st, BASE_TOL + 2.0 * st.fp_tol,
+    yield _decay(gaps, st, 2.0 * st.fp_tol,
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
 def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
+    N = _last_n("alpha_family", horizon, 2)
     (u0,) = _starts(op, starts, 0.0)
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,
                          alpha=alpha, aspect="v_lambda_tracking")
-    yield _vn_decay(op, st, horizon, continuous.PowerAlpha(0.0), u0,
+    yield _vn_decay(op, st, N, continuous.PowerAlpha(0.0), u0,
                     alpha=0.0, aspect="v_n_tracking")
 
 
@@ -718,7 +728,8 @@ def per_check(checks, operator, inputs, readers):
 def verify(check, scenario, settings=None):
     """Run one registry check on a scenario; returns a nonempty list of
     BoundReports, one per inequality the check yields, labelled with the
-    check id and the scenario name.
+    check id and the scenario name.  Each report's tol_budget is the one
+    rounding allowance, 1e-9, plus the certified error the check yields.
 
     The check's inputs are bound here by bind, each through its READERS
     entry.  An input the scenario gives that the check does not take, a
@@ -729,9 +740,9 @@ def verify(check, scenario, settings=None):
     kwargs = bind(fn, READERS, scenario.inputs, set(scenario.inputs), check)
     reports = []
     for lhs, rhs, budget, context in fn(scenario.operator, settings or Settings(), **kwargs):
-        lhs, rhs, budget = float(lhs), float(rhs), float(budget)
-        reports.append(BoundReport(check, lhs, rhs, rhs - lhs, budget,
-                                   lhs <= rhs + budget,
+        lhs, rhs, tol_budget = float(lhs), float(rhs), BASE_TOL + float(budget)
+        reports.append(BoundReport(check, lhs, rhs, rhs - lhs, tol_budget,
+                                   lhs <= rhs + tol_budget,
                                    {"scenario": scenario.name, **context}))
     if not reports:
         raise InputError(f"{check}: no report on scenario {scenario.name!r}")

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Tolerances are pinned to the stated values; tol_budget terms add the
-certified numerical errors (integrator err_bound, fixed-point certificates)
-on top of the fixed 1e-9.
+Tolerances are pinned to the stated values; tol_budget is the fixed 1e-9
+that bounds.verify adds to the certified numerical errors a check yields
+(integrator err_bound, fixed-point certificates).
 """
 
 import json

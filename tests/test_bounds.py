@@ -102,11 +102,28 @@ def test_convboth_translation_and_skip(translation, game_op):
     )
     assert zero.verdict and not any(zero.context["gaps"])
     assert zero.context["note"] == "every gap is 0"
-    # any other operator, or a game at a horizon below 2, is skipped, which
-    # leaves no report
-    for op, horizon in ((core.rotation(0.5), 50), (game_op, 1)):
-        with pytest.raises(InputError, match="no report"):
-            bounds.verify("convboth", bounds.Scenario(operator=op, horizon=horizon), FAST)
+    # any other operator is skipped, which leaves no report; a horizon below
+    # 3, which leaves the decay one n, is named
+    with pytest.raises(InputError, match="no report"):
+        bounds.verify("convboth", bounds.Scenario(operator=core.rotation(0.5), horizon=50),
+                      FAST)
+    with pytest.raises(InputError, match="^horizon: convboth needs a horizon of at least 3, "
+                                         "got 1.0$"):
+        bounds.verify("convboth", bounds.Scenario(operator=game_op, horizon=1), FAST)
+
+
+@pytest.mark.parametrize("check, least", [
+    ("norm_bounds", 1), ("convvn", 2), ("euler_vs_ode", 1), ("normalized_euler", 1),
+    ("wn_tracks_vn", 2), ("convboth", 3), ("discrete_slow", 2), ("alpha_family", 2),
+])
+def test_a_horizon_below_the_least_n_a_check_reads_is_named(translation, check, least):
+    # N = int(horizon) is the last n the check reads; below its least N it
+    # would read no n, an n past N, or one gap for a decay
+    below = float(np.nextafter(least, 0.0))
+    with pytest.raises(InputError, match=f"^horizon: {check} needs a horizon of at least "
+                                         f"{least}, got {re.escape(repr(below))}$"):
+        bounds.verify(check, bounds.Scenario(operator=translation, horizon=below), FAST)
+    assert bounds.verify(check, bounds.Scenario(operator=translation, horizon=least), FAST)
 
 
 def test_log_spaced_counts_are_read_once(translation):
@@ -379,7 +396,7 @@ def test_a_rebuilt_parametrization_gets_its_own_flow(monkeypatch):
             alone = continuous.integrate_u(op, continuous.PowerAlpha(alpha), start, 5.0,
                                            tol=st.ode_tol)
             assert traj.nodes.tobytes() == alone.nodes.tobytes()
-            yield 0.0, 0.0, bounds.BASE_TOL, {"alpha": alpha}
+            yield 0.0, 0.0, 0.0, {"alpha": alpha}
 
     assert len(_probe(monkeypatch, check)) == 2
 
@@ -396,9 +413,21 @@ def test_starts_that_differ_in_the_sign_of_a_zero_are_different_keys(monkeypatch
             traj = bounds._shared(continuous.integrate_U, op, np.array([zero]), 2.0,
                                   tol=st.ode_tol)
             assert np.signbit(traj.points[0, 0]) == np.signbit(zero)
-            yield 0.0, 0.0, bounds.BASE_TOL, {}
+            yield 0.0, 0.0, 0.0, {}
 
     assert len(_probe(monkeypatch, check)) == 3
+
+
+def test_verify_adds_the_rounding_allowance_to_each_budget(monkeypatch):
+    # a check yields its certified error alone, here none; an lhs above the
+    # rhs by less than the allowance passes
+    def check(op, st):
+        yield 1.0 + 0.5 * bounds.BASE_TOL, 1.0, 0.0, {}
+        yield 1.0, 1.0, 0.25, {}
+
+    (within, budgeted) = _probe(monkeypatch, check)
+    assert within.verdict and within.tol_budget == bounds.BASE_TOL
+    assert budgeted.tol_budget == bounds.BASE_TOL + 0.25
 
 
 def test_the_memo_ends_with_its_run_checks_call_when_a_check_fails():
