@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextvars
 import inspect
+import math
 import struct
 from dataclasses import dataclass
 
@@ -121,6 +122,15 @@ def _last_n(check, horizon, least):
         raise InputError(f"horizon: {check} needs a horizon of at least {least}, "
                          f"got {horizon}")
     return int(horizon)
+
+
+def _within(check, key, points, lo, hi):
+    """points, at which the check reads its flow (or v_n), each in
+    [lo, hi]; one outside, or NaN, is an InputError naming key."""
+    for p in points:
+        if not lo <= p <= hi:
+            raise InputError(f"{key}: {check} reads points in [{lo}, {hi}], got {p}")
+    return points
 
 
 def _float(value):
@@ -360,6 +370,7 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
     N = _last_n("convvn", horizon, 2)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
+    n_values = _within("convvn", "n_values", n_values, 1, N)
     traj = _shared(continuous.integrate_U, op, np.zeros(op.dim), float(N), tol=st.ode_tol)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     j0 = op.norm(op.J(np.zeros(op.dim)))
@@ -456,6 +467,9 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_ste
         # n steps of T/n: their sigma_N drifts from T as n grows, past 1e-9
         # at large T, and the reads below stop at it
         n_steps = 100 if n_steps is None else n_steps
+        if n_steps < T:
+            raise InputError(f"n_steps: interpolation needs n_steps of at least "
+                             f"ceil(horizon) = {math.ceil(T)}, got {n_steps}")
         steps = discrete.StepSequence.constant(T / n_steps, n_steps)
     elif n_steps is not None:
         raise InputError("steps, n_steps: give one of them, not both")
@@ -490,6 +504,7 @@ def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
     (u0,) = _starts(op, starts, 1.0)
+    t_values = _within("constant_decay", "t_values", t_values, 0.0, math.inf)
     traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol)
@@ -587,8 +602,11 @@ def _check_hypothesis_H(op, st, *, seed=0):
 
 def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
     (u0,) = _starts(op, starts, 1.0)
+    if t_values is None:
+        t_values = _log_points(horizon, 5)
+    t_values = _within("slow_param", "t_values", t_values, 0.0, horizon)
     traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
-    for t in _log_points(horizon, 5) if t_values is None else t_values:
+    for t in t_values:
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
                st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),

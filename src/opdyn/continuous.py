@@ -176,9 +176,10 @@ class Table(Parametrization):
         vs = np.array([v for _, v in knots])
         if ts[0] != 0.0:
             raise InputError("first knot must be at t = 0")
-        if np.any(np.diff(ts) <= 0.0):
-            raise InputError("knot times must be strictly increasing")
-        if np.any(vs <= 0.0) or np.any(vs > 1.0):
+        # written so that a NaN fails each test
+        if not (np.all(np.diff(ts) > 0.0) and ts[-1] < np.inf):
+            raise InputError("knot times must be finite and strictly increasing")
+        if not np.all((vs > 0.0) & (vs <= 1.0)):
             raise InputError("knot values must lie in (0, 1]")
         self.ts = ts
         self.vs = vs

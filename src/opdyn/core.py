@@ -111,27 +111,16 @@ class Operator:
 
 
 class AffineNonexpansive(Operator):
-    """J(x) = Mx + b with ||M|| <= 1 in the declared norm.
+    """J(x) = Mx + b with ||M|| <= 1 in the declared norm; b = 0 when no
+    offset is given.
 
     The norm bound is a constructor invariant: sup norm uses the max
     absolute row sum, euclidean the largest singular value.  Translation
-    (M = I) and LinearIsometry (b = 0) check their own invariant instead.
+    (M = I) and LinearIsometry (b = 0) are built by this constructor, so
+    they satisfy it too; LinearIsometry adds only its isometry test.
     """
 
-    def __init__(self, matrix, offset, norm_kind=SUP):
-        M = self._set_matrix(matrix, norm_kind)
-        self.offset = as_vec(offset, self.dim)
-        if norm_kind == SUP:
-            op_norm = float(np.max(np.sum(np.abs(M), axis=1)))
-        else:
-            op_norm = float(np.linalg.norm(M, 2))
-        if op_norm > 1.0 + RATIO_TOL:
-            raise InputError(
-                f"operator norm {op_norm:.6g} exceeds 1 in the {norm_kind} norm"
-            )
-
-    def _set_matrix(self, matrix, norm_kind):
-        """Store and return M, finite and square, with dim and norm_kind."""
+    def __init__(self, matrix, offset=None, norm_kind=SUP):
         if norm_kind not in _NORM_KINDS:
             raise InputError(f"unknown norm kind {norm_kind!r}")
         M = np.asarray(matrix, dtype=float)
@@ -142,7 +131,15 @@ class AffineNonexpansive(Operator):
         if not np.all(np.isfinite(M)):
             raise InputError("matrix has non-finite entries")
         self.matrix, self.dim, self.norm_kind = M, M.shape[0], norm_kind
-        return M
+        self.offset = np.zeros(self.dim) if offset is None else as_vec(offset, self.dim)
+        if norm_kind == SUP:
+            op_norm = float(np.max(np.sum(np.abs(M), axis=1)))
+        else:
+            op_norm = float(np.linalg.norm(M, 2))
+        if op_norm > 1.0 + RATIO_TOL:
+            raise InputError(
+                f"operator norm {op_norm:.6g} exceeds 1 in the {norm_kind} norm"
+            )
 
     def map(self, x):
         return self.matrix @ x + self.offset
@@ -161,8 +158,8 @@ class Translation(AffineNonexpansive):
     """J(x) = x + c, an isometry in every norm."""
 
     def __init__(self, c, norm_kind=SUP):
-        self.c = self.offset = as_vec(c)
-        self._set_matrix(np.eye(self.c.shape[0]), norm_kind)
+        self.c = as_vec(c)
+        super().__init__(np.eye(self.c.shape[0]), self.c, norm_kind)
 
     def describe(self):
         return f"Translation(c={self.c.tolist()})"
@@ -172,8 +169,8 @@ class LinearIsometry(AffineNonexpansive):
     """J(x) = Mx with M orthogonal (rotations being the standard demo)."""
 
     def __init__(self, matrix, norm_kind=EUCLIDEAN):
-        M = self._set_matrix(matrix, norm_kind)
-        self.offset = np.zeros(self.dim)
+        super().__init__(matrix, norm_kind=norm_kind)
+        M = self.matrix
         if norm_kind == EUCLIDEAN:
             if not np.allclose(M @ M.T, np.eye(self.dim), atol=1e-9):
                 raise InputError("matrix is not orthogonal")
@@ -200,7 +197,7 @@ def rotation(theta):
 
 def identity_operator(dim):
     """J = I, so A = 0; useful as a degenerate test case."""
-    return AffineNonexpansive(np.eye(dim), np.zeros(dim))
+    return AffineNonexpansive(np.eye(dim))
 
 
 # Who validates: Operator.J runs as_vec on x and calls op.map, and
@@ -242,6 +239,8 @@ def sample_ball(rng, dim, radius, norm_kind):
     """One point drawn uniformly from the ball of given radius."""
     if norm_kind == SUP:
         return rng.uniform(-radius, radius, size=dim)
+    if norm_kind != EUCLIDEAN:
+        raise InputError(f"unknown norm kind {norm_kind!r}")
     x = rng.standard_normal(dim)
     r = np.linalg.norm(x)
     if r == 0.0:

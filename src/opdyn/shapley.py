@@ -95,7 +95,7 @@ class StochasticGame:
                     f"expected shape {(m, n, S)}, got {rho.shape}",
                     f"transition[{s}]",
                 )
-            if np.any(rho < 0.0) or np.any(rho > 1.0):
+            if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN too
                 raise SchemaError(
                     "probability outside [0, 1]", f"transition[{s}]"
                 )

@@ -126,6 +126,43 @@ def test_a_horizon_below_the_least_n_a_check_reads_is_named(translation, check, 
     assert bounds.verify(check, bounds.Scenario(operator=translation, horizon=least), FAST)
 
 
+@pytest.mark.parametrize("check, inputs, message", [
+    ("convvn", {"n_values": [20]}, "n_values: convvn reads points in [1, 10], got 20"),
+    ("slow_param", {"param": continuous.InverseTimeZeta(), "t_values": [20.0]},
+     "t_values: slow_param reads points in [0.0, 10.0], got 20.0"),
+    ("slow_param", {"param": continuous.InverseTimeZeta(), "t_values": [-1.0]},
+     "t_values: slow_param reads points in [0.0, 10.0], got -1.0"),
+    ("slow_param", {"param": continuous.InverseTimeZeta(), "t_values": [float("nan")]},
+     "t_values: slow_param reads points in [0.0, 10.0], got nan"),
+    ("constant_decay", {"t_values": [-1.0]},
+     "t_values: constant_decay reads points in [0.0, inf], got -1.0"),
+])
+def test_a_read_point_outside_the_flow_is_named(translation, check, inputs, message):
+    # at horizon 10: convvn reads v_n and its flow up to N = 10
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        bounds.verify(check, bounds.Scenario(operator=translation, horizon=10, **inputs),
+                      FAST)
+
+
+def test_constant_decay_skips_a_time_past_the_horizon(translation):
+    reports = bounds.verify("constant_decay", bounds.Scenario(
+        operator=translation, horizon=10, t_values=[1.0, 20.0]), FAST)
+    assert [r.context["t"] for r in reports] == [1.0, 1.0]
+
+
+def test_interpolation_needs_a_step_count_of_at_least_the_horizon(translation):
+    # fewer steps would be longer than 1
+    for inputs, least, given in (({"horizon": 50, "n_steps": 10}, 50, 10),
+                                 ({"horizon": 150.5}, 151, 100)):
+        with pytest.raises(InputError, match=re.escape(
+                f"n_steps: interpolation needs n_steps of at least ceil(horizon) = "
+                f"{least}, got {given}")):
+            bounds.verify("interpolation", bounds.Scenario(operator=translation, **inputs),
+                          FAST)
+    _assert_all_pass(bounds.verify("interpolation", bounds.Scenario(
+        operator=translation, horizon=50, n_steps=50), FAST))
+
+
 def test_log_spaced_counts_are_read_once(translation):
     # at horizon 3 the six log-spaced points from 2 to 3 truncate to 2 five
     # times; each n is solved and reported once

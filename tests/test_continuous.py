@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ def test_table_param():
         continuous.Table([(1.0, 0.5)])  # must start at t = 0
     with pytest.raises(InputError):
         continuous.Table([(0.0, 0.5), (0.0, 0.4)])
+
+
+@pytest.mark.parametrize("knots, message", [
+    ([(0.0, math.nan)], "knot values must lie in (0, 1]"),
+    ([(0.0, 0.5), (1.0, math.nan)], "knot values must lie in (0, 1]"),
+    ([(0.0, 0.5), (1.0, 1.5)], "knot values must lie in (0, 1]"),
+    ([(0.0, 0.5), (math.nan, 0.5)], "knot times must be finite and strictly increasing"),
+    ([(0.0, 0.5), (1.0, 0.5), (math.nan, 0.5)],
+     "knot times must be finite and strictly increasing"),
+    ([(0.0, 0.5), (math.inf, 0.5)], "knot times must be finite and strictly increasing"),
+])
+def test_table_rejects_nan_and_infinite_knots(knots, message):
+    # each range test is written so that a NaN fails it
+    with pytest.raises(InputError, match=re.escape(message)):
+        continuous.Table(knots)
 
 
 def test_table_value_is_np_interp_bit_for_bit():

@@ -217,9 +217,11 @@ def test_sup_isometry_signed_permutation():
     assert op.J([1.0, 2.0, 3.0]).tolist() == [-3.0, 1.0, -2.0]
     # a unit entry may be off by about 1e-5 relative, a zero by 1e-12
     core.LinearIsometry([[0.0, 1.0 - 1e-9], [1.0, 0.0]], norm_kind=core.SUP)
-    for bad in ([[0.0, 1.0 - 1e-4], [1.0, 0.0]], [[1e-9, 1.0], [1.0, 0.0]]):
-        with pytest.raises(InputError, match="sup-norm isometry"):
-            core.LinearIsometry(bad, norm_kind=core.SUP)
+    with pytest.raises(InputError, match="sup-norm isometry"):
+        core.LinearIsometry([[0.0, 1.0 - 1e-4], [1.0, 0.0]], norm_kind=core.SUP)
+    # a row sum of 1 + 1e-9 fails the norm bound before the isometry test
+    with pytest.raises(InputError, match="operator norm .* exceeds 1 in the sup norm"):
+        core.LinearIsometry([[1e-9, 1.0], [1.0, 0.0]], norm_kind=core.SUP)
     # the last three have one unit entry per row, not per column:
     # the first maps (1, 5) to (1, 1)
     for bad in ([[0.5, 0.5], [0.5, -0.5]], [[1.0, 0.0], [1.0, 0.0]],
@@ -227,6 +229,15 @@ def test_sup_isometry_signed_permutation():
                 [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]):
         with pytest.raises(InputError, match="sup-norm isometry"):
             core.LinearIsometry(bad, norm_kind=core.SUP)
+
+
+def test_linear_isometry_is_held_to_the_affine_norm_bound():
+    # both pass the isometry test's own tolerance, yet ||M|| > 1 + RATIO_TOL,
+    # so J would expand some pairs: the shared constructor rejects them
+    for matrix, kind in (([[0.0, 1.0 + 1e-6], [1.0, 0.0]], core.SUP),
+                         ((1.0 + 4e-10) * core.rotation(0.5).matrix, core.EUCLIDEAN)):
+        with pytest.raises(InputError, match=f"operator norm .* exceeds 1 in the {kind} norm"):
+            core.LinearIsometry(matrix, norm_kind=kind)
 
 
 def test_a_class_that_defines_J_is_a_type_error():
@@ -407,3 +418,8 @@ def test_sample_ball_stays_in_ball():
         for _ in range(100):
             x = core.sample_ball(rng, 3, 10.0, kind)
             assert core.norm(x, kind) <= 10.0 + 1e-12
+
+
+def test_sample_ball_rejects_an_unknown_norm_kind():
+    with pytest.raises(InputError, match="unknown norm kind 'l2'"):
+        core.sample_ball(np.random.default_rng(0), 3, 1.0, "l2")

@@ -557,6 +557,8 @@ def _edited_pennies(key, value):
      "transition[0]", "expected shape (2, 2, 1), got (1, 2, 1)"),
     (_edited_pennies("transition", [[[[1.5], [1.0]], [[1.0], [1.0]]]]),
      "transition[0]", "probability outside [0, 1]"),
+    (_edited_pennies("transition", [[[[math.nan], [1.0]], [[1.0], [1.0]]]]),
+     "transition[0]", "probability outside [0, 1]"),
     (_edited_pennies("actions", [5]), "document", "'int' object is not iterable"),
     (_edited_pennies("payoff", [[["a", 1.0], [1.0, 1.0]]]),
      "document", "could not convert string to float: 'a'"),
