@@ -24,7 +24,7 @@ import contextvars
 import inspect
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,15 +73,10 @@ class BoundReport:
     context: dict
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tol_budget": self.tol_budget,
-            "verdict": "pass" if self.verdict else "fail",
-            "context": self.context,
-        }
+        """The fields, in order, by name; the verdict as pass or fail."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["verdict"] = "pass" if self.verdict else "fail"
+        return d
 
 
 def _log_points(T, count):
@@ -131,6 +126,15 @@ def _within(check, key, points, lo, hi):
         if not lo <= p <= hi:
             raise InputError(f"{key}: {check} reads points in [{lo}, {hi}], got {p}")
     return points
+
+
+def _unit(check, key, lambdas):
+    """lambdas, the check's (or task's) discount factors or steps, each in
+    (0, 1]; one outside, or NaN, is an InputError naming key."""
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise InputError(f"{key}: {check} needs each lambda in (0, 1], got {lam}")
+    return lambdas
 
 
 def _float(value):
@@ -314,6 +318,7 @@ def _vlambda_gap(op, x, lam, fp_tol):
 
 def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
     N = _last_n("norm_bounds", horizon, 1)
+    lambdas = _unit("norm_bounds", "lambdas", lambdas)
     j0 = op.norm(op.J(np.zeros(op.dim)))
     _, vn = _shared(discrete.iterate_Vn, op, N)
     yield max(op.norm(v) for v in vn), j0, 0.0, {"family": "v_n", "N": N}
@@ -660,6 +665,7 @@ def _check_vlambda_lipschitz(op, st, *, lambdas=None):
     C = op.h_constant()
     Cp = op.norm(op.J(np.zeros(op.dim)))
     lams = np.geomspace(0.02, 1.0, 10) if lambdas is None else lambdas
+    lams = _unit("vlambda_lipschitz", "lambdas", lams)
     values = {lam: _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
@@ -671,9 +677,9 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
     if lambda_seq is None:
         lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
     if len(lambda_seq) < N:
-        raise InputError(
-            f"discrete_slow needs lambda_seq of length >= horizon {N}, got {len(lambda_seq)}"
-        )
+        raise InputError(f"lambda_seq: discrete_slow needs at least N = {N} entries, "
+                         f"got {len(lambda_seq)}")
+    lambda_seq = _unit("discrete_slow", "lambda_seq", lambda_seq)
     orbit = discrete.phi_recursion(op, lambda_seq)
     ns = _log_ints(max(1, N // 100), N, 5)
     gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
@@ -692,31 +698,16 @@ def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
                     alpha=0.0, aspect="v_n_tracking")
 
 
-CHECKS = {
-    "norm_bounds": _check_norm_bounds,
-    "accretivity": _check_accretivity,
-    "solution_contraction": _check_solution_contraction,
-    "derivative_decay": _check_derivative_decay,
-    "chernoff": _check_chernoff,
-    "convvn": _check_convvn,
-    "expo": _check_expo,
-    "kobayashi": _check_kobayashi,
-    "euler_vs_ode": _check_euler_vs_ode,
-    "normalized_euler": _check_normalized_euler,
-    "interpolation": _check_interpolation,
-    "stationarity_gap": _check_stationarity_gap,
-    "constant_decay": _check_constant_decay,
-    "initial_independence": _check_initial_independence,
-    "wn_tracks_vn": _check_wn_tracks_vn,
-    "convboth": _check_convboth,
-    "hypothesis_H": _check_hypothesis_H,
-    "slow_param": _check_slow_param,
-    "convder_decay": _check_convder_decay,
-    "two_param": _check_two_param,
-    "vlambda_lipschitz": _check_vlambda_lipschitz,
-    "discrete_slow": _check_discrete_slow,
-    "alpha_family": _check_alpha_family,
-}
+#: the registry, in its order: a check's id is its function's name less _check_
+CHECKS = {fn.__name__.removeprefix("_check_"): fn for fn in (
+    _check_norm_bounds, _check_accretivity, _check_solution_contraction,
+    _check_derivative_decay, _check_chernoff, _check_convvn, _check_expo,
+    _check_kobayashi, _check_euler_vs_ode, _check_normalized_euler,
+    _check_interpolation, _check_stationarity_gap, _check_constant_decay,
+    _check_initial_independence, _check_wn_tracks_vn, _check_convboth,
+    _check_hypothesis_H, _check_slow_param, _check_convder_decay, _check_two_param,
+    _check_vlambda_lipschitz, _check_discrete_slow, _check_alpha_family,
+)}
 
 
 def _check(name):

@@ -142,11 +142,10 @@ def _kind(kinds, at, tag="kind"):
 #: stand beside them, random_game and game are the keys of their own.
 OPERATORS = {
     "builtin": {
-        "translation": lambda *, c=(1.0,), norm=None: core.Translation(
-            c, norm_kind=norm or core.SUP),
+        "translation": lambda *, c=(1.0,), norm=core.SUP: core.Translation(c, norm),
         "rotation": lambda *, theta_degrees=30.0: core.rotation(np.deg2rad(theta_degrees)),
-        "affine": lambda *, matrix, offset, norm=None: core.AffineNonexpansive(
-            matrix, offset, norm_kind=norm or core.SUP),
+        "affine": lambda *, matrix, offset, norm=core.SUP: core.AffineNonexpansive(
+            matrix, offset, norm),
         "identity": lambda *, dim=1: core.identity_operator(dim),
     },
     "game_builtin": {
@@ -269,7 +268,7 @@ def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
     header = ["lambda"] + _coord_header("v", operator.dim) + ["iterations", "certified_error"]
     rows = []
-    for lam in lambdas:
+    for lam in bounds._unit("discounted", "lambdas", lambdas):
         res = discrete.solve_vlambda(operator, lam, tol=tol, full=True)
         rows.append([lam] + list(res.v) + [res.iterations, res.certified_error])
     write_csv(os.path.join(out, "discounted.csv"), header, rows)
@@ -339,8 +338,8 @@ READERS = {
     **bounds.READERS,
     "operator": _operator,
     "N": bounds._count(1),
-    "T": bounds._float,
-    "tol": bounds._float,
+    "T": bounds._positive,
+    "tol": bounds._positive,
     "samples": bounds._count(1),
     "checks": bounds._list(str),
     "param": _kind(PARAMS, "param"),

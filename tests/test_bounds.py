@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -46,6 +47,14 @@ def test_scenario_rejects_bad_horizon(translation):
 
 def test_registry_covers_all_checks():
     assert len(bounds.CHECKS) == 23
+    # a check's id is stated once, as its function's name less _check_
+    for check, fn in bounds.CHECKS.items():
+        assert fn.__name__ == f"_check_{check}"
+    # a report's keys are stated once, as its fields, in order
+    rep = bounds.BoundReport("c", 1.0, 0.0, -1.0, 1e-9, False, {"n": 1})
+    assert list(rep.to_dict()) == [f.name for f in dataclasses.fields(rep)]
+    assert rep.to_dict() == {"check": "c", "lhs": 1.0, "rhs": 0.0, "slack": -1.0,
+                             "tol_budget": 1e-9, "verdict": "fail", "context": {"n": 1}}
 
 
 def test_report_serialization(translation):
@@ -142,6 +151,26 @@ def test_a_read_point_outside_the_flow_is_named(translation, check, inputs, mess
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         bounds.verify(check, bounds.Scenario(operator=translation, horizon=10, **inputs),
                       FAST)
+
+
+@pytest.mark.parametrize("check, inputs, message", [
+    ("vlambda_lipschitz", {"lambdas": [0.5, 2.0]},
+     "lambdas: vlambda_lipschitz needs each lambda in (0, 1], got 2.0"),
+    ("norm_bounds", {"lambdas": [2.0]},
+     "lambdas: norm_bounds needs each lambda in (0, 1], got 2.0"),
+    ("discrete_slow", {"horizon": 3, "lambda_seq": [0.5, 0.5, 2]},
+     "lambda_seq: discrete_slow needs each lambda in (0, 1], got 2.0"),
+    ("discrete_slow", {"horizon": 3, "lambda_seq": [0.5, float("nan"), 1.0]},
+     "lambda_seq: discrete_slow needs each lambda in (0, 1], got nan"),
+    ("discrete_slow", {"horizon": 3, "lambda_seq": [0.5, 0.5, 1.0, -0.5]},
+     "lambda_seq: discrete_slow needs each lambda in (0, 1], got -0.5"),
+    ("discrete_slow", {"horizon": 10, "lambda_seq": [0.5, 0.5]},
+     "lambda_seq: discrete_slow needs at least N = 10 entries, got 2"),
+])
+def test_a_discount_factor_outside_the_unit_interval_is_named(translation, check, inputs,
+                                                              message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        bounds.verify(check, bounds.Scenario(operator=translation, **inputs), FAST)
 
 
 def test_constant_decay_skips_a_time_past_the_horizon(translation):

@@ -509,6 +509,30 @@ def test_a_lambdas_entry_that_is_not_positive_and_finite_is_named(tmp_path, caps
         f"config error: lambdas: must be positive and finite, got {shown}\n")
 
 
+@pytest.mark.parametrize("spec", [
+    {"builtin": "translation", "c": [1, 2]},
+    {"builtin": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [1, 2]},
+], ids=["translation", "affine"])
+def test_an_operator_norm_is_sup_unless_given(spec):
+    assert cli.READERS["operator"](spec).norm_kind == "sup"
+    for norm in ("sup", "euclidean"):
+        assert cli.READERS["operator"]({**spec, "norm": norm}).norm_kind == norm
+
+
+@pytest.mark.parametrize("task, preset, item, message", [
+    ("discounted", "matching-pennies", "lambdas=[2]",
+     "lambdas: discounted needs each lambda in (0, 1], got 2.0"),
+    ("ode", "rotation30", "T=-1", "T: must be positive and finite, got -1.0"),
+    ("ode", "rotation30", "tol=0", "tol: must be positive and finite, got 0.0"),
+    ("phi_ode", "matching-pennies", "T=0", "T: must be positive and finite, got 0.0"),
+    ("discounted", "matching-pennies", "tol=-1", "tol: must be positive and finite, got -1.0"),
+])
+def test_a_task_value_out_of_range_is_named(tmp_path, capsys, task, preset, item, message):
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
+
+
 @pytest.mark.parametrize("task, preset, item, message", [
     ("generate-game", "random3", "operator.junk=1",
      "operator.junk: not a key of the random_game operator, whose keys are random_game"),
@@ -529,6 +553,11 @@ def test_a_lambdas_entry_that_is_not_positive_and_finite_is_named(tmp_path, caps
      "steps.N: missing for the harmonic steps, whose keys are N"),
     ("suite", "paper-suite", 'settings={"samples":0}',
      "settings.samples: must be >= 1, got 0"),
+    # a norm other than "sup" or "euclidean" is rejected, not read as "sup"
+    *(("value_iter", "translation", f'operator={{"builtin":{builtin},"norm":{norm}}}',
+       f"operator: unknown norm kind {shown}")
+      for builtin in ('"translation","c":[1]', '"affine","matrix":[[0.5]],"offset":[1]')
+      for norm, shown in (('""', "''"), ("false", "False"), ("0", "0"), ("null", "None"))),
 ])
 def test_spec_key_errors_name_the_dotted_key(tmp_path, capsys, task, preset, item, message):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
