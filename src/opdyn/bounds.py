@@ -690,6 +690,8 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
 
 def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
     N = _last_n("alpha_family", horizon, 2)
+    if not 0.0 <= alpha < 1.0:  # NaN too
+        raise InputError(f"alpha: alpha_family needs alpha in [0, 1), got {alpha}")
     (u0,) = _starts(op, starts, 0.0)
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,

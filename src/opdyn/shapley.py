@@ -22,12 +22,11 @@ A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
 the per-state arrays are views into them, and all of them are read-only.
 ``ShapleyOperator.map``, which ``Operator.J`` calls once it has validated f,
-assembles every stage game of a group with one stacked product P + R @ f; a
-2x2 group is solved on Python floats by the closed form, every other shape
-one state at a time, with the state's guess that the operator keeps.
-``ShapleyOperator.linearize`` solves the same games and also returns, from
-their optimal strategies, the frozen-strategy transition matrix: the linear
-model behind the policy steps of the v_lambda solver.
+assembles every stage game of a group with one stacked product P + R @ f,
+validates the group once and solves each game on Python floats, with the
+state's guess that the operator keeps.  ``ShapleyOperator.linearize`` also
+returns the frozen-strategy transition matrix of the optimal strategies:
+the linear model behind the policy steps of the v_lambda solver.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import isfinite
-from operator import itemgetter, mul
+from operator import mul
 
 import numpy as np
 
@@ -368,7 +367,8 @@ def _certify(rows, value, p, q):
 
 
 def _kernel(rows, support, margin):
-    """The Shapley-Snow solution of the game ``rows`` on ``support``, or None
+    """The Shapley-Snow solution (value, p, q) of the game ``rows`` on
+    ``support``, p and q on the block's rows and columns only, or None
     unless it is accepted.
 
     support = (I, J), two increasing index tuples, names a k x k block B
@@ -382,50 +382,65 @@ def _kernel(rows, support, margin):
     best replies within margin of the value are exactly the block's rows
     and columns; and the gap certificate holds on the whole game.  A block
     that passes is the game's only optimal support.  The value is clamped
-    into [maximin, minimax], as in ``_certify``.
+    into [maximin, minimax], as in ``_certify``.  Each k has its own body
+    on Python floats; a payoff sum is written left to right from 0.0, which
+    is ``sum`` over the products bit for bit up to Python 3.11.
     """
     I, J = support
     k = len(I)
-    if k != len(J) or not 0 < k <= 3:
+    if k != len(J):
         return None
-    block = [rows[i] for i in I]
     if k == 1:
         # a strict saddle: p and q are pure, so the payoffs are row i and column j
-        (j,) = J
-        value = block[0][j]
-        p = q = (1.0,)
-        lo, hi = block[0], [row[j] for row in rows]
-    else:
-        pick = itemgetter(*J)
+        (i0,), (j0,) = I, J
+        value, p, q = rows[i0][j0], (1.0,), (1.0,)
+        lo, hi = rows[i0], [row[j0] for row in rows]
+    elif k == 2:
         # P and Q are the row and column sums of the cofactors of A, whose
-        # top left entry is 0; det(A) is expanded along its first row
-        if k == 2:
-            (c, b), (d, e) = map(pick, block)
-            b, d, e = b - c, d - c, e - c
-            spread = max(0.0, b, d, e) - min(0.0, b, d, e)
-            P, Q, det = (e - d, -b), (e - b, -d), -b * d
-        else:
-            (c, a01, a02), (a10, a11, a12), (a20, a21, a22) = map(pick, block)
-            A = a01, a02, a10, a11, a12, a20, a21, a22 = (
-                a01 - c, a02 - c, a10 - c, a11 - c, a12 - c, a20 - c, a21 - c, a22 - c)
-            spread = max(0.0, *A) - min(0.0, *A)
-            c00, c01, c02 = a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20
-            c10, c11, c12 = a02 * a21 - a01 * a22, -a02 * a20, a01 * a20
-            c20, c21, c22 = a01 * a12 - a02 * a11, a02 * a10, -a01 * a10
-            P = (c00 + c01 + c02, c10 + c11 + c12, c20 + c21 + c22)
-            Q = (c00 + c10 + c20, c01 + c11 + c21, c02 + c12 + c22)
-            det = a01 * c01 + a02 * c02
-        sp, sq = sum(P), sum(Q)
+        # top left entry is 0
+        (i0, i1), (j0, j1) = I, J
+        r0, r1 = rows[i0], rows[i1]
+        c = r0[j0]
+        b, d, e = r0[j1] - c, r1[j0] - c, r1[j1] - c
+        spread = max(0.0, b, d, e) - min(0.0, b, d, e)
+        sp, sq = 0.0 + (e - d) + -b, 0.0 + (e - b) + -d
         if sp == 0.0 or sq == 0.0:
             return None
-        p, q = [x / sp for x in P], [x / sq for x in Q]
+        p = p0, p1 = (e - d) / sp, -b / sp
+        q = q0, q1 = (e - b) / sq, -d / sq
         # every action must move the payoffs by more than the margin; NaN,
         # from a product that overflows, fails this test too
-        if not min(p + q) * spread > margin:
+        if not min(p0, p1, q0, q1) * spread > margin:
             return None
-        value = c + det / sp
-        lo = [sum(map(mul, p, col)) for col in zip(*block)]
-        hi = [sum(map(mul, q, pick(row))) for row in rows]
+        value = c + -b * d / sp
+        lo = [0.0 + p0 * x + p1 * y for x, y in zip(r0, r1)]
+        hi = [0.0 + q0 * row[j0] + q1 * row[j1] for row in rows]
+    elif k == 3:
+        # as for k = 2; det(A) is expanded along its first row
+        (i0, i1, i2), (j0, j1, j2) = I, J
+        r0, r1, r2 = rows[i0], rows[i1], rows[i2]
+        c = r0[j0]
+        A = a01, a02, a10, a11, a12, a20, a21, a22 = (
+            r0[j1] - c, r0[j2] - c, r1[j0] - c, r1[j1] - c,
+            r1[j2] - c, r2[j0] - c, r2[j1] - c, r2[j2] - c)
+        spread = max(0.0, *A) - min(0.0, *A)
+        c00, c01, c02 = a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20
+        c10, c11, c12 = a02 * a21 - a01 * a22, -a02 * a20, a01 * a20
+        c20, c21, c22 = a01 * a12 - a02 * a11, a02 * a10, -a01 * a10
+        P0, P1, P2 = c00 + c01 + c02, c10 + c11 + c12, c20 + c21 + c22
+        Q0, Q1, Q2 = c00 + c10 + c20, c01 + c11 + c21, c02 + c12 + c22
+        sp, sq = 0.0 + P0 + P1 + P2, 0.0 + Q0 + Q1 + Q2
+        if sp == 0.0 or sq == 0.0:
+            return None
+        p = p0, p1, p2 = P0 / sp, P1 / sp, P2 / sp
+        q = q0, q1, q2 = Q0 / sq, Q1 / sq, Q2 / sq
+        if not min(p0, p1, p2, q0, q1, q2) * spread > margin:
+            return None
+        value = c + (a01 * c01 + a02 * c02) / sp
+        lo = [0.0 + p0 * x + p1 * y + p2 * z for x, y, z in zip(r0, r1, r2)]
+        hi = [0.0 + q0 * row[j0] + q1 * row[j1] + q2 * row[j2] for row in rows]
+    else:
+        return None
     if (tuple([j for j, x in enumerate(lo) if x <= value + margin]) != J
             or tuple([i for i, x in enumerate(hi) if x >= value - margin]) != I):
         return None
@@ -434,40 +449,68 @@ def _kernel(rows, support, margin):
         _check_gap(maximin, minimax, rows)
     except ResourceError:
         return None
-    row, col = [0.0] * len(rows), [0.0] * len(rows[0])
-    for i, x in zip(I, p):
-        row[i] = x
-    for j, x in zip(J, q):
-        col[j] = x
-    value = min(max(value, maximin), minimax)
-    return MatrixGameSolution(value, np.array(row), np.array(col), support)
+    return min(max(value, maximin), minimax), p, q
+
+
+def _solve(rows, support):
+    """``matrix_game_value`` after its validation: (value, p, q, support) of
+    the game ``rows``, lists of finite floats, with p and q lists.
+
+    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
+    shape is solved on a support: ``_kernel`` solves the equalizing system
+    on a k x k block (k <= 3) and accepts it only under strict
+    complementarity with margin LP_GAP_TOL * max(1, max|M|), which makes
+    the block the game's only optimal support.  The guess ``support`` is
+    tried first.  Otherwise ``_simplex`` runs, in floats and, only when that
+    raises ResourceError, on the exact rationals of the entries.  Its
+    certified strategies are read as a support twice, as the actions they
+    play and as the best replies to them within half the margin; the kernel
+    solution on either is returned when it is accepted, the simplex's
+    otherwise.  support of the result is the accepted block, or None.
+    """
+    if len(rows) == 2 and len(rows[0]) == 2:
+        (a, b), (c, d) = rows
+        value, p, q = _solve_2x2(a, b, c, d)
+        return value, list(p), list(q), None
+    margin = LP_GAP_TOL * max(1.0, max(map(max, rows)), -min(map(min, rows)))
+    sol = None if support is None else _kernel(rows, support, margin)
+    if sol is None:
+        try:
+            value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15))
+        except ResourceError:
+            value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows))
+        # two readings of the support the simplex found: the actions its
+        # strategies play, and the best replies to them within half the margin
+        support = (tuple(i for i, x in enumerate(p) if x > 0.0),
+                   tuple(j for j, x in enumerate(q) if x > 0.0))
+        maximin, minimax = min(lo), max(hi)
+        best = (tuple(i for i, x in enumerate(hi) if x >= minimax - margin / 2),
+                tuple(j for j, x in enumerate(lo) if x <= maximin + margin / 2))
+        sol = _kernel(rows, support, margin)
+        if sol is None and best != support:
+            sol, support = _kernel(rows, best, margin), best
+        if sol is None:
+            return value, p, q, None
+    value, p_block, q_block = sol
+    p, q = [0.0] * len(rows), [0.0] * len(rows[0])
+    for i, x in zip(support[0], p_block):
+        p[i] = x
+    for j, x in zip(support[1], q_block):
+        q[j] = x
+    return value, p, q, support
 
 
 def matrix_game_value(M, support=None):
     """Minimax value and optimal mixed strategies of the matrix game M.
 
-    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
-    shape is solved on a support: ``_kernel`` solves the equalizing system
-    on a k x k block (k <= 3) in closed form and accepts the result only
-    under strict complementarity with margin LP_GAP_TOL * max(1, max|M|),
-    which makes the block the game's only optimal support.  The given
-    support, a guess such as the one an earlier solve of a nearby game
-    accepted, is tried first.  Otherwise ``_simplex`` runs, in floats and,
-    only when that raises ResourceError, again on the exact rationals of the
-    entries, rounded to float.  Its certified strategies are read as a
-    support twice, as the actions they play and as the best replies to them
-    within half the margin, and the kernel solution on either is returned
-    when it is accepted, the simplex's otherwise.
-
-    The result does not depend on the guess, bit for bit: the kernel's
-    output is a function of (M, block) alone, at most one block is
-    accepted, and that block is what both readings of any strategies near
-    the optimal ones name, so the simplex would have named the block a
-    guess is accepted on.  A game without a strictly complementary block of
-    size 3 or less (ties, degeneracy, a 4x4 mix) gets the simplex's
-    solution, warm or cold.  Every path returns only strategies whose
-    primal-dual gap is within LP_GAP_TOL * max(1, max|M|); ``support`` of
-    the result is the accepted block, or None.
+    The validating boundary of the solver: M is checked, its rows are
+    solved by ``_solve`` with the guess ``support``, and the strategies are
+    returned as arrays.  The result does not depend on the guess, bit for
+    bit: the kernel's output is a function of (M, block) alone, at most one
+    block is accepted, and both readings of any strategies near the optimal
+    ones name it.  A game without a strictly complementary block of size 3
+    or less (ties, degeneracy, a 4x4 mix) gets the simplex's solution, warm
+    or cold.  Every path's gap is within LP_GAP_TOL * max(1, max|M|).
 
     Raises InputError for a matrix that is not 2-d, empty or not finite, and
     ResourceError only when the exact pass also fails the certificate.
@@ -475,35 +518,19 @@ def matrix_game_value(M, support=None):
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InputError("matrix must be 2-d and nonempty")
-    rows = arr.tolist()
-    if arr.shape == (2, 2):
-        value, p, q = _solve_2x2(*rows[0], *rows[1])
-        return MatrixGameSolution(value, np.array(p), np.array(q))
-    entries = arr.ravel().tolist()
-    if not all(map(isfinite, entries)):
+    value, p, q, support = _solve(_stage_games(arr[None])[0], support)
+    return MatrixGameSolution(value, np.array(p), np.array(q), support)
+
+
+def _stage_games(B):
+    """B.tolist() for a stack B of games, validated once: a finite sum (as
+    in ``as_vec``) clears them all, and a stack that fails it, by overflow
+    too, is read entry by entry for a non-finite one, an InputError."""
+    games = B.tolist()
+    if not isfinite(sum(map(sum, chain.from_iterable(games)))) and not all(
+            isfinite(x) for rows in games for row in rows for x in row):
         raise InputError("matrix has non-finite entries")
-    margin = LP_GAP_TOL * max(1.0, max(entries), -min(entries))
-    if support is not None:
-        sol = _kernel(rows, support, margin)
-        if sol is not None:
-            return sol
-    try:
-        value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15))
-    except ResourceError:
-        value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows))
-    # two readings of the support the simplex found: the actions its
-    # strategies play, and the best replies to them within half the margin
-    played = (tuple(i for i, x in enumerate(p) if x > 0.0),
-              tuple(j for j, x in enumerate(q) if x > 0.0))
-    maximin, minimax = min(lo), max(hi)
-    best = (tuple(i for i, x in enumerate(hi) if x >= minimax - margin / 2),
-            tuple(j for j, x in enumerate(lo) if x <= maximin + margin / 2))
-    sol = _kernel(rows, played, margin)
-    if sol is None and best != played:
-        sol = _kernel(rows, best, margin)
-    if sol is not None:
-        return sol
-    return MatrixGameSolution(value, np.array(p), np.array(q))
+    return games
 
 
 def _support_pairs(m, n):
@@ -613,10 +640,12 @@ class ShapleyOperator(Operator):
         """One application of the game's value operator to x.
 
         Each action-shape group assembles all its stage games with one
-        stacked product; a 2x2 group is flattened once to floats for
-        ``_solve_2x2``, and other games are solved by ``matrix_game_value``
-        with their state's support guess, which the solve replaces by the
-        support it accepted.  The guesses change the cost, never the result.
+        stacked product.  A 2x2 group is flattened once to floats for
+        ``_solve_2x2``; any other is read and validated once, by
+        ``_stage_games``, and each game is solved by ``_solve`` with its
+        state's support guess, which the solve replaces by the support it
+        accepted.  No array is built per game, and the guesses change the
+        cost, never the result.
         """
         supports = self.supports
         out = np.empty(self.dim)
@@ -627,10 +656,8 @@ class ShapleyOperator(Operator):
                 for s, a, b, c, d in zip(states, entries, entries, entries, entries):
                     out[s] = _solve_2x2(a, b, c, d)[0]
             else:
-                for s, Bs in zip(states, B):
-                    sol = matrix_game_value(Bs, supports[s])
-                    out[s] = sol.value
-                    supports[s] = sol.support
+                for s, rows in zip(states, _stage_games(B)):
+                    out[s], _, _, supports[s] = _solve(rows, supports[s])
         return out
 
     def linearize(self, x):
@@ -639,23 +666,21 @@ class ShapleyOperator(Operator):
         Row s of M is the transition row p_s' rho_s q_s under the optimal
         strategies (p_s, q_s) of state s's stage game at x, so M is
         row-stochastic and y -> J(x) + M (y - x) is the operator with both
-        players' strategies frozen.  The stage games are assembled as in
-        ``map`` and solved by ``matrix_game_value``, which also returns the
-        strategies; the support guesses are read and updated as there.
+        players' strategies frozen.  Every group, 2x2 included, is read by
+        ``_stage_games`` and solved by ``_solve`` with the guesses, as in
+        ``map``; the einsum takes the strategies from ``_solve``'s lists.
         """
         x = as_vec(x, self.dim)
         supports = self.supports
         out = np.empty(self.dim)
         M = np.empty((self.dim, self.dim))
         for states, P, R in self.game.shape_groups:
-            sols = [matrix_game_value(B, supports[s]) for s, B in zip(states, P + R @ x)]
-            rows = list(states)
-            for s, sol in zip(states, sols):
-                supports[s] = sol.support
-            out[rows] = [sol.value for sol in sols]
-            p = np.array([sol.row_strategy for sol in sols])
-            q = np.array([sol.col_strategy for sol in sols])
-            M[rows] = np.einsum("ki,kijs,kj->ks", p, R, q)
+            values, p, q, found = zip(*[_solve(rows, supports[s])
+                                        for s, rows in zip(states, _stage_games(P + R @ x))])
+            for s, support in zip(states, found):
+                supports[s] = support
+            out[list(states)] = values
+            M[list(states)] = np.einsum("ki,kijs,kj->ks", np.array(p), R, np.array(q))
         return out, M
 
     def h_constant(self):

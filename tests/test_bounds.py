@@ -173,6 +173,14 @@ def test_a_discount_factor_outside_the_unit_interval_is_named(translation, check
         bounds.verify(check, bounds.Scenario(operator=translation, **inputs), FAST)
 
 
+@pytest.mark.parametrize("alpha, shown", [(2, "2.0"), (1.0, "1.0"), (-0.5, "-0.5"),
+                                           (float("nan"), "nan")])
+def test_an_alpha_outside_its_range_is_named(translation, alpha, shown):
+    with pytest.raises(InputError, match=re.escape(
+            f"alpha: alpha_family needs alpha in [0, 1), got {shown}") + "$"):
+        bounds.verify("alpha_family", bounds.Scenario(operator=translation, alpha=alpha), FAST)
+
+
 def test_constant_decay_skips_a_time_past_the_horizon(translation):
     reports = bounds.verify("constant_decay", bounds.Scenario(
         operator=translation, horizon=10, t_values=[1.0, 20.0]), FAST)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from itertools import combinations, product
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opdyn import core, shapley
-from opdyn.errors import InputError, ResourceError, SchemaError
+from opdyn import core, discrete, shapley
+from opdyn.errors import InputError, OpdynError, ResourceError, SchemaError
 
 #: entries of nearly degenerate games, on which the float simplex can fail
 #: its certificate so that the exact pass runs
@@ -369,14 +370,14 @@ def test_J_and_linearize_do_not_depend_on_call_history(monkeypatch, game):
     S = game.num_states
     rng = np.random.default_rng(5)
     points = np.cumsum(rng.uniform(-0.3, 0.3, size=(30, S)), axis=0)
-    solve, taken = shapley.matrix_game_value, []
+    solve, taken = shapley._solve, []
 
-    def counting(M, support=None):
-        sol = solve(M, support)
-        taken.append(support is not None and sol.support == support)
+    def counting(rows, support):
+        sol = solve(rows, support)
+        taken.append(support is not None and sol[3] == support)
         return sol
 
-    monkeypatch.setattr(shapley, "matrix_game_value", counting)
+    monkeypatch.setattr(shapley, "_solve", counting)
 
     def results(op, order):
         out = {}
@@ -452,6 +453,97 @@ def test_non_finite_entries_are_input_errors(shape, bad):
     for solve in (shapley.matrix_game_value, shapley.matrix_game_value_oracle):
         with pytest.raises(InputError, match="non-finite"):
             solve(M)
+
+
+def bits_digest(*values):
+    """sha256 of the float64 bytes of each value (arrays, ints, floats)."""
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of what the solver gave on these games while its kernels summed
+#: with ``sum(map(mul, ...))`` and every warm game went through
+#: ``matrix_game_value``: the iterate_Vn(op, 200) points; v, iterations and
+#: certified_error of solve_vlambda at lambda = 0.5, 0.1, 0.025; and
+#: linearize's M at three seeded points.  Recorded on CPython 3.11: from 3.12
+#: on, ``sum`` over floats is compensated, which the simplex's certificate uses
+PINNED_BITS = {
+    "8x4x4": ("89efeba8eca1b79c29e8d6e3f7c64def7e8afdf691a8639accc7d0477b8e76a2",
+              "414a0cbc65e11754ba45c1c08b8e9d06d7df633828d09bba60cd83689179d075",
+              "f71aa319245020520796a43c669b047a3c65822e4e5ce731369053cf3e481168"),
+    "mixed": ("6820a17421d6cfd8976f69572335ac4e925322a62089d24bc13d338cdf658530",
+              "def6846b87597420ed877db20778555c1b3b6ce3ec517e22b271780303b59208",
+              "1c2f3358da7b2b0ff004be158ca60289ce2b3bb3a36e2f6a7a0ea2d72f1089bd"),
+}
+
+
+@pytest.mark.parametrize("name, game", [("8x4x4", shapley.random_game(8, 4, 4, seed=0)),
+                                        ("mixed", mixed_shape_game(0))])
+def test_orbits_solves_and_linear_models_keep_their_bits(name, game):
+    op = shapley.ShapleyOperator(game)
+    orbit, _ = discrete.iterate_Vn(op, 200)
+    solves = [discrete.solve_vlambda(op, lam, full=True) for lam in (0.5, 0.1, 0.025)]
+    points = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, game.num_states))
+    assert (bits_digest(orbit.points),
+            bits_digest(*[x for r in solves for x in (r.v, r.iterations, r.certified_error)]),
+            bits_digest(*[op.linearize(x)[1] for x in points])) == PINNED_BITS[name]
+
+
+def test_non_finite_stage_games_are_input_errors():
+    # stage games of a 3x3 game that overflow to inf at a finite point, and
+    # inf or NaN ones from the non-finite points an orbit loop hands to map
+    op = shapley.ShapleyOperator(shapley.random_game(2, 3, 3, seed=1))
+    big = shapley.ShapleyOperator(
+        shapley.random_game(2, 3, 3, payoff_range=(1e308, 1.5e308), seed=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (big.J, big.linearize):
+            with pytest.raises(InputError, match="non-finite"):
+                call(np.full(2, 1e308))
+        for x in ([np.inf, 1.0], [np.nan, 1.0], [np.inf, -np.inf]):
+            with pytest.raises(InputError, match="non-finite"):
+                op.map(np.array(x))
+    # (1 - lambda) / lambda is inf at the smallest step, so Phi's point is too
+    with pytest.raises(InputError, match="non-finite"):
+        discrete.phi_recursion(op, [1.0, 5e-324])
+
+
+def spread_game(seed, scale):
+    """Three states with 3x3 payoffs uniform on [-scale, scale]."""
+    rng = np.random.default_rng(seed)
+    return shapley.StochasticGame(
+        states=[0, 1, 2], actions=[(3, 3)] * 3,
+        payoff=[scale * rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(3)],
+        transition=[np.full((3, 3, 3), 1.0 / 3.0)] * 3)
+
+
+@pytest.mark.parametrize("game", [
+    shapley.random_game(3, 3, 3, payoff_range=(0.0, 1.7e308), seed=0),
+    shapley.random_game(3, 3, 3, payoff_range=(-8e307, 8e307), seed=2),
+    spread_game(0, 1.7e308),
+    spread_game(3, 1.7e308),
+])
+def test_a_group_whose_sum_overflows_is_solved_as_each_game_alone(game):
+    # finite entries whose sum over the group is infinite fail the group's
+    # finite-sum test; J and linearize must then give what matrix_game_value
+    # gives state by state: the same values, or the first state's exception
+    def outcome(call):
+        try:
+            return call()
+        except OpdynError as exc:
+            return type(exc), str(exc)
+
+    games = [game.payoff[s] for s in range(game.num_states)]
+    assert not math.isfinite(sum(np.ravel(games).tolist()))
+    want = [outcome(lambda B=B: shapley.matrix_game_value(B).value) for B in games]
+    errors = [w for w in want if isinstance(w, tuple)]
+    assert all(kind is not InputError for kind, _ in errors)  # the entries are finite
+    want = errors[0] if errors else float_bits(want)
+    op = shapley.ShapleyOperator(game)
+    x = np.zeros(game.num_states)
+    for call in (lambda: float_bits(op.J(x)), lambda: float_bits(op.linearize(x)[0])):
+        assert outcome(call) == want
 
 
 @pytest.mark.parametrize("M", [[1.0, 2.0], np.zeros((0, 3))])
