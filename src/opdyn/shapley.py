@@ -34,9 +34,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
 from math import isfinite
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -191,11 +192,11 @@ def _clamp_simplex(p):
     lo = min(p)
     if lo < -STRATEGY_CLAMP:
         raise ResourceError("strategy entry below clamp tolerance")
-    total = sum(p)
+    total = reduce(add, p, 0.0)
     # a NaN entry makes the sum NaN, so it takes the clamping branch too
     if not (lo > 0.0 and total > 0.0):
         p = [x if x > 0.0 else 0.0 for x in p]
-        total = sum(p)
+        total = reduce(add, p, 0.0)
         if total <= 0.0:
             raise ResourceError("strategy sums to zero")
     return [x / total for x in p]
@@ -353,11 +354,11 @@ def _certify(rows, value, p, q):
     """Normalize the simplex's strategies and certify them on the game rows.
 
     Returns (value, p, q, lo, hi): lo holds the payoff of p against each
-    column, hi that of each row against q.
+    column, hi that of each row against q, each summed as in ``_kernel``.
     """
     p, q = _clamp_simplex(p), _clamp_simplex(q)
-    lo = [sum(map(mul, p, col)) for col in zip(*rows)]
-    hi = [sum(map(mul, row, q)) for row in rows]
+    lo = [reduce(add, map(mul, p, col), 0.0) for col in zip(*rows)]
+    hi = [reduce(add, map(mul, row, q), 0.0) for row in rows]
     maximin, minimax = min(lo), max(hi)
     _check_gap(maximin, minimax, rows)
     # The tableau's value carries the rounding of every pivot, which a tiny
@@ -383,8 +384,8 @@ def _kernel(rows, support, margin):
     and columns; and the gap certificate holds on the whole game.  A block
     that passes is the game's only optimal support.  The value is clamped
     into [maximin, minimax], as in ``_certify``.  Each k has its own body
-    on Python floats; a payoff sum is written left to right from 0.0, which
-    is ``sum`` over the products bit for bit up to Python 3.11.
+    on Python floats.  Payoffs are summed left to right from 0.0, as ``sum``
+    did up to Python 3.11: the bits do not depend on the interpreter.
     """
     I, J = support
     k = len(I)
@@ -461,16 +462,14 @@ def _solve(rows, support):
     on a k x k block (k <= 3) and accepts it only under strict
     complementarity with margin LP_GAP_TOL * max(1, max|M|), which makes
     the block the game's only optimal support.  The guess ``support`` is
-    tried first.  Otherwise ``_simplex`` runs, in floats and, only when that
-    raises ResourceError, on the exact rationals of the entries.  Its
-    certified strategies are read as a support twice, as the actions they
-    play and as the best replies to them within half the margin; the kernel
-    solution on either is returned when it is accepted, the simplex's
-    otherwise.  support of the result is the accepted block, or None.
+    tried first, then two readings of the strategies that ``_simplex``
+    certifies (in floats, or exact rationals when that raises
+    ResourceError): the actions they play, and the best replies to them
+    within half the margin.  When no block is accepted the simplex's
+    solution is returned; support is the accepted block, or None.
     """
     if len(rows) == 2 and len(rows[0]) == 2:
-        (a, b), (c, d) = rows
-        value, p, q = _solve_2x2(a, b, c, d)
+        value, p, q = _solve_2x2(*rows[0], *rows[1])
         return value, list(p), list(q), None
     margin = LP_GAP_TOL * max(1.0, max(map(max, rows)), -min(map(min, rows)))
     sol = None if support is None else _kernel(rows, support, margin)
@@ -666,21 +665,22 @@ class ShapleyOperator(Operator):
         Row s of M is the transition row p_s' rho_s q_s under the optimal
         strategies (p_s, q_s) of state s's stage game at x, so M is
         row-stochastic and y -> J(x) + M (y - x) is the operator with both
-        players' strategies frozen.  Every group, 2x2 included, is read by
-        ``_stage_games`` and solved by ``_solve`` with the guesses, as in
-        ``map``; the einsum takes the strategies from ``_solve``'s lists.
+        players' strategies frozen.  Each stage game is solved, with its
+        state's guess as in ``map``, by ``matrix_game_value``, which
+        validates it and returns its strategies as arrays for the einsum.
         """
         x = as_vec(x, self.dim)
         supports = self.supports
         out = np.empty(self.dim)
         M = np.empty((self.dim, self.dim))
         for states, P, R in self.game.shape_groups:
-            values, p, q, found = zip(*[_solve(rows, supports[s])
-                                        for s, rows in zip(states, _stage_games(P + R @ x))])
-            for s, support in zip(states, found):
-                supports[s] = support
-            out[list(states)] = values
-            M[list(states)] = np.einsum("ki,kijs,kj->ks", np.array(p), R, np.array(q))
+            sols = [matrix_game_value(B, supports[s]) for s, B in zip(states, P + R @ x)]
+            for s, sol in zip(states, sols):
+                supports[s] = sol.support
+            out[list(states)] = [sol.value for sol in sols]
+            p = np.array([sol.row_strategy for sol in sols])
+            q = np.array([sol.col_strategy for sol in sols])
+            M[list(states)] = np.einsum("ki,kijs,kj->ks", p, R, q)
         return out, M
 
     def h_constant(self):

@@ -467,8 +467,8 @@ def bits_digest(*values):
 #: with ``sum(map(mul, ...))`` and every warm game went through
 #: ``matrix_game_value``: the iterate_Vn(op, 200) points; v, iterations and
 #: certified_error of solve_vlambda at lambda = 0.5, 0.1, 0.025; and
-#: linearize's M at three seeded points.  Recorded on CPython 3.11: from 3.12
-#: on, ``sum`` over floats is compensated, which the simplex's certificate uses
+#: linearize's M at three seeded points.  Recorded on CPython 3.11, whose
+#: ``sum`` over floats adds left to right from 0.0 as the solver now does
 PINNED_BITS = {
     "8x4x4": ("89efeba8eca1b79c29e8d6e3f7c64def7e8afdf691a8639accc7d0477b8e76a2",
               "414a0cbc65e11754ba45c1c08b8e9d06d7df633828d09bba60cd83689179d075",
@@ -479,9 +479,21 @@ PINNED_BITS = {
 }
 
 
+def compensated_sum(values, start=0):
+    """``sum`` rounded once by math.fsum, not left to right: a stand-in for
+    CPython's float ``sum``, which compensates from Python 3.12 on."""
+    return math.fsum(values) + start
+
+
+@pytest.mark.parametrize("summation", ["builtin", "compensated"])
 @pytest.mark.parametrize("name, game", [("8x4x4", shapley.random_game(8, 4, 4, seed=0)),
                                         ("mixed", mixed_shape_game(0))])
-def test_orbits_solves_and_linear_models_keep_their_bits(name, game):
+def test_orbits_solves_and_linear_models_keep_their_bits(monkeypatch, name, game, summation):
+    # the solver never rounds through the interpreter's ``sum``, so the
+    # pinned bits hold whichever way it adds
+    if summation == "compensated":
+        for module in (core, discrete, shapley):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     op = shapley.ShapleyOperator(game)
     orbit, _ = discrete.iterate_Vn(op, 200)
     solves = [discrete.solve_vlambda(op, lam, full=True) for lam in (0.5, 0.1, 0.025)]
@@ -490,6 +502,24 @@ def test_orbits_solves_and_linear_models_keep_their_bits(name, game):
             bits_digest(*[x for r in solves for x in (r.v, r.iterations, r.certified_error)]),
             bits_digest(*[op.linearize(x)[1] for x in points])) == PINNED_BITS[name]
 
+
+
+def test_the_solver_does_not_round_through_sum(monkeypatch):
+    # a 4x4 game whose optimum mixes every action gets the simplex's own
+    # strategies, which are normalized and certified by sums; they keep
+    # their bits when ``sum`` compensates
+    rng = np.random.default_rng(0)
+    games = [rng.uniform(-1.0, 1.0, size=(4, 4)) for _ in range(400)]
+    mixed = [M for M in games if shapley.matrix_game_value(M).support is None]
+    assert len(mixed) >= 10
+
+    def bits():
+        return [bits_digest(sol.value, sol.row_strategy, sol.col_strategy)
+                for sol in map(shapley.matrix_game_value, mixed)]
+
+    left_to_right = bits()
+    monkeypatch.setattr(shapley, "sum", compensated_sum, raising=False)
+    assert bits() == left_to_right
 
 def test_non_finite_stage_games_are_input_errors():
     # stage games of a 3x3 game that overflow to inf at a finite point, and
