@@ -6,16 +6,16 @@ per inequality (or decay / monotonicity statement) it tests, where budget
 is the certified numerical error of that comparison alone (0.0 where it
 has none).  `verify` is the one place that binds those inputs from a
 Scenario, with `bind`, and that judges the tuples: it turns each into a
-BoundReport with slack rhs - lhs, tol_budget 1e-9 + budget and verdict
+BoundReport with slack rhs - lhs, tol_budget BASE_TOL + budget and verdict
 lhs <= rhs + tol_budget, labelled with the check id and the scenario name.
 `run_checks` runs verify on many (check, scenario) pairs, and within one
 such run a flow, v_lam or v_n that two checks read from the same inputs is
 solved once (see run_checks).
 Asymptotic statements are operationalized as finite-horizon decay
-assertions: the final gap must be <= decay_factor times the initial gap
-over a horizon ratio of at least 100x.  Tolerance budgets propagate
+assertions: the final gap must be <= DECAY_FACTOR = 0.2 times the initial
+gap over a horizon ratio of at least 100x.  Tolerance budgets propagate
 additively: a check sums every certified numerical error that contributes,
-and verify adds the one fixed rounding allowance of 1e-9.
+and verify adds the one rounding allowance, core.BASE_TOL.
 """
 
 from __future__ import annotations
@@ -29,22 +29,21 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import continuous, core, discrete, shapley
-from .core import apply_A, apply_Phi
+from .core import BASE_TOL, apply_A, apply_Phi
 from .errors import InputError, convert
 
-#: the one rounding allowance: verify adds it to every budget a check yields
-BASE_TOL = 1e-9
+#: the decay assertions' factor: the last gap is at most this times the first
+DECAY_FACTOR = 0.2
 
 
 @dataclass(kw_only=True)
 class Settings:
     ode_tol: float = 1e-6
     fp_tol: float = 1e-10
-    decay_factor: float = 0.2
     samples: int = 200
 
     def __post_init__(self):
-        for name in ("ode_tol", "fp_tol", "decay_factor"):
+        for name in ("ode_tol", "fp_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise InputError(f"settings.{name} must be finite and positive")
         if self.samples < 1:
@@ -52,13 +51,13 @@ class Settings:
 
 
 class Scenario:
-    """An operator, its name (by default the operator's description) and
-    the inputs of a check: keyword arguments, bound by verify as the
-    check's keyword-only parameters."""
+    """An operator, named by its description, and the inputs of a check:
+    keyword arguments, bound by verify as the check's keyword-only
+    parameters."""
 
-    def __init__(self, operator, name="", **inputs):
+    def __init__(self, operator, **inputs):
         self.operator = operator
-        self.name = name or operator.describe()
+        self.name = operator.describe()
         self.inputs = inputs
 
 
@@ -272,9 +271,9 @@ def _worst_increase(values):
     return max(b - a for a, b in zip(values, values[1:]))
 
 
-def _decay(gaps, st, budget, context):
-    """Finite-horizon decay: the last gap is at most decay_factor x the first."""
-    return gaps[-1], st.decay_factor * gaps[0], budget, context
+def _decay(gaps, budget, context):
+    """Finite-horizon decay: the last gap is at most DECAY_FACTOR x the first."""
+    return gaps[-1], DECAY_FACTOR * gaps[0], budget, context
 
 
 #: the solves shared by the checks of the running run_checks call, or None
@@ -534,7 +533,7 @@ def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
     for t in times:
         gaps.append(op.norm(t1.at(t) - t2.at(t)))
         yield gaps[-1], d0 * np.exp(-param.integral(float(t))), budget, {"t": float(t)}
-    yield _decay(gaps, st, budget,
+    yield _decay(gaps, budget,
                  {"aspect": "decay", "t0": float(times[0]), "t1": float(times[-1])})
 
 
@@ -546,7 +545,7 @@ def _vn_decay(op, st, N, param, u0, points_key=None, **ctx):
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
     if points_key:
         ctx[points_key] = ns
-    return _decay(gaps, st, 2.0 * traj.err_at(ns),
+    return _decay(gaps, 2.0 * traj.err_at(ns),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
@@ -557,7 +556,7 @@ def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
     gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
-    return _decay(gaps, st, st.fp_tol + 2.0 * traj.err_at(times),
+    return _decay(gaps, st.fp_tol + 2.0 * traj.err_at(times),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
@@ -588,7 +587,7 @@ def _check_convboth(op, st, *, horizon=50.0):
         ctx = {"family": "v_n - v_1/n", "n_values": ns, "gaps": [float(g) for g in gaps]}
         if not any(gaps):
             ctx["note"] = "every gap is 0"
-        yield _decay(gaps, st, 2.0 * st.fp_tol, ctx)
+        yield _decay(gaps, 2.0 * st.fp_tol, ctx)
 
 
 def _check_hypothesis_H(op, st, *, seed=0):
@@ -656,7 +655,7 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
     if case is not None:
         ends = (times[0], times[-1])
         gaps = [op.norm(tu.at(t) - tv.at(t)) for t in ends]
-        yield _decay(gaps, st, tu.err_at(ends) + tv.err_at(ends),
+        yield _decay(gaps, tu.err_at(ends) + tv.err_at(ends),
                      {"aspect": "decay", "case": case, "u_bound_observed": u_bound,
                       "note": "boundedness checked over finite horizon only"})
 
@@ -684,7 +683,7 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
     ns = _log_ints(max(1, N // 100), N, 5)
     gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
             for n in ns]
-    yield _decay(gaps, st, 2.0 * st.fp_tol,
+    yield _decay(gaps, 2.0 * st.fp_tol,
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 

@@ -360,7 +360,6 @@ READERS = {
     "lambda": bounds._float,
     "ode_tol": bounds._float,
     "fp_tol": bounds._float,
-    "decay_factor": bounds._float,
 }
 
 

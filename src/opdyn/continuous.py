@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_Phi, as_vec, norm
+from .core import BASE_TOL, apply_A, apply_Phi, as_vec, norm
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError
 
@@ -430,7 +430,7 @@ def integrate_U(op, U0, T, tol=1e-8):
     m = max(64, int(np.ceil(T)))
     bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
     gap = op.norm(euler_power(op, T, m, U0) - traj.points[-1])
-    if gap > bound + traj.err_bound[-1] + 1e-9:
+    if gap > bound + traj.err_bound[-1] + BASE_TOL:
         raise ResourceError(
             f"exponential-formula cross-check failed: {gap} > {bound}"
         )

@@ -29,6 +29,8 @@ _NORM_KINDS = (SUP, EUCLIDEAN)
 
 #: slack allowed on sampled nonexpansiveness / contraction ratios
 RATIO_TOL = 1e-12
+#: the one rounding allowance, of every check's budget and integrate_U's cross-check
+BASE_TOL = 1e-9
 #: pairs closer than this are skipped when forming ratios (0/0 noise)
 PAIR_MIN_DIST = 1e-9
 

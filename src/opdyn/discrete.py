@@ -149,6 +149,7 @@ def _policy_step(w, t, M, kappa):
     return y if np.isfinite(y).all() else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # linearize checks x and its games instead
 def solve_vlambda(op, lam, tol=1e-10, full=False):
     """Fixed point v_lam of Phi(lam, .) with certified error <= tol.
 

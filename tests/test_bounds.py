@@ -286,6 +286,8 @@ def test_a_spec_input_of_the_wrong_type_is_an_input_error_naming_it(translation,
     ("hypothesis_H", {"lambdas": [0.5]}, "lambdas"),
     ("accretivity", {"horizon": 50.0}, "horizon"),
     ("vlambda_lipschitz", {"seed": 0}, "seed"),
+    # a scenario is named by its operator's description: name is an input
+    ("chernoff", {"name": "x"}, "name"),
 ])
 def test_verify_rejects_an_input_its_check_does_not_read(translation, check, given, name):
     # at the check's default value too: an input is given when it is given

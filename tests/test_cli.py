@@ -355,20 +355,33 @@ def test_a_null_spec_object_is_as_if_not_given(tmp_path, capsys, check, code, me
     assert capsys.readouterr().err.startswith(message)
 
 
-def test_verify_failure_sets_exit_one(tmp_path):
-    # decay_factor = 1e-30 makes every decay-type verdict fail (0 is a
-    # config error)
+@pytest.mark.parametrize("task, preset, item", [
+    ("phi_ode", "matching-pennies", "param=null"),
+    ("euler", "translation", "steps=null"),
+])
+def test_a_null_spec_object_of_a_task_stands_for_its_default(tmp_path, task, preset, item):
+    # the spec reader returns None, and the task fills in its own default
+    plain, null = tmp_path / "plain", tmp_path / "null"
+    assert run([task, "--preset", preset, "--out", str(plain)]) == 0
+    assert run([task, "--preset", preset, "--set", item, "--out", str(null)]) == 0
+    name = f"{task}.csv"
+    assert read(null / name) == read(plain / name)
+
+
+def test_verify_failure_sets_exit_one(tmp_path, monkeypatch):
+    # DECAY_FACTOR = 1e-30 makes every decay-type verdict fail
     code = run(["verify", "--preset", "translation",
                 "--set", 'checks=["accretivity"]',
                 "--set", 'lambdas=[0.5]',
                 "--set", 'operator={"builtin":"rotation","theta_degrees":30}',
                 "--out", str(tmp_path)])
     assert code == 0  # rotation passes accretivity; now force a failure
+    monkeypatch.setattr(bounds, "DECAY_FACTOR", 1e-30)
     cfg = {
         "operator": {"builtin": "translation", "c": [1.0]},
         "checks": ["wn_tracks_vn"],
         "horizon": 150,
-        "settings": {"decay_factor": 1e-30, "ode_tol": 1e-6},
+        "settings": {"ode_tol": 1e-6},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -379,6 +392,19 @@ def test_verify_failure_sets_exit_one(tmp_path):
     assert any(r["verdict"] == "fail" for r in reports)
     assert any(row[5] == "fail" for row in rows)
     assert_csv_matches_json(rows, reports)
+
+
+def test_the_decay_factor_is_a_constant_not_a_setting(tmp_path, capsys):
+    # a verdict is a bound the code states, so no setting can pass a failing
+    # decay report: the factor is bounds.DECAY_FACTOR, and a settings object
+    # that names it gets the binder's unknown-key message
+    assert list(bounds.keys(bounds.Settings)) == ["ode_tol", "fp_tol", "samples"]
+    args = ["verify", "--preset", "translation", "--set", 'checks=["norm_bounds"]',
+            "--set", 'settings={"decay_factor":0.2}', "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "opdyn: config error: settings.decay_factor: not a key of settings, "
+        "whose keys are ode_tol, fp_tol, samples\n")
 
 
 @pytest.mark.parametrize("task, preset, item", [
@@ -705,7 +731,7 @@ def test_a_checks_keys_are_read_by_bounds_readers_alone():
 
 
 FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol",
-              "fp_tol", "decay_factor"]
+              "fp_tol"]
 FLOAT_LIST_KEYS = ["lambdas", "t_values", "lambda_seq", "payoff_range"]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdyn import core, shapley
+from opdyn import bounds, continuous, core, discrete, shapley
 from opdyn.errors import InputError
 
 vectors = st.lists(
@@ -207,6 +207,10 @@ def test_rotation_is_isometry():
 def test_linear_isometry_rejects_non_orthogonal():
     with pytest.raises(InputError):
         core.LinearIsometry([[1.0, 0.0], [0.5, 1.0]])
+    # a Euclidean contraction passes the affine norm bound: only the
+    # isometry test rejects it
+    with pytest.raises(InputError, match="^matrix is not orthogonal$"):
+        core.LinearIsometry(np.diag([1.0, 0.5]))
 
 
 def test_sup_isometry_signed_permutation():
@@ -410,6 +414,21 @@ def test_zero_radius_skips_every_pair():
         assert (rep.worst_ratio, rep.violations, rep.samples) == (0.0, 0, 20)
         rep = core.check_accretive(op, 0.5, samples=20, radius=0.0, seed=1)
         assert (rep.worst_ratio, rep.violations, rep.samples) == (1.0, 0, 20)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: discrete.iterate_Vn(core.Translation([1.0]), 0), "N must be >= 1"),
+    (lambda: continuous.euler_power(core.Translation([1.0]), 1.0, 0, [0.0]), "m must be >= 1"),
+    (lambda: continuous.Table([]), "at least one knot required"),
+    (lambda: shapley.random_game(0, 2, 2), "sizes must be positive"),
+    (lambda: core.check_nonexpansive(core.Translation([1.0]), samples=0),
+     "samples must be >= 1"),
+    (lambda: bounds.Settings(samples=0), "settings.samples must be >= 1"),
+], ids=["iterate_Vn", "euler_power", "Table", "random_game", "check_nonexpansive",
+        "Settings"])
+def test_a_size_below_its_least_is_an_input_error(make, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        make()
 
 
 def test_sample_ball_stays_in_ball():

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from opdyn import core, discrete, shapley
+from opdyn import cli, core, discrete, shapley
 from opdyn.errors import InputError, ResourceError
 
 
@@ -235,6 +237,22 @@ def test_an_orbit_that_overflows_is_an_input_error():
                 lambda: discrete.phi_recursion(op, discrete.StepSequence.constant(0.5, 5))):
         with pytest.raises(InputError, match="NaN or infinite"):
             run()
+
+
+def test_a_v_lambda_solve_that_overflows_is_an_input_error(tmp_path, capsys):
+    # no errstate here: the project runs under error::RuntimeWarning, so an
+    # overflow warning inside the solve would be raised before the checks
+    # of linearize (x, then its stage games) could name the non-finite value
+    op = shapley.ShapleyOperator(
+        shapley.random_game(2, 3, 3, payoff_range=(1e308, 1.5e308), seed=1))
+    for lam in (0.5, 0.1):
+        with pytest.raises(InputError, match="non-finite|NaN or infinite"):
+            discrete.solve_vlambda(op, lam)
+    game = {"states": 2, "rows": 3, "cols": 3, "payoff_range": [1e308, 1.5e308], "seed": 1}
+    args = ["discounted", "--set", f"operator={json.dumps({'random_game': game})}",
+            "--set", "lambdas=[0.5, 0.1]", "--out", str(tmp_path)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_locate_brackets_every_time_on_the_grid():

@@ -522,15 +522,17 @@ def test_the_solver_does_not_round_through_sum(monkeypatch):
     assert bits() == left_to_right
 
 def test_non_finite_stage_games_are_input_errors():
-    # stage games of a 3x3 game that overflow to inf at a finite point, and
-    # inf or NaN ones from the non-finite points an orbit loop hands to map
+    # stage games of a 3x3 and a 2x2 game (map's closed-form branch) that
+    # overflow to inf at a finite point, and inf or NaN ones from the
+    # non-finite points an orbit loop hands to map
     op = shapley.ShapleyOperator(shapley.random_game(2, 3, 3, seed=1))
-    big = shapley.ShapleyOperator(
-        shapley.random_game(2, 3, 3, payoff_range=(1e308, 1.5e308), seed=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for call in (big.J, big.linearize):
-            with pytest.raises(InputError, match="non-finite"):
-                call(np.full(2, 1e308))
+        for m in (3, 2):
+            big = shapley.ShapleyOperator(
+                shapley.random_game(2, m, m, payoff_range=(1e308, 1.5e308), seed=1))
+            for call in (big.J, big.linearize):
+                with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+                    call(np.full(2, 1e308))
         for x in ([np.inf, 1.0], [np.nan, 1.0], [np.inf, -np.inf]):
             with pytest.raises(InputError, match="non-finite"):
                 op.map(np.array(x))
