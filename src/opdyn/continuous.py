@@ -288,7 +288,9 @@ class Trajectory:
     err_at gives the bound of reads at any times.
 
     The arrays are not to be changed once made: reads bracket their times
-    on a list copy of times, made with the trajectory.
+    on a list copy of times, made with the trajectory, and keep the last
+    step's rows as Python floats, so writing into nodes or dense after a
+    read gives stale reads.
     """
 
     times: np.ndarray
@@ -296,9 +298,11 @@ class Trajectory:
     err_bound: np.ndarray
     dense: np.ndarray
     _grid: list = field(init=False, repr=False, compare=False)
+    _step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._grid = self.times.tolist()
+        self._step = (-1, [], [], [], [], [])  # (k, P_k, D_k, P_k+1, D_k+1, dense[k])
 
     @property
     def points(self):
@@ -319,7 +323,9 @@ class Trajectory:
         coefficients and the sum are computed on Python floats: the same
         IEEE operations, in the same order, as NumPy's elementwise ones.
         The sum starts from its first term, which keeps a signed zero that
-        a sum from 0.0 (NumPy's reduce with no initial value) would lose."""
+        a sum from 0.0 (NumPy's reduce with no initial value) would lose.
+        The rows of the last step read are kept, as one tuple, so sorted
+        reads convert each step's rows once."""
         grid = self._grid
         k, s = locate(grid, t)
         h = grid[k + 1] - grid[k]
@@ -329,17 +335,23 @@ class Trajectory:
         c2 = s * s * (3.0 - 2.0 * s)
         c3 = s * s * r * h
         c4 = s * s * r * r
-        (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
-        dk = self.dense[k].tolist()
+        last, p0, d0, p1, d1, dk = self._step
+        if last != k:
+            (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
+            dk = self.dense[k].tolist()
+            self._step = (k, p0, d0, p1, d1, dk)
         return np.array([c0 * p0[i] + c1 * d0[i] + c2 * p1[i] - c3 * d1[i] + c4 * dk[i]
                          for i in range(len(dk))])
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
         largest err_bound[k] over them, with k the node at a node time and
-        the step's end node inside a step.  InputError outside the samples."""
+        the step's end node inside a step.  InputError outside the samples,
+        or when no time is given."""
         grid = self._grid
         located = [locate(grid, t) for t in np.atleast_1d(times).astype(float).tolist()]
+        if not located:
+            raise InputError("no read time given")
         return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
 
 
@@ -385,17 +397,19 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
             h = end - t
             if h <= 4.0 * math.ulp(end):
                 raise ResourceError(f"step size underflow at t = {t}")
+            # np.dot reaches the same BLAS gemv as @, with less dispatch; the
+            # products stay BLAS calls, whose sums a Python loop would reorder
             for i in range(1, 7):
-                stage = y + h * (_DP_ROWS[i] @ prefixes[i])
+                stage = y + h * np.dot(_DP_ROWS[i], prefixes[i])
                 K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
-            local = h * (_DP_E @ K)
+            local = h * np.dot(_DP_E, K)
             est = norm(local, norm_kind)  # InputError if not finite
             ratio = est / (target * h)
             if ratio <= 1.0:
                 next_int = param.integral(end) if param is not None else 0.0
                 bounds.append(b + DENSE_FACTOR * est)
                 b = float(np.exp(lam_int - next_int)) * b + est
-                dense.append(h * (_DP_D @ K))
+                dense.append(h * np.dot(_DP_D, K))
                 t, y, lam_int = end, stage, next_int
                 times.append(t)
                 nodes += (y, K[6].copy())

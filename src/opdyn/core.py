@@ -65,7 +65,10 @@ def norm(x, kind=SUP):
     if kind == SUP:
         return float(abs(v).max()) if v.size else 0.0
     if kind == EUCLIDEAN:
-        return float(np.linalg.norm(v))
+        # np.linalg.norm's own arithmetic, its ravel too: the dot of a
+        # strided view sums in another order
+        v = v.ravel("K")
+        return math.sqrt(v.dot(v))
     raise InputError(f"unknown norm kind {kind!r}")
 
 
@@ -144,7 +147,7 @@ class AffineNonexpansive(Operator):
             )
 
     def map(self, x):
-        return self.matrix @ x + self.offset
+        return np.dot(self.matrix, x) + self.offset
 
     def linearize(self, x):
         return self.J(x), self.matrix

@@ -284,6 +284,68 @@ def test_trajectory_reads_keep_signed_zeros():
             assert np.signbit(got[0]) or k > 0
 
 
+def _reads(traj):
+    """(t, the extension's bytes at t) at 5 interior times of every step, at
+    every node time (s = 0 in the step it starts) and at T (s = 1)."""
+    times = traj.times
+    n = times.size - 1
+    reads = [(times[n], extension(traj, n - 1, 1.0).tobytes())]
+    for k in range(n):
+        h = times[k + 1] - times[k]
+        reads.append((times[k], extension(traj, k, 0.0).tobytes()))
+        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+            t = times[k] + frac * h
+            reads.append((t, extension(traj, k, (t - times[k]) / h).tobytes()))
+    return reads
+
+
+def test_memoized_reads_in_any_order_are_the_extension_bit_for_bit():
+    # Trajectory.at keeps the last step's rows: shuffled, backward and
+    # repeated reads, and reads that alternate between two trajectories,
+    # must each read their own step's rows
+    rng = np.random.default_rng(5)
+    op = core.AffineNonexpansive([[0.5, -0.25, 0.25], [0.0, 0.6, -0.4],
+                                  [0.3, 0.3, -0.3]], [1.0, -0.5, 0.25])
+    flow = continuous.integrate_U(op, np.array([0.5, 2.0, -1.0]), 6.0, tol=1e-8)
+    param = continuous.Table([(0.0, 0.9), (1.5, 0.4), (4.0, 0.7)])
+    pflow = continuous.integrate_u(op, param, np.array([-1.0, 0.0, 3.0]), 6.0, tol=1e-8)
+    built = continuous.Trajectory(np.array([0.0, 0.5, 1.5, 2.0]), rng.normal(size=(4, 2, 3)),
+                                  np.zeros(4), rng.normal(size=(3, 3)))
+    trajs = (flow, pflow, built)
+    assert all(traj.times.size > 3 for traj in trajs)
+
+    def check(traj, reads):
+        for t, want in reads:
+            assert traj.at(t).tobytes() == want
+
+    for traj in trajs:
+        reads = _reads(traj)
+        check(traj, [reads[i] for i in rng.permutation(len(reads))])
+        check(traj, sorted(reads, reverse=True))
+        check(traj, [read for read in reads for _ in range(2)])
+    for a, b in ((flow, pflow), (flow, built)):
+        for (ta, want_a), (tb, want_b) in zip(_reads(a), _reads(b)):
+            assert a.at(ta).tobytes() == want_a
+            assert b.at(tb).tobytes() == want_b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+def test_np_dot_is_the_matmul_bit_for_bit(d):
+    # _integrate and AffineNonexpansive.map call np.dot for speed: on the
+    # Dormand-Prince weight rows and on a matvec it must reach the same
+    # BLAS product as @, or a NumPy or BLAS build has split the two paths
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        K = rng.normal(size=(7, d)) * 10.0 ** rng.integers(-4, 5)
+        for i in range(1, 7):
+            row = continuous._DP_ROWS[i]
+            assert np.dot(row, K[:i]).tobytes() == (row @ K[:i]).tobytes()
+        for w in (continuous._DP_E, continuous._DP_D):
+            assert np.dot(w, K).tobytes() == (w @ K).tobytes()
+        M, x = rng.uniform(-1.0, 1.0, size=(d, d)), rng.normal(size=d)
+        assert np.dot(M, x).tobytes() == (M @ x).tobytes()
+
+
 def _affine(dim, seed=16):
     """Seeded sup-norm affine map whose every absolute row sum is 1."""
     rng = np.random.default_rng(seed)
@@ -412,6 +474,13 @@ def test_trajectory_rejects_out_of_range():
             traj.at(t)
         with pytest.raises(InputError):
             traj.err_at(t)
+
+
+def test_err_at_with_no_time_is_an_input_error():
+    traj = continuous.integrate_U(core.Translation([1.0]), np.zeros(1), 1.0, tol=1e-8)
+    for times in ([], np.array([]), ()):
+        with pytest.raises(InputError, match="no read time given"):
+            traj.err_at(times)
 
 
 def test_err_at_clamps_times_just_outside_the_samples_onto_the_end_nodes():
