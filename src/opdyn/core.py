@@ -65,10 +65,7 @@ def norm(x, kind=SUP):
     if kind == SUP:
         return float(abs(v).max()) if v.size else 0.0
     if kind == EUCLIDEAN:
-        # np.linalg.norm's own arithmetic, its ravel too: the dot of a
-        # strided view sums in another order
-        v = v.ravel("K")
-        return math.sqrt(v.dot(v))
+        return float(np.linalg.norm(v))
     raise InputError(f"unknown norm kind {kind!r}")
 
 
