@@ -21,6 +21,7 @@ estimates (see Trajectory).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -53,17 +54,22 @@ def zeta_inverse(s):
     of least residual is taken if that is within 4 ulp(s)."""
     if not s >= 0:  # NaN too
         raise InputError("s must be >= 0")
+    log1p = np.log1p
     s = float(s)
-    t = max(0.0, s - float(np.log1p(s)))
+    # x if x > 0.0 else 0.0 is max(0.0, x) and r if r >= 0.0 else -r is
+    # abs(r) to every comparison below, -0.0 and NaN included, without a call
+    t = s - float(log1p(s))
+    t = t if t > 0.0 else 0.0
     best_off = best_t = math.inf
     for _ in range(100):
-        r = t + float(np.log1p(t)) - s  # zeta(t) - s
-        off = abs(r)
+        r = t + float(log1p(t)) - s  # zeta(t) - s
+        off = r if r >= 0.0 else -r
         if off <= 1e-12:
             return t
         if off < best_off:
             best_off, best_t = off, t
-        t = max(0.0, t - r / (1.0 + 1.0 / (1.0 + t)))
+        t = t - r / (1.0 + 1.0 / (1.0 + t))
+        t = t if t > 0.0 else 0.0
     if best_off <= 4.0 * math.ulp(s):
         return best_t
     raise ResourceError("zeta inverse did not converge")
@@ -258,6 +264,16 @@ LONGEST_STEP = 1.0
 MAX_STEPS = 2**20
 
 
+def _time(t):
+    """t as a Python float when it is a real scalar (a 0-d real array too);
+    a bool, a str or an array of ndim >= 1 is an InputError naming it."""
+    if isinstance(t, np.ndarray) and t.ndim == 0:
+        t = t[()]
+    if isinstance(t, numbers.Real) and not isinstance(t, bool):
+        return float(t)
+    raise InputError(f"time {t!r} is not a real scalar")
+
+
 @dataclass
 class Trajectory:
     """Dormand-Prince trajectory with an error bound per sample.
@@ -289,8 +305,9 @@ class Trajectory:
 
     The arrays are not to be changed once made: reads bracket their times
     on a list copy of times, made with the trajectory, and keep the last
-    step's rows as Python floats, so writing into nodes or dense after a
-    read gives stale reads.
+    step's ends and rows as Python floats (a read in that step skips the
+    bisect), so writing into times, nodes or dense after a read gives stale
+    reads.
     """
 
     times: np.ndarray
@@ -302,7 +319,9 @@ class Trajectory:
 
     def __post_init__(self):
         self._grid = self.times.tolist()
-        self._step = (-1, [], [], [], [], [])  # (k, P_k, D_k, P_k+1, D_k+1, dense[k])
+        # (k, times[k], times[k+1], P_k, D_k, P_k+1, D_k+1, dense[k]); its
+        # NaN ends make the first read bisect
+        self._step = (-1, math.nan, math.nan, [], [], [], [], [])
 
     @property
     def points(self):
@@ -324,32 +343,47 @@ class Trajectory:
         IEEE operations, in the same order, as NumPy's elementwise ones.
         The sum starts from its first term, which keeps a signed zero that
         a sum from 0.0 (NumPy's reduce with no initial value) would lose.
-        The rows of the last step read are kept, as one tuple, so sorted
-        reads convert each step's rows once."""
-        grid = self._grid
-        k, s = locate(grid, t)
-        h = grid[k + 1] - grid[k]
+        The ends and rows of the last step read are kept, as one tuple, so
+        sorted reads convert each step's rows once, and a read in that step,
+        times[k] <= t < times[k+1], takes k and s = (t - times[k]) / h
+        without bisecting the grid: the operations locate would do.
+        InputError unless t is a real scalar on the samples."""
+        t = float(t) if isinstance(t, float) else _time(t)  # np.float64 is a float
+        k, a, b, p0, d0, p1, d1, dk = self._step
+        if a <= t < b:
+            h = b - a
+            s = (t - a) / h
+        else:
+            grid = self._grid
+            step, s = locate(grid, t)
+            a, b = grid[step], grid[step + 1]
+            h = b - a
+            if step != k:
+                k = step
+                (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
+                dk = self.dense[k].tolist()
+                self._step = (k, a, b, p0, d0, p1, d1, dk)
         r = 1.0 - s
         c0 = (1.0 + 2.0 * s) * r * r
         c1 = s * r * r * h
         c2 = s * s * (3.0 - 2.0 * s)
         c3 = s * s * r * h
         c4 = s * s * r * r
-        last, p0, d0, p1, d1, dk = self._step
-        if last != k:
-            (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
-            dk = self.dense[k].tolist()
-            self._step = (k, p0, d0, p1, d1, dk)
         return np.array([c0 * p0[i] + c1 * d0[i] + c2 * p1[i] - c3 * d1[i] + c4 * dk[i]
                          for i in range(len(dk))])
 
     def err_at(self, times):
         """Error bound of reads at these times (one time or several): the
         largest err_bound[k] over them, with k the node at a node time and
-        the step's end node inside a step.  InputError outside the samples,
-        or when no time is given."""
+        the step's end node inside a step.  times is one real scalar, or a
+        1-d list, tuple, range or array of them; anything else is an
+        InputError, as is a time outside the samples or no time at all."""
+        if isinstance(times, np.ndarray) and times.ndim == 1:
+            times = times.tolist()
+        if not isinstance(times, (list, tuple, range)):
+            times = [times]
         grid = self._grid
-        located = [locate(grid, t) for t in np.atleast_1d(times).astype(float).tolist()]
+        located = [locate(grid, _time(t)) for t in times]
         if not located:
             raise InputError("no read time given")
         return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
@@ -362,6 +396,11 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     param is the lam of u' = Phi(lam(t), u) - u, or None for U' = J(U) - U:
     its integral gives the contraction of the error bound (see Trajectory),
     and each of its kinks in (0, T) is a step end.
+
+    rhs(t, x, out) writes the right-hand side at (t, x) into out and
+    returns nothing.  out is a row of the stage block, which later stages
+    rewrite, so rhs keeps no reference to it; nor does it write into x,
+    which may become a node.
 
     est is core.norm(local, norm_kind) of the step's local error estimate,
     in the operator's own norm.  y0 is a validated start; rhs may skip
@@ -381,7 +420,8 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     target = STEP_TOL_SHARE * tol / T
     K = np.empty((7, y0.shape[0]))
     prefixes = [K[:i] for i in range(7)]  # views: the stages written so far
-    K[0] = rhs(0.0, y0)
+    stages = list(K)  # views: the row each stage's rhs writes
+    rhs(0.0, y0, stages[0])
     times, nodes, dense, bounds = [0.0], [y0, K[0].copy()], [], [0.0]
     t, y, b, lam_int = 0.0, y0, 0.0, 0.0
     slope = norm(K[0], norm_kind)  # validates the first RHS value
@@ -401,7 +441,7 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
             # products stay BLAS calls, whose sums a Python loop would reorder
             for i in range(1, 7):
                 stage = y + h * np.dot(_DP_ROWS[i], prefixes[i])
-                K[i] = rhs(end if i == 6 else t + _DP_NODES[i] * h, stage)
+                rhs(end if i == 6 else t + _DP_NODES[i] * h, stage, stages[i])
             local = h * np.dot(_DP_E, K)
             est = norm(local, norm_kind)  # InputError if not finite
             ratio = est / (target * h)
@@ -439,7 +479,8 @@ def integrate_U(op, U0, T, tol=1e-8):
     ResourceError.
     """
     U0 = as_vec(U0, op.dim)
-    rhs = lambda t, x: -apply_A(op, x, checked=False)
+    # -(x - J(x)), not J(x) - x, whose signed zeros differ: at a fixed point it is -0.0
+    rhs = lambda t, x, out: np.negative(apply_A(op, x, checked=False), out=out)
     traj = _integrate(rhs, U0, T, tol, op.norm_kind)
     m = max(64, int(np.ceil(T)))
     bound = op.norm(apply_A(op, U0)) * T / np.sqrt(m)
@@ -455,7 +496,8 @@ def integrate_u(op, param, u0, T, tol=1e-8):
     """Solve u' = Phi(lam(t), u) - u on [0, T] to tolerance tol, like
     integrate_U; u0 is read like its U0."""
     u0 = as_vec(u0, op.dim)
-    rhs = lambda t, x: apply_Phi(op, param.value(t), x, checked=False) - x
+    rhs = lambda t, x, out: np.subtract(apply_Phi(op, param.value(t), x, checked=False), x,
+                                        out=out)
     return _integrate(rhs, u0, T, tol, op.norm_kind, param)
 
 

@@ -60,10 +60,12 @@ def as_vec(x, dim=None):
 
 
 def norm(x, kind=SUP):
-    """Norm of a vector: max|x_i| for sup, sqrt(sum x_i^2) for euclidean."""
+    """Norm of a vector: max|x_i| for sup, sqrt(sum x_i^2) for euclidean.
+    The sup norm is taken on Python floats: abs and max are exact, so it is
+    NumPy's float(abs(v).max()) bit for bit, without its temporaries."""
     v = as_vec(x)
     if kind == SUP:
-        return float(abs(v).max()) if v.size else 0.0
+        return max(map(abs, v.tolist()), default=0.0)
     if kind == EUCLIDEAN:
         return float(np.linalg.norm(v))
     raise InputError(f"unknown norm kind {kind!r}")

@@ -239,9 +239,8 @@ def _solve_2x2(a, b, c, d):
     whole kernel with the equalizing strategies.  Floats in, floats and
     tuples out, for ``ShapleyOperator.map``'s hot loop; ``y if y < x else x`` is
     ``min(x, y)`` bit for bit (ties, 0.0 against -0.0), without the call.
+    The entries must be finite: its callers validate them, once per group.
     """
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-        raise InputError("matrix has non-finite entries")
     row1_min = b if b < a else a
     row2_min = d if d < c else c
     col1_max = c if c > a else a
@@ -262,8 +261,9 @@ def _solve_2x2(a, b, c, d):
         value = a - (a - b) * (a - c) / den
     lo1, lo2 = p1 * a + p2 * c, p1 * b + p2 * d
     hi1, hi2 = a * q1 + b * q2, c * q1 + d * q2
-    _check_gap(lo2 if lo2 < lo1 else lo1, hi2 if hi2 > hi1 else hi1,
-               ((a, b), (c, d)))
+    lo, hi = lo2 if lo2 < lo1 else lo1, hi2 if hi2 > hi1 else hi1
+    if not hi - lo <= LP_GAP_TOL:  # else _check_gap returns at once; a NaN gap reaches it
+        _check_gap(lo, hi, ((a, b), (c, d)))
     return value, (p1, p2), (q1, q2)
 
 
@@ -639,7 +639,8 @@ class ShapleyOperator(Operator):
         """One application of the game's value operator to x.
 
         Each action-shape group assembles all its stage games with one
-        stacked product.  A 2x2 group is flattened once to floats for
+        stacked product.  A 2x2 group is flattened once to floats and
+        validated by the finite-sum test of ``_stage_games``, for
         ``_solve_2x2``; any other is read and validated once, by
         ``_stage_games``, and each game is solved by ``_solve`` with its
         state's support guess, which the solve replaces by the support it
@@ -651,7 +652,10 @@ class ShapleyOperator(Operator):
         for states, P, R in self.game.shape_groups:
             B = P + R @ x
             if B.shape[1:] == (2, 2):
-                entries = iter(B.ravel().tolist())
+                flat = B.ravel().tolist()
+                if not isfinite(sum(flat)) and not all(map(isfinite, flat)):
+                    raise InputError("matrix has non-finite entries")
+                entries = iter(flat)
                 for s, a, b, c, d in zip(states, entries, entries, entries, entries):
                     out[s] = _solve_2x2(a, b, c, d)[0]
             else:

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -474,6 +475,73 @@ def test_trajectory_rejects_out_of_range():
             traj.at(t)
         with pytest.raises(InputError):
             traj.err_at(t)
+
+
+def test_a_time_that_is_not_a_real_scalar_is_an_input_error():
+    traj = continuous.integrate_U(core.rotation(np.pi / 6.0), np.ones(2), 2.0, tol=1e-8)
+    not_a_time = r"^time .+ is not a real scalar$"
+    for bad in ("0.5", True, np.True_, None, 0.5j, np.array([0.5]), np.array([[0.5]]), [0.5]):
+        with pytest.raises(InputError, match=not_a_time):
+            traj.at(bad)
+    for bad in ("0.5", True, None, [[0.5, 0.7]], np.array([[0.5]]), ["0.5"], [0.5, True],
+                np.array([True]), (0.5, np.array([0.7]))):
+        with pytest.raises(InputError, match=not_a_time):
+            traj.err_at(bad)
+    with pytest.raises(InputError, match="^time '0.5' is not"):
+        traj.err_at("0.5")
+    # a real scalar of any type reads as its float, one or a 1-d sequence of them
+    for t in (1, np.int64(1), np.float32(0.5), np.array(0.5), Fraction(1, 2)):
+        assert traj.at(t).tobytes() == traj.at(float(t)).tobytes()
+        assert traj.err_at(t) == traj.err_at(float(t))
+    for times in ([0.5, 1], (0.5, np.float64(1.5)), np.array([0.5, 1.5]), np.array([0, 1]),
+                  range(2)):
+        assert traj.err_at(times) == max(traj.err_at(float(t)) for t in times)
+
+
+def test_reads_in_the_kept_step_skip_the_bisect(monkeypatch):
+    # a read in the step of the last read takes s from that step's ends;
+    # any other read brackets its time with locate, as before
+    traj = continuous.integrate_U(core.rotation(np.pi / 6.0), np.ones(2), 3.0, tol=1e-8)
+    located = []
+    monkeypatch.setattr(continuous, "locate",
+                        lambda grid, t: located.append(t) or discrete.locate(grid, t))
+    times = traj.times
+    n = times.size - 1
+    for k in range(n):
+        h = times[k + 1] - times[k]
+        for frac in (0.0, 0.25, 0.5, 0.75):
+            t = times[k] + frac * h
+            assert traj.at(t).tobytes() == extension(traj, k, (t - times[k]) / h).tobytes()
+    assert traj.at(times[n]).tobytes() == extension(traj, n - 1, 1.0).tobytes()
+    assert located == [*times[:n].tolist(), times[n]]
+
+
+def test_node_derivatives_are_the_right_hand_side_bit_for_bit():
+    # each rhs writes into its stage row, and the node keeps a copy of the
+    # last: at every node the derivative must be the right-hand side there,
+    # -A(p) for U and Phi(lam(t), p) - p for u.  From the origin, a fixed
+    # point of the rotation, that is -0.0 under U and +0.0 under u
+    rotation30 = core.rotation(np.pi / 6.0)
+    random3 = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, (-1.0, 1.0), seed=7))
+    affine, start = _affine(16), np.random.default_rng(2).uniform(-1.0, 1.0, size=16)
+    flows = [(affine, None, start), (affine, continuous.PowerAlpha(0.5), start),
+             (random3, continuous.PowerAlpha(0.5), np.zeros(3)),
+             (rotation30, None, np.zeros(2)), (rotation30, continuous.InverseTimeZeta(), np.zeros(2))]
+    for op, param, x0 in flows:
+        if param is None:
+            traj = continuous.integrate_U(op, x0, 5.0, tol=1e-8)
+            want = [-core.apply_A(op, p, checked=False) for p in traj.points]
+        else:
+            traj = continuous.integrate_u(op, param, x0, 5.0, tol=1e-8)
+            want = [core.apply_Phi(op, param.value(t), p, checked=False) - p
+                    for t, p in zip(traj.times.tolist(), traj.points)]
+        assert traj.times.size > 5
+        assert traj.derivative.tobytes() == np.array(want).tobytes()
+    fixed_U, fixed_u = (continuous.integrate_U(rotation30, np.zeros(2), 5.0).derivative,
+                        continuous.integrate_u(rotation30, continuous.InverseTimeZeta(),
+                                               np.zeros(2), 5.0).derivative)
+    assert np.all(fixed_U == 0.0) and np.all(np.signbit(fixed_U))
+    assert np.all(fixed_u == 0.0) and not np.any(np.signbit(fixed_u))
 
 
 def test_err_at_with_no_time_is_an_input_error():

@@ -28,6 +28,26 @@ def test_norm_rejects_bad_input():
         core.norm([1.0], kind="manhattan")
 
 
+def test_sup_norm_is_numpys_abs_max_bit_for_bit():
+    # core.norm takes the sup norm on Python floats; abs and max are exact,
+    # so it must be NumPy's reduction bit for bit: signed zeros, subnormals
+    # and entries near the overflow threshold, contiguous and strided
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, -1.7976931348623157e308]
+    for d in (0, 1, 2, 3, 8, 16):
+        for _ in range(50):
+            v = rng.normal(size=2 * d) * 10.0 ** rng.integers(-300, 300, size=2 * d)
+            mask = rng.random(2 * d) < 0.3
+            v[mask] = rng.choice(special, size=mask.sum())
+            for view in (v[:d], v[::2], -np.abs(v[:d]) * 0.0):
+                got = core.norm(view)
+                want = float(np.abs(view).max()) if d else 0.0
+                assert type(got) is float and got.hex() == want.hex()
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf], np.array([0.0, np.nan])[::-1]):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            core.norm(bad)
+
+
 def test_as_vec_dim_check():
     assert core.as_vec(3.0).shape == (1,)
     with pytest.raises(InputError):

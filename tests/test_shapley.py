@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opdyn import core, discrete, shapley
+from opdyn import continuous, core, discrete, shapley
 from opdyn.errors import InputError, OpdynError, ResourceError, SchemaError
 
 #: entries of nearly degenerate games, on which the float simplex can fail
@@ -541,6 +541,36 @@ def test_non_finite_stage_games_are_input_errors():
         discrete.phi_recursion(op, [1.0, 5e-324])
 
 
+def _with_payoff_entry(game, value):
+    """game with one entry of its 2x2 group's payoff stack set to value,
+    past the validation a StochasticGame runs on its payoffs."""
+    (states, P, R), = game.shape_groups
+    P = P.copy()
+    P[-1, 1, 0] = value
+    game.shape_groups = ((states, P, R),)
+    return game
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "overflow"])
+def test_a_non_finite_2x2_group_is_the_same_input_error_through_every_caller(case):
+    # map validates a 2x2 group once, on its flat list, and _solve_2x2 no
+    # longer tests its four entries: a NaN or an infinite payoff, or a
+    # P + R @ x that overflows, must still raise what _solve_2x2 raised
+    if case == "overflow":
+        game = shapley.random_game(2, 2, 2, payoff_range=(1e308, 1.5e308), seed=1)
+        x = np.full(2, 1e308)
+    else:
+        game = _with_payoff_entry(shapley.random_game(2, 2, 2, seed=1),
+                                  np.nan if case == "nan" else -np.inf)
+        x = np.zeros(2)
+    op = shapley.ShapleyOperator(game)
+    with np.errstate(over="ignore"):
+        for run in (lambda: op.J(x), lambda: discrete.iterate_Vn(op, 3),
+                    lambda: continuous.integrate_u(op, continuous.Constant(0.5), x, 1.0)):
+            with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+                run()
+
+
 def spread_game(seed, scale):
     """Three states with 3x3 payoffs uniform on [-scale, scale]."""
     rng = np.random.default_rng(seed)
@@ -551,6 +581,7 @@ def spread_game(seed, scale):
 
 
 @pytest.mark.parametrize("game", [
+    shapley.random_game(3, 2, 2, payoff_range=(0.0, 1.7e308), seed=0),
     shapley.random_game(3, 3, 3, payoff_range=(0.0, 1.7e308), seed=0),
     shapley.random_game(3, 3, 3, payoff_range=(-8e307, 8e307), seed=2),
     spread_game(0, 1.7e308),
