@@ -5,7 +5,8 @@ The one-stage operator maps a state-value vector f to
     J(f)(w) = val [ g(i, j, w) + sum_w' f(w') rho(w' | i, j, w) ]
 
 where val is the minimax value of the auxiliary matrix game.  A 2x2 game is
-solved in closed form (pure saddle or Shapley-Snow kernel formula).  Every
+solved in closed form (pure saddle or Shapley-Snow kernel formula), on its
+entries scaled by a power of two where the formula would overflow.  Every
 other shape is solved on a support: the equalizing system on a k x k block,
 k <= 3, in closed form, accepted only under strict complementarity by a
 margin, which makes the block the game's only optimal support.  The block
@@ -15,8 +16,9 @@ failing that, a dense simplex on the classical LP, rescaled to entries in
 and its own solution is returned when no block is accepted.  An accepted
 guess is the block the simplex would have named, so the result, and J, do
 not depend on the guess or on the order of calls.  All paths end in one
-primal-dual gap certificate, whose tolerance scales with the largest entry
-of the game.  A kernel-enumeration oracle is kept for cross-checking.
+primal-dual gap certificate, whose tolerance LP_GAP_TOL * max(1, max|B|)
+scales with the largest magnitude of the game; the margin is that
+tolerance.  A kernel-enumeration oracle is kept for cross-checking.
 
 A validated game groups its states by action shape (m, n) and stores one
 stacked payoff (k, m, n) and one stacked transition (k, m, n, S) per group;
@@ -24,7 +26,9 @@ the per-state arrays are views into them, and all of them are read-only.
 ``ShapleyOperator.map``, which ``Operator.J`` calls once it has validated f,
 assembles every stage game of a group with one stacked product P + R @ f,
 validates the group once and solves each game on Python floats, with the
-state's guess that the operator keeps.  ``ShapleyOperator.linearize`` also
+state's guess that the operator keeps.  For any shape but 2x2 one
+reduction over the stack reads every game's max|B|, and the finite sum of
+those scales validates the group.  ``ShapleyOperator.linearize`` also
 returns the frozen-strategy transition matrix of the optimal strategies:
 the linear model behind the policy steps of the v_lambda solver.
 """
@@ -35,8 +39,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
-from math import isfinite
+from itertools import combinations
+from math import frexp, isfinite, ldexp
 from operator import add, mul
 
 import numpy as np
@@ -212,21 +216,17 @@ def _clamp_pair(x, y):
     return _clamp_simplex([x, y])
 
 
-def _check_gap(maximin, minimax, rows):
+def _check_gap(maximin, minimax, tol):
     """The certificate of every solver path.
 
     The row strategy guarantees at least maximin against every column and
     the column strategy at most minimax against every row, so the true value
     lies between them.  Exact strategies still leave a gap of the rounding
-    of p.B, about eps * max|B|, so the gap is held to
-    LP_GAP_TOL * max(1, max|B|); the scale is only computed when the gap
-    exceeds LP_GAP_TOL.  Comparisons are written as ``gap <= tol`` so a NaN
-    gap fails too.
+    of p.B, about eps * max|B|, so the caller holds the gap to
+    tol = LP_GAP_TOL * max(1, max|B|), which it works out once per game.
+    The comparison is written as ``gap <= tol`` so a NaN gap fails too.
     """
     gap = minimax - maximin
-    if gap <= LP_GAP_TOL:
-        return
-    tol = LP_GAP_TOL * max(1.0, max(abs(x) for row in rows for x in row))
     if not gap <= tol:
         raise ResourceError(f"matrix-game solver gap {gap:.3g} exceeds {tol:.3g}")
 
@@ -240,6 +240,13 @@ def _solve_2x2(a, b, c, d):
     tuples out, for ``ShapleyOperator.map``'s hot loop; ``y if y < x else x`` is
     ``min(x, y)`` bit for bit (ties, 0.0 against -0.0), without the call.
     The entries must be finite: its callers validate them, once per group.
+
+    Where a difference, den or (a - b)(a - c) overflows (entries above
+    about 1e154), the game is solved again on its entries times 2^-e, which
+    brings the largest into [1, 2), and the value is scaled back by 2^e.
+    Scaling by a power of two is exact short of underflow, and it scales
+    the gap tolerance with the game, so the certificate is the same one.
+    Only a game that overflows takes that branch; no other changes a bit.
     """
     row1_min = b if b < a else a
     row2_min = d if d < c else c
@@ -255,15 +262,25 @@ def _solve_2x2(a, b, c, d):
         # cannot cancel.  The value (ad - bc) / den is written through
         # differences, which keeps it accurate to rounding when the entries
         # sit far from zero (ad - bc loses every digit at entries near 1e9).
-        den = (a - b) + (d - c)
-        p1, p2 = _clamp_pair((d - c) / den, (a - b) / den)
-        q1, q2 = _clamp_pair((d - b) / den, (a - c) / den)
-        value = a - (a - b) * (a - c) / den
+        # Each difference is taken once, which pays for the overflow test:
+        # den is infinite if a - b or d - c overflowed, and value is not
+        # finite if (a - b)(a - c) did.
+        ab, ac, dc = a - b, a - c, d - c
+        den = ab + dc
+        value = a - ab * ac / den
+        if not (isfinite(den) and isfinite(value)):
+            e = frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] - 1
+            value, p, q = _solve_2x2(ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e))
+            return ldexp(value, e), p, q
+        p1, p2 = _clamp_pair(dc / den, ab / den)
+        q1, q2 = _clamp_pair((d - b) / den, ac / den)
     lo1, lo2 = p1 * a + p2 * c, p1 * b + p2 * d
     hi1, hi2 = a * q1 + b * q2, c * q1 + d * q2
     lo, hi = lo2 if lo2 < lo1 else lo1, hi2 if hi2 > hi1 else hi1
-    if not hi - lo <= LP_GAP_TOL:  # else _check_gap returns at once; a NaN gap reaches it
-        _check_gap(lo, hi, ((a, b), (c, d)))
+    # any tolerance is at least LP_GAP_TOL, so it is only worked out for a
+    # larger gap; a NaN gap fails the test and the certificate
+    if not hi - lo <= LP_GAP_TOL:
+        _check_gap(lo, hi, LP_GAP_TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)))
     return value, (p1, p2), (q1, q2)
 
 
@@ -350,8 +367,9 @@ def _exact_simplex(rows):
     return float(value), [float(x) for x in p], [float(x) for x in q]
 
 
-def _certify(rows, value, p, q):
-    """Normalize the simplex's strategies and certify them on the game rows.
+def _certify(rows, value, p, q, tol):
+    """Normalize the simplex's strategies and certify them on the game rows
+    to the gap tolerance tol.
 
     Returns (value, p, q, lo, hi): lo holds the payoff of p against each
     column, hi that of each row against q, each summed as in ``_kernel``.
@@ -360,7 +378,7 @@ def _certify(rows, value, p, q):
     lo = [reduce(add, map(mul, p, col), 0.0) for col in zip(*rows)]
     hi = [reduce(add, map(mul, row, q), 0.0) for row in rows]
     maximin, minimax = min(lo), max(hi)
-    _check_gap(maximin, minimax, rows)
+    _check_gap(maximin, minimax, tol)
     # The tableau's value carries the rounding of every pivot, which a tiny
     # pivot on a nearly degenerate game amplifies; the certified bracket
     # [maximin, minimax] does not.
@@ -447,37 +465,36 @@ def _kernel(rows, support, margin):
         return None
     maximin, minimax = min(lo), max(hi)
     try:
-        _check_gap(maximin, minimax, rows)
+        _check_gap(maximin, minimax, margin)
     except ResourceError:
         return None
     return min(max(value, maximin), minimax), p, q
 
 
-def _solve(rows, support):
-    """``matrix_game_value`` after its validation: (value, p, q, support) of
-    the game ``rows``, lists of finite floats, with p and q lists.
+def _solve(rows, support, scale):
+    """``matrix_game_value`` after its validation, for any shape but 2x2:
+    (value, p, q, support) of the game ``rows``, lists of finite floats
+    whose largest magnitude is ``scale``.
 
-    A 2x2 game is solved in closed form by ``_solve_2x2``.  Every other
-    shape is solved on a support: ``_kernel`` solves the equalizing system
-    on a k x k block (k <= 3) and accepts it only under strict
-    complementarity with margin LP_GAP_TOL * max(1, max|M|), which makes
-    the block the game's only optimal support.  The guess ``support`` is
-    tried first, then two readings of the strategies that ``_simplex``
-    certifies (in floats, or exact rationals when that raises
-    ResourceError): the actions they play, and the best replies to them
-    within half the margin.  When no block is accepted the simplex's
-    solution is returned; support is the accepted block, or None.
+    Every game is solved on a support: ``_kernel`` solves the equalizing
+    system on a k x k block (k <= 3) and accepts it only under strict
+    complementarity with margin LP_GAP_TOL * max(1, scale), the gap
+    tolerance, which makes the block the game's only optimal support.  The
+    guess ``support`` is tried first, then two readings of the strategies
+    that ``_simplex`` certifies (in floats, or exact rationals when that
+    raises ResourceError): the actions they play, and the best replies to
+    them within half the margin.  When a block is accepted, support is that
+    block and p and q are its weights on the block's rows and columns;
+    otherwise support is None and p and q are the simplex's strategies, one
+    weight per action.
     """
-    if len(rows) == 2 and len(rows[0]) == 2:
-        value, p, q = _solve_2x2(*rows[0], *rows[1])
-        return value, list(p), list(q), None
-    margin = LP_GAP_TOL * max(1.0, max(map(max, rows)), -min(map(min, rows)))
+    margin = LP_GAP_TOL * max(1.0, scale)
     sol = None if support is None else _kernel(rows, support, margin)
     if sol is None:
         try:
-            value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15))
+            value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15), margin)
         except ResourceError:
-            value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows))
+            value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows), margin)
         # two readings of the support the simplex found: the actions its
         # strategies play, and the best replies to them within half the margin
         support = (tuple(i for i, x in enumerate(p) if x > 0.0),
@@ -490,21 +507,17 @@ def _solve(rows, support):
             sol, support = _kernel(rows, best, margin), best
         if sol is None:
             return value, p, q, None
-    value, p_block, q_block = sol
-    p, q = [0.0] * len(rows), [0.0] * len(rows[0])
-    for i, x in zip(support[0], p_block):
-        p[i] = x
-    for j, x in zip(support[1], q_block):
-        q[j] = x
-    return value, p, q, support
+    return (*sol, support)
 
 
 def matrix_game_value(M, support=None):
     """Minimax value and optimal mixed strategies of the matrix game M.
 
-    The validating boundary of the solver: M is checked, its rows are
-    solved by ``_solve`` with the guess ``support``, and the strategies are
-    returned as arrays.  The result does not depend on the guess, bit for
+    The validating boundary of the solver: M is checked, a 2x2 game is
+    solved by ``_solve_2x2`` and any other by ``_solve`` with the guess
+    ``support`` and the scale ``_stage_games`` reads, and the strategies
+    are returned as arrays over all actions, a kernel's block weights
+    spread with zeros.  The result does not depend on the guess, bit for
     bit: the kernel's output is a function of (M, block) alone, at most one
     block is accepted, and both readings of any strategies near the optimal
     ones name it.  A game without a strictly complementary block of size 3
@@ -517,19 +530,42 @@ def matrix_game_value(M, support=None):
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InputError("matrix must be 2-d and nonempty")
-    value, p, q, support = _solve(_stage_games(arr[None])[0], support)
+    if arr.shape == (2, 2):
+        # validated as map validates a 2x2 group; no scale is read
+        entries = arr.ravel().tolist()
+        if not isfinite(sum(entries)) and not all(map(isfinite, entries)):
+            raise InputError("matrix has non-finite entries")
+        value, p, q = _solve_2x2(*entries)
+        return MatrixGameSolution(value, np.array(p), np.array(q))
+    (rows,), (scale,) = _stage_games(arr[None])
+    value, p, q, support = _solve(rows, support, scale)
+    if support is not None:
+        # a kernel's weights are on its block: spread them over all actions
+        (I, J), p_block, q_block = support, p, q
+        p, q = [0.0] * len(rows), [0.0] * len(rows[0])
+        for i, x in zip(I, p_block):
+            p[i] = x
+        for j, x in zip(J, q_block):
+            q[j] = x
     return MatrixGameSolution(value, np.array(p), np.array(q), support)
 
 
 def _stage_games(B):
-    """B.tolist() for a stack B of games, validated once: a finite sum (as
-    in ``as_vec``) clears them all, and a stack that fails it, by overflow
-    too, is read entry by entry for a non-finite one, an InputError."""
+    """(games, scales) of a stack B (k, m, n) of games: B.tolist(), and each
+    game's largest magnitude max|B| as a float, from one reduction.
+
+    The stack is validated once: a finite sum of the scales, which are
+    nonnegative and NaN or inf with any entry, clears every game, and a
+    stack that fails it, by overflow too, is read entry by entry for a
+    non-finite one, an InputError.  A scale is max(max B, -min B) exactly,
+    since abs and max do not round.
+    """
+    scales = np.abs(B).max(axis=(1, 2)).tolist()
     games = B.tolist()
-    if not isfinite(sum(map(sum, chain.from_iterable(games)))) and not all(
+    if not isfinite(sum(scales)) and not all(
             isfinite(x) for rows in games for row in rows for x in row):
         raise InputError("matrix has non-finite entries")
-    return games
+    return games, scales
 
 
 def _support_pairs(m, n):
@@ -640,12 +676,14 @@ class ShapleyOperator(Operator):
 
         Each action-shape group assembles all its stage games with one
         stacked product.  A 2x2 group is flattened once to floats and
-        validated by the finite-sum test of ``_stage_games``, for
-        ``_solve_2x2``; any other is read and validated once, by
-        ``_stage_games``, and each game is solved by ``_solve`` with its
-        state's support guess, which the solve replaces by the support it
-        accepted.  No array is built per game, and the guesses change the
-        cost, never the result.
+        validated by one finite sum of its entries, read entry by entry only
+        when that sum is not finite, for ``_solve_2x2``.  Any other group is
+        read, scaled and validated once, by ``_stage_games``, and each game
+        is solved by ``_solve`` with its scale and its state's support
+        guess, which the solve replaces by the support it accepted; the
+        block strategies it returns are not spread over all actions.  No
+        array is built per game, and the guesses change the cost, never the
+        result.
         """
         supports = self.supports
         out = np.empty(self.dim)
@@ -659,8 +697,9 @@ class ShapleyOperator(Operator):
                 for s, a, b, c, d in zip(states, entries, entries, entries, entries):
                     out[s] = _solve_2x2(a, b, c, d)[0]
             else:
-                for s, rows in zip(states, _stage_games(B)):
-                    out[s], _, _, supports[s] = _solve(rows, supports[s])
+                games, scales = _stage_games(B)
+                for s, rows, scale in zip(states, games, scales):
+                    out[s], _, _, supports[s] = _solve(rows, supports[s], scale)
         return out
 
     def linearize(self, x):

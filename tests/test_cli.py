@@ -41,6 +41,20 @@ def test_matrix_game_certificate_failure_is_resource_error(tmp_path, monkeypatch
     assert "resource error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["value_iter", "discounted"])
+def test_a_2x2_game_near_the_float_limit_is_solved(tmp_path, task):
+    # a - b and d - c overflow in the closed form of this game, whose value is 0
+    game = {"states": [0], "actions": [[2, 2]],
+            "payoff": [[[1e308, -1e308], [-1e308, 1e308]]],
+            "transition": [[[[1.0], [1.0]], [[1.0], [1.0]]]]}
+    args = [task, "--preset", "matching-pennies",
+            "--set", "operator=" + json.dumps({"game": game}), "--out", str(tmp_path)]
+    assert run(args) == 0
+    header, rows = csv_rows(tmp_path / f"{task}.csv")
+    v = header.index("v_0")
+    assert rows and all(float(row[v]) == 0.0 for row in rows)
+
+
 def test_translation_preset_value_iter(tmp_path):
     assert run(["value_iter", "--preset", "translation", "--out", str(tmp_path)]) == 0
     header, rows = csv_rows(tmp_path / "value_iter.csv")

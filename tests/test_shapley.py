@@ -155,7 +155,8 @@ def float_bits(values):
 def test_2x2_mixed_strategies_equal_the_list_clamp_bit_for_bit():
     rng = np.random.default_rng(12)
     games = [rng.uniform(-1.0, 1.0, 4) * scale + shift
-             for scale, shift in ((1.0, 0.0), (1e9, 0.0), (1.0, 1e9), (1e-9, 0.0))
+             for scale, shift in ((1.0, 0.0), (1e9, 0.0), (1.0, 1e9), (1e-9, 0.0),
+                                  (1e150, 0.0))
              for _ in range(500)]
     games += [rng.integers(-2, 3, 4).astype(float) for _ in range(500)]
     # (d - c) / den and (d - b) / den underflow to exactly 0: the clamping branch
@@ -184,6 +185,47 @@ def test_pair_clamp_is_the_list_clamp_bit_for_bit(x, y):
         except ResourceError as exc:
             return str(exc)
     assert outcome(shapley._clamp_pair, x, y) == outcome(shapley._clamp_simplex, [x, y])
+
+
+DBL_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("M, value, p, q", [
+    ([[1e308, -1e308], [-1e308, 1e308]], 0.0, (0.5, 0.5), (0.5, 0.5)),
+    ([[DBL_MAX, -DBL_MAX], [-DBL_MAX, DBL_MAX]], 0.0, (0.5, 0.5), (0.5, 0.5)),
+    ([[1e200, -1e200], [-1e200, 1e200]], 0.0, (0.5, 0.5), (0.5, 0.5)),
+    ([[3e154, -1e154], [-2e154, 1e154]], 1e308 / 7e154, (3 / 7, 4 / 7), (2 / 7, 5 / 7)),
+])
+def test_2x2_games_whose_differences_overflow_are_solved(M, value, p, q):
+    # a - b and den overflow in the first two games, (a - b)(a - c) in the
+    # last two; each is solved on its entries scaled by a power of two
+    M = np.array(M)
+    tol = scale_tol(M)
+    sol = shapley.matrix_game_value(M)
+    assert sol.value == pytest.approx(value, abs=tol)
+    assert np.allclose(sol.row_strategy, p, rtol=0.0, atol=1e-15)
+    assert np.allclose(sol.col_strategy, q, rtol=0.0, atol=1e-15)
+    assert float(np.max(M @ sol.col_strategy)) - float(np.min(sol.row_strategy @ M)) <= tol
+    game = shapley.StochasticGame(states=["s0"], actions=[(2, 2)], payoff=[M],
+                                  transition=[np.ones((2, 2, 1))])
+    op = shapley.ShapleyOperator(game)
+    assert op.J(np.zeros(1)).tolist() == [sol.value]
+    assert discrete.solve_vlambda(op, 0.5).tolist() == pytest.approx([value], abs=2 * tol)
+
+
+def test_2x2_games_far_from_zero_match_the_oracle():
+    # seeded games at magnitudes where the closed form overflows; the
+    # oracle solves them divided by their magnitude
+    rng = np.random.default_rng(21)
+    for size in (1e160, 1e200, 1e300, 1e307, 1.7e308):
+        for _ in range(200):
+            M = size * rng.uniform(-1.0, 1.0, size=(2, 2))
+            sol = shapley.matrix_game_value(M)
+            tol = scale_tol(M)
+            assert sol.value == pytest.approx(
+                size * shapley.matrix_game_value_oracle(M / size), abs=tol), M
+            assert float(np.max(M @ sol.col_strategy)) - float(
+                np.min(sol.row_strategy @ M)) <= tol, M
 
 
 # The three scale properties keep their 2x2 names and tolerances and also
@@ -372,8 +414,8 @@ def test_J_and_linearize_do_not_depend_on_call_history(monkeypatch, game):
     points = np.cumsum(rng.uniform(-0.3, 0.3, size=(30, S)), axis=0)
     solve, taken = shapley._solve, []
 
-    def counting(rows, support):
-        sol = solve(rows, support)
+    def counting(rows, support, scale):
+        sol = solve(rows, support, scale)
         taken.append(support is not None and sol[3] == support)
         return sol
 
@@ -580,7 +622,35 @@ def spread_game(seed, scale):
         transition=[np.full((3, 3, 3), 1.0 / 3.0)] * 3)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 4)])
+def test_stage_game_scales_are_the_margins_python_reading_bit_for_bit(shape):
+    # _stage_games reads each game's max|B| from one reduction over the
+    # stack; max(1, scale) must be the margin's per-game Python reading
+    # max(1, max, -min), at every magnitude, for mixed, all-negative and
+    # all-positive games
+    rng = np.random.default_rng(11)
+    for exponent in range(-6, 301, 17):
+        B = 10.0 ** exponent * rng.uniform(-1.0, 1.0, size=(9, *shape))
+        B[3:6], B[6:] = -np.abs(B[3:6]), np.abs(B[6:])
+        games, scales = shapley._stage_games(B)
+        assert games == B.tolist()
+        for rows, scale in zip(games, scales):
+            top, low = max(map(max, rows)), min(map(min, rows))
+            assert scale == max(top, -low)
+            assert float_bits([max(1.0, scale)]) == float_bits([max(1.0, top, -low)])
+    # eight finite games whose scales sum to inf clear the entry-by-entry read
+    B = rng.uniform(1e308, 1.7e308, size=(8, *shape))
+    B[::2] *= -1.0
+    games, scales = shapley._stage_games(B)
+    assert games == B.tolist() and math.isinf(sum(scales))
+    op = shapley.ShapleyOperator(
+        shapley.random_game(8, *shape, payoff_range=(1e308, 1.7e308), seed=4))
+    assert np.all(np.isfinite(op.J(np.zeros(8))))
+
+
 @pytest.mark.parametrize("game", [
+    shapley.random_game(8, 4, 4, payoff_range=(1e308, 1.7e308), seed=4),
+    shapley.random_game(8, 3, 4, payoff_range=(-1.7e308, -1e308), seed=5),
     shapley.random_game(3, 2, 2, payoff_range=(0.0, 1.7e308), seed=0),
     shapley.random_game(3, 3, 3, payoff_range=(0.0, 1.7e308), seed=0),
     shapley.random_game(3, 3, 3, payoff_range=(-8e307, 8e307), seed=2),
