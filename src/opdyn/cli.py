@@ -192,8 +192,6 @@ def _operator(spec):
 # deterministic artifact output
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -226,12 +224,8 @@ def write_csv(path, header, rows):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 

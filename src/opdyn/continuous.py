@@ -75,8 +75,16 @@ def zeta_inverse(s):
     raise ResourceError("zeta inverse did not converge")
 
 
+def _time_error(t):
+    """The InputError of a time t outside [0, inf), the domain of every
+    built-in lam.  A read tests 0.0 <= t < math.inf, which a NaN fails too,
+    and builds the message only when the test fails."""
+    return InputError("t must be >= 0" if not t >= 0 else f"t must be finite, got {t}")
+
+
 class Parametrization:
-    """A path t -> lam(t) in (0, 1], C1 except at its kinks()."""
+    """A path t -> lam(t) in (0, 1], C1 except at its kinks(), on t in
+    [0, inf); a built-in one reads any other t as an InputError."""
 
     def value(self, t):
         raise NotImplementedError
@@ -105,12 +113,18 @@ class Constant(Parametrization):
         self.lam = float(lam)
 
     def value(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         return self.lam
 
     def derivative(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         return 0.0
 
     def integral(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         return self.lam * t
 
     def describe(self):
@@ -122,7 +136,8 @@ class InverseTimeZeta(Parametrization):
 
     The last (t, zeta^{-1}(t)) is kept, keyed by the exact t, so value,
     derivative and integral at one time (as an integrator step reads them)
-    solve zeta^{-1} once; a NaN t never matches and raises as before.
+    solve zeta^{-1} once; a t outside [0, inf), NaN included, never matches
+    and is tested on the miss.
     """
 
     _last = (math.nan, 0.0)
@@ -130,6 +145,8 @@ class InverseTimeZeta(Parametrization):
     def _zeta_inverse(self, t):
         last_t, x = self._last
         if t != last_t:
+            if not 0.0 <= t < math.inf:
+                raise _time_error(t)
             x = zeta_inverse(t)
             self._last = (t, x)
         return x
@@ -156,12 +173,18 @@ class PowerAlpha(Parametrization):
         self.alpha = float(alpha)
 
     def value(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         return (1.0 + t) ** (self.alpha - 1.0)
 
     def derivative(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         return (self.alpha - 1.0) * (1.0 + t) ** (self.alpha - 2.0)
 
     def integral(self, t):
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         a, x = self.alpha, np.log1p(t)  # ((1 + t)^a - 1)/a, ln(1 + t) at a = 0
         return float(np.expm1(a * x) / a if a else x)
 
@@ -198,8 +221,8 @@ class Table(Parametrization):
     def _piece(self, t):
         """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
         knot on the held tail; the same arithmetic as np.interp."""
-        if not t >= 0:  # NaN too
-            raise InputError("t must be >= 0")
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
         k = bisect_right(self._knots, t) - 1
         dt = t - self._knots[k]
         return k, dt, self._slope[k] * dt + self.vs[k]
@@ -530,8 +553,8 @@ def _log_L(param, t):
     """ln L(t) in closed form (see L_factor); InputError if lam has kinks."""
     if len(param.kinks()):
         raise InputError(f"{param.describe()} is not C1; this quantity needs lam'")
-    if not t >= 0:  # NaN too
-        raise InputError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise _time_error(t)
     return abs(np.log(param.value(0.0) / param.value(t))) - param.integral(t)
 
 

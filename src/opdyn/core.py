@@ -205,11 +205,13 @@ def identity_operator(dim):
 
 
 # Who validates: Operator.J runs as_vec on x and calls op.map, and
-# op.linearize validates x as J does; apply_A and apply_Phi leave x to op.J
-# (called directly, with no apply_J).  With checked=False they call op.map,
-# which skips as_vec, on an x built from an already validated start: the
-# integrator's right-hand side and the orbit loops (so the Euler power too)
-# do, and check finiteness once per step or per orbit instead.
+# op.linearize validates x as J does; apply_A leaves x to op.J (called
+# directly, with no apply_J), and apply_Phi reads x with as_vec first, since
+# it scales x before J sees it (or, at lam = 1, J never sees it).  With
+# checked=False they call op.map, which skips as_vec, on an x built from an
+# already validated start: the integrator's right-hand side and the orbit
+# loops (so the Euler power too) do, and check finiteness once per step or
+# per orbit instead.
 
 
 def apply_A(op, x, checked=True):
@@ -221,9 +223,9 @@ def apply_Phi(op, lam, x, checked=True):
     """Phi(lam, x) = lam * J(((1 - lam)/lam) * x); Phi(1, x) = J(0)."""
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
+    if checked:
+        x = as_vec(x, op.dim)
     if lam == 1.0:
-        if checked:
-            as_vec(x, op.dim)  # J never sees x here
         return op.J(np.zeros(op.dim))
     return lam * (op.J if checked else op.map)(
         np.multiply((1.0 - lam) / lam, x, dtype=float))

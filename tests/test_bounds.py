@@ -445,6 +445,16 @@ def test_run_suite_reports_equal_each_plan_entry_verified_alone(suite_runs):
     assert _as_json(again) == _as_json(alone)
 
 
+def test_ci_counts_a_header_and_one_csv_line_per_paper_suite_report(suite_runs):
+    # CI's installed-command step checks the paper-suite run by the line
+    # count of its reports.csv, so a change to the report count moves it
+    (shared, _), _, _ = suite_runs
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    counts = re.findall(r'wc -l < "\$RUNNER_TEMP/suite/reports\.csv"\)" -eq (\d+)',
+                        workflow.read_text(encoding="utf-8"))
+    assert counts == [str(1 + len(shared))]
+
+
 def test_run_suite_solves_each_repeated_flow_vlambda_and_vn_once(suite_runs):
     # 42 integrations, 99 v_lambda solves and 10 iterate_Vn calls without
     # sharing; each call site reads its solver off the module when it runs,

@@ -2,6 +2,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,37 @@ def test_matching_pennies_discounted(tmp_path):
     assert header[:2] == ["lambda", "v_0"]
     assert [r[0] for r in rows] == ["0.5", "0.1", "0.01"]
     assert all(abs(float(r[1])) <= 1e-9 for r in rows)
+
+
+@pytest.mark.parametrize("task, preset, sets, rows", [
+    ("value_iter", "random3", ["N=20"], 20),
+    ("ode", "rotation30", ["samples=11", 'operator={"builtin":"affine","matrix":[[0.5,-0.5],'
+                                         '[0.25,0.5]],"offset":[1,-1],"norm":"sup"}'], 11),
+    ("verify", "translation", ['checks=["accretivity"]', "lambdas=[0.5, 2.0]"], 2),
+], ids=["value_iter-game", "ode-affine", "verify-accretivity"])
+def test_a_passing_run_writes_one_row_per_entry(tmp_path, task, preset, sets, rows):
+    # one row per n, per sample time, or per report (each lambda's)
+    args = [task, "--preset", preset, "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert run(args) == cli.EXIT_OK
+    header, got = csv_rows(tmp_path / ("reports.csv" if task == "verify" else f"{task}.csv"))
+    assert len(got) == rows
+    if task == "verify":
+        assert all(row[header.index("verdict")] == "pass" for row in got)
+
+
+def test_discounted_rows_do_not_depend_on_the_order_of_lambdas(tmp_path):
+    # the operator keeps each state's last support as a guess for the next
+    # solve; a guess may change the path to a row, never its bits
+    game = 'operator={"random_game":{"states":8,"rows":4,"cols":4,"seed":0}}'
+    out = {}
+    for name, lambdas in [("forward", "[0.5,0.1,0.01]"), ("reversed", "[0.01,0.1,0.5]")]:
+        assert run(["discounted", "--preset", "random3", "--set", game,
+                    "--set", f"lambdas={lambdas}", "--out", str(tmp_path / name)]) == 0
+        out[name] = read(tmp_path / name / "discounted.csv").splitlines()
+    assert len(out["forward"]) == 4
+    assert sorted(out["forward"]) == sorted(out["reversed"])
 
 
 def test_set_override_and_determinism(tmp_path):
@@ -293,6 +326,9 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("chernoff", ["horizon=true"]),
     ("alpha_family", ["alpha=false"]),
     ("constant_decay", ["t_values=[1.0, true]"]),
+    ("convvn", ["horizon=0.5"]),
+    ("convvn", ["horizon=10", "n_values=[20]"]),
+    ("alpha_family", ["alpha=2"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
     # one start point where two are needed, a lambda sequence shorter than
@@ -785,3 +821,25 @@ def test_artifacts_get_the_mode_open_would_give(tmp_path, umask):
         os.umask(old)
     want = (tmp_path / "plain.txt").stat().st_mode
     assert (tmp_path / "value_iter.csv").stat().st_mode == want
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["verify", "--preset", "translation", "--set", 'checks=["norm_bounds"]'], cli.EXIT_OK, ""),
+    (["verify", "--preset", "translation", "--set", "checks=5"], cli.EXIT_CONFIG,
+     "opdyn: config error: checks: "),
+    (["value_iter", "--preset", "matching-pennies", "--set",
+      'operator={"game":{"states":[0],"actions":[[2,2]],"payoff":[[[1,-1],[-1,1]]],'
+      '"transition":[[[[NaN],[1]],[[1],[1]]]]}}'], cli.EXIT_SCHEMA,
+     "opdyn: schema error: transition[0]: "),
+], ids=["ok", "config", "schema"])
+def test_the_module_as_a_script_exits_with_mains_code(tmp_path, args, code, message):
+    # python -m opdyn.cli, in a process of its own, returns main's code and
+    # writes its files only when it succeeds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "opdyn.cli", *args, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert done.stderr.startswith(message)
+    assert any(tmp_path.iterdir()) == (code == cli.EXIT_OK)

@@ -58,20 +58,37 @@ def test_zeta_values():
     assert continuous.zeta(1.0) == pytest.approx(1.0 + np.log(2.0))
 
 
-@pytest.mark.parametrize("read", [
-    continuous.zeta,
-    continuous.zeta_inverse,
-    continuous.InverseTimeZeta().value,
-    continuous.InverseTimeZeta().integral,
-    continuous.Table([(0.0, 0.5), (1.0, 0.6)]).value,
-    continuous.Table([(0.0, 0.5), (1.0, 0.6)]).integral,
-    lambda t: continuous.L_factor(continuous.PowerAlpha(0.5), t),
-], ids=["zeta", "zeta_inverse", "itz_value", "itz_integral", "table_value",
-        "table_integral", "L_factor"])
+#: each read of a built-in parametrization, and L_factor, by id
+_TIME_READS = {
+    **{f"{name}_{read}": getattr(param, read)
+       for name, param in [("itz", continuous.InverseTimeZeta()),
+                           ("table", continuous.Table([(0.0, 0.5), (1.0, 0.6)])),
+                           ("power_alpha", continuous.PowerAlpha(0.5)),
+                           ("constant", continuous.Constant(0.5))]
+       for read in ("value", "derivative", "integral")},
+    "L_factor": lambda t: continuous.L_factor(continuous.PowerAlpha(0.5), t),
+}
+
+
+@pytest.mark.parametrize("read", [continuous.zeta, continuous.zeta_inverse,
+                                  *_TIME_READS.values()],
+                         ids=["zeta", "zeta_inverse", *_TIME_READS])
 @pytest.mark.parametrize("t", [-1.0, np.nan])
 def test_a_negative_or_nan_time_is_an_input_error(read, t):
     with pytest.raises(InputError, match="must be >= 0"):
         read(t)
+
+
+@pytest.mark.parametrize("read", [
+    *_TIME_READS.values(),
+    lambda t: continuous.slow_param_bound(core.Translation([1.0]),
+                                          continuous.Constant(0.5), [0.0], t),
+], ids=[*_TIME_READS, "slow_param_bound"])
+def test_an_infinite_time_is_an_input_error(read):
+    # each built-in lam lives on [0, inf); at inf its formulas give NaN or 0,
+    # or raise another class
+    with pytest.raises(InputError, match=r"^t must be finite, got inf$"):
+        read(math.inf)
 
 
 def test_inverse_time_zeta_asymptotics():

@@ -111,10 +111,11 @@ _APPLIES = {
 @pytest.mark.parametrize("apply", list(_APPLIES.values()), ids=list(_APPLIES))
 @pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.describe())
 def test_derived_maps_reject_bad_vectors(op, apply):
-    # apply_Phi and apply_A leave the validation to op.J
+    # apply_A leaves the validation to op.J; apply_Phi reads x before it
+    # scales it, so a non-numeric x is an InputError at every lambda
     assert apply(op, [0.5, -0.25]).shape == (2,)
     for bad in ([np.nan, 0.0], [0.0, np.inf], [1.0], [1.0, 2.0, 3.0],
-                np.array([np.nan, 1.0])):
+                np.array([np.nan, 1.0]), "abc", [1, "a"], None):
         with pytest.raises(InputError):
             apply(op, bad)
 
