@@ -43,11 +43,9 @@ class Settings:
     samples: int = 200
 
     def __post_init__(self):
-        for name in ("ode_tol", "fp_tol"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise InputError(f"settings.{name} must be finite and positive")
-        if self.samples < 1:
-            raise InputError("settings.samples must be >= 1")
+        self.ode_tol = convert(core.positive, self.ode_tol, "settings.ode_tol")
+        self.fp_tol = convert(core.positive, self.fp_tol, "settings.fp_tol")
+        self.samples = convert(core.count(1), self.samples, "settings.samples")
 
 
 class Scenario:
@@ -136,37 +134,20 @@ def _unit(check, key, lambdas):
     return lambdas
 
 
-def _float(value):
-    """A reader: a float; a bool is not one."""
-    if isinstance(value, bool):
-        raise InputError(f"must be a number, got {value!r}")
-    return float(value)
+def _config(read, kind):
+    """A config reader: read, after kind (float or int) on a str, the form
+    of a --set value that is not JSON."""
+    return lambda value: read(kind(value) if isinstance(value, str) else value)
 
 
-def _positive(value):
-    """A reader: a float that is positive and finite."""
-    x = _float(value)
-    if not 0.0 < x < np.inf:
-        raise InputError(f"must be positive and finite, got {x!r}")
-    return x
-
-
-def _integer(value):
-    """A reader: an int; an integral float such as 1e3 is one, a bool or a
-    fraction is not."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"must be an integer, got {value!r}")
-    return int(value)
+_float = _config(core.real, float)
+_positive = _config(core.positive, float)
+_integer = _config(core.integer, int)
 
 
 def _count(least):
-    """A reader: an integer that must be >= least."""
-    def read(value):
-        n = _integer(value)
-        if n < least:
-            raise InputError(f"must be >= {least}, got {n}")
-        return n
-    return read
+    """A config reader: an int that is at least least."""
+    return _config(core.count(least), int)
 
 
 def _list(kind):

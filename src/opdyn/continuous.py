@@ -21,15 +21,14 @@ estimates (see Trajectory).
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_TOL, apply_A, apply_Phi, as_vec, norm
+from .core import BASE_TOL, apply_A, apply_Phi, as_vec, count, norm, positive, real
 from .discrete import StepSequence, euler_scheme, locate
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, convert
 
 #: error target of slow_param_bound's quadrature, relative to max(1, bound)
 QUAD_TOL = 1e-9
@@ -108,9 +107,9 @@ class Parametrization:
 
 class Constant(Parametrization):
     def __init__(self, lam):
-        if not 0.0 < lam <= 1.0:
+        self.lam = convert(real, lam, "lambda")
+        if not 0.0 < self.lam <= 1.0:
             raise InputError("lambda must lie in (0, 1]")
-        self.lam = float(lam)
 
     def value(self, t):
         if not 0.0 <= t < math.inf:
@@ -168,9 +167,9 @@ class PowerAlpha(Parametrization):
     """lam(t) = (1 + t)^(alpha - 1) for alpha in [0, 1)."""
 
     def __init__(self, alpha):
-        if not 0.0 <= alpha < 1.0:
+        self.alpha = convert(real, alpha, "alpha")
+        if not 0.0 <= self.alpha < 1.0:
             raise InputError("alpha must lie in [0, 1)")
-        self.alpha = float(alpha)
 
     def value(self, t):
         if not 0.0 <= t < math.inf:
@@ -287,16 +286,6 @@ LONGEST_STEP = 1.0
 MAX_STEPS = 2**20
 
 
-def _time(t):
-    """t as a Python float when it is a real scalar (a 0-d real array too);
-    a bool, a str or an array of ndim >= 1 is an InputError naming it."""
-    if isinstance(t, np.ndarray) and t.ndim == 0:
-        t = t[()]
-    if isinstance(t, numbers.Real) and not isinstance(t, bool):
-        return float(t)
-    raise InputError(f"time {t!r} is not a real scalar")
-
-
 @dataclass
 class Trajectory:
     """Dormand-Prince trajectory with an error bound per sample.
@@ -371,7 +360,7 @@ class Trajectory:
         times[k] <= t < times[k+1], takes k and s = (t - times[k]) / h
         without bisecting the grid: the operations locate would do.
         InputError unless t is a real scalar on the samples."""
-        t = float(t) if isinstance(t, float) else _time(t)  # np.float64 is a float
+        t = float(t) if isinstance(t, float) else convert(real, t, "t")  # np.float64 too
         k, a, b, p0, d0, p1, d1, dk = self._step
         if a <= t < b:
             h = b - a
@@ -406,7 +395,7 @@ class Trajectory:
         if not isinstance(times, (list, tuple, range)):
             times = [times]
         grid = self._grid
-        located = [locate(grid, _time(t)) for t in times]
+        located = [locate(grid, convert(real, t, "times")) for t in times]
         if not located:
             raise InputError("no read time given")
         return float(np.max(self.err_bound[[k + (s > 0.0) for k, s in located]]))
@@ -426,9 +415,10 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     which may become a node.
 
     est is core.norm(local, norm_kind) of the step's local error estimate,
-    in the operator's own norm.  y0 is a validated start; rhs may skip
-    validating the stage vectors it gets.  A NaN or infinite stage value
-    reaches local, through its weights or those of the later stages, so
+    in the operator's own norm.  y0 is a validated start, and T and tol
+    are positive floats (see integrate_U); rhs may skip validating the
+    stage vectors it gets.  A NaN or infinite stage value reaches local,
+    through its weights or those of the later stages, so
     core.norm's as_vec makes it an InputError, once per step.  NumPy's
     overflow and invalid warnings on the way are silenced, so the caller
     gets that InputError also under -W error.
@@ -436,8 +426,6 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
     ResourceError after MAX_STEPS attempted steps, or when a step shrinks
     to a few ulps of the time it would reach.
     """
-    if not (0.0 < T < np.inf and 0.0 < tol < np.inf):
-        raise InputError("T and tol must be positive and finite")
     kinks = param.kinks() if param is not None else ()
     stops = [float(k) for k in kinks if 0.0 < k < T] + [float(T)]
     target = STEP_TOL_SHARE * tol / T
@@ -487,21 +475,21 @@ def _integrate(rhs, y0, T, tol, norm_kind, param=None):
 def euler_power(op, t, m, x0):
     """U_t^m(x0) = (I - (t/m) A)^m (x0): the Euler scheme with m equal steps
     t/m.  InputError unless m >= 1 and 0 < t/m <= 1 (so t <= 0 is rejected)."""
-    if m < 1:
-        raise InputError("m must be >= 1")
+    t, m = convert(real, t, "t"), convert(count(1), m, "m")
     return euler_scheme(op, x0, StepSequence.constant(t / m, m)).points[-1]
 
 
 def integrate_U(op, U0, T, tol=1e-8):
     """Solve U' = J(U) - U on [0, T] to tolerance tol: the local error
     estimates sum to at most STEP_TOL_SHARE tol (see Trajectory).  U0 is
-    read by as_vec, so a scalar is a start on a dim-1 operator.
+    read by as_vec (a scalar is a start on a dim-1 operator), T and tol by
+    core.positive.
 
     The endpoint is cross-checked against the Euler power U_T^m, which must
     satisfy ||U_T^m - U(T)|| <= ||A(U0)|| T/sqrt(m); a failure is a
     ResourceError.
     """
-    U0 = as_vec(U0, op.dim)
+    U0, T, tol = as_vec(U0, op.dim), convert(positive, T, "T"), convert(positive, tol, "tol")
     # -(x - J(x)), not J(x) - x, whose signed zeros differ: at a fixed point it is -0.0
     rhs = lambda t, x, out: np.negative(apply_A(op, x, checked=False), out=out)
     traj = _integrate(rhs, U0, T, tol, op.norm_kind)
@@ -518,7 +506,7 @@ def integrate_U(op, U0, T, tol=1e-8):
 def integrate_u(op, param, u0, T, tol=1e-8):
     """Solve u' = Phi(lam(t), u) - u on [0, T] to tolerance tol, like
     integrate_U; u0 is read like its U0."""
-    u0 = as_vec(u0, op.dim)
+    u0, T, tol = as_vec(u0, op.dim), convert(positive, T, "T"), convert(positive, tol, "tol")
     rhs = lambda t, x, out: np.subtract(apply_Phi(op, param.value(t), x, checked=False), x,
                                         out=out)
     return _integrate(rhs, u0, T, tol, op.norm_kind, param)

@@ -16,11 +16,12 @@ policy (Newton) steps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert
 
 SUP = "sup"
 EUCLIDEAN = "euclidean"
@@ -57,6 +58,65 @@ def as_vec(x, dim=None):
     if dim is not None and v.shape[0] != dim:
         raise InputError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
     return v
+
+
+def as_matrix(M, square=False):
+    """M as a nonempty 2-d float array, square when square is set (M itself
+    when it is one); its finiteness is left to the caller's own path."""
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"matrix is not numeric: {exc}") from None
+    if square and (A.ndim != 2 or A.shape[0] != A.shape[1]):
+        raise InputError("matrix must be square")
+    if A.ndim != 2 or not A.size:
+        raise InputError("matrix is empty: the dimension must be >= 1" if square
+                         else f"matrix must be 2-d and nonempty, got shape {A.shape}")
+    return A
+
+
+# The readers of the public functions' scalar arguments: each returns the
+# value read or raises an InputError, which its caller names with
+# errors.convert.  A str is no number here; bounds' config readers convert it.
+
+def _number(x):
+    """x, or the scalar of a 0-d array x, if it is a real number and no bool."""
+    x = x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x
+    return x if isinstance(x, numbers.Real) and not isinstance(x, bool) else None
+
+
+def real(x):
+    """x as a Python float: an int, a float, a NumPy real scalar or a 0-d array."""
+    r = _number(x)
+    if r is None:
+        raise InputError(f"must be a number, got {x!r}")
+    return float(r)
+
+
+def positive(x):
+    """real(x), which must be positive and finite."""
+    r = real(x)
+    if not 0.0 < r < math.inf:  # NaN too
+        raise InputError(f"must be positive and finite, got {r!r}")
+    return r
+
+
+def integer(x):
+    """x as a Python int: a number (see real) that is integral, such as 1e3."""
+    r = _number(x)
+    if r is None or not float(r).is_integer():
+        raise InputError(f"must be an integer, got {x!r}")
+    return int(r)
+
+
+def count(least):
+    """A reader: an integer that is at least least."""
+    def read(x):
+        n = integer(x)
+        if n < least:
+            raise InputError(f"must be >= {least}, got {n}")
+        return n
+    return read
 
 
 def norm(x, kind=SUP):
@@ -127,11 +187,7 @@ class AffineNonexpansive(Operator):
     def __init__(self, matrix, offset=None, norm_kind=SUP):
         if norm_kind not in _NORM_KINDS:
             raise InputError(f"unknown norm kind {norm_kind!r}")
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InputError("matrix must be square")
-        if not M.size:
-            raise InputError("matrix is empty: the dimension must be >= 1")
+        M = as_matrix(matrix, square=True)
         if not np.all(np.isfinite(M)):
             raise InputError("matrix has non-finite entries")
         self.matrix, self.dim, self.norm_kind = M, M.shape[0], norm_kind
@@ -257,8 +313,6 @@ def sample_ball(rng, dim, radius, norm_kind):
 def _sampled_pairs(op, samples, radius, seed):
     """Seeded pairs (x, y, ||x - y||) from the ball; pairs closer than
     PAIR_MIN_DIST are drawn but skipped."""
-    if samples < 1:
-        raise InputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(samples):
@@ -276,6 +330,7 @@ def check_nonexpansive(op, samples=200, radius=10.0, seed=0):
     worst_ratio is the largest observed ratio (0 when every pair is
     skipped); violations counts pairs exceeding 1 + RATIO_TOL.
     """
+    samples = convert(count(1), samples, "samples")
     ratios = [op.norm(op.J(x) - op.J(y)) / d
               for x, y, d in _sampled_pairs(op, samples, radius, seed)]
     violations = sum(r > 1.0 + RATIO_TOL for r in ratios)
@@ -296,9 +351,8 @@ def check_accretive(op, lam, samples=200, radius=10.0, seed=0):
 def _accretive_reports(op, lams, samples=200, radius=10.0, seed=0):
     """check_accretive's report for each lam in lams, from one draw of the
     pairs and one evaluation of A at each of their points."""
-    for lam in lams:
-        if not 0.0 < lam < math.inf:  # NaN too
-            raise InputError(f"lambda must be positive and finite, got {lam}")
+    lams = [convert(positive, lam, "lambda") for lam in lams]
+    samples = convert(count(1), samples, "samples")
     diffs = [(x - y, apply_A(op, x) - apply_A(op, y), d)
              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
     reports = []

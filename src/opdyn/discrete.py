@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_Phi, as_vec
-from .errors import InputError, ResourceError
+from .core import apply_A, apply_Phi, as_vec, count, positive, real
+from .errors import InputError, ResourceError, convert
 
 #: cap on the linearize calls of one v_lam solve
 VLAMBDA_MAX_ITER = 10**7
@@ -61,18 +61,18 @@ class StepSequence:
 
     @classmethod
     def constant(cls, lam, N):
-        return cls([float(lam)] * N)
+        return cls([convert(real, lam, "lambda")] * convert(count(1), N, "N"))
 
     @classmethod
     def harmonic(cls, N):
         """lam_i = min(1, 1/i)."""
-        i = np.arange(1, N + 1, dtype=float)
+        i = np.arange(1, convert(count(1), N, "N") + 1, dtype=float)
         return cls(np.minimum(1.0, 1.0 / i))
 
     @classmethod
     def inverse_sqrt(cls, N):
         """lam_i = min(1, i^{-1/2})."""
-        i = np.arange(1, N + 1, dtype=float)
+        i = np.arange(1, convert(count(1), N, "N") + 1, dtype=float)
         return cls(np.minimum(1.0, i**-0.5))
 
 
@@ -124,8 +124,7 @@ def iterate_Vn(op, N):
 
     Returns (orbit, vn) where vn[k] = V_{k+1} / (k+1) for k = 0 .. N-1.
     """
-    if N < 1:
-        raise InputError("N must be >= 1")
+    N = convert(count(1), N, "N")
     orbit = _step_orbit(op, np.zeros(op.dim), StepSequence.constant(1.0, N),
                         lambda _, x: op.map(x))
     return orbit, orbit.points[1:] / np.arange(1, N + 1, dtype=float)[:, None]
@@ -167,10 +166,9 @@ def solve_vlambda(op, lam, tol=1e-10, full=False):
     certificate is within tol; ``iterations`` counts ``op.linearize`` calls.
     Returns the vector, or the full result when full=True.
     """
+    lam, tol = convert(real, lam, "lambda"), convert(positive, tol, "tol")
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
-    if not 0.0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
     gamma = (1.0 - lam) / lam
     kappa = lam * gamma
     factor = kappa / (1.0 - kappa)

@@ -45,8 +45,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .core import SUP, Operator, as_vec
-from .errors import InputError, ResourceError, SchemaError
+from .core import SUP, Operator, as_matrix, as_vec, count, integer
+from .errors import InputError, ResourceError, SchemaError, convert
 
 #: transition rows must sum to 1 within this at ingest
 ROW_SUM_TOL = 1e-9
@@ -83,17 +83,20 @@ class StochasticGame:
         # the validated arrays replace the entries of copies, not of the caller's lists
         self.payoff, self.transition = list(self.payoff), list(self.transition)
         for s in range(S):
-            m, n = self.actions[s]
+            try:
+                m, n = map(integer, self.actions[s])
+            except InputError as exc:
+                raise SchemaError(str(exc), f"actions[{s}]") from None
             if m < 1 or n < 1:
                 raise SchemaError("action counts must be positive", f"actions[{s}]")
-            g = np.asarray(self.payoff[s], dtype=float)
+            g = _numbers(self.payoff[s], f"payoff[{s}]")
             if g.shape != (m, n):
                 raise SchemaError(
                     f"expected shape {(m, n)}, got {g.shape}", f"payoff[{s}]"
                 )
             if not np.all(np.isfinite(g)):
                 raise SchemaError("non-finite payoff entry", f"payoff[{s}]")
-            rho = np.asarray(self.transition[s], dtype=float)
+            rho = _numbers(self.transition[s], f"transition[{s}]")
             if rho.shape != (m, n, S):
                 raise SchemaError(
                     f"expected shape {(m, n, S)}, got {rho.shape}",
@@ -141,6 +144,16 @@ class StochasticGame:
         }
 
 
+def _numbers(value, location):
+    """value as a float array; entries that NumPy reads as neither ints nor
+    floats (strings, bools) are a SchemaError at location."""
+    array = np.asarray(value, dtype=float)
+    dtype = np.asarray(value).dtype
+    if dtype.kind not in "iuf":
+        raise SchemaError(f"entries must be numbers, got dtype {dtype}", location)
+    return array
+
+
 def load_game(source):
     """Parse a game document (JSON text, dict, or path to a file)."""
     if isinstance(source, dict):
@@ -166,8 +179,8 @@ def load_game(source):
         return StochasticGame(
             states=list(doc["states"]),
             actions=[tuple(a) for a in doc["actions"]],
-            payoff=[np.asarray(g, dtype=float) for g in doc["payoff"]],
-            transition=[np.asarray(r, dtype=float) for r in doc["transition"]],
+            payoff=list(doc["payoff"]),
+            transition=list(doc["transition"]),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, SchemaError):
@@ -524,12 +537,10 @@ def matrix_game_value(M, support=None):
     or less (ties, degeneracy, a 4x4 mix) gets the simplex's solution, warm
     or cold.  Every path's gap is within LP_GAP_TOL * max(1, max|M|).
 
-    Raises InputError for a matrix that is not 2-d, empty or not finite, and
-    ResourceError only when the exact pass also fails the certificate.
+    Raises InputError for a matrix that as_matrix rejects or that is not
+    finite, and ResourceError only when the exact pass also fails.
     """
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InputError("matrix must be 2-d and nonempty")
+    arr = convert(as_matrix, M, "M")
     if arr.shape == (2, 2):
         # validated as map validates a 2x2 group; no scale is read
         entries = arr.ravel().tolist()
@@ -588,9 +599,7 @@ def matrix_game_value_oracle(M):
     fallback shares its code with ``matrix_game_value``, so it is no
     independent check.  Raises InputError like ``matrix_game_value``.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise InputError("matrix must be 2-d and nonempty")
+    M = convert(as_matrix, M, "M")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
     m, n = M.shape
@@ -631,8 +640,8 @@ def matrix_game_value_oracle(M):
 def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
     """Seeded random game: payoffs uniform on payoff_range = (lo, hi), which
     must be finite with lo <= hi, and normalized-uniform transitions."""
-    if num_states < 1 or m < 1 or n < 1:
-        raise InputError("sizes must be positive")
+    num_states, m, n = (convert(count(1), k, name) for k, name in
+                        ((num_states, "num_states"), (m, "m"), (n, "n")))
     lo, hi = payoff_range
     if not (lo <= hi and isfinite(hi - lo)):
         raise InputError(f"payoff_range needs finite lo <= hi, got [{lo}, {hi}]")

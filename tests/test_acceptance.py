@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from opdyn import bounds, cli, continuous, core, discrete, shapley
+from opdyn import bounds, continuous, core, discrete, shapley
 
 
 def report(num, desc, ok, detail=""):
@@ -274,10 +274,9 @@ def test_criterion_10_property_suites(rotation30, random3):
            f"(violations={violations})")
 
 
-def test_criterion_11_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    code1 = cli.main(["suite", "--preset", "paper-suite", "--out", str(out1)])
-    code2 = cli.main(["suite", "--preset", "paper-suite", "--out", str(out2)])
+def test_criterion_11_determinism(paper_suite):
+    # the two `opdyn suite --preset paper-suite` runs of the session fixture
+    (code1, out1, _), (code2, out2, _), _ = paper_suite
     identical = all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("reports.json", "reports.csv")

@@ -397,69 +397,40 @@ def test_suite_plan_covers_every_check_twice():
 # ---------------------------------------------------------------------------
 # solves shared within one run_checks call
 
-SHARED_SOLVERS = [(continuous, "integrate_U"), (continuous, "integrate_u"),
-                  (discrete, "solve_vlambda"), (discrete, "iterate_Vn")]
-
-
-def _counted(solve, name, counts):
-    def counting(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return solve(*args, **kwargs)
-    return counting
-
-
-def _solver_calls(counts):
-    """(integrations, v_lambda solves, iterate_Vn calls) made."""
-    return (counts.get("integrate_U", 0) + counts.get("integrate_u", 0),
-            counts.get("solve_vlambda", 0), counts.get("iterate_Vn", 0))
-
 
 def _as_json(reports):
     return [json.dumps(r.to_dict(), sort_keys=True, default=cli._json_default)
             for r in reports]
 
 
-@pytest.fixture(scope="module")
-def suite_runs():
-    """The reports and solver calls of two run_suite calls, then of verify
-    on each suite_plan entry outside any run_checks call."""
-    runs = []
-    with pytest.MonkeyPatch.context() as mp:
-        counts = {}
-        for module, name in SHARED_SOLVERS:
-            mp.setattr(module, name, _counted(getattr(module, name), name, counts))
-        for _ in range(2):
-            counts.clear()
-            runs.append((bounds.run_suite(), _solver_calls(counts)))
-        counts.clear()
-        alone = [r for check, sc in bounds.suite_plan() for r in bounds.verify(check, sc)]
-        runs.append((alone, _solver_calls(counts)))
-    return runs
+def _written(out):
+    """The reports of reports.json in out, each as _as_json writes one."""
+    return [json.dumps(d, sort_keys=True)
+            for d in json.loads((out / "reports.json").read_text(encoding="utf-8"))]
 
 
-def test_run_suite_reports_equal_each_plan_entry_verified_alone(suite_runs):
+def test_run_suite_reports_equal_each_plan_entry_verified_alone(paper_suite):
     # a check that wrote into a shared result would change a later report
-    (shared, _), (again, _), (alone, _) = suite_runs
-    assert len(shared) == 208
-    assert _as_json(shared) == _as_json(alone)
-    assert _as_json(again) == _as_json(alone)
+    (_, first, _), (_, second, _), (alone, _) = paper_suite
+    assert len(alone) == 208
+    assert _written(first) == _as_json(alone)
+    assert _written(second) == _as_json(alone)
 
 
-def test_ci_counts_a_header_and_one_csv_line_per_paper_suite_report(suite_runs):
+def test_ci_counts_a_header_and_one_csv_line_per_paper_suite_report(paper_suite):
     # CI's installed-command step checks the paper-suite run by the line
     # count of its reports.csv, so a change to the report count moves it
-    (shared, _), _, _ = suite_runs
+    (_, first, _), _, _ = paper_suite
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     counts = re.findall(r'wc -l < "\$RUNNER_TEMP/suite/reports\.csv"\)" -eq (\d+)',
                         workflow.read_text(encoding="utf-8"))
-    assert counts == [str(1 + len(shared))]
+    assert counts == [str(1 + len(_written(first)))]
 
 
-def test_run_suite_solves_each_repeated_flow_vlambda_and_vn_once(suite_runs):
+def test_run_suite_solves_each_repeated_flow_vlambda_and_vn_once(paper_suite):
     # 42 integrations, 99 v_lambda solves and 10 iterate_Vn calls without
-    # sharing; each call site reads its solver off the module when it runs,
-    # so the counting wrappers see every call that is made
-    (_, first), (_, second), (_, alone) = suite_runs
+    # sharing (see the paper_suite fixture for how they are counted)
+    (_, _, first), (_, _, second), (_, alone) = paper_suite
     assert first == second == (36, 76, 4)
     assert alone == (42, 99, 10)
     assert bounds._SHARED.get() is None

@@ -137,6 +137,18 @@ def test_euler_task_columns(tmp_path):
     assert rows[-1][1] == "2.0"
 
 
+def test_a_json_string_is_converted_to_the_number_it_names(tmp_path):
+    # the core readers take no str: the config readers convert one first, so
+    # T="2" and N="5" run as T=2 and N=5 do
+    for task, items, name in [("ode", ['T="2"', "T=2"], "ode.csv"),
+                              ("value_iter", ['N="5"', "N=5"], "value_iter.csv")]:
+        for i, item in enumerate(items):
+            assert run([task, "--preset", "rotation30" if task == "ode" else "translation",
+                        "--set", item, "--out", str(tmp_path / f"{task}{i}")]) == 0
+        assert ((tmp_path / f"{task}0" / name).read_bytes()
+                == (tmp_path / f"{task}1" / name).read_bytes())
+
+
 def test_ode_task(tmp_path):
     assert run(["ode", "--preset", "rotation30", "--set", "T=2.0",
                 "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -422,9 +424,9 @@ def test_check_accretive_rejects_nonpositive_lambda():
     # NaN and inf too, with a message that names lambda
     op = core.Translation([1.0])
     for lam in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(InputError, match="lambda must be positive and finite"):
+        with pytest.raises(InputError, match="^lambda: must be positive and finite, got "):
             core.check_accretive(op, lam)
-        with pytest.raises(InputError, match="lambda must be positive and finite"):
+        with pytest.raises(InputError, match="^lambda: must be positive and finite, got "):
             core._accretive_reports(op, (0.5, lam))
 
 
@@ -438,13 +440,14 @@ def test_zero_radius_skips_every_pair():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: discrete.iterate_Vn(core.Translation([1.0]), 0), "N must be >= 1"),
-    (lambda: continuous.euler_power(core.Translation([1.0]), 1.0, 0, [0.0]), "m must be >= 1"),
+    (lambda: discrete.iterate_Vn(core.Translation([1.0]), 0), "N: must be >= 1, got 0"),
+    (lambda: continuous.euler_power(core.Translation([1.0]), 1.0, 0, [0.0]),
+     "m: must be >= 1, got 0"),
     (lambda: continuous.Table([]), "at least one knot required"),
-    (lambda: shapley.random_game(0, 2, 2), "sizes must be positive"),
+    (lambda: shapley.random_game(0, 2, 2), "num_states: must be >= 1, got 0"),
     (lambda: core.check_nonexpansive(core.Translation([1.0]), samples=0),
-     "samples must be >= 1"),
-    (lambda: bounds.Settings(samples=0), "settings.samples must be >= 1"),
+     "samples: must be >= 1, got 0"),
+    (lambda: bounds.Settings(samples=0), "settings.samples: must be >= 1, got 0"),
 ], ids=["iterate_Vn", "euler_power", "Table", "random_game", "check_nonexpansive",
         "Settings"])
 def test_a_size_below_its_least_is_an_input_error(make, message):
@@ -463,3 +466,76 @@ def test_sample_ball_stays_in_ball():
 def test_sample_ball_rejects_an_unknown_norm_kind():
     with pytest.raises(InputError, match="unknown norm kind 'l2'"):
         core.sample_ball(np.random.default_rng(0), 3, 1.0, "l2")
+
+
+_TR = core.Translation([1.0])
+_COUNT_BAD = (2.5, True, "3")  # a fraction, a bool and a str
+
+#: (site, the start of its errors, which names the argument, the site called
+#: on one value, bad values, a good value): every public function reads its
+#: counts, tolerances, horizons and matrices through the readers of core
+_READ_SITES = [
+    ("iterate_Vn", "N: ", lambda v: discrete.iterate_Vn(_TR, v)[1].tobytes(), _COUNT_BAD, 3),
+    ("StepSequence.constant", "N: ",
+     lambda v: discrete.StepSequence.constant(0.5, v).steps.tobytes(), _COUNT_BAD, 3),
+    ("StepSequence.harmonic", "N: ",
+     lambda v: discrete.StepSequence.harmonic(v).steps.tobytes(), _COUNT_BAD, 3),
+    ("euler_power", "m: ", lambda v: continuous.euler_power(_TR, 1.0, v, [0.0]).tobytes(),
+     _COUNT_BAD, 2),
+    ("random_game", "num_states: ",
+     lambda v: shapley.random_game(v, 2, 2).shape_groups[0][1].tobytes(), _COUNT_BAD, 2),
+    ("check_nonexpansive", "samples: ",
+     lambda v: repr(core.check_nonexpansive(_TR, samples=v)), _COUNT_BAD, 3),
+    ("Settings.samples", "settings.samples: ", lambda v: repr(bounds.Settings(samples=v)),
+     _COUNT_BAD, 3),
+    ("Settings.ode_tol", "settings.ode_tol: ", lambda v: repr(bounds.Settings(ode_tol=v)),
+     ("1", True), 1),
+    ("solve_vlambda", "tol: ", lambda v: discrete.solve_vlambda(_TR, 0.5, tol=v).tobytes(),
+     ("1", True), 1),
+    ("integrate_U", "T: ", lambda v: continuous.integrate_U(_TR, [0.0], v).points.tobytes(),
+     ("1", True), 2),
+    ("Constant", "lambda: ", lambda v: repr(continuous.Constant(v).lam), ("0.5", True), 1),
+    ("PowerAlpha", "alpha: ", lambda v: repr(continuous.PowerAlpha(v).alpha),
+     ("0.5", True), 0),
+    ("matrix_game_value", "M: ", lambda v: repr(shapley.matrix_game_value(v)),
+     ([[1, 2], [3]], [["a", "b"], ["c", "d"]]), None),
+    ("matrix_game_value_oracle", "M: ", lambda v: repr(shapley.matrix_game_value_oracle(v)),
+     ([[1, 2], [3]], [["a", "b"], ["c", "d"]]), None),
+    ("AffineNonexpansive", "matrix is not numeric: ",
+     lambda v: repr(core.AffineNonexpansive(v).matrix), ([[0.5, 0], [0]], [["a"]]), None),
+]
+
+
+@pytest.mark.parametrize("named, read, bad, good", [row[1:] for row in _READ_SITES],
+                         ids=[row[0] for row in _READ_SITES])
+def test_each_public_argument_is_read_by_a_core_reader(named, read, bad, good):
+    # a bool, a fraction or a str given for a count, a str or a bool for a
+    # real, and a ragged or non-numeric matrix are InputErrors that name
+    # the argument
+    for value in bad:
+        with pytest.raises(InputError, match=f"^{re.escape(named)}"):
+            read(value)
+    # an int, a float, a NumPy scalar and a 0-d array read to the same bits
+    if good is not None:
+        values = (good, float(good), np.int64(good), np.float64(good), np.array(good))
+        assert len({read(v) for v in values}) == 1
+
+
+def test_the_core_readers_keep_the_config_readers_rules():
+    # the config readers of bounds are the core readers, a string converted
+    # first; the core readers take no string
+    assert [core.real(v) for v in (1, 0.5, np.float32(0.5), np.array(2))] == [1, 0.5, 0.5, 2]
+    assert [core.integer(v) for v in (3, 1e3, np.int64(4), np.array(5))] == [3, 1000, 4, 5]
+    assert core.integer(2**70 + 1) == 2**70 + 1
+    assert bounds._float("0.5") == 0.5 and bounds._integer("3") == 3
+    for read, value, message in [
+            (core.real, "0.5", "must be a number, got '0.5'"),
+            (core.real, np.True_, "must be a number, got np.True_"),
+            (core.positive, 0, "must be positive and finite, got 0.0"),
+            (core.positive, np.nan, "must be positive and finite, got nan"),
+            (core.integer, 2.5, "must be an integer, got 2.5"),
+            (core.integer, math.inf, "must be an integer, got inf"),
+            (core.integer, "3", "must be an integer, got '3'"),
+            (core.count(1), 0, "must be >= 1, got 0")]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            read(value)

@@ -787,6 +787,15 @@ def _edited_pennies(key, value):
     (_edited_pennies("actions", [5]), "document", "'int' object is not iterable"),
     (_edited_pennies("payoff", [[["a", 1.0], [1.0, 1.0]]]),
      "document", "could not convert string to float: 'a'"),
+    # numbers that NumPy would read from bools, fractions and strings are not numbers
+    (_edited_pennies("actions", [[True, True]]), "actions[0]", "must be an integer, got True"),
+    (_edited_pennies("actions", [[2.5, 2]]), "actions[0]", "must be an integer, got 2.5"),
+    (_edited_pennies("payoff", [[["1", "-1"], ["-1", "1"]]]),
+     "payoff[0]", "entries must be numbers, got dtype <U2"),
+    (_edited_pennies("payoff", [[[True, False], [False, True]]]),
+     "payoff[0]", "entries must be numbers, got dtype bool"),
+    (_edited_pennies("transition", [[[["1"], [1.0]], [[1.0], [1.0]]]]),
+     "transition[0]", "entries must be numbers, got dtype <U32"),
 ])
 def test_each_game_schema_error_names_its_location(doc, location, message):
     with pytest.raises(SchemaError) as caught:
