@@ -3,8 +3,9 @@
     U'(t) = J(U(t)) - U(t)                    (autonomous)
     u'(t) = Phi(lam(t), u(t)) - u(t)          (parametrized)
 
-plus the parametrization family lam(t) with its exact integral, the time
-change zeta(t) = t + ln(1+t), and the damping factor
+plus the parametrizations lam(t), whose base class tests t in [0, inf)
+once for all of them, with their exact integrals; the time change
+zeta(t) = t + ln(1+t); and the damping factor
 
     L(t) = exp( int_0^t [ |lam'(s)|/lam(s) - lam(s) ] ds ),
 
@@ -38,7 +39,8 @@ QUAD_TOL = 1e-9
 # time change and parametrizations
 
 def zeta(t):
-    """zeta(t) = t + ln(1 + t) for t >= 0."""
+    """zeta(t) = t + ln(1 + t) for a real t >= 0."""
+    t = convert(real, t, "t")
     if not t >= 0:  # NaN too
         raise InputError("t must be >= 0")
     return t + np.log1p(t)
@@ -50,11 +52,11 @@ def zeta_inverse(s):
     arithmetic is the same IEEE operations as on NumPy scalars; log1p stays
     NumPy's, whose last bits differ from math.log1p's.  Above s = 8192 an
     ulp of s exceeds the 1e-12 rule and Newton may cycle; then the iterate
-    of least residual is taken if that is within 4 ulp(s)."""
+    of least residual is taken if that is within 4 ulp(s).  s is read by real."""
+    s = float(s) if isinstance(s, float) else convert(real, s, "s")
     if not s >= 0:  # NaN too
         raise InputError("s must be >= 0")
     log1p = np.log1p
-    s = float(s)
     # x if x > 0.0 else 0.0 is max(0.0, x) and r if r >= 0.0 else -r is
     # abs(r) to every comparison below, -0.0 and NaN included, without a call
     t = s - float(log1p(s))
@@ -75,24 +77,39 @@ def zeta_inverse(s):
 
 
 def _time_error(t):
-    """The InputError of a time t outside [0, inf), the domain of every
-    built-in lam.  A read tests 0.0 <= t < math.inf, which a NaN fails too,
-    and builds the message only when the test fails."""
+    """The InputError of a time t outside [0, inf), the domain of every lam,
+    built only when a read's test 0.0 <= t < math.inf fails (as NaN does)."""
     return InputError("t must be >= 0" if not t >= 0 else f"t must be finite, got {t}")
 
 
 class Parametrization:
     """A path t -> lam(t) in (0, 1], C1 except at its kinks(), on t in
-    [0, inf); a built-in one reads any other t as an InputError."""
+    [0, inf).  A subclass defines the formulas _value, _derivative and
+    _integral; value, derivative and integral read any other t as an InputError."""
 
     def value(self, t):
-        raise NotImplementedError
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
+        return self._value(t)
 
     def derivative(self, t):
-        raise NotImplementedError
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
+        return self._derivative(t)
 
     def integral(self, t):
         """int_0^t lam(s) ds, exactly."""
+        if not 0.0 <= t < math.inf:
+            raise _time_error(t)
+        return self._integral(t)
+
+    def _value(self, t):
+        raise NotImplementedError
+
+    def _derivative(self, t):
+        raise NotImplementedError
+
+    def _integral(self, t):
         raise NotImplementedError
 
     def kinks(self):
@@ -105,38 +122,12 @@ class Parametrization:
         return type(self).__name__
 
 
-class Constant(Parametrization):
-    def __init__(self, lam):
-        self.lam = convert(real, lam, "lambda")
-        if not 0.0 < self.lam <= 1.0:
-            raise InputError("lambda must lie in (0, 1]")
-
-    def value(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
-        return self.lam
-
-    def derivative(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
-        return 0.0
-
-    def integral(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
-        return self.lam * t
-
-    def describe(self):
-        return f"Constant({self.lam})"
-
-
 class InverseTimeZeta(Parametrization):
     """lam(t) = 1/(2 + zeta^{-1}(t)), asymptotically 1/t + ln(t)/t^2.
 
     The last (t, zeta^{-1}(t)) is kept, keyed by the exact t, so value,
     derivative and integral at one time (as an integrator step reads them)
-    solve zeta^{-1} once; a t outside [0, inf), NaN included, never matches
-    and is tested on the miss.
+    solve zeta^{-1} once.
     """
 
     _last = (math.nan, 0.0)
@@ -144,21 +135,19 @@ class InverseTimeZeta(Parametrization):
     def _zeta_inverse(self, t):
         last_t, x = self._last
         if t != last_t:
-            if not 0.0 <= t < math.inf:
-                raise _time_error(t)
             x = zeta_inverse(t)
             self._last = (t, x)
         return x
 
-    def value(self, t):
+    def _value(self, t):
         return 1.0 / (2.0 + self._zeta_inverse(t))
 
-    def derivative(self, t):
+    def _derivative(self, t):
         x = np.float64(self._zeta_inverse(t))  # its ** 2 overflows to inf, a float's raises
         dinv = 1.0 / (1.0 + 1.0 / (1.0 + x))
         return -dinv / (2.0 + x) ** 2
 
-    def integral(self, t):
+    def _integral(self, t):
         # lam dt = dx / (1 + x) at t = zeta(x)
         return float(np.log1p(self._zeta_inverse(t)))
 
@@ -171,19 +160,13 @@ class PowerAlpha(Parametrization):
         if not 0.0 <= self.alpha < 1.0:
             raise InputError("alpha must lie in [0, 1)")
 
-    def value(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+    def _value(self, t):
         return (1.0 + t) ** (self.alpha - 1.0)
 
-    def derivative(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+    def _derivative(self, t):
         return (self.alpha - 1.0) * (1.0 + t) ** (self.alpha - 2.0)
 
-    def integral(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+    def _integral(self, t):
         a, x = self.alpha, np.log1p(t)  # ((1 + t)^a - 1)/a, ln(1 + t) at a = 0
         return float(np.expm1(a * x) / a if a else x)
 
@@ -211,33 +194,44 @@ class Table(Parametrization):
             raise InputError("knot values must lie in (0, 1]")
         self.ts = ts
         self.vs = vs
-        self._knots = ts.tolist()
+        self._knots, self._values = ts.tolist(), vs.tolist()
         # slope of each piece; 0 on the held tail past the last knot
         self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0).tolist()
         # int_0^ts[k] lam by the trapezoid rule, exact on linear pieces
-        self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))))
+        self._cum = np.cumsum([0.0, *(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))]).tolist()
 
     def _piece(self, t):
         """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
-        knot on the held tail; the same arithmetic as np.interp."""
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+        knot on the held tail; np.interp's arithmetic, on Python floats."""
         k = bisect_right(self._knots, t) - 1
         dt = t - self._knots[k]
-        return k, dt, self._slope[k] * dt + self.vs[k]
+        return k, dt, self._slope[k] * dt + self._values[k]
 
-    def value(self, t):
+    def _value(self, t):
         return float(self._piece(t)[2])
 
-    def derivative(self, t):
+    def _derivative(self, t):
         return self._slope[self._piece(t)[0]]
 
-    def integral(self, t):
+    def _integral(self, t):
         k, dt, value = self._piece(t)
-        return float(self._cum[k] + 0.5 * (self.vs[k] + value) * dt)
+        return float(self._cum[k] + 0.5 * (self._values[k] + value) * dt)
 
     def kinks(self):
         return tuple(self.ts[1:])
+
+
+class Constant(Table):
+    """lam(t) = lam, the one-knot Table [(0, lam)]: lam, 0.0 and lam * t, bit for bit."""
+
+    def __init__(self, lam):
+        self.lam = convert(real, lam, "lambda")
+        if not 0.0 < self.lam <= 1.0:
+            raise InputError("lambda must lie in (0, 1]")
+        super().__init__([(0.0, self.lam)])
+
+    def describe(self):
+        return f"Constant({self.lam})"
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +535,6 @@ def _log_L(param, t):
     """ln L(t) in closed form (see L_factor); InputError if lam has kinks."""
     if len(param.kinks()):
         raise InputError(f"{param.describe()} is not C1; this quantity needs lam'")
-    if not 0.0 <= t < math.inf:
-        raise _time_error(t)
     return abs(np.log(param.value(0.0) / param.value(t))) - param.integral(t)
 
 

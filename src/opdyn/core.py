@@ -251,13 +251,14 @@ class LinearIsometry(AffineNonexpansive):
 def rotation(theta):
     """Planar rotation by angle theta (radians), an isometry of the euclidean
     norm."""
+    theta = convert(real, theta, "theta")
     c, s = np.cos(theta), np.sin(theta)
     return LinearIsometry([[c, -s], [s, c]])
 
 
 def identity_operator(dim):
     """J = I, so A = 0; useful as a degenerate test case."""
-    return AffineNonexpansive(np.eye(dim))
+    return AffineNonexpansive(np.eye(convert(count(1), dim, "dim")))
 
 
 # Who validates: Operator.J runs as_vec on x and calls op.map, and

@@ -45,7 +45,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .core import SUP, Operator, as_matrix, as_vec, count, integer
+from .core import SUP, Operator, as_matrix, as_vec, count, integer, real
 from .errors import InputError, ResourceError, SchemaError, convert
 
 #: transition rows must sum to 1 within this at ingest
@@ -642,10 +642,10 @@ def random_game(num_states, m, n, payoff_range=(-1.0, 1.0), seed=0):
     must be finite with lo <= hi, and normalized-uniform transitions."""
     num_states, m, n = (convert(count(1), k, name) for k, name in
                         ((num_states, "num_states"), (m, "m"), (n, "n")))
-    lo, hi = payoff_range
+    lo, hi = (convert(real, end, "payoff_range") for end in payoff_range)
     if not (lo <= hi and isfinite(hi - lo)):
         raise InputError(f"payoff_range needs finite lo <= hi, got [{lo}, {hi}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(convert(count(0), seed, "seed"))
     payoff = [rng.uniform(lo, hi, size=(m, n)) for _ in range(num_states)]
     transition = []
     for _ in range(num_states):

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opdyn import bounds, cli, discrete, shapley
-from opdyn.errors import InputError
+from opdyn import bounds, cli, continuous, core, discrete, shapley
+from opdyn.errors import InputError, ResourceError
 
 
 def run(args):
@@ -41,6 +41,15 @@ def test_matrix_game_certificate_failure_is_resource_error(tmp_path, monkeypatch
     args = ["discounted", "--preset", "matching-pennies", "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_RESOURCE
     assert "resource error" in capsys.readouterr().err
+
+
+def test_the_integrator_step_cap_is_a_resource_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(continuous, "MAX_STEPS", 8)
+    with pytest.raises(ResourceError, match=r"^step cap 8 reached at t = \S+ < T = 20\.0$"):
+        continuous.integrate_U(core.rotation(np.pi / 6.0), [1.0, 0.0], 20.0)
+    args = ["ode", "--preset", "rotation30", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_RESOURCE == 4
+    assert capsys.readouterr().err.startswith("opdyn: resource error: step cap 8 reached")
 
 
 @pytest.mark.parametrize("task", ["value_iter", "discounted"])

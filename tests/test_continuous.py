@@ -58,13 +58,28 @@ def test_zeta_values():
     assert continuous.zeta(1.0) == pytest.approx(1.0 + np.log(2.0))
 
 
-#: each read of a built-in parametrization, and L_factor, by id
+class _Hooks(continuous.Parametrization):
+    """lam(t) = 1/(1 + t), defined by the three formula hooks alone."""
+
+    def _value(self, t):
+        return 1.0 / (1.0 + t)
+
+    def _derivative(self, t):
+        return -1.0 / (1.0 + t) ** 2
+
+    def _integral(self, t):
+        return math.log1p(t)
+
+
+#: each read of a built-in parametrization and of a user's one that defines
+#: the hooks alone, and L_factor, by id
 _TIME_READS = {
     **{f"{name}_{read}": getattr(param, read)
        for name, param in [("itz", continuous.InverseTimeZeta()),
                            ("table", continuous.Table([(0.0, 0.5), (1.0, 0.6)])),
                            ("power_alpha", continuous.PowerAlpha(0.5)),
-                           ("constant", continuous.Constant(0.5))]
+                           ("constant", continuous.Constant(0.5)),
+                           ("hooks", _Hooks())]
        for read in ("value", "derivative", "integral")},
     "L_factor": lambda t: continuous.L_factor(continuous.PowerAlpha(0.5), t),
 }
@@ -126,6 +141,28 @@ def test_constant_param():
     assert p.derivative(5.0) == 0.0
     with pytest.raises(InputError):
         continuous.Constant(0.0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.0, 1.0 / 3.0, 0.1, 1e-300])
+def test_constant_is_the_one_knot_table_read_to_its_own_formulas_bit_for_bit(lam):
+    p = continuous.Constant(lam)
+    assert isinstance(p, continuous.Table) and p.lam == lam and p.kinks() == ()
+    assert p.describe() == f"Constant({lam})"
+    for t in (0.0, 0.7, 123.456, 1e6, 5e-324):
+        # repr tells -0.0 from 0.0 and a float from a NumPy scalar
+        assert repr((p.value(t), p.derivative(t), p.integral(t))) == repr((lam, 0.0, lam * t))
+    # the one read that moved: the trapezoid adds 0.0, and -0.0 + 0.0 is 0.0
+    assert repr(p.integral(-0.0)) == "0.0"
+
+
+def test_a_parametrization_that_defines_the_hooks_alone_drives_the_integrator():
+    # lam = 1/(1 + t) is PowerAlpha(0.0) up to the rounding of its **
+    op, u0 = core.Translation([1.0]), [0.0]
+    traj = continuous.integrate_u(op, _Hooks(), u0, 5.0)
+    ref = continuous.integrate_u(op, continuous.PowerAlpha(0.0), u0, 5.0)
+    assert traj.points[-1] == pytest.approx(ref.points[-1], rel=1e-9)
+    assert continuous.L_factor(_Hooks(), 3.0) == pytest.approx(
+        continuous.L_factor(continuous.PowerAlpha(0.0), 3.0), rel=1e-12)
 
 
 def test_table_param():

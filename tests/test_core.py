@@ -327,7 +327,7 @@ def test_closed_form_operators_validate_their_own_invariant():
 
 
 def test_operators_of_dimension_zero_are_rejected():
-    for make in (lambda: core.Translation([]), lambda: core.identity_operator(0),
+    for make in (lambda: core.Translation([]),
                  lambda: core.AffineNonexpansive(np.zeros((0, 0)), []),
                  lambda: core.LinearIsometry(np.zeros((0, 0)))):
         with pytest.raises(InputError, match="matrix is empty"):
@@ -448,8 +448,9 @@ def test_zero_radius_skips_every_pair():
     (lambda: core.check_nonexpansive(core.Translation([1.0]), samples=0),
      "samples: must be >= 1, got 0"),
     (lambda: bounds.Settings(samples=0), "settings.samples: must be >= 1, got 0"),
+    (lambda: core.identity_operator(0), "dim: must be >= 1, got 0"),
 ], ids=["iterate_Vn", "euler_power", "Table", "random_game", "check_nonexpansive",
-        "Settings"])
+        "Settings", "identity_operator"])
 def test_a_size_below_its_least_is_an_input_error(make, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         make()
@@ -503,6 +504,16 @@ _READ_SITES = [
      ([[1, 2], [3]], [["a", "b"], ["c", "d"]]), None),
     ("AffineNonexpansive", "matrix is not numeric: ",
      lambda v: repr(core.AffineNonexpansive(v).matrix), ([[0.5, 0], [0]], [["a"]]), None),
+    ("identity_operator", "dim: ", lambda v: repr(core.identity_operator(v).matrix),
+     _COUNT_BAD, 2),
+    ("zeta", "t: ", lambda v: repr(continuous.zeta(v)), ("1", True), 1),
+    ("zeta_inverse", "s: ", lambda v: repr(continuous.zeta_inverse(v)), ("1", True), 1),
+    ("random_game.seed", "seed: ",
+     lambda v: shapley.random_game(2, 2, 2, seed=v).shape_groups[0][1].tobytes(), _COUNT_BAD, 2),
+    ("random_game.payoff_range", "payoff_range: ",
+     lambda v: shapley.random_game(2, 2, 2, payoff_range=(v, 1)).shape_groups[0][1].tobytes(),
+     ("0", True), 0),
+    ("rotation", "theta: ", lambda v: repr(core.rotation(v).matrix), ("0.5", True), 1),
 ]
 
 
