@@ -125,15 +125,6 @@ def _within(check, key, points, lo, hi):
     return points
 
 
-def _unit(check, key, lambdas):
-    """lambdas, the check's (or task's) discount factors or steps, each in
-    (0, 1]; one outside, or NaN, is an InputError naming key."""
-    for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise InputError(f"{key}: {check} needs each lambda in (0, 1], got {lam}")
-    return lambdas
-
-
 def _config(read, kind):
     """A config reader: read, after kind (float or int) on a str, the form
     of a --set value that is not JSON."""
@@ -142,7 +133,6 @@ def _config(read, kind):
 
 _float = _config(core.real, float)
 _positive = _config(core.positive, float)
-_integer = _config(core.integer, int)
 
 
 def _count(least):
@@ -192,25 +182,15 @@ def _points(values):
 #: one reader per input key, whichever check takes it: it turns the given
 #: value into the check's argument
 READERS = {
-    "alpha": _float,
     "case": _choice("a", "b"),
-    "grid": _count(1),
     "horizon": _positive,
-    "lambda_seq": _list(_float),
-    "lambdas": _list(_positive),
-    "m_values": _list(_integer),
-    "n_steps": _count(1),
     "n_values": _list(_count(1)),
-    "nmax": _count(0),
     "pairs": _count(1),
     "param": _instance(continuous.Parametrization),
     "param2": _instance(continuous.Parametrization),
     "seed": _count(0),
     "starts": _points,
     "steps": _instance(discrete.StepSequence),
-    "steps2": _instance(discrete.StepSequence),
-    "subgrid": _count(1),
-    "t_values": _list(_float),
 }
 
 
@@ -294,11 +274,13 @@ def _vlambda_gap(op, x, lam, fp_tol):
 # context) per inequality, budget being its certified numerical error (verify
 # adds the rounding allowance).  Its keyword-only parameters are its inputs,
 # each a key of the scenario read through its READERS entry; a default of
-# None stands for one the check derives from the other inputs.
+# None stands for one the check derives from the other inputs.  The points,
+# grids and discount factors at which a check reads its trajectory are its
+# own constants, in its body.
 
-def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
+def _check_norm_bounds(op, st, *, horizon=50.0):
     N = _last_n("norm_bounds", horizon, 1)
-    lambdas = _unit("norm_bounds", "lambdas", lambdas)
+    lambdas = (1.0, 0.5, 0.1, 0.01)
     j0 = op.norm(op.J(np.zeros(op.dim)))
     _, vn = _shared(discrete.iterate_Vn, op, N)
     yield max(op.norm(v) for v in vn), j0, 0.0, {"family": "v_n", "N": N}
@@ -307,7 +289,8 @@ def _check_norm_bounds(op, st, *, horizon=50.0, lambdas=(1.0, 0.5, 0.1, 0.01)):
            j0, st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
-def _check_accretivity(op, st, *, seed=0, lambdas=(0.1, 0.5, 1.0, 2.0)):
+def _check_accretivity(op, st, *, seed=0):
+    lambdas = (0.1, 0.5, 1.0, 2.0)  # resolvent steps, which may exceed 1
     reports = core._accretive_reports(op, lambdas, samples=st.samples, seed=seed)
     for lam, rep in zip(lambdas, reports):
         yield (1.0 - rep.worst_ratio, 0.0, 0.0,
@@ -332,10 +315,10 @@ def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
            4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
-def _check_chernoff(op, st, *, horizon=50.0, starts=None, nmax=None, grid=20):
+def _check_chernoff(op, st, *, horizon=50.0, starts=None):
     T = horizon
     (U0,) = _starts(op, starts, 0.0)
-    nmax = int(T) if nmax is None else nmax
+    nmax, grid = int(T), 20
     traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
@@ -364,8 +347,9 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
                traj.err_at(float(n)) / n, {"n": n})
 
 
-def _check_expo(op, st, *, horizon=50.0, starts=None, m_values=(25, 100, 400, 1600)):
+def _check_expo(op, st, *, horizon=50.0, starts=None):
     T = horizon
+    m_values = (25, 100, 400, 1600)
     (U0,) = _starts(op, starts, 1.0)
     traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
     a0 = op.norm(apply_A(op, U0))
@@ -389,8 +373,7 @@ def _random_steps(rng):
     return discrete.StepSequence(lam)
 
 
-def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, steps2=None,
-                     pairs=None, subgrid=10):
+def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, pairs=None):
     if steps is not None:
         if pairs is not None:
             raise InputError("steps, pairs: give one of them, not both")
@@ -399,12 +382,12 @@ def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, steps2=None,
     x0, xhat0 = _starts(op, starts, 0.0, 1.0)
     for p in range(20 if pairs is None else pairs):
         s1 = steps or _random_steps(rng)
-        s2 = steps2 or _random_steps(rng)
+        s2 = _random_steps(rng)
         o1 = discrete.euler_scheme(op, x0, s1)
         o2 = discrete.euler_scheme(op, xhat0, s2)
         bound = discrete.kobayashi_rhs(op, x0, xhat0, s1, s2)
-        ks = np.unique(np.linspace(0, len(s1), subgrid).astype(int))
-        ls = np.unique(np.linspace(0, len(s2), subgrid).astype(int))
+        ks = np.unique(np.linspace(0, len(s1), 10).astype(int))
+        ls = np.unique(np.linspace(0, len(s2), 10).astype(int))
         lhs, rhs, k, l = _worst(
             (op.norm(o1.points[k] - o2.points[l]), bound[k, l], int(k), int(l))
             for k in ks for l in ls
@@ -445,19 +428,14 @@ def _check_normalized_euler(op, st, *, horizon=50.0, steps=None, starts=None):
         yield gap / t, a0 * np.sqrt(t) / t, err / t, {"k": k, "t": t}
 
 
-def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None, n_steps=None):
+def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None):
     T = horizon
     (x0,) = _starts(op, starts, 1.0)
     if steps is None:
-        # n steps of T/n: their sigma_N drifts from T as n grows, past 1e-9
-        # at large T, and the reads below stop at it
-        n_steps = 100 if n_steps is None else n_steps
-        if n_steps < T:
-            raise InputError(f"n_steps: interpolation needs n_steps of at least "
-                             f"ceil(horizon) = {math.ceil(T)}, got {n_steps}")
-        steps = discrete.StepSequence.constant(T / n_steps, n_steps)
-    elif n_steps is not None:
-        raise InputError("steps, n_steps: give one of them, not both")
+        # n steps of T/n, each at most 1: their sigma_N drifts from T as n
+        # grows, past 1e-9 at large T, and the reads below stop at it
+        n = max(100, math.ceil(T))
+        steps = discrete.StepSequence.constant(T / n, n)
     else:
         steps = _ending_at(steps, horizon)
     orbit = discrete.euler_scheme(op, x0, steps)
@@ -484,16 +462,15 @@ def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
 
 
 def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5),
-                          starts=None, t_values=(1.0, 5.0, 10.0, 20.0)):
+                          starts=None):
     if not isinstance(param, continuous.Constant):
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
     (u0,) = _starts(op, starts, 1.0)
-    t_values = _within("constant_decay", "t_values", t_values, 0.0, math.inf)
     traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
     du0 = op.norm(traj.derivative[0])
     v = _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol)
-    for t in t_values:
+    for t in (1.0, 5.0, 10.0, 20.0):
         if t > horizon:
             continue
         decay, u, err = np.exp(-lam * t), traj.at(t), traj.err_at(t)
@@ -585,13 +562,10 @@ def _check_hypothesis_H(op, st, *, seed=0):
            {"samples": st.samples, "violations": violations, "C": C})
 
 
-def _check_slow_param(op, st, *, horizon=50.0, param, starts=None, t_values=None):
+def _check_slow_param(op, st, *, horizon=50.0, param, starts=None):
     (u0,) = _starts(op, starts, 1.0)
-    if t_values is None:
-        t_values = _log_points(horizon, 5)
-    t_values = _within("slow_param", "t_values", t_values, 0.0, horizon)
     traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
-    for t in t_values:
+    for t in _log_points(horizon, 5):
         yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
                continuous.slow_param_bound(op, param, u0, float(t)),
                st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
@@ -641,25 +615,19 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
                       "note": "boundedness checked over finite horizon only"})
 
 
-def _check_vlambda_lipschitz(op, st, *, lambdas=None):
+def _check_vlambda_lipschitz(op, st):
     C = op.h_constant()
     Cp = op.norm(op.J(np.zeros(op.dim)))
-    lams = np.geomspace(0.02, 1.0, 10) if lambdas is None else lambdas
-    lams = _unit("vlambda_lipschitz", "lambdas", lams)
+    lams = np.geomspace(0.02, 1.0, 10)
     values = {lam: _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
                2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
 
 
-def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
+def _check_discrete_slow(op, st, *, horizon=50.0):
     N = _last_n("discrete_slow", horizon, 2)
-    if lambda_seq is None:
-        lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
-    if len(lambda_seq) < N:
-        raise InputError(f"lambda_seq: discrete_slow needs at least N = {N} entries, "
-                         f"got {len(lambda_seq)}")
-    lambda_seq = _unit("discrete_slow", "lambda_seq", lambda_seq)
+    lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
     orbit = discrete.phi_recursion(op, lambda_seq)
     ns = _log_ints(max(1, N // 100), N, 5)
     gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
@@ -668,10 +636,9 @@ def _check_discrete_slow(op, st, *, horizon=50.0, lambda_seq=None):
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
-def _check_alpha_family(op, st, *, horizon=50.0, starts=None, alpha=0.5):
+def _check_alpha_family(op, st, *, horizon=50.0, starts=None):
     N = _last_n("alpha_family", horizon, 2)
-    if not 0.0 <= alpha < 1.0:  # NaN too
-        raise InputError(f"alpha: alpha_family needs alpha in [0, 1), got {alpha}")
+    alpha = 0.5
     (u0,) = _starts(op, starts, 0.0)
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
     yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,

@@ -262,7 +262,9 @@ def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
     header = ["lambda"] + _coord_header("v", operator.dim) + ["iterations", "certified_error"]
     rows = []
-    for lam in bounds._unit("discounted", "lambdas", lambdas):
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise InputError(f"lambdas: discounted needs each lambda in (0, 1], got {lam}")
         res = discrete.solve_vlambda(operator, lam, tol=tol, full=True)
         rows.append([lam] + list(res.v) + [res.iterations, res.certified_error])
     write_csv(os.path.join(out, "discounted.csv"), header, rows)
@@ -325,13 +327,14 @@ def _emit_reports(reports, out):
 #: one reader per config key, whichever task, check or spec object takes it:
 #: it turns the config value into the argument; any other key is passed as
 #: given.  A check's keys are read by bounds.READERS, and no key here reads
-#: one of them another way, but for the spec objects param, param2, steps
-#: and steps2: their readers here build the object from its spec, and the
-#: one in bounds.READERS takes it as built.
+#: one of them another way, but for the spec objects param, param2 and
+#: steps: their readers here build the object from its spec, and the one in
+#: bounds.READERS takes it as built.
 READERS = {
     **bounds.READERS,
     "operator": _operator,
     "N": bounds._count(1),
+    "lambdas": bounds._list(bounds._positive),
     "T": bounds._positive,
     "tol": bounds._positive,
     "samples": bounds._count(1),
@@ -339,7 +342,6 @@ READERS = {
     "param": _kind(PARAMS, "param"),
     "param2": _kind(PARAMS, "param2"),
     "steps": _kind(STEPS, "steps"),
-    "steps2": _kind(STEPS, "steps2"),
     "settings": lambda spec: _build(bounds.Settings, spec, "settings", "settings"),
     "game_file": os.fspath,
     # the spec objects' keys
@@ -352,6 +354,7 @@ READERS = {
     "cols": bounds._count(1),
     "payoff_range": bounds._list(bounds._float),
     "lambda": bounds._float,
+    "alpha": bounds._float,
     "ode_tol": bounds._float,
     "fp_tol": bounds._float,
 }
@@ -360,7 +363,7 @@ READERS = {
 #: the checks' inputs that are spec objects: task_verify builds them, and a
 #: null one is left out, as if not given; bounds.verify reads the others and
 #: takes these as built
-SPECS = ("param", "param2", "steps", "steps2")
+SPECS = ("param", "param2", "steps")
 
 
 def task_verify(out, /, *, operator, checks, settings=None, **inputs):

@@ -180,7 +180,7 @@ class Table(Parametrization):
     each taking the slope to its right."""
 
     def __init__(self, knots):
-        knots = [(float(t), float(v)) for t, v in knots]
+        knots = convert(lambda ks: [(real(t), real(v)) for t, v in ks], knots, "knots")
         if len(knots) < 1:
             raise InputError("at least one knot required")
         ts = np.array([t for t, _ in knots])

@@ -46,7 +46,7 @@ def as_vec(x, dim=None):
             and (dim is None or x.shape[0] == dim) and math.isfinite(sum(x.tolist()))):
         return x
     try:
-        v = np.asarray(x, dtype=float)
+        v = as_array(x)
     except (TypeError, ValueError) as exc:
         raise InputError(f"not a numeric vector: {exc}") from None
     if v.ndim == 0:
@@ -60,11 +60,26 @@ def as_vec(x, dim=None):
     return v
 
 
+def as_array(x):
+    """x as a float array of any shape: np.asarray(x, dtype=float), but a
+    str or a bool entry, which NumPy would read as a number, is an
+    InputError.  An int or float array is cleared by its dtype alone, any
+    other x by one entry of each type (each 0-d array, if it holds one)."""
+    A = np.asarray(x, dtype=float)
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        entries = np.asarray(x, dtype=object).ravel().tolist()
+        kinds = {type(e): e for e in entries}
+        for e in entries if np.ndarray in kinds else kinds.values():
+            if _number(e) is None:
+                raise InputError(f"entry {e!r} is not a number")
+    return A
+
+
 def as_matrix(M, square=False):
     """M as a nonempty 2-d float array, square when square is set (M itself
     when it is one); its finiteness is left to the caller's own path."""
     try:
-        A = np.asarray(M, dtype=float)
+        A = as_array(M)
     except (TypeError, ValueError) as exc:
         raise InputError(f"matrix is not numeric: {exc}") from None
     if square and (A.ndim != 2 or A.shape[0] != A.shape[1]):
@@ -311,21 +326,21 @@ def sample_ball(rng, dim, radius, norm_kind):
     return x / r * radius * rng.uniform() ** (1.0 / dim)
 
 
-def _sampled_pairs(op, samples, radius, seed):
-    """Seeded pairs (x, y, ||x - y||) from the ball; pairs closer than
-    PAIR_MIN_DIST are drawn but skipped."""
+def _sampled_pairs(op, samples, seed):
+    """Seeded pairs (x, y, ||x - y||) from the ball of radius 10; pairs
+    closer than PAIR_MIN_DIST are drawn but skipped."""
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(samples):
-        x = sample_ball(rng, op.dim, radius, op.norm_kind)
-        y = sample_ball(rng, op.dim, radius, op.norm_kind)
+        x = sample_ball(rng, op.dim, 10.0, op.norm_kind)
+        y = sample_ball(rng, op.dim, 10.0, op.norm_kind)
         d = op.norm(x - y)
         if d > PAIR_MIN_DIST:
             pairs.append((x, y, d))
     return pairs
 
 
-def check_nonexpansive(op, samples=200, radius=10.0, seed=0):
+def check_nonexpansive(op, samples=200, seed=0):
     """Sampled check of ||J(x)-J(y)|| <= ||x-y||.
 
     worst_ratio is the largest observed ratio (0 when every pair is
@@ -333,29 +348,29 @@ def check_nonexpansive(op, samples=200, radius=10.0, seed=0):
     """
     samples = convert(count(1), samples, "samples")
     ratios = [op.norm(op.J(x) - op.J(y)) / d
-              for x, y, d in _sampled_pairs(op, samples, radius, seed)]
+              for x, y, d in _sampled_pairs(op, samples, seed)]
     violations = sum(r > 1.0 + RATIO_TOL for r in ratios)
     return PropertyReport(samples, violations, max(ratios, default=0.0), seed)
 
 
-def check_accretive(op, lam, samples=200, radius=10.0, seed=0):
+def check_accretive(op, lam, samples=200, seed=0):
     """Sampled check of ||x-y + lam(A(x)-A(y))|| >= ||x-y|| for lam > 0.
 
     worst_ratio is the smallest observed ratio (1 when every pair is
     skipped); violations counts pairs below 1 - RATIO_TOL.  The one-lam
     case of ``_accretive_reports``, whose one draw serves every lam.
     """
-    (report,) = _accretive_reports(op, (lam,), samples, radius, seed)
+    (report,) = _accretive_reports(op, (lam,), samples, seed)
     return report
 
 
-def _accretive_reports(op, lams, samples=200, radius=10.0, seed=0):
+def _accretive_reports(op, lams, samples=200, seed=0):
     """check_accretive's report for each lam in lams, from one draw of the
     pairs and one evaluation of A at each of their points."""
     lams = [convert(positive, lam, "lambda") for lam in lams]
     samples = convert(count(1), samples, "samples")
     diffs = [(x - y, apply_A(op, x) - apply_A(op, y), d)
-             for x, y, d in _sampled_pairs(op, samples, radius, seed)]
+             for x, y, d in _sampled_pairs(op, samples, seed)]
     reports = []
     for lam in lams:
         ratios = [op.norm(dx + lam * dA) / d for dx, dA, d in diffs]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_Phi, as_vec, count, positive, real
+from .core import apply_A, apply_Phi, as_array, as_vec, count, positive, real
 from .errors import InputError, ResourceError, convert
 
 #: cap on the linearize calls of one v_lam solve
@@ -45,7 +45,7 @@ class StepSequence:
     tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.steps, dtype=float)
+        lam = convert(as_array, self.steps, "steps")
         if lam.ndim != 1 or lam.size == 0:
             raise InputError("steps must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(lam)):
@@ -61,7 +61,8 @@ class StepSequence:
 
     @classmethod
     def constant(cls, lam, N):
-        return cls([convert(real, lam, "lambda")] * convert(count(1), N, "N"))
+        lam = convert(real, lam, "lambda")
+        return cls(np.full(convert(count(1), N, "N"), lam))
 
     @classmethod
     def harmonic(cls, N):
@@ -91,7 +92,7 @@ def _step_orbit(op, x0, steps, step):
     from x0), so the orbit is checked for finiteness once, at the end, and
     NumPy's overflow and invalid warnings on the way are silenced."""
     if not isinstance(steps, StepSequence):
-        steps = StepSequence(np.asarray(steps, dtype=float))
+        steps = StepSequence(steps)
     points = np.empty((len(steps) + 1, op.dim))
     points[0] = as_vec(x0, op.dim)
     for n, lam in enumerate(steps.steps, 1):

@@ -75,7 +75,7 @@ def test_criterion_02_exponential_formula(rotation30, random3):
     ok = True
     detail = []
     for op in (rotation30, random3):
-        sc = bounds.Scenario(operator=op, horizon=5.0, m_values=[25, 100, 400, 1600])
+        sc = bounds.Scenario(operator=op, horizon=5.0)  # m in {25, 100, 400, 1600}
         reps = bounds.verify("expo", sc, bounds.Settings(ode_tol=1e-8))
         ok &= all(r.verdict for r in reps)
         detail.extend(f"{r.context}: slack {r.slack:.3g}" for r in reps if not r.verdict)
@@ -88,7 +88,7 @@ def test_criterion_03_chernoff_and_convvn(random3):
     t0 = time.perf_counter()
     cher = bounds.verify(
         "chernoff",
-        bounds.Scenario(operator=random3, horizon=50.0, grid=20, nmax=50),
+        bounds.Scenario(operator=random3, horizon=50.0),  # 20x20 grid, n up to 50
         bounds.Settings(ode_tol=1e-6),
     )
     conv = bounds.verify(
@@ -106,7 +106,7 @@ def test_criterion_04_kobayashi(rotation30, random3):
     t0 = time.perf_counter()
     ok = True
     for op, seed in ((rotation30, 0), (random3, 1)):
-        sc = bounds.Scenario(operator=op, seed=seed, pairs=50, subgrid=10)
+        sc = bounds.Scenario(operator=op, seed=seed, pairs=50)  # 10x10 subgrid
         reps = bounds.verify("kobayashi", sc, bounds.Settings())
         ok &= all(r.verdict for r in reps)
     elapsed = time.perf_counter() - t0
@@ -151,8 +151,7 @@ def test_criterion_06_constant_parametrization(random3):
     for lam in (0.5, 0.1):
         sc = bounds.Scenario(operator=op, horizon=20.0,
                              param=continuous.Constant(lam),
-                             starts=[np.ones(3)],
-                             t_values=[1.0, 5.0, 10.0, 20.0])
+                             starts=[np.ones(3)])  # t in {1, 5, 10, 20}
         reps = bounds.verify("constant_decay", sc, bounds.Settings(ode_tol=1e-8))
         ok &= all(r.verdict for r in reps)
         detail.extend(str(r.context) for r in reps if not r.verdict)

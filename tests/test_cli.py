@@ -86,7 +86,7 @@ def test_matching_pennies_discounted(tmp_path):
     ("value_iter", "random3", ["N=20"], 20),
     ("ode", "rotation30", ["samples=11", 'operator={"builtin":"affine","matrix":[[0.5,-0.5],'
                                          '[0.25,0.5]],"offset":[1,-1],"norm":"sup"}'], 11),
-    ("verify", "translation", ['checks=["accretivity"]', "lambdas=[0.5, 2.0]"], 2),
+    ("verify", "translation", ['checks=["accretivity"]'], 4),
 ], ids=["value_iter-game", "ode-affine", "verify-accretivity"])
 def test_a_passing_run_writes_one_row_per_entry(tmp_path, task, preset, sets, rows):
     # one row per n, per sample time, or per report (each lambda's)
@@ -268,23 +268,11 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("initial_independence", ['param={"kind":"power_alpha"}']),
     ("two_param", ['param={"kind":"power_alpha"}',
                    'param2={"kind":"inverse_time_zeta"}']),
-    ("discrete_slow", ["horizon=10", 'lambda_seq=[0.5,0.5]']),
-    ("discrete_slow", ["horizon=10", 'lambda_seq=0.5']),
     ("kobayashi", ["starts=5"]),
     ("kobayashi", ["extra=3"]),
     ("kobayashi", ['starts=[5, "x"]']),
     ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs="x"']),
-    ("kobayashi", ["starts=[[0.0], [1.0]]", 'subgrid=[1]']),
-    ("chernoff", ['nmax=1e999']),
-    ("chernoff", ['grid="x"']),
     ("convvn", ['n_values=5']),
-    ("expo", ['m_values=["x"]']),
-    ("interpolation", ['n_steps=null']),
-    ("alpha_family", ['alpha="x"']),
-    ("accretivity", ['lambdas="x"']),
-    ("norm_bounds", ['lambdas=5']),
-    ("constant_decay", ['t_values="x"']),
-    ("discrete_slow", ["horizon=2", 'lambda_seq=["x","y"]']),
     ("norm_bounds", ['settings={"ode_tol":"x"}']),
     ("norm_bounds", ['settings={"decay_factor":null}']),
     ("norm_bounds", ['settings={"ode_tool":1e-3}']),
@@ -320,23 +308,19 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("hypothesis_H", ['settings={"samples":0}']),
     ("hypothesis_H", ['settings={"samples":-1}']),
     ("discrete_slow", ['settings={"decay_factor":NaN}']),
-    ("chernoff", ['grid=0']),
-    ("chernoff", ['grid=-2']),
-    ("chernoff", ['nmax=-3']),
-    ("kobayashi", ["starts=[[0.0], [1.0]]", 'subgrid=0']),
-    ("interpolation", ['n_steps=0']),
-    ("norm_bounds", ['lambdas=[]']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=0']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=-2']),
+    ("convvn", ['n_values=[]']),
     ("two_param", ["starts=[[0.0], [1.0]]", "horizon=5", 'param={"kind":"power_alpha"}',
                    'param2={"kind":"inverse_time_zeta"}', 'case="A"']),
     ("norm_bounds", ["horizon=NaN"]),
     ("solution_contraction", ["starts=[[0.0], [1.0]]", "horizon=Infinity"]),
     ("chernoff", ['gird=0']),
     ("chernoff", ['param2={"kind":"power_alpha"}']),
-    ("euler_vs_ode", ['steps2={"kind":"harmonic","N":10}']),
     ("accretivity", ["starts=[[0.0]]"]),
-    ("chernoff", ['grid=2.5']),
-    ("chernoff", ['grid=true']),
-    ("expo", ['m_values=[100.5]']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=2.5']),
+    ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=true']),
+    ("convvn", ['n_values=[10.5]']),
     ("accretivity", ["seed=0.5"]),
     ("accretivity", ["seed=-1"]),
     ("hypothesis_H", ['settings={"samples":2.5}']),
@@ -345,18 +329,14 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("euler_vs_ode", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
     ("normalized_euler", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
     ("chernoff", ["horizon=true"]),
-    ("alpha_family", ["alpha=false"]),
-    ("constant_decay", ["t_values=[1.0, true]"]),
     ("convvn", ["horizon=0.5"]),
     ("convvn", ["horizon=10", "n_values=[20]"]),
-    ("alpha_family", ["alpha=2"]),
 ])
 def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
-    # one start point where two are needed, a lambda sequence shorter than
-    # the horizon, a value of the wrong type, a check with no report, an
-    # unknown key in a spec object, an input the check does not read, or a
-    # setting, count or payoff range out of range; a check that takes start
-    # points gets one
+    # one start point where two are needed, a value of the wrong type, a
+    # check with no report, an unknown key in a spec object, an input the
+    # check does not read, or a setting, count or payoff range out of range;
+    # a check that takes start points gets one
     args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]']
     if "starts" in bounds.keys(bounds.CHECKS[check]):
         args += ["--set", "starts=[[0.0]]"]
@@ -367,14 +347,14 @@ def test_malformed_verify_input_is_config_error(tmp_path, capsys, check, sets):
 
 
 def test_verify_gives_each_check_only_the_inputs_it_reads(tmp_path, capsys):
-    # grid is chernoff's, pairs is kobayashi's; gird is neither's, and is
+    # horizon is chernoff's, pairs is kobayashi's; gird is neither's, and is
     # named once, alone
     args = ["verify", "--preset", "translation",
             "--set", 'checks=["chernoff","kobayashi"]', "--out", str(tmp_path)]
-    assert run(args + ["--set", "grid=5", "--set", "pairs=2"]) == 0
+    assert run(args + ["--set", "horizon=5", "--set", "pairs=2"]) == 0
     reports = json.loads(read(tmp_path / "reports.json"))
     assert {r["check"] for r in reports} == {"chernoff", "kobayashi"}
-    assert run(args + ["--set", "grid=5", "--set", "gird=5"]) == cli.EXIT_CONFIG
+    assert run(args + ["--set", "horizon=5", "--set", "gird=5"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("opdyn: config error: gird: not a key of chernoff or kobayashi, "
                           "whose keys are ")
@@ -386,6 +366,21 @@ def test_verify_gives_each_check_only_the_inputs_it_reads(tmp_path, capsys):
     ("hypothesis_H", "horizon=50"),
     ("vlambda_lipschitz", "horizon=50"),
     ("vlambda_lipschitz", "seed=0"),
+    # the read points, grids and discount factors each check holds as its
+    # own constants, given at the values they hold
+    ("chernoff", "grid=20"),
+    ("chernoff", "nmax=50"),
+    ("kobayashi", "subgrid=10"),
+    ("kobayashi", 'steps2={"kind":"harmonic","N":10}'),
+    ("expo", "m_values=[25, 100, 400, 1600]"),
+    ("constant_decay", "t_values=[1.0, 5.0, 10.0, 20.0]"),
+    ("slow_param", "t_values=[0.5, 50.0]"),
+    ("norm_bounds", "lambdas=[1.0, 0.5, 0.1, 0.01]"),
+    ("accretivity", "lambdas=[0.1, 0.5, 1.0, 2.0]"),
+    ("vlambda_lipschitz", "lambdas=[0.02, 1.0]"),
+    ("discrete_slow", "lambda_seq=[1.0, 0.7071067811865475]"),
+    ("alpha_family", "alpha=0.5"),
+    ("interpolation", "n_steps=100"),
 ])
 def test_an_input_the_check_does_not_take_is_named_at_its_default_too(tmp_path, capsys,
                                                                       check, item):
@@ -418,10 +413,10 @@ def test_verify_names_a_stray_key_before_it_reads_any_value(tmp_path, capsys, it
 ])
 def test_a_null_spec_object_is_as_if_not_given(tmp_path, capsys, check, code, message):
     # param is wn_tracks_vn's (InverseTimeZeta by default), constant_decay's
-    # (Constant(0.5)) and stationarity_gap's (required), and steps2 is
-    # kobayashi's alone: null leaves each out, whichever check takes it
+    # (Constant(0.5)) and stationarity_gap's (required), and steps is none
+    # of theirs: null leaves each out, whichever check takes it
     args = ["verify", "--preset", "translation", "--set", f'checks=["{check}"]',
-            "--set", "param=null", "--set", "steps2=null", "--out", str(tmp_path)]
+            "--set", "param=null", "--set", "steps=null", "--out", str(tmp_path)]
     assert run(args) == code
     assert capsys.readouterr().err.startswith(message)
 
@@ -443,7 +438,6 @@ def test_verify_failure_sets_exit_one(tmp_path, monkeypatch):
     # DECAY_FACTOR = 1e-30 makes every decay-type verdict fail
     code = run(["verify", "--preset", "translation",
                 "--set", 'checks=["accretivity"]',
-                "--set", 'lambdas=[0.5]',
                 "--set", 'operator={"builtin":"rotation","theta_degrees":30}',
                 "--out", str(tmp_path)])
     assert code == 0  # rotation passes accretivity; now force a failure
@@ -542,6 +536,36 @@ def test_start_point_of_the_wrong_dimension_is_named(tmp_path, capsys, task, pre
     assert capsys.readouterr().err.endswith(f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("task, preset, item, message", [
+    ("verify", "translation", "starts=[[true]]",
+     "starts: not a numeric vector: entry True is not a number"),
+    ("ode", "rotation30", "U0=[true, 0]", "U0: not a numeric vector: entry True is not a number"),
+    ("euler", "translation", 'x0=["1"]', "x0: not a numeric vector: entry '1' is not a number"),
+    ("value_iter", "translation", 'operator={"builtin":"translation","c":[true]}',
+     "operator: not a numeric vector: entry True is not a number"),
+    ("value_iter", "translation", 'operator={"builtin":"affine","matrix":[[true]],"offset":[0]}',
+     "operator: matrix is not numeric: entry True is not a number"),
+    ("value_iter", "translation", 'operator={"builtin":"affine","matrix":[[1]],"offset":["0"]}',
+     "operator: not a numeric vector: entry '0' is not a number"),
+    ("euler", "translation", 'steps={"kind":"explicit","values":[true]}',
+     "steps: entry True is not a number"),
+    ("euler", "translation", 'steps={"kind":"explicit","values":["0.5"]}',
+     "steps: entry '0.5' is not a number"),
+    ("phi_ode", "matching-pennies", 'param={"kind":"table","knots":[[0,true]]}',
+     "param: knots: must be a number, got True"),
+    ("phi_ode", "matching-pennies", 'param={"kind":"table","knots":[["0",0.5]]}',
+     "param: knots: must be a number, got '0'"),
+])
+def test_a_str_or_bool_entry_of_a_vector_matrix_or_list_is_named(tmp_path, capsys, task,
+                                                                  preset, item, message):
+    # as a str or a bool given for a number is: NumPy would read it as one
+    args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]
+    if task == "verify":
+        args += ["--set", 'checks=["expo"]', "--set", "horizon=5"]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
+
+
 @pytest.mark.parametrize("sets, message", [
     (["checks=[\"expo\"]", "horizon=5", "starts=[[1, 2]]"],
      "starts: dimension mismatch: expected 1, got 2"),
@@ -559,26 +583,27 @@ def test_a_start_point_error_of_a_check_names_starts(tmp_path, capsys, sets, mes
     assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
 
 
-@pytest.mark.parametrize("horizon", [60.7, 777.7])
-def test_interpolation_reads_its_own_steps_up_to_their_last_sigma(tmp_path, horizon):
-    # n_steps equal steps end 1.1e-12 short of these horizons: within the
-    # check's 1e-9 rule, but beyond the 1e-12 that locate clamps
-    sigma_n = discrete.StepSequence.constant(horizon / 1000, 1000).sigma[-1]
+@pytest.mark.parametrize("horizon, n", [(213.1, 214), (226.5, 227)])
+def test_interpolation_reads_its_own_steps_up_to_their_last_sigma(tmp_path, horizon, n):
+    # the check's own n = ceil(horizon) equal steps end 1.1e-12 short of
+    # these horizons: within the 1e-9 rule of given steps, but beyond the
+    # 1e-12 that locate clamps
+    sigma_n = discrete.StepSequence.constant(horizon / n, n).sigma[-1]
     assert 1e-12 < horizon - sigma_n <= 1e-9
     args = ["verify", "--preset", "translation", "--set", 'checks=["interpolation"]',
-            "--set", f"horizon={horizon}", "--set", "n_steps=1000", "--out", str(tmp_path)]
+            "--set", f"horizon={horizon}", "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_OK
     reports = json.loads(read(tmp_path / "reports.json"))
     assert reports and all(r["verdict"] == "pass" for r in reports)
 
 
 def test_interpolation_runs_its_own_steps_whose_sigma_drifts_past_the_rule(tmp_path):
-    # 13001 steps of 10000/13001 sum to 1.05e-9 short of the horizon: the
+    # 10007 steps of 10006.3/10007 sum to 2.2e-9 short of the horizon: the
     # 1e-9 rule holds given steps only, and the reads stop at sigma_N
-    sigma_n = discrete.StepSequence.constant(10000.0 / 13001, 13001).sigma[-1]
-    assert 1e-9 < 10000.0 - sigma_n
+    sigma_n = discrete.StepSequence.constant(10006.3 / 10007, 10007).sigma[-1]
+    assert 1e-9 < 10006.3 - sigma_n
     args = ["verify", "--preset", "translation", "--set", 'checks=["interpolation"]',
-            "--set", "horizon=10000", "--set", "n_steps=13001", "--out", str(tmp_path)]
+            "--set", "horizon=10006.3", "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_OK
     reports = json.loads(read(tmp_path / "reports.json"))
     assert reports and all(r["verdict"] == "pass" for r in reports)
@@ -599,7 +624,7 @@ def test_steps_that_end_away_from_the_horizon_get_one_message(tmp_path, capsys):
     ("NaN", "nan"), ("Infinity", "inf"), ("-1", "-1.0"), ("0", "0.0")])
 def test_a_lambdas_entry_that_is_not_positive_and_finite_is_named(tmp_path, capsys,
                                                                    value, shown):
-    args = ["verify", "--preset", "translation", "--set", 'checks=["accretivity"]',
+    args = ["discounted", "--preset", "matching-pennies",
             "--set", f"lambdas=[0.5, {value}]", "--out", str(tmp_path)]
     assert run(args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.endswith(
@@ -759,7 +784,7 @@ def spec_constructors():
         for kind, fn in kinds:
             out[("operator", source if kind is None else f"{source}={json.dumps(kind)}")] = fn
     out[("random_game",)] = cli._random_game
-    for names, kinds in ((("param", "param2"), cli.PARAMS), (("steps", "steps2"), cli.STEPS)):
+    for names, kinds in ((("param", "param2"), cli.PARAMS), (("steps",), cli.STEPS)):
         for kind, fn in kinds.items():
             out[(*names, f"kind={json.dumps(kind)}")] = fn
     out[("settings",)] = bounds.Settings
@@ -795,15 +820,14 @@ def test_a_checks_keys_are_read_by_bounds_readers_alone():
         if key not in cli.SPECS:
             assert cli.READERS[key] is read
     for key, spec in [("param", {"kind": "power_alpha"}), ("param2", {"kind": "constant"}),
-                      ("steps", {"kind": "harmonic", "N": 3}),
-                      ("steps2", {"kind": "explicit", "values": [0.5]})]:
+                      ("steps", {"kind": "harmonic", "N": 3})]:
         built = cli.READERS[key](spec)
         assert bounds.READERS[key](built) is built
 
 
 FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol",
               "fp_tol"]
-FLOAT_LIST_KEYS = ["lambdas", "t_values", "lambda_seq", "payoff_range"]
+FLOAT_LIST_KEYS = ["lambdas", "payoff_range"]
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS + FLOAT_LIST_KEYS)

@@ -57,7 +57,9 @@ def test_as_vec_dim_check():
 
 
 def test_as_vec_rejects_non_numeric_input():
-    for bad in ([5.0, "x"], ["x"], [[1.0], [1.0, 2.0]], {"a": 1}):
+    # a str or a bool entry too, which NumPy would read as a number
+    for bad in ([5.0, "x"], ["x"], [[1.0], [1.0, 2.0]], {"a": 1}, ["1", "2"], [True, 2.0],
+                np.array([True, False]), np.array(["1.5"]), "1", True):
         with pytest.raises(InputError):
             core.as_vec(bad)
 
@@ -412,7 +414,7 @@ def test_one_accretivity_draw_gives_each_lambdas_report_field_for_field():
                shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=4))):
         shared = core._accretive_reports(op, lams, samples=50, seed=9)
         assert shared == [core.check_accretive(op, lam, samples=50, seed=9) for lam in lams]
-        pairs = core._sampled_pairs(op, 50, 10.0, 9)
+        pairs = core._sampled_pairs(op, 50, 9)
         for lam, rep in zip(lams, shared):
             ratios = [op.norm(x - y + lam * (core.apply_A(op, x) - core.apply_A(op, y))) / d
                       for x, y, d in pairs]
@@ -430,12 +432,13 @@ def test_check_accretive_rejects_nonpositive_lambda():
             core._accretive_reports(op, (0.5, lam))
 
 
-def test_zero_radius_skips_every_pair():
-    # every sampled pair coincides, so no ratio is formed
+def test_a_draw_that_skips_every_pair_forms_no_ratio(monkeypatch):
+    # every sampled pair is closer than PAIR_MIN_DIST, so no ratio is formed
+    monkeypatch.setattr(core, "PAIR_MIN_DIST", math.inf)
     for op in (core.Translation([1.0]), core.rotation(0.5)):
-        rep = core.check_nonexpansive(op, samples=20, radius=0.0, seed=1)
+        rep = core.check_nonexpansive(op, samples=20, seed=1)
         assert (rep.worst_ratio, rep.violations, rep.samples) == (0.0, 0, 20)
-        rep = core.check_accretive(op, 0.5, samples=20, radius=0.0, seed=1)
+        rep = core.check_accretive(op, 0.5, samples=20, seed=1)
         assert (rep.worst_ratio, rep.violations, rep.samples) == (1.0, 0, 20)
 
 
@@ -499,11 +502,22 @@ _READ_SITES = [
     ("PowerAlpha", "alpha: ", lambda v: repr(continuous.PowerAlpha(v).alpha),
      ("0.5", True), 0),
     ("matrix_game_value", "M: ", lambda v: repr(shapley.matrix_game_value(v)),
-     ([[1, 2], [3]], [["a", "b"], ["c", "d"]]), None),
+     ([[1, 2], [3]], [["a", "b"], ["c", "d"]], [["1", "0"], ["0", "1"]], [[True, 0], [0, 1]]),
+     None),
     ("matrix_game_value_oracle", "M: ", lambda v: repr(shapley.matrix_game_value_oracle(v)),
-     ([[1, 2], [3]], [["a", "b"], ["c", "d"]]), None),
+     ([[1, 2], [3]], [["a", "b"], ["c", "d"]], [["1", "0"], ["0", "1"]], [[True, 0], [0, 1]]),
+     None),
     ("AffineNonexpansive", "matrix is not numeric: ",
-     lambda v: repr(core.AffineNonexpansive(v).matrix), ([[0.5, 0], [0]], [["a"]]), None),
+     lambda v: repr(core.AffineNonexpansive(v).matrix), ([[0.5, 0], [0]], [["a"]], [[True]]),
+     None),
+    ("Translation", "not a numeric vector: ", lambda v: repr(core.Translation(v).c),
+     (["1"], [True], True), 1),
+    ("StepSequence", "steps: ", lambda v: discrete.StepSequence(v).steps.tobytes(),
+     ([True, 0.5], ["0.5"], np.array([True])), None),
+    ("phi_recursion", "steps: ", lambda v: discrete.phi_recursion(_TR, v).points.tobytes(),
+     ([True, 0.5], ["0.5"]), None),
+    ("Table", "knots: ", lambda v: repr(continuous.Table(v).vs),
+     ([("0", True)], [(0.0, True)], [(0.0, "0.5")]), None),
     ("identity_operator", "dim: ", lambda v: repr(core.identity_operator(v).matrix),
      _COUNT_BAD, 2),
     ("zeta", "t: ", lambda v: repr(continuous.zeta(v)), ("1", True), 1),
@@ -538,7 +552,7 @@ def test_the_core_readers_keep_the_config_readers_rules():
     assert [core.real(v) for v in (1, 0.5, np.float32(0.5), np.array(2))] == [1, 0.5, 0.5, 2]
     assert [core.integer(v) for v in (3, 1e3, np.int64(4), np.array(5))] == [3, 1000, 4, 5]
     assert core.integer(2**70 + 1) == 2**70 + 1
-    assert bounds._float("0.5") == 0.5 and bounds._integer("3") == 3
+    assert bounds._float("0.5") == 0.5 and bounds._count(0)("3") == 3
     for read, value, message in [
             (core.real, "0.5", "must be a number, got '0.5'"),
             (core.real, np.True_, "must be a number, got np.True_"),

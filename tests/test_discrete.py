@@ -174,6 +174,29 @@ def test_small_lambda_solve_passes_the_oracle_residual():
     assert np.max(np.abs(lam * J - res.v)) <= (2.0 - lam) * tol + lam * oracle_tol
 
 
+def _big_match():
+    """Blackwell and Ferguson's Big Match: in s0 the top row absorbs, into a
+    state paying 1 forever against L or 0 forever against R, and the bottom
+    row pays 0 against L or 1 against R and stays.  Its discounted and
+    n-stage values are 1/2 at every lambda and every n."""
+    return shapley.ShapleyOperator(shapley.StochasticGame(
+        states=["s0", "win", "lose"], actions=[(2, 2), (1, 1), (1, 1)],
+        payoff=[[[1.0, 0.0], [0.0, 1.0]], [[1.0]], [[0.0]]],
+        transition=[[[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 0, 0]]],
+                    [[[0, 1, 0]]], [[[0, 0, 1]]]]))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 1e-3])
+def test_the_big_match_has_discounted_value_one_half(lam):
+    assert abs(discrete.solve_vlambda(_big_match(), lam, tol=1e-12)[0] - 0.5) <= 1e-15
+
+
+def test_the_big_match_has_n_stage_value_one_half():
+    orbit, vn = discrete.iterate_Vn(_big_match(), 200)
+    assert (orbit.points[1:, 0] / np.arange(1, 201) == 0.5).all()
+    assert (vn[:, 0] == 0.5).all()
+
+
 def test_euler_unit_steps_equal_value_iteration():
     op = shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=7))
     steps = discrete.StepSequence.constant(1.0, 20)
