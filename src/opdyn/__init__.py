@@ -6,7 +6,7 @@ finite zero-sum stochastic games; discrete schemes and certified ODE
 integration; and a registry of quantitative inequality checks.
 """
 
-from .bounds import BoundReport, Scenario, Settings, run_checks, run_suite, suite_plan, verify
+from .bounds import BoundReport, Scenario, run_checks, run_suite, suite_plan, verify
 from .continuous import (
     Constant,
     InverseTimeZeta,
@@ -72,7 +72,6 @@ __all__ = [
     "SUP",
     "Scenario",
     "SchemaError",
-    "Settings",
     "ShapleyOperator",
     "StepSequence",
     "StochasticGame",

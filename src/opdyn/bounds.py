@@ -1,7 +1,8 @@
 """Registry of quantitative checks.
 
-Every entry is a generator over an operator and the inputs it declares as
-keyword-only parameters: it yields one (lhs, rhs, budget, context) tuple
+Every entry is a generator over an operator, the run's integrator
+tolerance ode_tol and the inputs it declares as keyword-only parameters:
+it yields one (lhs, rhs, budget, context) tuple
 per inequality (or decay / monotonicity statement) it tests, where budget
 is the certified numerical error of that comparison alone (0.0 where it
 has none).  `verify` is the one place that binds those inputs from a
@@ -29,23 +30,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import continuous, core, discrete, shapley
-from .core import BASE_TOL, apply_A, apply_Phi
+from .core import BASE_TOL, SAMPLES, apply_A, apply_Phi
+from .discrete import VLAMBDA_TOL
 from .errors import InputError, convert
 
 #: the decay assertions' factor: the last gap is at most this times the first
 DECAY_FACTOR = 0.2
-
-
-@dataclass(kw_only=True)
-class Settings:
-    ode_tol: float = 1e-6
-    fp_tol: float = 1e-10
-    samples: int = 200
-
-    def __post_init__(self):
-        self.ode_tol = convert(core.positive, self.ode_tol, "settings.ode_tol")
-        self.fp_tol = convert(core.positive, self.fp_tol, "settings.fp_tol")
-        self.samples = convert(core.count(1), self.samples, "settings.samples")
+#: the integrator tolerance of a run of checks, unless its caller gives one
+ODE_TOL = 1e-6
 
 
 class Scenario:
@@ -264,13 +256,13 @@ def _shared(solve, *args, **kwargs):
     return memo[key][2]
 
 
-def _vlambda_gap(op, x, lam, fp_tol):
-    """||x - v_lam||, with v_lam certified to fp_tol."""
-    return op.norm(x - _shared(discrete.solve_vlambda, op, lam, tol=fp_tol))
+def _vlambda_gap(op, x, lam):
+    """||x - v_lam||, with v_lam certified to VLAMBDA_TOL."""
+    return op.norm(x - _shared(discrete.solve_vlambda, op, lam))
 
 
 # ---------------------------------------------------------------------------
-# individual checks: check(op, settings, *, inputs) yields (lhs, rhs, budget,
+# individual checks: check(op, ode_tol, *, inputs) yields (lhs, rhs, budget,
 # context) per inequality, budget being its certified numerical error (verify
 # adds the rounding allowance).  Its keyword-only parameters are its inputs,
 # each a key of the scenario read through its READERS entry; a default of
@@ -278,27 +270,27 @@ def _vlambda_gap(op, x, lam, fp_tol):
 # grids and discount factors at which a check reads its trajectory are its
 # own constants, in its body.
 
-def _check_norm_bounds(op, st, *, horizon=50.0):
+def _check_norm_bounds(op, ode_tol, *, horizon=50.0):
     N = _last_n("norm_bounds", horizon, 1)
     lambdas = (1.0, 0.5, 0.1, 0.01)
     j0 = op.norm(op.J(np.zeros(op.dim)))
     _, vn = _shared(discrete.iterate_Vn, op, N)
     yield max(op.norm(v) for v in vn), j0, 0.0, {"family": "v_n", "N": N}
-    yield (max(op.norm(_shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol))
+    yield (max(op.norm(_shared(discrete.solve_vlambda, op, lam))
                for lam in lambdas),
-           j0, st.fp_tol, {"family": "v_lambda", "lambdas": list(lambdas)})
+           j0, VLAMBDA_TOL, {"family": "v_lambda", "lambdas": list(lambdas)})
 
 
-def _check_accretivity(op, st, *, seed=0):
+def _check_accretivity(op, ode_tol, *, seed=0):
     lambdas = (0.1, 0.5, 1.0, 2.0)  # resolvent steps, which may exceed 1
-    reports = core._accretive_reports(op, lambdas, samples=st.samples, seed=seed)
+    reports = core._accretive_reports(op, lambdas, seed=seed)
     for lam, rep in zip(lambdas, reports):
         yield (1.0 - rep.worst_ratio, 0.0, 0.0,
                {"lambda": lam, "samples": rep.samples, "violations": rep.violations})
 
 
-def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
-    t1, t2 = (_shared(continuous.integrate_U, op, x, horizon, tol=st.ode_tol)
+def _check_solution_contraction(op, ode_tol, *, horizon=50.0, starts=None):
+    t1, t2 = (_shared(continuous.integrate_U, op, x, horizon, tol=ode_tol)
               for x in _starts(op, starts, 0.0, 1.0))
     times = np.linspace(0.0, horizon, 41)
     yield (_worst_increase([op.norm(t1.at(t) - t2.at(t)) for t in times]), 0.0,
@@ -306,20 +298,20 @@ def _check_solution_contraction(op, st, *, horizon=50.0, starts=None):
            {"checkpoints": len(times)})
 
 
-def _check_derivative_decay(op, st, *, horizon=50.0, starts=None):
+def _check_derivative_decay(op, ode_tol, *, horizon=50.0, starts=None):
     (U0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_U, op, U0, horizon, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, U0, horizon, tol=ode_tol)
     times = np.linspace(0.0, horizon, 41)
     # U' = -A(U), and A is 2-Lipschitz: each read is within 2 err of U'(t)
     yield (_worst_increase([op.norm(apply_A(op, traj.at(t))) for t in times]), 0.0,
            4.0 * traj.err_at(times), {"checkpoints": len(times)})
 
 
-def _check_chernoff(op, st, *, horizon=50.0, starts=None):
+def _check_chernoff(op, ode_tol, *, horizon=50.0, starts=None):
     T = horizon
     (U0,) = _starts(op, starts, 0.0)
     nmax, grid = int(T), 20
-    traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, U0, T, tol=ode_tol)
     du0 = op.norm(apply_A(op, U0))
     powers = [U0]
     for _ in range(nmax):
@@ -334,12 +326,12 @@ def _check_chernoff(op, st, *, horizon=50.0, starts=None):
            {"t": t, "n": n, "grid": [len(ts), len(ns)]})
 
 
-def _check_convvn(op, st, *, horizon=50.0, n_values=None):
+def _check_convvn(op, ode_tol, *, horizon=50.0, n_values=None):
     N = _last_n("convvn", horizon, 2)
     if n_values is None:
         n_values = _log_ints(max(2, N // 100), N, 4)
     n_values = _within("convvn", "n_values", n_values, 1, N)
-    traj = _shared(continuous.integrate_U, op, np.zeros(op.dim), float(N), tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, np.zeros(op.dim), float(N), tol=ode_tol)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     j0 = op.norm(op.J(np.zeros(op.dim)))
     for n in n_values:
@@ -347,11 +339,11 @@ def _check_convvn(op, st, *, horizon=50.0, n_values=None):
                traj.err_at(float(n)) / n, {"n": n})
 
 
-def _check_expo(op, st, *, horizon=50.0, starts=None):
+def _check_expo(op, ode_tol, *, horizon=50.0, starts=None):
     T = horizon
     m_values = (25, 100, 400, 1600)
     (U0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_U, op, U0, T, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, U0, T, tol=ode_tol)
     a0 = op.norm(apply_A(op, U0))
     endpoint, err = traj.points[-1], traj.err_at(T)
     measured = []
@@ -373,7 +365,7 @@ def _random_steps(rng):
     return discrete.StepSequence(lam)
 
 
-def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, pairs=None):
+def _check_kobayashi(op, ode_tol, *, seed=0, starts=None, steps=None, pairs=None):
     if steps is not None:
         if pairs is not None:
             raise InputError("steps, pairs: give one of them, not both")
@@ -396,7 +388,7 @@ def _check_kobayashi(op, st, *, seed=0, starts=None, steps=None, pairs=None):
                {"pair": p, "k": k, "l": l, "lengths": [len(s1), len(s2)]})
 
 
-def _euler_vs_flow(op, st, check, count, horizon, steps, starts):
+def _euler_vs_flow(op, ode_tol, check, count, horizon, steps, starts):
     """Euler orbit x and flow U from one start, compared at count indices k:
     the (k, sigma_k, ||x_k - U(sigma_k)||, the flow's error bound there),
     the steps and ||A(x_0)||."""
@@ -406,7 +398,7 @@ def _euler_vs_flow(op, st, check, count, horizon, steps, starts):
         steps = _ending_at(steps, horizon)
     (x0,) = _starts(op, starts, 1.0)
     orbit = discrete.euler_scheme(op, x0, steps)
-    traj = _shared(continuous.integrate_U, op, x0, float(steps.sigma[-1]), tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, x0, float(steps.sigma[-1]), tol=ode_tol)
     gaps = []
     for k in np.unique(np.linspace(1, len(steps), count).astype(int)):
         t = float(steps.sigma[k])
@@ -414,21 +406,21 @@ def _euler_vs_flow(op, st, check, count, horizon, steps, starts):
     return gaps, steps, op.norm(apply_A(op, x0))
 
 
-def _check_euler_vs_ode(op, st, *, horizon=50.0, steps=None, starts=None):
-    gaps, steps, a0 = _euler_vs_flow(op, st, "euler_vs_ode", 12, horizon, steps, starts)
+def _check_euler_vs_ode(op, ode_tol, *, horizon=50.0, steps=None, starts=None):
+    gaps, steps, a0 = _euler_vs_flow(op, ode_tol, "euler_vs_ode", 12, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield (gap, a0 * np.sqrt((steps.sigma[k] - t) ** 2 + steps.tau[k]),
                err, {"k": k, "t": t})
 
 
-def _check_normalized_euler(op, st, *, horizon=50.0, steps=None, starts=None):
+def _check_normalized_euler(op, ode_tol, *, horizon=50.0, steps=None, starts=None):
     # sigma_k > 0 for k >= 1, and the same start gives ||x0 - U0|| = 0
-    gaps, _, a0 = _euler_vs_flow(op, st, "normalized_euler", 8, horizon, steps, starts)
+    gaps, _, a0 = _euler_vs_flow(op, ode_tol, "normalized_euler", 8, horizon, steps, starts)
     for k, t, gap, err in gaps:
         yield gap / t, a0 * np.sqrt(t) / t, err / t, {"k": k, "t": t}
 
 
-def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None):
+def _check_interpolation(op, ode_tol, *, horizon=50.0, steps=None, starts=None):
     T = horizon
     (x0,) = _starts(op, starts, 1.0)
     if steps is None:
@@ -439,7 +431,7 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None):
     else:
         steps = _ending_at(steps, horizon)
     orbit = discrete.euler_scheme(op, x0, steps)
-    traj = _shared(continuous.integrate_U, op, x0, T, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_U, op, x0, T, tol=ode_tol)
     a0 = op.norm(apply_A(op, x0))
     max_step = float(np.max(steps.steps))
     # both are read up to sigma_N, which may fall short of T
@@ -449,41 +441,41 @@ def _check_interpolation(op, st, *, horizon=50.0, steps=None, starts=None):
            traj.err_at(times), {"max_step": max_step, "T": T})
 
 
-def _check_stationarity_gap(op, st, *, horizon=50.0, param, starts=None):
+def _check_stationarity_gap(op, ode_tol, *, horizon=50.0, param, starts=None):
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=ode_tol)
     for t in map(float, _log_points(horizon, 8)):
         lam, u = param.value(t), traj.at(t)
         # u' = Phi(lam, u) - u is (2 - lam)-Lipschitz in u
-        yield (_vlambda_gap(op, u, lam, st.fp_tol),
+        yield (_vlambda_gap(op, u, lam),
                op.norm(apply_Phi(op, lam, u) - u) / lam,
-               st.fp_tol + traj.err_at(t) * (1.0 + 2.0 / lam),
+               VLAMBDA_TOL + traj.err_at(t) * (1.0 + 2.0 / lam),
                {"t": t, "lambda": lam})
 
 
-def _check_constant_decay(op, st, *, horizon=50.0, param=continuous.Constant(0.5),
+def _check_constant_decay(op, ode_tol, *, horizon=50.0, param=continuous.Constant(0.5),
                           starts=None):
     if not isinstance(param, continuous.Constant):
         raise InputError("constant_decay needs a Constant parametrization")
     lam = param.lam
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=ode_tol)
     du0 = op.norm(traj.derivative[0])
-    v = _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol)
+    v = _shared(discrete.solve_vlambda, op, lam)
     for t in (1.0, 5.0, 10.0, 20.0):
         if t > horizon:
             continue
         decay, u, err = np.exp(-lam * t), traj.at(t), traj.err_at(t)
         yield (op.norm(apply_Phi(op, lam, u) - u), du0 * decay, 4.0 * err,
                {"t": t, "aspect": "derivative"})
-        yield op.norm(u - v), du0 * decay / lam, st.fp_tol + err, {"t": t, "aspect": "gap"}
+        yield op.norm(u - v), du0 * decay / lam, VLAMBDA_TOL + err, {"t": t, "aspect": "gap"}
 
 
-def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
+def _check_initial_independence(op, ode_tol, *, horizon=50.0, param, starts=None):
     T = horizon
     x0, x1 = _starts(op, starts, 0.0, 1.0)
-    t1 = _shared(continuous.integrate_u, op, param, x0, T, tol=st.ode_tol)
-    t2 = _shared(continuous.integrate_u, op, param, x1, T, tol=st.ode_tol)
+    t1 = _shared(continuous.integrate_u, op, param, x0, T, tol=ode_tol)
+    t2 = _shared(continuous.integrate_u, op, param, x1, T, tol=ode_tol)
     d0 = op.norm(x0 - x1)
     times = _log_points(T, 8)
     budget = t1.err_at(times) + t2.err_at(times)
@@ -495,9 +487,9 @@ def _check_initial_independence(op, st, *, horizon=50.0, param, starts=None):
                  {"aspect": "decay", "t0": float(times[0]), "t1": float(times[-1])})
 
 
-def _vn_decay(op, st, N, param, u0, points_key=None, **ctx):
+def _vn_decay(op, ode_tol, N, param, u0, points_key=None, **ctx):
     """Decay of ||u(n) - v_n|| along n = N/100 .. N."""
-    traj = _shared(continuous.integrate_u, op, param, u0, float(N), tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, float(N), tol=ode_tol)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     ns = _log_ints(max(1, N // 100), N, 6)
     gaps = [op.norm(traj.at(float(n)) - vn[n - 1]) for n in ns]
@@ -507,25 +499,25 @@ def _vn_decay(op, st, N, param, u0, points_key=None, **ctx):
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _vlambda_decay(op, st, horizon, param, u0, points_key=None, **ctx):
+def _vlambda_decay(op, ode_tol, horizon, param, u0, points_key=None, **ctx):
     """Decay of ||u(t) - v_lam(t)|| along t = T/100 .. T, T the horizon."""
-    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=ode_tol)
     times = _log_points(horizon, 6)
-    gaps = [_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol) for t in times]
+    gaps = [_vlambda_gap(op, traj.at(t), param.value(t)) for t in times]
     if points_key:
         ctx[points_key] = [float(t) for t in times]
-    return _decay(gaps, st.fp_tol + 2.0 * traj.err_at(times),
+    return _decay(gaps, VLAMBDA_TOL + 2.0 * traj.err_at(times),
                   {"gaps": [float(g) for g in gaps], **ctx})
 
 
-def _check_wn_tracks_vn(op, st, *, horizon=50.0, param=continuous.InverseTimeZeta(),
+def _check_wn_tracks_vn(op, ode_tol, *, horizon=50.0, param=continuous.InverseTimeZeta(),
                         starts=None):
     N = _last_n("wn_tracks_vn", horizon, 2)
     (u0,) = _starts(op, starts, 0.0)
-    yield _vn_decay(op, st, N, param, u0, points_key="n_values")
+    yield _vn_decay(op, ode_tol, N, param, u0, points_key="n_values")
 
 
-def _check_convboth(op, st, *, horizon=50.0):
+def _check_convboth(op, ode_tol, *, horizon=50.0):
     N = _last_n("convboth", horizon, 3)
     _, vn = _shared(discrete.iterate_Vn, op, N)
     if isinstance(op, core.Translation):
@@ -533,7 +525,7 @@ def _check_convboth(op, st, *, horizon=50.0):
         l = op.c
         yield op.norm(vn[-1] - l), 0.0, 0.0, {"family": "v_n", "N": N}
         for lam in [0.5, 0.1, 0.01]:
-            yield (_vlambda_gap(op, l, lam, st.fp_tol), 0.0, st.fp_tol,
+            yield (_vlambda_gap(op, l, lam), 0.0, VLAMBDA_TOL,
                    {"family": "v_lambda", "lambda": lam})
     elif isinstance(op, shapley.ShapleyOperator):
         # a finite stochastic game's v_n and v_lam share one limit (Bewley &
@@ -541,48 +533,48 @@ def _check_convboth(op, st, *, horizon=50.0):
         # v_1 = J(0) = v_{lam=1} makes the gap at n = 1 exactly 0, and the
         # decay needs a second n
         ns = _log_ints(max(2, N // 100), N, 6)
-        gaps = [_vlambda_gap(op, vn[n - 1], 1.0 / n, st.fp_tol) for n in ns]
+        gaps = [_vlambda_gap(op, vn[n - 1], 1.0 / n) for n in ns]
         ctx = {"family": "v_n - v_1/n", "n_values": ns, "gaps": [float(g) for g in gaps]}
         if not any(gaps):
             ctx["note"] = "every gap is 0"
-        yield _decay(gaps, 2.0 * st.fp_tol, ctx)
+        yield _decay(gaps, 2.0 * VLAMBDA_TOL, ctx)
 
 
-def _check_hypothesis_H(op, st, *, seed=0):
+def _check_hypothesis_H(op, ode_tol, *, seed=0):
     C = op.h_constant()
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(st.samples):
-        x = core.sample_ball(rng, op.dim, 10.0, op.norm_kind)
+    for _ in range(SAMPLES):
+        x = core.sample_ball(rng, op.dim, op.norm_kind)
         lam, mu = rng.uniform(1e-3, 1.0, size=2)
         pairs.append((op.norm(apply_Phi(op, lam, x) - apply_Phi(op, mu, x)),
                       abs(lam - mu) * (C + op.norm(x))))
     violations = sum(lhs > rhs + BASE_TOL for lhs, rhs in pairs)
     yield (*_worst(pairs), 0.0,
-           {"samples": st.samples, "violations": violations, "C": C})
+           {"samples": SAMPLES, "violations": violations, "C": C})
 
 
-def _check_slow_param(op, st, *, horizon=50.0, param, starts=None):
+def _check_slow_param(op, ode_tol, *, horizon=50.0, param, starts=None):
     (u0,) = _starts(op, starts, 1.0)
-    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=st.ode_tol)
+    traj = _shared(continuous.integrate_u, op, param, u0, horizon, tol=ode_tol)
     for t in _log_points(horizon, 5):
-        yield (_vlambda_gap(op, traj.at(t), param.value(t), st.fp_tol),
+        yield (_vlambda_gap(op, traj.at(t), param.value(t)),
                continuous.slow_param_bound(op, param, u0, float(t)),
-               st.fp_tol + continuous.QUAD_TOL + traj.err_at(t),
+               VLAMBDA_TOL + continuous.QUAD_TOL + traj.err_at(t),
                {"t": float(t)})
 
 
-def _check_convder_decay(op, st, *, horizon=50.0, param, starts=None):
+def _check_convder_decay(op, ode_tol, *, horizon=50.0, param, starts=None):
     (u0,) = _starts(op, starts, 1.0)
-    yield _vlambda_decay(op, st, horizon, param, u0, points_key="t_values")
+    yield _vlambda_decay(op, ode_tol, horizon, param, u0, points_key="t_values")
 
 
-def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=None):
+def _check_two_param(op, ode_tol, *, horizon=50.0, param, param2, starts=None, case=None):
     lam_p, mu_p = param, param2
     T = horizon
     x0, x1 = _starts(op, starts, 0.0, 1.0)
-    tu = _shared(continuous.integrate_u, op, lam_p, x0, T, tol=st.ode_tol)
-    tv = _shared(continuous.integrate_u, op, mu_p, x1, T, tol=st.ode_tol)
+    tu = _shared(continuous.integrate_u, op, lam_p, x0, T, tol=ode_tol)
+    tv = _shared(continuous.integrate_u, op, mu_p, x1, T, tol=ode_tol)
     C = op.h_constant()
     d0 = op.norm(x0 - x1)
     u_bound = max(op.norm(p) for p in tu.points)  # finite-horizon surrogate for "u bounded"
@@ -615,35 +607,35 @@ def _check_two_param(op, st, *, horizon=50.0, param, param2, starts=None, case=N
                       "note": "boundedness checked over finite horizon only"})
 
 
-def _check_vlambda_lipschitz(op, st):
+def _check_vlambda_lipschitz(op, ode_tol):
     C = op.h_constant()
     Cp = op.norm(op.J(np.zeros(op.dim)))
     lams = np.geomspace(0.02, 1.0, 10)
-    values = {lam: _shared(discrete.solve_vlambda, op, lam, tol=st.fp_tol) for lam in lams}
+    values = {lam: _shared(discrete.solve_vlambda, op, lam) for lam in lams}
     for lam, mu in zip(lams, lams[1:]):
         yield (op.norm(values[lam] - values[mu]), abs(1.0 - lam / mu) * (C + Cp),
-               2.0 * st.fp_tol, {"lambda": float(lam), "mu": float(mu)})
+               2.0 * VLAMBDA_TOL, {"lambda": float(lam), "mu": float(mu)})
 
 
-def _check_discrete_slow(op, st, *, horizon=50.0):
+def _check_discrete_slow(op, ode_tol, *, horizon=50.0):
     N = _last_n("discrete_slow", horizon, 2)
     lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
     orbit = discrete.phi_recursion(op, lambda_seq)
     ns = _log_ints(max(1, N // 100), N, 5)
-    gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]), st.fp_tol)
+    gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]))
             for n in ns]
-    yield _decay(gaps, 2.0 * st.fp_tol,
+    yield _decay(gaps, 2.0 * VLAMBDA_TOL,
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 
 
-def _check_alpha_family(op, st, *, horizon=50.0, starts=None):
+def _check_alpha_family(op, ode_tol, *, horizon=50.0, starts=None):
     N = _last_n("alpha_family", horizon, 2)
     alpha = 0.5
     (u0,) = _starts(op, starts, 0.0)
     # alpha in (0, 1): u tracks the discounted family; alpha = 0: u(n) tracks v_n
-    yield _vlambda_decay(op, st, horizon, continuous.PowerAlpha(alpha), u0,
+    yield _vlambda_decay(op, ode_tol, horizon, continuous.PowerAlpha(alpha), u0,
                          alpha=alpha, aspect="v_lambda_tracking")
-    yield _vn_decay(op, st, N, continuous.PowerAlpha(0.0), u0,
+    yield _vn_decay(op, ode_tol, N, continuous.PowerAlpha(0.0), u0,
                     alpha=0.0, aspect="v_n_tracking")
 
 
@@ -683,21 +675,23 @@ def per_check(checks, operator, inputs, readers):
             for check, t in zip(checks, takes)]
 
 
-def verify(check, scenario, settings=None):
-    """Run one registry check on a scenario; returns a nonempty list of
-    BoundReports, one per inequality the check yields, labelled with the
-    check id and the scenario name.  Each report's tol_budget is the one
-    rounding allowance, 1e-9, plus the certified error the check yields.
+def verify(check, scenario, ode_tol=ODE_TOL):
+    """Run one registry check on a scenario, its flows integrated to
+    ode_tol; returns a nonempty list of BoundReports, one per inequality
+    the check yields, labelled with the check id and the scenario name.
+    Each report's tol_budget is the one rounding allowance, 1e-9, plus the
+    certified error the check yields.
 
     The check's inputs are bound here by bind, each through its READERS
-    entry.  An input the scenario gives that the check does not take, a
-    required one it does not give, and a check that yields nothing (every
-    point it would test lies outside the scenario: it has verified
-    nothing) raise InputError."""
+    entry.  An ode_tol that is not positive and finite, an input the
+    scenario gives that the check does not take, a required one it does
+    not give, and a check that yields nothing (every point it would test
+    lies outside the scenario: it has verified nothing) raise InputError."""
     fn = _check(check)
+    ode_tol = convert(core.positive, ode_tol, "ode_tol")
     kwargs = bind(fn, READERS, scenario.inputs, set(scenario.inputs), check)
     reports = []
-    for lhs, rhs, budget, context in fn(scenario.operator, settings or Settings(), **kwargs):
+    for lhs, rhs, budget, context in fn(scenario.operator, ode_tol, **kwargs):
         lhs, rhs, tol_budget = float(lhs), float(rhs), BASE_TOL + float(budget)
         reports.append(BoundReport(check, lhs, rhs, rhs - lhs, tol_budget,
                                    lhs <= rhs + tol_budget,
@@ -707,9 +701,9 @@ def verify(check, scenario, settings=None):
     return reports
 
 
-def run_checks(pairs, settings=None):
-    """verify on each (check, Scenario) pair, in order; returns the flat
-    list of reports.
+def run_checks(pairs, ode_tol=ODE_TOL):
+    """verify on each (check, Scenario) pair, in order, to ode_tol; returns
+    the flat list of reports.
 
     The checks of one call share their solves: every integrate_U,
     integrate_u, solve_vlambda and iterate_Vn call they make goes through
@@ -725,7 +719,7 @@ def run_checks(pairs, settings=None):
     returns or raises; verify called outside run_checks shares nothing."""
     token = _SHARED.set({})
     try:
-        return [r for check, scenario in pairs for r in verify(check, scenario, settings)]
+        return [r for check, scenario in pairs for r in verify(check, scenario, ode_tol)]
     finally:
         _SHARED.reset(token)
 
@@ -806,6 +800,6 @@ def suite_plan():
     return plan
 
 
-def run_suite(settings=None):
-    """Run the default suite; returns the flat list of reports."""
-    return run_checks(suite_plan(), settings)
+def run_suite(ode_tol=ODE_TOL):
+    """Run the default suite to ode_tol; returns the flat list of reports."""
+    return run_checks(suite_plan(), ode_tol)

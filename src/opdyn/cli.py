@@ -257,7 +257,7 @@ def task_value_iter(out, *, operator, N=100):
     return EXIT_OK
 
 
-def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=1e-10):
+def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=discrete.VLAMBDA_TOL):
     """discounted.csv: v_lam per lambda, with the solver's iterations (its
     ``op.linearize`` calls, each one Phi evaluation) and certified error."""
     header = ["lambda"] + _coord_header("v", operator.dim) + ["iterations", "certified_error"]
@@ -337,12 +337,12 @@ READERS = {
     "lambdas": bounds._list(bounds._positive),
     "T": bounds._positive,
     "tol": bounds._positive,
+    "ode_tol": bounds._positive,
     "samples": bounds._count(1),
     "checks": bounds._list(str),
     "param": _kind(PARAMS, "param"),
     "param2": _kind(PARAMS, "param2"),
     "steps": _kind(STEPS, "steps"),
-    "settings": lambda spec: _build(bounds.Settings, spec, "settings", "settings"),
     "game_file": os.fspath,
     # the spec objects' keys
     "theta_degrees": bounds._float,
@@ -355,8 +355,6 @@ READERS = {
     "payoff_range": bounds._list(bounds._float),
     "lambda": bounds._float,
     "alpha": bounds._float,
-    "ode_tol": bounds._float,
-    "fp_tol": bounds._float,
 }
 
 
@@ -366,16 +364,17 @@ READERS = {
 SPECS = ("param", "param2", "steps")
 
 
-def task_verify(out, /, *, operator, checks, settings=None, **inputs):
-    """reports.json and reports.csv of each of checks on the operator; the
-    other top-level keys are the checks' inputs (see bounds.per_check)."""
+def task_verify(out, /, *, operator, checks, ode_tol=bounds.ODE_TOL, **inputs):
+    """reports.json and reports.csv of each of checks on the operator, its
+    flows integrated to ode_tol; the other top-level keys are the checks'
+    inputs (see bounds.per_check)."""
     inputs = {k: v for k, v in inputs.items() if v is not None or k not in SPECS}
     pairs = bounds.per_check(checks, operator, inputs, {k: READERS[k] for k in SPECS})
-    return _emit_reports(bounds.run_checks(pairs, settings), out)
+    return _emit_reports(bounds.run_checks(pairs, ode_tol), out)
 
 
-def task_suite(out, *, settings=None):
-    return _emit_reports(bounds.run_suite(settings), out)
+def task_suite(out, *, ode_tol=bounds.ODE_TOL):
+    return _emit_reports(bounds.run_suite(ode_tol), out)
 
 
 def task_generate_game(out, *, operator, game_file="game.json"):

@@ -34,6 +34,9 @@ RATIO_TOL = 1e-12
 BASE_TOL = 1e-9
 #: pairs closer than this are skipped when forming ratios (0/0 noise)
 PAIR_MIN_DIST = 1e-9
+#: the sampled checks' point count, and the radius of the ball they draw from
+SAMPLES = 200
+SAMPLE_RADIUS = 10.0
 
 _FLOAT = np.dtype(float)
 
@@ -313,34 +316,34 @@ class PropertyReport:
     seed: int
 
 
-def sample_ball(rng, dim, radius, norm_kind):
-    """One point drawn uniformly from the ball of given radius."""
+def sample_ball(rng, dim, norm_kind):
+    """One point drawn uniformly from the ball of radius SAMPLE_RADIUS."""
     if norm_kind == SUP:
-        return rng.uniform(-radius, radius, size=dim)
+        return rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=dim)
     if norm_kind != EUCLIDEAN:
         raise InputError(f"unknown norm kind {norm_kind!r}")
     x = rng.standard_normal(dim)
     r = np.linalg.norm(x)
     if r == 0.0:
         return np.zeros(dim)
-    return x / r * radius * rng.uniform() ** (1.0 / dim)
+    return x / r * SAMPLE_RADIUS * rng.uniform() ** (1.0 / dim)
 
 
 def _sampled_pairs(op, samples, seed):
-    """Seeded pairs (x, y, ||x - y||) from the ball of radius 10; pairs
-    closer than PAIR_MIN_DIST are drawn but skipped."""
+    """Seeded pairs (x, y, ||x - y||) from sample_ball; pairs closer than
+    PAIR_MIN_DIST are drawn but skipped."""
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(samples):
-        x = sample_ball(rng, op.dim, 10.0, op.norm_kind)
-        y = sample_ball(rng, op.dim, 10.0, op.norm_kind)
+        x = sample_ball(rng, op.dim, op.norm_kind)
+        y = sample_ball(rng, op.dim, op.norm_kind)
         d = op.norm(x - y)
         if d > PAIR_MIN_DIST:
             pairs.append((x, y, d))
     return pairs
 
 
-def check_nonexpansive(op, samples=200, seed=0):
+def check_nonexpansive(op, samples=SAMPLES, seed=0):
     """Sampled check of ||J(x)-J(y)|| <= ||x-y||.
 
     worst_ratio is the largest observed ratio (0 when every pair is
@@ -353,7 +356,7 @@ def check_nonexpansive(op, samples=200, seed=0):
     return PropertyReport(samples, violations, max(ratios, default=0.0), seed)
 
 
-def check_accretive(op, lam, samples=200, seed=0):
+def check_accretive(op, lam, samples=SAMPLES, seed=0):
     """Sampled check of ||x-y + lam(A(x)-A(y))|| >= ||x-y|| for lam > 0.
 
     worst_ratio is the smallest observed ratio (1 when every pair is
@@ -364,7 +367,7 @@ def check_accretive(op, lam, samples=200, seed=0):
     return report
 
 
-def _accretive_reports(op, lams, samples=200, seed=0):
+def _accretive_reports(op, lams, samples=SAMPLES, seed=0):
     """check_accretive's report for each lam in lams, from one draw of the
     pairs and one evaluation of A at each of their points."""
     lams = [convert(positive, lam, "lambda") for lam in lams]

@@ -31,6 +31,8 @@ from .errors import InputError, ResourceError, convert
 
 #: cap on the linearize calls of one v_lam solve
 VLAMBDA_MAX_ITER = 10**7
+#: the certified error of a v_lam solve, unless its caller asks for another
+VLAMBDA_TOL = 1e-10
 
 
 @dataclass
@@ -150,7 +152,7 @@ def _policy_step(w, t, M, kappa):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # linearize checks x and its games instead
-def solve_vlambda(op, lam, tol=1e-10, full=False):
+def solve_vlambda(op, lam, tol=VLAMBDA_TOL, full=False):
     """Fixed point v_lam of Phi(lam, .) with certified error <= tol.
 
     With gamma = (1 - lam)/lam, T(w) = Phi(lam, w) = lam J(gamma w) is a

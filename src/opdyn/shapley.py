@@ -45,7 +45,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .core import SUP, Operator, as_matrix, as_vec, count, integer, real
+from .core import SUP, Operator, as_array, as_matrix, as_vec, count, real
 from .errors import InputError, ResourceError, SchemaError, convert
 
 #: transition rows must sum to 1 within this at ingest
@@ -83,20 +83,15 @@ class StochasticGame:
         # the validated arrays replace the entries of copies, not of the caller's lists
         self.payoff, self.transition = list(self.payoff), list(self.transition)
         for s in range(S):
-            try:
-                m, n = map(integer, self.actions[s])
-            except InputError as exc:
-                raise SchemaError(str(exc), f"actions[{s}]") from None
-            if m < 1 or n < 1:
-                raise SchemaError("action counts must be positive", f"actions[{s}]")
-            g = _numbers(self.payoff[s], f"payoff[{s}]")
+            m, n = _schema(_action_counts, self.actions[s], f"actions[{s}]")
+            g = _schema(as_array, self.payoff[s], f"payoff[{s}]")
             if g.shape != (m, n):
                 raise SchemaError(
                     f"expected shape {(m, n)}, got {g.shape}", f"payoff[{s}]"
                 )
             if not np.all(np.isfinite(g)):
                 raise SchemaError("non-finite payoff entry", f"payoff[{s}]")
-            rho = _numbers(self.transition[s], f"transition[{s}]")
+            rho = _schema(as_array, self.transition[s], f"transition[{s}]")
             if rho.shape != (m, n, S):
                 raise SchemaError(
                     f"expected shape {(m, n, S)}, got {rho.shape}",
@@ -144,14 +139,19 @@ class StochasticGame:
         }
 
 
-def _numbers(value, location):
-    """value as a float array; entries that NumPy reads as neither ints nor
-    floats (strings, bools) are a SchemaError at location."""
-    array = np.asarray(value, dtype=float)
-    dtype = np.asarray(value).dtype
-    if dtype.kind not in "iuf":
-        raise SchemaError(f"entries must be numbers, got dtype {dtype}", location)
-    return array
+def _schema(read, value, location):
+    """read(value), a game's entry read by a core reader; the TypeError,
+    ValueError or OverflowError it raises is a SchemaError at location."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(str(exc), location) from None
+
+
+def _action_counts(pair):
+    """A state's action counts (m, n), each an integer of at least 1."""
+    m, n = pair
+    return count(1)(m), count(1)(n)
 
 
 def load_game(source):
@@ -172,20 +172,13 @@ def load_game(source):
             raise SchemaError(f"invalid JSON: {exc}", "document")
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object", "document")
-    for key in ("states", "actions", "payoff", "transition"):
+    fields = ("states", "actions", "payoff", "transition")
+    for key in fields:
         if key not in doc:
             raise SchemaError("missing field", key)
-    try:
-        return StochasticGame(
-            states=list(doc["states"]),
-            actions=[tuple(a) for a in doc["actions"]],
-            payoff=list(doc["payoff"]),
-            transition=list(doc["transition"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(str(exc), "document")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"must be an array, got {type(doc[key]).__name__}", key)
+    return StochasticGame(*(doc[key] for key in fields))
 
 
 @dataclass

@@ -76,7 +76,7 @@ def test_criterion_02_exponential_formula(rotation30, random3):
     detail = []
     for op in (rotation30, random3):
         sc = bounds.Scenario(operator=op, horizon=5.0)  # m in {25, 100, 400, 1600}
-        reps = bounds.verify("expo", sc, bounds.Settings(ode_tol=1e-8))
+        reps = bounds.verify("expo", sc, 1e-8)
         ok &= all(r.verdict for r in reps)
         detail.extend(f"{r.context}: slack {r.slack:.3g}" for r in reps if not r.verdict)
     elapsed = time.perf_counter() - t0
@@ -89,12 +89,12 @@ def test_criterion_03_chernoff_and_convvn(random3):
     cher = bounds.verify(
         "chernoff",
         bounds.Scenario(operator=random3, horizon=50.0),  # 20x20 grid, n up to 50
-        bounds.Settings(ode_tol=1e-6),
+        1e-6,
     )
     conv = bounds.verify(
         "convvn",
         bounds.Scenario(operator=random3, horizon=1000, n_values=[10, 100, 1000]),
-        bounds.Settings(ode_tol=1e-5),
+        1e-5,
     )
     ok = all(r.verdict for r in cher + conv)
     elapsed = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def test_criterion_04_kobayashi(rotation30, random3):
     ok = True
     for op, seed in ((rotation30, 0), (random3, 1)):
         sc = bounds.Scenario(operator=op, seed=seed, pairs=50)  # 10x10 subgrid
-        reps = bounds.verify("kobayashi", sc, bounds.Settings())
+        reps = bounds.verify("kobayashi", sc)
         ok &= all(r.verdict for r in reps)
     elapsed = time.perf_counter() - t0
     report(4, "Kobayashi-like inequality on 100 seeded step-sequence pairs",
@@ -116,14 +116,14 @@ def test_criterion_04_kobayashi(rotation30, random3):
 
 def test_criterion_05_euler_vs_ode_and_interpolation(random3):
     op = random3
-    settings = bounds.Settings(ode_tol=1e-7)
+    ode_tol = 1e-7
     ok = True
     for maker in (discrete.StepSequence.harmonic, discrete.StepSequence.inverse_sqrt):
         steps = maker(200)
         sc = bounds.Scenario(operator=op, horizon=float(steps.sigma[-1]),
                              steps=steps)
-        reps = bounds.verify("euler_vs_ode", sc, settings)
-        reps += bounds.verify("normalized_euler", sc, settings)
+        reps = bounds.verify("euler_vs_ode", sc, ode_tol)
+        reps += bounds.verify("normalized_euler", sc, ode_tol)
         ok &= all(r.verdict for r in reps)
     # interpolation bound holds at each refinement ...
     T = 10.0
@@ -133,7 +133,7 @@ def test_criterion_05_euler_vs_ode_and_interpolation(random3):
     for n in (25, 100, 400):  # max step quartered across three refinements
         steps = discrete.StepSequence.constant(T / n, n)
         sc = bounds.Scenario(operator=op, horizon=T, steps=steps, starts=[x0])
-        reps = bounds.verify("interpolation", sc, settings)
+        reps = bounds.verify("interpolation", sc, ode_tol)
         ok &= all(r.verdict for r in reps)
         orbit = discrete.euler_scheme(op, x0, steps)
         gaps.append(op.norm(discrete.euler_interpolant(orbit, T) - traj.at(T)))
@@ -152,7 +152,7 @@ def test_criterion_06_constant_parametrization(random3):
         sc = bounds.Scenario(operator=op, horizon=20.0,
                              param=continuous.Constant(lam),
                              starts=[np.ones(3)])  # t in {1, 5, 10, 20}
-        reps = bounds.verify("constant_decay", sc, bounds.Settings(ode_tol=1e-8))
+        reps = bounds.verify("constant_decay", sc, 1e-8)
         ok &= all(r.verdict for r in reps)
         detail.extend(str(r.context) for r in reps if not r.verdict)
     # gap at t = 20 <= 0.01 x gap at t = 0 for lam = 0.5
@@ -215,8 +215,7 @@ def test_criterion_08_discrete_slow_variation(random3):
         v = discrete.solve_vlambda(op, float(lam_seq[n - 1]), tol=1e-10)
         gaps[n] = op.norm(orbit.points[n] - v)
     decay_ok = gaps[10**4] <= 0.2 * gaps[10**2] + 1e-9 + 2e-10
-    lip = bounds.verify("vlambda_lipschitz", bounds.Scenario(operator=op),
-                        bounds.Settings())
+    lip = bounds.verify("vlambda_lipschitz", bounds.Scenario(operator=op))
     lip_ok = all(r.verdict for r in lip) and len(lip) == 9  # 10-point grid
     elapsed = time.perf_counter() - t0
     report(8, "discrete slow variation and v_lambda Lipschitz inequality",
@@ -246,8 +245,7 @@ def test_criterion_10_property_suites(rotation30, random3):
         violations += core.check_nonexpansive(op, samples=200, seed=0).violations
         for lam in (0.1, 0.5, 1.0, 2.0):
             violations += core.check_accretive(op, lam, samples=200, seed=0).violations
-        rep = bounds.verify("hypothesis_H", bounds.Scenario(operator=op),
-                            bounds.Settings())[0]
+        rep = bounds.verify("hypothesis_H", bounds.Scenario(operator=op))[0]
         violations += rep.context["violations"]
     # Shapley monotonicity and constant additivity
     J = shapley.ShapleyOperator(random3.game).J

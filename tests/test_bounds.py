@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -21,7 +22,7 @@ def game_op():
     return shapley.ShapleyOperator(shapley.random_game(3, 2, 2, seed=7))
 
 
-FAST = bounds.Settings(ode_tol=1e-6)
+FAST = 1e-6
 
 
 def _assert_all_pass(reports):
@@ -43,6 +44,26 @@ def test_scenario_rejects_bad_horizon(translation):
         sc = bounds.Scenario(operator=translation, horizon=horizon)
         with pytest.raises(InputError, match="^horizon: must be "):
             bounds.verify("norm_bounds", sc, FAST)
+
+
+def test_verify_reads_the_ode_tol_of_its_run(translation):
+    # verify reads ode_tol once, with core.positive, whether or not its
+    # check integrates; run_checks passes its own to each verify call
+    sc = bounds.Scenario(operator=translation, horizon=5)
+    with pytest.raises(InputError, match=re.escape(
+            "ode_tol: must be positive and finite, got 0.0")):
+        bounds.verify("solution_contraction", sc, 0.0)
+    for bad in (-1.0, math.nan, math.inf, True, "1e-6", None):
+        with pytest.raises(InputError, match="^ode_tol: must be "):
+            bounds.verify("vlambda_lipschitz", bounds.Scenario(operator=translation), bad)
+    seen, integrate = [], continuous.integrate_U
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuous, "integrate_U",
+                   lambda *args, tol: seen.append(tol) or integrate(*args, tol=tol))
+        bounds.run_checks([("solution_contraction", sc)], 1e-7)
+    assert seen == [1e-7, 1e-7]  # one flow from each start
+    assert bounds.verify("solution_contraction", sc) == bounds.verify(
+        "solution_contraction", sc, bounds.ODE_TOL)
 
 
 def test_registry_covers_all_checks():
@@ -327,10 +348,10 @@ def test_accretivity_evaluates_J_twice_per_sample_for_all_lambdas():
             Counting.calls += 1
             return super().map(x)
 
-    reports = bounds.verify("accretivity", bounds.Scenario(Counting([1.0, 2.0])),
-                            bounds.Settings(samples=30))
+    reports = bounds.verify("accretivity", bounds.Scenario(Counting([1.0, 2.0])), FAST)
     assert [r.context["lambda"] for r in reports] == [0.1, 0.5, 1.0, 2.0]
-    assert Counting.calls == 2 * 30
+    assert [r.context["samples"] for r in reports] == [core.SAMPLES] * 4
+    assert Counting.calls == 2 * core.SAMPLES
 
 
 def test_euler_vs_ode_translation(translation):
@@ -420,13 +441,13 @@ def _probe(monkeypatch, check):
 def test_a_rebuilt_parametrization_gets_its_own_flow(monkeypatch):
     # each PowerAlpha is dropped after its call, so without the entry holding
     # it the next one could take its id and read its flow
-    def check(op, st):
+    def check(op, ode_tol):
         start = np.ones(op.dim)
         shared = [bounds._shared(continuous.integrate_u, op, continuous.PowerAlpha(alpha),
-                                 start, 5.0, tol=st.ode_tol) for alpha in (0.5, 0.0)]
+                                 start, 5.0, tol=ode_tol) for alpha in (0.5, 0.0)]
         for alpha, traj in zip((0.5, 0.0), shared):
             alone = continuous.integrate_u(op, continuous.PowerAlpha(alpha), start, 5.0,
-                                           tol=st.ode_tol)
+                                           tol=ode_tol)
             assert traj.nodes.tobytes() == alone.nodes.tobytes()
             yield 0.0, 0.0, 0.0, {"alpha": alpha}
 
@@ -439,11 +460,11 @@ def test_starts_that_differ_in_the_sign_of_a_zero_are_different_keys(monkeypatch
     assert bounds._key(np.array([0.0])) != bounds._key(np.array([0.0], dtype=np.float32))
     assert bounds._key(np.zeros(2)) != bounds._key(np.zeros((2, 1)))
 
-    def check(op, st):
+    def check(op, ode_tol):
         # U(t) = U0 + t c keeps the sign of a zero start at t = 0
         for zero in (0.0, -0.0, 0.0):
             traj = bounds._shared(continuous.integrate_U, op, np.array([zero]), 2.0,
-                                  tol=st.ode_tol)
+                                  tol=ode_tol)
             assert np.signbit(traj.points[0, 0]) == np.signbit(zero)
             yield 0.0, 0.0, 0.0, {}
 
@@ -453,7 +474,7 @@ def test_starts_that_differ_in_the_sign_of_a_zero_are_different_keys(monkeypatch
 def test_verify_adds_the_rounding_allowance_to_each_budget(monkeypatch):
     # a check yields its certified error alone, here none; an lhs above the
     # rhs by less than the allowance passes
-    def check(op, st):
+    def check(op, ode_tol):
         yield 1.0 + 0.5 * bounds.BASE_TOL, 1.0, 0.0, {}
         yield 1.0, 1.0, 0.25, {}
 

@@ -273,10 +273,10 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("kobayashi", ['starts=[5, "x"]']),
     ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs="x"']),
     ("convvn", ['n_values=5']),
-    ("norm_bounds", ['settings={"ode_tol":"x"}']),
-    ("norm_bounds", ['settings={"decay_factor":null}']),
-    ("norm_bounds", ['settings={"ode_tool":1e-3}']),
-    ("norm_bounds", ['settings={"quad_tol":1e-9}']),
+    ("norm_bounds", ['ode_tol="x"']),
+    ("norm_bounds", ["decay_factor=null"]),
+    ("norm_bounds", ["ode_tool=1e-3"]),
+    ("norm_bounds", ["quad_tol=1e-9"]),
     ("norm_bounds", ["settings=[1,2]"]),
     ("expo", ["horizon=2000"]),
     ("constant_decay", ["horizon=0.5"]),
@@ -305,9 +305,9 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("euler_vs_ode", ['steps={"kind":"explicit","values":["x"]}']),
     ("accretivity", ['operator={"random_game":{"payoff_range":[1,0]}}']),
     ("accretivity", ['operator={"random_game":{"payoff_range":[0,1e999]}}']),
-    ("hypothesis_H", ['settings={"samples":0}']),
-    ("hypothesis_H", ['settings={"samples":-1}']),
-    ("discrete_slow", ['settings={"decay_factor":NaN}']),
+    ("hypothesis_H", ["ode_tol=0"]),
+    ("hypothesis_H", ["ode_tol=-1"]),
+    ("discrete_slow", ["ode_tol=NaN"]),
     ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=0']),
     ("kobayashi", ["starts=[[0.0], [1.0]]", 'pairs=-2']),
     ("convvn", ['n_values=[]']),
@@ -323,7 +323,7 @@ def test_verify_without_checks_is_config_error(tmp_path, capsys):
     ("convvn", ['n_values=[10.5]']),
     ("accretivity", ["seed=0.5"]),
     ("accretivity", ["seed=-1"]),
-    ("hypothesis_H", ['settings={"samples":2.5}']),
+    ("hypothesis_H", ["ode_tol=true"]),
     ("accretivity", ['operator={"random_game":{"states":true}}']),
     ("euler_vs_ode", ['steps={"kind":"harmonic","N":2.5}']),
     ("euler_vs_ode", ["horizon=7", 'steps={"kind":"harmonic","N":20}']),
@@ -381,6 +381,10 @@ def test_verify_gives_each_check_only_the_inputs_it_reads(tmp_path, capsys):
     ("discrete_slow", "lambda_seq=[1.0, 0.7071067811865475]"),
     ("alpha_family", "alpha=0.5"),
     ("interpolation", "n_steps=100"),
+    # the retired settings object and the two settings that became constants
+    ("norm_bounds", 'settings={"ode_tol":1e-6}'),
+    ("norm_bounds", "fp_tol=1e-10"),
+    ("hypothesis_H", "samples=200"),
 ])
 def test_an_input_the_check_does_not_take_is_named_at_its_default_too(tmp_path, capsys,
                                                                       check, item):
@@ -446,7 +450,7 @@ def test_verify_failure_sets_exit_one(tmp_path, monkeypatch):
         "operator": {"builtin": "translation", "c": [1.0]},
         "checks": ["wn_tracks_vn"],
         "horizon": 150,
-        "settings": {"ode_tol": 1e-6},
+        "ode_tol": 1e-6,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -461,15 +465,57 @@ def test_verify_failure_sets_exit_one(tmp_path, monkeypatch):
 
 def test_the_decay_factor_is_a_constant_not_a_setting(tmp_path, capsys):
     # a verdict is a bound the code states, so no setting can pass a failing
-    # decay report: the factor is bounds.DECAY_FACTOR, and a settings object
-    # that names it gets the binder's unknown-key message
-    assert list(bounds.keys(bounds.Settings)) == ["ode_tol", "fp_tol", "samples"]
+    # decay report: the factor is bounds.DECAY_FACTOR, and a key that names
+    # it, or a settings object that holds it, gets the binder's unknown-key
+    # message
     args = ["verify", "--preset", "translation", "--set", 'checks=["norm_bounds"]',
-            "--set", 'settings={"decay_factor":0.2}', "--out", str(tmp_path)]
-    assert run(args) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "opdyn: config error: settings.decay_factor: not a key of settings, "
-        "whose keys are ode_tol, fp_tol, samples\n")
+            "--out", str(tmp_path)]
+    for item in ("decay_factor=0.2", 'settings={"decay_factor":0.2}'):
+        assert run(args + ["--set", item]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"opdyn: config error: {item.split('=')[0]}: not a key of norm_bounds, "
+            "whose keys are horizon\n")
+
+
+def test_ode_tol_sets_the_integrator_tolerance_of_a_verify_or_suite_run(tmp_path,
+                                                                        monkeypatch):
+    # the reports are those of run_checks at that tolerance, not the default's
+    def written(reports):
+        return json.loads(json.dumps([r.to_dict() for r in reports],
+                                     default=cli._json_default))
+
+    sc = bounds.Scenario(core.rotation(np.deg2rad(30.0)), horizon=5.0)
+    plan = [("solution_contraction", sc), ("expo", sc)]
+    want = written(bounds.run_checks(plan, 1e-7))
+    assert want != written(bounds.run_checks(plan))
+    monkeypatch.setattr(bounds, "suite_plan", lambda: plan)
+    runs = {"verify": ["--preset", "rotation30", "--set", "horizon=5",
+                       "--set", 'checks=["solution_contraction","expo"]'],
+            "suite": []}
+    for task, args in runs.items():
+        out = tmp_path / task
+        assert run([task, *args, "--set", "ode_tol=1e-7", "--out", str(out)]) == 0
+        assert json.loads(read(out / "reports.json")) == want
+
+
+def test_ode_tol_is_the_one_setting_of_a_run_of_checks():
+    """A run of checks has one setting, the integrator tolerance ode_tol
+    (bounds.ODE_TOL = 1e-6 by default): acceptance criteria 2, 3, 5 and 6
+    run their checks at 1e-8, 1e-5, 1e-7 and 1e-8.  The v_lam certificate
+    and the sampled checks' point count have no caller that sets them, so
+    they are the library's own defaults, discrete.VLAMBDA_TOL and
+    core.SAMPLES, and bounds has no settings object.  ode_tol is verify's
+    third positional parameter because the benchmark's paper-suite wraps
+    verify in a function of (check, scenario, settings=None) that forwards
+    its third argument, which run_checks gives positionally.  A new
+    run-wide setting then has to name its caller here."""
+    assert [p.name for p in task_keys(cli.task_verify)] == ["operator", "checks", "ode_tol"]
+    assert [p.name for p in task_keys(cli.task_suite)] == ["ode_tol"]
+    params = inspect.signature(bounds.verify).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("check", "scenario", "ode_tol")]
+    assert not hasattr(bounds, "Settings")
 
 
 @pytest.mark.parametrize("task, preset, item", [
@@ -673,8 +719,9 @@ def test_a_task_value_out_of_range_is_named(tmp_path, capsys, task, preset, item
      "param: lambda must lie in (0, 1]"),
     ("euler", "translation", 'steps={"kind":"harmonic"}',
      "steps.N: missing for the harmonic steps, whose keys are N"),
-    ("suite", "paper-suite", 'settings={"samples":0}',
-     "settings.samples: must be >= 1, got 0"),
+    ("suite", "paper-suite", "ode_tol=0", "ode_tol: must be positive and finite, got 0.0"),
+    ("suite", "paper-suite", 'settings={"ode_tol":1e-7}',
+     "settings: not a key of suite, whose keys are ode_tol"),
     # a norm other than "sup" or "euclidean" is rejected, not read as "sup"
     *(("value_iter", "translation", f'operator={{"builtin":{builtin},"norm":{norm}}}',
        f"operator: unknown norm kind {shown}")
@@ -787,7 +834,6 @@ def spec_constructors():
     for names, kinds in ((("param", "param2"), cli.PARAMS), (("steps",), cli.STEPS)):
         for kind, fn in kinds.items():
             out[(*names, f"kind={json.dumps(kind)}")] = fn
-    out[("settings",)] = bounds.Settings
     return out
 
 
@@ -825,8 +871,7 @@ def test_a_checks_keys_are_read_by_bounds_readers_alone():
         assert bounds.READERS[key](built) is built
 
 
-FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol",
-              "fp_tol"]
+FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol"]
 FLOAT_LIST_KEYS = ["lambdas", "payoff_range"]
 
 

@@ -450,10 +450,9 @@ def test_a_draw_that_skips_every_pair_forms_no_ratio(monkeypatch):
     (lambda: shapley.random_game(0, 2, 2), "num_states: must be >= 1, got 0"),
     (lambda: core.check_nonexpansive(core.Translation([1.0]), samples=0),
      "samples: must be >= 1, got 0"),
-    (lambda: bounds.Settings(samples=0), "settings.samples: must be >= 1, got 0"),
     (lambda: core.identity_operator(0), "dim: must be >= 1, got 0"),
 ], ids=["iterate_Vn", "euler_power", "Table", "random_game", "check_nonexpansive",
-        "Settings", "identity_operator"])
+        "identity_operator"])
 def test_a_size_below_its_least_is_an_input_error(make, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         make()
@@ -463,13 +462,13 @@ def test_sample_ball_stays_in_ball():
     rng = np.random.default_rng(0)
     for kind in (core.SUP, core.EUCLIDEAN):
         for _ in range(100):
-            x = core.sample_ball(rng, 3, 10.0, kind)
-            assert core.norm(x, kind) <= 10.0 + 1e-12
+            x = core.sample_ball(rng, 3, kind)
+            assert core.norm(x, kind) <= core.SAMPLE_RADIUS + 1e-12
 
 
 def test_sample_ball_rejects_an_unknown_norm_kind():
     with pytest.raises(InputError, match="unknown norm kind 'l2'"):
-        core.sample_ball(np.random.default_rng(0), 3, 1.0, "l2")
+        core.sample_ball(np.random.default_rng(0), 3, "l2")
 
 
 _TR = core.Translation([1.0])
@@ -490,9 +489,8 @@ _READ_SITES = [
      lambda v: shapley.random_game(v, 2, 2).shape_groups[0][1].tobytes(), _COUNT_BAD, 2),
     ("check_nonexpansive", "samples: ",
      lambda v: repr(core.check_nonexpansive(_TR, samples=v)), _COUNT_BAD, 3),
-    ("Settings.samples", "settings.samples: ", lambda v: repr(bounds.Settings(samples=v)),
-     _COUNT_BAD, 3),
-    ("Settings.ode_tol", "settings.ode_tol: ", lambda v: repr(bounds.Settings(ode_tol=v)),
+    ("verify.ode_tol", "ode_tol: ",
+     lambda v: repr(bounds.verify("solution_contraction", bounds.Scenario(_TR, horizon=2), v)),
      ("1", True), 1),
     ("solve_vlambda", "tol: ", lambda v: discrete.solve_vlambda(_TR, 0.5, tol=v).tobytes(),
      ("1", True), 1),

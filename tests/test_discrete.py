@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +197,113 @@ def test_the_big_match_has_n_stage_value_one_half():
     orbit, vn = discrete.iterate_Vn(_big_match(), 200)
     assert (orbit.points[1:, 0] / np.arange(1, 201) == 0.5).all()
     assert (vn[:, 0] == 0.5).all()
+
+
+def _det(rows):
+    """The determinant of a square matrix of Fractions, by exact elimination."""
+    rows, det = [list(row) for row in rows], Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def _formula_games(game, lam):
+    """D0 and D1 .. DS of Attia & Oliu-Barton's formula (PNAS 116(52), 2019)
+    from the game's data, exactly: one row per pure stationary strategy f of
+    the maximizer, one column per g of the minimizer.  With Q and r the
+    transition matrix and stage payoffs of (f, g), d0 = det(I - (1 - lam) Q)
+    and dk is that determinant with column k replaced by lam r; v_lam(k) is
+    the unique z with val(Dk - z D0) = 0."""
+    S, lam = game.num_states, Fraction(lam)
+    P = [[[Fraction(x) for x in row] for row in g.tolist()] for g in game.payoff]
+    R = [[[[Fraction(x) for x in p] for p in row] for row in rho.tolist()]
+         for rho in game.transition]
+    rows = list(itertools.product(*(range(len(g)) for g in P)))
+    cols = list(itertools.product(*(range(len(g[0])) for g in P)))
+    D = [[[None] * len(cols) for _ in rows] for _ in range(S + 1)]
+    for a, f in enumerate(rows):
+        for b, g in enumerate(cols):
+            M = [[(s == t) - (1 - lam) * R[s][f[s]][g[s]][t] for t in range(S)]
+                 for s in range(S)]
+            r = [lam * P[s][f[s]][g[s]] for s in range(S)]
+            D[0][a][b] = _det(M)
+            for k in range(S):
+                D[k + 1][a][b] = _det([row[:k] + [r[s]] + row[k + 1:]
+                                       for s, row in enumerate(M)])
+    return [np.array(d, dtype=float) for d in D]
+
+
+def _formula_bracket(D0, Dk, lo, hi):
+    """[lo, hi], which holds v_lam(k), narrowed by bisection on z.  The
+    sign of val(Dk - z D0), which decreases in z since every d0 > 0, is
+    taken from matrix_game_value only where the value exceeds that solve's
+    gap tolerance plus the rounding of the float game.  lo is raised, then
+    hi lowered, each by its own bisection, in which a z whose sign is not
+    taken stands in for the other bound."""
+    scale0, scalek = float(np.max(np.abs(D0))), float(np.max(np.abs(Dk)))
+
+    def sign(z):
+        M = Dk - z * D0
+        margin = (shapley.LP_GAP_TOL * max(1.0, float(np.max(np.abs(M))))
+                  + 2.0**-45 * (scalek + abs(z) * scale0))
+        value = shapley.matrix_game_value(M).value
+        return (value > margin) - (value < -margin)
+
+    for raise_lo in (True, False):
+        a, b = lo, hi
+        while b - a > 1e-13:
+            z = 0.5 * (a + b)
+            s = sign(z)
+            if s > 0:
+                lo = a = z
+            elif s < 0:
+                hi = b = z
+            elif raise_lo:
+                b = z
+            else:
+                a = z
+    return lo, hi
+
+
+def _formula_oracle_games():
+    """50 seeded random games of 1 or 2 states and every shape up to 3x3,
+    and two 2-state games whose states have different shapes."""
+    games = [shapley.random_game(1 + seed % 2, 1 + seed // 2 % 3, 1 + seed // 6 % 3,
+                                 seed=seed) for seed in range(50)]
+    rng = np.random.default_rng(13)
+    for shapes in ([(3, 1), (2, 3)], [(1, 2), (3, 3)]):
+        raw = [rng.uniform(size=(m, n, 2)) + 1e-6 for m, n in shapes]
+        games.append(shapley.StochasticGame(
+            states=["s0", "s1"], actions=shapes,
+            payoff=[rng.uniform(-1.0, 1.0, size=shape) for shape in shapes],
+            transition=[r / r.sum(axis=-1, keepdims=True) for r in raw]))
+    return games
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 1e-3])
+def test_solve_vlambda_lies_in_the_formula_bracket_of_the_games_data(lam):
+    # the formula reads the game's payoff and transition arrays, and no J:
+    # an operator that read the game another way (its transition axes
+    # swapped, say) certifies its own fixed point, which falls outside
+    tol = 1e-12
+    for game in _formula_oracle_games():
+        v = discrete.solve_vlambda(shapley.ShapleyOperator(game), lam, tol=tol)
+        D0, *Ds = _formula_games(game, lam)
+        assert (D0 > 0).all()
+        lo = float(min(np.min(g) for g in game.payoff))  # v_lam is an average of
+        hi = float(max(np.max(g) for g in game.payoff))  # stage payoffs
+        for k, Dk in enumerate(Ds):
+            z_lo, z_hi = _formula_bracket(D0, Dk, lo, hi)
+            assert z_lo - tol <= v[k] <= z_hi + tol
+            assert z_hi - z_lo <= 1e-8 / lam  # the solve's gap tolerance over d0
 
 
 def test_euler_unit_steps_equal_value_iteration():

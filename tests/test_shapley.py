@@ -765,8 +765,8 @@ def test_game_schema_errors():
         shapley.load_game("{not json")
 
 
-def _edited_pennies(key, value):
-    doc = shapley.matching_pennies().to_dict()
+def _edited_pennies(key, value, game=shapley.matching_pennies()):
+    doc = game.to_dict()
     doc[key] = value
     return doc
 
@@ -775,7 +775,7 @@ def _edited_pennies(key, value):
     ({"states": [], "actions": [], "payoff": [], "transition": []},
      "states", "at least one state required"),
     (_edited_pennies("actions", [[2, 2], [2, 2]]), "actions", "expected 1 entries"),
-    (_edited_pennies("actions", [[0, 2]]), "actions[0]", "action counts must be positive"),
+    (_edited_pennies("actions", [[0, 2]]), "actions[0]", "must be >= 1, got 0"),
     (_edited_pennies("payoff", [[[1.0, -1.0], [-1.0, math.inf]]]),
      "payoff[0]", "non-finite payoff entry"),
     (_edited_pennies("transition", [[[[1.0], [1.0]]]]),
@@ -784,18 +784,31 @@ def _edited_pennies(key, value):
      "transition[0]", "probability outside [0, 1]"),
     (_edited_pennies("transition", [[[[math.nan], [1.0]], [[1.0], [1.0]]]]),
      "transition[0]", "probability outside [0, 1]"),
-    (_edited_pennies("actions", [5]), "document", "'int' object is not iterable"),
+    (_edited_pennies("actions", [5]), "actions[0]", "cannot unpack non-iterable int object"),
     (_edited_pennies("payoff", [[["a", 1.0], [1.0, 1.0]]]),
-     "document", "could not convert string to float: 'a'"),
+     "payoff[0]", "could not convert string to float: 'a'"),
     # numbers that NumPy would read from bools, fractions and strings are not numbers
     (_edited_pennies("actions", [[True, True]]), "actions[0]", "must be an integer, got True"),
     (_edited_pennies("actions", [[2.5, 2]]), "actions[0]", "must be an integer, got 2.5"),
     (_edited_pennies("payoff", [[["1", "-1"], ["-1", "1"]]]),
-     "payoff[0]", "entries must be numbers, got dtype <U2"),
+     "payoff[0]", "entry '1' is not a number"),
     (_edited_pennies("payoff", [[[True, False], [False, True]]]),
-     "payoff[0]", "entries must be numbers, got dtype bool"),
+     "payoff[0]", "entry True is not a number"),
     (_edited_pennies("transition", [[[["1"], [1.0]], [[1.0], [1.0]]]]),
-     "transition[0]", "entries must be numbers, got dtype <U32"),
+     "transition[0]", "entry '1' is not a number"),
+    # a bool beside numbers, which NumPy reads as a number too
+    (_edited_pennies("payoff", [[[1, True], [0, 1]]]), "payoff[0]", "entry True is not a number"),
+    (_edited_pennies("transition", [[[[True], [1.0]], [[1.0], [1.0]]]]),
+     "transition[0]", "entry True is not a number"),
+    # each field is an array, not a str or an object whose items read as states
+    (_edited_pennies("states", "ab", shapley.random_game(2, 2, 2)),
+     "states", "must be an array, got str"),
+    (_edited_pennies("states", {"x": 1}), "states", "must be an array, got dict"),
+    (_edited_pennies("actions", "ab"), "actions", "must be an array, got str"),
+    # an integer too large for a float
+    (_edited_pennies("payoff", [[[10**400, 1], [1, 1]]]),
+     "payoff[0]", "int too large to convert to float"),
+    (_edited_pennies("actions", [[10**400, 2]]), "actions[0]", "int too large to convert to float"),
 ])
 def test_each_game_schema_error_names_its_location(doc, location, message):
     with pytest.raises(SchemaError) as caught:
