@@ -117,21 +117,6 @@ def _within(check, key, points, lo, hi):
     return points
 
 
-def _config(read, kind):
-    """A config reader: read, after kind (float or int) on a str, the form
-    of a --set value that is not JSON."""
-    return lambda value: read(kind(value) if isinstance(value, str) else value)
-
-
-_float = _config(core.real, float)
-_positive = _config(core.positive, float)
-
-
-def _count(least):
-    """A config reader: an int that is at least least."""
-    return _config(core.count(least), int)
-
-
 def _list(kind):
     """A reader: a nonempty list of kind(entry)."""
     def read(values):
@@ -175,12 +160,12 @@ def _points(values):
 #: value into the check's argument
 READERS = {
     "case": _choice("a", "b"),
-    "horizon": _positive,
-    "n_values": _list(_count(1)),
-    "pairs": _count(1),
+    "horizon": core.positive,
+    "n_values": _list(core.count(1)),
+    "pairs": core.count(1),
     "param": _instance(continuous.Parametrization),
     "param2": _instance(continuous.Parametrization),
-    "seed": _count(0),
+    "seed": core.count(0),
     "starts": _points,
     "steps": _instance(discrete.StepSequence),
 }
@@ -365,15 +350,11 @@ def _random_steps(rng):
     return discrete.StepSequence(lam)
 
 
-def _check_kobayashi(op, ode_tol, *, seed=0, starts=None, steps=None, pairs=None):
-    if steps is not None:
-        if pairs is not None:
-            raise InputError("steps, pairs: give one of them, not both")
-        pairs = 1
+def _check_kobayashi(op, ode_tol, *, seed=0, starts=None, pairs=20):
     rng = np.random.default_rng(seed)
     x0, xhat0 = _starts(op, starts, 0.0, 1.0)
-    for p in range(20 if pairs is None else pairs):
-        s1 = steps or _random_steps(rng)
+    for p in range(pairs):
+        s1 = _random_steps(rng)
         s2 = _random_steps(rng)
         o1 = discrete.euler_scheme(op, x0, s1)
         o2 = discrete.euler_scheme(op, xhat0, s2)

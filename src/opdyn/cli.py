@@ -251,7 +251,7 @@ def task_value_iter(out, *, operator, N=100):
     header = ["n"] + _coord_header("v", operator.dim) + ["norm_vn"]
     rows = [
         [n + 1] + list(vn[n]) + [operator.norm(vn[n])]
-        for n in range(N)
+        for n in range(len(vn))
     ]
     write_csv(os.path.join(out, "value_iter.csv"), header, rows)
     return EXIT_OK
@@ -329,32 +329,29 @@ def _emit_reports(reports, out):
 #: given.  A check's keys are read by bounds.READERS, and no key here reads
 #: one of them another way, but for the spec objects param, param2 and
 #: steps: their readers here build the object from its spec, and the one in
-#: bounds.READERS takes it as built.
+#: bounds.READERS takes it as built.  N, T, tol and ode_tol have no entry:
+#: the library function that takes each one reads it under that name.
 READERS = {
     **bounds.READERS,
     "operator": _operator,
-    "N": bounds._count(1),
-    "lambdas": bounds._list(bounds._positive),
-    "T": bounds._positive,
-    "tol": bounds._positive,
-    "ode_tol": bounds._positive,
-    "samples": bounds._count(1),
+    "lambdas": bounds._list(core.positive),
+    "samples": core.count(1),
     "checks": bounds._list(str),
     "param": _kind(PARAMS, "param"),
     "param2": _kind(PARAMS, "param2"),
     "steps": _kind(STEPS, "steps"),
     "game_file": os.fspath,
     # the spec objects' keys
-    "theta_degrees": bounds._float,
-    "dim": bounds._count(1),
+    "theta_degrees": core.real,
+    "dim": core.count(1),
     "random_game": lambda spec: _build(_random_game, spec, "random_game",
                                       "operator.random_game"),
-    "states": bounds._count(1),
-    "rows": bounds._count(1),
-    "cols": bounds._count(1),
-    "payoff_range": bounds._list(bounds._float),
-    "lambda": bounds._float,
-    "alpha": bounds._float,
+    "states": core.count(1),
+    "rows": core.count(1),
+    "cols": core.count(1),
+    "payoff_range": bounds._list(core.real),
+    "lambda": core.real,
+    "alpha": core.real,
 }
 
 

@@ -50,7 +50,7 @@ def as_vec(x, dim=None):
         return x
     try:
         v = as_array(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"not a numeric vector: {exc}") from None
     if v.ndim == 0:
         v = v.reshape(1)
@@ -83,7 +83,7 @@ def as_matrix(M, square=False):
     when it is one); its finiteness is left to the caller's own path."""
     try:
         A = as_array(M)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix is not numeric: {exc}") from None
     if square and (A.ndim != 2 or A.shape[0] != A.shape[1]):
         raise InputError("matrix must be square")
@@ -95,7 +95,8 @@ def as_matrix(M, square=False):
 
 # The readers of the public functions' scalar arguments: each returns the
 # value read or raises an InputError, which its caller names with
-# errors.convert.  A str is no number here; bounds' config readers convert it.
+# errors.convert.  A str is no number, in a config too: bounds.READERS and
+# cli.READERS hold these readers themselves.
 
 def _number(x):
     """x, or the scalar of a 0-d array x, if it is a real number and no bool."""

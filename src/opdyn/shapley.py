@@ -12,10 +12,11 @@ k <= 3, in closed form, accepted only under strict complementarity by a
 margin, which makes the block the game's only optimal support.  The block
 tried first is a guess, the support the same state's last solve accepted;
 failing that, a dense simplex on the classical LP, rescaled to entries in
-[1, 2], in floats and, if that fails, in exact rationals, names the block,
-and its own solution is returned when no block is accepted.  An accepted
-guess is the block the simplex would have named, so the result, and J, do
-not depend on the guess or on the order of calls.  All paths end in one
+[1, 2], in floats and, if that fails, in exact rationals, names the block
+by the actions its certified strategies play, and its own solution is
+returned when no block is accepted.  An accepted guess is the block the
+simplex would have named, so the result, and J, do not depend on the guess
+or on the order of calls.  All paths end in one
 primal-dual gap certificate, whose tolerance LP_GAP_TOL * max(1, max|B|)
 scales with the largest magnitude of the game; the margin is that
 tolerance.  A kernel-enumeration oracle is kept for cross-checking.
@@ -60,7 +61,10 @@ STRATEGY_CLAMP = 1e-12
 class StochasticGame:
     """Finite zero-sum stochastic game.
 
-    payoff[s] is an (m_s, n_s) matrix; transition[s] is (m_s, n_s, S) with
+    Each field is a list or a tuple with one entry per state, as in a game
+    file; any other value, such as a str whose letters would read as
+    states, is a SchemaError at the field's name.  payoff[s] is an
+    (m_s, n_s) matrix; transition[s] is (m_s, n_s, S) with
     row-stochastic last axis.  After validation both are read-only views into
     ``shape_groups``: one (states, payoff stack, transition stack) triple per
     action shape, states in increasing order.  ``dataclasses.replace`` makes
@@ -74,6 +78,10 @@ class StochasticGame:
     transition: list
 
     def __post_init__(self):
+        for field in ("states", "actions", "payoff", "transition"):
+            value = getattr(self, field)
+            if not isinstance(value, (list, tuple)):
+                raise SchemaError(f"must be an array, got {type(value).__name__}", field)
         if len(self.states) < 1:
             raise SchemaError("at least one state required", "states")
         S = len(self.states)
@@ -176,8 +184,6 @@ def load_game(source):
     for key in fields:
         if key not in doc:
             raise SchemaError("missing field", key)
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"must be an array, got {type(doc[key]).__name__}", key)
     return StochasticGame(*(doc[key] for key in fields))
 
 
@@ -375,20 +381,18 @@ def _exact_simplex(rows):
 
 def _certify(rows, value, p, q, tol):
     """Normalize the simplex's strategies and certify them on the game rows
-    to the gap tolerance tol.
-
-    Returns (value, p, q, lo, hi): lo holds the payoff of p against each
-    column, hi that of each row against q, each summed as in ``_kernel``.
+    to the gap tolerance tol; returns (value, p, q).  The payoffs of p
+    against each column and of each row against q are summed as in
+    ``_kernel``.
     """
     p, q = _clamp_simplex(p), _clamp_simplex(q)
-    lo = [reduce(add, map(mul, p, col), 0.0) for col in zip(*rows)]
-    hi = [reduce(add, map(mul, row, q), 0.0) for row in rows]
-    maximin, minimax = min(lo), max(hi)
+    maximin = min(reduce(add, map(mul, p, col), 0.0) for col in zip(*rows))
+    minimax = max(reduce(add, map(mul, row, q), 0.0) for row in rows)
     _check_gap(maximin, minimax, tol)
     # The tableau's value carries the rounding of every pivot, which a tiny
     # pivot on a nearly degenerate game amplifies; the certified bracket
     # [maximin, minimax] does not.
-    return min(max(value, maximin), minimax), p, q, lo, hi
+    return min(max(value, maximin), minimax), p, q
 
 
 def _kernel(rows, support, margin):
@@ -486,31 +490,23 @@ def _solve(rows, support, scale):
     system on a k x k block (k <= 3) and accepts it only under strict
     complementarity with margin LP_GAP_TOL * max(1, scale), the gap
     tolerance, which makes the block the game's only optimal support.  The
-    guess ``support`` is tried first, then two readings of the strategies
-    that ``_simplex`` certifies (in floats, or exact rationals when that
-    raises ResourceError): the actions they play, and the best replies to
-    them within half the margin.  When a block is accepted, support is that
-    block and p and q are its weights on the block's rows and columns;
-    otherwise support is None and p and q are the simplex's strategies, one
-    weight per action.
+    guess ``support`` is tried first, then the block of the actions that
+    the strategies ``_simplex`` certifies play (in floats, or exact
+    rationals when that raises ResourceError).  When a block is accepted,
+    support is that block and p and q are its weights on the block's rows
+    and columns; otherwise support is None and p and q are the simplex's
+    strategies, one weight per action.
     """
     margin = LP_GAP_TOL * max(1.0, scale)
     sol = None if support is None else _kernel(rows, support, margin)
     if sol is None:
         try:
-            value, p, q, lo, hi = _certify(rows, *_simplex(rows, 1e-12, 1e-15), margin)
+            value, p, q = _certify(rows, *_simplex(rows, 1e-12, 1e-15), margin)
         except ResourceError:
-            value, p, q, lo, hi = _certify(rows, *_exact_simplex(rows), margin)
-        # two readings of the support the simplex found: the actions its
-        # strategies play, and the best replies to them within half the margin
+            value, p, q = _certify(rows, *_exact_simplex(rows), margin)
         support = (tuple(i for i, x in enumerate(p) if x > 0.0),
                    tuple(j for j, x in enumerate(q) if x > 0.0))
-        maximin, minimax = min(lo), max(hi)
-        best = (tuple(i for i, x in enumerate(hi) if x >= minimax - margin / 2),
-                tuple(j for j, x in enumerate(lo) if x <= maximin + margin / 2))
         sol = _kernel(rows, support, margin)
-        if sol is None and best != support:
-            sol, support = _kernel(rows, best, margin), best
         if sol is None:
             return value, p, q, None
     return (*sol, support)
@@ -524,9 +520,11 @@ def matrix_game_value(M, support=None):
     ``support`` and the scale ``_stage_games`` reads, and the strategies
     are returned as arrays over all actions, a kernel's block weights
     spread with zeros.  The result does not depend on the guess, bit for
-    bit: the kernel's output is a function of (M, block) alone, at most one
-    block is accepted, and both readings of any strategies near the optimal
-    ones name it.  A game without a strictly complementary block of size 3
+    bit, where an accepted block is the one the simplex's certified
+    strategies play: the kernel's output is a function of (M, block) alone,
+    and at most one block is accepted
+    (``test_a_support_guess_never_changes_the_result`` tries every guess on
+    seeded games).  A game without a strictly complementary block of size 3
     or less (ties, degeneracy, a 4x4 mix) gets the simplex's solution, warm
     or cold.  Every path's gap is within LP_GAP_TOL * max(1, max|M|).
 

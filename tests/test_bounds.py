@@ -195,15 +195,6 @@ def test_log_spaced_counts_are_read_once(translation):
         "convvn", bounds.Scenario(operator=translation, horizon=3), FAST)] == [2, 3]
 
 
-def test_steps_and_the_count_they_replace_are_not_both_given(translation):
-    sc = bounds.Scenario(operator=translation, steps=discrete.StepSequence.harmonic(20),
-                         pairs=7)
-    with pytest.raises(InputError, match="^steps, pairs: give one of them, not both$"):
-        bounds.verify("kobayashi", sc, FAST)
-    del sc.inputs["pairs"]
-    _assert_all_pass(bounds.verify("kobayashi", sc, FAST))
-
-
 def test_kobayashi_on_rotation():
     sc = bounds.Scenario(operator=core.rotation(np.pi / 6.0), pairs=3)
     _assert_all_pass(bounds.verify("kobayashi", sc, FAST))
@@ -268,6 +259,8 @@ def test_a_spec_input_of_the_wrong_type_is_an_input_error_naming_it(translation,
     ("chernoff", {"nmax": 50}, "nmax"),
     ("kobayashi", {"subgrid": 10}, "subgrid"),
     ("kobayashi", {"steps2": discrete.StepSequence.harmonic(3)}, "steps2"),
+    # kobayashi draws both step sequences of each pair, pairs of them
+    ("kobayashi", {"steps": discrete.StepSequence.harmonic(3)}, "steps"),
     ("expo", {"m_values": [25, 100, 400, 1600]}, "m_values"),
     ("slow_param", {"t_values": [1.0]}, "t_values"),
     ("norm_bounds", {"lambdas": [1.0, 0.5]}, "lambdas"),
@@ -319,7 +312,7 @@ def test_each_check_input_has_a_caller():
     constant, so a new input has to name its caller here."""
     assert sorted(bounds.READERS) == ["case", "horizon", "n_values", "pairs", "param",
                                       "param2", "seed", "starts", "steps"]
-    assert sum(len(bounds.keys(fn)) for fn in bounds.CHECKS.values()) == 53
+    assert sum(len(bounds.keys(fn)) for fn in bounds.CHECKS.values()) == 52
 
 
 def test_failing_check_is_reported():

@@ -146,16 +146,22 @@ def test_euler_task_columns(tmp_path):
     assert rows[-1][1] == "2.0"
 
 
-def test_a_json_string_is_converted_to_the_number_it_names(tmp_path):
-    # the core readers take no str: the config readers convert one first, so
-    # T="2" and N="5" run as T=2 and N=5 do
-    for task, items, name in [("ode", ['T="2"', "T=2"], "ode.csv"),
-                              ("value_iter", ['N="5"', "N=5"], "value_iter.csv")]:
-        for i, item in enumerate(items):
-            assert run([task, "--preset", "rotation30" if task == "ode" else "translation",
-                        "--set", item, "--out", str(tmp_path / f"{task}{i}")]) == 0
-        assert ((tmp_path / f"{task}0" / name).read_bytes()
-                == (tmp_path / f"{task}1" / name).read_bytes())
+@pytest.mark.parametrize("task, preset, items, message", [
+    ("ode", "rotation30", ['T="2"'], "T: must be a number, got '2'"),
+    ("value_iter", "translation", ['N="5"'], "N: must be an integer, got '5'"),
+    ("value_iter", "translation", ["N=x"], "N: must be an integer, got 'x'"),
+    ("verify", "translation", ['checks=["norm_bounds"]', 'horizon="10"'],
+     "horizon: must be a number, got '10'"),
+    ("suite", "paper-suite", ['ode_tol="1e-7"'], "ode_tol: must be a number, got '1e-7'"),
+])
+def test_a_json_string_is_no_number(tmp_path, capsys, task, preset, items, message):
+    # a config number is a JSON number, as a vector entry is: a string that
+    # names one, or a --set value that is not JSON, is a config error
+    args = [task, "--preset", preset, "--out", str(tmp_path)]
+    for item in items:
+        args += ["--set", item]
+    assert run(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"opdyn: config error: {message}\n"
 
 
 def test_ode_task(tmp_path):
@@ -518,6 +524,22 @@ def test_ode_tol_is_the_one_setting_of_a_run_of_checks():
     assert not hasattr(bounds, "Settings")
 
 
+def test_a_library_argument_is_read_by_the_library_alone():
+    """N, T, tol and ode_tol have one reader each, the library function that
+    takes them: iterate_Vn reads N, integrate_U and integrate_u read T and
+    tol, solve_vlambda reads tol and verify reads ode_tol, each under that
+    name and with the core reader's rule.  bind passes them as given, so a
+    config error in one is the library's own message.  The spec keys keep
+    their readers in cli.READERS: their library names differ (random_game's
+    num_states, m and n for states, rows and cols; rotation's theta, in
+    radians, for theta_degrees), or the library's message lacks the dotted
+    key (operator.dim, param.lambda, operator.random_game.seed).  A second
+    reader of a key that a library function reads then has to be argued
+    here."""
+    assert not {"N", "T", "tol", "ode_tol"} & set(cli.READERS)
+    assert not hasattr(bounds, "_config")
+
+
 @pytest.mark.parametrize("task, preset, item", [
     ("value_iter", "translation", "N=x"),
     ("value_iter", "translation", "N=1e999"),
@@ -562,6 +584,7 @@ def test_ode_tol_is_the_one_setting_of_a_run_of_checks():
     ("generate-game", "translation", "game_file=x.json"),
     ("ode", "rotation30", "T=true"),
     ("phi_ode", "matching-pennies", "tol=true"),
+    ("suite", "paper-suite", "ode_tol=true"),
     ("verify", "translation", "out=x"),
 ])
 def test_bad_task_value_or_unknown_key_is_config_error(tmp_path, capsys, task, preset, item):
@@ -871,7 +894,7 @@ def test_a_checks_keys_are_read_by_bounds_readers_alone():
         assert bounds.READERS[key](built) is built
 
 
-FLOAT_KEYS = ["T", "tol", "horizon", "theta_degrees", "lambda", "alpha", "ode_tol"]
+FLOAT_KEYS = ["horizon", "theta_degrees", "lambda", "alpha"]
 FLOAT_LIST_KEYS = ["lambdas", "payoff_range"]
 
 

@@ -506,10 +506,19 @@ _READ_SITES = [
      ([[1, 2], [3]], [["a", "b"], ["c", "d"]], [["1", "0"], ["0", "1"]], [[True, 0], [0, 1]]),
      None),
     ("AffineNonexpansive", "matrix is not numeric: ",
-     lambda v: repr(core.AffineNonexpansive(v).matrix), ([[0.5, 0], [0]], [["a"]], [[True]]),
-     None),
+     lambda v: repr(core.AffineNonexpansive(v).matrix),
+     ([[0.5, 0], [0]], [["a"]], [[True]], [[10**400]]), None),
+    ("AffineNonexpansive.offset", "not a numeric vector: ",
+     lambda v: repr(core.AffineNonexpansive([[0.5]], v).offset), (["1"], [True], [10**400]), 1),
     ("Translation", "not a numeric vector: ", lambda v: repr(core.Translation(v).c),
-     (["1"], [True], True), 1),
+     (["1"], [True], True, [10**400]), 1),
+    # an integer too large for a float is no number either
+    ("as_vec", "not a numeric vector: ", lambda v: repr(core.as_vec(v)),
+     (["1"], [True], [10**400]), 1),
+    ("as_matrix", "matrix is not numeric: ", lambda v: repr(core.as_matrix(v)),
+     ([["1"]], [[True]], [[10**400]]), None),
+    ("norm", "not a numeric vector: ", lambda v: repr(core.norm(v)), (["1"], [10**400]), 1),
+    ("Operator.J", "not a numeric vector: ", lambda v: repr(_TR.J(v)), (["1"], [10**400]), 1),
     ("StepSequence", "steps: ", lambda v: discrete.StepSequence(v).steps.tobytes(),
      ([True, 0.5], ["0.5"], np.array([True])), None),
     ("phi_recursion", "steps: ", lambda v: discrete.phi_recursion(_TR, v).points.tobytes(),
@@ -545,12 +554,11 @@ def test_each_public_argument_is_read_by_a_core_reader(named, read, bad, good):
 
 
 def test_the_core_readers_keep_the_config_readers_rules():
-    # the config readers of bounds are the core readers, a string converted
-    # first; the core readers take no string
+    # the config readers are the core readers themselves, so no config
+    # number is a string
     assert [core.real(v) for v in (1, 0.5, np.float32(0.5), np.array(2))] == [1, 0.5, 0.5, 2]
     assert [core.integer(v) for v in (3, 1e3, np.int64(4), np.array(5))] == [3, 1000, 4, 5]
     assert core.integer(2**70 + 1) == 2**70 + 1
-    assert bounds._float("0.5") == 0.5 and bounds._count(0)("3") == 3
     for read, value, message in [
             (core.real, "0.5", "must be a number, got '0.5'"),
             (core.real, np.True_, "must be a number, got np.True_"),

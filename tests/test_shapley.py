@@ -437,13 +437,21 @@ def test_J_and_linearize_do_not_depend_on_call_history(monkeypatch, game):
     assert forward == backward == warm_again == fresh
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 4)])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 4), (2, 3), (3, 2), (1, 4)])
 def test_a_support_guess_never_changes_the_result(shape):
     # every candidate support, wrong guesses included, on seeded games with
-    # entries in [-1, 1] and on ones tied up to 1e-8 from DEGENERATE
+    # entries in [-1, 1], those scaled by 1e-3 and by 1e6, ones tied up to
+    # 1e-8 from DEGENERATE and, with three rows or more, ones whose third
+    # row is a convex combination of the first two
     rng = np.random.default_rng(17)
     games = [rng.uniform(-1.0, 1.0, size=shape) for _ in range(12)]
+    games += [scale * M for M in games[:4] for scale in (1e-3, 1e6)]
     games += [rng.choice(DEGENERATE, size=shape) for _ in range(12)]
+    if shape[0] >= 3:
+        for _ in range(4):
+            M, w = rng.uniform(-1.0, 1.0, size=shape), rng.uniform(0.2, 0.8)
+            M[2] = w * M[0] + (1.0 - w) * M[1]
+            games.append(M)
     guesses = [(rows, cols) for rows in index_sets(shape[0])
                for cols in index_sets(shape[1])]
     kernels = 0
@@ -811,10 +819,12 @@ def _edited_pennies(key, value, game=shapley.matching_pennies()):
     (_edited_pennies("actions", [[10**400, 2]]), "actions[0]", "int too large to convert to float"),
 ])
 def test_each_game_schema_error_names_its_location(doc, location, message):
-    with pytest.raises(SchemaError) as caught:
-        shapley.load_game(doc)
-    assert caught.value.location == location
-    assert str(caught.value) == f"{location}: {message}"
+    # a game file and a game built in Python follow one rule
+    for build in (shapley.load_game, lambda d: shapley.StochasticGame(**d)):
+        with pytest.raises(SchemaError) as caught:
+            build(doc)
+        assert caught.value.location == location
+        assert str(caught.value) == f"{location}: {message}"
 
 
 def test_unreadable_game_documents_name_their_location(tmp_path):
