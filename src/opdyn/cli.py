@@ -259,7 +259,9 @@ def task_value_iter(out, *, operator, N=100):
 
 def task_discounted(out, *, operator, lambdas=(0.5, 0.1, 0.01), tol=discrete.VLAMBDA_TOL):
     """discounted.csv: v_lam per lambda, with the solver's iterations (its
-    ``op.linearize`` calls, each one Phi evaluation) and certified error."""
+    ``op.linearize`` calls, each one Phi evaluation) and certified error.
+    Every solve runs on the one operator, so a game's model at 0, where each
+    solve starts, is solved once for the whole lambda list."""
     header = ["lambda"] + _coord_header("v", operator.dim) + ["iterations", "certified_error"]
     rows = []
     for lam in lambdas:

@@ -76,31 +76,37 @@ def zeta_inverse(s):
     raise ResourceError("zeta inverse did not converge")
 
 
-def _time_error(t):
-    """The InputError of a time t outside [0, inf), the domain of every lam,
-    built only when a read's test 0.0 <= t < math.inf fails (as NaN does)."""
-    return InputError("t must be >= 0" if not t >= 0 else f"t must be finite, got {t}")
+def _time(t):
+    """t read as a time of lam, a float in [0, inf), the domain of every lam.
+    Anything but a real scalar, an int too large for a float among them, and
+    a time outside [0, inf), NaN included, is an InputError.  The reads call
+    it only for a t that is not a float in [0, inf), as in Trajectory.at."""
+    t = convert(real, t, "t")
+    if not 0.0 <= t < math.inf:
+        raise InputError("t must be >= 0" if not t >= 0 else f"t must be finite, got {t}")
+    return t
 
 
 class Parametrization:
     """A path t -> lam(t) in (0, 1], C1 except at its kinks(), on t in
     [0, inf).  A subclass defines the formulas _value, _derivative and
-    _integral; value, derivative and integral read any other t as an InputError."""
+    _integral; value, derivative and integral read t by ``_time`` unless it
+    is a float (np.float64 too) in [0, inf), which they pass as it is."""
 
     def value(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+        if not (isinstance(t, float) and 0.0 <= t < math.inf):
+            t = _time(t)
         return self._value(t)
 
     def derivative(self, t):
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+        if not (isinstance(t, float) and 0.0 <= t < math.inf):
+            t = _time(t)
         return self._derivative(t)
 
     def integral(self, t):
         """int_0^t lam(s) ds, exactly."""
-        if not 0.0 <= t < math.inf:
-            raise _time_error(t)
+        if not (isinstance(t, float) and 0.0 <= t < math.inf):
+            t = _time(t)
         return self._integral(t)
 
     def _value(self, t):

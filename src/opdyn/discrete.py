@@ -64,19 +64,30 @@ class StepSequence:
     @classmethod
     def constant(cls, lam, N):
         lam = convert(real, lam, "lambda")
-        return cls(np.full(convert(count(1), N, "N"), lam))
+        return cls(_sized(N, lambda n: np.full(n, lam)))
 
     @classmethod
     def harmonic(cls, N):
         """lam_i = min(1, 1/i)."""
-        i = np.arange(1, convert(count(1), N, "N") + 1, dtype=float)
+        i = _sized(N, lambda n: np.arange(1, n + 1, dtype=float))
         return cls(np.minimum(1.0, 1.0 / i))
 
     @classmethod
     def inverse_sqrt(cls, N):
         """lam_i = min(1, i^{-1/2})."""
-        i = np.arange(1, convert(count(1), N, "N") + 1, dtype=float)
+        i = _sized(N, lambda n: np.arange(1, n + 1, dtype=float))
         return cls(np.minimum(1.0, i**-0.5))
+
+
+def _sized(N, build):
+    """build(n), an array of n = N entries, N read as a count of at least 1;
+    a count too large for an array, which NumPy refuses with a ValueError,
+    is an InputError that names N."""
+    n = convert(count(1), N, "N")
+    try:
+        return build(n)
+    except ValueError:
+        raise InputError(f"N: {n:.3g} steps do not fit in an array") from None
 
 
 @dataclass
@@ -167,6 +178,8 @@ def solve_vlambda(op, lam, tol=VLAMBDA_TOL, full=False):
     what the plain step w' = T(w) guarantees; otherwise, and whenever M is
     None, the plain step is taken.  The result is T(w) for the first w whose
     certificate is within tol; ``iterations`` counts ``op.linearize`` calls.
+    The first is at x = 0 for every lambda, so a Shapley operator solves that
+    model once and serves it to each later solve on it.
     Returns the vector, or the full result when full=True.
     """
     lam, tol = convert(real, lam, "lambda"), convert(positive, tol, "tol")

@@ -31,7 +31,9 @@ state's guess that the operator keeps.  For any shape but 2x2 one
 reduction over the stack reads every game's max|B|, and the finite sum of
 those scales validates the group.  ``ShapleyOperator.linearize`` also
 returns the frozen-strategy transition matrix of the optimal strategies:
-the linear model behind the policy steps of the v_lambda solver.
+the linear model behind the policy steps of the v_lambda solver.  Its model
+at 0, where every v_lambda solve starts, is solved once per operator and
+kept with the guesses.
 """
 
 from __future__ import annotations
@@ -670,6 +672,9 @@ class ShapleyOperator(Operator):
         #: per state, the support its last non-2x2 solve accepted: a guess
         #: that makes the next solve cheaper and never changes its result
         self.supports = [None] * game.num_states
+        #: (game, J(0), M(0)) of the first linearize call at x = 0, where
+        #: every v_lambda solve starts, whatever its lambda
+        self._at_zero = None
 
     def map(self, x):
         """One application of the game's value operator to x.
@@ -711,8 +716,17 @@ class ShapleyOperator(Operator):
         players' strategies frozen.  Each stage game is solved, with its
         state's guess as in ``map``, by ``matrix_game_value``, which
         validates it and returns its strategies as arrays for the einsum.
+
+        The model at 0 is solved once per operator: the first call at an x
+        whose every entry is +0.0 keeps (J(0), M(0)) for the operator's
+        game, and later calls at such an x return copies of them, so a
+        caller that writes into the result leaves them as they are.  A -0.0
+        entry can turn the sign of a zero in B = P + R x, so it is solved.
         """
         x = as_vec(x, self.dim)
+        at_zero = not x.any() and not np.signbit(x).any()
+        if at_zero and self._at_zero is not None and self._at_zero[0] is self.game:
+            return self._at_zero[1].copy(), self._at_zero[2].copy()
         supports = self.supports
         out = np.empty(self.dim)
         M = np.empty((self.dim, self.dim))
@@ -724,6 +738,9 @@ class ShapleyOperator(Operator):
             p = np.array([sol.row_strategy for sol in sols])
             q = np.array([sol.col_strategy for sol in sols])
             M[list(states)] = np.einsum("ki,kijs,kj->ks", p, R, q)
+        if at_zero:
+            self._at_zero = (self.game, out, M)
+            return out.copy(), M.copy()
         return out, M
 
     def h_constant(self):

@@ -1,8 +1,11 @@
-"""The paper suite, run once per test session for every test that reads it."""
+"""Shared fixtures: the paper suite, run once per test session for every test
+that reads it, and a record of the ``shapley.matrix_game_value`` calls a test
+makes."""
 
+import numpy as np
 import pytest
 
-from opdyn import bounds, cli, continuous, discrete
+from opdyn import bounds, cli, continuous, discrete, shapley
 
 #: the solvers whose calls run_checks shares between the checks of one run
 SHARED_SOLVERS = [(continuous, "integrate_U"), (continuous, "integrate_u"),
@@ -14,6 +17,20 @@ def _counted(solve, name, counts):
         counts[name] = counts.get(name, 0) + 1
         return solve(*args, **kwargs)
     return counting
+
+
+@pytest.fixture
+def matrix_game_calls(monkeypatch):
+    """The list that ``shapley.matrix_game_value`` appends each game's shape
+    to, for the rest of the test."""
+    calls, solve = [], shapley.matrix_game_value
+
+    def counting(M, support=None):
+        calls.append(np.shape(M))
+        return solve(M, support)
+
+    monkeypatch.setattr(shapley, "matrix_game_value", counting)
+    return calls
 
 
 def _solver_calls(counts):

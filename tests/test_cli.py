@@ -717,6 +717,8 @@ def test_an_operator_norm_is_sup_unless_given(spec):
     ("ode", "rotation30", "tol=0", "tol: must be positive and finite, got 0.0"),
     ("phi_ode", "matching-pennies", "T=0", "T: must be positive and finite, got 0.0"),
     ("discounted", "matching-pennies", "tol=-1", "tol: must be positive and finite, got -1.0"),
+    # a count too large for an array is refused before any allocation
+    ("value_iter", "translation", "N=1e300", "N: 1e+300 steps do not fit in an array"),
 ])
 def test_a_task_value_out_of_range_is_named(tmp_path, capsys, task, preset, item, message):
     args = [task, "--preset", preset, "--set", item, "--out", str(tmp_path)]

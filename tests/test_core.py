@@ -535,6 +535,12 @@ _READ_SITES = [
      lambda v: shapley.random_game(2, 2, 2, payoff_range=(v, 1)).shape_groups[0][1].tobytes(),
      ("0", True), 0),
     ("rotation", "theta: ", lambda v: repr(core.rotation(v).matrix), ("0.5", True), 1),
+    # a time of lam, read by each of a Parametrization's three reads
+    *[(f"{type(p).__name__}.{read}", "t: ",
+       lambda v, p=p, read=read: repr(float(getattr(p, read)(v))), ("1", True, 10**400), 1)
+      for p in (continuous.PowerAlpha(0.5), continuous.InverseTimeZeta(),
+                continuous.Table([(0.0, 0.5), (2.0, 1.0)]))
+      for read in ("value", "derivative", "integral")],
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from opdyn import cli, core, discrete, shapley
+from opdyn import bounds, cli, core, discrete, shapley
 from opdyn.errors import InputError, ResourceError
 
 
@@ -174,6 +174,48 @@ def test_small_lambda_solve_passes_the_oracle_residual():
     J = np.array([shapley.matrix_game_value_oracle(B) for B in stage])
     oracle_tol = 1e-9 * max(1.0, max(float(np.max(np.abs(B))) for B in stage))
     assert np.max(np.abs(lam * J - res.v)) <= (2.0 - lam) * tol + lam * oracle_tol
+
+
+def _result_bits(res):
+    return res.v.tobytes(), res.V.tobytes(), res.iterations, float(res.certified_error).hex()
+
+
+@pytest.mark.parametrize("name", ["uniform2x2", "grid4x4", "mixed"])
+def test_v_lambda_solves_on_one_operator_equal_solves_on_fresh_ones(name):
+    # every solve starts from the operator's one model at 0, which the first
+    # solve made; a repeated lambda and a rising one are in the grid too
+    lambdas = (0.5, 0.1, 0.025, 0.5, 0.01, 0.2)
+    op = shapley.ShapleyOperator(_GAMES[name])
+    shared = [_result_bits(discrete.solve_vlambda(op, lam, full=True)) for lam in lambdas]
+    fresh = [_result_bits(discrete.solve_vlambda(shapley.ShapleyOperator(_GAMES[name]), lam,
+                                                 full=True))
+             for lam in lambdas]
+    assert shared == fresh
+
+
+def test_a_second_v_lambda_solve_skips_the_solve_pass_at_zero(matrix_game_calls):
+    # each iteration solves every stage game once, but the first at x = 0
+    # is solved by the first solve on the operator only
+    op, calls = shapley.ShapleyOperator(_GAMES["grid4x4"]), matrix_game_calls
+    first = discrete.solve_vlambda(op, 0.1, full=True)
+    assert len(calls) == first.iterations * op.dim
+    calls.clear()
+    second = discrete.solve_vlambda(op, 0.05, full=True)
+    assert len(calls) == (second.iterations - 1) * op.dim
+
+
+@pytest.mark.parametrize("build", [
+    lambda N: discrete.StepSequence.constant(0.5, N),
+    discrete.StepSequence.harmonic,
+    discrete.StepSequence.inverse_sqrt,
+    lambda N: discrete.iterate_Vn(core.Translation([1.0]), N),
+    lambda N: bounds.verify("norm_bounds", bounds.Scenario(core.Translation([1.0]), horizon=N)),
+], ids=["constant", "harmonic", "inverse_sqrt", "iterate_Vn", "norm_bounds"])
+def test_a_count_too_large_for_an_array_is_an_input_error_naming_N(build):
+    # NumPy refuses these counts before it allocates anything
+    for N in (1e300, 10**300):
+        with pytest.raises(InputError, match=r"^N: 1e\+300 steps do not fit in an array$"):
+            build(N)
 
 
 def _big_match():

@@ -437,6 +437,69 @@ def test_J_and_linearize_do_not_depend_on_call_history(monkeypatch, game):
     assert forward == backward == warm_again == fresh
 
 
+def model_bits(model):
+    return tuple(a.tobytes() for a in model)
+
+
+@pytest.mark.parametrize("game", [
+    shapley.random_game(3, 2, 2, seed=7),
+    shapley.random_game(8, 4, 4, seed=1),
+    mixed_shape_game(0),
+], ids=["random3", "8x4x4", "mixed"])
+def test_the_model_at_zero_is_solved_once_and_served_as_copies(matrix_game_calls, game):
+    S, calls = game.num_states, matrix_game_calls
+    want = model_bits(shapley.ShapleyOperator(game).linearize(np.zeros(S)))
+    op = shapley.ShapleyOperator(game)
+    calls.clear()
+    for zero in (np.zeros(S), [0] * S, np.zeros(S)):
+        Jx, M = op.linearize(zero)
+        assert model_bits((Jx, M)) == want
+        # a caller that writes into the result leaves the kept model as it is
+        Jx[:], M[:] = np.nan, -1.0
+    assert len(calls) == S
+    # at another point the games are solved again, and 0 is still kept
+    op.linearize(np.full(S, 0.5))
+    assert len(calls) == 2 * S
+    assert model_bits(op.linearize(np.zeros(S))) == want and len(calls) == 2 * S
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_a_start_with_a_negative_zero_is_solved(matrix_game_calls, at):
+    # -0.0 can turn the sign of a zero in B = P + R x, so only +0.0 is served
+    game, calls = mixed_shape_game(0), matrix_game_calls
+    S = game.num_states
+    x = np.zeros(S)
+    x[at] = -0.0
+    op = shapley.ShapleyOperator(game)
+    op.linearize(np.zeros(S))
+    calls.clear()
+    got = model_bits(op.linearize(x))
+    assert len(calls) == S
+    assert got == model_bits(shapley.ShapleyOperator(game).linearize(x))
+
+
+def test_the_model_at_zero_belongs_to_the_operators_game():
+    op = shapley.ShapleyOperator(shapley.random_game(3, 3, 3, seed=1))
+    op.linearize(np.zeros(3))
+    other = shapley.random_game(3, 3, 3, seed=2)
+    op.game = other
+    assert (model_bits(op.linearize(np.zeros(3)))
+            == model_bits(shapley.ShapleyOperator(other).linearize(np.zeros(3))))
+
+
+def test_a_v_lambda_solve_on_a_non_2x2_game_calls_matrix_game_value(matrix_game_calls):
+    """perfbench's tracer counts stage games by wrapping
+    ``shapley.matrix_game_value`` under its ``shapley.matrix_game`` layer,
+    and its ``test_share_2x2`` needs that layer to see the games of a v_lambda
+    solve: ``linearize`` is the one caller, ``map`` goes to ``_solve``.  This
+    test retires with ROADMAP items 6 and 15: item 6's benchmark change
+    wraps ``_solve`` and ``_solve_2x2``, after which item 15 moves
+    ``linearize`` onto ``_solve``'s shape groups."""
+    game = shapley.random_game(3, 3, 4, seed=6)
+    res = discrete.solve_vlambda(shapley.ShapleyOperator(game), 0.1, full=True)
+    assert matrix_game_calls == [(3, 4)] * (res.iterations * game.num_states)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 4), (2, 3), (3, 2), (1, 4)])
 def test_a_support_guess_never_changes_the_result(shape):
     # every candidate support, wrong guesses included, on seeded games with
