@@ -138,16 +138,6 @@ def _choice(*options):
     return read
 
 
-def _instance(cls):
-    """A reader: an instance of cls, as given (``opdyn verify`` builds one
-    from its spec object before the check binds it)."""
-    def read(value):
-        if not isinstance(value, cls):
-            raise InputError(f"must be a {cls.__name__}, got {type(value).__name__}")
-        return value
-    return read
-
-
 def _points(values):
     """A reader: a list of points, as given (each is read where it is used,
     at the operator's dimension); None stands for the check's own."""
@@ -163,11 +153,11 @@ READERS = {
     "horizon": core.positive,
     "n_values": _list(core.count(1)),
     "pairs": core.count(1),
-    "param": _instance(continuous.Parametrization),
-    "param2": _instance(continuous.Parametrization),
+    "param": core.instance(continuous.Parametrization),
+    "param2": core.instance(continuous.Parametrization),
     "seed": core.count(0),
     "starts": _points,
-    "steps": _instance(discrete.StepSequence),
+    "steps": core.instance(discrete.StepSequence),
 }
 
 
@@ -600,11 +590,10 @@ def _check_vlambda_lipschitz(op, ode_tol):
 
 def _check_discrete_slow(op, ode_tol, *, horizon=50.0):
     N = _last_n("discrete_slow", horizon, 2)
-    lambda_seq = discrete.StepSequence.inverse_sqrt(N).steps
-    orbit = discrete.phi_recursion(op, lambda_seq)
+    steps = discrete.StepSequence.inverse_sqrt(N)
+    orbit = discrete.phi_recursion(op, steps)
     ns = _log_ints(max(1, N // 100), N, 5)
-    gaps = [_vlambda_gap(op, orbit.points[n], float(lambda_seq[n - 1]))
-            for n in ns]
+    gaps = [_vlambda_gap(op, orbit.points[n], float(steps.steps[n - 1])) for n in ns]
     yield _decay(gaps, 2.0 * VLAMBDA_TOL,
                  {"n_values": ns, "gaps": [float(g) for g in gaps]})
 

@@ -297,14 +297,15 @@ def _sample_rows(traj, samples, param=None):
     return rows
 
 
-def task_ode(out, *, operator, U0=None, T=20.0, tol=1e-8, samples=201):
+def task_ode(out, *, operator, U0=None, T=20.0, tol=continuous.TOL, samples=201):
     traj = continuous.integrate_U(operator, _start(operator, U0, "U0"), T, tol=tol)
     header = ["t"] + _coord_header("u", operator.dim) + ["err_bound"]
     write_csv(os.path.join(out, "ode.csv"), header, _sample_rows(traj, samples))
     return EXIT_OK
 
 
-def task_phi_ode(out, *, operator, param=None, u0=None, T=20.0, tol=1e-8, samples=201):
+def task_phi_ode(out, *, operator, param=None, u0=None, T=20.0, tol=continuous.TOL,
+                 samples=201):
     param = continuous.PowerAlpha(0.5) if param is None else param
     traj = continuous.integrate_u(operator, param, _start(operator, u0, "u0"), T, tol=tol)
     header = ["t"] + _coord_header("u", operator.dim) + ["err_bound", "lambda"]

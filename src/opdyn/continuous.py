@@ -27,12 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_TOL, apply_A, apply_Phi, as_vec, count, norm, positive, real
+from .core import BASE_TOL, apply_A, apply_Phi, as_vec, count, instance, norm, positive, real
 from .discrete import StepSequence, euler_scheme, locate
 from .errors import InputError, ResourceError, convert
 
 #: error target of slow_param_bound's quadrature, relative to max(1, bound)
 QUAD_TOL = 1e-9
+#: the default tolerance of integrate_U, integrate_u and the CLI's ode tasks
+TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +200,15 @@ class Table(Parametrization):
             raise InputError("knot times must be finite and strictly increasing")
         if not np.all((vs > 0.0) & (vs <= 1.0)):
             raise InputError("knot values must lie in (0, 1]")
-        self.ts = ts
-        self.vs = vs
         self._knots, self._values = ts.tolist(), vs.tolist()
         # slope of each piece; 0 on the held tail past the last knot
         self._slope = np.append(np.diff(vs) / np.diff(ts), 0.0).tolist()
-        # int_0^ts[k] lam by the trapezoid rule, exact on linear pieces
+        # int_0^t_k lam by the trapezoid rule, exact on linear pieces
         self._cum = np.cumsum([0.0, *(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))]).tolist()
 
     def _piece(self, t):
-        """(k, t - ts[k], lam(t)) with ts[k] <= t < ts[k+1], or k the last
-        knot on the held tail; np.interp's arithmetic, on Python floats."""
+        """(k, t - t_k, lam(t)) with t_k <= t < t_k+1 the knot times, or k the
+        last knot on the held tail; np.interp's arithmetic, on Python floats."""
         k = bisect_right(self._knots, t) - 1
         dt = t - self._knots[k]
         return k, dt, self._slope[k] * dt + self._values[k]
@@ -224,7 +224,7 @@ class Table(Parametrization):
         return float(self._cum[k] + 0.5 * (self._values[k] + value) * dt)
 
     def kinks(self):
-        return tuple(self.ts[1:])
+        return tuple(self._knots[1:])
 
 
 class Constant(Table):
@@ -479,7 +479,7 @@ def euler_power(op, t, m, x0):
     return euler_scheme(op, x0, StepSequence.constant(t / m, m)).points[-1]
 
 
-def integrate_U(op, U0, T, tol=1e-8):
+def integrate_U(op, U0, T, tol=TOL):
     """Solve U' = J(U) - U on [0, T] to tolerance tol: the local error
     estimates sum to at most STEP_TOL_SHARE tol (see Trajectory).  U0 is
     read by as_vec (a scalar is a start on a dim-1 operator), T and tol by
@@ -503,9 +503,10 @@ def integrate_U(op, U0, T, tol=1e-8):
     return traj
 
 
-def integrate_u(op, param, u0, T, tol=1e-8):
+def integrate_u(op, param, u0, T, tol=TOL):
     """Solve u' = Phi(lam(t), u) - u on [0, T] to tolerance tol, like
-    integrate_U; u0 is read like its U0."""
+    integrate_U; u0 is read like its U0, and param must be a Parametrization."""
+    param = convert(instance(Parametrization), param, "param")
     u0, T, tol = as_vec(u0, op.dim), convert(positive, T, "T"), convert(positive, tol, "tol")
     rhs = lambda t, x, out: np.subtract(apply_Phi(op, param.value(t), x, checked=False), x,
                                         out=out)

@@ -26,8 +26,6 @@ from .errors import InputError, convert
 SUP = "sup"
 EUCLIDEAN = "euclidean"
 
-_NORM_KINDS = (SUP, EUCLIDEAN)
-
 #: slack allowed on sampled nonexpansiveness / contraction ratios
 RATIO_TOL = 1e-12
 #: the one rounding allowance, of every check's budget and integrate_U's cross-check
@@ -138,6 +136,16 @@ def count(least):
     return read
 
 
+def instance(cls):
+    """A reader: an instance of cls, as given (``opdyn verify`` builds one
+    from its spec object before the check binds it)."""
+    def read(x):
+        if not isinstance(x, cls):
+            raise InputError(f"must be a {cls.__name__}, got {type(x).__name__}")
+        return x
+    return read
+
+
 def norm(x, kind=SUP):
     """Norm of a vector: max|x_i| for sup, sqrt(sum x_i^2) for euclidean.
     The sup norm is taken on Python floats: abs and max are exact, so it is
@@ -204,8 +212,6 @@ class AffineNonexpansive(Operator):
     """
 
     def __init__(self, matrix, offset=None, norm_kind=SUP):
-        if norm_kind not in _NORM_KINDS:
-            raise InputError(f"unknown norm kind {norm_kind!r}")
         M = as_matrix(matrix, square=True)
         if not np.all(np.isfinite(M)):
             raise InputError("matrix has non-finite entries")
@@ -213,8 +219,10 @@ class AffineNonexpansive(Operator):
         self.offset = np.zeros(self.dim) if offset is None else as_vec(offset, self.dim)
         if norm_kind == SUP:
             op_norm = float(np.max(np.sum(np.abs(M), axis=1)))
-        else:
+        elif norm_kind == EUCLIDEAN:
             op_norm = float(np.linalg.norm(M, 2))
+        else:
+            raise InputError(f"unknown norm kind {norm_kind!r}")
         if op_norm > 1.0 + RATIO_TOL:
             raise InputError(
                 f"operator norm {op_norm:.6g} exceeds 1 in the {norm_kind} norm"
@@ -282,12 +290,12 @@ def identity_operator(dim):
 
 # Who validates: Operator.J runs as_vec on x and calls op.map, and
 # op.linearize validates x as J does; apply_A leaves x to op.J (called
-# directly, with no apply_J), and apply_Phi reads x with as_vec first, since
-# it scales x before J sees it (or, at lam = 1, J never sees it).  With
-# checked=False they call op.map, which skips as_vec, on an x built from an
-# already validated start: the integrator's right-hand side and the orbit
-# loops (so the Euler power too) do, and check finiteness once per step or
-# per orbit instead.
+# directly, with no apply_J), and apply_Phi reads lam with real and x with
+# as_vec first, since it scales x before J sees it (or, at lam = 1, J never
+# sees it).  With checked=False they call op.map, which skips as_vec, on an
+# x built from an already validated start, and apply_Phi takes a float lam:
+# the integrator's right-hand side and the orbit loops (so the Euler power
+# too) do, and check finiteness once per step or per orbit instead.
 
 
 def apply_A(op, x, checked=True):
@@ -297,6 +305,8 @@ def apply_A(op, x, checked=True):
 
 def apply_Phi(op, lam, x, checked=True):
     """Phi(lam, x) = lam * J(((1 - lam)/lam) * x); Phi(1, x) = J(0)."""
+    if checked:
+        lam = convert(real, lam, "lambda")
     if not 0.0 < lam <= 1.0:
         raise InputError(f"lambda must lie in (0, 1], got {lam}")
     if checked:
@@ -350,7 +360,7 @@ def check_nonexpansive(op, samples=SAMPLES, seed=0):
     worst_ratio is the largest observed ratio (0 when every pair is
     skipped); violations counts pairs exceeding 1 + RATIO_TOL.
     """
-    samples = convert(count(1), samples, "samples")
+    samples, seed = convert(count(1), samples, "samples"), convert(count(0), seed, "seed")
     ratios = [op.norm(op.J(x) - op.J(y)) / d
               for x, y, d in _sampled_pairs(op, samples, seed)]
     violations = sum(r > 1.0 + RATIO_TOL for r in ratios)
@@ -372,7 +382,7 @@ def _accretive_reports(op, lams, samples=SAMPLES, seed=0):
     """check_accretive's report for each lam in lams, from one draw of the
     pairs and one evaluation of A at each of their points."""
     lams = [convert(positive, lam, "lambda") for lam in lams]
-    samples = convert(count(1), samples, "samples")
+    samples, seed = convert(count(1), samples, "samples"), convert(count(0), seed, "seed")
     diffs = [(x - y, apply_A(op, x) - apply_A(op, y), d)
              for x, y, d in _sampled_pairs(op, samples, seed)]
     reports = []

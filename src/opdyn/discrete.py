@@ -90,6 +90,11 @@ def _sized(N, build):
         raise InputError(f"N: {n:.3g} steps do not fit in an array") from None
 
 
+def _step_sequence(steps):
+    """steps as a StepSequence: itself, or the one of a sequence of steps."""
+    return steps if isinstance(steps, StepSequence) else StepSequence(steps)
+
+
 @dataclass
 class DiscreteOrbit:
     """Points x_0 .. x_N of one discrete recursion along its steps."""
@@ -104,8 +109,7 @@ def _step_orbit(op, x0, steps, step):
     as_vec; step may skip validating x (each x is a row of the orbit, built
     from x0), so the orbit is checked for finiteness once, at the end, and
     NumPy's overflow and invalid warnings on the way are silenced."""
-    if not isinstance(steps, StepSequence):
-        steps = StepSequence(steps)
+    steps = _step_sequence(steps)
     points = np.empty((len(steps) + 1, op.dim))
     points[0] = as_vec(x0, op.dim)
     for n, lam in enumerate(steps.steps, 1):
@@ -225,8 +229,8 @@ def euler_scheme(op, x0, steps):
 
 
 def euler_interpolant(orbit, t):
-    """Piecewise-linear interpolation of an Euler orbit in sigma-time."""
-    k, s = locate(memoryview(orbit.steps.sigma), t)
+    """Piecewise-linear interpolation of an Euler orbit in sigma-time, at a real t."""
+    k, s = locate(memoryview(orbit.steps.sigma), convert(real, t, "t"))
     return (1.0 - s) * orbit.points[k] + s * orbit.points[k + 1]
 
 
@@ -245,6 +249,7 @@ def kobayashi_rhs(op, x0, xhat0, steps1, steps2):
     """
     x0 = as_vec(x0, op.dim)
     xhat0 = as_vec(xhat0, op.dim)
+    steps1, steps2 = _step_sequence(steps1), _step_sequence(steps2)
     # in place: the grid is the one array of its size that is made
     grid = steps1.sigma[:, None] - steps2.sigma[None, :]
     grid *= grid

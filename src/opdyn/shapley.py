@@ -165,19 +165,16 @@ def _action_counts(pair):
 
 
 def load_game(source):
-    """Parse a game document (JSON text, dict, or path to a file)."""
+    """Parse a game document: a dict, or the path of a JSON file holding one
+    (any path, one that starts with "{" too)."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise SchemaError(f"cannot read game file: {exc}", str(source))
         try:
-            doc = json.loads(text)
+            with open(str(source), "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise SchemaError(f"cannot read game file: {exc}", str(source))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}", "document")
     if not isinstance(doc, dict):

@@ -211,6 +211,16 @@ def test_bad_game_file_is_schema_error(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_a_game_file_whose_path_starts_with_a_brace_is_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{g}.json").write_text(json.dumps(shapley.matching_pennies().to_dict()))
+    args = ["value_iter", "--set", 'operator={"game":"{g}.json"}', "--set", "N=3",
+            "--out", str(tmp_path)]
+    assert run(args) == 0
+    _, rows = csv_rows(tmp_path / "value_iter.csv")
+    assert [row[1] for row in rows] == ["0.0"] * 3
+
+
 def test_failed_write_is_io_error_and_leaves_no_temp_file(tmp_path, capsys):
     (tmp_path / "value_iter.csv").mkdir()  # no file can be renamed over it
     args = ["value_iter", "--preset", "translation", "--out", str(tmp_path)]

@@ -856,3 +856,39 @@ def test_each_step_local_error_is_within_its_estimate():
         flow = solve_ivp(rhs, (t0, t1), traj.points[k - 1], method="DOP853",
                          rtol=1e-13, atol=1e-15).y[:, -1]
         assert _R3.norm(flow - traj.points[k]) <= est + _REFERENCE_TOL, t1
+
+
+_G433 = shapley.ShapleyOperator(shapley.random_game(4, 3, 3, seed=3))
+
+
+@pytest.mark.parametrize("op", [_R3, _ROT, _G433], ids=["random3", "rotation30", "4x3x3"])
+def test_u_under_inverse_time_zeta_is_U_rescaled(op):
+    # lam = 1/(2 + tau), tau = zeta^{-1}(t), is the paper's change of
+    # variables: c = 1/(1 + tau) has c' = -lam c and tau' = 1 - lam, so
+    # u(t) = c U(tau) solves u' = Phi(lam, u) - u from u(0) = U(0).  Each
+    # read is held within both flows' error bounds, U's scaled by c
+    x0, tau_max = np.ones(op.dim), 50.0
+    T = float(continuous.zeta(tau_max))
+    flow = continuous.integrate_U(op, x0, tau_max, tol=1e-6)
+    pflow = continuous.integrate_u(op, _ITZ, x0, T, tol=1e-6)
+    for t in np.linspace(0.0, T, 401):
+        tau = min(continuous.zeta_inverse(t), tau_max)
+        gap = op.norm(pflow.at(t) - flow.at(tau) / (1.0 + tau))
+        assert gap <= pflow.err_at(t) + flow.err_at(tau) / (1.0 + tau) + core.BASE_TOL, t
+
+
+@pytest.mark.parametrize("op", [_TR, _R3, _G433], ids=["translation", "random3", "4x3x3"])
+def test_u_under_inverse_time_zeta_tracks_v_n_within_its_bound(op):
+    # from u0 = U0 = 0, with a = ||J(0)|| and tau = zeta^{-1}(n): u(n) =
+    # U(tau)/(1 + tau), ||U(tau)|| <= a tau and ||U'|| <= a (derivative
+    # decay), and the Chernoff bound ||U(n)/n - v_n|| <= a/sqrt(n) give
+    #   ||u(n) - v_n|| <= a tau |n-1-tau|/(n(1+tau)) + a |n-tau|/n + a/sqrt(n)
+    pflow = continuous.integrate_u(op, _ITZ, np.zeros(op.dim), 200.0, tol=1e-6)
+    _, vn = discrete.iterate_Vn(op, 200)
+    a = op.norm(op.J(np.zeros(op.dim)))
+    for n in (2, 8, 20, 50, 100, 200):
+        tau = continuous.zeta_inverse(n)
+        bound = (a * tau * abs(n - 1 - tau) / (n * (1 + tau)) + a * abs(n - tau) / n
+                 + a / np.sqrt(n))
+        gap = op.norm(pflow.at(float(n)) - vn[n - 1])
+        assert gap <= bound + pflow.err_at(float(n)) + core.BASE_TOL, n

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opdyn
 from opdyn import bounds, continuous, core, discrete, shapley
 from opdyn.errors import InputError
 
@@ -472,6 +474,9 @@ def test_sample_ball_rejects_an_unknown_norm_kind():
 
 
 _TR = core.Translation([1.0])
+_PENNIES = shapley.ShapleyOperator(shapley.matching_pennies())
+_HALF = continuous.Constant(0.5)
+_FLOW = continuous.integrate_U(_TR, [0.0], 2.0)
 _COUNT_BAD = (2.5, True, "3")  # a fraction, a bool and a str
 
 #: (site, the start of its errors, which names the argument, the site called
@@ -523,7 +528,7 @@ _READ_SITES = [
      ([True, 0.5], ["0.5"], np.array([True])), None),
     ("phi_recursion", "steps: ", lambda v: discrete.phi_recursion(_TR, v).points.tobytes(),
      ([True, 0.5], ["0.5"]), None),
-    ("Table", "knots: ", lambda v: repr(continuous.Table(v).vs),
+    ("Table", "knots: ", lambda v: repr(continuous.Table(v).kinks()),
      ([("0", True)], [(0.0, True)], [(0.0, "0.5")]), None),
     ("identity_operator", "dim: ", lambda v: repr(core.identity_operator(v).matrix),
      _COUNT_BAD, 2),
@@ -535,6 +540,83 @@ _READ_SITES = [
      lambda v: shapley.random_game(2, 2, 2, payoff_range=(v, 1)).shape_groups[0][1].tobytes(),
      ("0", True), 0),
     ("rotation", "theta: ", lambda v: repr(core.rotation(v).matrix), ("0.5", True), 1),
+    ("StepSequence.constant.lam", "lambda: ",
+     lambda v: discrete.StepSequence.constant(v, 2).steps.tobytes(), ("0.5", True), 1),
+    ("StepSequence.inverse_sqrt", "N: ",
+     lambda v: discrete.StepSequence.inverse_sqrt(v).steps.tobytes(), _COUNT_BAD, 3),
+    ("random_game.m", "m: ", lambda v: shapley.random_game(1, v, 2).shape_groups[0][1].tobytes(),
+     _COUNT_BAD, 2),
+    ("random_game.n", "n: ", lambda v: shapley.random_game(1, 2, v).shape_groups[0][1].tobytes(),
+     _COUNT_BAD, 2),
+    # a bool is no lam = 1, and a str no number: the checked path reads lam
+    ("apply_Phi.lam", "lambda: ", lambda v: core.apply_Phi(_TR, v, [1.0]).tobytes(),
+     ("0.5", True), 1),
+    ("apply_Phi.x", "not a numeric vector: ", lambda v: core.apply_Phi(_TR, 0.5, v).tobytes(),
+     (["1"], [10**400]), 1),
+    ("apply_A.x", "not a numeric vector: ", lambda v: core.apply_A(_TR, v).tobytes(),
+     (["1"], [10**400]), 1),
+    ("Operator.norm.x", "not a numeric vector: ", lambda v: repr(_TR.norm(v)),
+     (["1"], [10**400]), 1),
+    ("AffineNonexpansive.linearize.x", "not a numeric vector: ",
+     lambda v: repr(_TR.linearize(v)), (["1"], [10**400]), 1),
+    ("ShapleyOperator.linearize.x", "not a numeric vector: ",
+     lambda v: repr(_PENNIES.linearize(v)), (["1"], [10**400]), 1),
+    ("LinearIsometry.matrix", "matrix is not numeric: ",
+     lambda v: repr(core.LinearIsometry(v).matrix), ([["a"]], [[True]], [[10**400]]), None),
+    ("check_accretive.lam", "lambda: ", lambda v: repr(core.check_accretive(_TR, v, samples=3)),
+     ("0.5", True), 1),
+    ("check_accretive.samples", "samples: ",
+     lambda v: repr(core.check_accretive(_TR, 0.5, samples=v)), _COUNT_BAD, 3),
+    # a seed is a count: no bool, str or negative number reaches NumPy
+    *[(f"{check.__name__}.seed", "seed: ",
+       lambda v, check=check, args=args: repr(check(_TR, *args, samples=3, seed=v)),
+       (*_COUNT_BAD, -1), 2)
+      for check, args in ((core.check_nonexpansive, ()), (core.check_accretive, (0.5,)))],
+    ("euler_power.t", "t: ", lambda v: continuous.euler_power(_TR, v, 2, [0.0]).tobytes(),
+     ("1", True), 1),
+    ("euler_power.x0", "not a numeric vector: ",
+     lambda v: continuous.euler_power(_TR, 1.0, 2, v).tobytes(), (["1"], [10**400]), 1),
+    ("euler_scheme.x0", "not a numeric vector: ",
+     lambda v: discrete.euler_scheme(_TR, v, [0.5]).points.tobytes(), (["1"], [10**400]), 1),
+    ("euler_scheme.steps", "steps: ",
+     lambda v: discrete.euler_scheme(_TR, [0.0], v).points.tobytes(),
+     ([True, 0.5], ["0.5"]), None),
+    # not public, yet a site of the same rules: a bool is no t = 1.0
+    ("euler_interpolant", "t: ",
+     lambda v: discrete.euler_interpolant(discrete.euler_scheme(_TR, [0.0], [1.0]), v).tobytes(),
+     ("1", True), 1),
+    # not public either: lists of steps are read as StepSequences
+    ("kobayashi_rhs", "steps: ",
+     lambda v: discrete.kobayashi_rhs(_TR, [0.0], [1.0], v, v).tobytes(),
+     ([True, 0.5], ["0.5"]), None),
+    ("integrate_U.U0", "not a numeric vector: ",
+     lambda v: continuous.integrate_U(_TR, v, 1.0).points.tobytes(), (["1"], [10**400]), 1),
+    ("integrate_U.tol", "tol: ",
+     lambda v: continuous.integrate_U(_TR, [0.0], 1.0, v).points.tobytes(), ("1", True), 1),
+    # a number is no parametrization
+    ("integrate_u.param", "param: ",
+     lambda v: continuous.integrate_u(_TR, v, [0.0], 1.0).points.tobytes(),
+     (0.5, None, continuous.Constant), None),
+    ("integrate_u.u0", "not a numeric vector: ",
+     lambda v: continuous.integrate_u(_TR, _HALF, v, 1.0).points.tobytes(), (["1"], [10**400]), 1),
+    ("integrate_u.T", "T: ",
+     lambda v: continuous.integrate_u(_TR, _HALF, [0.0], v).points.tobytes(), ("1", True), 2),
+    ("integrate_u.tol", "tol: ",
+     lambda v: continuous.integrate_u(_TR, _HALF, [0.0], 1.0, v).points.tobytes(), ("1", True), 1),
+    ("Trajectory.at", "t: ", lambda v: _FLOW.at(v).tobytes(), ("1", True), 1),
+    ("Trajectory.err_at", "times: ", lambda v: repr(_FLOW.err_at(v)), ("1", True), 1),
+    ("slow_param_bound.u0", "not a numeric vector: ",
+     lambda v: repr(continuous.slow_param_bound(_TR, _HALF, v, 1.0)), (["1"], [10**400]), 1),
+    ("slow_param_bound.t", "t: ",
+     lambda v: repr(continuous.slow_param_bound(_TR, _HALF, [0.0], v)), ("1", True), 1),
+    ("solve_vlambda.lam", "lambda: ", lambda v: discrete.solve_vlambda(_TR, v).tobytes(),
+     ("0.5", True), 1),
+    ("run_checks.ode_tol", "ode_tol: ",
+     lambda v: repr(bounds.run_checks([("solution_contraction", bounds.Scenario(_TR, horizon=2))],
+                                      v)), ("1", True), 1),
+    # the suite reads ode_tol before its first check runs; its good value is
+    # the suite's own run
+    ("run_suite.ode_tol", "ode_tol: ", lambda v: repr(bounds.run_suite(v)), ("1", True), None),
     # a time of lam, read by each of a Parametrization's three reads
     *[(f"{type(p).__name__}.{read}", "t: ",
        lambda v, p=p, read=read: repr(float(getattr(p, read)(v))), ("1", True, 10**400), 1)
@@ -557,6 +639,92 @@ def test_each_public_argument_is_read_by_a_core_reader(named, read, bad, good):
     if good is not None:
         values = (good, float(good), np.int64(good), np.float64(good), np.array(good))
         assert len({read(v) for v in values}) == 1
+
+
+#: the parameter a row reads, where neither its site nor its error names it
+_ROW_PARAMETERS = {"Constant": "lam", "AffineNonexpansive": "matrix", "Translation": "c",
+                   "norm": "x", "Operator.J": "x", "phi_recursion": "lambda_seq"}
+
+#: the public parameters that need no row, each with the reason
+_UNREAD_PARAMETERS = {
+    # no number: objects, flags, names and kinds, each checked by its use
+    **dict.fromkeys([f"{site}.op" for site in (
+        "apply_A", "apply_Phi", "check_accretive", "check_nonexpansive", "euler_power",
+        "euler_scheme", "integrate_U", "integrate_u", "iterate_Vn", "phi_recursion",
+        "slow_param_bound", "solve_vlambda")], "an Operator"),
+    "slow_param_bound.param": "a Parametrization, which reads its own times",
+    "ShapleyOperator.game": "a StochasticGame, built by its own schema",
+    "apply_A.checked": "a flag", "apply_Phi.checked": "a flag", "solve_vlambda.full": "a flag",
+    "AffineNonexpansive.norm_kind": "a norm kind", "LinearIsometry.norm_kind": "a norm kind",
+    "Translation.norm_kind": "a norm kind", "norm.kind": "a norm kind",
+    "verify.check": "a check's name", "verify.scenario": "a Scenario, read by verify",
+    "run_checks.pairs": "(check, Scenario) pairs, each read by verify",
+    "Scenario.operator": "an Operator",
+    "load_game.source": "a game document or its path",
+    # the game schema reads these, each at its location (test_shapley's
+    # test_each_game_schema_error_names_its_location)
+    **dict.fromkeys([f"StochasticGame.{key}" for key in (
+        "states", "actions", "payoff", "transition")], "read by the game schema"),
+    # records that the library builds and callers only read
+    **dict.fromkeys([f"BoundReport.{key}" for key in (
+        "check", "lhs", "rhs", "slack", "tol_budget", "verdict", "context")], "a result"),
+    **dict.fromkeys([f"Trajectory.{key}" for key in (
+        "times", "nodes", "err_bound", "dense")], "a result"),
+    # map takes a validated vector: J is its reader (row Operator.J)
+    **dict.fromkeys([f"{cls}.map.x" for cls in (
+        "Operator", "AffineNonexpansive", "ShapleyOperator")], "J reads it"),
+    "Operator.linearize.x": "the base class returns J(x), None (row Operator.J)",
+    # a guess at the kernel of the solve: whether a malformed one, which
+    # escapes as a ValueError or an IndexError, is an error or is ignored
+    # is not decided yet
+    "matrix_game_value.support": "not read yet",
+}
+
+
+def _public_parameters():
+    """site.parameter of every parameter of every public callable of opdyn:
+    the functions and classes of __all__ (errors aside) and the public
+    methods of the classes, each named by the qualname of its definition.
+    Scenario's **inputs are the checks' keys, which bounds.READERS reads."""
+    sites = {}
+    for obj in (getattr(opdyn, name) for name in opdyn.__all__):
+        if isinstance(obj, type) and issubclass(obj, Exception) or not callable(obj):
+            continue
+        sites[obj.__qualname__] = obj
+        for attr in dir(obj) if isinstance(obj, type) else ():
+            method = getattr(obj, attr)
+            if not attr.startswith("_") and callable(method):
+                sites[method.__qualname__] = method
+    return {f"{site}.{name}" for site, fn in sites.items()
+            for name, p in inspect.signature(fn).parameters.items()
+            if name not in ("self", "cls") and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
+
+
+def _row_parameter(row):
+    """site.parameter that a _READ_SITES row reads, or None for a site
+    outside opdyn's namespace: its id names a callable of opdyn, then
+    perhaps the parameter; else its error or _ROW_PARAMETERS names it."""
+    site_id, named = row[:2]
+    parts, obj = site_id.split("."), opdyn
+    while parts and callable(getattr(obj, parts[0], None)):
+        obj = getattr(obj, parts.pop(0))
+    if obj is opdyn:
+        return None
+    name = parts[0] if parts else named.split(": ")[0]
+    if name not in inspect.signature(obj).parameters:
+        name = _ROW_PARAMETERS[site_id]
+    return f"{obj.__qualname__}.{name}"
+
+
+def test_every_public_parameter_has_a_read_site_row_or_a_reason():
+    # a new public argument must go through the core readers, as a row of
+    # _READ_SITES shows, or say here why it need not
+    public = _public_parameters()
+    read = {_row_parameter(row) for row in _READ_SITES} - {None}
+    assert read <= public
+    assert sorted(public - read - set(_UNREAD_PARAMETERS)) == []
+    assert sorted(read & set(_UNREAD_PARAMETERS)) == []
+    assert sorted(set(_UNREAD_PARAMETERS) - public) == []
 
 
 def test_the_core_readers_keep_the_config_readers_rules():

@@ -814,7 +814,7 @@ def test_pure_saddles_follow_min_and_max_bit_for_bit():
     assert saddles > 128  # most of the 256 games have one
 
 
-def test_game_schema_errors():
+def test_game_schema_errors(tmp_path):
     good = shapley.matching_pennies().to_dict()
 
     missing = dict(good)
@@ -832,8 +832,24 @@ def test_game_schema_errors():
     with pytest.raises(SchemaError, match="transition"):
         shapley.load_game(bad_rows)
 
-    with pytest.raises(SchemaError, match="JSON"):
-        shapley.load_game("{not json")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    with pytest.raises(SchemaError, match="JSON") as caught:
+        shapley.load_game(invalid)
+    assert caught.value.location == "document"
+
+
+def test_a_game_file_whose_path_starts_with_a_brace_loads(tmp_path, monkeypatch):
+    # load_game takes a dict or a path: any other source is a path, however
+    # it starts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{g}.json").write_text(json.dumps(shapley.matching_pennies().to_dict()))
+    want = shapley.matching_pennies().to_dict()
+    assert shapley.load_game("{g}.json").to_dict() == want
+    assert shapley.load_game(tmp_path / "{g}.json").to_dict() == want
+    with pytest.raises(SchemaError, match="cannot read game file") as caught:
+        shapley.load_game(" {}")
+    assert caught.value.location == " {}"
 
 
 def _edited_pennies(key, value, game=shapley.matching_pennies()):
