@@ -686,7 +686,9 @@ def run_checks(pairs, ode_tol=ODE_TOL):
     while the memo lives: alpha_family's PowerAlpha(0.5) is dropped before
     its PowerAlpha(0.0) is built, and could otherwise lend it its id and
     its flow.  The memo lives for this call alone and is dropped when it
-    returns or raises; verify called outside run_checks shares nothing."""
+    returns or raises; verify called outside run_checks shares nothing.
+    ode_tol is read before the first pair, so an empty plan reads it too."""
+    ode_tol = convert(core.positive, ode_tol, "ode_tol")
     token = _SHARED.set({})
     try:
         return [r for check, scenario in pairs for r in verify(check, scenario, ode_tol)]

@@ -316,24 +316,24 @@ class Trajectory:
     err_at gives the bound of reads at any times.
 
     The arrays are not to be changed once made: reads bracket their times
-    on a list copy of times, made with the trajectory, and keep the last
-    step's ends and rows as Python floats (a read in that step skips the
-    bisect), so writing into times, nodes or dense after a read gives stale
-    reads.
+    on times itself, through a memoryview made at the read, and keep the
+    last step's ends and rows and the next step's end as Python floats (a
+    read in that step or the next skips the bisect), so writing into
+    times, nodes or dense after a read gives stale reads.  No view is kept:
+    a memoryview cannot be pickled, and it would pin the buffer.
     """
 
     times: np.ndarray
     nodes: np.ndarray
     err_bound: np.ndarray
     dense: np.ndarray
-    _grid: list = field(init=False, repr=False, compare=False)
     _step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._grid = self.times.tolist()
-        # (k, times[k], times[k+1], P_k, D_k, P_k+1, D_k+1, dense[k]); its
-        # NaN ends make the first read bisect
-        self._step = (-1, math.nan, math.nan, [], [], [], [], [])
+        # (k, times[k], times[k+1], times[k+2] or NaN past the last step,
+        # P_k, D_k, P_k+1, D_k+1, dense[k]); its NaN ends make the first
+        # read bisect
+        self._step = (-1, math.nan, math.nan, math.nan, [], [], [], [], [])
 
     @property
     def points(self):
@@ -350,31 +350,39 @@ class Trajectory:
             c0 P_k + c1 D_k + c2 P_k+1 - c3 D_k+1 + c4 dense[k]
 
         entry by entry, in that order, with (P, D) the node block's rows.
-        The step k and s are bracketed on the list grid, and the five
-        coefficients and the sum are computed on Python floats: the same
-        IEEE operations, in the same order, as NumPy's elementwise ones.
-        The sum starts from its first term, which keeps a signed zero that
-        a sum from 0.0 (NumPy's reduce with no initial value) would lose.
-        The ends and rows of the last step read are kept, as one tuple, so
-        sorted reads convert each step's rows once, and a read in that step,
-        times[k] <= t < times[k+1], takes k and s = (t - times[k]) / h
-        without bisecting the grid: the operations locate would do.
+        The five coefficients and the sum are computed on Python floats:
+        the same IEEE operations, in the same order, as NumPy's elementwise
+        ones.  The sum starts from its first term, which keeps a signed zero
+        that a sum from 0.0 (NumPy's reduce with no initial value) would
+        lose.  The ends and rows of the last step read are kept, as one
+        tuple with the next step's end, so sorted reads convert each node's
+        rows once.  A read in that step, times[k] <= t < times[k+1], or in
+        the next, times[k+1] <= t < times[k+2], where sorted reads go, takes
+        its step and s = (t - times[k]) / h from those ends: the operations
+        locate would do.  Any other read brackets t with locate, on a
+        memoryview of times, whose items are Python floats.
         InputError unless t is a real scalar on the samples."""
         t = float(t) if isinstance(t, float) else convert(real, t, "t")  # np.float64 too
-        k, a, b, p0, d0, p1, d1, dk = self._step
+        k, a, b, c, p0, d0, p1, d1, dk = self._step
+        if b <= t < c:  # the next step becomes the kept one
+            k, a, b = k + 1, b, c
+            p0, d0, (p1, d1) = p1, d1, self.nodes[k + 1].tolist()
+            dk = self.dense[k].tolist()
+            c = self.times.item(k + 2) if k + 2 < len(self.times) else math.nan
+            self._step = (k, a, b, c, p0, d0, p1, d1, dk)
         if a <= t < b:
-            h = b - a
-            s = (t - a) / h
+            s = (t - a) / (b - a)
         else:
-            grid = self._grid
-            step, s = locate(grid, t)
-            a, b = grid[step], grid[step + 1]
-            h = b - a
+            times = memoryview(self.times)
+            step, s = locate(times, t)
+            a, b = times[step], times[step + 1]
             if step != k:
                 k = step
+                c = times[k + 2] if k + 2 < len(times) else math.nan
                 (p0, d0), (p1, d1) = self.nodes[k:k + 2].tolist()
                 dk = self.dense[k].tolist()
-                self._step = (k, a, b, p0, d0, p1, d1, dk)
+                self._step = (k, a, b, c, p0, d0, p1, d1, dk)
+        h = b - a
         r = 1.0 - s
         c0 = (1.0 + 2.0 * s) * r * r
         c1 = s * r * r * h
@@ -394,7 +402,7 @@ class Trajectory:
             times = times.tolist()
         if not isinstance(times, (list, tuple, range)):
             times = [times]
-        grid = self._grid
+        grid = memoryview(self.times)
         located = [locate(grid, convert(real, t, "times")) for t in times]
         if not located:
             raise InputError("no read time given")

@@ -123,9 +123,11 @@ def locate(grid, t):
     """(k, s) with t = grid[k] + s (grid[k+1] - grid[k]), s in [0, 1] (the
     last sample gives k = len(grid) - 2, s = 1), for a sorted sequence of
     floats grid; s is a Python float.  Pass a list, or a memoryview of a
-    float array, whose items are Python floats: bisect reads an array's
-    items as NumPy scalars.  t is clamped onto the grid from within 1e-12;
-    further out, or NaN, it raises InputError."""
+    float array, whose items are Python floats, as Trajectory's reads and
+    euler_interpolant do: bisect reads an array's items as NumPy scalars,
+    and a list copy of an array costs 32 bytes per item.  t is clamped
+    onto the grid from within 1e-12; further out, or NaN, it raises
+    InputError."""
     first, last = float(grid[0]), float(grid[-1])
     if not first - 1e-12 <= t <= last + 1e-12:
         raise InputError(f"time {t} outside [{first}, {last}]")

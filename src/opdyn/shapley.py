@@ -489,15 +489,19 @@ def _solve(rows, support, scale):
     system on a k x k block (k <= 3) and accepts it only under strict
     complementarity with margin LP_GAP_TOL * max(1, scale), the gap
     tolerance, which makes the block the game's only optimal support.  The
-    guess ``support`` is tried first, then the block of the actions that
-    the strategies ``_simplex`` certifies play (in floats, or exact
-    rationals when that raises ResourceError).  When a block is accepted,
-    support is that block and p and q are its weights on the block's rows
-    and columns; otherwise support is None and p and q are the simplex's
-    strategies, one weight per action.
+    guess ``support`` is tried first (a malformed one, on which ``_kernel``
+    raises TypeError, ValueError or IndexError, is read as no guess), then
+    the block of the actions that the strategies ``_simplex`` certifies
+    play (in floats, or exact rationals when that raises ResourceError).
+    When a block is accepted, support is that block and p and q are its
+    weights on the block's rows and columns; otherwise support is None and
+    p and q are the simplex's strategies, one weight per action.
     """
     margin = LP_GAP_TOL * max(1.0, scale)
-    sol = None if support is None else _kernel(rows, support, margin)
+    try:
+        sol = None if support is None else _kernel(rows, support, margin)
+    except (TypeError, ValueError, IndexError):
+        sol = None  # a malformed guess is no guess
     if sol is None:
         try:
             value, p, q = _certify(rows, *_simplex(rows, 1e-12, 1e-15), margin)

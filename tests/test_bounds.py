@@ -480,3 +480,14 @@ def test_the_memo_ends_with_its_run_checks_call_when_a_check_fails():
     with pytest.raises(InputError, match="unknown check"):
         bounds.run_checks([("no_such_check", bounds.Scenario(core.Translation([1.0])))])
     assert bounds._SHARED.get() is None
+
+
+def test_run_checks_reads_ode_tol_before_its_first_pair():
+    # an empty plan reads ode_tol as every other entry point does
+    for value, message in [("1", "must be a number, got '1'"),
+                           (True, "must be a number, got True"),
+                           (0, "must be positive and finite, got 0.0"),
+                           (math.nan, "must be positive and finite, got nan")]:
+        with pytest.raises(InputError, match=f"^{re.escape('ode_tol: ' + message)}$"):
+            bounds.run_checks([], value)
+    assert bounds.run_checks([], 1) == []

@@ -1,5 +1,8 @@
+import gc
 import math
+import pickle
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -355,8 +358,9 @@ def _reads(traj):
 
 
 def test_memoized_reads_in_any_order_are_the_extension_bit_for_bit():
-    # Trajectory.at keeps the last step's rows: shuffled, backward and
-    # repeated reads, and reads that alternate between two trajectories,
+    # Trajectory.at keeps the last step's rows and steps on to the next
+    # step unbisected: shuffled, backward, repeated and forward reads, and
+    # forward reads that skip steps or alternate between two trajectories,
     # must each read their own step's rows
     rng = np.random.default_rng(5)
     op = core.AffineNonexpansive([[0.5, -0.25, 0.25], [0.0, 0.6, -0.4],
@@ -378,10 +382,43 @@ def test_memoized_reads_in_any_order_are_the_extension_bit_for_bit():
         check(traj, [reads[i] for i in rng.permutation(len(reads))])
         check(traj, sorted(reads, reverse=True))
         check(traj, [read for read in reads for _ in range(2)])
+        check(traj, reads[1::13])
     for a, b in ((flow, pflow), (flow, built)):
         for (ta, want_a), (tb, want_b) in zip(_reads(a), _reads(b)):
             assert a.at(ta).tobytes() == want_a
             assert b.at(tb).tobytes() == want_b
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_trajectory_keeps_no_object_per_node(d):
+    # reads bracket on times itself: after a read at every node a flow of
+    # 1,006 nodes holds O(d) bytes beyond its four arrays (a list copy of
+    # times would add 32 bytes a node), and its pickled copy, which holds
+    # no memoryview, reads the same bits
+    def read_every_node():
+        flow = continuous.integrate_U(core.Translation([1.0] * d), [0.0] * d, 1000.0)
+        assert flow.times.size >= 1000
+        for t in flow.times:
+            flow.at(t)
+        return flow
+
+    tracemalloc.start()
+    try:
+        flow = read_every_node()
+        arrays = sum(a.nbytes for a in (flow.times, flow.nodes, flow.err_bound, flow.dense))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del flow
+        gc.collect()
+        kept = held - tracemalloc.get_traced_memory()[0] - arrays
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1024 * (1 + d)
+    flow = read_every_node()
+    copy = pickle.loads(pickle.dumps(flow))
+    times = np.concatenate((flow.times, (flow.times[:-1] + flow.times[1:]) / 2.0))
+    assert [copy.at(t).tobytes() for t in times] == [flow.at(t).tobytes() for t in times]
+    assert copy.err_at(times) == flow.err_at(times)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
@@ -552,8 +589,10 @@ def test_a_time_that_is_not_a_real_scalar_is_an_input_error():
 
 
 def test_reads_in_the_kept_step_skip_the_bisect(monkeypatch):
-    # a read in the step of the last read takes s from that step's ends;
-    # any other read brackets its time with locate, as before
+    # a read in the step of the last read, or in the step after it, takes s
+    # from that step's ends, so sorted reads bisect only their first time
+    # and T, which ends the last step; any other read brackets its time
+    # with locate
     traj = continuous.integrate_U(core.rotation(np.pi / 6.0), np.ones(2), 3.0, tol=1e-8)
     located = []
     monkeypatch.setattr(continuous, "locate",
@@ -566,7 +605,13 @@ def test_reads_in_the_kept_step_skip_the_bisect(monkeypatch):
             t = times[k] + frac * h
             assert traj.at(t).tobytes() == extension(traj, k, (t - times[k]) / h).tobytes()
     assert traj.at(times[n]).tobytes() == extension(traj, n - 1, 1.0).tobytes()
-    assert located == [*times[:n].tolist(), times[n]]
+    assert located == [times[0], times[n]]
+    # back to step 1, on to step 3 past step 2, then on to step 4
+    reads = [(k, times[k] + 0.5 * (times[k + 1] - times[k])) for k in (1, 3, 4)]
+    for k, t in reads:
+        h = times[k + 1] - times[k]
+        assert traj.at(t).tobytes() == extension(traj, k, (t - times[k]) / h).tobytes()
+    assert located == [times[0], times[n], reads[0][1], reads[1][1]]
 
 
 def test_node_derivatives_are_the_right_hand_side_bit_for_bit():

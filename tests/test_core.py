@@ -674,10 +674,9 @@ _UNREAD_PARAMETERS = {
     **dict.fromkeys([f"{cls}.map.x" for cls in (
         "Operator", "AffineNonexpansive", "ShapleyOperator")], "J reads it"),
     "Operator.linearize.x": "the base class returns J(x), None (row Operator.J)",
-    # a guess at the kernel of the solve: whether a malformed one, which
-    # escapes as a ValueError or an IndexError, is an error or is ignored
-    # is not decided yet
-    "matrix_game_value.support": "not read yet",
+    # a guess never changes the result, so a malformed one is read as no
+    # guess (test_shapley's test_a_support_guess_never_changes_the_result)
+    "matrix_game_value.support": "a guess: a malformed one is no guess",
 }
 
 

@@ -505,7 +505,8 @@ def test_a_support_guess_never_changes_the_result(shape):
     # every candidate support, wrong guesses included, on seeded games with
     # entries in [-1, 1], those scaled by 1e-3 and by 1e6, ones tied up to
     # 1e-8 from DEGENERATE and, with three rows or more, ones whose third
-    # row is a convex combination of the first two
+    # row is a convex combination of the first two; a malformed guess (one
+    # index tuple, an index out of range, a number, a str) is no guess
     rng = np.random.default_rng(17)
     games = [rng.uniform(-1.0, 1.0, size=shape) for _ in range(12)]
     games += [scale * M for M in games[:4] for scale in (1e-3, 1e6)]
@@ -517,6 +518,7 @@ def test_a_support_guess_never_changes_the_result(shape):
             games.append(M)
     guesses = [(rows, cols) for rows in index_sets(shape[0])
                for cols in index_sets(shape[1])]
+    guesses += [(0,), ((0,), (7,)), 5, "ab"]
     kernels = 0
     for M in games:
         cold = shapley.matrix_game_value(M)
